@@ -6,37 +6,23 @@ State vector is (u, w) with w = p*u', integrated over a subinterval of
     u' = w / p(x)
     w' = -(i*lam/eps) * (p/f)(x) * u
 
-p and p/f are reconstructed from the analytic singular split
-
-    log(p/f)(x) = sigma*(log x - log(pi - x) + log pi) + RB(x)/eps + log(pi/2)
-    p(x)        = f(x) * (p/f)(x)
-
-where RB is the integral of the bounded remainder of 1/f after both model
-singularities are removed (built once per model in ``singular``); RB enters
-here as a piecewise-cubic table.
+The coefficients come from a scalar evaluator ``coef(x) -> ((p/f)(x), p(x))``
+that ``singular`` builds once per model; it reconstructs p and p/f from the
+analytic split of the poles of 1/f at both endpoints.
 
 The stepper is a Dormand-Prince 5(4) pair with FSAL, per-step error
 control, steps capped at a fraction of the distance to the singular
 endpoints, and exact landing on a caller-supplied list of forced nodes
-(output points, coefficient kinks, terminal point).  Everything in this
-module must stay numba-compilable; the decorators come from ``backend``.
+(output points, coefficient kinks, terminal point).  It is plain
+Python; the six coefficient evaluations of a step read Python lists, not
+numpy arrays.
 """
 
 import math
 
 import numpy as np
 
-from .backend import maybe_njit
-
 PI = math.pi
-LOG_PI = math.log(math.pi)
-LOG_HALF_PI = math.log(math.pi / 2.0)
-TWO_OVER_PI = 2.0 / math.pi
-HALF_PI = math.pi / 2.0
-
-KIND_SINE = 0
-KIND_TENT = 1
-KIND_TABULATED = 2
 
 STATUS_OK = 0
 STATUS_STEP_UNDERFLOW = 1
@@ -55,73 +41,34 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
 _C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
 
 
-@maybe_njit(cache=True)
-def eval_cubic_table(breaks, coefs, x):
-    """Piecewise cubic in scipy PPoly layout: coefs[m, i] * (x - breaks[i])^(3-m)."""
-    n = breaks.shape[0]
-    idx = np.searchsorted(breaks, x) - 1
-    if idx < 0:
-        idx = 0
-    if idx > n - 2:
-        idx = n - 2
-    t = x - breaks[idx]
-    return ((coefs[0, idx] * t + coefs[1, idx]) * t + coefs[2, idx]) * t + coefs[3, idx]
-
-
-@maybe_njit(cache=True)
-def eval_profile(kind, f_breaks, f_coefs, x):
-    """Coefficient profile on (0, pi)."""
-    if kind == KIND_SINE:
-        return TWO_OVER_PI * math.sin(x)
-    if kind == KIND_TENT:
-        if x <= HALF_PI:
-            return TWO_OVER_PI * x
-        return TWO_OVER_PI * (PI - x)
-    return eval_cubic_table(f_breaks, f_coefs, x)
-
-
-@maybe_njit(cache=True)
-def eval_log_pf(sigma, eps, rb_breaks, rb_coefs, x):
-    """log of p/f at x in (0, pi), singular parts handled analytically."""
-    rb = eval_cubic_table(rb_breaks, rb_coefs, x)
-    return sigma * (math.log(x) - math.log(PI - x) + LOG_PI) + rb / eps + LOG_HALF_PI
-
-
-@maybe_njit(cache=True)
-def _rhs(x, u, w, lam, eps, sigma, kind, f_breaks, f_coefs, rb_breaks, rb_coefs):
-    pf = math.exp(eval_log_pf(sigma, eps, rb_breaks, rb_coefs, x))
-    p = eval_profile(kind, f_breaks, f_coefs, x) * pf
+def _rhs(x, u, w, lam, eps, coef):
+    pf, p = coef(x)
     du = w / p
     dw = -(1j * lam / eps) * pf * u
     return du, dw
 
 
-@maybe_njit(cache=True)
-def integrate_quasi_system(x0, x1, u0, w0, lam, eps, sigma,
-                           kind, f_breaks, f_coefs, rb_breaks, rb_coefs,
-                           forced, rtol, atol, max_steps, cap_frac, record_steps):
+def integrate_quasi_system(x0, x1, u0, w0, lam, eps, coef, forced,
+                           rtol, atol, max_steps, cap_frac, record_steps):
     """Integrate from x0 to x1 landing exactly on every node in ``forced``.
 
     ``forced`` must be sorted in travel order, lie strictly between x0 and
     x1 except for its last entry which must equal x1.  Returns
     ``(status, x_reached, n_out, xs, us, ws, n_steps)`` where the first
-    recorded node is x0 itself.
+    recorded node is x0 itself and ``n_steps`` counts attempted steps,
+    rejected ones included.
     """
     direction = 1.0 if x1 > x0 else -1.0
+    # Nodes are read from ``forced`` as numpy float64 scalars on purpose:
+    # they turn the step and the state into numpy scalars, and results are
+    # pinned to numpy's complex arithmetic (its division by a real rounds
+    # differently from Python's).
     n_forced = forced.shape[0]
-    cap = n_forced + 2 + (max_steps if record_steps else 0)
-    xs = np.empty(cap, np.float64)
-    us = np.empty(cap, np.complex128)
-    ws = np.empty(cap, np.complex128)
 
     x = x0
     u = u0 + 0j
     w = w0 + 0j
-    n_out = 0
-    xs[n_out] = x
-    us[n_out] = u
-    ws[n_out] = w
-    n_out += 1
+    xs, us, ws = [x], [u], [w]
 
     ptr = 0
     dist_end = min(x, PI - x)
@@ -131,12 +78,14 @@ def integrate_quasi_system(x0, x1, u0, w0, lam, eps, sigma,
         if gap > 0 and gap < abs(h):
             h = direction * gap
 
-    k1u, k1w = _rhs(x, u, w, lam, eps, sigma, kind, f_breaks, f_coefs, rb_breaks, rb_coefs)
+    k1u, k1w = _rhs(x, u, w, lam, eps, coef)
     n_steps = 0
+    status = STATUS_OK
 
     while ptr < n_forced:
         if n_steps >= max_steps:
-            return STATUS_MAX_STEPS, x, n_out, xs, us, ws, n_steps
+            status = STATUS_MAX_STEPS
+            break
 
         dist_end = min(x, PI - x)
         hmax = cap_frac * dist_end
@@ -150,31 +99,30 @@ def integrate_quasi_system(x0, x1, u0, w0, lam, eps, sigma,
             landing = True
 
         if abs(h) < 1e-14 * max(abs(x), 1.0):
-            return STATUS_STEP_UNDERFLOW, x, n_out, xs, us, ws, n_steps
+            status = STATUS_STEP_UNDERFLOW
+            break
 
-        k2u, k2w = _rhs(x + _C2 * h, u + h * _A21 * k1u, w + h * _A21 * k1w,
-                        lam, eps, sigma, kind, f_breaks, f_coefs, rb_breaks, rb_coefs)
+        k2u, k2w = _rhs(x + _C2 * h, u + h * _A21 * k1u, w + h * _A21 * k1w, lam, eps, coef)
         k3u, k3w = _rhs(x + _C3 * h,
                         u + h * (_A31 * k1u + _A32 * k2u),
                         w + h * (_A31 * k1w + _A32 * k2w),
-                        lam, eps, sigma, kind, f_breaks, f_coefs, rb_breaks, rb_coefs)
+                        lam, eps, coef)
         k4u, k4w = _rhs(x + _C4 * h,
                         u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u),
                         w + h * (_A41 * k1w + _A42 * k2w + _A43 * k3w),
-                        lam, eps, sigma, kind, f_breaks, f_coefs, rb_breaks, rb_coefs)
+                        lam, eps, coef)
         k5u, k5w = _rhs(x + _C5 * h,
                         u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u),
                         w + h * (_A51 * k1w + _A52 * k2w + _A53 * k3w + _A54 * k4w),
-                        lam, eps, sigma, kind, f_breaks, f_coefs, rb_breaks, rb_coefs)
+                        lam, eps, coef)
         k6u, k6w = _rhs(x + h,
                         u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u),
                         w + h * (_A61 * k1w + _A62 * k2w + _A63 * k3w + _A64 * k4w + _A65 * k5w),
-                        lam, eps, sigma, kind, f_breaks, f_coefs, rb_breaks, rb_coefs)
+                        lam, eps, coef)
         u_new = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
         w_new = w + h * (_B1 * k1w + _B3 * k3w + _B4 * k4w + _B5 * k5w + _B6 * k6w)
         x_new = x + h
-        k7u, k7w = _rhs(x_new, u_new, w_new,
-                        lam, eps, sigma, kind, f_breaks, f_coefs, rb_breaks, rb_coefs)
+        k7u, k7w = _rhs(x_new, u_new, w_new, lam, eps, coef)
 
         err_u = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
         err_w = h * (_E1 * k1w + _E3 * k3w + _E4 * k4w + _E5 * k5w + _E6 * k6w + _E7 * k7w)
@@ -189,17 +137,12 @@ def integrate_quasi_system(x0, x1, u0, w0, lam, eps, sigma,
             u = u_new
             w = w_new
             k1u, k1w = k7u, k7w
+            if landing or record_steps:
+                xs.append(x)
+                us.append(u)
+                ws.append(w)
             if landing:
-                xs[n_out] = x
-                us[n_out] = u
-                ws[n_out] = w
-                n_out += 1
                 ptr += 1
-            elif record_steps:
-                xs[n_out] = x
-                us[n_out] = u
-                ws[n_out] = w
-                n_out += 1
             if err == 0.0:
                 factor = 5.0
             else:
@@ -208,36 +151,5 @@ def integrate_quasi_system(x0, x1, u0, w0, lam, eps, sigma,
         else:
             h = h * max(0.2, 0.9 * err ** -0.2)
 
-    return STATUS_OK, x, n_out, xs, us, ws, n_steps
-
-
-@maybe_njit(cache=True)
-def integrate_batch_endpoint(lams, x0, x1, u0s, w0s, eps, sigma,
-                             kind, f_breaks, f_coefs, rb_breaks, rb_coefs,
-                             forced, rtol, atol, max_steps, cap_frac):
-    """Endpoint-only integration for a batch of spectral parameters.
-
-    Used by eigenvalue scans: returns the state at each forced node for
-    every lam (shape (len(lams), len(forced))) plus per-lam status.
-    """
-    n = lams.shape[0]
-    m = forced.shape[0]
-    out_u = np.empty((n, m), np.complex128)
-    out_w = np.empty((n, m), np.complex128)
-    status = np.empty(n, np.int64)
-    for i in range(n):
-        st, _, n_out, xs, us, ws, _ = integrate_quasi_system(
-            x0, x1, u0s[i], w0s[i], lams[i], eps, sigma,
-            kind, f_breaks, f_coefs, rb_breaks, rb_coefs,
-            forced, rtol, atol, max_steps, cap_frac, False)
-        status[i] = st
-        if st == STATUS_OK:
-            # first recorded node is x0; forced nodes follow
-            for j in range(m):
-                out_u[i, j] = us[1 + j]
-                out_w[i, j] = ws[1 + j]
-        else:
-            for j in range(m):
-                out_u[i, j] = np.nan
-                out_w[i, j] = np.nan
-    return status, out_u, out_w
+    return (status, x, len(xs), np.array(xs, np.float64), np.array(us, np.complex128),
+            np.array(ws, np.complex128), n_steps)

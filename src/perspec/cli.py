@@ -10,6 +10,7 @@ byte-identical; field dumps are CSV.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -116,7 +117,10 @@ def _cmd_trace(cfg: RunConfig, args) -> int:
 
 
 def _load_forcing(path: str, kernel) -> GridFunction:
-    data = np.loadtxt(path, ndmin=2)
+    try:
+        data = np.loadtxt(path, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read forcing file {path}: {exc}") from exc
     if data.shape[1] == 2:
         vals = np.interp(kernel.nodes, data[:, 0], data[:, 1]).astype(complex)
     elif data.shape[1] == 3:
@@ -163,28 +167,35 @@ def _cmd_kernel(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
+def _load_eigenvalues(path: str) -> np.ndarray:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            vals = np.asarray(json.load(fh)["results"]["eigenvalues"], dtype=float)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: no results.eigenvalues entry") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot read eigenvalues from {path}: {exc}") from exc
+    if vals.ndim != 1:
+        raise ValidationError(f"{path}: results.eigenvalues must be a list of numbers")
+    return vals
+
+
 def _cmd_schatten(cfg: RunConfig, args) -> int:
+    eig_vals = _load_eigenvalues(args.eigs_file) if args.eigs_file else None
     model = _model_for(cfg)
     lam = complex(cfg.lambda_re, cfg.lambda_im)
     sc = _solver_config(cfg)
     kernel = assemble_kernel(model, lam, cfg.grid, sc)
     spectrum = singular_values(kernel, orders=cfg.parsed_orders())
     dyadic = dyadic_bound_audit(model, lam, cfg.levels, sc)
-    if args.eigs_file:
-        with open(args.eigs_file, "r", encoding="utf-8") as fh:
-            eig_vals = np.asarray(json.load(fh)["results"]["eigenvalues"])
-        eigs = None
-    else:
-        eigs = scan_and_refine(model, cfg.lmax, cfg.resolution, sc)
-        eig_vals = eigs.eigenvalues
+    if eig_vals is None:
+        eig_vals = scan_and_refine(model, cfg.lmax, cfg.resolution, sc).eigenvalues
     inequalities = {}
     for p in cfg.parsed_orders():
         if p <= 1.0:
             continue
-        left = float(np.sum(np.abs(complex(lam) - eig_vals.astype(complex)) ** (-p)))
-        right = float(np.sum(spectrum.values ** p))
-        inequalities[str(p)] = {"left": left, "right": right,
-                                "passed": bool(left <= right * 1.05)}
+        rep = eigen_schatten_inequality(eig_vals, spectrum, lam, p)
+        inequalities[str(p)] = {"left": rep.left, "right": rep.right, "passed": rep.passed}
     results = {"singular": spectrum.as_dict(), "dyadic": dyadic.as_dict(),
                "inequality": inequalities,
                "eigenvalues_used": eig_vals.tolist()}
@@ -265,9 +276,7 @@ _HANDLERS = {
     "schatten": _cmd_schatten,
 }
 
-_CONFIG_KEYS = ("profile", "profile_file", "epsilon", "delta", "rtol", "atol",
-                "resolution", "lmax", "grid", "lambda_re", "lambda_im",
-                "p_orders", "levels", "seed", "out")
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))
 
 
 def run_subcommand(argv) -> int:

@@ -42,9 +42,10 @@ from .shooting import (DEFAULT_CONFIG, SolutionTrace, SolverConfig,
 from .singular import compute_log_p_over_f, default_cutoff, log_pf_coefficient_at_pi
 
 PI = math.pi
+GRADING_EXPONENT = 2.0          # grid clustering toward 0 and +-pi (2 = quadratic)
 
 
-def graded_full_grid(grid_size: int, exponent: float = 2.0):
+def graded_full_grid(grid_size: int):
     """Symmetric grid on [-pi, pi] clustered at 0 and +-pi, with trapezoid weights.
 
     ``grid_size`` counts intervals across the full period (must be even,
@@ -54,7 +55,7 @@ def graded_full_grid(grid_size: int, exponent: float = 2.0):
         raise ValidationError("grid size must be an even integer >= 64")
     half = grid_size // 2
     t = np.linspace(0.0, 1.0, half + 1)
-    q = float(exponent)
+    q = GRADING_EXPONENT
     g = t ** q / (t ** q + (1.0 - t) ** q)
     pos = PI * g
     x = np.concatenate([-pos[::-1], pos[1:]])
@@ -132,11 +133,10 @@ def solution_pairs(model: OperatorModel, lam, nodes_pos: np.ndarray,
 
 
 def assemble_kernel(model: OperatorModel, lam, grid_size: int,
-                    config: SolverConfig = DEFAULT_CONFIG,
-                    grading_exponent: float = 2.0) -> KernelGrid:
+                    config: SolverConfig = DEFAULT_CONFIG) -> KernelGrid:
     """Evaluate all three kernel parts on the graded tensor grid."""
     eps = model.epsilon
-    x, w = graded_full_grid(grid_size, grading_exponent)
+    x, w = graded_full_grid(grid_size)
     n = len(x)
     i0 = n // 2                      # node at 0
     nodes_pos = x[i0 + 1:-1]         # strictly positive interior nodes

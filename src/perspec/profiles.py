@@ -17,26 +17,21 @@ so they are safe to share across threads.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from ._stepper import KIND_SINE, KIND_TABULATED, KIND_TENT
 from .errors import DomainError, ValidationError
 
 PI = np.pi
+HALF_PI = PI / 2.0
 NORMALIZATION_SLOPE = 2.0 / np.pi
 
-_KIND_IDS = {
-    "sine": KIND_SINE,
-    "piecewise-linear": KIND_TENT,
-    "tabulated": KIND_TABULATED,
-}
-
-_EMPTY_BREAKS = np.zeros(2)
-_EMPTY_COEFS = np.zeros((4, 1))
+_KINDS = ("sine", "piecewise-linear", "tabulated")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,23 +52,13 @@ class CoefficientProfile:
     _interp: Optional[PchipInterpolator] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in _KIND_IDS:
+        if self.kind not in _KINDS:
             raise ValidationError(f"unknown profile kind {self.kind!r}")
         if abs(self.normalization_slope - NORMALIZATION_SLOPE) > 1e-12:
             raise ValidationError("normalization slope must equal 2/pi")
         for k in self.kinks:
             if not 0.0 < k < PI:
                 raise ValidationError(f"kink {k} outside (0, pi)")
-
-    @property
-    def kind_id(self) -> int:
-        return _KIND_IDS[self.kind]
-
-    def kernel_tables(self):
-        """(breaks, coefs) consumed by the jitted evaluators."""
-        if self.kind == "tabulated":
-            return self._interp.x, self._interp.c
-        return _EMPTY_BREAKS, _EMPTY_COEFS
 
 
 def sine_profile() -> CoefficientProfile:
@@ -112,7 +97,10 @@ def tabulated_profile(x, f, kinks=()) -> CoefficientProfile:
 
 def load_tabulated(path, kinks=()) -> CoefficientProfile:
     """Read a whitespace-separated two-column file (x, f(x)), x in [0, pi]."""
-    data = np.loadtxt(path, ndmin=2)
+    try:
+        data = np.loadtxt(path, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read profile table {path}: {exc}") from exc
     if data.shape[1] != 2:
         raise ValidationError(f"{path}: expected two columns, got {data.shape[1]}")
     return tabulated_profile(data[:, 0], data[:, 1], kinks=kinks)
@@ -137,6 +125,41 @@ def eval_f(profile: CoefficientProfile, x):
         ax = np.clip(np.abs(x), 0.0, PI)
         out = np.sign(x) * profile._interp(ax)
     return out if np.ndim(out) else float(out)
+
+
+def scalar_cubic(pp):
+    """Plain-float evaluator of a piecewise cubic (scipy PPoly layout) at one point.
+
+    Horner form on the interval found by a left bisection, clamped to the
+    first and last pieces.
+    """
+    breaks = pp.x.tolist()
+    c0, c1, c2, c3 = pp.c.tolist()
+    last = len(breaks) - 2
+
+    def cubic(x):
+        i = bisect_left(breaks, x) - 1
+        if i < 0:
+            i = 0
+        elif i > last:
+            i = last
+        t = x - breaks[i]
+        return ((c0[i] * t + c1[i]) * t + c2[i]) * t + c3[i]
+
+    return cubic
+
+
+def scalar_f(profile: CoefficientProfile):
+    """f as a plain-float function of one point in (0, pi), for the stepper."""
+    if profile.kind == "sine":
+        return lambda x: NORMALIZATION_SLOPE * math.sin(x)
+    if profile.kind == "piecewise-linear":
+        def tent(x):
+            if x <= HALF_PI:
+                return NORMALIZATION_SLOPE * x
+            return NORMALIZATION_SLOPE * (PI - x)
+        return tent
+    return scalar_cubic(profile._interp)
 
 
 def eval_f_prime(profile: CoefficientProfile, x):

@@ -15,12 +15,12 @@ geometrically in j.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolve import EigenvalueList
 from .errors import SolverError, ValidationError
 from .green import KernelGrid, solution_pairs, _values_on
 from .profiles import OperatorModel
@@ -31,6 +31,7 @@ from .singular import (compute_log_p_over_f, default_cutoff,
 PI = math.pi
 
 DEFAULT_ORDERS = (1.0, 1.5, 2.0, 3.0)
+DYADIC_GAUSS_ORDER = 16                 # Gauss points per dyadic interval
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +106,7 @@ class DyadicBoundReport:
 
 
 def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
-                       config: SolverConfig = DEFAULT_CONFIG,
-                       gauss_order: int = 16) -> DyadicBoundReport:
+                       config: SolverConfig = DEFAULT_CONFIG) -> DyadicBoundReport:
     """Per-level max block norm max_i ||v||_(I_2i,j) * ||w||_(I_2i+1,j).
 
     All interval norms are computed with Gauss panels whose abscissae are
@@ -118,7 +118,7 @@ def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
         raise ValidationError("levels must lie in 0..8 (interval count stays desk-scale)")
     eps = model.epsilon
     sigma = model.sigma
-    gx, gw = np.polynomial.legendre.leggauss(gauss_order)
+    gx, gw = np.polynomial.legendre.leggauss(DYADIC_GAUSS_ORDER)
 
     panels = {}
     all_pos = []
@@ -135,7 +135,7 @@ def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
 
     delta = config.delta if config.delta is not None else \
         min(default_cutoff(lam), 0.45 * float(pos.min()), 0.45 * float(PI - pos.max()))
-    run_cfg = SolverConfig(**{**config.__dict__, "delta": delta})
+    run_cfg = dataclasses.replace(config, delta=delta)
     inside = pos[(pos > delta) & (pos < PI - delta)]
     pairs = solution_pairs(model, lam, inside, run_cfg)
 
@@ -239,19 +239,21 @@ class InequalityReport:
                 "eigenvalues_used": self.eigenvalues_used}
 
 
-def eigen_schatten_inequality(eigs: EigenvalueList, spectrum: SingularValueSpectrum,
+def eigen_schatten_inequality(eigenvalues: np.ndarray, spectrum: SingularValueSpectrum,
                               lam, p: float, guard: float = 0.05) -> InequalityReport:
     """Truncated sum of |lam - lam_n|^(-p) against the p-th Schatten power.
 
-    Truncation only shrinks the left side; the guard covers the
-    discretization of the right side.
+    ``eigenvalues`` is an array of lam_n (an ``EigenvalueList``'s
+    ``.eigenvalues``).  Truncation only shrinks the left side; the guard
+    covers the discretization of the right side.
     """
     if p <= 1.0:
         raise ValidationError("the comparison needs p > 1")
     lam = complex(lam)
-    left = float(np.sum(np.abs(lam - eigs.eigenvalues.astype(complex)) ** (-p)))
+    eigenvalues = np.asarray(eigenvalues)
+    left = float(np.sum(np.abs(lam - eigenvalues.astype(complex)) ** (-p)))
     right = float(np.sum(spectrum.values ** p))
     slack = right * (1.0 + guard) - left
     return InequalityReport(p=float(p), lam=lam, left=left, right=right,
                             slack=slack, guard=guard, passed=bool(slack >= 0.0),
-                            eigenvalues_used=len(eigs.eigenvalues))
+                            eigenvalues_used=len(eigenvalues))

@@ -23,13 +23,13 @@ scipy's stepper and compares against the reflected trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._stepper import (STATUS_MAX_STEPS, STATUS_OK, STATUS_STEP_UNDERFLOW,
+from ._stepper import (STATUS_MAX_STEPS, STATUS_STEP_UNDERFLOW,
                        integrate_quasi_system)
 from .errors import (EigenvalueProximityError, IntegrationError, SolverError,
                      ValidationError)
@@ -39,6 +39,7 @@ from .singular import (default_cutoff, indicial_series_coefficients,
                        seed_vanishing_at_pi)
 
 PI = math.pi
+CAP_FRAC = 0.5                           # step cap as fraction of endpoint distance
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,6 @@ class SolverConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 200_000
-    cap_frac: float = 0.5                # step cap as fraction of endpoint distance
     wronskian_floor: float = 1e-8        # eigenvalue-proximity threshold factor
     stale_tol: float = 1e-6              # relative dispersion residual for eigenfunctions
 
@@ -101,13 +101,6 @@ class WronskianValue:
     max_deviation: float
 
 
-def _tables(model: OperatorModel):
-    fac = integrating_factor(model)
-    fb, fc = model.profile.kernel_tables()
-    return (model.profile.kind_id, np.ascontiguousarray(fb), np.ascontiguousarray(fc),
-            np.ascontiguousarray(fac.rb_breaks), np.ascontiguousarray(fac.rb_coefs))
-
-
 def _forced_nodes(model: OperatorModel, x0: float, x1: float,
                   outputs: Optional[Sequence[float]]) -> np.ndarray:
     lo, hi = (x0, x1) if x1 > x0 else (x1, x0)
@@ -123,18 +116,17 @@ def _forced_nodes(model: OperatorModel, x0: float, x1: float,
         pts = pts[(np.abs(pts - x0) > 1e-12) & (np.abs(pts - x1) > 1e-12)]
     if x1 < x0:
         pts = pts[::-1]
-    return np.ascontiguousarray(np.concatenate([pts, [x1]]))
+    return np.concatenate([pts, [x1]])
 
 
 def _run(model: OperatorModel, lam, x0, x1, u0, w0, config: SolverConfig,
          outputs, record_steps: bool):
-    kind, fb, fc, rb, rc = _tables(model)
     forced = _forced_nodes(model, x0, x1, outputs)
     status, x_reached, n_out, xs, us, ws = integrate_quasi_system(
         float(x0), float(x1), complex(u0), complex(w0), complex(lam),
-        float(model.epsilon), float(model.sigma), kind, fb, fc, rb, rc,
+        float(model.epsilon), integrating_factor(model).coef,
         forced, float(config.rtol), float(config.atol),
-        int(config.max_steps), float(config.cap_frac), bool(record_steps))[:6]
+        int(config.max_steps), CAP_FRAC, bool(record_steps))[:6]
     if status == STATUS_STEP_UNDERFLOW:
         raise IntegrationError(
             f"step size underflow at x = {x_reached:.6g} (lam = {lam}); "
@@ -144,7 +136,7 @@ def _run(model: OperatorModel, lam, x0, x1, u0, w0, config: SolverConfig,
         raise IntegrationError(
             f"step budget exhausted at x = {x_reached:.6g} (lam = {lam})",
             x_reached=x_reached)
-    xs, us, ws = xs[:n_out].copy(), us[:n_out].copy(), ws[:n_out].copy()
+    xs, us, ws = xs[:n_out], us[:n_out], ws[:n_out]
     if x1 < x0:
         xs, us, ws = xs[::-1].copy(), us[::-1].copy(), ws[::-1].copy()
     return xs, us, ws
@@ -230,6 +222,22 @@ def compute_phi_at_pi(model: OperatorModel, lam,
     return extrapolate_endpoint(trace, model, "plus-pi").regular_part
 
 
+def _shared_wronskian(phi: SolutionTrace, grid, values, quasi_derivatives):
+    """W = w_psi*phi - w_phi*psi on the nodes a psi trace shares with ``phi``.
+
+    Both grids ascend and share nodes exactly by construction.  Returns W,
+    the index of the shared node nearest pi/2, and the shared nodes'
+    indices into phi's and psi's grids.
+    """
+    common, pi_idx, ps_idx = np.intersect1d(phi.grid, grid, return_indices=True)
+    if len(common) < 4:
+        raise SolverError("phi trace has too few interior nodes to normalize psi against")
+    W = (quasi_derivatives[ps_idx] * phi.values[pi_idx]
+         - phi.quasi_derivatives[pi_idx] * values[ps_idx])
+    mid = int(np.argmin(np.abs(common - PI / 2)))
+    return W, mid, pi_idx, ps_idx
+
+
 def integrate_psi_normalized(model: OperatorModel, lam, phi: SolutionTrace,
                              config: SolverConfig = DEFAULT_CONFIG) -> SolutionTrace:
     """Backward trace of the branch vanishing at pi, scaled to unit Wronskian.
@@ -247,12 +255,7 @@ def integrate_psi_normalized(model: OperatorModel, lam, phi: SolutionTrace,
     xs, us, ws = _run(model, lam, PI - d1, d0, seed.value, seed.quasi_derivative,
                       config, outs, record_steps=False)
 
-    # align with phi's nodes (both grids ascending and node-exact by construction)
-    common, pi_idx, ps_idx = np.intersect1d(phi.grid, xs, return_indices=True)
-    if len(common) < 4:
-        raise SolverError("phi trace has too few interior nodes to normalize psi against")
-    W = ws[ps_idx] * phi.values[pi_idx] - phi.quasi_derivatives[pi_idx] * us[ps_idx]
-    mid = int(np.argmin(np.abs(common - PI / 2)))
+    W, mid, pi_idx, ps_idx = _shared_wronskian(phi, xs, us, ws)
     W0 = W[mid]
     floor = config.wronskian_floor * float(
         np.max(np.abs(phi.values[pi_idx]) * np.abs(ws[ps_idx])))
@@ -281,10 +284,7 @@ def integrate_psi_normalized(model: OperatorModel, lam, phi: SolutionTrace,
 
 def wronskian_deviation(phi: SolutionTrace, psi: SolutionTrace) -> WronskianValue:
     """Constancy audit of w_psi*phi - w_phi*psi over the shared nodes."""
-    common, pi_idx, ps_idx = np.intersect1d(phi.grid, psi.grid, return_indices=True)
-    W = (psi.quasi_derivatives[ps_idx] * phi.values[pi_idx]
-         - phi.quasi_derivatives[pi_idx] * psi.values[ps_idx])
-    mid = int(np.argmin(np.abs(common - PI / 2)))
+    W, mid, _, _ = _shared_wronskian(phi, psi.grid, psi.values, psi.quasi_derivatives)
     return WronskianValue(value=complex(W[mid]), max_deviation=float(np.max(np.abs(W - 1.0))))
 
 

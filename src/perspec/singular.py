@@ -29,12 +29,14 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import DomainError, SolverError, ValidationError
-from .profiles import CoefficientProfile, OperatorModel, eval_f
+from .profiles import (CoefficientProfile, OperatorModel, eval_f, scalar_cubic,
+                       scalar_f)
 
 PI = math.pi
 LOG_PI = math.log(PI)
@@ -53,14 +55,7 @@ class IntegratingFactor:
     pi_exponent: float              # 1 - sigma
     rb: PPoly                       # RB(x) on [0, pi]
     rb_at_pi: float
-
-    @property
-    def rb_breaks(self) -> np.ndarray:
-        return self.rb.x
-
-    @property
-    def rb_coefs(self) -> np.ndarray:
-        return self.rb.c
+    coef: Callable                  # x -> ((p/f)(x), p(x)), one float x in (0, pi)
 
     def regular_log_part(self, x):
         """log p(x) - log f(x) - sigma*log(x): the origin-side regular split."""
@@ -110,7 +105,27 @@ def _build(model: OperatorModel) -> IntegratingFactor:
     sigma = model.sigma
     return IntegratingFactor(model=model, origin_exponent=1.0 + sigma,
                              pi_exponent=1.0 - sigma, rb=rb,
-                             rb_at_pi=float(rb_vals[-1]))
+                             rb_at_pi=float(rb_vals[-1]),
+                             coef=_scalar_coefficients(model, rb))
+
+
+def _scalar_coefficients(model: OperatorModel, rb: PPoly):
+    """The stepper's coefficient pair at one point: ((p/f)(x), p(x)).
+
+    Same formula as ``compute_log_p_over_f``, on plain floats with the
+    math module, since the stepper calls it six times per step.
+    """
+    f = scalar_f(model.profile)
+    rb_at = scalar_cubic(rb)
+    sigma = model.sigma
+    eps = model.epsilon
+
+    def coef(x):
+        log_pf = sigma * (math.log(x) - math.log(PI - x) + LOG_PI) + rb_at(x) / eps + LOG_HALF_PI
+        pf = math.exp(log_pf)
+        return pf, f(x) * pf
+
+    return coef
 
 
 _CACHE: "weakref.WeakKeyDictionary[OperatorModel, IntegratingFactor]" = weakref.WeakKeyDictionary()

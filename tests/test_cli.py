@@ -1,0 +1,60 @@
+import json
+
+import pytest
+
+from perspec.cli import EXIT_VALIDATION, run_subcommand
+
+# small enough to keep each call well under a second
+SMALL = ["--grid", "64", "--levels", "0"]
+
+
+def _validation_failure(capsys, argv) -> str:
+    assert run_subcommand(argv) == EXIT_VALIDATION
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("validation error: ")
+    return lines[0]
+
+
+@pytest.fixture
+def eigs_file(tmp_path):
+    path = tmp_path / "eigs.json"
+    path.write_text(json.dumps({"results": {"eigenvalues": [-1.239839, 0.0, 1.239839]}}))
+    return path
+
+
+class TestBadInputFiles:
+    def test_missing_eigs_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        msg = _validation_failure(capsys, ["schatten", *SMALL, "--eigs-file", str(missing),
+                                           "--out", str(tmp_path / "sv.json")])
+        assert str(missing) in msg
+
+    def test_eigs_file_without_eigenvalues(self, capsys, tmp_path):
+        path = tmp_path / "eigs.json"
+        path.write_text(json.dumps({"results": {}}))
+        msg = _validation_failure(capsys, ["schatten", *SMALL, "--eigs-file", str(path),
+                                           "--out", str(tmp_path / "sv.json")])
+        assert "results.eigenvalues" in msg
+
+    def test_missing_forcing_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        msg = _validation_failure(capsys, ["resolve", "--grid", "64", "--forcing", str(missing),
+                                           "--out", str(tmp_path / "u.csv")])
+        assert str(missing) in msg
+
+    def test_missing_profile_table(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        msg = _validation_failure(capsys, ["validate", "--profile", "tabulated",
+                                           "--profile-file", str(missing)])
+        assert str(missing) in msg
+
+
+class TestConfigInOutput:
+    def test_flag_reaches_emitted_config(self, tmp_path, eigs_file):
+        out = tmp_path / "sv.json"
+        assert run_subcommand(["schatten", "--grid", "64", "--levels", "3",
+                               "--eigs-file", str(eigs_file), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["levels"] == 3
+        assert doc["config"]["grid"] == 64
+        assert len(doc["results"]["dyadic"]["levels"]) == 4
