@@ -13,7 +13,8 @@ __version__ = "0.1.0"
 BACKEND = "numpy"
 
 from .eigensolve import (DispersionValue, EigenvalueList, dispersion,
-                         eigenfunction, growth_slope, scan_and_refine)
+                         dispersion_batch, eigenfunction, growth_slope,
+                         scan_and_refine)
 from .errors import (DomainError, EigenvalueProximityError, GridMismatchError,
                      IntegrationError, PerspecError, SolverError,
                      StaleEigenvalueError, ValidationError)
@@ -28,10 +29,10 @@ from .schatten import (DyadicBoundReport, InequalityReport,
                        SingularValueSpectrum, dyadic_bound_audit,
                        eigen_schatten_inequality, part_iii_rank_one_check,
                        singular_values)
-from .shooting import (EndpointValue, SolutionTrace, SolverConfig,
+from .shooting import (EndpointValue, SharedMesh, SolutionTrace, SolverConfig,
                        WronskianValue, compute_phi_at_pi, extrapolate_endpoint,
                        integrate_phi, integrate_psi_normalized, mirror_audit,
-                       wronskian_deviation)
+                       shared_mesh, wronskian_deviation)
 from .singular import (EndpointSeed, IntegratingFactor, compute_log_p,
                        compute_log_p_over_f, compute_p_over_f, default_cutoff,
                        integrating_factor, seed_regular_origin,

@@ -13,9 +13,13 @@ analytic split of the poles of 1/f at both endpoints.
 The stepper is a Dormand-Prince 5(4) pair with FSAL, per-step error
 control, steps capped at a fraction of the distance to the singular
 endpoints, and exact landing on a caller-supplied list of forced nodes
-(output points, coefficient kinks, terminal point).  It is plain
+(output points, profile breakpoints, terminal point).  It is plain
 Python; the six coefficient evaluations of a step read Python lists, not
 numpy arrays.
+
+``linear_step_coefficients`` writes one step of the same tableau, for
+fixed nodes, as a matrix polynomial in kappa = -i*lam/eps, so that many
+lam can share one mesh.
 """
 
 import math
@@ -39,6 +43,13 @@ _B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 /
 _E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
                                 -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 _C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
+
+# The same tableau as rows, for ``linear_step_coefficients``.
+STAGE_FRACTIONS = (0.0, _C2, _C3, _C4, _C5, 1.0)
+_A_ROWS = ((), (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+           (_A61, _A62, _A63, _A64, _A65))
+_B_ROW = (_B1, 0.0, _B3, _B4, _B5, _B6)
+KAPPA_DEGREE = 3
 
 
 def _rhs(x, u, w, lam, eps, coef):
@@ -153,3 +164,44 @@ def integrate_quasi_system(x0, x1, u0, w0, lam, eps, coef, forced,
 
     return (status, x, len(xs), np.array(xs, np.float64), np.array(us, np.complex128),
             np.array(ws, np.complex128), n_steps)
+
+
+def linear_step_coefficients(h, inv_p, pf):
+    """The fifth-order DOPRI5 step as a polynomial in kappa = -i*lam/eps.
+
+    The system is Y' = (A(x) + kappa*B(x)) Y with A = [[0, 1/p], [0, 0]] and
+    B = [[0, 0], [p/f, 0]], so one step maps (u, w) at x to (u, w) at x + h
+    by a 2x2 matrix P(kappa) = sum_m C_m kappa^m with real C_m.  A and B are
+    nilpotent, so a term of P alternates them; six stages nest at most six
+    factors, hence at most three B's and degree KAPPA_DEGREE.
+
+    ``h`` has shape (n,); ``inv_p`` and ``pf`` have shape (n, 6): 1/p and
+    p/f at x + c*h for c in STAGE_FRACTIONS.  Returns C of shape
+    (n, 2, 2, KAPPA_DEGREE + 1), C[k, r, s, m] being the kappa^m
+    coefficient of P_k[r, s].
+    """
+    n = h.shape[0]
+    y0 = np.zeros((n, 2, 2, KAPPA_DEGREE + 1))
+    y0[:, 0, 0, 0] = 1.0
+    y0[:, 1, 1, 0] = 1.0
+    hh = h[:, None, None, None]
+    ks = []
+    for i, row in enumerate(_A_ROWS):
+        y = y0 + hh * sum(a * k for a, k in zip(row, ks)) if row else y0
+        k = np.zeros_like(y0)
+        k[:, 0] = inv_p[:, i, None, None] * y[:, 1]
+        k[:, 1, :, 1:] = pf[:, i, None, None] * y[:, 0, :, :-1]   # times kappa
+        ks.append(k)
+    return y0 + hh * sum(b * k for b, k in zip(_B_ROW, ks))
+
+
+def linear_step_matrices(coeffs, kappa):
+    """P(kappa) from ``linear_step_coefficients``, by Horner's rule.
+
+    ``kappa`` broadcasts against ``coeffs[..., 0, 0, 0]``.
+    """
+    kappa = np.asarray(kappa)[..., None, None]
+    out = coeffs[..., KAPPA_DEGREE] * kappa
+    for m in range(KAPPA_DEGREE - 1, 0, -1):
+        out = (out + coeffs[..., m]) * kappa
+    return out + coeffs[..., 0]

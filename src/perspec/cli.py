@@ -116,29 +116,33 @@ def _cmd_trace(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _load_forcing(path: str, kernel) -> GridFunction:
+def _read_forcing(path: str) -> np.ndarray:
+    """The rows of a forcing file: (x, F) or (x, ReF, ImF)."""
     try:
         data = np.loadtxt(path, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read forcing file {path}: {exc}") from exc
-    if data.shape[1] == 2:
-        vals = np.interp(kernel.nodes, data[:, 0], data[:, 1]).astype(complex)
-    elif data.shape[1] == 3:
-        vals = (np.interp(kernel.nodes, data[:, 0], data[:, 1])
-                + 1j * np.interp(kernel.nodes, data[:, 0], data[:, 2]))
-    else:
+    if data.shape[1] not in (2, 3):
         raise ValidationError(f"{path}: forcing file needs 2 or 3 columns")
+    return data
+
+
+def _forcing_on(kernel, data: np.ndarray) -> GridFunction:
+    vals = np.interp(kernel.nodes, data[:, 0], data[:, 1]).astype(complex)
+    if data.shape[1] == 3:
+        vals += 1j * np.interp(kernel.nodes, data[:, 0], data[:, 2])
     return GridFunction(nodes=kernel.nodes, values=vals, role="forcing")
 
 
 def _cmd_resolve(cfg: RunConfig, args) -> int:
+    data = None if args.forcing == "random" else _read_forcing(args.forcing)
     model = _model_for(cfg)
     lam = complex(cfg.lambda_re, cfg.lambda_im)
     kernel = assemble_kernel(model, lam, cfg.grid, _solver_config(cfg))
-    if args.forcing == "random":
+    if data is None:
         forcing = bandlimited_forcing(kernel, seed=cfg.seed)
     else:
-        forcing = _load_forcing(args.forcing, kernel)
+        forcing = _forcing_on(kernel, data)
     u = apply_resolvent(kernel, forcing)
     out = cfg.out or "u.csv"
     _write_csv(out, "x,re_u,im_u,re_f,im_f",

@@ -9,9 +9,15 @@ function whose sign changes bracket the eigenvalues.  The scan still
 auto-detects which component of D is the working one and records it, and
 the off-component is tracked as a reality diagnostic.
 
-Refinement is plain bisection on the detected component; D(-lam) = -D(lam)
-holds exactly (the same two boundary values swap), so only the positive
-half-axis is scanned and the result is mirrored.
+D(-lam) = -D(lam) holds exactly (the same two boundary values swap), so
+only the positive half-axis is scanned and the result is mirrored.
+
+The scan and the refinement shoot on one shared mesh (``shooting.shared_mesh``):
+every grid point is one column of a single batched march
+(``dispersion_batch``), and the brackets are refined together by an
+Illinois (modified regula falsi) iteration, one batched march per step.
+The residuals reported for the refined eigenvalues come from the scalar
+adaptive ``dispersion``, independently of the mesh.
 """
 
 from __future__ import annotations
@@ -23,8 +29,11 @@ import numpy as np
 
 from .errors import IntegrationError, StaleEigenvalueError, ValidationError
 from .profiles import OperatorModel
-from .shooting import (DEFAULT_CONFIG, SolutionTrace, SolverConfig,
-                       compute_phi_at_pi, integrate_phi)
+from .shooting import (DEFAULT_CONFIG, SharedMesh, SolutionTrace, SolverConfig,
+                       boundary_values, compute_phi_at_pi, integrate_phi,
+                       shared_mesh)
+
+MAX_REFINE_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -51,6 +60,10 @@ class EigenvalueList:
     lam_max: float
     resolution: float
     skipped: list                    # grid points where the integrator failed
+    mesh_nodes: int                  # nodes of the shared mesh (0 when none was built)
+    mesh_defect: float               # its step-doubling defect at the top of the grid
+    marches: int                     # batched marches: mesh check, scan and refinement
+    refine_iterations: list          # lockstep iterations per positive root
 
     def positive(self) -> np.ndarray:
         return self.eigenvalues[self.eigenvalues > 1e-14]
@@ -66,6 +79,10 @@ class EigenvalueList:
             "lam_max": self.lam_max,
             "resolution": self.resolution,
             "skipped": list(self.skipped),
+            "mesh_nodes": self.mesh_nodes,
+            "mesh_defect": self.mesh_defect,
+            "batched_marches": self.marches,
+            "refine_iterations": list(self.refine_iterations),
             "growth_slope": growth_slope(self),
         }
 
@@ -79,29 +96,106 @@ def dispersion(model: OperatorModel, lam: float,
                            phi_plus=plus, phi_minus=minus)
 
 
+def dispersion_batch(model: OperatorModel, lams, mesh: SharedMesh,
+                     config: SolverConfig = DEFAULT_CONFIG) -> list[DispersionValue]:
+    """``dispersion`` at every lam in ``lams`` from one batched march through ``mesh``.
+
+    The columns lam and -lam are marched together; for real lam and a real
+    profile they are exact conjugates, as in the scalar path.
+    """
+    lams = np.asarray(lams, dtype=float).ravel()
+    phi = boundary_values(model, mesh, np.concatenate([lams, -lams]), config)
+    n = len(lams)
+    return [DispersionValue(lam=float(lam), D=complex(plus - minus),
+                            phi_plus=complex(plus), phi_minus=complex(minus))
+            for lam, plus, minus in zip(lams, phi[:n], phi[n:])]
+
+
 def _component(D: complex, indicator: str) -> float:
     return D.imag if indicator == "imag" else D.real
 
 
+def _served_mesh(model: OperatorModel, grid: np.ndarray, config: SolverConfig):
+    """The shared mesh for the longest leading part of ``grid`` it can be built for.
+
+    Returns (mesh or None, number of grid points served, skipped entries).
+    The mesh shot at the top of the grid is the hardest; when it fails, the
+    largest grid point whose mesh shot succeeds is found by bisection and
+    every point above it is skipped with the reason of the failure just
+    above it.
+    """
+    try:
+        return shared_mesh(model, float(grid[-1]), config), len(grid), []
+    except IntegrationError as exc:
+        reason = str(exc)
+    mesh, lo, hi = None, 0, len(grid)          # grid[:lo] served, grid[hi - 1] fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            mesh, lo = shared_mesh(model, float(grid[mid - 1]), config), mid
+        except IntegrationError as exc:
+            hi, reason = mid, str(exc)
+    return mesh, lo, [{"lam": float(lam), "reason": reason} for lam in grid[lo:]]
+
+
+def _refine(model: OperatorModel, mesh: SharedMesh, config: SolverConfig,
+            indicator: str, brackets: list) -> tuple[list, list, int]:
+    """Illinois iteration on every bracket in lockstep: one batched march per iteration.
+
+    ``brackets`` holds (lo, hi, r_lo, r_hi) with a sign change of the
+    indicator, or lo == hi at an exact root.  Each bracket is refined to
+    width 1e-10*(1 + hi); returns the midpoints, the iterations each took
+    and the marches run.
+    """
+    lo, hi, rlo, rhi = (np.array(col, dtype=float) for col in zip(*brackets))
+    kept = np.zeros(len(lo), dtype=int)          # +1 lo moved last, -1 hi moved last
+    iters = np.zeros(len(lo), dtype=int)
+    marches = 0
+    while True:
+        active = np.flatnonzero((hi - lo > 1e-10 * (1.0 + hi)) & (iters < MAX_REFINE_ITERATIONS))
+        if not len(active):
+            break
+        a, b, ra, rb = lo[active], hi[active], rlo[active], rhi[active]
+        x = (a * rb - b * ra) / (rb - ra)
+        x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
+        rx = [_component(v.D, indicator) for v in dispersion_batch(model, x, mesh, config)]
+        marches += 1
+        iters[active] += 1
+        for i, xi, ri in zip(active, x, rx):
+            if ri == 0.0:
+                lo[i] = hi[i] = xi
+            elif (ri > 0) == (rlo[i] > 0):
+                lo[i], rlo[i] = xi, ri
+                if kept[i] == 1:
+                    rhi[i] *= 0.5
+                kept[i] = 1
+            else:
+                hi[i], rhi[i] = xi, ri
+                if kept[i] == -1:
+                    rlo[i] *= 0.5
+                kept[i] = -1
+    return (0.5 * (lo + hi)).tolist(), iters.tolist(), marches
+
+
 def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
                     config: SolverConfig = DEFAULT_CONFIG) -> EigenvalueList:
-    """Bracket sign changes of the dispersion indicator and bisect them down.
+    """Bracket sign changes of the dispersion indicator and refine them in lockstep.
 
     Roots inside (0, resolution) are attributed to the known zero
-    eigenvalue; each bracket is refined to width 1e-10*(1+|lam|).
+    eigenvalue; each bracket is refined to width 1e-10*(1+|lam|).  Grid
+    points the shared mesh cannot be built for (the step budget, say) are
+    skipped with the reason.
     """
     if lam_max <= 0 or resolution <= 0:
         raise ValidationError("lam_max and resolution must be positive")
 
     grid = np.arange(resolution, lam_max + resolution / 2, resolution)
-    values: list[DispersionValue | None] = []
-    skipped = []
-    for lam in grid:
-        try:
-            values.append(dispersion(model, float(lam), config))
-        except IntegrationError as exc:
-            skipped.append({"lam": float(lam), "reason": str(exc)})
-            values.append(None)
+    mesh, served, skipped = _served_mesh(model, grid, config)
+    values: list[DispersionValue | None] = [None] * len(grid)
+    marches = 0
+    if served:
+        values[:served] = dispersion_batch(model, grid[:served], mesh, config)
+        marches = mesh.check_marches + 1
 
     finite = [v for v in values if v is not None]
     sum_im = sum(abs(v.D.imag) for v in finite)
@@ -110,37 +204,26 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
     off = max((abs(v.D.real) if indicator == "imag" else abs(v.D.imag))
               for v in finite) if finite else 0.0
 
-    def indicator_at(lam: float) -> float:
-        return _component(dispersion(model, lam, config).D, indicator)
-
-    roots, brackets = [], []
+    spans = []                                   # (lo, hi, r_lo, r_hi); lo == hi: exact root
     for k in range(len(grid) - 1):
         va, vb = values[k], values[k + 1]
         if va is None or vb is None:
             continue
         ra, rb = _component(va.D, indicator), _component(vb.D, indicator)
         if ra == 0.0:
-            roots.append(float(grid[k]))
-            brackets.append((float(grid[k]), float(grid[k])))
-            continue
-        if ra * rb >= 0.0:
-            continue
-        lo, hi, rlo = float(grid[k]), float(grid[k + 1]), ra
-        while hi - lo > 1e-10 * (1.0 + hi):
-            mid = 0.5 * (lo + hi)
-            rm = indicator_at(mid)
-            if rm == 0.0:
-                lo = hi = mid
-                break
-            if (rm > 0) == (rlo > 0):
-                lo, rlo = mid, rm
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-        brackets.append((float(grid[k]), float(grid[k + 1])))
+            spans.append((float(grid[k]), float(grid[k]), ra, rb))
+        elif ra * rb < 0.0:
+            spans.append((float(grid[k]), float(grid[k + 1]), ra, rb))
+    brackets = [(lo, hi) for lo, hi, _, _ in spans]
+    roots, iterations = [], []
+    if spans:
+        roots, iterations, refine_marches = _refine(model, mesh, config, indicator, spans)
+        marches += refine_marches
 
     # attribute near-zero roots to the known zero eigenvalue
-    roots = [r for r in roots if r >= resolution / 2]
+    keep = [i for i, r in enumerate(roots) if r >= resolution / 2]
+    roots = [roots[i] for i in keep]
+    iterations = [iterations[i] for i in keep]
 
     eigs = np.concatenate([[-r for r in reversed(roots)], [0.0], roots])
     resid = np.empty_like(eigs)
@@ -154,7 +237,10 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
                           relative_residuals=rel, brackets=brackets,
                           indicator=indicator, max_off_component=float(off),
                           lam_max=float(lam_max), resolution=float(resolution),
-                          skipped=skipped)
+                          skipped=skipped,
+                          mesh_nodes=len(mesh.nodes) if mesh else 0,
+                          mesh_defect=mesh.defect if mesh else 0.0,
+                          marches=marches, refine_iterations=iterations)
 
 
 def eigenfunction(model: OperatorModel, lam_n: float,

@@ -60,6 +60,19 @@ class CoefficientProfile:
             if not 0.0 < k < PI:
                 raise ValidationError(f"kink {k} outside (0, pi)")
 
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """Interior points of (0, pi) where f is not smooth, ascending.
+
+        The kinks, and for a tabulated profile its interior table nodes,
+        where the interpolant's second derivative jumps.  Integrators land
+        on them and quadrature panels end on them.
+        """
+        pts = set(self.kinks)
+        if self.table_x is not None:
+            pts.update(self.table_x[1:-1].tolist())
+        return tuple(sorted(pts))
+
 
 def sine_profile() -> CoefficientProfile:
     return CoefficientProfile(kind="sine")

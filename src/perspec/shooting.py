@@ -18,28 +18,43 @@ Negative x is never integrated here; callers use the reflection to -lam.
 ``mirror_audit`` provides the independent cross-check: it integrates the
 original equation on (-pi, 0) in the f-weighted state (u, f*u') with
 scipy's stepper and compares against the reflected trace.
+
+Many boundary values phi(pi, lam) at once come from ``boundary_values``.
+The equation is linear and lam enters only through kappa = -i*lam/eps, so
+on a ``SharedMesh`` each interval's DOPRI5 step is a 2x2 matrix polynomial
+in kappa whose coefficients are computed once per mesh.  Every lam is one
+column marched through the same propagators; near the endpoints it walks
+the mesh's end nodes scaled to its own cutoff, and it ends in the same
+two-branch fit as a single shot.  ``shared_mesh`` takes the nodes of one
+adaptive shot at the largest |lam| and accepts them by step doubling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from ._stepper import (STATUS_MAX_STEPS, STATUS_STEP_UNDERFLOW,
-                       integrate_quasi_system)
+from ._stepper import (KAPPA_DEGREE, STAGE_FRACTIONS, STATUS_MAX_STEPS,
+                       STATUS_STEP_UNDERFLOW, integrate_quasi_system,
+                       linear_step_coefficients, linear_step_matrices)
 from .errors import (EigenvalueProximityError, IntegrationError, SolverError,
                      ValidationError)
 from .profiles import OperatorModel, eval_f
-from .singular import (default_cutoff, indicial_series_coefficients,
-                       integrating_factor, seed_regular_origin,
-                       seed_vanishing_at_pi)
+from .singular import (compute_p_over_f, default_cutoff,
+                       indicial_series_coefficients, integrating_factor,
+                       seed_regular_origin, seed_vanishing_at_pi)
 
 PI = math.pi
 CAP_FRAC = 0.5                           # step cap as fraction of endpoint distance
+MESH_DEFECT_FACTOR = 10.0                # step-doubling tolerance of a shared mesh, in rtol
+MESH_MAX_HALVINGS = 6
+PHI_FIT = (4.0, 2.0, 1.0)                # phi(pi) is fitted to u at pi - m*delta
+MARCH_BLOCK = 4096                       # (interval x lam) propagators built at a time
+STEP_BLOCK = 512                         # intervals whose step polynomials are built at a time
 
 
 @dataclass(frozen=True)
@@ -104,7 +119,7 @@ class WronskianValue:
 def _forced_nodes(model: OperatorModel, x0: float, x1: float,
                   outputs: Optional[Sequence[float]]) -> np.ndarray:
     lo, hi = (x0, x1) if x1 > x0 else (x1, x0)
-    pts = [k for k in model.profile.kinks if lo < k < hi]
+    pts = [k for k in model.profile.breakpoints if lo < k < hi]
     if outputs is not None:
         pts.extend(float(t) for t in np.asarray(outputs).ravel()
                    if lo + 1e-15 < t < hi - 1e-15)
@@ -160,7 +175,7 @@ def integrate_phi(model: OperatorModel, lam, config: SolverConfig = DEFAULT_CONF
     """Trace of the solution with u -> 1 at the origin."""
     d0, d1 = _cutoffs(lam, config, output_nodes)
     seed = seed_regular_origin(model, lam, d0)
-    fit = [PI - 4 * d1, PI - 2 * d1]
+    fit = [PI - m * d1 for m in PHI_FIT[:-1]]
     outs = list(fit) if output_nodes is None else list(output_nodes) + fit
     xs, us, ws = _run(model, lam, d0, PI - d1, seed.value, seed.quasi_derivative,
                       config, outs, record_steps)
@@ -189,9 +204,24 @@ def extrapolate_endpoint(trace: SolutionTrace, model: OperatorModel,
         expo = -sigma
     else:
         raise ValidationError(f"unknown endpoint {endpoint!r}")
+    A, B, resid = _two_branch_fit(dist, vals, expo, a1, alpha1, delta)
+    return EndpointValue(endpoint=endpoint, regular_part=complex(A),
+                         singular_part=complex(B), exponent=expo,
+                         fit_residual=float(resid))
+
+
+def _two_branch_fit(dist, vals, expo, a1, alpha1, delta):
+    """Fit u ~ A*(1 + alpha1*d) + B*d^expo*(1 + a1*d) through (dist, vals).
+
+    Rows of ``dist`` and ``vals`` are nodes, nearest the endpoint first; A
+    and B come from the first two, the residual from the third when there
+    is one.  Trailing axes are independent fits, with ``a1``, ``alpha1``
+    and the cutoff ``delta`` broadcasting against them.  Returns
+    (A, B, residual).
+    """
     if len(dist) < 2:
         raise SolverError("trace too short for endpoint extrapolation")
-    if dist[0] > 10 * delta or dist[1] > 0.1:
+    if np.any(dist[0] > 10 * delta) or np.any(dist[1] > 0.1):
         raise SolverError("no trace nodes close enough to the endpoint for a stable fit")
 
     def basis(d):
@@ -200,8 +230,8 @@ def extrapolate_endpoint(trace: SolutionTrace, model: OperatorModel,
     g11, g12 = basis(dist[0])
     g21, g22 = basis(dist[1])
     det = g11 * g22 - g12 * g21
-    scale = max(abs(g11 * g22), abs(g12 * g21), 1e-300)
-    if abs(det) < 1e-8 * scale:
+    scale = np.maximum(np.maximum(abs(g11 * g22), abs(g12 * g21)), 1e-300)
+    if np.any(abs(det) < 1e-8 * scale):
         raise SolverError("endpoint fit ill-conditioned: trailing nodes too close; "
                           "increase the cutoff spacing")
     A = (vals[0] * g22 - g12 * vals[1]) / det
@@ -210,9 +240,7 @@ def extrapolate_endpoint(trace: SolutionTrace, model: OperatorModel,
     if len(dist) > 2:
         g31, g32 = basis(dist[2])
         resid = abs(A * g31 + B * g32 - vals[2])
-    return EndpointValue(endpoint=endpoint, regular_part=complex(A),
-                         singular_part=complex(B), exponent=expo,
-                         fit_residual=float(resid))
+    return A, B, resid
 
 
 def compute_phi_at_pi(model: OperatorModel, lam,
@@ -325,3 +353,165 @@ def mirror_audit(model: OperatorModel, lam, config: SolverConfig = DEFAULT_CONFI
     dev = float(np.max(np.abs(direct - ref_vals)) / scale)
     return {"nodes": nodes, "direct": direct, "reflected": ref_vals,
             "max_relative_deviation": dev}
+
+
+@dataclass(frozen=True, eq=False)
+class SharedMesh:
+    """Nodes in (0, pi) that a batched march steps every lam through.
+
+    The first node is a cutoff delta and the last pi - delta; pi - 4*delta
+    and pi - 2*delta are nodes too.  ``coeffs`` holds each interval's DOPRI5
+    step as a polynomial in kappa (``linear_step_coefficients``).  ``head``
+    holds the nodes up to 4*delta and ``tail`` the distances to pi from
+    4*delta down, both in units of delta; a lam with another cutoff walks
+    them scaled to its own.  The mesh is checked for |lam| up to
+    ``lam_max``: ``defect`` is the step-doubling defect there,
+    ``halvings`` how often the check halved every interval, and
+    ``check_marches`` the batched marches the check ran.
+    """
+
+    nodes: np.ndarray
+    coeffs: np.ndarray
+    head: np.ndarray
+    tail: np.ndarray
+    lam_max: float
+    defect: float = math.nan
+    halvings: int = 0
+    check_marches: int = 0
+
+
+def _step_coefficients(model: OperatorModel, x0: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Step polynomials of the intervals [x0, x0 + h], coefficients read at the stage points."""
+    out = np.empty((len(h), 2, 2, KAPPA_DEGREE + 1))
+    for i in range(0, len(h), STEP_BLOCK):
+        part = slice(i, i + STEP_BLOCK)
+        x = x0[part, None] + np.outer(h[part], STAGE_FRACTIONS)
+        pf = np.asarray(compute_p_over_f(model, x))
+        inv_p = 1.0 / (np.asarray(eval_f(model.profile, x)) * pf)
+        out[part] = linear_step_coefficients(h[part], inv_p, pf)
+    return out
+
+
+def _tabulate(model: OperatorModel, nodes: np.ndarray, lam_max: float) -> SharedMesh:
+    delta = nodes[0]
+    span = PHI_FIT[0] * delta
+    head = nodes[nodes <= span] / delta
+    tail = (PI - nodes[nodes >= PI - span]) / delta
+    marks = np.array(PHI_FIT)
+    fit = np.argmin(np.abs(tail[:, None] - marks), axis=0)
+    if np.any(np.abs(tail[fit] - marks) > 1e-6) or fit[-1] != len(tail) - 1:
+        raise ValidationError("a shared mesh runs from delta to pi - delta through "
+                              "pi - 4*delta and pi - 2*delta")
+    tail[fit] = marks                              # exact, as integrate_phi places them
+    return SharedMesh(nodes=nodes, coeffs=_step_coefficients(model, nodes[:-1], np.diff(nodes)),
+                      head=head, tail=tail, lam_max=float(lam_max))
+
+
+def _apply(P, u, w):
+    return P[..., 0, 0] * u + P[..., 0, 1] * w, P[..., 1, 0] * u + P[..., 1, 1] * w
+
+
+def boundary_values(model: OperatorModel, mesh: SharedMesh, lams,
+                    config: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """phi(pi, lam) for every lam in ``lams``, marched together through ``mesh``.
+
+    A lam with cutoff d starts at d with the origin seed and walks the
+    mesh's head scaled by d/delta, steps onto the mesh, shares its steps up
+    to the last node before pi - 4*d, steps to pi - 4*d and walks the
+    scaled tail to pi - d, landing on the fit nodes pi - 4*d, pi - 2*d and
+    pi - d as ``integrate_phi`` does.  Propagators are built MARCH_BLOCK at
+    a time, so memory stays O(mesh + lams).
+    """
+    lams = np.asarray(lams, dtype=complex).ravel()
+    if np.any(np.abs(lams) > mesh.lam_max):
+        raise ValidationError(f"|lam| exceeds {mesh.lam_max}, the largest the mesh was checked for")
+    cut = np.array([config.delta if config.delta is not None else default_cutoff(lam)
+                    for lam in lams])
+    nodes = mesh.nodes
+    # Lams with one cutoff share their off-mesh steps, so the columns of
+    # lam and -lam see identical coefficients.
+    deltas, col = np.unique(cut, return_inverse=True)
+    head = deltas[:, None] * mesh.head
+    tail = PI - deltas[:, None] * mesh.tail
+    first = np.searchsorted(nodes, head[:, -1], side="left")
+    last = np.searchsorted(nodes, tail[:, 0], side="right") - 1
+    if deltas[0] < nodes[0] or np.any(last < first):
+        raise ValidationError("cutoff outside the shared mesh")
+    path = np.column_stack([head, nodes[first], nodes[last], tail])
+    n_head = head.shape[1]
+    starts = np.delete(path[:, :-1], n_head, axis=1)         # the mesh spans first..last
+    ends = np.delete(path[:, 1:], n_head, axis=1)
+    off = _step_coefficients(model, starts.ravel(), (ends - starts).ravel())
+    off = off.reshape(*starts.shape, *off.shape[1:])
+    kappa = -1j * lams / model.epsilon
+
+    seeds = [seed_regular_origin(model, lam, d) for lam, d in zip(lams, cut)]
+    u = np.array([s.value for s in seeds], dtype=complex)
+    w = np.array([s.quasi_derivative for s in seeds], dtype=complex)
+    for step in range(n_head):
+        u, w = _apply(linear_step_matrices(off[col, step], kappa), u, w)
+
+    first, last = first[col], last[col]
+    block = max(1, MARCH_BLOCK // len(lams))
+    identity = np.eye(2)
+    for k0 in range(0, len(nodes) - 1, block):
+        k = np.arange(k0, min(k0 + block, len(nodes) - 1))
+        P = linear_step_matrices(mesh.coeffs[k, None], kappa)
+        P[(k[:, None] < first) | (k[:, None] >= last)] = identity
+        for Pk in P:
+            u, w = _apply(Pk, u, w)
+
+    vals = []
+    for step in range(n_head, off.shape[1]):
+        u, w = _apply(linear_step_matrices(off[col, step], kappa), u, w)
+        vals.append(u)
+    fit = np.searchsorted(-mesh.tail, -np.array(PHI_FIT[::-1]))  # nearest pi first
+    dist = PI - tail[col][:, fit].T
+    a1, alpha1 = indicial_series_coefficients(model, lams)
+    A, _, _ = _two_branch_fit(dist, np.array(vals)[fit], model.sigma, a1, alpha1, cut)
+    return A
+
+
+def _halved(nodes: np.ndarray) -> np.ndarray:
+    out = np.empty(2 * len(nodes) - 1)
+    out[::2] = nodes
+    out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    return out
+
+
+def check_mesh(model: OperatorModel, nodes, lam_max: float,
+               config: SolverConfig = DEFAULT_CONFIG) -> SharedMesh:
+    """Accept ``nodes`` for |lam| <= lam_max by step doubling.
+
+    D(lam_max) = phi(pi, lam_max) - phi(pi, -lam_max) on the mesh is
+    compared with the same on the mesh with every interval halved.  While
+    the difference relative to max(1, |phi|) exceeds MESH_DEFECT_FACTOR*rtol,
+    the halved mesh becomes the candidate.
+    """
+    lams = np.array([lam_max, -lam_max])
+    tol = MESH_DEFECT_FACTOR * config.rtol
+    mesh = _tabulate(model, np.asarray(nodes, dtype=float), lam_max)
+    vals = boundary_values(model, mesh, lams, config)
+    for halvings in range(MESH_MAX_HALVINGS + 1):
+        finer = _tabulate(model, _halved(mesh.nodes), lam_max)
+        fine_vals = boundary_values(model, finer, lams, config)
+        defect = float(abs((vals[0] - vals[1]) - (fine_vals[0] - fine_vals[1]))
+                       / max(1.0, float(np.max(np.abs(fine_vals)))))
+        if defect <= tol:
+            return replace(mesh, defect=defect, halvings=halvings,
+                           check_marches=halvings + 2)
+        mesh, vals = finer, fine_vals
+    raise IntegrationError(f"shared mesh still fails step doubling after {MESH_MAX_HALVINGS} "
+                           f"halvings (defect {defect:.3e} at lam = {lam_max})")
+
+
+def shared_mesh(model: OperatorModel, lam_max: float,
+                config: SolverConfig = DEFAULT_CONFIG) -> SharedMesh:
+    """A checked mesh for every |lam| <= lam_max.
+
+    Its nodes are those of one adaptive phi shot at lam_max, which has the
+    smallest cutoff; the profile's breakpoints and the fit nodes are among
+    them.  Raises IntegrationError when that shot or the check fails.
+    """
+    trace = integrate_phi(model, lam_max, config, record_steps=True)
+    return check_mesh(model, trace.grid, lam_max, config)

@@ -72,9 +72,7 @@ def _remainder(profile: CoefficientProfile, s: np.ndarray) -> np.ndarray:
 def _build(model: OperatorModel) -> IntegratingFactor:
     profile = model.profile
     edges = np.linspace(0.0, PI, _RB_PANELS + 1)
-    extra = list(profile.kinks)
-    if profile.table_x is not None:
-        extra.extend(profile.table_x[1:-1])
+    extra = profile.breakpoints
     if extra:
         extra = np.unique(np.asarray(extra, float))
         # drop uniform edges that would crowd an inserted point

@@ -1,0 +1,117 @@
+"""Batched shooting on a shared mesh against the scalar adaptive path."""
+
+import math
+
+import numpy as np
+import pytest
+
+from perspec import shooting
+from perspec.eigensolve import dispersion, dispersion_batch, scan_and_refine
+from perspec.errors import IntegrationError
+from perspec.profiles import (OperatorModel, piecewise_linear_profile,
+                              sine_profile, tabulated_profile)
+from perspec.shooting import SolverConfig, check_mesh, shared_mesh
+
+PI = math.pi
+
+
+def _tabulated():
+    x = np.linspace(0.0, PI, 41)
+    return tabulated_profile(x, (2 / PI) * np.sin(x) * (1.0 + 0.1 * np.sin(x) ** 2))
+
+
+PROFILES = {"sine": sine_profile, "piecewise-linear": piecewise_linear_profile,
+            "tabulated": _tabulated}
+
+# 20 lam of both signs, none at an eigenvalue of the sine profile at eps = 1
+LAMS = np.linspace(0.3, 6.0, 20) * np.where(np.arange(20) % 2, -1.0, 1.0)
+
+
+def _model(kind, eps=1.0):
+    return OperatorModel(profile=PROFILES[kind](), epsilon=eps)
+
+
+class TestAgreementWithScalarPath:
+    @pytest.mark.parametrize("eps", [0.4, 1.0, 2.5])
+    @pytest.mark.parametrize("kind", PROFILES)
+    def test_dispersion(self, kind, eps):
+        model = _model(kind, eps)
+        mesh = shared_mesh(model, float(np.max(np.abs(LAMS))))
+        for lam, got in zip(LAMS, dispersion_batch(model, LAMS, mesh)):
+            want = dispersion(model, float(lam))
+            assert abs(got.D - want.D) <= 1e-8 * want.scale, (lam, got.D, want.D)
+
+    @pytest.mark.parametrize("kind", PROFILES)
+    def test_exact_symmetries_for_real_lam(self, kind):
+        model = _model(kind)
+        mesh = shared_mesh(model, float(np.max(np.abs(LAMS))))
+        plus = dispersion_batch(model, LAMS, mesh)
+        minus = dispersion_batch(model, -LAMS, mesh)
+        for a, b in zip(plus, minus):
+            assert b.D == -a.D
+            assert a.D.real == 0.0
+
+
+class TestMeshCheck:
+    def test_coarse_mesh_is_refined(self, sine_model):
+        nodes = shared_mesh(sine_model, 8.0).nodes
+        delta = nodes[0]
+        coarse = np.unique(np.concatenate([nodes[::8], [PI - 4 * delta, PI - 2 * delta,
+                                                        nodes[-1]]]))
+        checked = check_mesh(sine_model, coarse, 8.0)
+        assert checked.halvings >= 1
+        assert len(checked.nodes) == (len(coarse) - 1) * 2 ** checked.halvings + 1
+        assert checked.defect <= shooting.MESH_DEFECT_FACTOR * SolverConfig().rtol
+        got = dispersion_batch(sine_model, [8.0], checked)[0]
+        want = dispersion(sine_model, 8.0)
+        assert abs(got.D - want.D) <= 1e-8 * want.scale
+
+    def test_coarse_mesh_is_never_accepted_unrefined(self, sine_model, monkeypatch):
+        nodes = shared_mesh(sine_model, 8.0).nodes
+        monkeypatch.setattr(shooting, "MESH_MAX_HALVINGS", 0)
+        assert check_mesh(sine_model, nodes, 8.0).halvings == 0
+        delta = nodes[0]
+        coarse = np.unique(np.concatenate([nodes[::8], [PI - 4 * delta, PI - 2 * delta,
+                                                        nodes[-1]]]))
+        with pytest.raises(IntegrationError, match="step doubling"):
+            check_mesh(sine_model, coarse, 8.0)
+
+
+class TestSolverConfigKnobs:
+    def test_delta_and_tolerances(self, sine_model):
+        cfg = SolverConfig(delta=1e-4, rtol=1e-8, atol=1e-10)
+        mesh = shared_mesh(sine_model, 6.0, cfg)
+        assert mesh.nodes[0] == 1e-4 and mesh.nodes[-1] == PI - 1e-4
+        assert mesh.defect <= shooting.MESH_DEFECT_FACTOR * cfg.rtol
+        assert len(mesh.nodes) < len(shared_mesh(sine_model, 6.0).nodes)
+        lams = [0.7, 2.9, 6.0]
+        for lam, got in zip(lams, dispersion_batch(sine_model, lams, mesh, cfg)):
+            want = dispersion(sine_model, lam, cfg)
+            assert abs(got.D - want.D) <= 1e-6 * want.scale
+
+    def test_step_budget_skips_what_the_mesh_cannot_serve(self, sine_model, reference_eigs):
+        cfg = SolverConfig(max_steps=500)
+        eigs = scan_and_refine(sine_model, 8.0, 0.25, cfg)
+        grid = np.arange(0.25, 8.0 + 0.125, 0.25)
+        skipped = [s["lam"] for s in eigs.skipped]
+        assert skipped and skipped == grid[len(grid) - len(skipped):].tolist()
+        assert all("step budget" in s["reason"] for s in eigs.skipped)
+        # the scalar path draws the same line on the grid
+        with pytest.raises(IntegrationError):
+            dispersion(sine_model, skipped[0], cfg)
+        dispersion(sine_model, skipped[0] - 0.25, cfg)
+        below = reference_eigs[reference_eigs < skipped[0] - 0.25]
+        np.testing.assert_allclose(eigs.positive(), below, atol=1e-5)
+
+
+class TestRefinement:
+    def test_counters(self, scan_8):
+        d = scan_8.as_dict()
+        assert d["mesh_nodes"] > 100
+        assert 0.0 < d["mesh_defect"] <= shooting.MESH_DEFECT_FACTOR * SolverConfig().rtol
+        assert len(d["refine_iterations"]) == len(scan_8.positive())
+        assert all(1 <= n <= 12 for n in d["refine_iterations"])
+        assert d["batched_marches"] >= 3 + max(d["refine_iterations"])
+
+    def test_roots_are_scalar_certified(self, scan_8):
+        assert np.max(scan_8.relative_residuals) < 1e-8

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import perspec.cli
 from perspec.cli import EXIT_VALIDATION, run_subcommand
 
 # small enough to keep each call well under a second
@@ -42,6 +43,17 @@ class TestBadInputFiles:
                                            "--out", str(tmp_path / "u.csv")])
         assert str(missing) in msg
 
+    def test_forcing_file_checked_before_kernel_build(self, capsys, tmp_path, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("kernel assembled before the forcing file was read")
+
+        monkeypatch.setattr(perspec.cli, "assemble_kernel", build)
+        path = tmp_path / "forcing.txt"
+        path.write_text("0.0\n1.0\n2.0\n")
+        msg = _validation_failure(capsys, ["resolve", "--forcing", str(path),
+                                           "--out", str(tmp_path / "u.csv")])
+        assert "2 or 3 columns" in msg
+
     def test_missing_profile_table(self, capsys, tmp_path):
         missing = tmp_path / "missing.txt"
         msg = _validation_failure(capsys, ["validate", "--profile", "tabulated",
@@ -58,3 +70,17 @@ class TestConfigInOutput:
         assert doc["config"]["levels"] == 3
         assert doc["config"]["grid"] == 64
         assert len(doc["results"]["dyadic"]["levels"]) == 4
+
+
+class TestEigs:
+    def test_identical_runs_write_identical_json(self, tmp_path):
+        out = tmp_path / "eigs.json"                  # the path is part of the config
+        written = []
+        for _ in range(2):
+            assert run_subcommand(["eigs", "--lmax", "4", "--resolution", "0.1",
+                                   "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        results = json.loads(written[0])["results"]
+        assert results["mesh_nodes"] > 0 and results["batched_marches"] > 0
+        assert len(results["refine_iterations"]) == 2           # roots near 1.24 and 3.33
