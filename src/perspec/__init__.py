@@ -19,16 +19,15 @@ from .errors import (DomainError, EigenvalueProximityError, GridMismatchError,
                      IntegrationError, PerspecError, SolverError,
                      StaleEigenvalueError, ValidationError)
 from .green import (GridFunction, KernelGrid, apply_resolvent, assemble_kernel,
-                    bandlimited_forcing, graded_full_grid, manufactured_pair,
-                    resolvent_residual)
+                    bandlimited_forcing, graded_full_grid, kernel_matrix,
+                    manufactured_pair, resolvent_residual)
 from .profiles import (CoefficientProfile, OperatorModel, ValidationReport,
                        eval_f, eval_f_prime, load_tabulated,
                        piecewise_linear_profile, sine_profile,
                        tabulated_profile, validate_profile)
 from .schatten import (DyadicBoundReport, InequalityReport,
                        SingularValueSpectrum, dyadic_bound_audit,
-                       eigen_schatten_inequality, part_iii_rank_one_check,
-                       singular_values)
+                       eigen_schatten_inequality, singular_values)
 from .shooting import (EndpointValue, SharedMesh, SolutionTrace, SolverConfig,
                        WronskianValue, compute_phi_at_pi, extrapolate_endpoint,
                        integrate_phi, integrate_psi_normalized, mirror_audit,

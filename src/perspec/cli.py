@@ -20,8 +20,8 @@ from . import __version__
 from .config import RunConfig, load_config
 from .eigensolve import dispersion, scan_and_refine
 from .errors import SolverError, ValidationError
-from .green import (apply_resolvent, assemble_kernel, bandlimited_forcing,
-                    GridFunction)
+from .green import (PARTS, apply_resolvent, assemble_kernel, bandlimited_forcing,
+                    kernel_matrix, GridFunction)
 from .profiles import (OperatorModel, load_tabulated, piecewise_linear_profile,
                        sine_profile, validate_profile)
 from .schatten import dyadic_bound_audit, eigen_schatten_inequality, singular_values
@@ -161,11 +161,10 @@ def _cmd_kernel(cfg: RunConfig, args) -> int:
     out = cfg.out or "g.csv"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("x,s,re_g,im_g,part\n")
-        for tag, mat in (("I", kernel.part_i), ("II", kernel.part_ii),
-                         ("III", kernel.part_iii)):
-            for i, xi in enumerate(kernel.nodes):
-                for j, sj in enumerate(kernel.nodes):
-                    v = mat[i, j]
+        nodes = kernel.nodes.tolist()           # plain floats: repr is a number
+        for tag in PARTS:
+            for xi, row in zip(nodes, kernel_matrix(kernel, tag).tolist()):
+                for sj, v in zip(nodes, row):
                     fh.write(f"{xi!r},{sj!r},{v.real!r},{v.imag!r},{tag}\n")
     print(f"wrote {out} (sup|G| = {kernel.sup_norm:.6g})")
     return EXIT_OK

@@ -16,17 +16,24 @@ Negative arguments are produced by reflection: phi(x, lam) = phi(-x, -lam)
 and psi(x, lam) = -psi(-x, -lam) (the sign keeps the Wronskian equal to 1
 on both half-intervals; p is taken even).  Products psi*(p/f) and
 phi*(p/f) degenerate at 0 and +-pi as powers that cancel each other, so
-all kernel entries are formed in log space and the exact endpoint columns
-use the fitted local coefficients.
+p/f is kept as its logarithm (-inf at 0, +inf at +-pi), the products are
+formed at interior nodes only, and the endpoint values of the weighted
+psi use the fitted local coefficients.
 
 Quadrature is composite trapezoid on a grid graded quadratically toward
-0 and +-pi.  The triangular supports get per-row edge-corrected weights;
-these corrections are folded into the stored part arrays so applying the
-resolvent stays one weighted matrix-vector product.
+0 and +-pi.  Parts I and II are semiseparable and part III has rank one,
+so the kernel is stored as its O(n) generators (phi, psi, log(p/f), the
+weighted psi and the denominator) and applied by three running
+trapezoid sums, each accumulated outward from the point where its
+integrand vanishes.  The triangles' one-sided end weights are the
+trapezoid's own.  The dense matrix is built, a block of columns at a
+time, only for the uses that need one: the SVD, the kernel dump and
+sup|G|.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -43,6 +50,8 @@ from .singular import compute_log_p_over_f, default_cutoff, log_pf_coefficient_a
 
 PI = math.pi
 GRADING_EXPONENT = 2.0          # grid clustering toward 0 and +-pi (2 = quadratic)
+KERNEL_BLOCK = 128              # columns per block of a dense kernel build
+PARTS = ("I", "II", "III")
 
 
 def graded_full_grid(grid_size: int):
@@ -78,23 +87,37 @@ class GridFunction:
 
 @dataclass(frozen=True, eq=False)
 class KernelGrid:
-    """Discretized kernel: three part matrices over a tensor grid."""
+    """The discretized kernel, held by its O(n) generators on the graded grid.
+
+    ``apply_resolvent`` applies it by running sums; ``kernel_matrix``
+    builds the dense n x n matrix for the uses that need one.
+    """
 
     lam: complex
     nodes: np.ndarray               # shared x- and s-grid
     weights: np.ndarray             # trapezoid weights
-    part_i: np.ndarray
-    part_ii: np.ndarray
-    part_iii: np.ndarray
+    phi_on_grid: np.ndarray         # phi(x): x-factor of parts II and III
+    psi_on_grid: np.ndarray         # psi(x): x-factor of part I; nan at 0, 0 at +-pi
+    log_pf_on_grid: np.ndarray      # log (p/f)(|s|); -inf at 0, +inf at +-pi
+    psi_weight_on_grid: np.ndarray  # w2(s) = psi(s)*(-i/eps)*(p/f)(s), endpoint limits filled
     denominator: complex            # phi(pi)/phi(-pi) - 1
-    phi_on_grid: np.ndarray         # v-factor of the rank-one part
-    psi_weight_on_grid: np.ndarray  # psi(s)*(-i/eps)*(p/f)(s), endpoint limits filled
-    sup_norm: float
     meta: dict
 
-    @property
-    def total(self) -> np.ndarray:
-        return self.part_i + self.part_ii + self.part_iii
+    @functools.cached_property
+    def sup_norm(self) -> float:
+        """max |G| over the grid, from the dense kernel on first use.
+
+        The one-sided diagonal entries of parts I and II carry their
+        half-interval weights, so they sum to the kernel's diagonal limit
+        instead of double-counting it.
+        """
+        return float(np.max(np.abs(kernel_matrix(self))))
+
+
+def _outward_sides(n: int):
+    """Slices of the interior nodes on each side of 0 (positive side first), ordered outward from 0."""
+    i0 = n // 2
+    return slice(i0 + 1, n - 1), slice(i0 - 1, 0, -1)
 
 
 def _values_on(trace: SolutionTrace, nodes: np.ndarray):
@@ -103,14 +126,6 @@ def _values_on(trace: SolutionTrace, nodes: np.ndarray):
     if np.max(np.abs(got - nodes)) > 1e-12:
         raise GridMismatchError("trace does not contain the requested nodes")
     return trace.values[idx], trace.quasi_derivatives[idx]
-
-
-def _log_polar(z: np.ndarray):
-    mag = np.abs(z)
-    with np.errstate(divide="ignore"):
-        lmag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
-    phase = np.where(mag > 0, z / np.where(mag > 0, mag, 1.0), 1.0)
-    return lmag, phase
 
 
 def solution_pairs(model: OperatorModel, lam, nodes_pos: np.ndarray,
@@ -134,7 +149,7 @@ def solution_pairs(model: OperatorModel, lam, nodes_pos: np.ndarray,
 
 def assemble_kernel(model: OperatorModel, lam, grid_size: int,
                     config: SolverConfig = DEFAULT_CONFIG) -> KernelGrid:
-    """Evaluate all three kernel parts on the graded tensor grid."""
+    """Shoot phi and psi at lam and -lam and sample the kernel's generators on the graded grid."""
     eps = model.epsilon
     x, w = graded_full_grid(grid_size)
     n = len(x)
@@ -142,8 +157,8 @@ def assemble_kernel(model: OperatorModel, lam, grid_size: int,
     nodes_pos = x[i0 + 1:-1]         # strictly positive interior nodes
 
     pairs = solution_pairs(model, lam, nodes_pos, config)
-    phi_p, wphi_p = _values_on(pairs[1]["phi"], nodes_pos)
-    psi_p, wpsi_p = _values_on(pairs[1]["psi"], nodes_pos)
+    phi_p, _ = _values_on(pairs[1]["phi"], nodes_pos)
+    psi_p, _ = _values_on(pairs[1]["psi"], nodes_pos)
     phi_m, _ = _values_on(pairs[-1]["phi"], nodes_pos)
     psi_m, _ = _values_on(pairs[-1]["psi"], nodes_pos)
 
@@ -165,7 +180,6 @@ def assemble_kernel(model: OperatorModel, lam, grid_size: int,
     lpf[1:i0] = lpf[i0 + 1:-1][::-1]
     lpf[i0] = -np.inf
     lpf[0] = lpf[-1] = np.inf
-    sgn = np.where(x < 0, -1.0, 1.0)            # sign of signed (p/f)(s)
 
     ratio = phi_full[-1] / phi_full[0]
     denominator = ratio - 1.0
@@ -176,12 +190,9 @@ def assemble_kernel(model: OperatorModel, lam, grid_size: int,
 
     # W2(s) = psi(s,lam) * (-i/eps) * signed (p/f)(s); finite limits at 0, +-pi
     log_cpi = log_pf_coefficient_at_pi(model)   # p/f ~ exp(log_cpi) * d^-sigma at pi
-    interior = np.ones(n, bool)
-    interior[[0, i0, -1]] = False
     w2 = np.empty(n, complex)
-    lpsi, ppsi = _log_polar(np.where(np.isnan(psi_full), 0.0, psi_full))
-    w2[interior] = (np.exp(lpsi[interior] + lpf[interior]) * ppsi[interior]
-                    * (-1j / eps) * sgn[interior])
+    for side, sgn in zip(_outward_sides(n), (1.0, -1.0)):
+        w2[side] = psi_full[side] * np.exp(lpf[side]) * (-1j / eps) * sgn
     b0_p = pairs[1]["psi_origin"].singular_part
     b0_m = pairs[-1]["psi_origin"].singular_part
     w2[i0] = 0.5 * (b0_p + b0_m) * (PI / 2.0) * (-1j / eps)
@@ -190,55 +201,70 @@ def assemble_kernel(model: OperatorModel, lam, grid_size: int,
     w2[-1] = bpi_p * math.exp(log_cpi) * (-1j / eps)
     w2[0] = bpi_m * math.exp(log_cpi) * (-1j / eps)
 
-    # part I in log space on the same-sign triangle
-    lphi, pphi = _log_polar(phi_full)
-    mask = (np.abs(x)[:, None] >= np.abs(x)[None, :]) & \
-           (sgn[:, None] * sgn[None, :] > 0) & interior[:, None] & interior[None, :]
-    mask[:, i0] = False
-    with np.errstate(invalid="ignore"):
-        logsum = np.where(mask, lpsi[:, None] + lphi[None, :] + lpf[None, :], -np.inf)
-        logsum = np.where(np.isnan(logsum), -np.inf, logsum)
-    part_i = np.exp(logsum) * np.where(mask, ppsi[:, None] * pphi[None, :], 1.0) * (-1j / eps)
-
-    lower = x[:, None] <= x[None, :]
-    part_ii = np.where(lower, phi_full[:, None] * w2[None, :], 0.0)
-    part_iii = phi_full[:, None] * w2[None, :] / denominator
-
-    # fold per-row trapezoid edge corrections into the triangular parts
-    for i in range(n):
-        if i < n - 1:
-            part_ii[i, i] *= ((x[i + 1] - x[i]) / 2.0) / w[i]
-        else:
-            part_ii[i, i] = 0.0
-    for i in range(n):
-        idx = np.nonzero(mask[i])[0]
-        if len(idx) == 0:
-            continue
-        j0, j1 = idx[0], idx[-1]
-        if j0 == j1:
-            part_i[i, j0] = 0.0
-            continue
-        part_i[i, j0] *= ((x[j0 + 1] - x[j0]) / 2.0) / w[j0]
-        part_i[i, j1] *= ((x[j1] - x[j1 - 1]) / 2.0) / w[j1]
-
-    # sup after folding: the one-sided diagonal entries then sum to the
-    # kernel's diagonal limit instead of double-counting parts I and II
-    sup = float(np.max(np.abs(part_i + part_ii + part_iii)))
-
     meta = {
         "model": model, "grid_size": grid_size,
-        "delta_origin": pairs[1]["phi"].delta_origin,
-        "delta_pi": pairs[1]["phi"].delta_pi,
         "wronskian_deviation": max(
             pairs[1]["psi"].meta["wronskian"].max_deviation,
             pairs[-1]["psi"].meta["wronskian"].max_deviation),
-        "lpf": lpf, "pairs": pairs, "psi_full": psi_full,
-        "wphi_pos": wphi_p, "wpsi_pos": wpsi_p,
     }
-    return KernelGrid(lam=complex(lam), nodes=x, weights=w, part_i=part_i,
-                      part_ii=part_ii, part_iii=part_iii,
-                      denominator=complex(denominator), phi_on_grid=phi_full,
-                      psi_weight_on_grid=w2, sup_norm=sup, meta=meta)
+    return KernelGrid(lam=complex(lam), nodes=x, weights=w, phi_on_grid=phi_full,
+                      psi_on_grid=psi_full, log_pf_on_grid=lpf,
+                      psi_weight_on_grid=w2, denominator=complex(denominator),
+                      meta=meta)
+
+
+def _running_trapezoid(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of g (rows along x) from x[0] to each x[k], summed outward from x[0]."""
+    out = np.zeros_like(g)
+    half = np.abs(np.diff(x))[:, None] / 2.0
+    np.cumsum(half * (g[:-1] + g[1:]), axis=0, out=out[1:])
+    return out
+
+
+def _applied_parts(kernel: KernelGrid, forcing: np.ndarray):
+    """Parts I, II and III of the kernel applied to forcing values of shape (n,) or (n, m).
+
+    Each part is a running trapezoid sum accumulated from the end where
+    its integral is zero, never as a difference of two sums from -pi: near
+    those ends such a difference cancels to no correct digits.
+
+    * part I = psi(x) (-i/eps) int phi (p/f) F over s between 0 and x,
+      summed from the origin on each side (from the first node off 0);
+    * part II = phi(x) int_x^pi w2 F, summed from pi;
+    * part III = phi(x) int_(-pi)^pi w2 F / denominator.
+    """
+    x = kernel.nodes
+    n = len(x)
+    F = forcing.reshape(n, -1)
+    eps = kernel.meta["model"].epsilon
+
+    part_i = np.zeros(F.shape, complex)
+    for side in _outward_sides(n):
+        g = (kernel.phi_on_grid[side] * np.exp(kernel.log_pf_on_grid[side]))[:, None] * F[side]
+        part_i[side] = kernel.psi_on_grid[side, None] * (-1j / eps) * _running_trapezoid(g, x[side])
+    g2 = kernel.psi_weight_on_grid[:, None] * F
+    tail = _running_trapezoid(g2[::-1], x[::-1])[::-1]
+    part_ii = kernel.phi_on_grid[:, None] * tail
+    part_iii = kernel.phi_on_grid[:, None] * (tail[0] / kernel.denominator)
+    return tuple(part.reshape(forcing.shape) for part in (part_i, part_ii, part_iii))
+
+
+def kernel_matrix(kernel: KernelGrid, part: Optional[str] = None) -> np.ndarray:
+    """Dense G(x_i, s_j), or one of its parts "I", "II", "III".
+
+    Column j is the kernel applied to the forcing 1/w_j at s_j, so the
+    matrix agrees with ``apply_resolvent``: G @ (w * F) = u.  Columns are
+    built KERNEL_BLOCK at a time to bound the scratch memory.
+    """
+    n = len(kernel.nodes)
+    out = np.empty((n, n), complex)
+    for start in range(0, n, KERNEL_BLOCK):
+        cols = np.arange(start, min(start + KERNEL_BLOCK, n))
+        unit = np.zeros((n, len(cols)))
+        unit[cols, np.arange(len(cols))] = 1.0 / kernel.weights[cols]
+        parts = _applied_parts(kernel, unit)
+        out[:, cols] = sum(parts) if part is None else parts[PARTS.index(part)]
+    return out
 
 
 def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
@@ -246,7 +272,7 @@ def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
     if forcing.nodes.shape != kernel.nodes.shape or \
             np.max(np.abs(forcing.nodes - kernel.nodes)) > 1e-12:
         raise GridMismatchError("forcing is not sampled on the kernel grid")
-    u = kernel.total @ (kernel.weights * forcing.values)
+    u = sum(_applied_parts(kernel, forcing.values))
     defect = float(abs(u[0] - u[-1]))
     return GridFunction(nodes=kernel.nodes, values=u, role="solution",
                         periodic_defect=defect)
@@ -330,22 +356,16 @@ def bound_product_audit(kernel: KernelGrid, x_below: float = 0.5) -> float:
     up and p/f vanishes at matching rates.
     """
     x = kernel.nodes
-    lpf = kernel.meta["lpf"]
-    psi = kernel.meta["psi_full"]
-    n = len(x)
-    i0 = n // 2
-    interior = np.ones(n, bool)
-    interior[[0, i0, -1]] = False
-    lpsi, _ = _log_polar(np.where(np.isnan(psi), 0.0, psi))
-    sgn = np.where(x < 0, -1.0, 1.0)
-    rows = interior & (np.abs(x) <= x_below)
-    mask = (np.abs(x)[:, None] >= np.abs(x)[None, :]) & \
-           (sgn[:, None] * sgn[None, :] > 0) & rows[:, None] & interior[None, :]
-    mask[:, i0] = False
-    with np.errstate(invalid="ignore"):
-        logs = np.where(mask, lpsi[:, None] + lpf[None, :], -np.inf)
-        logs = np.where(np.isnan(logs), -np.inf, logs)
-    return float(np.exp(np.max(logs)))
+    with np.errstate(divide="ignore"):      # psi is 0 at +-pi and nan at 0
+        lpsi = np.log(np.abs(kernel.psi_on_grid))
+    best = -np.inf
+    for side in _outward_sides(len(x)):
+        # max_s (log|psi(x)| + log pf(s)) = log|psi(x)| + max_s log pf(s): rounding
+        # of a sum is monotone in each term, so this is the max over all pairs
+        logs = lpsi[side] + np.maximum.accumulate(kernel.log_pf_on_grid[side])
+        rows = np.abs(x[side]) <= x_below
+        best = max(best, float(np.max(logs, where=rows, initial=-np.inf)))
+    return float(np.exp(best))
 
 
 def first_integral_proxy(kernel: KernelGrid, forcing: GridFunction) -> np.ndarray:
@@ -360,31 +380,13 @@ def second_integral_proxy(kernel: KernelGrid, forcing: GridFunction) -> np.ndarr
 
 def _integral_proxies(kernel: KernelGrid, forcing: GridFunction):
     x = kernel.nodes
-    w = kernel.weights
-    F = forcing.values
-    norm_f = math.sqrt(float(np.sum(w * np.abs(F) ** 2)))
-    n = len(x)
-    i0 = n // 2
-    eps = kernel.meta["model"].epsilon
-    lpf = kernel.meta["lpf"]
-
-    pos = slice(i0 + 1, n - 1)
-    phi_pos = kernel.phi_on_grid[pos]
-    # psi on positive interior nodes from the stored w2 (w2 = psi * (-i/eps) * pf)
-    w2 = kernel.psi_weight_on_grid
-    psi_pos = w2[pos] / ((-1j / eps) * np.exp(lpf[pos]))
-
-    w1 = phi_pos * (-1j / eps) * np.exp(lpf[pos])      # phi * weight, s > 0
-    incr = w[pos] * w1 * F[pos]
-    j1 = np.cumsum(incr) - 0.5 * incr                  # midpoint-ish running sum
+    norm_f = math.sqrt(float(np.sum(kernel.weights * np.abs(forcing.values) ** 2)))
+    pos, _ = _outward_sides(len(x))
+    part_i, part_ii, _ = _applied_parts(kernel, forcing.values)
     xq = x[pos]
-    proxy1 = np.abs(psi_pos * j1) / (np.sqrt(xq) * norm_f)
-    proxy1 = proxy1[xq < PI / 2]
-
-    incr2 = w[pos] * w2[pos] * F[pos]
-    j2 = np.cumsum(incr2[::-1])[::-1] - 0.5 * incr2
-    proxy2 = np.abs(phi_pos * j2) / (np.sqrt(PI - xq) * norm_f)
-    return proxy1, proxy2
+    proxy1 = np.abs(part_i[pos]) / (np.sqrt(xq) * norm_f)
+    proxy2 = np.abs(part_ii[pos]) / (np.sqrt(PI - xq) * norm_f)
+    return proxy1[xq < PI / 2], proxy2
 
 
 def quasi_derivative_continuity(model: OperatorModel, lam, forcing_fn,

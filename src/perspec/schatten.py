@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .green import KernelGrid, solution_pairs, _values_on
+from .green import KernelGrid, kernel_matrix, solution_pairs, _values_on
 from .profiles import OperatorModel
 from .shooting import DEFAULT_CONFIG, SolverConfig, extrapolate_endpoint
 from .singular import (compute_log_p_over_f, default_cutoff,
@@ -63,21 +63,10 @@ def _weighted_svd(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def singular_values(kernel: KernelGrid, orders=DEFAULT_ORDERS) -> SingularValueSpectrum:
     """Singular values of the symmetrized kernel matrix plus Schatten norms."""
-    alpha = _weighted_svd(kernel.total, kernel.weights)
+    alpha = _weighted_svd(kernel_matrix(kernel), kernel.weights)
     norms = {float(p): float(np.sum(alpha ** p) ** (1.0 / p)) for p in orders}
     return SingularValueSpectrum(lam=kernel.lam, grid_size=kernel.meta["grid_size"],
                                  values=alpha, schatten_norms=norms)
-
-
-def part_iii_rank_one_check(kernel: KernelGrid) -> dict:
-    """Singular values of the rank-one part against the product of factor norms."""
-    alpha = _weighted_svd(kernel.part_iii, kernel.weights)
-    sq = np.sqrt(kernel.weights)
-    v_norm = float(np.linalg.norm(sq * kernel.phi_on_grid))
-    w_norm = float(np.linalg.norm(sq * kernel.psi_weight_on_grid / kernel.denominator))
-    return {"singular_values": alpha, "leading": float(alpha[0]),
-            "second_over_first": float(alpha[1] / alpha[0]) if len(alpha) > 1 else 0.0,
-            "norm_product": v_norm * w_norm}
 
 
 def dyadic_intervals(level: int) -> np.ndarray:

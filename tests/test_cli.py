@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -84,3 +85,19 @@ class TestEigs:
         results = json.loads(written[0])["results"]
         assert results["mesh_nodes"] > 0 and results["batched_marches"] > 0
         assert len(results["refine_iterations"]) == 2           # roots near 1.24 and 3.33
+
+
+class TestKernelCommands:
+    def test_kernel_dump_writes_every_part(self, tmp_path):
+        out = tmp_path / "g.csv"
+        assert run_subcommand(["kernel", "--grid", "64", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == "x,s,re_g,im_g,part"
+        fields = [row.split(",") for row in rows[1:]]
+        assert len(fields) == 3 * 65 ** 2
+        assert [f[4] for f in fields] == ["I"] * 65 ** 2 + ["II"] * 65 ** 2 + ["III"] * 65 ** 2
+        assert all(math.isfinite(float(v)) for f in fields for v in f[:4])
+
+    def test_resolve_prints_sup_norm(self, capsys, tmp_path):
+        assert run_subcommand(["resolve", "--grid", "64", "--out", str(tmp_path / "u.csv")]) == 0
+        assert "sup|G| = " in capsys.readouterr().out

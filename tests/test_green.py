@@ -9,7 +9,7 @@ from perspec.errors import (EigenvalueProximityError, GridMismatchError,
 from perspec.green import (apply_resolvent, assemble_kernel,
                            bandlimited_forcing, bound_product_audit,
                            first_integral_proxy, graded_full_grid,
-                           GridFunction, manufactured_pair,
+                           GridFunction, kernel_matrix, manufactured_pair,
                            quasi_derivative_continuity, resolvent_residual,
                            second_integral_proxy)
 
@@ -43,11 +43,11 @@ class TestKernelStructure:
     def test_part_supports(self, kernel_256):
         k = kernel_256
         x = k.nodes
-        nz_i = np.abs(k.part_i) > 0
+        nz_i = np.abs(kernel_matrix(k, "I")) > 0
         ii, jj = np.nonzero(nz_i)
         assert np.all(np.abs(x[ii]) >= np.abs(x[jj]) - 1e-15)
         assert np.all(x[ii] * x[jj] >= 0)
-        nz_ii = np.abs(k.part_ii) > 0
+        nz_ii = np.abs(kernel_matrix(k, "II")) > 0
         ii2, jj2 = np.nonzero(nz_ii)
         assert np.all(x[ii2] <= x[jj2] + 1e-15)
 
@@ -56,7 +56,7 @@ class TestKernelStructure:
         k = kernel_256
         i = np.argmin(np.abs(k.nodes - 0.1))
         j = np.argmin(np.abs(k.nodes - 0.5))
-        assert k.part_i[i, j] == 0.0
+        assert kernel_matrix(k, "I")[i, j] == 0.0
 
     def test_sup_norm_reported(self, kernel_256):
         assert 0.1 < kernel_256.sup_norm < 10.0
@@ -97,6 +97,21 @@ class TestResolvent:
             F = bandlimited_forcing(kernel_256, seed=seed)
             u = apply_resolvent(kernel_256, F)
             assert u.periodic_defect < 1e-6 * np.max(np.abs(u.values))
+
+    @pytest.mark.parametrize("grid", [256, 1024])
+    @pytest.mark.parametrize("eps", [0.3, 0.45, 1.0, 2.0])
+    @pytest.mark.parametrize("profile", [ps.sine_profile, ps.piecewise_linear_profile])
+    def test_running_sums_match_dense_kernel(self, profile, eps, grid):
+        # each running sum starts at the end where its integral is zero; part I
+        # taken as a difference of two sums from -pi is off by up to 0.3 of
+        # max |u| at eps = 0.3, while a dense column (one unit forcing) is not
+        model = ps.OperatorModel(profile=profile(), epsilon=eps)
+        k = assemble_kernel(model, 0.7 + 1j, grid)
+        _, F = manufactured_pair(model, 0.7 + 1j, k.nodes)
+        u = apply_resolvent(k, F)
+        dense = kernel_matrix(k) @ (k.weights * F.values)
+        # relative to max |u|: u itself has zeros, where no digit is relative
+        assert np.max(np.abs(u.values - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_grid_mismatch_rejected(self, kernel_256):
         F = GridFunction(nodes=kernel_256.nodes[:-1],
