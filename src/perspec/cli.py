@@ -21,7 +21,7 @@ from .config import RunConfig, load_config
 from .eigensolve import dispersion, scan_and_refine
 from .errors import SolverError, ValidationError
 from .green import (PARTS, apply_resolvent, assemble_kernel, bandlimited_forcing,
-                    kernel_matrix, GridFunction)
+                    kernel_matrix, resolvent_residual, GridFunction)
 from .profiles import (OperatorModel, load_tabulated, piecewise_linear_profile,
                        sine_profile, validate_profile)
 from .schatten import dyadic_bound_audit, eigen_schatten_inequality, singular_values
@@ -148,9 +148,8 @@ def _cmd_resolve(cfg: RunConfig, args) -> int:
     _write_csv(out, "x,re_u,im_u,re_f,im_f",
                zip(kernel.nodes, u.values.real, u.values.imag,
                    forcing.values.real, forcing.values.imag))
-    defect = u.periodic_defect / max(1e-300, float(np.max(np.abs(u.values))))
-    print(f"periodicity defect {u.periodic_defect:.3e} "
-          f"(relative {defect:.3e}), sup|G| = {kernel.sup_norm:.6g}")
+    residual = resolvent_residual(model, lam, u, forcing)
+    print(f"relative resolvent residual {residual:.3e}, sup|G| = {kernel.sup_norm:.6g}")
     return EXIT_OK
 
 

@@ -34,6 +34,7 @@ from .shooting import (DEFAULT_CONFIG, SharedMesh, SolutionTrace, SolverConfig,
                        shared_mesh)
 
 MAX_REFINE_ITERATIONS = 100
+STALE_TOL = 1e-6                # relative dispersion residual an eigenfunction needs
 
 
 @dataclass(frozen=True)
@@ -248,10 +249,10 @@ def eigenfunction(model: OperatorModel, lam_n: float,
     """The phi-trace at a refined eigenvalue, scaled to unit max modulus."""
     dv = dispersion(model, lam_n, config)
     rel = abs(dv.D) / dv.scale
-    if rel > config.stale_tol:
+    if rel > STALE_TOL:
         raise StaleEigenvalueError(
             f"lam = {lam_n} no longer satisfies the dispersion condition "
-            f"(relative residual {rel:.3e} > {config.stale_tol:.1e})")
+            f"(relative residual {rel:.3e} > {STALE_TOL:.1e})")
     trace = integrate_phi(model, lam_n, config, record_steps=True)
     norm = float(np.max(np.abs(trace.values)))
     meta = dict(trace.meta)

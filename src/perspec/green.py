@@ -12,13 +12,18 @@ solutions and the weight (-i/eps)*(p/f)(s):
 * part III  the rank-one periodicity corrector
             phi(x) psi(s) * weight / (phi(pi)/phi(-pi) - 1).
 
-Negative arguments are produced by reflection: phi(x, lam) = phi(-x, -lam)
-and psi(x, lam) = -psi(-x, -lam) (the sign keeps the Wronskian equal to 1
+One sampler, ``_full_period``, turns the traces of ``solution_pairs`` on
+positive nodes into these generators on the full period; the kernel, the
+flux check and the dyadic audit in ``schatten`` all read it.  Negative
+arguments come by reflection: phi(x, lam) = phi(-x, -lam) and
+psi(x, lam) = -psi(-x, -lam) (the sign keeps the Wronskian equal to 1
 on both half-intervals; p is taken even).  Products psi*(p/f) and
 phi*(p/f) degenerate at 0 and +-pi as powers that cancel each other, so
 p/f is kept as its logarithm (-inf at 0, +inf at +-pi), the products are
 formed at interior nodes only, and the endpoint values of the weighted
-psi use the fitted local coefficients.
+psi use the fitted local coefficients.  The callers pick the cutoff: the
+kernel takes shooting's, the audit caps it at 0.45 of its nodes'
+distance to the ends (see ``schatten``).
 
 Quadrature is composite trapezoid on a grid graded quadratically toward
 0 and +-pi.  Parts I and II are semiseparable and part III has rank one,
@@ -82,7 +87,6 @@ class GridFunction:
     nodes: np.ndarray
     values: np.ndarray
     role: str                       # "forcing" | "solution"
-    periodic_defect: Optional[float] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,69 +151,79 @@ def solution_pairs(model: OperatorModel, lam, nodes_pos: np.ndarray,
     return out
 
 
-def assemble_kernel(model: OperatorModel, lam, grid_size: int,
-                    config: SolverConfig = DEFAULT_CONFIG) -> KernelGrid:
-    """Shoot phi and psi at lam and -lam and sample the kernel's generators on the graded grid."""
+@dataclass(frozen=True, eq=False)
+class _FullPeriod:
+    """The kernel's generators on -pi, -nodes_pos[::-1], 0, nodes_pos, pi."""
+
+    phi: np.ndarray                 # 1 at 0; fitted boundary values at +-pi
+    psi: np.ndarray                 # nan at 0, 0 at +-pi
+    log_pf: np.ndarray              # log (p/f)(|s|); -inf at 0, +inf at +-pi
+    w2: np.ndarray                  # psi(s)*(-i/eps)*signed (p/f)(s), endpoint limits filled
+    denominator: complex            # phi(pi)/phi(-pi) - 1
+    wronskian_deviation: float
+
+
+def _full_period(model: OperatorModel, pairs: dict, nodes_pos: np.ndarray) -> _FullPeriod:
+    """Sample phi, psi, log(p/f) and w2 over the full period from ``solution_pairs`` output.
+
+    ``nodes_pos`` are the strictly positive nodes the pairs were forced
+    on; negative nodes are their reflections.
+    """
     eps = model.epsilon
-    x, w = graded_full_grid(grid_size)
-    n = len(x)
-    i0 = n // 2                      # node at 0
-    nodes_pos = x[i0 + 1:-1]         # strictly positive interior nodes
+    n = 2 * len(nodes_pos) + 3
+    i0 = n // 2
+    pos, neg = _outward_sides(n)
+    phi = np.empty(n, complex)
+    psi = np.empty(n, complex)
+    phi[pos] = _values_on(pairs[1]["phi"], nodes_pos)[0]
+    psi[pos] = _values_on(pairs[1]["psi"], nodes_pos)[0]
+    phi[neg] = _values_on(pairs[-1]["phi"], nodes_pos)[0]      # phi(x, lam) = phi(-x, -lam)
+    psi[neg] = -_values_on(pairs[-1]["psi"], nodes_pos)[0]     # psi(x, lam) = -psi(-x, -lam)
+    phi[i0] = 1.0
+    psi[i0] = np.nan
+    phi[-1] = pairs[1]["phi_end"].regular_part
+    phi[0] = pairs[-1]["phi_end"].regular_part
+    psi[0] = psi[-1] = 0.0
 
-    pairs = solution_pairs(model, lam, nodes_pos, config)
-    phi_p, _ = _values_on(pairs[1]["phi"], nodes_pos)
-    psi_p, _ = _values_on(pairs[1]["psi"], nodes_pos)
-    phi_m, _ = _values_on(pairs[-1]["phi"], nodes_pos)
-    psi_m, _ = _values_on(pairs[-1]["psi"], nodes_pos)
-
-    phi_full = np.empty(n, complex)
-    psi_full = np.empty(n, complex)             # not meaningful at x = 0
-    phi_full[i0 + 1:-1] = phi_p
-    psi_full[i0 + 1:-1] = psi_p
-    phi_full[1:i0][::-1] = phi_m                # phi(x, lam) = phi(-x, -lam)
-    psi_full[1:i0][::-1] = -psi_m               # psi(x, lam) = -psi(-x, -lam)
-    phi_full[i0] = 1.0
-    psi_full[i0] = np.nan
-    phi_full[-1] = pairs[1]["phi_end"].regular_part
-    phi_full[0] = pairs[-1]["phi_end"].regular_part
-    psi_full[0] = 0.0
-    psi_full[-1] = 0.0
-
-    lpf = np.empty(n)                           # log (p/f)(|s|)
-    lpf[i0 + 1:-1] = compute_log_p_over_f(model, nodes_pos)
-    lpf[1:i0] = lpf[i0 + 1:-1][::-1]
+    lpf = np.empty(n)
+    lpf[pos] = compute_log_p_over_f(model, nodes_pos)
+    lpf[neg] = lpf[pos]
     lpf[i0] = -np.inf
     lpf[0] = lpf[-1] = np.inf
 
-    ratio = phi_full[-1] / phi_full[0]
-    denominator = ratio - 1.0
-    if abs(denominator) < 1e-8 * max(1.0, abs(ratio)):
-        raise EigenvalueProximityError(
-            f"periodicity denominator |phi(pi)/phi(-pi) - 1| = {abs(denominator):.3e} "
-            f"is numerically zero: lam = {lam} is an eigenvalue")
-
-    # W2(s) = psi(s,lam) * (-i/eps) * signed (p/f)(s); finite limits at 0, +-pi
+    # w2(s) = psi(s,lam) * (-i/eps) * signed (p/f)(s); finite limits at 0, +-pi
     log_cpi = log_pf_coefficient_at_pi(model)   # p/f ~ exp(log_cpi) * d^-sigma at pi
     w2 = np.empty(n, complex)
-    for side, sgn in zip(_outward_sides(n), (1.0, -1.0)):
-        w2[side] = psi_full[side] * np.exp(lpf[side]) * (-1j / eps) * sgn
+    for side, sgn in ((pos, 1.0), (neg, -1.0)):
+        w2[side] = psi[side] * np.exp(lpf[side]) * (-1j / eps) * sgn
     b0_p = pairs[1]["psi_origin"].singular_part
     b0_m = pairs[-1]["psi_origin"].singular_part
     w2[i0] = 0.5 * (b0_p + b0_m) * (PI / 2.0) * (-1j / eps)
-    bpi_p = pairs[1]["psi_end"].singular_part
-    bpi_m = pairs[-1]["psi_end"].singular_part
-    w2[-1] = bpi_p * math.exp(log_cpi) * (-1j / eps)
-    w2[0] = bpi_m * math.exp(log_cpi) * (-1j / eps)
+    w2[-1] = pairs[1]["psi_end"].singular_part * math.exp(log_cpi) * (-1j / eps)
+    w2[0] = pairs[-1]["psi_end"].singular_part * math.exp(log_cpi) * (-1j / eps)
 
-    meta = {
-        "model": model, "grid_size": grid_size,
-        "wronskian_deviation": max(
-            pairs[1]["psi"].meta["wronskian"].max_deviation,
-            pairs[-1]["psi"].meta["wronskian"].max_deviation),
-    }
-    return KernelGrid(lam=complex(lam), nodes=x, weights=w, phi_on_grid=phi_full,
-                      psi_on_grid=psi_full, log_pf_on_grid=lpf,
-                      psi_weight_on_grid=w2, denominator=complex(denominator),
+    return _FullPeriod(phi=phi, psi=psi, log_pf=lpf, w2=w2,
+                       denominator=complex(phi[-1] / phi[0] - 1.0),
+                       wronskian_deviation=max(pairs[1]["psi"].meta["wronskian"].max_deviation,
+                                               pairs[-1]["psi"].meta["wronskian"].max_deviation))
+
+
+def assemble_kernel(model: OperatorModel, lam, grid_size: int,
+                    config: SolverConfig = DEFAULT_CONFIG) -> KernelGrid:
+    """Shoot phi and psi at lam and -lam and sample the kernel's generators on the graded grid."""
+    x, w = graded_full_grid(grid_size)
+    nodes_pos = x[len(x) // 2 + 1:-1]           # strictly positive interior nodes
+    full = _full_period(model, solution_pairs(model, lam, nodes_pos, config), nodes_pos)
+    ratio = full.phi[-1] / full.phi[0]
+    if abs(full.denominator) < 1e-8 * max(1.0, abs(ratio)):
+        raise EigenvalueProximityError(
+            f"periodicity denominator |phi(pi)/phi(-pi) - 1| = {abs(full.denominator):.3e} "
+            f"is numerically zero: lam = {lam} is an eigenvalue")
+    meta = {"model": model, "grid_size": grid_size,
+            "wronskian_deviation": full.wronskian_deviation}
+    return KernelGrid(lam=complex(lam), nodes=x, weights=w, phi_on_grid=full.phi,
+                      psi_on_grid=full.psi, log_pf_on_grid=full.log_pf,
+                      psi_weight_on_grid=full.w2, denominator=full.denominator,
                       meta=meta)
 
 
@@ -268,14 +282,12 @@ def kernel_matrix(kernel: KernelGrid, part: Optional[str] = None) -> np.ndarray:
 
 
 def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
-    """u(x_i) = sum_j G(x_i, s_j) w_j F(s_j), with the periodicity defect attached."""
+    """u(x_i) = sum_j G(x_i, s_j) w_j F(s_j)."""
     if forcing.nodes.shape != kernel.nodes.shape or \
             np.max(np.abs(forcing.nodes - kernel.nodes)) > 1e-12:
         raise GridMismatchError("forcing is not sampled on the kernel grid")
     u = sum(_applied_parts(kernel, forcing.values))
-    defect = float(abs(u[0] - u[-1]))
-    return GridFunction(nodes=kernel.nodes, values=u, role="solution",
-                        periodic_defect=defect)
+    return GridFunction(nodes=kernel.nodes, values=u, role="solution")
 
 
 def resolvent_residual(model: OperatorModel, lam, u: GridFunction,
@@ -406,36 +418,26 @@ def quasi_derivative_continuity(model: OperatorModel, lam, forcing_fn,
     eps = model.epsilon
     sigma = model.sigma
     x, w = graded_full_grid(quad_size)
-    n = len(x)
-    i0 = n // 2
-    quad_pos = x[i0 + 1:-1]
+    interior = slice(len(x) // 2 + 1, -1)
+    wq, quad_pos = w[interior], x[interior]
     nodes_pos = np.unique(np.concatenate([quad_pos, [probe]]))
     pairs = solution_pairs(model, lam, nodes_pos, config)
-
-    phi_p, wphi_p = _values_on(pairs[1]["phi"], nodes_pos)
-    psi_p, wpsi_p = _values_on(pairs[1]["psi"], nodes_pos)
-    phi_m, wphi_m = _values_on(pairs[-1]["phi"], nodes_pos)
-    psi_m, wpsi_m = _values_on(pairs[-1]["psi"], nodes_pos)
-    lpf_pos = np.asarray(compute_log_p_over_f(model, nodes_pos))
-    pf_pos = np.exp(lpf_pos)
+    full = _full_period(model, pairs, nodes_pos)
+    pos, neg = _outward_sides(len(full.w2))         # both ordered like nodes_pos
 
     sel = np.searchsorted(nodes_pos, quad_pos)
-    wq = w[i0 + 1:-1]
     f_pos = np.asarray(forcing_fn(quad_pos), dtype=complex)
     f_neg = np.asarray(forcing_fn(-quad_pos), dtype=complex)
-    # psi(s)*weight(s) at s > 0 and, via reflection, at s = -t
-    w2_pos = psi_p[sel] * (-1j / eps) * pf_pos[sel]
-    w2_neg = psi_m[sel] * (-1j / eps) * pf_pos[sel]
-    j2_zero = np.sum(wq * w2_pos * f_pos)
-    full = j2_zero + np.sum(wq * w2_neg * f_neg)
-    denom = (pairs[1]["phi_end"].regular_part / pairs[-1]["phi_end"].regular_part) - 1.0
-    A = full / denom
+    j2_zero = np.sum(wq * full.w2[pos][sel] * f_pos)
+    A = (j2_zero + np.sum(wq * full.w2[neg][sel] * f_neg)) / full.denominator
 
     k = int(np.searchsorted(nodes_pos, probe))
-    inv_pf = 1.0 / pf_pos[k]
+    inv_pf = 1.0 / math.exp(full.log_pf[pos][k])
+    wphi_p, wpsi_p, wphi_m, wpsi_m = (_values_on(pairs[sign][name], nodes_pos[k:k + 1])[1][0]
+                                      for sign in (1, -1) for name in ("phi", "psi"))
     f0 = complex(np.asarray(forcing_fn(np.array([0.0])), dtype=complex)[0])
     j1_mag = f0 * (PI / 2.0) * probe ** (1.0 + sigma) / ((1.0 + sigma) * eps)
     # J1(+t) = -i*j1_mag*(1+O(t)); J1(-t) = -conj-orientation piece +i*j1_mag
-    right = inv_pf * wpsi_p[k] * (-1j * j1_mag) + inv_pf * wphi_p[k] * (j2_zero + A)
-    left = inv_pf * wpsi_m[k] * (1j * j1_mag) + inv_pf * wphi_m[k] * (j2_zero + A)
+    right = inv_pf * wpsi_p * (-1j * j1_mag) + inv_pf * wphi_p * (j2_zero + A)
+    left = inv_pf * wpsi_m * (1j * j1_mag) + inv_pf * wphi_m * (j2_zero + A)
     return complex(left), complex(right)

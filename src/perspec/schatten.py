@@ -10,7 +10,12 @@ The dyadic audit bounds the blocks of the triangular kernel part built
 from v = phi and w = psi * (-i p / (eps f)): level j splits [-pi, pi]
 into 2^(j+1) equal intervals and pairs even (for v) with odd (for w);
 each block norm is a product of interval L2 norms and must decay
-geometrically in j.
+geometrically in j.  v and w come from green's full-period sampler on
+the Gauss nodes of all levels, every one a forced trace node.  The
+cutoff is min(pinned or default cutoff, 0.45*min node, 0.45*(pi - max
+node)): the cap keeps every node out of the seed collar, and 0.45 rather
+than shooting's 0.5 keeps psi's fit node 4*delta off the next level's
+innermost node, which sits at exactly twice the innermost one.
 """
 
 from __future__ import annotations
@@ -22,16 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .green import KernelGrid, kernel_matrix, solution_pairs, _values_on
+from .green import KernelGrid, _full_period, kernel_matrix, solution_pairs
 from .profiles import OperatorModel
-from .shooting import DEFAULT_CONFIG, SolverConfig, extrapolate_endpoint
-from .singular import (compute_log_p_over_f, default_cutoff,
-                       indicial_series_coefficients, log_pf_coefficient_at_pi)
+from .shooting import DEFAULT_CONFIG, SolverConfig
+from .singular import default_cutoff
 
 PI = math.pi
 
 DEFAULT_ORDERS = (1.0, 1.5, 2.0, 3.0)
 DYADIC_GAUSS_ORDER = 16                 # Gauss points per dyadic interval
+DYADIC_CUTOFF_FACTOR = 0.45             # cutoff cap, in units of the nodes' distance to 0 and pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,15 +88,13 @@ class DyadicBoundReport:
     argmax_index: np.ndarray            # i attaining each alpha_hat
     fitted_m: float                     # max_j 2^j * alpha_hat_j
     ratios: np.ndarray                  # alpha_hat[j+1]/alpha_hat[j]
-    fallback_events: list               # nodes served by endpoint local models
 
     def as_dict(self) -> dict:
         return {"levels": self.levels.tolist(),
                 "alpha_hat": self.alpha_hat.tolist(),
                 "argmax_index": self.argmax_index.tolist(),
                 "fitted_m": self.fitted_m,
-                "ratios": self.ratios.tolist(),
-                "fallback_events": list(self.fallback_events)}
+                "ratios": self.ratios.tolist()}
 
 
 def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
@@ -99,116 +102,48 @@ def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
     """Per-level max block norm max_i ||v||_(I_2i,j) * ||w||_(I_2i+1,j).
 
     All interval norms are computed with Gauss panels whose abscissae are
-    forced trace nodes, so no interpolation enters.  Nodes falling inside
-    the seed collar (only possible with a user-pinned cutoff) are served
-    by the endpoint local models and logged as fallback events.
+    forced trace nodes, so no interpolation enters and no node is served
+    by an endpoint local model.  The cutoff is the pinned or default one
+    capped at 0.45 times the outermost nodes' distances to 0 and to pi,
+    so a pinned ``config.delta`` is an upper bound.
     """
     if not 0 <= levels <= 8:
         raise ValidationError("levels must lie in 0..8 (interval count stays desk-scale)")
-    eps = model.epsilon
-    sigma = model.sigma
     gx, gw = np.polynomial.legendre.leggauss(DYADIC_GAUSS_ORDER)
-
-    panels = {}
-    all_pos = []
+    panels = []
     for j in range(levels + 1):
         edges = dyadic_intervals(j)
         a, b = edges[:-1], edges[1:]
-        nodes = a[:, None] + np.outer(b - a, (gx + 1.0) / 2.0)
-        panels[j] = (nodes, (b - a) / 2.0)
-        all_pos.append(np.abs(nodes.ravel()))
-    pos = np.unique(np.concatenate(all_pos))
+        panels.append((a[:, None] + np.outer(b - a, (gx + 1.0) / 2.0), (b - a) / 2.0))
+    pos = np.unique(np.concatenate([np.abs(nodes.ravel()) for nodes, _ in panels]))
     pos = pos[(pos > 0.0) & (pos < PI)]
     if len(pos) > 1:                 # merge nodes closer than the stepper tolerance
         pos = np.concatenate([pos[:1], pos[1:][np.diff(pos) > 1e-12]])
 
-    delta = config.delta if config.delta is not None else \
-        min(default_cutoff(lam), 0.45 * float(pos.min()), 0.45 * float(PI - pos.max()))
-    run_cfg = dataclasses.replace(config, delta=delta)
-    inside = pos[(pos > delta) & (pos < PI - delta)]
-    pairs = solution_pairs(model, lam, inside, run_cfg)
-
-    phi_p, _ = _values_on(pairs[1]["phi"], inside)
-    psi_p, _ = _values_on(pairs[1]["psi"], inside)
-    phi_m, _ = _values_on(pairs[-1]["phi"], inside)
-    psi_m, _ = _values_on(pairs[-1]["psi"], inside)
-    pf_in = np.exp(np.asarray(compute_log_p_over_f(model, inside)))
-
-    a1p, _ = indicial_series_coefficients(model, lam)
-    a1m, _ = indicial_series_coefficients(model, -lam)
-    log_cpi = log_pf_coefficient_at_pi(model)
-    fallback = []
-
-    def _idx(t: float) -> int:
-        k = int(np.searchsorted(inside, t))
-        if k == len(inside) or (k > 0 and t - inside[k - 1] < inside[k] - t):
-            k -= 1
-        if abs(inside[k] - t) > 1e-9:
-            raise SolverError(f"dyadic node {t} missing from the trace grid")
-        return k
-
-    def v_abs(t: float, s_sign: float, where: str) -> float:
-        """|phi(s, lam)| at s = s_sign*t via reflection."""
-        if where == "in":
-            k = _idx(t)
-            return abs(phi_p[k]) if s_sign > 0 else abs(phi_m[k])
-        pair = pairs[1] if s_sign > 0 else pairs[-1]
-        a1 = a1p if s_sign > 0 else a1m
-        if where == "origin":
-            return abs(1.0 + a1 * t)
-        end = pair["phi_end"]
-        d = PI - t
-        return abs(end.regular_part + end.singular_part * d ** sigma)
-
-    def w_abs(t: float, s_sign: float, where: str) -> float:
-        """|psi(s, lam) * (p/f)(s)/eps| at s = s_sign*t via reflection."""
-        if where == "in":
-            k = _idx(t)
-            val = psi_p[k] if s_sign > 0 else psi_m[k]
-            return abs(val) * pf_in[k] / eps
-        pair = pairs[1] if s_sign > 0 else pairs[-1]
-        if where == "origin":
-            b0 = pair["psi_origin"].singular_part
-            return abs(b0) * (PI / 2.0) / eps
-        bpi = pair["psi_end"].singular_part
-        return abs(bpi) * math.exp(log_cpi) / eps
-
-    def interval_norm(nodes_row, jac, which, level, idx) -> float:
-        total = 0.0
-        for q, s in enumerate(nodes_row):
-            t = abs(s)
-            s_sign = 1.0 if s >= 0 else -1.0
-            if t <= delta:
-                where = "origin"
-            elif t >= PI - delta:
-                where = "pi"
-            else:
-                where = "in"
-            if where != "in":
-                fallback.append({"level": level, "interval": idx, "node": float(s)})
-            mag = v_abs(t, s_sign, where) if which == "v" else w_abs(t, s_sign, where)
-            total += gw[q] * mag * mag
-        return math.sqrt(total * jac)
+    cutoff = config.delta if config.delta is not None else default_cutoff(lam)
+    delta = min(cutoff, DYADIC_CUTOFF_FACTOR * float(pos.min()),
+                DYADIC_CUTOFF_FACTOR * float(PI - pos.max()))
+    pairs = solution_pairs(model, lam, pos, dataclasses.replace(config, delta=delta))
+    full = _full_period(model, pairs, pos)
+    x = np.concatenate([[-PI], -pos[::-1], [0.0], pos, [PI]])
+    v_sq = np.abs(full.phi) ** 2                      # v = phi
+    w_sq = np.abs(full.w2) ** 2                       # w = psi * (-i p / (eps f))
 
     alpha_hat = np.zeros(levels + 1)
     argmax = np.zeros(levels + 1, dtype=int)
-    for j in range(levels + 1):
-        nodes, jac = panels[j]
-        best, best_i = 0.0, 0
-        for i in range(2 ** j):
-            nv = interval_norm(nodes[2 * i], jac[2 * i], "v", j, 2 * i)
-            nw = interval_norm(nodes[2 * i + 1], jac[2 * i + 1], "w", j, 2 * i + 1)
-            if nv * nw > best:
-                best, best_i = nv * nw, i
-        alpha_hat[j] = best
-        argmax[j] = best_i
+    for j, (nodes, jac) in enumerate(panels):
+        idx = np.searchsorted(x, nodes)
+        idx -= nodes - x[idx - 1] < x[idx] - nodes    # the nearest (merged) node
+        norm_v = np.sqrt((v_sq[idx[0::2]] @ gw) * jac[0::2])
+        norm_w = np.sqrt((w_sq[idx[1::2]] @ gw) * jac[1::2])
+        argmax[j] = np.argmax(norm_v * norm_w)
+        alpha_hat[j] = norm_v[argmax[j]] * norm_w[argmax[j]]
 
     fitted_m = float(np.max(alpha_hat * 2.0 ** np.arange(levels + 1)))
     ratios = alpha_hat[1:] / alpha_hat[:-1]
     return DyadicBoundReport(lam=complex(lam), levels=np.arange(levels + 1),
                              alpha_hat=alpha_hat, argmax_index=argmax,
-                             fitted_m=fitted_m, ratios=ratios,
-                             fallback_events=fallback)
+                             fitted_m=fitted_m, ratios=ratios)
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,6 @@ class SolverConfig:
     atol: float = 1e-12
     max_steps: int = 200_000
     wronskian_floor: float = 1e-8        # eigenvalue-proximity threshold factor
-    stale_tol: float = 1e-6              # relative dispersion residual for eigenfunctions
 
 
 DEFAULT_CONFIG = SolverConfig()

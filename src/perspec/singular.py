@@ -51,8 +51,6 @@ class IntegratingFactor:
     """Per-model table behind compute_log_p and friends."""
 
     model: OperatorModel
-    origin_exponent: float          # 1 + sigma
-    pi_exponent: float              # 1 - sigma
     rb: PPoly                       # RB(x) on [0, pi]
     rb_at_pi: float
     coef: Callable                  # x -> ((p/f)(x), p(x)), one float x in (0, pi)
@@ -100,10 +98,7 @@ def _build(model: OperatorModel) -> IntegratingFactor:
     coefs = np.concatenate(coef_parts, axis=1)
     rb = PPoly(coefs, breaks, extrapolate=False)
 
-    sigma = model.sigma
-    return IntegratingFactor(model=model, origin_exponent=1.0 + sigma,
-                             pi_exponent=1.0 - sigma, rb=rb,
-                             rb_at_pi=float(rb_vals[-1]),
+    return IntegratingFactor(model=model, rb=rb, rb_at_pi=float(rb_vals[-1]),
                              coef=_scalar_coefficients(model, rb))
 
 

@@ -100,4 +100,6 @@ class TestKernelCommands:
 
     def test_resolve_prints_sup_norm(self, capsys, tmp_path):
         assert run_subcommand(["resolve", "--grid", "64", "--out", str(tmp_path / "u.csv")]) == 0
-        assert "sup|G| = " in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "sup|G| = " in out
+        assert "relative resolvent residual " in out

@@ -92,11 +92,16 @@ class TestResolvent:
             errs.append(l2_relative_error(k.weights, u.values, u_star.values))
         assert errs[1] < 0.5 * errs[0]
 
-    def test_periodicity_for_random_forcings(self, kernel_256):
+    def test_periodicity_for_random_forcings(self, sine_model, kernel_256, kernel_512):
+        # u(-pi) = u(pi) holds by construction, so the equation's residual is
+        # the check: 5.1e-4 to 8.1e-4 on 256 nodes, falling by 0.20-0.25 on 512
         for seed in range(10):
-            F = bandlimited_forcing(kernel_256, seed=seed)
-            u = apply_resolvent(kernel_256, F)
-            assert u.periodic_defect < 1e-6 * np.max(np.abs(u.values))
+            res = []
+            for k in (kernel_256, kernel_512):
+                F = bandlimited_forcing(k, seed=seed)
+                res.append(resolvent_residual(sine_model, 1j, apply_resolvent(k, F), F))
+            assert res[0] < 2e-3
+            assert res[1] < 0.5 * res[0]
 
     @pytest.mark.parametrize("grid", [256, 1024])
     @pytest.mark.parametrize("eps", [0.3, 0.45, 1.0, 2.0])

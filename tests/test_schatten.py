@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from perspec import green, schatten
 from perspec.errors import ValidationError
-from perspec.schatten import SingularValueSpectrum, eigen_schatten_inequality
+from perspec.profiles import OperatorModel, sine_profile
+from perspec.schatten import (SingularValueSpectrum, dyadic_bound_audit,
+                              eigen_schatten_inequality)
+from perspec.shooting import SolverConfig
+from perspec.singular import compute_log_p_over_f
 
 
 def _spectrum(values):
@@ -34,3 +41,74 @@ class TestEigenSchattenInequality:
     def test_needs_p_above_one(self, p):
         with pytest.raises(ValidationError):
             eigen_schatten_inequality([0.0], _spectrum([1.0]), 1j, p)
+
+
+class TestDyadicBoundAudit:
+    @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
+    def test_pinned_cutoff_matches_a_tight_run(self, eps):
+        # a pinned delta is capped like the default cutoff, so every Gauss node
+        # stays a trace node; serving the nodes inside a pinned delta from the
+        # endpoint local models was 2.6e-5 off at eps 2
+        model = OperatorModel(profile=sine_profile(), epsilon=eps)
+        pinned = dyadic_bound_audit(model, 0.7 + 1j, 6, SolverConfig(delta=1e-3))
+        tight = dyadic_bound_audit(model, 0.7 + 1j, 6, SolverConfig(rtol=1e-12, atol=1e-14))
+        np.testing.assert_allclose(pinned.alpha_hat, tight.alpha_hat, rtol=1e-8, atol=0.0)
+
+    def test_matches_a_node_by_node_loop(self, sine_model, monkeypatch):
+        # reference: each Gauss node read from the audit's own traces, negative
+        # nodes through the reflection to -lam, summed one node at a time
+        used = []
+
+        def keep(*args, **kwargs):
+            used.append(green.solution_pairs(*args, **kwargs))
+            return used[-1]
+
+        monkeypatch.setattr(schatten, "solution_pairs", keep)
+        rep = dyadic_bound_audit(sine_model, 0.7 + 1j, 3)
+        pairs = used[0]
+        gx, gw = np.polynomial.legendre.leggauss(schatten.DYADIC_GAUSS_ORDER)
+
+        def interval_norm(a, b, which):
+            total = 0.0
+            for q in range(len(gx)):
+                s = a + (b - a) * ((gx[q] + 1.0) / 2.0)
+                pair, t = pairs[1 if s > 0 else -1], abs(s)
+                mag = abs(pair[which].value_at(t))
+                if which == "psi":
+                    mag *= math.exp(compute_log_p_over_f(sine_model, np.array([t]))[0])
+                    mag /= sine_model.epsilon
+                total += gw[q] * mag * mag
+            return math.sqrt(total * (b - a) / 2.0)
+
+        for j in rep.levels:
+            edges = schatten.dyadic_intervals(j)
+            blocks = [interval_norm(edges[2 * i], edges[2 * i + 1], "phi")
+                      * interval_norm(edges[2 * i + 1], edges[2 * i + 2], "psi")
+                      for i in range(2 ** j)]
+            assert rep.alpha_hat[j] == pytest.approx(max(blocks), rel=1e-14)
+            assert rep.argmax_index[j] == int(np.argmax(blocks))
+
+    def test_blocks_decay_like_two_to_minus_j(self, sine_model):
+        rep = dyadic_bound_audit(sine_model, 0.7 + 1j, 6)
+        assert np.all((rep.ratios[-3:] > 0.45) & (rep.ratios[-3:] < 0.6))   # 0.566, 0.536, 0.518
+        assert math.isfinite(rep.fitted_m)
+
+
+class TestSolutionPairsLookup:
+    # the benchmark tracer swaps solution_pairs in both modules, so each
+    # caller must look it up as its own module global
+    @pytest.mark.parametrize("module, run", [
+        (green, lambda model: green.assemble_kernel(model, 1j, 64)),
+        (schatten, lambda model: schatten.dyadic_bound_audit(model, 1j, 1)),
+    ], ids=["assemble_kernel", "dyadic_bound_audit"])
+    def test_looked_up_as_module_global(self, sine_model, monkeypatch, module, run):
+        original = module.solution_pairs
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "solution_pairs", spy)
+        run(sine_model)
+        assert calls == [1j]
