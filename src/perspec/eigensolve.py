@@ -14,10 +14,11 @@ only the positive half-axis is scanned and the result is mirrored.
 
 The scan and the refinement shoot on one shared mesh (``shooting.shared_mesh``):
 every grid point is one column of a single batched march
-(``dispersion_batch``), and the brackets are refined together by an
-Illinois (modified regula falsi) iteration, one batched march per step.
-The residuals reported for the refined eigenvalues come from the scalar
-adaptive ``dispersion``, independently of the mesh.
+(``dispersion_batch``) seeded at the mesh's one cutoff, and the brackets
+are refined together by an Illinois (modified regula falsi) iteration,
+one batched march per step.  The residuals reported for the refined
+eigenvalues come from the scalar adaptive ``dispersion`` at each lam's
+own cutoff, independently of the mesh.
 """
 
 from __future__ import annotations
@@ -97,15 +98,14 @@ def dispersion(model: OperatorModel, lam: float,
                            phi_plus=plus, phi_minus=minus)
 
 
-def dispersion_batch(model: OperatorModel, lams, mesh: SharedMesh,
-                     config: SolverConfig = DEFAULT_CONFIG) -> list[DispersionValue]:
-    """``dispersion`` at every lam in ``lams`` from one batched march through ``mesh``.
+def dispersion_batch(model: OperatorModel, lams, mesh: SharedMesh) -> list[DispersionValue]:
+    """``dispersion`` at the mesh's cutoff for every lam in ``lams``, from one batched march.
 
     The columns lam and -lam are marched together; for real lam and a real
     profile they are exact conjugates, as in the scalar path.
     """
     lams = np.asarray(lams, dtype=float).ravel()
-    phi = boundary_values(model, mesh, np.concatenate([lams, -lams]), config)
+    phi = boundary_values(model, mesh, np.concatenate([lams, -lams]))
     n = len(lams)
     return [DispersionValue(lam=float(lam), D=complex(plus - minus),
                             phi_plus=complex(plus), phi_minus=complex(minus))
@@ -139,27 +139,32 @@ def _served_mesh(model: OperatorModel, grid: np.ndarray, config: SolverConfig):
     return mesh, lo, [{"lam": float(lam), "reason": reason} for lam in grid[lo:]]
 
 
-def _refine(model: OperatorModel, mesh: SharedMesh, config: SolverConfig,
+def _refine(model: OperatorModel, mesh: SharedMesh,
             indicator: str, brackets: list) -> tuple[list, list, int]:
     """Illinois iteration on every bracket in lockstep: one batched march per iteration.
 
     ``brackets`` holds (lo, hi, r_lo, r_hi) with a sign change of the
     indicator, or lo == hi at an exact root.  Each bracket is refined to
     width 1e-10*(1 + hi); returns the midpoints, the iterations each took
-    and the marches run.
+    and the marches run.  Every iterate stays a quarter of that width
+    inside its bracket: once one lands on the root, the next then crosses
+    it and closes the bracket, where the far end would otherwise creep in
+    by halvings of its residual.
     """
     lo, hi, rlo, rhi = (np.array(col, dtype=float) for col in zip(*brackets))
     kept = np.zeros(len(lo), dtype=int)          # +1 lo moved last, -1 hi moved last
     iters = np.zeros(len(lo), dtype=int)
     marches = 0
     while True:
-        active = np.flatnonzero((hi - lo > 1e-10 * (1.0 + hi)) & (iters < MAX_REFINE_ITERATIONS))
+        width = 1e-10 * (1.0 + hi)
+        active = np.flatnonzero((hi - lo > width) & (iters < MAX_REFINE_ITERATIONS))
         if not len(active):
             break
         a, b, ra, rb = lo[active], hi[active], rlo[active], rhi[active]
         x = (a * rb - b * ra) / (rb - ra)
         x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
-        rx = [_component(v.D, indicator) for v in dispersion_batch(model, x, mesh, config)]
+        x = np.clip(x, a + 0.25 * width[active], b - 0.25 * width[active])
+        rx = [_component(v.D, indicator) for v in dispersion_batch(model, x, mesh)]
         marches += 1
         iters[active] += 1
         for i, xi, ri in zip(active, x, rx):
@@ -195,7 +200,7 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
     values: list[DispersionValue | None] = [None] * len(grid)
     marches = 0
     if served:
-        values[:served] = dispersion_batch(model, grid[:served], mesh, config)
+        values[:served] = dispersion_batch(model, grid[:served], mesh)
         marches = mesh.check_marches + 1
 
     finite = [v for v in values if v is not None]
@@ -218,7 +223,7 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
     brackets = [(lo, hi) for lo, hi, _, _ in spans]
     roots, iterations = [], []
     if spans:
-        roots, iterations, refine_marches = _refine(model, mesh, config, indicator, spans)
+        roots, iterations, refine_marches = _refine(model, mesh, indicator, spans)
         marches += refine_marches
 
     # attribute near-zero roots to the known zero eigenvalue
@@ -261,8 +266,7 @@ def eigenfunction(model: OperatorModel, lam_n: float,
     return SolutionTrace(lam=trace.lam, grid=trace.grid,
                          values=trace.values / norm,
                          quasi_derivatives=trace.quasi_derivatives / norm,
-                         branch="phi", delta_origin=trace.delta_origin,
-                         delta_pi=trace.delta_pi, meta=meta)
+                         branch="phi", delta=trace.delta, meta=meta)
 
 
 def growth_slope(eigs: EigenvalueList, n_use: int | None = None) -> float | None:

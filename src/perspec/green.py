@@ -21,9 +21,8 @@ on both half-intervals; p is taken even).  Products psi*(p/f) and
 phi*(p/f) degenerate at 0 and +-pi as powers that cancel each other, so
 p/f is kept as its logarithm (-inf at 0, +inf at +-pi), the products are
 formed at interior nodes only, and the endpoint values of the weighted
-psi use the fitted local coefficients.  The callers pick the cutoff: the
-kernel takes shooting's, the audit caps it at 0.45 of its nodes'
-distance to the ends (see ``schatten``).
+psi use the fitted local coefficients.  Shooting picks the cutoff and
+caps it below the nodes it is asked for (``shooting.CUTOFF_CAP``).
 
 Quadrature is composite trapezoid on a grid graded quadratically toward
 0 and +-pi.  Parts I and II are semiseparable and part III has rank one,
@@ -48,9 +47,8 @@ import numpy as np
 from .errors import (EigenvalueProximityError, GridMismatchError,
                      ValidationError)
 from .profiles import OperatorModel, eval_f, eval_f_prime
-from .shooting import (DEFAULT_CONFIG, SolutionTrace, SolverConfig,
-                       extrapolate_endpoint, integrate_phi,
-                       integrate_psi_normalized)
+from .shooting import (DEFAULT_CONFIG, SolverConfig, extrapolate_endpoint,
+                       integrate_phi, integrate_psi_normalized)
 from .singular import compute_log_p_over_f, default_cutoff, log_pf_coefficient_at_pi
 
 PI = math.pi
@@ -124,14 +122,6 @@ def _outward_sides(n: int):
     return slice(i0 + 1, n - 1), slice(i0 - 1, 0, -1)
 
 
-def _values_on(trace: SolutionTrace, nodes: np.ndarray):
-    idx = np.searchsorted(trace.grid, nodes)
-    got = trace.grid[np.clip(idx, 0, len(trace.grid) - 1)]
-    if np.max(np.abs(got - nodes)) > 1e-12:
-        raise GridMismatchError("trace does not contain the requested nodes")
-    return trace.values[idx], trace.quasi_derivatives[idx]
-
-
 def solution_pairs(model: OperatorModel, lam, nodes_pos: np.ndarray,
                    config: SolverConfig = DEFAULT_CONFIG) -> dict:
     """phi/psi traces at lam and -lam forced on the positive interior nodes."""
@@ -175,10 +165,10 @@ def _full_period(model: OperatorModel, pairs: dict, nodes_pos: np.ndarray) -> _F
     pos, neg = _outward_sides(n)
     phi = np.empty(n, complex)
     psi = np.empty(n, complex)
-    phi[pos] = _values_on(pairs[1]["phi"], nodes_pos)[0]
-    psi[pos] = _values_on(pairs[1]["psi"], nodes_pos)[0]
-    phi[neg] = _values_on(pairs[-1]["phi"], nodes_pos)[0]      # phi(x, lam) = phi(-x, -lam)
-    psi[neg] = -_values_on(pairs[-1]["psi"], nodes_pos)[0]     # psi(x, lam) = -psi(-x, -lam)
+    phi[pos] = pairs[1]["phi"].lookup(nodes_pos)[0]
+    psi[pos] = pairs[1]["psi"].lookup(nodes_pos)[0]
+    phi[neg] = pairs[-1]["phi"].lookup(nodes_pos)[0]      # phi(x, lam) = phi(-x, -lam)
+    psi[neg] = -pairs[-1]["psi"].lookup(nodes_pos)[0]     # psi(x, lam) = -psi(-x, -lam)
     phi[i0] = 1.0
     psi[i0] = np.nan
     phi[-1] = pairs[1]["phi_end"].regular_part
@@ -433,7 +423,7 @@ def quasi_derivative_continuity(model: OperatorModel, lam, forcing_fn,
 
     k = int(np.searchsorted(nodes_pos, probe))
     inv_pf = 1.0 / math.exp(full.log_pf[pos][k])
-    wphi_p, wpsi_p, wphi_m, wpsi_m = (_values_on(pairs[sign][name], nodes_pos[k:k + 1])[1][0]
+    wphi_p, wpsi_p, wphi_m, wpsi_m = (pairs[sign][name].lookup(nodes_pos[k])[1]
                                       for sign in (1, -1) for name in ("phi", "psi"))
     f0 = complex(np.asarray(forcing_fn(np.array([0.0])), dtype=complex)[0])
     j1_mag = f0 * (PI / 2.0) * probe ** (1.0 + sigma) / ((1.0 + sigma) * eps)

@@ -11,16 +11,12 @@ from v = phi and w = psi * (-i p / (eps f)): level j splits [-pi, pi]
 into 2^(j+1) equal intervals and pairs even (for v) with odd (for w);
 each block norm is a product of interval L2 norms and must decay
 geometrically in j.  v and w come from green's full-period sampler on
-the Gauss nodes of all levels, every one a forced trace node.  The
-cutoff is min(pinned or default cutoff, 0.45*min node, 0.45*(pi - max
-node)): the cap keeps every node out of the seed collar, and 0.45 rather
-than shooting's 0.5 keeps psi's fit node 4*delta off the next level's
-innermost node, which sits at exactly twice the innermost one.
+the Gauss nodes of all levels, every one a forced trace node; shooting
+caps the cutoff below the innermost of them (``shooting.CUTOFF_CAP``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -30,13 +26,11 @@ from .errors import SolverError, ValidationError
 from .green import KernelGrid, _full_period, kernel_matrix, solution_pairs
 from .profiles import OperatorModel
 from .shooting import DEFAULT_CONFIG, SolverConfig
-from .singular import default_cutoff
 
 PI = math.pi
 
 DEFAULT_ORDERS = (1.0, 1.5, 2.0, 3.0)
 DYADIC_GAUSS_ORDER = 16                 # Gauss points per dyadic interval
-DYADIC_CUTOFF_FACTOR = 0.45             # cutoff cap, in units of the nodes' distance to 0 and pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,9 +97,8 @@ def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
 
     All interval norms are computed with Gauss panels whose abscissae are
     forced trace nodes, so no interpolation enters and no node is served
-    by an endpoint local model.  The cutoff is the pinned or default one
-    capped at 0.45 times the outermost nodes' distances to 0 and to pi,
-    so a pinned ``config.delta`` is an upper bound.
+    by an endpoint local model.  Shooting caps the cutoff below the
+    outermost nodes, so a pinned ``config.delta`` is an upper bound.
     """
     if not 0 <= levels <= 8:
         raise ValidationError("levels must lie in 0..8 (interval count stays desk-scale)")
@@ -119,11 +112,7 @@ def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
     pos = pos[(pos > 0.0) & (pos < PI)]
     if len(pos) > 1:                 # merge nodes closer than the stepper tolerance
         pos = np.concatenate([pos[:1], pos[1:][np.diff(pos) > 1e-12]])
-
-    cutoff = config.delta if config.delta is not None else default_cutoff(lam)
-    delta = min(cutoff, DYADIC_CUTOFF_FACTOR * float(pos.min()),
-                DYADIC_CUTOFF_FACTOR * float(PI - pos.max()))
-    pairs = solution_pairs(model, lam, pos, dataclasses.replace(config, delta=delta))
+    pairs = solution_pairs(model, lam, pos, config)
     full = _full_period(model, pairs, pos)
     x = np.concatenate([[-PI], -pos[::-1], [0.0], pos, [PI]])
     v_sq = np.abs(full.phi) ** 2                      # v = phi

@@ -19,14 +19,22 @@ Negative x is never integrated here; callers use the reflection to -lam.
 original equation on (-pi, 0) in the f-weighted state (u, f*u') with
 scipy's stepper and compares against the reflected trace.
 
+Every trace has one seed cutoff delta, used at both ends: the pinned
+``SolverConfig.delta`` or ``singular.default_cutoff(lam)``, capped at
+CUTOFF_CAP times the output nodes' distances to 0 and to pi so that no
+requested node falls inside the seed collar.
+
 Many boundary values phi(pi, lam) at once come from ``boundary_values``.
 The equation is linear and lam enters only through kappa = -i*lam/eps, so
 on a ``SharedMesh`` each interval's DOPRI5 step is a 2x2 matrix polynomial
 in kappa whose coefficients are computed once per mesh.  Every lam is one
-column marched through the same propagators; near the endpoints it walks
-the mesh's end nodes scaled to its own cutoff, and it ends in the same
-two-branch fit as a single shot.  ``shared_mesh`` takes the nodes of one
-adaptive shot at the largest |lam| and accepts them by step doubling.
+column marched through the same propagators: seeded at the mesh's first
+node, which is the mesh's cutoff, and ended in the same two-branch fit as
+a single shot on the mesh's nodes pi - 4*delta, pi - 2*delta and
+pi - delta.  ``shared_mesh`` takes the nodes of one adaptive shot at the
+largest |lam|, which has the smallest default cutoff, and accepts them by
+step doubling.  Since the seed error is O(delta^2), that cutoff serves
+every column at least as well as the column's own default would.
 """
 
 from __future__ import annotations
@@ -41,8 +49,8 @@ from scipy.integrate import solve_ivp
 from ._stepper import (KAPPA_DEGREE, STAGE_FRACTIONS, STATUS_MAX_STEPS,
                        STATUS_STEP_UNDERFLOW, integrate_quasi_system,
                        linear_step_coefficients, linear_step_matrices)
-from .errors import (EigenvalueProximityError, IntegrationError, SolverError,
-                     ValidationError)
+from .errors import (EigenvalueProximityError, GridMismatchError, IntegrationError,
+                     SolverError, ValidationError)
 from .profiles import OperatorModel, eval_f
 from .singular import (compute_p_over_f, default_cutoff,
                        indicial_series_coefficients, integrating_factor,
@@ -50,6 +58,12 @@ from .singular import (compute_p_over_f, default_cutoff,
 
 PI = math.pi
 CAP_FRAC = 0.5                           # step cap as fraction of endpoint distance
+# Cutoff cap, in units of the output nodes' distance to 0 and pi.  Below 1
+# it keeps every output node out of the seed collar; below 0.5 it keeps
+# psi's fit node 4*delta off a node at twice the innermost one, which is
+# where the dyadic audit's next level puts its innermost Gauss node.
+CUTOFF_CAP = 0.45
+WRONSKIAN_FLOOR = 1e-8                   # eigenvalue-proximity threshold factor
 MESH_DEFECT_FACTOR = 10.0                # step-doubling tolerance of a shared mesh, in rtol
 MESH_MAX_HALVINGS = 6
 PHI_FIT = (4.0, 2.0, 1.0)                # phi(pi) is fitted to u at pi - m*delta
@@ -65,7 +79,6 @@ class SolverConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 200_000
-    wronskian_floor: float = 1e-8        # eigenvalue-proximity threshold factor
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -80,22 +93,21 @@ class SolutionTrace:
     values: np.ndarray
     quasi_derivatives: np.ndarray
     branch: str                          # phi | psi-prenorm | psi
-    delta_origin: float
-    delta_pi: float
+    delta: float                         # seed cutoff at 0 and at pi
     meta: dict
 
     def __post_init__(self):
         for arr in (self.grid, self.values, self.quasi_derivatives):
             arr.setflags(write=False)
 
-    def value_at(self, x: float) -> complex:
-        idx = np.searchsorted(self.grid, x)
-        if idx >= len(self.grid) or abs(self.grid[idx] - x) > 1e-12:
-            if idx > 0 and abs(self.grid[idx - 1] - x) <= 1e-12:
-                idx -= 1
-            else:
-                raise KeyError(f"x = {x} is not a trace node")
-        return complex(self.values[idx])
+    def lookup(self, nodes):
+        """(values, quasi-derivatives) at ``nodes``, each within 1e-12 of a grid node."""
+        nodes = np.asarray(nodes, dtype=float)
+        idx = np.clip(np.searchsorted(self.grid, nodes), 1, len(self.grid) - 1)
+        idx -= nodes - self.grid[idx - 1] < self.grid[idx] - nodes     # the nearer node
+        if np.any(np.abs(self.grid[idx] - nodes) > 1e-12):
+            raise GridMismatchError("trace does not contain the requested nodes")
+        return self.values[idx], self.quasi_derivatives[idx]
 
 
 @dataclass(frozen=True)
@@ -156,30 +168,29 @@ def _run(model: OperatorModel, lam, x0, x1, u0, w0, config: SolverConfig,
     return xs, us, ws
 
 
-def _cutoffs(lam, config: SolverConfig, outputs) -> tuple[float, float]:
+def _cutoff(lam, config: SolverConfig, outputs) -> float:
     delta = config.delta if config.delta is not None else default_cutoff(lam)
-    d0, d1 = delta, delta
     if outputs is not None and len(outputs):
         arr = np.asarray(outputs, dtype=float)
-        d0 = min(d0, 0.5 * float(np.min(arr)))
-        d1 = min(d1, 0.5 * float(PI - np.max(arr)))
-    if min(d0, d1) <= 0:
+        delta = min(delta, CUTOFF_CAP * float(np.min(arr)),
+                    CUTOFF_CAP * float(PI - np.max(arr)))
+    if delta <= 0:
         raise ValidationError("output nodes must lie strictly inside (0, pi)")
-    return d0, d1
+    return delta
 
 
 def integrate_phi(model: OperatorModel, lam, config: SolverConfig = DEFAULT_CONFIG,
                   output_nodes: Optional[Sequence[float]] = None,
                   record_steps: bool = True) -> SolutionTrace:
     """Trace of the solution with u -> 1 at the origin."""
-    d0, d1 = _cutoffs(lam, config, output_nodes)
-    seed = seed_regular_origin(model, lam, d0)
-    fit = [PI - m * d1 for m in PHI_FIT[:-1]]
+    delta = _cutoff(lam, config, output_nodes)
+    seed = seed_regular_origin(model, lam, delta)
+    fit = [PI - m * delta for m in PHI_FIT[:-1]]
     outs = list(fit) if output_nodes is None else list(output_nodes) + fit
-    xs, us, ws = _run(model, lam, d0, PI - d1, seed.value, seed.quasi_derivative,
+    xs, us, ws = _run(model, lam, delta, PI - delta, seed.value, seed.quasi_derivative,
                       config, outs, record_steps)
     return SolutionTrace(lam=complex(lam), grid=xs, values=us, quasi_derivatives=ws,
-                         branch="phi", delta_origin=d0, delta_pi=d1,
+                         branch="phi", delta=delta,
                          meta={"rtol": config.rtol, "atol": config.atol})
 
 
@@ -193,17 +204,15 @@ def extrapolate_endpoint(trace: SolutionTrace, model: OperatorModel,
         dist = PI - trace.grid[take]
         vals = trace.values[take]
         dist, vals = dist[::-1], vals[::-1]           # nearest endpoint first
-        delta = trace.delta_pi
         expo = sigma
     elif endpoint == "origin":
         take = slice(None, 3)
         dist = trace.grid[take].copy()
         vals = trace.values[take].copy()
-        delta = trace.delta_origin
         expo = -sigma
     else:
         raise ValidationError(f"unknown endpoint {endpoint!r}")
-    A, B, resid = _two_branch_fit(dist, vals, expo, a1, alpha1, delta)
+    A, B, resid = _two_branch_fit(dist, vals, expo, a1, alpha1, trace.delta)
     return EndpointValue(endpoint=endpoint, regular_part=complex(A),
                          singular_part=complex(B), exponent=expo,
                          fit_residual=float(resid))
@@ -274,17 +283,17 @@ def integrate_psi_normalized(model: OperatorModel, lam, phi: SolutionTrace,
     normalization point being the shared node nearest pi/2.  A collapsed
     Wronskian means lam is numerically an eigenvalue.
     """
-    d0, d1 = phi.delta_origin, phi.delta_pi
-    seed = seed_vanishing_at_pi(model, lam, d1)
-    interior = phi.grid[(phi.grid > d0) & (phi.grid < PI - d1)]
-    fit = [2 * d0, 4 * d0, PI - 2 * d1, PI - 4 * d1]    # endpoint-fit nodes
+    delta = phi.delta
+    seed = seed_vanishing_at_pi(model, lam, delta)
+    interior = phi.grid[(phi.grid > delta) & (phi.grid < PI - delta)]
+    fit = [2 * delta, 4 * delta, PI - 2 * delta, PI - 4 * delta]    # endpoint-fit nodes
     outs = np.concatenate([interior, fit])
-    xs, us, ws = _run(model, lam, PI - d1, d0, seed.value, seed.quasi_derivative,
+    xs, us, ws = _run(model, lam, PI - delta, delta, seed.value, seed.quasi_derivative,
                       config, outs, record_steps=False)
 
     W, mid, pi_idx, ps_idx = _shared_wronskian(phi, xs, us, ws)
     W0 = W[mid]
-    floor = config.wronskian_floor * float(
+    floor = WRONSKIAN_FLOOR * float(
         np.max(np.abs(phi.values[pi_idx]) * np.abs(ws[ps_idx])))
     if abs(W0) < floor:
         raise EigenvalueProximityError(
@@ -301,7 +310,7 @@ def integrate_psi_normalized(model: OperatorModel, lam, phi: SolutionTrace,
         if np.all(mags > 0):
             slope = float(np.polyfit(np.log(small), np.log(mags), 1)[0])
     return SolutionTrace(lam=complex(lam), grid=xs, values=vals, quasi_derivatives=qds,
-                         branch="psi", delta_origin=d0, delta_pi=d1,
+                         branch="psi", delta=delta,
                          meta={"wronskian": WronskianValue(value=complex(W0 / W0),
                                                            max_deviation=deviation),
                                "prenorm_scale": complex(1.0 / W0),
@@ -331,7 +340,7 @@ def mirror_audit(model: OperatorModel, lam, config: SolverConfig = DEFAULT_CONFI
     nodes = np.linspace(0.02, PI - 0.02, n_nodes)
 
     ref = integrate_phi(model, -lam, config, output_nodes=nodes, record_steps=False)
-    ref_vals = np.array([ref.value_at(t) for t in nodes])
+    ref_vals = ref.lookup(nodes)[0]
 
     def rhs(x, y):
         fx = eval_f(model.profile, x)
@@ -358,12 +367,11 @@ def mirror_audit(model: OperatorModel, lam, config: SolverConfig = DEFAULT_CONFI
 class SharedMesh:
     """Nodes in (0, pi) that a batched march steps every lam through.
 
-    The first node is a cutoff delta and the last pi - delta; pi - 4*delta
-    and pi - 2*delta are nodes too.  ``coeffs`` holds each interval's DOPRI5
-    step as a polynomial in kappa (``linear_step_coefficients``).  ``head``
-    holds the nodes up to 4*delta and ``tail`` the distances to pi from
-    4*delta down, both in units of delta; a lam with another cutoff walks
-    them scaled to its own.  The mesh is checked for |lam| up to
+    The first node is the cutoff delta every column is seeded at, and
+    ``fit`` indexes the nodes pi - 4*delta, pi - 2*delta and pi - delta
+    (the last) that every column is fitted on.  ``coeffs`` holds each
+    interval's DOPRI5 step as a polynomial in kappa
+    (``linear_step_coefficients``).  The mesh is checked for |lam| up to
     ``lam_max``: ``defect`` is the step-doubling defect there,
     ``halvings`` how often the check halved every interval, and
     ``check_marches`` the batched marches the check ran.
@@ -371,8 +379,7 @@ class SharedMesh:
 
     nodes: np.ndarray
     coeffs: np.ndarray
-    head: np.ndarray
-    tail: np.ndarray
+    fit: np.ndarray
     lam_max: float
     defect: float = math.nan
     halvings: int = 0
@@ -393,81 +400,48 @@ def _step_coefficients(model: OperatorModel, x0: np.ndarray, h: np.ndarray) -> n
 
 def _tabulate(model: OperatorModel, nodes: np.ndarray, lam_max: float) -> SharedMesh:
     delta = nodes[0]
-    span = PHI_FIT[0] * delta
-    head = nodes[nodes <= span] / delta
-    tail = (PI - nodes[nodes >= PI - span]) / delta
-    marks = np.array(PHI_FIT)
-    fit = np.argmin(np.abs(tail[:, None] - marks), axis=0)
-    if np.any(np.abs(tail[fit] - marks) > 1e-6) or fit[-1] != len(tail) - 1:
+    marks = PI - delta * np.array(PHI_FIT)
+    fit = np.searchsorted(nodes, marks - 1e-6 * delta)
+    if fit[-1] != len(nodes) - 1 or np.any(np.abs(nodes[fit] - marks) > 1e-6 * delta):
         raise ValidationError("a shared mesh runs from delta to pi - delta through "
                               "pi - 4*delta and pi - 2*delta")
-    tail[fit] = marks                              # exact, as integrate_phi places them
     return SharedMesh(nodes=nodes, coeffs=_step_coefficients(model, nodes[:-1], np.diff(nodes)),
-                      head=head, tail=tail, lam_max=float(lam_max))
+                      fit=fit, lam_max=float(lam_max))
 
 
 def _apply(P, u, w):
     return P[..., 0, 0] * u + P[..., 0, 1] * w, P[..., 1, 0] * u + P[..., 1, 1] * w
 
 
-def boundary_values(model: OperatorModel, mesh: SharedMesh, lams,
-                    config: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
+def boundary_values(model: OperatorModel, mesh: SharedMesh, lams) -> np.ndarray:
     """phi(pi, lam) for every lam in ``lams``, marched together through ``mesh``.
 
-    A lam with cutoff d starts at d with the origin seed and walks the
-    mesh's head scaled by d/delta, steps onto the mesh, shares its steps up
-    to the last node before pi - 4*d, steps to pi - 4*d and walks the
-    scaled tail to pi - d, landing on the fit nodes pi - 4*d, pi - 2*d and
-    pi - d as ``integrate_phi`` does.  Propagators are built MARCH_BLOCK at
-    a time, so memory stays O(mesh + lams).
+    Every lam is seeded at the mesh's cutoff delta = nodes[0], steps through
+    every interval and is fitted on the mesh's nodes pi - 4*delta,
+    pi - 2*delta and pi - delta, as ``integrate_phi`` does with that cutoff.
+    Propagators are built MARCH_BLOCK at a time, so memory stays
+    O(mesh + lams).
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     if np.any(np.abs(lams) > mesh.lam_max):
         raise ValidationError(f"|lam| exceeds {mesh.lam_max}, the largest the mesh was checked for")
-    cut = np.array([config.delta if config.delta is not None else default_cutoff(lam)
-                    for lam in lams])
-    nodes = mesh.nodes
-    # Lams with one cutoff share their off-mesh steps, so the columns of
-    # lam and -lam see identical coefficients.
-    deltas, col = np.unique(cut, return_inverse=True)
-    head = deltas[:, None] * mesh.head
-    tail = PI - deltas[:, None] * mesh.tail
-    first = np.searchsorted(nodes, head[:, -1], side="left")
-    last = np.searchsorted(nodes, tail[:, 0], side="right") - 1
-    if deltas[0] < nodes[0] or np.any(last < first):
-        raise ValidationError("cutoff outside the shared mesh")
-    path = np.column_stack([head, nodes[first], nodes[last], tail])
-    n_head = head.shape[1]
-    starts = np.delete(path[:, :-1], n_head, axis=1)         # the mesh spans first..last
-    ends = np.delete(path[:, 1:], n_head, axis=1)
-    off = _step_coefficients(model, starts.ravel(), (ends - starts).ravel())
-    off = off.reshape(*starts.shape, *off.shape[1:])
+    delta = float(mesh.nodes[0])
     kappa = -1j * lams / model.epsilon
-
-    seeds = [seed_regular_origin(model, lam, d) for lam, d in zip(lams, cut)]
+    seeds = [seed_regular_origin(model, lam, delta) for lam in lams]
     u = np.array([s.value for s in seeds], dtype=complex)
     w = np.array([s.quasi_derivative for s in seeds], dtype=complex)
-    for step in range(n_head):
-        u, w = _apply(linear_step_matrices(off[col, step], kappa), u, w)
 
-    first, last = first[col], last[col]
+    fit = mesh.fit[::-1].tolist()                # nearest pi first
+    vals = np.empty((len(fit), len(lams)), dtype=complex)
     block = max(1, MARCH_BLOCK // len(lams))
-    identity = np.eye(2)
-    for k0 in range(0, len(nodes) - 1, block):
-        k = np.arange(k0, min(k0 + block, len(nodes) - 1))
-        P = linear_step_matrices(mesh.coeffs[k, None], kappa)
-        P[(k[:, None] < first) | (k[:, None] >= last)] = identity
-        for Pk in P:
+    for k0 in range(0, len(mesh.nodes) - 1, block):
+        P = linear_step_matrices(mesh.coeffs[k0:k0 + block, None], kappa)
+        for k, Pk in enumerate(P, start=k0 + 1):     # k: the node the step lands on
             u, w = _apply(Pk, u, w)
-
-    vals = []
-    for step in range(n_head, off.shape[1]):
-        u, w = _apply(linear_step_matrices(off[col, step], kappa), u, w)
-        vals.append(u)
-    fit = np.searchsorted(-mesh.tail, -np.array(PHI_FIT[::-1]))  # nearest pi first
-    dist = PI - tail[col][:, fit].T
+            if k in fit:
+                vals[fit.index(k)] = u
     a1, alpha1 = indicial_series_coefficients(model, lams)
-    A, _, _ = _two_branch_fit(dist, np.array(vals)[fit], model.sigma, a1, alpha1, cut)
+    A, _, _ = _two_branch_fit(PI - mesh.nodes[fit], vals, model.sigma, a1, alpha1, delta)
     return A
 
 
@@ -490,10 +464,10 @@ def check_mesh(model: OperatorModel, nodes, lam_max: float,
     lams = np.array([lam_max, -lam_max])
     tol = MESH_DEFECT_FACTOR * config.rtol
     mesh = _tabulate(model, np.asarray(nodes, dtype=float), lam_max)
-    vals = boundary_values(model, mesh, lams, config)
+    vals = boundary_values(model, mesh, lams)
     for halvings in range(MESH_MAX_HALVINGS + 1):
         finer = _tabulate(model, _halved(mesh.nodes), lam_max)
-        fine_vals = boundary_values(model, finer, lams, config)
+        fine_vals = boundary_values(model, finer, lams)
         defect = float(abs((vals[0] - vals[1]) - (fine_vals[0] - fine_vals[1]))
                        / max(1.0, float(np.max(np.abs(fine_vals)))))
         if defect <= tol:
@@ -509,8 +483,8 @@ def shared_mesh(model: OperatorModel, lam_max: float,
     """A checked mesh for every |lam| <= lam_max.
 
     Its nodes are those of one adaptive phi shot at lam_max, which has the
-    smallest cutoff; the profile's breakpoints and the fit nodes are among
-    them.  Raises IntegrationError when that shot or the check fails.
+    smallest default cutoff; the profile's breakpoints and the fit nodes are
+    among them.  Raises IntegrationError when that shot or the check fails.
     """
     trace = integrate_phi(model, lam_max, config, record_steps=True)
     return check_mesh(model, trace.grid, lam_max, config)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from perspec import shooting
-from perspec.eigensolve import dispersion, dispersion_batch, scan_and_refine
+from perspec import eigensolve, shooting
+from perspec.eigensolve import (DispersionValue, dispersion, dispersion_batch,
+                                scan_and_refine)
 from perspec.errors import IntegrationError
 from perspec.profiles import (OperatorModel, piecewise_linear_profile,
                               sine_profile, tabulated_profile)
@@ -37,8 +38,9 @@ class TestAgreementWithScalarPath:
     def test_dispersion(self, kind, eps):
         model = _model(kind, eps)
         mesh = shared_mesh(model, float(np.max(np.abs(LAMS))))
+        at_mesh_cutoff = SolverConfig(delta=float(mesh.nodes[0]))
         for lam, got in zip(LAMS, dispersion_batch(model, LAMS, mesh)):
-            want = dispersion(model, float(lam))
+            want = dispersion(model, float(lam), at_mesh_cutoff)
             assert abs(got.D - want.D) <= 1e-8 * want.scale, (lam, got.D, want.D)
 
     @pytest.mark.parametrize("kind", PROFILES)
@@ -85,7 +87,7 @@ class TestSolverConfigKnobs:
         assert mesh.defect <= shooting.MESH_DEFECT_FACTOR * cfg.rtol
         assert len(mesh.nodes) < len(shared_mesh(sine_model, 6.0).nodes)
         lams = [0.7, 2.9, 6.0]
-        for lam, got in zip(lams, dispersion_batch(sine_model, lams, mesh, cfg)):
+        for lam, got in zip(lams, dispersion_batch(sine_model, lams, mesh)):
             want = dispersion(sine_model, lam, cfg)
             assert abs(got.D - want.D) <= 1e-6 * want.scale
 
@@ -112,6 +114,19 @@ class TestRefinement:
         assert len(d["refine_iterations"]) == len(scan_8.positive())
         assert all(1 <= n <= 12 for n in d["refine_iterations"])
         assert d["batched_marches"] >= 3 + max(d["refine_iterations"])
+
+    def test_iterate_on_the_root_closes_the_bracket(self, monkeypatch):
+        # D = i*(e^lam - 20): the Illinois iterates land on log 20 from
+        # below, and the far end must not then creep in by halvings
+        def fake(model, lams, mesh):
+            return [DispersionValue(lam=float(lam), D=1j * (math.exp(lam) - 20.0),
+                                    phi_plus=0j, phi_minus=0j) for lam in lams]
+
+        monkeypatch.setattr(eigensolve, "dispersion_batch", fake)
+        roots, iters, marches = eigensolve._refine(
+            None, None, "imag", [(2.0, 4.0, math.exp(2.0) - 20.0, math.exp(4.0) - 20.0)])
+        assert iters[0] <= 10 and marches == iters[0]
+        assert abs(roots[0] - math.log(20.0)) <= 1e-10 * (1.0 + 4.0)
 
     def test_roots_are_scalar_certified(self, scan_8):
         assert np.max(scan_8.relative_residuals) < 1e-8

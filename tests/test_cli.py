@@ -4,7 +4,7 @@ import math
 import pytest
 
 import perspec.cli
-from perspec.cli import EXIT_VALIDATION, run_subcommand
+from perspec.cli import EXIT_SOLVER, EXIT_USAGE, EXIT_VALIDATION, run_subcommand
 
 # small enough to keep each call well under a second
 SMALL = ["--grid", "64", "--levels", "0"]
@@ -62,6 +62,25 @@ class TestBadInputFiles:
         assert str(missing) in msg
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("command", ["eigs", "trace", "resolve", "kernel", "schatten"])
+    def test_resonant_epsilon_is_a_solver_failure(self, capsys, tmp_path, command):
+        out = tmp_path / "out"
+        # eps = pi/2 is sigma = 1 for the sine profile: coincident exponents at pi
+        assert run_subcommand([command, "--epsilon", repr(math.pi / 2),
+                               "--out", str(out)]) == EXIT_SOLVER
+        assert capsys.readouterr().err.startswith("solver error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [[], ["eigs", "--bogus"], ["trace", "--kind", "chi"]],
+                             ids=["no-subcommand", "unknown-flag", "bad-kind"])
+    def test_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            perspec.cli.main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "usage: perspec" in capsys.readouterr().err
+
+
 class TestConfigInOutput:
     def test_flag_reaches_emitted_config(self, tmp_path, eigs_file):
         out = tmp_path / "sv.json"
@@ -85,6 +104,17 @@ class TestEigs:
         results = json.loads(written[0])["results"]
         assert results["mesh_nodes"] > 0 and results["batched_marches"] > 0
         assert len(results["refine_iterations"]) == 2           # roots near 1.24 and 3.33
+
+
+class TestSchatten:
+    def test_identical_runs_write_identical_json(self, tmp_path, eigs_file):
+        out = tmp_path / "sv.json"
+        written = []
+        for _ in range(2):
+            assert run_subcommand(["schatten", "--grid", "64", "--levels", "1",
+                                   "--eigs-file", str(eigs_file), "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
 
 class TestKernelCommands:

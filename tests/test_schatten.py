@@ -73,7 +73,7 @@ class TestDyadicBoundAudit:
             for q in range(len(gx)):
                 s = a + (b - a) * ((gx[q] + 1.0) / 2.0)
                 pair, t = pairs[1 if s > 0 else -1], abs(s)
-                mag = abs(pair[which].value_at(t))
+                mag = abs(pair[which].lookup(t)[0])
                 if which == "psi":
                     mag *= math.exp(compute_log_p_over_f(sine_model, np.array([t]))[0])
                     mag /= sine_model.epsilon

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import perspec as ps
-from perspec.errors import (EigenvalueProximityError, IntegrationError,
-                            SolverError)
+from perspec import shooting
+from perspec.errors import (EigenvalueProximityError, GridMismatchError,
+                            IntegrationError, SolverError)
 from perspec.shooting import (SolutionTrace, SolverConfig, compute_phi_at_pi,
                               extrapolate_endpoint, integrate_phi,
                               integrate_psi_normalized, mirror_audit,
@@ -49,6 +50,17 @@ class TestIntegratePhi:
         assert exc.value.x_reached is not None
         assert 0.0 < exc.value.x_reached < PI
 
+    def test_lookup_reads_nodes_and_refuses_others(self, sine_model):
+        nodes = np.linspace(0.3, PI - 0.3, 17)
+        tr = integrate_phi(sine_model, 1.0, output_nodes=nodes, record_steps=False)
+        sel = np.searchsorted(tr.grid, nodes)
+        for query in (nodes, nodes - 1e-13, nodes + 1e-13):
+            vals, qds = tr.lookup(query)
+            assert np.array_equal(vals, tr.values[sel])
+            assert np.array_equal(qds, tr.quasi_derivatives[sel])
+        with pytest.raises(GridMismatchError):
+            tr.lookup([nodes[3], 0.5 * (nodes[3] + nodes[4])])
+
     def test_trace_is_readonly(self, sine_model):
         tr = integrate_phi(sine_model, 1.0)
         with pytest.raises(ValueError):
@@ -89,7 +101,7 @@ class TestEndpointExtrapolation:
         vals = (PI - grid) ** sigma + 0j
         tr = SolutionTrace(lam=0.0, grid=grid, values=vals,
                            quasi_derivatives=np.zeros(3, complex), branch="phi",
-                           delta_origin=1e-4, delta_pi=1e-4, meta={})
+                           delta=1e-4, meta={})
         end = extrapolate_endpoint(tr, sine_model, "plus-pi")
         assert abs(end.regular_part) < 1e-10
         assert end.singular_part == pytest.approx(1.0, abs=1e-10)
@@ -103,7 +115,7 @@ class TestEndpointExtrapolation:
         grid = np.array([PI - 1e-4 - 2e-13, PI - 1e-4 - 1e-13, PI - 1e-4])
         tr = SolutionTrace(lam=1.0, grid=grid, values=np.ones(3, complex),
                            quasi_derivatives=np.zeros(3, complex), branch="phi",
-                           delta_origin=1e-4, delta_pi=1e-4, meta={})
+                           delta=1e-4, meta={})
         with pytest.raises(SolverError):
             extrapolate_endpoint(tr, sine_model, "plus-pi")
 
@@ -154,11 +166,11 @@ class TestPsi:
         psi = integrate_psi_normalized(sine_model, lam, phi)
         assert abs(psi.meta["prenorm_scale"]) < 1.0   # |W0| well above 1
 
-    def test_collapsed_wronskian_guard_fires(self, sine_model):
+    def test_collapsed_wronskian_guard_fires(self, sine_model, monkeypatch):
         phi = integrate_phi(sine_model, 2.0, record_steps=True)
-        paranoid = SolverConfig(wronskian_floor=1e6)
+        monkeypatch.setattr(shooting, "WRONSKIAN_FLOOR", 1e6)
         with pytest.raises(EigenvalueProximityError):
-            integrate_psi_normalized(sine_model, 2.0, phi, paranoid)
+            integrate_psi_normalized(sine_model, 2.0, phi)
 
 
 class TestMirrorAudit:
