@@ -28,10 +28,10 @@ from .profiles import (CoefficientProfile, OperatorModel, ValidationReport,
 from .schatten import (DyadicBoundReport, InequalityReport,
                        SingularValueSpectrum, dyadic_bound_audit,
                        eigen_schatten_inequality, singular_values)
-from .shooting import (EndpointValue, SharedMesh, SolutionTrace, SolverConfig,
-                       WronskianValue, compute_phi_at_pi, extrapolate_endpoint,
-                       integrate_phi, integrate_psi_normalized, mirror_audit,
-                       shared_mesh, wronskian_deviation)
+from .shooting import (EndpointValue, SharedMesh, SolutionPairs, SolutionTrace,
+                       SolverConfig, compute_phi_at_pi, extrapolate_endpoint,
+                       integrate_phi, integrate_psi, mirror_audit, shared_mesh,
+                       solution_pairs)
 from .singular import (EndpointSeed, IntegratingFactor, compute_log_p,
                        compute_log_p_over_f, compute_p_over_f, default_cutoff,
                        integrating_factor, seed_regular_origin,

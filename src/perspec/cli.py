@@ -18,14 +18,14 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
-from .eigensolve import dispersion, scan_and_refine
+from .eigensolve import scan_and_refine
 from .errors import SolverError, ValidationError
 from .green import (PARTS, apply_resolvent, assemble_kernel, bandlimited_forcing,
                     kernel_matrix, resolvent_residual, GridFunction)
 from .profiles import (OperatorModel, load_tabulated, piecewise_linear_profile,
                        sine_profile, validate_profile)
 from .schatten import dyadic_bound_audit, eigen_schatten_inequality, singular_values
-from .shooting import (SolverConfig, integrate_phi, integrate_psi_normalized)
+from .shooting import SolverConfig, integrate_phi, solution_pairs
 from .singular import compute_log_p, compute_log_p_over_f
 
 SCHEMA_VERSION = 1
@@ -108,11 +108,13 @@ def _cmd_trace(cfg: RunConfig, args) -> int:
         _write_csv(out, "x,log_p,log_p_over_f", zip(x, lp, lpf))
         return EXIT_OK
     sc = _solver_config(cfg)
-    phi = integrate_phi(model, lam, sc, record_steps=True)
-    tr = phi if args.kind == "phi" else integrate_psi_normalized(model, lam, phi, sc)
-    _write_csv(out, "x,re_u,im_u,re_pu,im_pu",
-               zip(tr.grid, tr.values.real, tr.values.imag,
-                   tr.quasi_derivatives.real, tr.quasi_derivatives.imag))
+    if args.kind == "phi":
+        tr = integrate_phi(model, lam, sc)
+        x, u, pu = tr.grid, tr.values, tr.quasi_derivatives
+    else:                                    # column 0 of the pairs is lam
+        pairs = solution_pairs(model, lam, (), sc)
+        x, u, pu = pairs.nodes, pairs.psi[:, 0], pairs.psi_qd[:, 0]
+    _write_csv(out, "x,re_u,im_u,re_pu,im_pu", zip(x, u.real, u.imag, pu.real, pu.imag))
     return EXIT_OK
 
 

@@ -5,9 +5,7 @@ phi(pi, -lam) through the half-interval reduction -- the negative half is
 never integrated.  For a real profile and real lam the two boundary
 values are exact complex conjugates (the construction mirrors bit for
 bit), so D is purely imaginary and its imaginary part is a real secular
-function whose sign changes bracket the eigenvalues.  The scan still
-auto-detects which component of D is the working one and records it, and
-the off-component is tracked as a reality diagnostic.
+function whose sign changes bracket the eigenvalues.
 
 D(-lam) = -D(lam) holds exactly (the same two boundary values swap), so
 only the positive half-axis is scanned and the result is mirrored.
@@ -23,7 +21,6 @@ own cutoff, independently of the mesh.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +53,6 @@ class EigenvalueList:
     eigenvalues: np.ndarray          # ascending, contains 0
     residuals: np.ndarray            # |D(lam_n)|
     relative_residuals: np.ndarray   # |D| / max(1, |phi+|, |phi-|)
-    brackets: list                   # (lo, hi) per refined positive root
-    indicator: str                   # "imag" or "real": component bracketed on
-    max_off_component: float         # reality diagnostic along the scan
     lam_max: float
     resolution: float
     skipped: list                    # grid points where the integrator failed
@@ -76,8 +70,6 @@ class EigenvalueList:
             "eigenvalues": self.eigenvalues.tolist(),
             "residuals": self.residuals.tolist(),
             "relative_residuals": self.relative_residuals.tolist(),
-            "indicator_component": self.indicator,
-            "max_off_component": self.max_off_component,
             "lam_max": self.lam_max,
             "resolution": self.resolution,
             "skipped": list(self.skipped),
@@ -112,10 +104,6 @@ def dispersion_batch(model: OperatorModel, lams, mesh: SharedMesh) -> list[Dispe
             for lam, plus, minus in zip(lams, phi[:n], phi[n:])]
 
 
-def _component(D: complex, indicator: str) -> float:
-    return D.imag if indicator == "imag" else D.real
-
-
 def _served_mesh(model: OperatorModel, grid: np.ndarray, config: SolverConfig):
     """The shared mesh for the longest leading part of ``grid`` it can be built for.
 
@@ -139,12 +127,11 @@ def _served_mesh(model: OperatorModel, grid: np.ndarray, config: SolverConfig):
     return mesh, lo, [{"lam": float(lam), "reason": reason} for lam in grid[lo:]]
 
 
-def _refine(model: OperatorModel, mesh: SharedMesh,
-            indicator: str, brackets: list) -> tuple[list, list, int]:
+def _refine(model: OperatorModel, mesh: SharedMesh, brackets: list) -> tuple[list, list, int]:
     """Illinois iteration on every bracket in lockstep: one batched march per iteration.
 
-    ``brackets`` holds (lo, hi, r_lo, r_hi) with a sign change of the
-    indicator, or lo == hi at an exact root.  Each bracket is refined to
+    ``brackets`` holds (lo, hi, r_lo, r_hi) with a sign change of Im D, or
+    lo == hi at an exact root.  Each bracket is refined to
     width 1e-10*(1 + hi); returns the midpoints, the iterations each took
     and the marches run.  Every iterate stays a quarter of that width
     inside its bracket: once one lands on the root, the next then crosses
@@ -164,7 +151,7 @@ def _refine(model: OperatorModel, mesh: SharedMesh,
         x = (a * rb - b * ra) / (rb - ra)
         x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
         x = np.clip(x, a + 0.25 * width[active], b - 0.25 * width[active])
-        rx = [_component(v.D, indicator) for v in dispersion_batch(model, x, mesh)]
+        rx = [v.D.imag for v in dispersion_batch(model, x, mesh)]
         marches += 1
         iters[active] += 1
         for i, xi, ri in zip(active, x, rx):
@@ -185,7 +172,7 @@ def _refine(model: OperatorModel, mesh: SharedMesh,
 
 def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
                     config: SolverConfig = DEFAULT_CONFIG) -> EigenvalueList:
-    """Bracket sign changes of the dispersion indicator and refine them in lockstep.
+    """Bracket sign changes of Im D and refine them in lockstep.
 
     Roots inside (0, resolution) are attributed to the known zero
     eigenvalue; each bracket is refined to width 1e-10*(1+|lam|).  Grid
@@ -203,27 +190,19 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
         values[:served] = dispersion_batch(model, grid[:served], mesh)
         marches = mesh.check_marches + 1
 
-    finite = [v for v in values if v is not None]
-    sum_im = sum(abs(v.D.imag) for v in finite)
-    sum_re = sum(abs(v.D.real) for v in finite)
-    indicator = "imag" if sum_im >= sum_re else "real"
-    off = max((abs(v.D.real) if indicator == "imag" else abs(v.D.imag))
-              for v in finite) if finite else 0.0
-
     spans = []                                   # (lo, hi, r_lo, r_hi); lo == hi: exact root
     for k in range(len(grid) - 1):
         va, vb = values[k], values[k + 1]
         if va is None or vb is None:
             continue
-        ra, rb = _component(va.D, indicator), _component(vb.D, indicator)
+        ra, rb = va.D.imag, vb.D.imag
         if ra == 0.0:
             spans.append((float(grid[k]), float(grid[k]), ra, rb))
         elif ra * rb < 0.0:
             spans.append((float(grid[k]), float(grid[k + 1]), ra, rb))
-    brackets = [(lo, hi) for lo, hi, _, _ in spans]
     roots, iterations = [], []
     if spans:
-        roots, iterations, refine_marches = _refine(model, mesh, indicator, spans)
+        roots, iterations, refine_marches = _refine(model, mesh, spans)
         marches += refine_marches
 
     # attribute near-zero roots to the known zero eigenvalue
@@ -240,10 +219,8 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
         rel[i] = abs(dv.D) / dv.scale
 
     return EigenvalueList(model=model, eigenvalues=eigs, residuals=resid,
-                          relative_residuals=rel, brackets=brackets,
-                          indicator=indicator, max_off_component=float(off),
-                          lam_max=float(lam_max), resolution=float(resolution),
-                          skipped=skipped,
+                          relative_residuals=rel, lam_max=float(lam_max),
+                          resolution=float(resolution), skipped=skipped,
                           mesh_nodes=len(mesh.nodes) if mesh else 0,
                           mesh_defect=mesh.defect if mesh else 0.0,
                           marches=marches, refine_iterations=iterations)

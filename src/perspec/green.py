@@ -12,9 +12,11 @@ solutions and the weight (-i/eps)*(p/f)(s):
 * part III  the rank-one periodicity corrector
             phi(x) psi(s) * weight / (phi(pi)/phi(-pi) - 1).
 
-One sampler, ``_full_period``, turns the traces of ``solution_pairs`` on
-positive nodes into these generators on the full period; the kernel, the
-flux check and the dyadic audit in ``schatten`` all read it.  Negative
+phi and psi come from one path, ``shooting.solution_pairs``: both
+solutions at lam and -lam marched through one mesh that contains the
+requested positive nodes.  One sampler, ``_full_period``, turns its
+result into these generators on the full period; the kernel, the flux
+check and the dyadic audit in ``schatten`` all read it.  Negative
 arguments come by reflection: phi(x, lam) = phi(-x, -lam) and
 psi(x, lam) = -psi(-x, -lam) (the sign keeps the Wronskian equal to 1
 on both half-intervals; p is taken even).  Products psi*(p/f) and
@@ -47,8 +49,7 @@ import numpy as np
 from .errors import (EigenvalueProximityError, GridMismatchError,
                      ValidationError)
 from .profiles import OperatorModel, eval_f, eval_f_prime
-from .shooting import (DEFAULT_CONFIG, SolverConfig, extrapolate_endpoint,
-                       integrate_phi, integrate_psi_normalized)
+from .shooting import DEFAULT_CONFIG, SolutionPairs, SolverConfig, solution_pairs
 from .singular import compute_log_p_over_f, default_cutoff, log_pf_coefficient_at_pi
 
 PI = math.pi
@@ -122,25 +123,6 @@ def _outward_sides(n: int):
     return slice(i0 + 1, n - 1), slice(i0 - 1, 0, -1)
 
 
-def solution_pairs(model: OperatorModel, lam, nodes_pos: np.ndarray,
-                   config: SolverConfig = DEFAULT_CONFIG) -> dict:
-    """phi/psi traces at lam and -lam forced on the positive interior nodes."""
-    out = {}
-    for sign in (1, -1):
-        lm = lam if sign == 1 else -lam
-        phi = integrate_phi(model, lm, config, output_nodes=nodes_pos,
-                            record_steps=False)
-        psi = integrate_psi_normalized(model, lm, phi, config)
-        out[sign] = {
-            "phi": phi,
-            "psi": psi,
-            "phi_end": extrapolate_endpoint(phi, model, "plus-pi"),
-            "psi_end": extrapolate_endpoint(psi, model, "plus-pi"),
-            "psi_origin": extrapolate_endpoint(psi, model, "origin"),
-        }
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class _FullPeriod:
     """The kernel's generators on -pi, -nodes_pos[::-1], 0, nodes_pos, pi."""
@@ -150,29 +132,26 @@ class _FullPeriod:
     log_pf: np.ndarray              # log (p/f)(|s|); -inf at 0, +inf at +-pi
     w2: np.ndarray                  # psi(s)*(-i/eps)*signed (p/f)(s), endpoint limits filled
     denominator: complex            # phi(pi)/phi(-pi) - 1
-    wronskian_deviation: float
 
 
-def _full_period(model: OperatorModel, pairs: dict, nodes_pos: np.ndarray) -> _FullPeriod:
-    """Sample phi, psi, log(p/f) and w2 over the full period from ``solution_pairs`` output.
+def _full_period(model: OperatorModel, pairs: SolutionPairs) -> _FullPeriod:
+    """Sample phi, psi, log(p/f) and w2 over the full period at the requested nodes of ``pairs``.
 
-    ``nodes_pos`` are the strictly positive nodes the pairs were forced
-    on; negative nodes are their reflections.
+    The requested nodes must ascend; negative nodes are their reflections.
     """
     eps = model.epsilon
+    nodes_pos = pairs.nodes[pairs.requested]
     n = 2 * len(nodes_pos) + 3
     i0 = n // 2
     pos, neg = _outward_sides(n)
     phi = np.empty(n, complex)
     psi = np.empty(n, complex)
-    phi[pos] = pairs[1]["phi"].lookup(nodes_pos)[0]
-    psi[pos] = pairs[1]["psi"].lookup(nodes_pos)[0]
-    phi[neg] = pairs[-1]["phi"].lookup(nodes_pos)[0]      # phi(x, lam) = phi(-x, -lam)
-    psi[neg] = -pairs[-1]["psi"].lookup(nodes_pos)[0]     # psi(x, lam) = -psi(-x, -lam)
+    phi[pos], phi[neg] = pairs.phi[pairs.requested].T     # phi(x, lam) = phi(-x, -lam)
+    psi[pos], psi[neg] = pairs.psi[pairs.requested].T
+    psi[neg] *= -1.0                                      # psi(x, lam) = -psi(-x, -lam)
     phi[i0] = 1.0
     psi[i0] = np.nan
-    phi[-1] = pairs[1]["phi_end"].regular_part
-    phi[0] = pairs[-1]["phi_end"].regular_part
+    phi[-1], phi[0] = pairs.phi_at_pi
     psi[0] = psi[-1] = 0.0
 
     lpf = np.empty(n)
@@ -186,16 +165,12 @@ def _full_period(model: OperatorModel, pairs: dict, nodes_pos: np.ndarray) -> _F
     w2 = np.empty(n, complex)
     for side, sgn in ((pos, 1.0), (neg, -1.0)):
         w2[side] = psi[side] * np.exp(lpf[side]) * (-1j / eps) * sgn
-    b0_p = pairs[1]["psi_origin"].singular_part
-    b0_m = pairs[-1]["psi_origin"].singular_part
+    b0_p, b0_m = pairs.psi_at_origin
     w2[i0] = 0.5 * (b0_p + b0_m) * (PI / 2.0) * (-1j / eps)
-    w2[-1] = pairs[1]["psi_end"].singular_part * math.exp(log_cpi) * (-1j / eps)
-    w2[0] = pairs[-1]["psi_end"].singular_part * math.exp(log_cpi) * (-1j / eps)
+    w2[-1], w2[0] = pairs.psi_at_pi * math.exp(log_cpi) * (-1j / eps)
 
     return _FullPeriod(phi=phi, psi=psi, log_pf=lpf, w2=w2,
-                       denominator=complex(phi[-1] / phi[0] - 1.0),
-                       wronskian_deviation=max(pairs[1]["psi"].meta["wronskian"].max_deviation,
-                                               pairs[-1]["psi"].meta["wronskian"].max_deviation))
+                       denominator=complex(phi[-1] / phi[0] - 1.0))
 
 
 def assemble_kernel(model: OperatorModel, lam, grid_size: int,
@@ -203,14 +178,15 @@ def assemble_kernel(model: OperatorModel, lam, grid_size: int,
     """Shoot phi and psi at lam and -lam and sample the kernel's generators on the graded grid."""
     x, w = graded_full_grid(grid_size)
     nodes_pos = x[len(x) // 2 + 1:-1]           # strictly positive interior nodes
-    full = _full_period(model, solution_pairs(model, lam, nodes_pos, config), nodes_pos)
+    pairs = solution_pairs(model, lam, nodes_pos, config)
+    full = _full_period(model, pairs)
     ratio = full.phi[-1] / full.phi[0]
     if abs(full.denominator) < 1e-8 * max(1.0, abs(ratio)):
         raise EigenvalueProximityError(
             f"periodicity denominator |phi(pi)/phi(-pi) - 1| = {abs(full.denominator):.3e} "
             f"is numerically zero: lam = {lam} is an eigenvalue")
     meta = {"model": model, "grid_size": grid_size,
-            "wronskian_deviation": full.wronskian_deviation}
+            "wronskian_deviation": pairs.wronskian_deviation}
     return KernelGrid(lam=complex(lam), nodes=x, weights=w, phi_on_grid=full.phi,
                       psi_on_grid=full.psi, log_pf_on_grid=full.log_pf,
                       psi_weight_on_grid=full.w2, denominator=full.denominator,
@@ -412,7 +388,7 @@ def quasi_derivative_continuity(model: OperatorModel, lam, forcing_fn,
     wq, quad_pos = w[interior], x[interior]
     nodes_pos = np.unique(np.concatenate([quad_pos, [probe]]))
     pairs = solution_pairs(model, lam, nodes_pos, config)
-    full = _full_period(model, pairs, nodes_pos)
+    full = _full_period(model, pairs)
     pos, neg = _outward_sides(len(full.w2))         # both ordered like nodes_pos
 
     sel = np.searchsorted(nodes_pos, quad_pos)
@@ -423,8 +399,8 @@ def quasi_derivative_continuity(model: OperatorModel, lam, forcing_fn,
 
     k = int(np.searchsorted(nodes_pos, probe))
     inv_pf = 1.0 / math.exp(full.log_pf[pos][k])
-    wphi_p, wpsi_p, wphi_m, wpsi_m = (pairs[sign][name].lookup(nodes_pos[k])[1]
-                                      for sign in (1, -1) for name in ("phi", "psi"))
+    wphi_p, wphi_m = pairs.phi_qd[pairs.requested[k]]
+    wpsi_p, wpsi_m = pairs.psi_qd[pairs.requested[k]]
     f0 = complex(np.asarray(forcing_fn(np.array([0.0])), dtype=complex)[0])
     j1_mag = f0 * (PI / 2.0) * probe ** (1.0 + sigma) / ((1.0 + sigma) * eps)
     # J1(+t) = -i*j1_mag*(1+O(t)); J1(-t) = -conj-orientation piece +i*j1_mag

@@ -44,8 +44,6 @@ class CoefficientProfile:
     """
 
     kind: str
-    period: float = 2.0 * PI
-    normalization_slope: float = NORMALIZATION_SLOPE
     kinks: tuple[float, ...] = ()
     table_x: Optional[np.ndarray] = None
     table_f: Optional[np.ndarray] = None
@@ -54,8 +52,6 @@ class CoefficientProfile:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown profile kind {self.kind!r}")
-        if abs(self.normalization_slope - NORMALIZATION_SLOPE) > 1e-12:
-            raise ValidationError("normalization slope must equal 2/pi")
         for k in self.kinks:
             if not 0.0 < k < PI:
                 raise ValidationError(f"kink {k} outside (0, pi)")
@@ -261,23 +257,20 @@ def validate_profile(profile: CoefficientProfile, samples: int = 256,
 class OperatorModel:
     """The operator's data: a coefficient profile and the small parameter.
 
-    ``c`` is pinned to pi/2 by the slope normalization; ``sigma = c/epsilon``
+    The slope normalization pins c = pi/2 (``HALF_PI``); ``sigma = c/epsilon``
     is the indicial exponent that controls every endpoint rate downstream.
     """
 
     profile: CoefficientProfile
     epsilon: float
-    c: float = PI / 2
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < PI:
             raise ValidationError(f"epsilon must lie in (0, pi), got {self.epsilon}")
-        if abs(self.c - PI / 2) > 1e-14:
-            raise ValidationError("c is fixed to pi/2 by the model computation")
 
     @property
     def sigma(self) -> float:
-        return self.c / self.epsilon
+        return HALF_PI / self.epsilon
 
     def describe(self) -> dict:
-        return {"profile": self.profile.kind, "epsilon": self.epsilon, "c": self.c}
+        return {"profile": self.profile.kind, "epsilon": self.epsilon, "c": HALF_PI}

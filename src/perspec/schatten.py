@@ -11,8 +11,10 @@ from v = phi and w = psi * (-i p / (eps f)): level j splits [-pi, pi]
 into 2^(j+1) equal intervals and pairs even (for v) with odd (for w);
 each block norm is a product of interval L2 norms and must decay
 geometrically in j.  v and w come from green's full-period sampler on
-the Gauss nodes of all levels, every one a forced trace node; shooting
-caps the cutoff below the innermost of them (``shooting.CUTOFF_CAP``).
+the Gauss nodes of all levels, every one a node of the mesh that
+``solution_pairs`` marches phi and psi through, as for the kernel;
+shooting caps the cutoff below the innermost of them
+(``shooting.CUTOFF_CAP``).
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
     """Per-level max block norm max_i ||v||_(I_2i,j) * ||w||_(I_2i+1,j).
 
     All interval norms are computed with Gauss panels whose abscissae are
-    forced trace nodes, so no interpolation enters and no node is served
-    by an endpoint local model.  Shooting caps the cutoff below the
+    mesh nodes of the traces, so no interpolation enters and no node is
+    served by an endpoint local model.  Shooting caps the cutoff below the
     outermost nodes, so a pinned ``config.delta`` is an upper bound.
     """
     if not 0 <= levels <= 8:
@@ -109,11 +111,7 @@ def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
         a, b = edges[:-1], edges[1:]
         panels.append((a[:, None] + np.outer(b - a, (gx + 1.0) / 2.0), (b - a) / 2.0))
     pos = np.unique(np.concatenate([np.abs(nodes.ravel()) for nodes, _ in panels]))
-    pos = pos[(pos > 0.0) & (pos < PI)]
-    if len(pos) > 1:                 # merge nodes closer than the stepper tolerance
-        pos = np.concatenate([pos[:1], pos[1:][np.diff(pos) > 1e-12]])
-    pairs = solution_pairs(model, lam, pos, config)
-    full = _full_period(model, pairs, pos)
+    full = _full_period(model, solution_pairs(model, lam, pos, config))
     x = np.concatenate([[-PI], -pos[::-1], [0.0], pos, [PI]])
     v_sq = np.abs(full.phi) ** 2                      # v = phi
     w_sq = np.abs(full.w2) ** 2                       # w = psi * (-i p / (eps f))
@@ -122,7 +120,6 @@ def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
     argmax = np.zeros(levels + 1, dtype=int)
     for j, (nodes, jac) in enumerate(panels):
         idx = np.searchsorted(x, nodes)
-        idx -= nodes - x[idx - 1] < x[idx] - nodes    # the nearest (merged) node
         norm_v = np.sqrt((v_sq[idx[0::2]] @ gw) * jac[0::2])
         norm_w = np.sqrt((w_sq[idx[1::2]] @ gw) * jac[1::2])
         argmax[j] = np.argmax(norm_v * norm_w)

@@ -1,4 +1,4 @@
-"""Fundamental solutions of the transformed equation by adaptive shooting.
+"""Fundamental solutions of the transformed equation by shooting.
 
 Two solutions are produced on (0, pi), both in the quasi-derivative state
 (u, w = p*u'):
@@ -10,38 +10,46 @@ Two solutions are produced on (0, pi), both in the quasi-derivative state
 
 Endpoint values are never read off the last grid node directly: the local
 two-branch model A*(1 + alpha1*d) + B*d^sigma*(1 + a1*d) is fitted to the
-trailing nodes, which extracts the boundary value A uniformly in sigma
-(for sigma > 1 the singular branch has vanishing derivative at the end,
-for sigma < 1 a blowing one; the value fit sidesteps both).
+nodes at distance delta, 2*delta and 4*delta from the end, which extracts
+the boundary value A uniformly in sigma (for sigma > 1 the singular branch
+has vanishing derivative at the end, for sigma < 1 a blowing one; the
+value fit sidesteps both).
 
 Negative x is never integrated here; callers use the reflection to -lam.
 ``mirror_audit`` provides the independent cross-check: it integrates the
 original equation on (-pi, 0) in the f-weighted state (u, f*u') with
 scipy's stepper and compares against the reflected trace.
 
-Every trace has one seed cutoff delta, used at both ends: the pinned
-``SolverConfig.delta`` or ``singular.default_cutoff(lam)``, capped at
-CUTOFF_CAP times the output nodes' distances to 0 and to pi so that no
-requested node falls inside the seed collar.
+The adaptive scalar stepper (``integrate_phi``, ``integrate_psi``) only
+lays out meshes and certifies: ``compute_phi_at_pi`` behind the scalar
+``dispersion``, eigenfunctions and the phi trace dump.  Everything else
+marches fixed meshes.  The equation is linear and lam enters only through
+kappa = -i*lam/eps, so on a mesh each interval's DOPRI5 step is a 2x2
+matrix polynomial in kappa whose coefficients are computed once per mesh,
+and every lam is one column marched through the same propagators.
 
-Many boundary values phi(pi, lam) at once come from ``boundary_values``.
-The equation is linear and lam enters only through kappa = -i*lam/eps, so
-on a ``SharedMesh`` each interval's DOPRI5 step is a 2x2 matrix polynomial
-in kappa whose coefficients are computed once per mesh.  Every lam is one
-column marched through the same propagators: seeded at the mesh's first
-node, which is the mesh's cutoff, and ended in the same two-branch fit as
-a single shot on the mesh's nodes pi - 4*delta, pi - 2*delta and
-pi - delta.  ``shared_mesh`` takes the nodes of one adaptive shot at the
-largest |lam|, which has the smallest default cutoff, and accepts them by
-step doubling.  Since the seed error is O(delta^2), that cutoff serves
-every column at least as well as the column's own default would.
+* ``boundary_values`` gives phi(pi, lam) for many lam on a ``SharedMesh``:
+  seeded at the mesh's first node, its cutoff, and ended in the two-branch
+  fit on the nodes pi - 4*delta, pi - 2*delta and pi - delta.
+  ``shared_mesh`` takes the nodes of one adaptive shot at the largest
+  |lam|, which has the smallest default cutoff, and accepts them by step
+  doubling.  Since the seed error is O(delta^2), that cutoff serves every
+  column at least as well as the column's own default would.
+* ``solution_pairs`` gives phi and psi at lam and -lam on every node of a
+  mesh that contains the requested nodes: the kernel's grid, the dyadic
+  audit's Gauss nodes.  Its one cutoff delta is the pinned
+  ``SolverConfig.delta`` or ``singular.default_cutoff(lam)``, capped at
+  CUTOFF_CAP times the requested nodes' distances to 0 and to pi so that
+  no requested node falls inside the seed collar.  The mesh joins those
+  nodes with the nodes of one adaptive phi shot and one adaptive psi shot
+  at lam; psi is marched backward with steps of negative length.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -49,8 +57,8 @@ from scipy.integrate import solve_ivp
 from ._stepper import (KAPPA_DEGREE, STAGE_FRACTIONS, STATUS_MAX_STEPS,
                        STATUS_STEP_UNDERFLOW, integrate_quasi_system,
                        linear_step_coefficients, linear_step_matrices)
-from .errors import (EigenvalueProximityError, GridMismatchError, IntegrationError,
-                     SolverError, ValidationError)
+from .errors import (EigenvalueProximityError, IntegrationError, SolverError,
+                     ValidationError)
 from .profiles import OperatorModel, eval_f
 from .singular import (compute_p_over_f, default_cutoff,
                        indicial_series_coefficients, integrating_factor,
@@ -58,16 +66,16 @@ from .singular import (compute_p_over_f, default_cutoff,
 
 PI = math.pi
 CAP_FRAC = 0.5                           # step cap as fraction of endpoint distance
-# Cutoff cap, in units of the output nodes' distance to 0 and pi.  Below 1
-# it keeps every output node out of the seed collar; below 0.5 it keeps
-# psi's fit node 4*delta off a node at twice the innermost one, which is
-# where the dyadic audit's next level puts its innermost Gauss node.
+# Cutoff cap, in units of the requested nodes' distance to 0 and pi.  Below
+# 1 it keeps every requested node out of the seed collar; below 0.5 it
+# keeps psi's fit node 4*delta off a node at twice the innermost one, which
+# is where the dyadic audit's next level puts its innermost Gauss node.
 CUTOFF_CAP = 0.45
 WRONSKIAN_FLOOR = 1e-8                   # eigenvalue-proximity threshold factor
 MESH_DEFECT_FACTOR = 10.0                # step-doubling tolerance of a shared mesh, in rtol
 MESH_MAX_HALVINGS = 6
 PHI_FIT = (4.0, 2.0, 1.0)                # phi(pi) is fitted to u at pi - m*delta
-MARCH_BLOCK = 4096                       # (interval x lam) propagators built at a time
+MARCH_BLOCK = 4096                       # (interval x column) propagators built at a time
 STEP_BLOCK = 512                         # intervals whose step polynomials are built at a time
 
 
@@ -92,7 +100,7 @@ class SolutionTrace:
     grid: np.ndarray
     values: np.ndarray
     quasi_derivatives: np.ndarray
-    branch: str                          # phi | psi-prenorm | psi
+    branch: str                          # phi | psi-prenorm
     delta: float                         # seed cutoff at 0 and at pi
     meta: dict
 
@@ -100,40 +108,23 @@ class SolutionTrace:
         for arr in (self.grid, self.values, self.quasi_derivatives):
             arr.setflags(write=False)
 
-    def lookup(self, nodes):
-        """(values, quasi-derivatives) at ``nodes``, each within 1e-12 of a grid node."""
-        nodes = np.asarray(nodes, dtype=float)
-        idx = np.clip(np.searchsorted(self.grid, nodes), 1, len(self.grid) - 1)
-        idx -= nodes - self.grid[idx - 1] < self.grid[idx] - nodes     # the nearer node
-        if np.any(np.abs(self.grid[idx] - nodes) > 1e-12):
-            raise GridMismatchError("trace does not contain the requested nodes")
-        return self.values[idx], self.quasi_derivatives[idx]
-
 
 @dataclass(frozen=True)
 class EndpointValue:
-    """Local decomposition u ~ A*(1 + alpha1*d) + B*d^exponent*(1 + a1*d)."""
+    """Local decomposition u ~ A*(1 + alpha1*d) + B*d^exponent*(1 + a1*d) at pi."""
 
-    endpoint: str                        # plus-pi | origin
     regular_part: complex
     singular_part: complex
     exponent: float
     fit_residual: float
 
 
-@dataclass(frozen=True)
-class WronskianValue:
-    value: complex
-    max_deviation: float
-
-
 def _forced_nodes(model: OperatorModel, x0: float, x1: float,
-                  outputs: Optional[Sequence[float]]) -> np.ndarray:
+                  outputs: Optional[list]) -> np.ndarray:
     lo, hi = (x0, x1) if x1 > x0 else (x1, x0)
     pts = [k for k in model.profile.breakpoints if lo < k < hi]
     if outputs is not None:
-        pts.extend(float(t) for t in np.asarray(outputs).ravel()
-                   if lo + 1e-15 < t < hi - 1e-15)
+        pts.extend(t for t in outputs if lo + 1e-15 < t < hi - 1e-15)
     pts = np.asarray(sorted(set(pts)), dtype=float)
     if len(pts) > 1:                       # drop near-coincident nodes
         keep = np.concatenate([[True], np.diff(pts) > 1e-12])
@@ -168,54 +159,58 @@ def _run(model: OperatorModel, lam, x0, x1, u0, w0, config: SolverConfig,
     return xs, us, ws
 
 
-def _cutoff(lam, config: SolverConfig, outputs) -> float:
+def _cutoff(lam, config: SolverConfig, nodes=()) -> float:
     delta = config.delta if config.delta is not None else default_cutoff(lam)
-    if outputs is not None and len(outputs):
-        arr = np.asarray(outputs, dtype=float)
-        delta = min(delta, CUTOFF_CAP * float(np.min(arr)),
-                    CUTOFF_CAP * float(PI - np.max(arr)))
+    if len(nodes):
+        delta = min(delta, CUTOFF_CAP * float(np.min(nodes)),
+                    CUTOFF_CAP * float(PI - np.max(nodes)))
     if delta <= 0:
-        raise ValidationError("output nodes must lie strictly inside (0, pi)")
+        raise ValidationError("requested nodes must lie strictly inside (0, pi)")
     return delta
 
 
 def integrate_phi(model: OperatorModel, lam, config: SolverConfig = DEFAULT_CONFIG,
-                  output_nodes: Optional[Sequence[float]] = None,
                   record_steps: bool = True) -> SolutionTrace:
-    """Trace of the solution with u -> 1 at the origin."""
-    delta = _cutoff(lam, config, output_nodes)
+    """Adaptive trace of the solution with u -> 1 at the origin.
+
+    It lands on the profile's breakpoints and on the fit nodes
+    pi - 4*delta, pi - 2*delta and ends at pi - delta; ``record_steps``
+    keeps every accepted step's node as well.
+    """
+    delta = _cutoff(lam, config)
     seed = seed_regular_origin(model, lam, delta)
     fit = [PI - m * delta for m in PHI_FIT[:-1]]
-    outs = list(fit) if output_nodes is None else list(output_nodes) + fit
     xs, us, ws = _run(model, lam, delta, PI - delta, seed.value, seed.quasi_derivative,
-                      config, outs, record_steps)
+                      config, fit, record_steps)
     return SolutionTrace(lam=complex(lam), grid=xs, values=us, quasi_derivatives=ws,
                          branch="phi", delta=delta,
                          meta={"rtol": config.rtol, "atol": config.atol})
 
 
-def extrapolate_endpoint(trace: SolutionTrace, model: OperatorModel,
-                         endpoint: str = "plus-pi") -> EndpointValue:
-    """Fit the two-branch local model at an endpoint and return (A, B)."""
-    sigma = model.sigma
+def integrate_psi(model: OperatorModel, lam,
+                  config: SolverConfig = DEFAULT_CONFIG) -> SolutionTrace:
+    """Adaptive trace of the branch vanishing at pi, before any scaling.
+
+    Integrated backward from pi - delta to delta, landing on the profile's
+    breakpoints and recording every accepted step.
+    """
+    delta = _cutoff(lam, config)
+    seed = seed_vanishing_at_pi(model, lam, delta)
+    xs, us, ws = _run(model, lam, PI - delta, delta, seed.value, seed.quasi_derivative,
+                      config, None, record_steps=True)
+    return SolutionTrace(lam=complex(lam), grid=xs, values=us, quasi_derivatives=ws,
+                         branch="psi-prenorm", delta=delta,
+                         meta={"rtol": config.rtol, "atol": config.atol})
+
+
+def extrapolate_endpoint(trace: SolutionTrace, model: OperatorModel) -> EndpointValue:
+    """Fit the two-branch local model at pi to the trace's last three nodes."""
     a1, alpha1 = indicial_series_coefficients(model, trace.lam)
-    if endpoint == "plus-pi":
-        take = slice(-3, None)
-        dist = PI - trace.grid[take]
-        vals = trace.values[take]
-        dist, vals = dist[::-1], vals[::-1]           # nearest endpoint first
-        expo = sigma
-    elif endpoint == "origin":
-        take = slice(None, 3)
-        dist = trace.grid[take].copy()
-        vals = trace.values[take].copy()
-        expo = -sigma
-    else:
-        raise ValidationError(f"unknown endpoint {endpoint!r}")
-    A, B, resid = _two_branch_fit(dist, vals, expo, a1, alpha1, trace.delta)
-    return EndpointValue(endpoint=endpoint, regular_part=complex(A),
-                         singular_part=complex(B), exponent=expo,
-                         fit_residual=float(resid))
+    dist = PI - trace.grid[:-4:-1]                # nearest the endpoint first
+    A, B, resid = _two_branch_fit(dist, trace.values[:-4:-1], model.sigma, a1, alpha1,
+                                  trace.delta)
+    return EndpointValue(regular_part=complex(A), singular_part=complex(B),
+                         exponent=model.sigma, fit_residual=float(resid))
 
 
 def _two_branch_fit(dist, vals, expo, a1, alpha1, delta):
@@ -255,73 +250,86 @@ def compute_phi_at_pi(model: OperatorModel, lam,
                       config: SolverConfig = DEFAULT_CONFIG) -> complex:
     """Boundary value phi(pi, lam); phi(-pi, lam) is this at -lam."""
     trace = integrate_phi(model, lam, config, record_steps=False)
-    return extrapolate_endpoint(trace, model, "plus-pi").regular_part
+    return extrapolate_endpoint(trace, model).regular_part
 
 
-def _shared_wronskian(phi: SolutionTrace, grid, values, quasi_derivatives):
-    """W = w_psi*phi - w_phi*psi on the nodes a psi trace shares with ``phi``.
+@dataclass(frozen=True, eq=False)
+class SolutionPairs:
+    """phi and psi at lam (column 0) and -lam (column 1) on one mesh in (0, pi).
 
-    Both grids ascend and share nodes exactly by construction.  Returns W,
-    the index of the shared node nearest pi/2, and the shared nodes'
-    indices into phi's and psi's grids.
+    ``nodes`` ascends from the cutoff delta to pi - delta, and
+    ``requested`` indexes the nodes the caller asked for, in the caller's
+    order.  Value and quasi-derivative arrays have one row per node.  psi
+    is scaled per column by ``wronskian``, the Wronskian of the unscaled
+    psi at the node nearest pi/2; ``wronskian_deviation`` is the largest
+    |W/W0 - 1| over every node and both columns.  The endpoint parts are
+    two-branch fits: phi's regular part and psi's singular part at pi,
+    and psi's singular part (exponent -sigma) at 0.
     """
-    common, pi_idx, ps_idx = np.intersect1d(phi.grid, grid, return_indices=True)
-    if len(common) < 4:
-        raise SolverError("phi trace has too few interior nodes to normalize psi against")
-    W = (quasi_derivatives[ps_idx] * phi.values[pi_idx]
-         - phi.quasi_derivatives[pi_idx] * values[ps_idx])
-    mid = int(np.argmin(np.abs(common - PI / 2)))
-    return W, mid, pi_idx, ps_idx
+
+    lam: complex
+    nodes: np.ndarray
+    requested: np.ndarray
+    phi: np.ndarray
+    phi_qd: np.ndarray
+    psi: np.ndarray
+    psi_qd: np.ndarray
+    phi_at_pi: np.ndarray
+    psi_at_pi: np.ndarray
+    psi_at_origin: np.ndarray
+    delta: float
+    wronskian: np.ndarray
+    wronskian_deviation: float
 
 
-def integrate_psi_normalized(model: OperatorModel, lam, phi: SolutionTrace,
-                             config: SolverConfig = DEFAULT_CONFIG) -> SolutionTrace:
-    """Backward trace of the branch vanishing at pi, scaled to unit Wronskian.
+def solution_pairs(model: OperatorModel, lam, nodes,
+                   config: SolverConfig = DEFAULT_CONFIG) -> SolutionPairs:
+    """phi and psi at lam and -lam, marched through one mesh that contains ``nodes``.
 
-    The Wronskian is evaluated from quasi-derivatives on the nodes shared
-    with ``phi`` (the psi integration is forced onto phi's grid), the
-    normalization point being the shared node nearest pi/2.  A collapsed
-    Wronskian means lam is numerically an eigenvalue.
+    The mesh joins the requested nodes, the fit nodes m*delta and
+    pi - m*delta (m = 1, 2, 4) and the recorded nodes of one adaptive phi
+    shot and one adaptive psi shot at lam, all at the one cutoff delta.
+    phi is marched forward from delta and psi backward from pi - delta,
+    with lam and -lam as columns.  A Wronskian below WRONSKIAN_FLOOR times
+    max |phi*w_psi| means lam is numerically an eigenvalue.
     """
-    delta = phi.delta
-    seed = seed_vanishing_at_pi(model, lam, delta)
-    interior = phi.grid[(phi.grid > delta) & (phi.grid < PI - delta)]
-    fit = [2 * delta, 4 * delta, PI - 2 * delta, PI - 4 * delta]    # endpoint-fit nodes
-    outs = np.concatenate([interior, fit])
-    xs, us, ws = _run(model, lam, PI - delta, delta, seed.value, seed.quasi_derivative,
-                      config, outs, record_steps=False)
+    nodes = np.asarray(nodes, dtype=float).ravel()
+    delta = _cutoff(lam, config, nodes)
+    at_delta = replace(config, delta=delta)
+    fit = delta * np.array(PHI_FIT[::-1])            # delta, 2*delta, 4*delta
+    mesh = np.unique(np.concatenate([nodes, fit, PI - fit,
+                                     integrate_phi(model, lam, at_delta).grid,
+                                     integrate_psi(model, lam, at_delta).grid]))
+    lams = np.array([lam, -lam], dtype=complex)
+    kappa = -1j * lams / model.epsilon
+    every = np.arange(len(mesh))
+    phi, phi_qd = _march(_step_coefficients(model, mesh[:-1], np.diff(mesh)), kappa,
+                         *_seeds(seed_regular_origin, model, lams, delta), every)
+    back = mesh[::-1]                                # psi steps have negative length
+    psi, psi_qd = _march(_step_coefficients(model, back[:-1], np.diff(back)), kappa,
+                         *_seeds(seed_vanishing_at_pi, model, lams, delta), every)
+    psi, psi_qd = psi[::-1], psi_qd[::-1]
 
-    W, mid, pi_idx, ps_idx = _shared_wronskian(phi, xs, us, ws)
-    W0 = W[mid]
-    floor = WRONSKIAN_FLOOR * float(
-        np.max(np.abs(phi.values[pi_idx]) * np.abs(ws[ps_idx])))
-    if abs(W0) < floor:
+    W = psi_qd * phi - phi_qd * psi
+    W0 = W[np.argmin(np.abs(mesh - PI / 2))]
+    floor = WRONSKIAN_FLOOR * np.max(np.abs(phi) * np.abs(psi_qd), axis=0)
+    if np.any(np.abs(W0) < floor):
         raise EigenvalueProximityError(
-            f"Wronskian collapsed (|W0| = {abs(W0):.3e} < {floor:.3e}): "
+            f"Wronskian collapsed (|W0| = {np.min(np.abs(W0)):.3e} < {np.max(floor):.3e}): "
             f"lam = {lam} is numerically an eigenvalue")
-    deviation = float(np.max(np.abs(W / W0 - 1.0)))
+    psi, psi_qd = psi / W0, psi_qd / W0
 
-    vals = us / W0
-    qds = ws / W0
-    slope = None
-    small = xs[xs < 0.05]
-    if len(small) >= 2:
-        mags = np.abs(vals[: len(small)])
-        if np.all(mags > 0):
-            slope = float(np.polyfit(np.log(small), np.log(mags), 1)[0])
-    return SolutionTrace(lam=complex(lam), grid=xs, values=vals, quasi_derivatives=qds,
-                         branch="psi", delta=delta,
-                         meta={"wronskian": WronskianValue(value=complex(W0 / W0),
-                                                           max_deviation=deviation),
-                               "prenorm_scale": complex(1.0 / W0),
-                               "origin_loglog_slope": slope,
-                               "rtol": config.rtol, "atol": config.atol})
-
-
-def wronskian_deviation(phi: SolutionTrace, psi: SolutionTrace) -> WronskianValue:
-    """Constancy audit of w_psi*phi - w_phi*psi over the shared nodes."""
-    W, mid, _, _ = _shared_wronskian(phi, psi.grid, psi.values, psi.quasi_derivatives)
-    return WronskianValue(value=complex(W[mid]), max_deviation=float(np.max(np.abs(W - 1.0))))
+    a1, alpha1 = indicial_series_coefficients(model, lams)
+    at_pi = np.searchsorted(mesh, PI - fit)
+    at_0 = np.searchsorted(mesh, fit)
+    phi_at_pi = _two_branch_fit(PI - mesh[at_pi], phi[at_pi], model.sigma, a1, alpha1, delta)[0]
+    psi_at_pi = _two_branch_fit(PI - mesh[at_pi], psi[at_pi], model.sigma, a1, alpha1, delta)[1]
+    psi_at_0 = _two_branch_fit(mesh[at_0], psi[at_0], -model.sigma, a1, alpha1, delta)[1]
+    return SolutionPairs(lam=complex(lam), nodes=mesh, requested=np.searchsorted(mesh, nodes),
+                         phi=phi, phi_qd=phi_qd, psi=psi, psi_qd=psi_qd,
+                         phi_at_pi=phi_at_pi, psi_at_pi=psi_at_pi, psi_at_origin=psi_at_0,
+                         delta=delta, wronskian=W0,
+                         wronskian_deviation=float(np.max(np.abs(W / W0 - 1.0))))
 
 
 def mirror_audit(model: OperatorModel, lam, config: SolverConfig = DEFAULT_CONFIG,
@@ -339,8 +347,8 @@ def mirror_audit(model: OperatorModel, lam, config: SolverConfig = DEFAULT_CONFI
     d1 = max(d0, 2e-3)
     nodes = np.linspace(0.02, PI - 0.02, n_nodes)
 
-    ref = integrate_phi(model, -lam, config, output_nodes=nodes, record_steps=False)
-    ref_vals = ref.lookup(nodes)[0]
+    pairs = solution_pairs(model, lam, nodes, config)
+    ref_vals = pairs.phi[pairs.requested, 1]          # phi(x, -lam)
 
     def rhs(x, y):
         fx = eval_f(model.profile, x)
@@ -387,7 +395,10 @@ class SharedMesh:
 
 
 def _step_coefficients(model: OperatorModel, x0: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Step polynomials of the intervals [x0, x0 + h], coefficients read at the stage points."""
+    """Step polynomials of the steps from x0 to x0 + h, coefficients read at the stage points.
+
+    A negative h is a backward step, taken from the right end of its interval.
+    """
     out = np.empty((len(h), 2, 2, KAPPA_DEGREE + 1))
     for i in range(0, len(h), STEP_BLOCK):
         part = slice(i, i + STEP_BLOCK)
@@ -413,35 +424,54 @@ def _apply(P, u, w):
     return P[..., 0, 0] * u + P[..., 0, 1] * w, P[..., 1, 0] * u + P[..., 1, 1] * w
 
 
+def _seeds(seed, model: OperatorModel, lams: np.ndarray, delta: float):
+    """Values and quasi-derivatives of ``seed`` at every lam in ``lams``, as two columns."""
+    seeds = [seed(model, lam, delta) for lam in lams]
+    return (np.array([s.value for s in seeds], dtype=complex),
+            np.array([s.quasi_derivative for s in seeds], dtype=complex))
+
+
+def _march(coeffs: np.ndarray, kappa: np.ndarray, u: np.ndarray, w: np.ndarray, keep):
+    """Columns (u, w), one per kappa, stepped through the step polynomials ``coeffs`` in order.
+
+    Returns the states (u, w) at the nodes ``keep``, ascending indices in
+    travel order (node 0 is the start, node k where step k lands), one row
+    per kept node.  Propagators are built MARCH_BLOCK at a time, so memory
+    stays O(intervals + columns) beyond the kept rows.
+    """
+    slot = {k: i for i, k in enumerate(np.asarray(keep).tolist())}
+    us = np.empty((len(slot), len(kappa)), dtype=complex)
+    ws = np.empty_like(us)
+    if 0 in slot:
+        us[slot[0]], ws[slot[0]] = u, w
+    block = max(1, MARCH_BLOCK // len(kappa))
+    for k0 in range(0, len(coeffs), block):
+        P = linear_step_matrices(coeffs[k0:k0 + block, None], kappa)
+        for k, Pk in enumerate(P, start=k0 + 1):
+            u, w = _apply(Pk, u, w)
+            i = slot.get(k)
+            if i is not None:
+                us[i], ws[i] = u, w
+    return us, ws
+
+
 def boundary_values(model: OperatorModel, mesh: SharedMesh, lams) -> np.ndarray:
     """phi(pi, lam) for every lam in ``lams``, marched together through ``mesh``.
 
     Every lam is seeded at the mesh's cutoff delta = nodes[0], steps through
     every interval and is fitted on the mesh's nodes pi - 4*delta,
     pi - 2*delta and pi - delta, as ``integrate_phi`` does with that cutoff.
-    Propagators are built MARCH_BLOCK at a time, so memory stays
-    O(mesh + lams).
+    Only the fit nodes' states are kept, so memory stays O(mesh + lams).
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     if np.any(np.abs(lams) > mesh.lam_max):
         raise ValidationError(f"|lam| exceeds {mesh.lam_max}, the largest the mesh was checked for")
     delta = float(mesh.nodes[0])
-    kappa = -1j * lams / model.epsilon
-    seeds = [seed_regular_origin(model, lam, delta) for lam in lams]
-    u = np.array([s.value for s in seeds], dtype=complex)
-    w = np.array([s.quasi_derivative for s in seeds], dtype=complex)
-
-    fit = mesh.fit[::-1].tolist()                # nearest pi first
-    vals = np.empty((len(fit), len(lams)), dtype=complex)
-    block = max(1, MARCH_BLOCK // len(lams))
-    for k0 in range(0, len(mesh.nodes) - 1, block):
-        P = linear_step_matrices(mesh.coeffs[k0:k0 + block, None], kappa)
-        for k, Pk in enumerate(P, start=k0 + 1):     # k: the node the step lands on
-            u, w = _apply(Pk, u, w)
-            if k in fit:
-                vals[fit.index(k)] = u
+    vals, _ = _march(mesh.coeffs, -1j * lams / model.epsilon,
+                     *_seeds(seed_regular_origin, model, lams, delta), mesh.fit)
+    fit = mesh.fit[::-1]                         # nearest pi first
     a1, alpha1 = indicial_series_coefficients(model, lams)
-    A, _, _ = _two_branch_fit(PI - mesh.nodes[fit], vals, model.sigma, a1, alpha1, delta)
+    A, _, _ = _two_branch_fit(PI - mesh.nodes[fit], vals[::-1], model.sigma, a1, alpha1, delta)
     return A
 
 

@@ -124,7 +124,7 @@ class TestRefinement:
 
         monkeypatch.setattr(eigensolve, "dispersion_batch", fake)
         roots, iters, marches = eigensolve._refine(
-            None, None, "imag", [(2.0, 4.0, math.exp(2.0) - 20.0, math.exp(4.0) - 20.0)])
+            None, None, [(2.0, 4.0, math.exp(2.0) - 20.0, math.exp(4.0) - 20.0)])
         assert iters[0] <= 10 and marches == iters[0]
         assert abs(roots[0] - math.log(20.0)) <= 1e-10 * (1.0 + 4.0)
 

@@ -133,3 +133,21 @@ class TestKernelCommands:
         out = capsys.readouterr().out
         assert "sup|G| = " in out
         assert "relative resolvent residual " in out
+
+
+class TestTrace:
+    def test_psi_dump_is_the_marched_lam_column(self, tmp_path):
+        out = tmp_path / "psi.csv"
+        assert run_subcommand(["trace", "--kind", "psi", "--lambda-re", "1.0",
+                               "--lambda-im", "0.5", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == "x,re_u,im_u,re_pu,im_pu"
+        x, re_u, im_u, re_pu, im_pu = zip(*([float(v) for v in row.split(",")]
+                                            for row in rows[1:]))
+        model = perspec.OperatorModel(profile=perspec.sine_profile(), epsilon=1.0)
+        pairs = perspec.solution_pairs(model, 1.0 + 0.5j, ())
+        assert list(x) == pairs.nodes.tolist()
+        assert list(re_u) == pairs.psi[:, 0].real.tolist()
+        assert list(im_u) == pairs.psi[:, 0].imag.tolist()
+        assert list(re_pu) == pairs.psi_qd[:, 0].real.tolist()
+        assert list(im_pu) == pairs.psi_qd[:, 0].imag.tolist()

@@ -52,10 +52,6 @@ class TestScan:
         for lam in eigs[eigs > 0]:
             assert np.min(np.abs(eigs + lam)) < 1e-8
 
-    def test_indicator_detected_and_real(self, scan_8):
-        assert scan_8.indicator == "imag"
-        assert scan_8.max_off_component == 0.0
-
     def test_resolution_halving_keeps_all_roots(self, sine_model, scan_8):
         coarse = scan_and_refine(sine_model, 8.0, 0.1)
         fine = scan_8
@@ -92,11 +88,9 @@ class TestEigenfunction:
         lam = float(scan_8.positive()[0])
         tight = SolverConfig(rtol=1e-11, atol=1e-13)
         nodes = np.linspace(0.3, PI - 0.3, 11)
-        a = ps.integrate_phi(sine_model, lam, output_nodes=nodes, record_steps=False)
-        b = ps.integrate_phi(sine_model, lam, tight, output_nodes=nodes, record_steps=False)
-        ia = np.searchsorted(a.grid, nodes)
-        ib = np.searchsorted(b.grid, nodes)
-        assert np.max(np.abs(a.values[ia] - b.values[ib])) < 1e-6
+        a = ps.solution_pairs(sine_model, lam, nodes)
+        b = ps.solution_pairs(sine_model, lam, nodes, tight)
+        assert np.max(np.abs(a.phi[a.requested, 0] - b.phi[b.requested, 0])) < 1e-6
 
     def test_stale_eigenvalue_rejected(self, sine_model):
         with pytest.raises(StaleEigenvalueError):

@@ -142,7 +142,3 @@ class TestOperatorModel:
                 OperatorModel(profile=prof, epsilon=eps)
         m = OperatorModel(profile=prof, epsilon=1.0)
         assert m.sigma == pytest.approx(PI / 2)
-
-    def test_c_is_pinned(self):
-        with pytest.raises(ValidationError):
-            OperatorModel(profile=sine_profile(), epsilon=1.0, c=1.6)

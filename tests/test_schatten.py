@@ -72,8 +72,10 @@ class TestDyadicBoundAudit:
             total = 0.0
             for q in range(len(gx)):
                 s = a + (b - a) * ((gx[q] + 1.0) / 2.0)
-                pair, t = pairs[1 if s > 0 else -1], abs(s)
-                mag = abs(pair[which].lookup(t)[0])
+                column, t = (0 if s > 0 else 1), abs(s)      # column 1 is -lam
+                row = int(np.searchsorted(pairs.nodes, t))
+                assert pairs.nodes[row] == t                  # a mesh node, not a neighbour
+                mag = abs(getattr(pairs, which)[row, column])
                 if which == "psi":
                     mag *= math.exp(compute_log_p_over_f(sine_model, np.array([t]))[0])
                     mag /= sine_model.epsilon

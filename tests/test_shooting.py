@@ -1,19 +1,43 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import perspec as ps
-from perspec import shooting
-from perspec.errors import (EigenvalueProximityError, GridMismatchError,
-                            IntegrationError, SolverError)
+from perspec import green, shooting
+from perspec.errors import (EigenvalueProximityError, IntegrationError,
+                            SolverError)
 from perspec.shooting import (SolutionTrace, SolverConfig, compute_phi_at_pi,
                               extrapolate_endpoint, integrate_phi,
-                              integrate_psi_normalized, mirror_audit,
-                              wronskian_deviation)
+                              integrate_psi, mirror_audit, solution_pairs)
 
 PI = math.pi
+TIGHT = SolverConfig(rtol=1e-13, atol=1e-15)
+
+
+def _tabulated():
+    x = np.linspace(0.0, PI, 41)
+    return ps.tabulated_profile(x, (2 / PI) * np.sin(x) * (1.0 + 0.1 * np.sin(x) ** 2))
+
+
+PROFILES = {"sine": ps.sine_profile, "piecewise-linear": ps.piecewise_linear_profile,
+            "tabulated": _tabulated}
+
+
+def _kernel_nodes(grid_size):
+    """The strictly positive interior nodes of the kernel's graded grid."""
+    x, _ = green.graded_full_grid(grid_size)
+    return x[len(x) // 2 + 1:-1]
+
+
+def _psi_trace(pairs, column=0):
+    return SolutionTrace(lam=pairs.lam if column == 0 else -pairs.lam, grid=pairs.nodes,
+                         values=pairs.psi[:, column], quasi_derivatives=pairs.psi_qd[:, column],
+                         branch="psi", delta=pairs.delta, meta={})
+
+
+def _wronskian(pairs):
+    return pairs.psi_qd * pairs.phi - pairs.phi_qd * pairs.psi
 
 
 class TestIntegratePhi:
@@ -26,13 +50,9 @@ class TestIntegratePhi:
 
     def test_reintegration_residual_against_tighter_tolerance(self, sine_model):
         nodes = np.linspace(0.3, PI - 0.3, 17)
-        loose = integrate_phi(sine_model, 1.0, SolverConfig(),
-                              output_nodes=nodes, record_steps=False)
-        tight = integrate_phi(sine_model, 1.0,
-                              SolverConfig(rtol=1e-11, atol=1e-13),
-                              output_nodes=nodes, record_steps=False)
-        sel = np.searchsorted(loose.grid, nodes)
-        diff = np.max(np.abs(loose.values[sel] - tight.values[np.searchsorted(tight.grid, nodes)]))
+        loose = solution_pairs(sine_model, 1.0, nodes, SolverConfig())
+        tight = solution_pairs(sine_model, 1.0, nodes, SolverConfig(rtol=1e-11, atol=1e-13))
+        diff = np.max(np.abs(loose.phi[loose.requested, 0] - tight.phi[tight.requested, 0]))
         assert diff < 1e-8
 
     def test_tolerance_halving_changes_endpoint_mildly(self, sine_model):
@@ -50,17 +70,6 @@ class TestIntegratePhi:
         assert exc.value.x_reached is not None
         assert 0.0 < exc.value.x_reached < PI
 
-    def test_lookup_reads_nodes_and_refuses_others(self, sine_model):
-        nodes = np.linspace(0.3, PI - 0.3, 17)
-        tr = integrate_phi(sine_model, 1.0, output_nodes=nodes, record_steps=False)
-        sel = np.searchsorted(tr.grid, nodes)
-        for query in (nodes, nodes - 1e-13, nodes + 1e-13):
-            vals, qds = tr.lookup(query)
-            assert np.array_equal(vals, tr.values[sel])
-            assert np.array_equal(qds, tr.quasi_derivatives[sel])
-        with pytest.raises(GridMismatchError):
-            tr.lookup([nodes[3], 0.5 * (nodes[3] + nodes[4])])
-
     def test_trace_is_readonly(self, sine_model):
         tr = integrate_phi(sine_model, 1.0)
         with pytest.raises(ValueError):
@@ -69,12 +78,14 @@ class TestIntegratePhi:
 
 class TestConjugationSymmetry:
     def test_trace_at_negated_lambda_is_conjugate(self, sine_model):
-        # for real lam the whole construction mirrors bit for bit
+        # for real lam the whole construction mirrors bit for bit: the -lam
+        # column of the march is the conjugate of the lam column
         nodes = np.linspace(0.2, 3.0, 9)
-        up = integrate_phi(sine_model, 2.3, output_nodes=nodes, record_steps=False)
-        dn = integrate_phi(sine_model, -2.3, output_nodes=nodes, record_steps=False)
-        assert np.array_equal(dn.values, np.conj(up.values))
-        assert np.array_equal(dn.quasi_derivatives, np.conj(up.quasi_derivatives))
+        pairs = solution_pairs(sine_model, 2.3, nodes)
+        up, dn = pairs.phi[pairs.requested].T
+        up_qd, dn_qd = pairs.phi_qd[pairs.requested].T
+        assert np.array_equal(dn, np.conj(up))
+        assert np.array_equal(dn_qd, np.conj(up_qd))
 
     def test_boundary_value_conjugate(self, sine_model):
         a = compute_phi_at_pi(sine_model, 4.1)
@@ -90,7 +101,7 @@ class TestConjugationSymmetry:
 class TestEndpointExtrapolation:
     def test_constant_trace_recovers_a_one(self, sine_model):
         tr = integrate_phi(sine_model, 0.0)
-        end = extrapolate_endpoint(tr, sine_model, "plus-pi")
+        end = extrapolate_endpoint(tr, sine_model)
         assert end.regular_part == pytest.approx(1.0, abs=1e-14)
         assert abs(end.singular_part) < 1e-14
 
@@ -102,7 +113,7 @@ class TestEndpointExtrapolation:
         tr = SolutionTrace(lam=0.0, grid=grid, values=vals,
                            quasi_derivatives=np.zeros(3, complex), branch="phi",
                            delta=1e-4, meta={})
-        end = extrapolate_endpoint(tr, sine_model, "plus-pi")
+        end = extrapolate_endpoint(tr, sine_model)
         assert abs(end.regular_part) < 1e-10
         assert end.singular_part == pytest.approx(1.0, abs=1e-10)
 
@@ -117,43 +128,39 @@ class TestEndpointExtrapolation:
                            quasi_derivatives=np.zeros(3, complex), branch="phi",
                            delta=1e-4, meta={})
         with pytest.raises(SolverError):
-            extrapolate_endpoint(tr, sine_model, "plus-pi")
+            extrapolate_endpoint(tr, sine_model)
 
 
 class TestPsi:
     def test_wronskian_constant_along_grid(self, sine_model):
-        phi = integrate_phi(sine_model, 1.0, record_steps=True)
-        psi = integrate_psi_normalized(sine_model, 1.0, phi)
-        w = psi.meta["wronskian"]
-        assert abs(w.value - 1.0) < 1e-15
-        assert w.max_deviation < 1e-6
-        again = wronskian_deviation(phi, psi)
-        assert again.max_deviation < 1e-6
+        pairs = solution_pairs(sine_model, 1.0, ())
+        W = _wronskian(pairs)
+        mid = np.argmin(np.abs(pairs.nodes - PI / 2))
+        assert np.max(np.abs(W[mid] - 1.0)) < 1e-15
+        assert pairs.wronskian_deviation < 1e-6
+        assert np.max(np.abs(W - 1.0)) < 1e-6
 
     def test_wronskian_sweep_at_several_lambdas(self, sine_model):
         for lam in (0.4, 2.0, 5.0, 8.3, 12.7, -0.4, -5.0):
-            phi = integrate_phi(sine_model, lam, record_steps=True)
-            psi = integrate_psi_normalized(sine_model, lam, phi)
-            assert psi.meta["wronskian"].max_deviation < 1e-6
+            assert solution_pairs(sine_model, lam, ()).wronskian_deviation < 1e-6
 
     def test_blowup_rate_at_origin(self, sine_model):
-        phi = integrate_phi(sine_model, 1.0, record_steps=True)
-        psi = integrate_psi_normalized(sine_model, 1.0, phi)
-        assert psi.meta["origin_loglog_slope"] == pytest.approx(-sine_model.sigma, abs=1e-2)
+        pairs = solution_pairs(sine_model, 1.0, ())
+        small = pairs.nodes < 0.05
+        slope = np.polyfit(np.log(pairs.nodes[small]), np.log(np.abs(pairs.psi[small, 0])), 1)[0]
+        assert slope == pytest.approx(-sine_model.sigma, abs=1e-2)
 
     def test_vanishing_rate_at_pi(self, sine_model):
-        phi = integrate_phi(sine_model, 1.0, record_steps=True)
-        psi = integrate_psi_normalized(sine_model, 1.0, phi)
-        g, v = psi.grid, np.abs(psi.values)
+        pairs = solution_pairs(sine_model, 1.0, ())
+        g, v = pairs.nodes, np.abs(pairs.psi[:, 0])
         sel = (g > PI - 0.02) & (g < PI - 1e-5)
         slope = np.polyfit(np.log(PI - g[sel]), np.log(v[sel]), 1)[0]
         assert slope == pytest.approx(sine_model.sigma, abs=1e-2)
 
     def test_regular_part_vanishes_at_pi(self, sine_model):
-        phi = integrate_phi(sine_model, 1.0, record_steps=True)
-        psi = integrate_psi_normalized(sine_model, 1.0, phi)
-        end = extrapolate_endpoint(psi, sine_model, "plus-pi")
-        scale = max(1.0, float(np.max(np.abs(psi.values))))
+        pairs = solution_pairs(sine_model, 1.0, ())
+        end = extrapolate_endpoint(_psi_trace(pairs), sine_model)
+        scale = max(1.0, float(np.max(np.abs(pairs.psi[:, 0]))))
         assert abs(end.regular_part) / scale < 1e-8
 
     def test_wronskian_healthy_even_at_periodic_eigenvalues(self, sine_model,
@@ -162,15 +169,88 @@ class TestPsi:
         # periodicity denominator, not through the Wronskian: psi
         # normalization must still succeed right on top of a root
         lam = float(reference_eigs[0])
-        phi = integrate_phi(sine_model, lam, record_steps=True)
-        psi = integrate_psi_normalized(sine_model, lam, phi)
-        assert abs(psi.meta["prenorm_scale"]) < 1.0   # |W0| well above 1
+        pairs = solution_pairs(sine_model, lam, ())
+        assert abs(1.0 / pairs.wronskian[0]) < 1.0   # |W0| well above 1
 
     def test_collapsed_wronskian_guard_fires(self, sine_model, monkeypatch):
-        phi = integrate_phi(sine_model, 2.0, record_steps=True)
         monkeypatch.setattr(shooting, "WRONSKIAN_FLOOR", 1e6)
         with pytest.raises(EigenvalueProximityError):
-            integrate_psi_normalized(sine_model, 2.0, phi)
+            solution_pairs(sine_model, 2.0, ())
+
+
+class TestSolutionPairs:
+    def test_requested_nodes_are_mesh_nodes(self, sine_model):
+        nodes = _kernel_nodes(1024)[::-1]             # any order is kept
+        pairs = solution_pairs(sine_model, 0.9 + 0.57j, nodes)
+        assert np.array_equal(pairs.nodes[pairs.requested], nodes)
+        assert np.all(np.diff(pairs.nodes) > 0.0)
+        delta = pairs.delta                           # the cap binds at 1024 nodes
+        assert delta == shooting.CUTOFF_CAP * float(np.min(nodes)) < ps.default_cutoff(0.9 + 0.57j)
+        assert pairs.nodes[0] == delta and pairs.nodes[-1] == PI - delta
+        for m in (1.0, 2.0, 4.0):
+            assert m * delta in pairs.nodes and PI - m * delta in pairs.nodes
+
+    @pytest.mark.parametrize("grid", [256, 2048])
+    @pytest.mark.parametrize("lam", [0.9 + 0.57j, -2.9 + 0.75j])
+    @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
+    @pytest.mark.parametrize("kind", PROFILES)
+    def test_generators_match_a_tight_run(self, kind, eps, lam, grid):
+        # the tight run lays out its own mesh; the scalar path was 2e-11 to
+        # 4e-9 off this reference, the march is within 3e-10
+        model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=eps)
+        nodes = _kernel_nodes(grid)
+        got = green._full_period(model, solution_pairs(model, lam, nodes))
+        want = green._full_period(model, solution_pairs(model, lam, nodes, TIGHT))
+        for name in ("phi", "psi", "w2"):         # both halves: lam and -lam
+            a, b = getattr(got, name), getattr(want, name)
+            ok = np.isfinite(b)                   # psi is nan at 0
+            assert np.max(np.abs(a[ok] - b[ok])) <= 1e-9 * np.max(np.abs(b[ok])), name
+        assert abs(got.denominator - want.denominator) <= 1e-9 * abs(want.denominator)
+
+    @pytest.mark.parametrize("grid", [256, 2048])
+    @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
+    @pytest.mark.parametrize("kind", PROFILES)
+    def test_phi_at_pi_matches_the_scalar_shot(self, kind, eps, grid):
+        # at the kernel's capped cutoff, against a scalar shot at rtol 1e-12:
+        # the seed error is O(delta^2), so the cutoffs must match
+        model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=eps)
+        lam = 0.9 + 0.57j
+        pairs = solution_pairs(model, lam, _kernel_nodes(grid))
+        scalar = SolverConfig(delta=pairs.delta, rtol=1e-12, atol=1e-14)
+        for got, lm in zip(pairs.phi_at_pi, (lam, -lam)):
+            want = compute_phi_at_pi(model, lm, scalar)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
+    @pytest.mark.parametrize("kind", PROFILES)
+    def test_psi_march_reproduces_its_shot(self, kind, eps):
+        # unscaled psi on the psi shot's own nodes against the shot's values;
+        # at rtol 1e-12, since at 1e-10 the shot itself is up to 1.2e-9 off
+        model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=eps)
+        lam = -2.9 + 0.75j
+        config = SolverConfig(rtol=1e-12, atol=1e-14)
+        pairs = solution_pairs(model, lam, _kernel_nodes(256), config)
+        shot = integrate_psi(model, lam, SolverConfig(delta=pairs.delta, rtol=1e-12, atol=1e-14))
+        rows = np.searchsorted(pairs.nodes, shot.grid)
+        assert np.array_equal(pairs.nodes[rows], shot.grid)
+        marched = pairs.psi[rows, 0] * pairs.wronskian[0]
+        assert np.max(np.abs(marched - shot.values)) <= 1e-9 * np.max(np.abs(shot.values))
+
+    def test_psi_shot_nodes_are_needed(self, sine_model, monkeypatch):
+        # a mesh from the phi shot alone leaves psi 1.4e-5 off near the origin
+        nodes = _kernel_nodes(2048)
+        lam = 0.9 + 0.57j
+        want = solution_pairs(sine_model, lam, nodes, TIGHT)
+        want = want.psi[want.requested]
+
+        def error():
+            got = solution_pairs(sine_model, lam, nodes)
+            return np.max(np.abs(got.psi[got.requested] - want)) / np.max(np.abs(want))
+
+        assert error() <= 1e-9
+        monkeypatch.setattr(shooting, "integrate_psi", lambda model, lam, config:
+                            shooting.integrate_phi(model, lam, config))
+        assert error() > 1e-6
 
 
 class TestMirrorAudit:
