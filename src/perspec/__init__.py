@@ -30,7 +30,7 @@ from .schatten import (DyadicBoundReport, InequalityReport,
                        eigen_schatten_inequality, singular_values)
 from .shooting import (EndpointValue, SharedMesh, SolutionPairs, SolutionTrace,
                        SolverConfig, compute_phi_at_pi, extrapolate_endpoint,
-                       integrate_phi, integrate_psi, mirror_audit, shared_mesh,
+                       integrate_phi, mirror_audit, shared_mesh,
                        solution_pairs)
 from .singular import (EndpointSeed, IntegratingFactor, compute_log_p,
                        compute_log_p_over_f, compute_p_over_f, default_cutoff,

@@ -19,7 +19,9 @@ numpy arrays.
 
 ``linear_step_coefficients`` writes one step of the same tableau, for
 fixed nodes, as a matrix polynomial in kappa = -i*lam/eps, so that many
-lam can share one mesh.
+lam can share one mesh, together with the step's embedded error estimate
+as a second polynomial, so that a mesh can be checked against the
+stepper's own acceptance test without the stepper.
 """
 
 import math
@@ -49,6 +51,7 @@ STAGE_FRACTIONS = (0.0, _C2, _C3, _C4, _C5, 1.0)
 _A_ROWS = ((), (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
            (_A61, _A62, _A63, _A64, _A65))
 _B_ROW = (_B1, 0.0, _B3, _B4, _B5, _B6)
+_E_ROW = (_E1, 0.0, _E3, _E4, _E5, _E6, _E7)
 KAPPA_DEGREE = 3
 
 
@@ -167,41 +170,45 @@ def integrate_quasi_system(x0, x1, u0, w0, lam, eps, coef, forced,
 
 
 def linear_step_coefficients(h, inv_p, pf):
-    """The fifth-order DOPRI5 step as a polynomial in kappa = -i*lam/eps.
+    """The fifth-order DOPRI5 step and its error estimate as polynomials in kappa = -i*lam/eps.
 
     The system is Y' = (A(x) + kappa*B(x)) Y with A = [[0, 1/p], [0, 0]] and
     B = [[0, 0], [p/f, 0]], so one step maps (u, w) at x to (u, w) at x + h
     by a 2x2 matrix P(kappa) = sum_m C_m kappa^m with real C_m.  A and B are
     nilpotent, so a term of P alternates them; six stages nest at most six
-    factors, hence at most three B's and degree KAPPA_DEGREE.
+    factors, hence at most three B's and degree KAPPA_DEGREE.  The embedded
+    error estimate (``integrate_quasi_system``'s err_u, err_w) is E(kappa)
+    applied to the step's start state; its FSAL stage at x + h multiplies P
+    by one more factor, so E has degree KAPPA_DEGREE + 1.
 
     ``h`` has shape (n,); ``inv_p`` and ``pf`` have shape (n, 6): 1/p and
-    p/f at x + c*h for c in STAGE_FRACTIONS.  Returns C of shape
-    (n, 2, 2, KAPPA_DEGREE + 1), C[k, r, s, m] being the kappa^m
-    coefficient of P_k[r, s].
+    p/f at x + c*h for c in STAGE_FRACTIONS.  Returns (C, E) of shapes
+    (n, 2, 2, KAPPA_DEGREE + 1) and (n, 2, 2, KAPPA_DEGREE + 2), C[k, r, s, m]
+    being the kappa^m coefficient of P_k[r, s].
     """
     n = h.shape[0]
-    y0 = np.zeros((n, 2, 2, KAPPA_DEGREE + 1))
+    y0 = np.zeros((n, 2, 2, KAPPA_DEGREE + 2))
     y0[:, 0, 0, 0] = 1.0
     y0[:, 1, 1, 0] = 1.0
     hh = h[:, None, None, None]
     ks = []
-    for i, row in enumerate(_A_ROWS):
+    # the six stages, then the FSAL stage at x + h from the step's end state
+    for i, row in enumerate(_A_ROWS + (_B_ROW,)):
         y = y0 + hh * sum(a * k for a, k in zip(row, ks)) if row else y0
         k = np.zeros_like(y0)
-        k[:, 0] = inv_p[:, i, None, None] * y[:, 1]
-        k[:, 1, :, 1:] = pf[:, i, None, None] * y[:, 0, :, :-1]   # times kappa
+        k[:, 0] = inv_p[:, min(i, 5), None, None] * y[:, 1]
+        k[:, 1, :, 1:] = pf[:, min(i, 5), None, None] * y[:, 0, :, :-1]   # times kappa
         ks.append(k)
-    return y0 + hh * sum(b * k for b, k in zip(_B_ROW, ks))
+    return y[..., :-1], hh * sum(e * k for e, k in zip(_E_ROW, ks))   # y is the end state
 
 
 def linear_step_matrices(coeffs, kappa):
-    """P(kappa) from ``linear_step_coefficients``, by Horner's rule.
+    """P(kappa) from coefficients such as ``linear_step_coefficients``'s, by Horner's rule.
 
     ``kappa`` broadcasts against ``coeffs[..., 0, 0, 0]``.
     """
     kappa = np.asarray(kappa)[..., None, None]
-    out = coeffs[..., KAPPA_DEGREE] * kappa
-    for m in range(KAPPA_DEGREE - 1, 0, -1):
+    out = coeffs[..., -1] * kappa
+    for m in range(coeffs.shape[-1] - 2, 0, -1):
         out = (out + coeffs[..., m]) * kappa
     return out + coeffs[..., 0]

@@ -14,7 +14,8 @@ solutions and the weight (-i/eps)*(p/f)(s):
 
 phi and psi come from one path, ``shooting.solution_pairs``: both
 solutions at lam and -lam marched through one mesh that contains the
-requested positive nodes.  One sampler, ``_full_period``, turns its
+requested positive nodes, refined until every step passes the DOPRI5
+error test; no scalar shot is taken.  One sampler, ``_full_period``, turns its
 result into these generators on the full period; the kernel, the flux
 check and the dyadic audit in ``schatten`` all read it.  Negative
 arguments come by reflection: phi(x, lam) = phi(-x, -lam) and
@@ -186,7 +187,8 @@ def assemble_kernel(model: OperatorModel, lam, grid_size: int,
             f"periodicity denominator |phi(pi)/phi(-pi) - 1| = {abs(full.denominator):.3e} "
             f"is numerically zero: lam = {lam} is an eigenvalue")
     meta = {"model": model, "grid_size": grid_size,
-            "wronskian_deviation": pairs.wronskian_deviation}
+            "wronskian_deviation": pairs.wronskian_deviation,
+            "mesh_nodes": len(pairs.nodes), "mesh_rounds": pairs.rounds}
     return KernelGrid(lam=complex(lam), nodes=x, weights=w, phi_on_grid=full.phi,
                       psi_on_grid=full.psi, log_pf_on_grid=full.log_pf,
                       psi_weight_on_grid=full.w2, denominator=full.denominator,

@@ -33,6 +33,10 @@ PI = math.pi
 
 DEFAULT_ORDERS = (1.0, 1.5, 2.0, 3.0)
 DYADIC_GAUSS_ORDER = 16                 # Gauss points per dyadic interval
+# Blocks within this relative distance of a level's max tie, and the lowest
+# index among them is reported: mirror blocks tie to rounding (4e-16 to
+# 8e-13 measured), the next distinct block was 6e-4 or more below the max.
+ARGMAX_TIE = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +85,7 @@ class DyadicBoundReport:
     lam: complex
     levels: np.ndarray                  # 0..J
     alpha_hat: np.ndarray               # per-level max block norm
-    argmax_index: np.ndarray            # i attaining each alpha_hat
+    argmax_index: np.ndarray            # lowest i attaining each alpha_hat, up to ARGMAX_TIE
     fitted_m: float                     # max_j 2^j * alpha_hat_j
     ratios: np.ndarray                  # alpha_hat[j+1]/alpha_hat[j]
 
@@ -122,8 +126,9 @@ def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
         idx = np.searchsorted(x, nodes)
         norm_v = np.sqrt((v_sq[idx[0::2]] @ gw) * jac[0::2])
         norm_w = np.sqrt((w_sq[idx[1::2]] @ gw) * jac[1::2])
-        argmax[j] = np.argmax(norm_v * norm_w)
-        alpha_hat[j] = norm_v[argmax[j]] * norm_w[argmax[j]]
+        blocks = norm_v * norm_w
+        alpha_hat[j] = np.max(blocks)
+        argmax[j] = np.argmax(blocks >= (1.0 - ARGMAX_TIE) * alpha_hat[j])
 
     fitted_m = float(np.max(alpha_hat * 2.0 ** np.arange(levels + 1)))
     ratios = alpha_hat[1:] / alpha_hat[:-1]

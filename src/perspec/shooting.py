@@ -20,8 +20,8 @@ Negative x is never integrated here; callers use the reflection to -lam.
 original equation on (-pi, 0) in the f-weighted state (u, f*u') with
 scipy's stepper and compares against the reflected trace.
 
-The adaptive scalar stepper (``integrate_phi``, ``integrate_psi``) only
-lays out meshes and certifies: ``compute_phi_at_pi`` behind the scalar
+The adaptive scalar stepper (``integrate_phi``) only lays out the scan's
+mesh and certifies: ``compute_phi_at_pi`` behind the scalar
 ``dispersion``, eigenfunctions and the phi trace dump.  Everything else
 marches fixed meshes.  The equation is linear and lam enters only through
 kappa = -i*lam/eps, so on a mesh each interval's DOPRI5 step is a 2x2
@@ -40,9 +40,13 @@ and every lam is one column marched through the same propagators.
   audit's Gauss nodes.  Its one cutoff delta is the pinned
   ``SolverConfig.delta`` or ``singular.default_cutoff(lam)``, capped at
   CUTOFF_CAP times the requested nodes' distances to 0 and to pi so that
-  no requested node falls inside the seed collar.  The mesh joins those
-  nodes with the nodes of one adaptive phi shot and one adaptive psi shot
-  at lam; psi is marched backward with steps of negative length.
+  no requested node falls inside the seed collar.  The mesh is laid out
+  without the scalar stepper: it starts from the requested nodes, the fit
+  nodes, the breakpoints and the stepper's endpoint cap as a geometric
+  collar, and every interval that fails the stepper's own acceptance test
+  (the embedded DOPRI5 error of the marched step, for phi and psi at lam
+  and -lam) is split until none does.  psi is marched backward with steps
+  of negative length.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ MESH_DEFECT_FACTOR = 10.0                # step-doubling tolerance of a shared m
 MESH_MAX_HALVINGS = 6
 PHI_FIT = (4.0, 2.0, 1.0)                # phi(pi) is fitted to u at pi - m*delta
 MARCH_BLOCK = 4096                       # (interval x column) propagators built at a time
+SPLIT_SAFETY = 1.2                       # a failing interval splits into ceil(1.2*err^(1/5)) parts
 STEP_BLOCK = 512                         # intervals whose step polynomials are built at a time
 
 
@@ -100,7 +105,7 @@ class SolutionTrace:
     grid: np.ndarray
     values: np.ndarray
     quasi_derivatives: np.ndarray
-    branch: str                          # phi | psi-prenorm
+    branch: str                          # phi
     delta: float                         # seed cutoff at 0 and at pi
     meta: dict
 
@@ -121,18 +126,15 @@ class EndpointValue:
 
 def _forced_nodes(model: OperatorModel, x0: float, x1: float,
                   outputs: Optional[list]) -> np.ndarray:
-    lo, hi = (x0, x1) if x1 > x0 else (x1, x0)
-    pts = [k for k in model.profile.breakpoints if lo < k < hi]
+    pts = [k for k in model.profile.breakpoints if x0 < k < x1]
     if outputs is not None:
-        pts.extend(t for t in outputs if lo + 1e-15 < t < hi - 1e-15)
+        pts.extend(t for t in outputs if x0 + 1e-15 < t < x1 - 1e-15)
     pts = np.asarray(sorted(set(pts)), dtype=float)
     if len(pts) > 1:                       # drop near-coincident nodes
         keep = np.concatenate([[True], np.diff(pts) > 1e-12])
         pts = pts[keep]
     if len(pts):                           # endpoints are recorded anyway
         pts = pts[(np.abs(pts - x0) > 1e-12) & (np.abs(pts - x1) > 1e-12)]
-    if x1 < x0:
-        pts = pts[::-1]
     return np.concatenate([pts, [x1]])
 
 
@@ -153,10 +155,7 @@ def _run(model: OperatorModel, lam, x0, x1, u0, w0, config: SolverConfig,
         raise IntegrationError(
             f"step budget exhausted at x = {x_reached:.6g} (lam = {lam})",
             x_reached=x_reached)
-    xs, us, ws = xs[:n_out], us[:n_out], ws[:n_out]
-    if x1 < x0:
-        xs, us, ws = xs[::-1].copy(), us[::-1].copy(), ws[::-1].copy()
-    return xs, us, ws
+    return xs[:n_out], us[:n_out], ws[:n_out]
 
 
 def _cutoff(lam, config: SolverConfig, nodes=()) -> float:
@@ -184,22 +183,6 @@ def integrate_phi(model: OperatorModel, lam, config: SolverConfig = DEFAULT_CONF
                       config, fit, record_steps)
     return SolutionTrace(lam=complex(lam), grid=xs, values=us, quasi_derivatives=ws,
                          branch="phi", delta=delta,
-                         meta={"rtol": config.rtol, "atol": config.atol})
-
-
-def integrate_psi(model: OperatorModel, lam,
-                  config: SolverConfig = DEFAULT_CONFIG) -> SolutionTrace:
-    """Adaptive trace of the branch vanishing at pi, before any scaling.
-
-    Integrated backward from pi - delta to delta, landing on the profile's
-    breakpoints and recording every accepted step.
-    """
-    delta = _cutoff(lam, config)
-    seed = seed_vanishing_at_pi(model, lam, delta)
-    xs, us, ws = _run(model, lam, PI - delta, delta, seed.value, seed.quasi_derivative,
-                      config, None, record_steps=True)
-    return SolutionTrace(lam=complex(lam), grid=xs, values=us, quasi_derivatives=ws,
-                         branch="psi-prenorm", delta=delta,
                          meta={"rtol": config.rtol, "atol": config.atol})
 
 
@@ -264,7 +247,8 @@ class SolutionPairs:
     psi at the node nearest pi/2; ``wronskian_deviation`` is the largest
     |W/W0 - 1| over every node and both columns.  The endpoint parts are
     two-branch fits: phi's regular part and psi's singular part at pi,
-    and psi's singular part (exponent -sigma) at 0.
+    and psi's singular part (exponent -sigma) at 0.  ``rounds`` counts the
+    marches of the mesh refinement, the last one on the accepted mesh.
     """
 
     lam: complex
@@ -280,34 +264,113 @@ class SolutionPairs:
     delta: float
     wronskian: np.ndarray
     wronskian_deviation: float
+    rounds: int
+
+
+def _start_mesh(model: OperatorModel, nodes: np.ndarray, delta: float) -> np.ndarray:
+    """The requested nodes, the fit nodes, the breakpoints and the step cap's collar.
+
+    The collar is delta*(1 + CAP_FRAC)^k from each end up to pi/2, and pi/2
+    itself: the longest steps the scalar stepper's endpoint cap allows, in
+    either direction.
+    """
+    fit = delta * np.array(PHI_FIT[::-1])                  # delta, 2*delta, 4*delta
+    collar = delta * (1.0 + CAP_FRAC) ** np.arange(
+        math.ceil(math.log(PI / (2.0 * delta)) / math.log1p(CAP_FRAC)))
+    inside = [b for b in model.profile.breakpoints if delta < b < PI - delta]
+    return np.unique(np.concatenate([nodes, fit, PI - fit, collar, PI - collar,
+                                     [PI / 2], inside]))
+
+
+def _check_budget(count: float, config: SolverConfig, x_reached=None) -> None:
+    if count > config.max_steps:
+        raise IntegrationError(f"step budget exhausted: the mesh needs {count:.6g} nodes, "
+                               f"more than {config.max_steps}", x_reached=x_reached)
+
+
+def _local_errors(errs: np.ndarray, kappa: np.ndarray, us: np.ndarray, ws: np.ndarray,
+                  config: SolverConfig) -> np.ndarray:
+    """The scalar stepper's err of every marched step, the largest over the columns.
+
+    ``errs`` holds the steps' error polynomials and (us, ws) the marched
+    states, both in travel order; err <= 1 accepts a step.
+    """
+    eu, ew = _apply(linear_step_matrices(errs[:, None], kappa), us[:-1], ws[:-1])
+    sc_u = config.atol + config.rtol * np.maximum(np.abs(us[:-1]), np.abs(us[1:]))
+    sc_w = config.atol + config.rtol * np.maximum(np.abs(ws[:-1]), np.abs(ws[1:]))
+    return np.max(np.sqrt(0.5 * ((np.abs(eu) / sc_u) ** 2 + (np.abs(ew) / sc_w) ** 2)), axis=1)
+
+
+def _split(model: OperatorModel, mesh: np.ndarray, steps: tuple, err: np.ndarray,
+           config: SolverConfig):
+    """Split each interval whose err exceeds 1 into ceil(SPLIT_SAFETY*err^(1/5)) equal parts.
+
+    ``steps`` holds the forward and backward step polynomials and error
+    polynomials of the ascending intervals; those of unsplit intervals
+    are kept.  Returns the new mesh and its ``steps``.
+    """
+    fail = ~(err <= 1.0)                                  # nan fails too
+    parts = np.where(fail, np.ceil(SPLIT_SAFETY * np.nan_to_num(err, nan=np.inf) ** 0.2), 1.0)
+    _check_budget(len(mesh) + float(np.sum(parts - 1.0)), config, mesh[int(np.argmax(fail))])
+    parts = parts.astype(int)
+    width = np.diff(mesh) / parts
+    small = fail & (width < 1e-14 * np.maximum(np.abs(mesh[:-1]), 1.0))
+    if np.any(small):
+        x = float(mesh[int(np.argmax(small))])
+        raise IntegrationError(f"step size underflow at x = {x:.6g}; the coefficient "
+                               "degenerates faster than the mesh can follow", x_reached=x)
+    owner = np.repeat(np.arange(len(parts)), parts)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(parts) - parts, parts)
+    new = np.append(mesh[owner] + offset * width[owner], mesh[-1])
+    changed = (parts > 1)[owner]
+    h = np.diff(new)[changed]
+    fresh = (_step_coefficients(model, new[:-1][changed], h)
+             + _step_coefficients(model, new[1:][changed], -h))
+    out = []
+    for old, built in zip(steps, fresh):
+        arr = np.empty((len(owner),) + old.shape[1:])
+        arr[~changed] = old[owner[~changed]]
+        arr[changed] = built
+        out.append(arr)
+    return new, tuple(out)
 
 
 def solution_pairs(model: OperatorModel, lam, nodes,
                    config: SolverConfig = DEFAULT_CONFIG) -> SolutionPairs:
     """phi and psi at lam and -lam, marched through one mesh that contains ``nodes``.
 
-    The mesh joins the requested nodes, the fit nodes m*delta and
-    pi - m*delta (m = 1, 2, 4) and the recorded nodes of one adaptive phi
-    shot and one adaptive psi shot at lam, all at the one cutoff delta.
-    phi is marched forward from delta and psi backward from pi - delta,
-    with lam and -lam as columns.  A Wronskian below WRONSKIAN_FLOOR times
-    max |phi*w_psi| means lam is numerically an eigenvalue.
+    The mesh starts from ``_start_mesh`` at the one cutoff delta.  phi is
+    marched forward from delta and psi backward from pi - delta, with lam
+    and -lam as columns, and every interval whose step fails the scalar
+    stepper's acceptance test in any of the four columns is split; this
+    repeats until every step passes.  More than ``config.max_steps`` nodes,
+    or a split below 1e-14 relative, raises IntegrationError.  A Wronskian
+    below WRONSKIAN_FLOOR times max |phi*w_psi| means lam is numerically an
+    eigenvalue.
     """
     nodes = np.asarray(nodes, dtype=float).ravel()
     delta = _cutoff(lam, config, nodes)
-    at_delta = replace(config, delta=delta)
-    fit = delta * np.array(PHI_FIT[::-1])            # delta, 2*delta, 4*delta
-    mesh = np.unique(np.concatenate([nodes, fit, PI - fit,
-                                     integrate_phi(model, lam, at_delta).grid,
-                                     integrate_psi(model, lam, at_delta).grid]))
     lams = np.array([lam, -lam], dtype=complex)
     kappa = -1j * lams / model.epsilon
-    every = np.arange(len(mesh))
-    phi, phi_qd = _march(_step_coefficients(model, mesh[:-1], np.diff(mesh)), kappa,
-                         *_seeds(seed_regular_origin, model, lams, delta), every)
-    back = mesh[::-1]                                # psi steps have negative length
-    psi, psi_qd = _march(_step_coefficients(model, back[:-1], np.diff(back)), kappa,
-                         *_seeds(seed_vanishing_at_pi, model, lams, delta), every)
+    phi_seed = _seeds(seed_regular_origin, model, lams, delta)
+    psi_seed = _seeds(seed_vanishing_at_pi, model, lams, delta)
+
+    mesh = _start_mesh(model, nodes, delta)
+    _check_budget(len(mesh), config)
+    h = np.diff(mesh)                                    # psi steps have negative length
+    steps = _step_coefficients(model, mesh[:-1], h) + _step_coefficients(model, mesh[1:], -h)
+    rounds = 0
+    while True:
+        rounds += 1
+        fwd, fwd_err, bwd, bwd_err = steps
+        every = np.arange(len(mesh))
+        phi, phi_qd = _march(fwd, kappa, *phi_seed, every)
+        psi, psi_qd = _march(bwd[::-1], kappa, *psi_seed, every)
+        err = np.maximum(_local_errors(fwd_err, kappa, phi, phi_qd, config),
+                         _local_errors(bwd_err[::-1], kappa, psi, psi_qd, config)[::-1])
+        if np.all(err <= 1.0):
+            break
+        mesh, steps = _split(model, mesh, steps, err, config)
     psi, psi_qd = psi[::-1], psi_qd[::-1]
 
     W = psi_qd * phi - phi_qd * psi
@@ -319,6 +382,7 @@ def solution_pairs(model: OperatorModel, lam, nodes,
             f"lam = {lam} is numerically an eigenvalue")
     psi, psi_qd = psi / W0, psi_qd / W0
 
+    fit = delta * np.array(PHI_FIT[::-1])
     a1, alpha1 = indicial_series_coefficients(model, lams)
     at_pi = np.searchsorted(mesh, PI - fit)
     at_0 = np.searchsorted(mesh, fit)
@@ -329,7 +393,8 @@ def solution_pairs(model: OperatorModel, lam, nodes,
                          phi=phi, phi_qd=phi_qd, psi=psi, psi_qd=psi_qd,
                          phi_at_pi=phi_at_pi, psi_at_pi=psi_at_pi, psi_at_origin=psi_at_0,
                          delta=delta, wronskian=W0,
-                         wronskian_deviation=float(np.max(np.abs(W / W0 - 1.0))))
+                         wronskian_deviation=float(np.max(np.abs(W / W0 - 1.0))),
+                         rounds=rounds)
 
 
 def mirror_audit(model: OperatorModel, lam, config: SolverConfig = DEFAULT_CONFIG,
@@ -394,19 +459,20 @@ class SharedMesh:
     check_marches: int = 0
 
 
-def _step_coefficients(model: OperatorModel, x0: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Step polynomials of the steps from x0 to x0 + h, coefficients read at the stage points.
+def _step_coefficients(model: OperatorModel, x0: np.ndarray, h: np.ndarray) -> tuple:
+    """Step and error polynomials of the steps from x0 to x0 + h, coefficients read at the stage points.
 
     A negative h is a backward step, taken from the right end of its interval.
     """
     out = np.empty((len(h), 2, 2, KAPPA_DEGREE + 1))
+    err = np.empty((len(h), 2, 2, KAPPA_DEGREE + 2))
     for i in range(0, len(h), STEP_BLOCK):
         part = slice(i, i + STEP_BLOCK)
         x = x0[part, None] + np.outer(h[part], STAGE_FRACTIONS)
         pf = np.asarray(compute_p_over_f(model, x))
         inv_p = 1.0 / (np.asarray(eval_f(model.profile, x)) * pf)
-        out[part] = linear_step_coefficients(h[part], inv_p, pf)
-    return out
+        out[part], err[part] = linear_step_coefficients(h[part], inv_p, pf)
+    return out, err
 
 
 def _tabulate(model: OperatorModel, nodes: np.ndarray, lam_max: float) -> SharedMesh:
@@ -416,7 +482,7 @@ def _tabulate(model: OperatorModel, nodes: np.ndarray, lam_max: float) -> Shared
     if fit[-1] != len(nodes) - 1 or np.any(np.abs(nodes[fit] - marks) > 1e-6 * delta):
         raise ValidationError("a shared mesh runs from delta to pi - delta through "
                               "pi - 4*delta and pi - 2*delta")
-    return SharedMesh(nodes=nodes, coeffs=_step_coefficients(model, nodes[:-1], np.diff(nodes)),
+    return SharedMesh(nodes=nodes, coeffs=_step_coefficients(model, nodes[:-1], np.diff(nodes))[0],
                       fit=fit, lam_max=float(lam_max))
 
 
@@ -436,22 +502,44 @@ def _march(coeffs: np.ndarray, kappa: np.ndarray, u: np.ndarray, w: np.ndarray, 
 
     Returns the states (u, w) at the nodes ``keep``, ascending indices in
     travel order (node 0 is the start, node k where step k lands), one row
-    per kept node.  Propagators are built MARCH_BLOCK at a time, so memory
-    stays O(intervals + columns) beyond the kept rows.
+    per kept node.  Propagators are built MARCH_BLOCK (interval x column)
+    at a time.  Within such a chunk the intervals are walked in blocks of
+    L: the prefix products of every block's propagators are formed for all
+    blocks at once, one elementwise 2x2 product per position in a block,
+    and then one step per block carries the columns across the chunk, so
+    the chunk costs about L + chunk/L numpy calls instead of chunk.  L is
+    isqrt(intervals / columns): with many columns every call already has
+    enough work, and L stays 1.
     """
-    slot = {k: i for i, k in enumerate(np.asarray(keep).tolist())}
-    us = np.empty((len(slot), len(kappa)), dtype=complex)
+    keep = np.asarray(keep)
+    us = np.empty((len(keep), len(kappa)), dtype=complex)
     ws = np.empty_like(us)
-    if 0 in slot:
-        us[slot[0]], ws[slot[0]] = u, w
-    block = max(1, MARCH_BLOCK // len(kappa))
-    for k0 in range(0, len(coeffs), block):
-        P = linear_step_matrices(coeffs[k0:k0 + block, None], kappa)
-        for k, Pk in enumerate(P, start=k0 + 1):
-            u, w = _apply(Pk, u, w)
-            i = slot.get(k)
-            if i is not None:
-                us[i], ws[i] = u, w
+    us[keep == 0], ws[keep == 0] = u, w
+    chunk = max(1, MARCH_BLOCK // len(kappa))
+    for k0 in range(0, len(coeffs), chunk):
+        P = linear_step_matrices(coeffs[k0:k0 + chunk, None], kappa)
+        n = len(P)
+        L = max(1, math.isqrt(n // len(kappa)))
+        if n % L:                                 # pad the last block with identity steps
+            P = np.concatenate([P, np.broadcast_to(np.eye(2), (L - n % L,) + P.shape[1:])])
+        P = P.reshape(-1, L, *P.shape[1:])
+        q00, q01, q10, q11 = P[..., 0, 0], P[..., 0, 1], P[..., 1, 0], P[..., 1, 1]
+        for j in range(1, L):                     # P[:, j] becomes the product of steps 0..j
+            a00, a01, a10, a11 = q00[:, j], q01[:, j], q10[:, j], q11[:, j]
+            b00, b01, b10, b11 = q00[:, j - 1], q01[:, j - 1], q10[:, j - 1], q11[:, j - 1]
+            q00[:, j], q01[:, j] = a00 * b00 + a01 * b10, a00 * b01 + a01 * b11
+            q10[:, j], q11[:, j] = a10 * b00 + a11 * b10, a10 * b01 + a11 * b11
+        t00, t01, t10, t11 = q00[:, -1], q01[:, -1], q10[:, -1], q11[:, -1]
+        starts = []
+        for i in range(len(P)):
+            starts.append((u, w))
+            u, w = t00[i] * u + t01[i] * w, t10[i] * u + t11[i] * w
+        rows = (keep > k0) & (keep <= k0 + n)
+        if np.any(rows):
+            b, j = np.divmod(keep[rows] - k0 - 1, L)
+            su, sw = np.array(starts).transpose(1, 0, 2)[:, b]
+            us[rows] = q00[b, j] * su + q01[b, j] * sw
+            ws[rows] = q10[b, j] * su + q11[b, j] * sw
     return us, ws
 
 

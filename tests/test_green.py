@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import perspec as ps
+from perspec import shooting
+from perspec.cli import EXIT_OK, run_subcommand
 from perspec.errors import (EigenvalueProximityError, GridMismatchError,
                             ValidationError)
 from perspec.green import (apply_resolvent, assemble_kernel,
@@ -68,6 +70,31 @@ class TestKernelStructure:
 
     def test_wronskian_deviation_recorded(self, kernel_256):
         assert kernel_256.meta["wronskian_deviation"] < 1e-6
+
+    def test_mesh_counters_recorded(self, sine_model, kernel_256):
+        again = assemble_kernel(sine_model, 1j, 256)
+        assert kernel_256.meta["mesh_nodes"] == again.meta["mesh_nodes"] > 256 // 2
+        assert kernel_256.meta["mesh_rounds"] == again.meta["mesh_rounds"] >= 1
+
+
+class TestNoScalarShots:
+    # the kernel side lays out its meshes without the adaptive scalar stepper
+    @pytest.fixture(autouse=True)
+    def refuse_shots(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive scalar shot")
+
+        monkeypatch.setattr(shooting, "integrate_quasi_system", refuse)
+
+    def test_assemble_kernel(self, sine_model):
+        assert assemble_kernel(sine_model, 0.9 + 0.57j, 256).meta["mesh_rounds"] >= 1
+
+    def test_dyadic_bound_audit(self, sine_model):
+        assert ps.dyadic_bound_audit(sine_model, 0.7 + 1j, 3).alpha_hat[0] > 0.0
+
+    def test_resolve_subcommand(self, tmp_path):
+        assert run_subcommand(["resolve", "--grid", "128",
+                               "--out", str(tmp_path / "u.csv")]) == EXIT_OK
 
 
 class TestResolvent:

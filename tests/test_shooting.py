@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import perspec as ps
-from perspec import green, shooting
+from perspec import _stepper, green, shooting
 from perspec.errors import (EigenvalueProximityError, IntegrationError,
                             SolverError)
 from perspec.shooting import (SolutionTrace, SolverConfig, compute_phi_at_pi,
                               extrapolate_endpoint, integrate_phi,
-                              integrate_psi, mirror_audit, solution_pairs)
+                              mirror_audit, solution_pairs)
+from perspec.singular import (compute_p_over_f, integrating_factor,
+                              seed_vanishing_at_pi)
 
 PI = math.pi
 TIGHT = SolverConfig(rtol=1e-13, atol=1e-15)
@@ -38,6 +41,32 @@ def _psi_trace(pairs, column=0):
 
 def _wronskian(pairs):
     return pairs.psi_qd * pairs.phi - pairs.phi_qd * pairs.psi
+
+
+def _dopri5_errors(model, lam, x0, h, u, w, rtol, atol):
+    """The scalar stepper's err for one DOPRI5 step per interval, stepped elementwise.
+
+    Steps go from x0 to x0 + h, started at (u, w) (shape: intervals x
+    columns), with the columns at lam and -lam; the formula is that of
+    ``integrate_quasi_system``.
+    """
+    kappa = -1j * np.array([lam, -lam]) / model.epsilon
+
+    def rhs(x, y):
+        pf = compute_p_over_f(model, x)
+        p = pf * ps.eval_f(model.profile, x)
+        return y[1] / p[:, None], kappa * pf[:, None] * y[0]
+
+    y0 = np.array([u, w])
+    ks = []
+    for c, row in zip(_stepper.STAGE_FRACTIONS, _stepper._A_ROWS):
+        y = y0 + h[:, None] * sum(a * k for a, k in zip(row, ks)) if row else y0
+        ks.append(np.array(rhs(x0 + c * h, y)))
+    y_new = y0 + h[:, None] * sum(b * k for b, k in zip(_stepper._B_ROW, ks))
+    ks.append(np.array(rhs(x0 + h, y_new)))
+    err = h[:, None] * sum(e * k for e, k in zip(_stepper._E_ROW, ks))
+    sc = atol + rtol * np.maximum(np.abs(y0), np.abs(y_new))
+    return np.sqrt(0.5 * np.sum((np.abs(err) / sc) ** 2, axis=0))
 
 
 class TestIntegratePhi:
@@ -224,20 +253,31 @@ class TestSolutionPairs:
     @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
     @pytest.mark.parametrize("kind", PROFILES)
     def test_psi_march_reproduces_its_shot(self, kind, eps):
-        # unscaled psi on the psi shot's own nodes against the shot's values;
-        # at rtol 1e-12, since at 1e-10 the shot itself is up to 1.2e-9 off
+        # unscaled psi on the kernel's nodes against a DOP853 shot from the
+        # same seed with the same coefficients; at rtol 1e-12, since at 1e-10
+        # an adaptive shot itself is up to 1.2e-9 off
         model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=eps)
         lam = -2.9 + 0.75j
-        config = SolverConfig(rtol=1e-12, atol=1e-14)
-        pairs = solution_pairs(model, lam, _kernel_nodes(256), config)
-        shot = integrate_psi(model, lam, SolverConfig(delta=pairs.delta, rtol=1e-12, atol=1e-14))
-        rows = np.searchsorted(pairs.nodes, shot.grid)
-        assert np.array_equal(pairs.nodes[rows], shot.grid)
-        marched = pairs.psi[rows, 0] * pairs.wronskian[0]
-        assert np.max(np.abs(marched - shot.values)) <= 1e-9 * np.max(np.abs(shot.values))
+        nodes = _kernel_nodes(256)
+        pairs = solution_pairs(model, lam, nodes, SolverConfig(rtol=1e-12, atol=1e-14))
+        coef = integrating_factor(model).coef
+        kappa = -1j * lam / eps
 
-    def test_psi_shot_nodes_are_needed(self, sine_model, monkeypatch):
-        # a mesh from the phi shot alone leaves psi 1.4e-5 off near the origin
+        def rhs(x, y):
+            pf, p = coef(x)
+            return [y[1] / p, kappa * pf * y[0]]
+
+        seed = seed_vanishing_at_pi(model, lam, pairs.delta)
+        shot = solve_ivp(rhs, (PI - pairs.delta, pairs.delta),
+                         [complex(seed.value), complex(seed.quasi_derivative)],
+                         method="DOP853", t_eval=nodes[::-1], rtol=1e-12, atol=1e-14)
+        assert shot.success
+        want = shot.y[0, ::-1]
+        marched = pairs.psi[pairs.requested, 0] * pairs.wronskian[0]
+        assert np.max(np.abs(marched - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_psi_is_refined_too(self, sine_model, monkeypatch):
+        # a mesh refined for phi's columns alone leaves psi far off near the origin
         nodes = _kernel_nodes(2048)
         lam = 0.9 + 0.57j
         want = solution_pairs(sine_model, lam, nodes, TIGHT)
@@ -248,9 +288,35 @@ class TestSolutionPairs:
             return np.max(np.abs(got.psi[got.requested] - want)) / np.max(np.abs(want))
 
         assert error() <= 1e-9
-        monkeypatch.setattr(shooting, "integrate_psi", lambda model, lam, config:
-                            shooting.integrate_phi(model, lam, config))
+        calls = []
+        local_errors = shooting._local_errors
+
+        def phi_only(*args):                  # each round checks phi's march, then psi's
+            calls.append(local_errors(*args))
+            return calls[-1] if len(calls) % 2 else 0.0 * calls[-1]
+
+        monkeypatch.setattr(shooting, "_local_errors", phi_only)
         assert error() > 1e-6
+
+    @pytest.mark.parametrize("lam", [0.9 + 0.57j, -2.9 + 0.75j])
+    @pytest.mark.parametrize("eps", [0.45, 2.0])
+    @pytest.mark.parametrize("kind", PROFILES)
+    def test_every_step_passes_the_stepper_acceptance_test(self, kind, eps, lam):
+        model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=eps)
+        config = SolverConfig()
+        pairs = solution_pairs(model, lam, _kernel_nodes(512), config)
+        x, h = pairs.nodes, np.diff(pairs.nodes)
+        phi_err = _dopri5_errors(model, lam, x[:-1], h, pairs.phi[:-1], pairs.phi_qd[:-1],
+                                 config.rtol, config.atol)
+        psi, psi_qd = pairs.psi * pairs.wronskian, pairs.psi_qd * pairs.wronskian   # unscaled
+        psi_err = _dopri5_errors(model, lam, x[1:], -h, psi[1:], psi_qd[1:],
+                                 config.rtol, config.atol)
+        assert np.max(phi_err) <= 1.0 and np.max(psi_err) <= 1.0
+        assert pairs.rounds >= 2            # the start mesh alone fails the test
+
+    def test_step_budget_failure(self, sine_model):
+        with pytest.raises(IntegrationError):
+            solution_pairs(sine_model, 1.0, _kernel_nodes(256), SolverConfig(max_steps=40))
 
 
 class TestMirrorAudit:
