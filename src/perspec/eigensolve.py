@@ -10,13 +10,14 @@ function whose sign changes bracket the eigenvalues.
 D(-lam) = -D(lam) holds exactly (the same two boundary values swap), so
 only the positive half-axis is scanned and the result is mirrored.
 
-The scan and the refinement shoot on one shared mesh (``shooting.shared_mesh``):
+The scan and the refinement march on one shared mesh (``shooting.shared_mesh``),
+laid out by the marches' own step-error test at the top of the grid:
 every grid point is one column of a single batched march
 (``dispersion_batch``) seeded at the mesh's one cutoff, and the brackets
 are refined together by an Illinois (modified regula falsi) iteration,
 one batched march per step.  The residuals reported for the refined
 eigenvalues come from the scalar adaptive ``dispersion`` at each lam's
-own cutoff, independently of the mesh.
+own cutoff, independently of the mesh; they are the only scalar shots.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ class EigenvalueList:
     resolution: float
     skipped: list                    # grid points where the integrator failed
     mesh_nodes: int                  # nodes of the shared mesh (0 when none was built)
-    mesh_defect: float               # its step-doubling defect at the top of the grid
-    marches: int                     # batched marches: mesh check, scan and refinement
+    mesh_rounds: int                 # marches that laid the mesh out (0 when none was built)
+    marches: int                     # batched marches: mesh layout, scan and refinement
     refine_iterations: list          # lockstep iterations per positive root
 
     def positive(self) -> np.ndarray:
@@ -74,7 +75,7 @@ class EigenvalueList:
             "resolution": self.resolution,
             "skipped": list(self.skipped),
             "mesh_nodes": self.mesh_nodes,
-            "mesh_defect": self.mesh_defect,
+            "mesh_rounds": self.mesh_rounds,
             "batched_marches": self.marches,
             "refine_iterations": list(self.refine_iterations),
             "growth_slope": growth_slope(self),
@@ -108,10 +109,10 @@ def _served_mesh(model: OperatorModel, grid: np.ndarray, config: SolverConfig):
     """The shared mesh for the longest leading part of ``grid`` it can be built for.
 
     Returns (mesh or None, number of grid points served, skipped entries).
-    The mesh shot at the top of the grid is the hardest; when it fails, the
-    largest grid point whose mesh shot succeeds is found by bisection and
-    every point above it is skipped with the reason of the failure just
-    above it.
+    The mesh for the top of the grid is the hardest to lay out; when it
+    fails, the largest grid point whose mesh can be laid out is found by
+    bisection and every point above it is skipped with the reason of the
+    failure just above it.
     """
     try:
         return shared_mesh(model, float(grid[-1]), config), len(grid), []
@@ -188,7 +189,7 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
     marches = 0
     if served:
         values[:served] = dispersion_batch(model, grid[:served], mesh)
-        marches = mesh.check_marches + 1
+        marches = mesh.rounds + 1
 
     spans = []                                   # (lo, hi, r_lo, r_hi); lo == hi: exact root
     for k in range(len(grid) - 1):
@@ -222,7 +223,7 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
                           relative_residuals=rel, lam_max=float(lam_max),
                           resolution=float(resolution), skipped=skipped,
                           mesh_nodes=len(mesh.nodes) if mesh else 0,
-                          mesh_defect=mesh.defect if mesh else 0.0,
+                          mesh_rounds=mesh.rounds if mesh else 0,
                           marches=marches, refine_iterations=iterations)
 
 

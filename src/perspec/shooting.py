@@ -20,39 +20,40 @@ Negative x is never integrated here; callers use the reflection to -lam.
 original equation on (-pi, 0) in the f-weighted state (u, f*u') with
 scipy's stepper and compares against the reflected trace.
 
-The adaptive scalar stepper (``integrate_phi``) only lays out the scan's
-mesh and certifies: ``compute_phi_at_pi`` behind the scalar
-``dispersion``, eigenfunctions and the phi trace dump.  Everything else
-marches fixed meshes.  The equation is linear and lam enters only through
-kappa = -i*lam/eps, so on a mesh each interval's DOPRI5 step is a 2x2
-matrix polynomial in kappa whose coefficients are computed once per mesh,
-and every lam is one column marched through the same propagators.
+The adaptive scalar stepper (``integrate_phi``) only certifies:
+``compute_phi_at_pi`` behind the scalar ``dispersion``, eigenfunctions and
+the phi trace dump.  Everything else marches meshes.  The equation is
+linear and lam enters only through kappa = -i*lam/eps, so on a mesh each
+interval's DOPRI5 step is a 2x2 matrix polynomial in kappa whose
+coefficients are computed once per mesh, and every lam is one column
+marched through the same propagators.
+
+Every mesh is laid out one way, by ``_accepted_mesh``: it starts from
+``_start_mesh`` (the requested nodes, the fit nodes, the breakpoints and
+the stepper's endpoint cap as a geometric collar), and every interval
+whose marched step fails the stepper's own acceptance test (the embedded
+DOPRI5 error, checked in every column) is split until none does.
 
 * ``boundary_values`` gives phi(pi, lam) for many lam on a ``SharedMesh``:
   seeded at the mesh's first node, its cutoff, and ended in the two-branch
   fit on the nodes pi - 4*delta, pi - 2*delta and pi - delta.
-  ``shared_mesh`` takes the nodes of one adaptive shot at the largest
-  |lam|, which has the smallest default cutoff, and accepts them by step
-  doubling.  Since the seed error is O(delta^2), that cutoff serves every
-  column at least as well as the column's own default would.
+  ``shared_mesh`` accepts its mesh for phi at +-lam_max at the default
+  cutoff of lam_max, the smallest of any |lam| it serves.
 * ``solution_pairs`` gives phi and psi at lam and -lam on every node of a
   mesh that contains the requested nodes: the kernel's grid, the dyadic
   audit's Gauss nodes.  Its one cutoff delta is the pinned
   ``SolverConfig.delta`` or ``singular.default_cutoff(lam)``, capped at
   CUTOFF_CAP times the requested nodes' distances to 0 and to pi so that
-  no requested node falls inside the seed collar.  The mesh is laid out
-  without the scalar stepper: it starts from the requested nodes, the fit
-  nodes, the breakpoints and the stepper's endpoint cap as a geometric
-  collar, and every interval that fails the stepper's own acceptance test
-  (the embedded DOPRI5 error of the marched step, for phi and psi at lam
-  and -lam) is split until none does.  psi is marched backward with steps
-  of negative length.
+  no requested node falls inside the seed collar.  The mesh is accepted
+  for phi and psi at lam and -lam; psi is marched backward with steps of
+  negative length.
+* ``mirror_audit`` marches phi alone at -lam on its own accepted mesh.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -76,8 +77,6 @@ CAP_FRAC = 0.5                           # step cap as fraction of endpoint dist
 # is where the dyadic audit's next level puts its innermost Gauss node.
 CUTOFF_CAP = 0.45
 WRONSKIAN_FLOOR = 1e-8                   # eigenvalue-proximity threshold factor
-MESH_DEFECT_FACTOR = 10.0                # step-doubling tolerance of a shared mesh, in rtol
-MESH_MAX_HALVINGS = 6
 PHI_FIT = (4.0, 2.0, 1.0)                # phi(pi) is fitted to u at pi - m*delta
 MARCH_BLOCK = 4096                       # (interval x column) propagators built at a time
 SPLIT_SAFETY = 1.2                       # a failing interval splits into ceil(1.2*err^(1/5)) parts
@@ -91,7 +90,7 @@ class SolverConfig:
     delta: Optional[float] = None        # seed cutoff; None -> 1e-4/sqrt(1+|lam|)
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_steps: int = 200_000
+    max_steps: int = 200_000             # scalar steps per shot; nodes per marched mesh
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -305,9 +304,10 @@ def _split(model: OperatorModel, mesh: np.ndarray, steps: tuple, err: np.ndarray
            config: SolverConfig):
     """Split each interval whose err exceeds 1 into ceil(SPLIT_SAFETY*err^(1/5)) equal parts.
 
-    ``steps`` holds the forward and backward step polynomials and error
-    polynomials of the ascending intervals; those of unsplit intervals
-    are kept.  Returns the new mesh and its ``steps``.
+    ``steps`` holds the forward step and error polynomials of the
+    ascending intervals, followed by the backward ones when psi is marched;
+    those of unsplit intervals are kept.  Returns the new mesh and its
+    ``steps``.
     """
     fail = ~(err <= 1.0)                                  # nan fails too
     parts = np.where(fail, np.ceil(SPLIT_SAFETY * np.nan_to_num(err, nan=np.inf) ** 0.2), 1.0)
@@ -324,8 +324,9 @@ def _split(model: OperatorModel, mesh: np.ndarray, steps: tuple, err: np.ndarray
     new = np.append(mesh[owner] + offset * width[owner], mesh[-1])
     changed = (parts > 1)[owner]
     h = np.diff(new)[changed]
-    fresh = (_step_coefficients(model, new[:-1][changed], h)
-             + _step_coefficients(model, new[1:][changed], -h))
+    fresh = _step_coefficients(model, new[:-1][changed], h)
+    if len(steps) > 2:
+        fresh += _step_coefficients(model, new[1:][changed], -h)
     out = []
     for old, built in zip(steps, fresh):
         arr = np.empty((len(owner),) + old.shape[1:])
@@ -335,42 +336,58 @@ def _split(model: OperatorModel, mesh: np.ndarray, steps: tuple, err: np.ndarray
     return new, tuple(out)
 
 
+def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
+                   config: SolverConfig, with_psi: bool = False):
+    """The mesh from ``_start_mesh`` split until every marched step passes the stepper's test.
+
+    phi is seeded at delta and marched forward, and with ``with_psi`` psi
+    is seeded at pi - delta and marched backward, one column per lam in
+    ``lams``; every interval whose step fails in any column is split, and
+    the marches repeat until every step passes.  More than
+    ``config.max_steps`` nodes, or a split below 1e-14 relative, raises
+    IntegrationError.  Returns the mesh, the forward step polynomials,
+    phi's states (u, w) and psi's (None without ``with_psi``) on every node
+    in travel order, and the number of marches run, the last one on the
+    accepted mesh.
+    """
+    mesh = _start_mesh(model, nodes, delta)
+    kappa = -1j * lams / model.epsilon
+    phi_seed = _seeds(seed_regular_origin, model, lams, delta)
+    _check_budget(len(mesh), config)
+    h = np.diff(mesh)                                    # psi steps have negative length
+    steps = _step_coefficients(model, mesh[:-1], h)
+    if with_psi:
+        psi_seed = _seeds(seed_vanishing_at_pi, model, lams, delta)
+        steps += _step_coefficients(model, mesh[1:], -h)
+    rounds = 0
+    while True:
+        rounds += 1
+        every = np.arange(len(mesh))
+        phi = _march(steps[0], kappa, *phi_seed, every)
+        err = _local_errors(steps[1], kappa, *phi, config)
+        psi = None
+        if with_psi:
+            psi = _march(steps[2][::-1], kappa, *psi_seed, every)
+            err = np.maximum(err, _local_errors(steps[3][::-1], kappa, *psi, config)[::-1])
+        if np.all(err <= 1.0):
+            return mesh, steps[0], phi, psi, rounds
+        mesh, steps = _split(model, mesh, steps, err, config)
+
+
 def solution_pairs(model: OperatorModel, lam, nodes,
                    config: SolverConfig = DEFAULT_CONFIG) -> SolutionPairs:
     """phi and psi at lam and -lam, marched through one mesh that contains ``nodes``.
 
-    The mesh starts from ``_start_mesh`` at the one cutoff delta.  phi is
-    marched forward from delta and psi backward from pi - delta, with lam
-    and -lam as columns, and every interval whose step fails the scalar
-    stepper's acceptance test in any of the four columns is split; this
-    repeats until every step passes.  More than ``config.max_steps`` nodes,
-    or a split below 1e-14 relative, raises IntegrationError.  A Wronskian
-    below WRONSKIAN_FLOOR times max |phi*w_psi| means lam is numerically an
+    The mesh is accepted by ``_accepted_mesh`` at the one cutoff delta for
+    phi and psi, with lam and -lam as columns.  A Wronskian below
+    WRONSKIAN_FLOOR times max |phi*w_psi| means lam is numerically an
     eigenvalue.
     """
     nodes = np.asarray(nodes, dtype=float).ravel()
     delta = _cutoff(lam, config, nodes)
     lams = np.array([lam, -lam], dtype=complex)
-    kappa = -1j * lams / model.epsilon
-    phi_seed = _seeds(seed_regular_origin, model, lams, delta)
-    psi_seed = _seeds(seed_vanishing_at_pi, model, lams, delta)
-
-    mesh = _start_mesh(model, nodes, delta)
-    _check_budget(len(mesh), config)
-    h = np.diff(mesh)                                    # psi steps have negative length
-    steps = _step_coefficients(model, mesh[:-1], h) + _step_coefficients(model, mesh[1:], -h)
-    rounds = 0
-    while True:
-        rounds += 1
-        fwd, fwd_err, bwd, bwd_err = steps
-        every = np.arange(len(mesh))
-        phi, phi_qd = _march(fwd, kappa, *phi_seed, every)
-        psi, psi_qd = _march(bwd[::-1], kappa, *psi_seed, every)
-        err = np.maximum(_local_errors(fwd_err, kappa, phi, phi_qd, config),
-                         _local_errors(bwd_err[::-1], kappa, psi, psi_qd, config)[::-1])
-        if np.all(err <= 1.0):
-            break
-        mesh, steps = _split(model, mesh, steps, err, config)
+    mesh, _, (phi, phi_qd), (psi, psi_qd), rounds = _accepted_mesh(
+        model, lams, nodes, delta, config, with_psi=True)
     psi, psi_qd = psi[::-1], psi_qd[::-1]
 
     W = psi_qd * phi - phi_qd * psi
@@ -403,8 +420,10 @@ def mirror_audit(model: OperatorModel, lam, config: SolverConfig = DEFAULT_CONFI
 
     Integrates the original equation directly on (-pi, 0) in the state
     (u, f*u') with scipy's RK45 (no integrating factor, no reflection) and
-    compares u(x) against the reflected value phi(-x, -lam) node-wise.
-    Returns the node set, both solution arrays and the max deviation.
+    compares u(x) against the reflected value phi(-x, -lam) node-wise;
+    phi is marched alone at -lam on a mesh that ``_accepted_mesh`` lays
+    out through the nodes.  Returns the node set, both solution arrays and
+    the max deviation.
     """
     eps = model.epsilon
     a1, _ = indicial_series_coefficients(model, lam)
@@ -412,8 +431,10 @@ def mirror_audit(model: OperatorModel, lam, config: SolverConfig = DEFAULT_CONFI
     d1 = max(d0, 2e-3)
     nodes = np.linspace(0.02, PI - 0.02, n_nodes)
 
-    pairs = solution_pairs(model, lam, nodes, config)
-    ref_vals = pairs.phi[pairs.requested, 1]          # phi(x, -lam)
+    delta = _cutoff(lam, config, nodes)
+    mesh, _, (phi, _), _, _ = _accepted_mesh(model, np.array([-lam], dtype=complex),
+                                             nodes, delta, config)
+    ref_vals = phi[np.searchsorted(mesh, nodes), 0]    # phi(x, -lam)
 
     def rhs(x, y):
         fx = eval_f(model.profile, x)
@@ -444,19 +465,16 @@ class SharedMesh:
     ``fit`` indexes the nodes pi - 4*delta, pi - 2*delta and pi - delta
     (the last) that every column is fitted on.  ``coeffs`` holds each
     interval's DOPRI5 step as a polynomial in kappa
-    (``linear_step_coefficients``).  The mesh is checked for |lam| up to
-    ``lam_max``: ``defect`` is the step-doubling defect there,
-    ``halvings`` how often the check halved every interval, and
-    ``check_marches`` the batched marches the check ran.
+    (``linear_step_coefficients``).  Every step passes the scalar
+    stepper's acceptance test for phi at +-``lam_max``; ``rounds`` counts
+    the marches that laid the mesh out.
     """
 
     nodes: np.ndarray
     coeffs: np.ndarray
     fit: np.ndarray
     lam_max: float
-    defect: float = math.nan
-    halvings: int = 0
-    check_marches: int = 0
+    rounds: int
 
 
 def _step_coefficients(model: OperatorModel, x0: np.ndarray, h: np.ndarray) -> tuple:
@@ -473,17 +491,6 @@ def _step_coefficients(model: OperatorModel, x0: np.ndarray, h: np.ndarray) -> t
         inv_p = 1.0 / (np.asarray(eval_f(model.profile, x)) * pf)
         out[part], err[part] = linear_step_coefficients(h[part], inv_p, pf)
     return out, err
-
-
-def _tabulate(model: OperatorModel, nodes: np.ndarray, lam_max: float) -> SharedMesh:
-    delta = nodes[0]
-    marks = PI - delta * np.array(PHI_FIT)
-    fit = np.searchsorted(nodes, marks - 1e-6 * delta)
-    if fit[-1] != len(nodes) - 1 or np.any(np.abs(nodes[fit] - marks) > 1e-6 * delta):
-        raise ValidationError("a shared mesh runs from delta to pi - delta through "
-                              "pi - 4*delta and pi - 2*delta")
-    return SharedMesh(nodes=nodes, coeffs=_step_coefficients(model, nodes[:-1], np.diff(nodes))[0],
-                      fit=fit, lam_max=float(lam_max))
 
 
 def _apply(P, u, w):
@@ -563,46 +570,20 @@ def boundary_values(model: OperatorModel, mesh: SharedMesh, lams) -> np.ndarray:
     return A
 
 
-def _halved(nodes: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(nodes) - 1)
-    out[::2] = nodes
-    out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
-    return out
-
-
-def check_mesh(model: OperatorModel, nodes, lam_max: float,
-               config: SolverConfig = DEFAULT_CONFIG) -> SharedMesh:
-    """Accept ``nodes`` for |lam| <= lam_max by step doubling.
-
-    D(lam_max) = phi(pi, lam_max) - phi(pi, -lam_max) on the mesh is
-    compared with the same on the mesh with every interval halved.  While
-    the difference relative to max(1, |phi|) exceeds MESH_DEFECT_FACTOR*rtol,
-    the halved mesh becomes the candidate.
-    """
-    lams = np.array([lam_max, -lam_max])
-    tol = MESH_DEFECT_FACTOR * config.rtol
-    mesh = _tabulate(model, np.asarray(nodes, dtype=float), lam_max)
-    vals = boundary_values(model, mesh, lams)
-    for halvings in range(MESH_MAX_HALVINGS + 1):
-        finer = _tabulate(model, _halved(mesh.nodes), lam_max)
-        fine_vals = boundary_values(model, finer, lams)
-        defect = float(abs((vals[0] - vals[1]) - (fine_vals[0] - fine_vals[1]))
-                       / max(1.0, float(np.max(np.abs(fine_vals)))))
-        if defect <= tol:
-            return replace(mesh, defect=defect, halvings=halvings,
-                           check_marches=halvings + 2)
-        mesh, vals = finer, fine_vals
-    raise IntegrationError(f"shared mesh still fails step doubling after {MESH_MAX_HALVINGS} "
-                           f"halvings (defect {defect:.3e} at lam = {lam_max})")
-
-
 def shared_mesh(model: OperatorModel, lam_max: float,
                 config: SolverConfig = DEFAULT_CONFIG) -> SharedMesh:
-    """A checked mesh for every |lam| <= lam_max.
+    """A mesh for every |lam| <= lam_max, laid out as ``solution_pairs`` lays out its own.
 
-    Its nodes are those of one adaptive phi shot at lam_max, which has the
-    smallest default cutoff; the profile's breakpoints and the fit nodes are
-    among them.  Raises IntegrationError when that shot or the check fails.
+    It starts from ``_start_mesh`` without requested nodes, at the default
+    cutoff of lam_max, which is the smallest of the grid's, and is
+    accepted by ``_accepted_mesh`` for phi alone at lam_max and -lam_max.
+    Since the seed error is O(delta^2), that cutoff serves every column at
+    least as well as the column's own default would.  Raises
+    IntegrationError as ``_accepted_mesh`` does.
     """
-    trace = integrate_phi(model, lam_max, config, record_steps=True)
-    return check_mesh(model, trace.grid, lam_max, config)
+    delta = _cutoff(lam_max, config)
+    lams = np.array([lam_max, -lam_max], dtype=complex)
+    nodes, coeffs, _, _, rounds = _accepted_mesh(model, lams, np.empty(0), delta, config)
+    return SharedMesh(nodes=nodes, coeffs=coeffs,
+                      fit=np.searchsorted(nodes, PI - delta * np.array(PHI_FIT)),
+                      lam_max=float(lam_max), rounds=rounds)

@@ -11,7 +11,7 @@ from perspec.eigensolve import (DispersionValue, dispersion, dispersion_batch,
 from perspec.errors import IntegrationError
 from perspec.profiles import (OperatorModel, piecewise_linear_profile,
                               sine_profile, tabulated_profile)
-from perspec.shooting import SolverConfig, check_mesh, shared_mesh
+from perspec.shooting import SolverConfig, shared_mesh
 
 PI = math.pi
 
@@ -54,29 +54,22 @@ class TestAgreementWithScalarPath:
             assert a.D.real == 0.0
 
 
-class TestMeshCheck:
-    def test_coarse_mesh_is_refined(self, sine_model):
-        nodes = shared_mesh(sine_model, 8.0).nodes
-        delta = nodes[0]
-        coarse = np.unique(np.concatenate([nodes[::8], [PI - 4 * delta, PI - 2 * delta,
-                                                        nodes[-1]]]))
-        checked = check_mesh(sine_model, coarse, 8.0)
-        assert checked.halvings >= 1
-        assert len(checked.nodes) == (len(coarse) - 1) * 2 ** checked.halvings + 1
-        assert checked.defect <= shooting.MESH_DEFECT_FACTOR * SolverConfig().rtol
-        got = dispersion_batch(sine_model, [8.0], checked)[0]
-        want = dispersion(sine_model, 8.0)
-        assert abs(got.D - want.D) <= 1e-8 * want.scale
+class TestSharedMesh:
+    def test_scalar_shots_only_certify(self, sine_model, monkeypatch):
+        # the mesh is laid out by marches: the scalar stepper runs only in the
+        # certifying dispersion, one shot at lam and one at -lam per eigenvalue
+        calls = []
+        stepper = shooting.integrate_quasi_system
 
-    def test_coarse_mesh_is_never_accepted_unrefined(self, sine_model, monkeypatch):
-        nodes = shared_mesh(sine_model, 8.0).nodes
-        monkeypatch.setattr(shooting, "MESH_MAX_HALVINGS", 0)
-        assert check_mesh(sine_model, nodes, 8.0).halvings == 0
-        delta = nodes[0]
-        coarse = np.unique(np.concatenate([nodes[::8], [PI - 4 * delta, PI - 2 * delta,
-                                                        nodes[-1]]]))
-        with pytest.raises(IntegrationError, match="step doubling"):
-            check_mesh(sine_model, coarse, 8.0)
+        def counted(*args):
+            calls.append(args[4].real)        # lam
+            return stepper(*args)
+
+        monkeypatch.setattr(shooting, "integrate_quasi_system", counted)
+        eigs = scan_and_refine(sine_model, 8.0, 0.05)
+        assert len(eigs.eigenvalues) == 7
+        assert len(calls) == 2 * len(eigs.eigenvalues)
+        assert sorted(calls) == sorted(np.concatenate([eigs.eigenvalues, -eigs.eigenvalues]))
 
 
 class TestSolverConfigKnobs:
@@ -84,7 +77,6 @@ class TestSolverConfigKnobs:
         cfg = SolverConfig(delta=1e-4, rtol=1e-8, atol=1e-10)
         mesh = shared_mesh(sine_model, 6.0, cfg)
         assert mesh.nodes[0] == 1e-4 and mesh.nodes[-1] == PI - 1e-4
-        assert mesh.defect <= shooting.MESH_DEFECT_FACTOR * cfg.rtol
         assert len(mesh.nodes) < len(shared_mesh(sine_model, 6.0).nodes)
         lams = [0.7, 2.9, 6.0]
         for lam, got in zip(lams, dispersion_batch(sine_model, lams, mesh)):
@@ -98,11 +90,12 @@ class TestSolverConfigKnobs:
         skipped = [s["lam"] for s in eigs.skipped]
         assert skipped and skipped == grid[len(grid) - len(skipped):].tolist()
         assert all("step budget" in s["reason"] for s in eigs.skipped)
-        # the scalar path draws the same line on the grid
+        # the line on the grid is the one the mesh's node budget draws
         with pytest.raises(IntegrationError):
-            dispersion(sine_model, skipped[0], cfg)
-        dispersion(sine_model, skipped[0] - 0.25, cfg)
+            shared_mesh(sine_model, skipped[0], cfg)
+        shared_mesh(sine_model, skipped[0] - 0.25, cfg)
         below = reference_eigs[reference_eigs < skipped[0] - 0.25]
+        assert len(eigs.positive()) >= 1
         np.testing.assert_allclose(eigs.positive(), below, atol=1e-5)
 
 
@@ -110,7 +103,7 @@ class TestRefinement:
     def test_counters(self, scan_8):
         d = scan_8.as_dict()
         assert d["mesh_nodes"] > 100
-        assert 0.0 < d["mesh_defect"] <= shooting.MESH_DEFECT_FACTOR * SolverConfig().rtol
+        assert d["mesh_rounds"] >= 2
         assert len(d["refine_iterations"]) == len(scan_8.positive())
         assert all(1 <= n <= 12 for n in d["refine_iterations"])
         assert d["batched_marches"] >= 3 + max(d["refine_iterations"])

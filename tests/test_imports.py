@@ -1,9 +1,14 @@
-"""Every name a package module imports at module level is used in that module.
+"""Every name a package module imports or keeps private at module level is used.
 
-No linter ships with the package, so this is the check for dead imports:
-a name bound by a top-level ``import`` or ``from ... import`` must appear
-as a name somewhere else in the module's syntax tree.  ``__init__.py``
-re-exports by importing, so it is left out.
+No linter ships with the package, so these are the checks for dead code:
+
+* a name bound by a top-level ``import`` or ``from ... import`` must
+  appear as a name somewhere else in the module's syntax tree;
+* a top-level UPPER_CASE constant or ``_private`` function or class must
+  be read, as a name or an attribute, somewhere in the package.
+
+``__init__.py`` re-exports by importing, so its imports and definitions
+are left out; what it reads still counts.
 """
 
 import ast
@@ -27,9 +32,44 @@ def unused_imports(source: str) -> list:
     return sorted(set(bound) - used)
 
 
+def unread_definitions(sources: dict) -> list:
+    """(module, name) of the constants and private definitions no module reads.
+
+    ``sources`` maps file names to source text.
+    """
+    defined, read = [], set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        if name != "__init__.py":
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    if node.name.startswith("_") and not node.name.endswith("__"):
+                        defined.append((name, node.name))
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined += [(name, n.id) for t in targets for n in ast.walk(t)
+                                if isinstance(n, ast.Name) and n.id.isupper()]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(d for d in defined if d[1] not in read)
+
+
 def test_checker_sees_an_unused_import():
     assert unused_imports("import math\nimport os\nfrom x import a, b as c\nc(os)\n") \
         == ["a", "math"]
+
+
+def test_checker_sees_an_unread_definition():
+    sources = {"a.py": "LIMIT = 1\nSTALE = 2\n_A, _B = 3, 4\ndef _used(): pass\n"
+                       "def _dead(): pass\nclass _Gone: pass\ndef __dir__(): pass\n"
+                       "def public(): return LIMIT\n",
+               "b.py": "from . import a\nSTALE = 5\na._used(a._A)\n",
+               "__init__.py": "_B = 6\nUNUSED = 7\n"}
+    assert unread_definitions(sources) == [("a.py", "STALE"), ("a.py", "_B"), ("a.py", "_Gone"),
+                                           ("a.py", "_dead"), ("b.py", "STALE")]
 
 
 def test_modules_are_found():
@@ -39,3 +79,8 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_constants_and_private_definitions_are_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unread_definitions(sources) == []

@@ -319,6 +319,25 @@ class TestSolutionPairs:
             solution_pairs(sine_model, 1.0, _kernel_nodes(256), SolverConfig(max_steps=40))
 
 
+class TestSharedMesh:
+    @pytest.mark.parametrize("eps", [0.45, 2.0])
+    @pytest.mark.parametrize("kind", PROFILES)
+    def test_every_step_passes_the_stepper_acceptance_test(self, kind, eps):
+        # the mesh is accepted at +-lam_max only; the interior of the grid rides along
+        model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=eps)
+        config = SolverConfig()
+        mesh = shooting.shared_mesh(model, 8.0, config)
+        x, h = mesh.nodes, np.diff(mesh.nodes)
+        every = np.arange(len(x))
+        for lam in (8.0, 0.3, 4.0):
+            lams = np.array([lam, -lam], dtype=complex)
+            seeds = shooting._seeds(ps.seed_regular_origin, model, lams, x[0])
+            u, w = shooting._march(mesh.coeffs, -1j * lams / eps, *seeds, every)
+            err = _dopri5_errors(model, lam, x[:-1], h, u[:-1], w[:-1], config.rtol, config.atol)
+            assert np.max(err) <= 1.0, (lam, np.max(err))
+        assert mesh.rounds >= 2             # the start mesh alone fails the test
+
+
 class TestMirrorAudit:
     @pytest.mark.parametrize("lam", [0.7, 2.0, 5.5])
     def test_direct_negative_side_matches_reflection(self, sine_model, lam):
@@ -328,3 +347,8 @@ class TestMirrorAudit:
     def test_tent_model_audit(self, tent_model):
         audit = mirror_audit(tent_model, 1.3)
         assert audit["max_relative_deviation"] < 1e-6
+
+    def test_audit_reads_no_psi(self, sine_model, monkeypatch):
+        # a collapsed-Wronskian guard belongs to psi, which the audit never marches
+        monkeypatch.setattr(shooting, "WRONSKIAN_FLOOR", 1e6)
+        assert mirror_audit(sine_model, 2.0)["max_relative_deviation"] < 1e-6
