@@ -5,8 +5,10 @@ The coefficient f vanishes at 0 and +-pi, which makes both interval
 endpoints singular; everything here works on (0, pi) in a regularized
 quasi-derivative state and recovers the other half by symmetry.
 
-Everything runs on numpy, scipy and plain Python; ``BACKEND`` names that
-single integration path in benchmark records.
+Everything runs on numpy and plain Python; ``BACKEND`` names that single
+integration path in benchmark records.  scipy is imported only inside
+``shooting.mirror_audit``, whose independent integrator checks the
+half-interval reduction, so no command pays for importing it.
 """
 
 __version__ = "0.1.0"

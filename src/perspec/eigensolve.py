@@ -95,12 +95,16 @@ def dispersion_batch(model: OperatorModel, lams, mesh: SharedMesh) -> list[Dispe
     """``dispersion`` at the mesh's cutoff for every lam in ``lams``, from one batched march.
 
     The columns lam and -lam are marched together; for real lam and a real
-    profile they are exact conjugates, as in the scalar path.
+    profile they are exact conjugates, as in the scalar path.  Complex lam
+    march as complex columns, and ``lam`` of each value holds Re lam, as
+    the scalar ``dispersion`` reports it.
     """
-    lams = np.asarray(lams, dtype=float).ravel()
+    lams = np.asarray(lams).ravel()
+    if not np.iscomplexobj(lams):
+        lams = lams.astype(float)
     phi = boundary_values(model, mesh, np.concatenate([lams, -lams]))
     n = len(lams)
-    return [DispersionValue(lam=float(lam), D=complex(plus - minus),
+    return [DispersionValue(lam=float(lam.real), D=complex(plus - minus),
                             phi_plus=complex(plus), phi_minus=complex(minus))
             for lam, plus, minus in zip(lams, phi[:n], phi[n:])]
 

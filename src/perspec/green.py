@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import (EigenvalueProximityError, GridMismatchError,
                      ValidationError)
-from .profiles import OperatorModel, eval_f, eval_f_prime
+from .profiles import OperatorModel, eval_f, eval_f_prime, sorted_distinct
 from .shooting import DEFAULT_CONFIG, SolutionPairs, SolverConfig, solution_pairs
 from .singular import compute_log_p_over_f, default_cutoff, log_pf_coefficient_at_pi
 
@@ -109,13 +109,13 @@ class KernelGrid:
 
     @functools.cached_property
     def sup_norm(self) -> float:
-        """max |G| over the grid, from the dense kernel on first use.
+        """max |G| over the grid, from the dense kernel's column blocks on first use.
 
         The one-sided diagonal entries of parts I and II carry their
         half-interval weights, so they sum to the kernel's diagonal limit
         instead of double-counting it.
         """
-        return float(np.max(np.abs(kernel_matrix(self))))
+        return float(np.max([np.max(np.abs(block)) for _, block in _column_blocks(self)]))
 
 
 def _outward_sides(n: int):
@@ -231,21 +231,31 @@ def _applied_parts(kernel: KernelGrid, forcing: np.ndarray):
     return tuple(part.reshape(forcing.shape) for part in (part_i, part_ii, part_iii))
 
 
-def kernel_matrix(kernel: KernelGrid, part: Optional[str] = None) -> np.ndarray:
-    """Dense G(x_i, s_j), or one of its parts "I", "II", "III".
+def _column_blocks(kernel: KernelGrid, part: Optional[str] = None):
+    """Yield (columns, block) of the dense kernel, or of one part, KERNEL_BLOCK columns at a time.
 
     Column j is the kernel applied to the forcing 1/w_j at s_j, so the
-    matrix agrees with ``apply_resolvent``: G @ (w * F) = u.  Columns are
-    built KERNEL_BLOCK at a time to bound the scratch memory.
+    columns agree with ``apply_resolvent``: G @ (w * F) = u.
     """
     n = len(kernel.nodes)
-    out = np.empty((n, n), complex)
     for start in range(0, n, KERNEL_BLOCK):
         cols = np.arange(start, min(start + KERNEL_BLOCK, n))
         unit = np.zeros((n, len(cols)))
         unit[cols, np.arange(len(cols))] = 1.0 / kernel.weights[cols]
         parts = _applied_parts(kernel, unit)
-        out[:, cols] = sum(parts) if part is None else parts[PARTS.index(part)]
+        yield cols, sum(parts) if part is None else parts[PARTS.index(part)]
+
+
+def kernel_matrix(kernel: KernelGrid, part: Optional[str] = None) -> np.ndarray:
+    """Dense G(x_i, s_j), or one of its parts "I", "II", "III".
+
+    Built from ``_column_blocks``, so the scratch memory beyond the result
+    is one block.
+    """
+    n = len(kernel.nodes)
+    out = np.empty((n, n), complex)
+    for cols, block in _column_blocks(kernel, part):
+        out[:, cols] = block
     return out
 
 
@@ -388,7 +398,7 @@ def quasi_derivative_continuity(model: OperatorModel, lam, forcing_fn,
     x, w = graded_full_grid(quad_size)
     interior = slice(len(x) // 2 + 1, -1)
     wq, quad_pos = w[interior], x[interior]
-    nodes_pos = np.unique(np.concatenate([quad_pos, [probe]]))
+    nodes_pos = sorted_distinct(np.concatenate([quad_pos, [probe]]))
     pairs = solution_pairs(model, lam, nodes_pos, config)
     full = _full_period(model, pairs)
     pos, neg = _outward_sides(len(full.w2))         # both ordered like nodes_pos

@@ -13,6 +13,11 @@ f'(0) = 2/pi.  Three families are supported:
 
 Profiles are immutable after construction and all evaluations are pure,
 so they are safe to share across threads.
+
+``PiecewiseCubic`` is the one piecewise-cubic type of the package: the
+pchip interpolant of a tabulated profile and the not-a-knot spline of the
+integrating factor's remainder table (``singular``) are both built and
+evaluated by it, in numpy alone.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, ValidationError
 
@@ -32,6 +36,129 @@ HALF_PI = PI / 2.0
 NORMALIZATION_SLOPE = 2.0 / np.pi
 
 _KINDS = ("sine", "piecewise-linear", "tabulated")
+
+
+@dataclass(frozen=True, eq=False)
+class PiecewiseCubic:
+    """A piecewise cubic on ascending ``breaks``, in scipy's PPoly layout.
+
+    On piece i, with t = x - breaks[i], the value is
+    c[0, i]*t**3 + c[1, i]*t**2 + c[2, i]*t + c[3, i].  A point equal to a
+    break belongs to the piece on its right (the last break to the last
+    piece), and points outside the breaks are evaluated on the first or
+    last piece.
+    """
+
+    breaks: np.ndarray
+    c: np.ndarray                   # shape (4, len(breaks) - 1)
+
+    @classmethod
+    def _hermite(cls, x, y, s) -> "PiecewiseCubic":
+        """The cubic Hermite interpolant of values ``y`` and slopes ``s`` at nodes ``x``."""
+        h = np.diff(x)
+        slope = np.diff(y) / h
+        t = (s[:-1] + s[1:] - 2 * slope) / h
+        return cls(breaks=x, c=np.stack((t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1])))
+
+    @classmethod
+    def not_a_knot(cls, x, y) -> "PiecewiseCubic":
+        """The C2 cubic spline through (x, y) with not-a-knot end conditions (de Boor, 1978).
+
+        The nodal slopes solve the tridiagonal system that scipy's
+        ``CubicSpline`` sets up, by a Thomas sweep in the order of LAPACK's
+        ``gtsv`` when it needs no row exchange, so the coefficients agree
+        with scipy's to rounding.  With two or three points the spline is
+        the line or parabola through them.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = len(x)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        if n < 4:
+            a = (m[-1] - m[0]) / (x[-1] - x[0])
+            return cls._hermite(x, y, np.concatenate([m - a * h, [m[-1] + a * h[-1]]]))
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        diag = np.concatenate([[h[1]], 2 * (h[:-1] + h[1:]), [h[-2]]]).tolist()
+        upper = np.concatenate([[d0], h[:-1]]).tolist()
+        lower = np.concatenate([h[1:], [d1]]).tolist()
+        rhs = np.concatenate([[((h[0] + 2 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0],
+                              3 * (h[1:] * m[:-1] + h[:-1] * m[1:]),
+                              [(h[-1] ** 2 * m[-2] + (2 * d1 + h[-1]) * h[-2] * m[-1]) / d1]]
+                             ).tolist()
+        for i in range(n - 1):
+            fact = lower[i] / diag[i]
+            diag[i + 1] -= fact * upper[i]
+            rhs[i + 1] -= fact * rhs[i]
+        s = [0.0] * n
+        s[-1] = rhs[-1] / diag[-1]
+        for i in range(n - 2, -1, -1):
+            s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+        return cls._hermite(x, y, np.array(s))
+
+    @classmethod
+    def pchip(cls, x, y) -> "PiecewiseCubic":
+        """The monotone cubic through (x, y) (Fritsch & Carlson, 1980), as scipy's pchip builds it.
+
+        Interior slopes are the weighted harmonic means of the neighbouring
+        secants (Fritsch & Butland, 1984), zero where the secants change
+        sign or one vanishes; the end slopes are the one-sided three-point
+        estimate, limited to keep the shape.  Needs at least three points.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        s = np.zeros_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3 * np.abs(m0))
+        s[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0,
+                              np.where(overshoot, 3 * m0, end))
+        return cls._hermite(x, y, s)
+
+    def __call__(self, x):
+        """Values at an array of points, summed by powers of t as scipy's PPoly sums them."""
+        x = np.asarray(x, dtype=float)
+        i = np.searchsorted(self.breaks[1:-1], x, side="right")    # the piece, clamped
+        t = x - self.breaks.take(i)
+        c0, c1, c2, c3 = self.c.take(i, axis=1)                    # fresh: scaled in place
+        t2 = t * t
+        c2 *= t
+        c1 *= t2
+        t2 *= t
+        c0 *= t2
+        c3 += c2
+        c3 += c1
+        c3 += c0
+        return c3
+
+    def scalar(self):
+        """Plain-float evaluator at one point, for the stepper.
+
+        Horner form on the piece found by a left bisection, so a point
+        equal to a break takes the piece on its left; the pieces agree
+        there up to rounding.
+        """
+        breaks = self.breaks.tolist()
+        c0, c1, c2, c3 = self.c.tolist()
+        last = len(breaks) - 2
+
+        def cubic(x):
+            i = bisect_left(breaks, x) - 1
+            if i < 0:
+                i = 0
+            elif i > last:
+                i = last
+            t = x - breaks[i]
+            return ((c0[i] * t + c1[i]) * t + c2[i]) * t + c3[i]
+
+        return cubic
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +174,7 @@ class CoefficientProfile:
     kinks: tuple[float, ...] = ()
     table_x: Optional[np.ndarray] = None
     table_f: Optional[np.ndarray] = None
-    _interp: Optional[PchipInterpolator] = field(default=None, repr=False)
+    _interp: Optional[PiecewiseCubic] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -68,6 +195,18 @@ class CoefficientProfile:
         if self.table_x is not None:
             pts.update(self.table_x[1:-1].tolist())
         return tuple(sorted(pts))
+
+
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct values of a float array without nan, ascending: ``np.unique``.
+
+    ``np.unique`` (numpy 2) imports ``numpy.ma`` on its first call, about
+    12 ms that every command would otherwise pay.
+    """
+    a = np.sort(np.ravel(values))
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 def sine_profile() -> CoefficientProfile:
@@ -99,7 +238,7 @@ def tabulated_profile(x, f, kinks=()) -> CoefficientProfile:
     f = f.copy()
     x[0], x[-1] = 0.0, PI
     f[0], f[-1] = 0.0, 0.0
-    interp = PchipInterpolator(x, f, extrapolate=False)
+    interp = PiecewiseCubic.pchip(x, f)
     return CoefficientProfile(kind="tabulated", kinks=tuple(kinks),
                               table_x=x, table_f=f, _interp=interp)
 
@@ -136,28 +275,6 @@ def eval_f(profile: CoefficientProfile, x):
     return out if np.ndim(out) else float(out)
 
 
-def scalar_cubic(pp):
-    """Plain-float evaluator of a piecewise cubic (scipy PPoly layout) at one point.
-
-    Horner form on the interval found by a left bisection, clamped to the
-    first and last pieces.
-    """
-    breaks = pp.x.tolist()
-    c0, c1, c2, c3 = pp.c.tolist()
-    last = len(breaks) - 2
-
-    def cubic(x):
-        i = bisect_left(breaks, x) - 1
-        if i < 0:
-            i = 0
-        elif i > last:
-            i = last
-        t = x - breaks[i]
-        return ((c0[i] * t + c1[i]) * t + c2[i]) * t + c3[i]
-
-    return cubic
-
-
 def scalar_f(profile: CoefficientProfile):
     """f as a plain-float function of one point in (0, pi), for the stepper."""
     if profile.kind == "sine":
@@ -168,7 +285,7 @@ def scalar_f(profile: CoefficientProfile):
                 return NORMALIZATION_SLOPE * x
             return NORMALIZATION_SLOPE * (PI - x)
         return tent
-    return scalar_cubic(profile._interp)
+    return profile._interp.scalar()
 
 
 def eval_f_prime(profile: CoefficientProfile, x):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .green import KernelGrid, _full_period, kernel_matrix, solution_pairs
-from .profiles import OperatorModel
+from .profiles import OperatorModel, sorted_distinct
 from .shooting import DEFAULT_CONFIG, SolverConfig
 
 PI = math.pi
@@ -58,17 +58,21 @@ class SingularValueSpectrum:
                 "schatten_norms": {str(k): v for k, v in self.schatten_norms.items()}}
 
 
-def _weighted_svd(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    sq = np.sqrt(weights)
+def _weighted_svd(kernel: KernelGrid) -> np.ndarray:
+    """Singular values of diag(sqrt w) G diag(sqrt w), scaling the fresh dense G in place."""
+    sq = np.sqrt(kernel.weights)
+    G = kernel_matrix(kernel)
+    G *= sq[:, None]
+    G *= sq[None, :]
     try:
-        return np.linalg.svd(sq[:, None] * matrix * sq[None, :], compute_uv=False)
+        return np.linalg.svd(G, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"SVD failed to converge: {exc}") from exc
 
 
 def singular_values(kernel: KernelGrid, orders=DEFAULT_ORDERS) -> SingularValueSpectrum:
     """Singular values of the symmetrized kernel matrix plus Schatten norms."""
-    alpha = _weighted_svd(kernel_matrix(kernel), kernel.weights)
+    alpha = _weighted_svd(kernel)
     norms = {float(p): float(np.sum(alpha ** p) ** (1.0 / p)) for p in orders}
     return SingularValueSpectrum(lam=kernel.lam, grid_size=kernel.meta["grid_size"],
                                  values=alpha, schatten_norms=norms)
@@ -114,7 +118,7 @@ def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
         edges = dyadic_intervals(j)
         a, b = edges[:-1], edges[1:]
         panels.append((a[:, None] + np.outer(b - a, (gx + 1.0) / 2.0), (b - a) / 2.0))
-    pos = np.unique(np.concatenate([np.abs(nodes.ravel()) for nodes, _ in panels]))
+    pos = sorted_distinct(np.concatenate([np.abs(nodes.ravel()) for nodes, _ in panels]))
     full = _full_period(model, solution_pairs(model, lam, pos, config))
     x = np.concatenate([[-PI], -pos[::-1], [0.0], pos, [PI]])
     v_sq = np.abs(full.phi) ** 2                      # v = phi

@@ -57,14 +57,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._stepper import (KAPPA_DEGREE, STAGE_FRACTIONS, STATUS_MAX_STEPS,
                        STATUS_STEP_UNDERFLOW, integrate_quasi_system,
                        linear_step_coefficients, linear_step_matrices)
 from .errors import (EigenvalueProximityError, IntegrationError, SolverError,
                      ValidationError)
-from .profiles import OperatorModel, eval_f
+from .profiles import OperatorModel, eval_f, sorted_distinct
 from .singular import (compute_p_over_f, default_cutoff,
                        indicial_series_coefficients, integrating_factor,
                        seed_regular_origin, seed_vanishing_at_pi)
@@ -277,8 +276,8 @@ def _start_mesh(model: OperatorModel, nodes: np.ndarray, delta: float) -> np.nda
     collar = delta * (1.0 + CAP_FRAC) ** np.arange(
         math.ceil(math.log(PI / (2.0 * delta)) / math.log1p(CAP_FRAC)))
     inside = [b for b in model.profile.breakpoints if delta < b < PI - delta]
-    return np.unique(np.concatenate([nodes, fit, PI - fit, collar, PI - collar,
-                                     [PI / 2], inside]))
+    return sorted_distinct(np.concatenate([nodes, fit, PI - fit, collar, PI - collar,
+                                           [PI / 2], inside]))
 
 
 def _check_budget(count: float, config: SolverConfig, x_reached=None) -> None:
@@ -425,6 +424,9 @@ def mirror_audit(model: OperatorModel, lam, config: SolverConfig = DEFAULT_CONFI
     out through the nodes.  Returns the node set, both solution arrays and
     the max deviation.
     """
+    # imported here: the one caller of scipy, kept off every command's import path
+    from scipy.integrate import solve_ivp
+
     eps = model.epsilon
     a1, _ = indicial_series_coefficients(model, lam)
     d0 = config.delta if config.delta is not None else default_cutoff(lam)

@@ -12,8 +12,9 @@ produce the endpoint power laws; the remainder integral
     RB(x) = int_0^x rb(s) ds
 
 is computed once per model by composite Gauss panels and stored as a
-piecewise-cubic table.  In the gauge p(x)/x^(1+sigma) -> 1 at the origin
-(sigma = c/eps):
+not-a-knot cubic spline (``profiles.PiecewiseCubic``), one per smooth
+segment so that kinks stay kinks.  In the gauge p(x)/x^(1+sigma) -> 1 at
+the origin (sigma = c/eps):
 
     log p(x)     = log f(x) + log(p/f)(x)
     log(p/f)(x)  = sigma*(log x - log(pi-x) + log pi) + RB(x)/eps + log(pi/2)
@@ -32,11 +33,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import DomainError, SolverError, ValidationError
-from .profiles import (CoefficientProfile, OperatorModel, eval_f, scalar_cubic,
-                       scalar_f)
+from .profiles import (CoefficientProfile, OperatorModel, PiecewiseCubic,
+                       eval_f, scalar_f, sorted_distinct)
 
 PI = math.pi
 LOG_PI = math.log(PI)
@@ -51,7 +51,7 @@ class IntegratingFactor:
     """Per-model table behind compute_log_p and friends."""
 
     model: OperatorModel
-    rb: PPoly                       # RB(x) on [0, pi]
+    rb: PiecewiseCubic              # RB(x) on [0, pi]
     rb_at_pi: float
     coef: Callable                  # x -> ((p/f)(x), p(x)), one float x in (0, pi)
 
@@ -72,11 +72,11 @@ def _build(model: OperatorModel) -> IntegratingFactor:
     edges = np.linspace(0.0, PI, _RB_PANELS + 1)
     extra = profile.breakpoints
     if extra:
-        extra = np.unique(np.asarray(extra, float))
+        extra = np.asarray(extra, float)
         # drop uniform edges that would crowd an inserted point
         near = np.min(np.abs(edges[:, None] - extra[None, :]), axis=1)
         keep = (near > 1e-9) | (edges == 0.0) | (edges == PI)
-        edges = np.unique(np.concatenate([edges[keep], extra]))
+        edges = sorted_distinct(np.concatenate([edges[keep], extra]))
 
     a = edges[:-1]
     h = np.diff(edges)
@@ -86,30 +86,26 @@ def _build(model: OperatorModel) -> IntegratingFactor:
     rb_vals = np.concatenate([[0.0], np.cumsum(panel)])
 
     # spline each smooth segment separately so kinks stay kinks
-    joints = np.unique(np.concatenate([[0.0, PI], np.asarray(profile.kinks, float)])) \
-        if profile.kinks else np.array([0.0, PI])
-    breaks_parts, coef_parts = [], []
+    joints = sorted_distinct([0.0, PI, *profile.kinks])
+    parts = []
     for lo, hi in zip(joints[:-1], joints[1:]):
         sel = (edges >= lo - 1e-15) & (edges <= hi + 1e-15)
-        spl = CubicSpline(edges[sel], rb_vals[sel])
-        breaks_parts.append(spl.x[:-1])
-        coef_parts.append(spl.c)
-    breaks = np.concatenate(breaks_parts + [[PI]])
-    coefs = np.concatenate(coef_parts, axis=1)
-    rb = PPoly(coefs, breaks, extrapolate=False)
+        parts.append(PiecewiseCubic.not_a_knot(edges[sel], rb_vals[sel]))
+    rb = PiecewiseCubic(breaks=np.concatenate([p.breaks[:-1] for p in parts] + [[PI]]),
+                        c=np.concatenate([p.c for p in parts], axis=1))
 
     return IntegratingFactor(model=model, rb=rb, rb_at_pi=float(rb_vals[-1]),
                              coef=_scalar_coefficients(model, rb))
 
 
-def _scalar_coefficients(model: OperatorModel, rb: PPoly):
+def _scalar_coefficients(model: OperatorModel, rb: PiecewiseCubic):
     """The stepper's coefficient pair at one point: ((p/f)(x), p(x)).
 
     Same formula as ``compute_log_p_over_f``, on plain floats with the
     math module, since the stepper calls it six times per step.
     """
     f = scalar_f(model.profile)
-    rb_at = scalar_cubic(rb)
+    rb_at = rb.scalar()
     sigma = model.sigma
     eps = model.epsilon
 

@@ -43,6 +43,19 @@ class TestAgreementWithScalarPath:
             want = dispersion(model, float(lam), at_mesh_cutoff)
             assert abs(got.D - want.D) <= 1e-8 * want.scale, (lam, got.D, want.D)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", PROFILES)
+    def test_complex_lam_matches_scalar_dispersion(self, kind):
+        # complex lam march as complex columns, not cast to their real parts
+        model = _model(kind)
+        lams = [0.9 + 0.57j, -2.9 + 0.75j]
+        mesh = shared_mesh(model, 4.0)
+        at_mesh_cutoff = SolverConfig(delta=float(mesh.nodes[0]))
+        for lam, got in zip(lams, dispersion_batch(model, lams, mesh)):
+            want = dispersion(model, lam, at_mesh_cutoff)
+            assert got.lam == want.lam == lam.real
+            assert abs(got.D - want.D) <= 1e-8 * want.scale, (lam, got.D, want.D)
+
     @pytest.mark.parametrize("kind", PROFILES)
     def test_exact_symmetries_for_real_lam(self, kind):
         model = _model(kind)

@@ -62,6 +62,8 @@ class TestKernelStructure:
 
     def test_sup_norm_reported(self, kernel_256):
         assert 0.1 < kernel_256.sup_norm < 10.0
+        # taken block by block, it is the max of the dense kernel bit for bit
+        assert kernel_256.sup_norm == float(np.max(np.abs(kernel_matrix(kernel_256))))
 
     def test_eigenvalue_proximity_detected(self, sine_model, scan_8):
         lam1 = float(scan_8.positive()[0])        # refined to ~1e-10 width

@@ -9,9 +9,18 @@ No linter ships with the package, so these are the checks for dead code:
 
 ``__init__.py`` re-exports by importing, so its imports and definitions
 are left out; what it reads still counts.
+
+scipy stays off the import path: no package module imports it at module
+level, and a process that imports the package and runs a command never
+loads it (only ``shooting.mirror_audit`` imports it, when called).  Nor
+does a command load ``numpy.ma``, which ``import numpy`` leaves out and
+``np.unique`` pulls in.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +39,17 @@ def unused_imports(source: str) -> list:
             bound += [alias.asname or alias.name for alias in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(set(bound) - used)
+
+
+def module_level_imports(source: str) -> list:
+    """Top-level modules named by the module-level import statements, in order."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return names
 
 
 def unread_definitions(sources: dict) -> list:
@@ -72,6 +92,12 @@ def test_checker_sees_an_unread_definition():
                                            ("a.py", "_dead"), ("b.py", "STALE")]
 
 
+def test_checker_sees_module_level_imports_only():
+    source = ("import numpy as np, os.path\nfrom scipy.interpolate import PPoly\n"
+              "from .errors import X\ndef f():\n    import scipy\n")
+    assert module_level_imports(source) == ["numpy", "os", "scipy"]
+
+
 def test_modules_are_found():
     assert {"cli.py", "shooting.py", "green.py"} <= {p.name for p in MODULES}
 
@@ -84,3 +110,38 @@ def test_module_level_imports_are_used(path):
 def test_constants_and_private_definitions_are_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unread_definitions(sources) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    assert "scipy" not in module_level_imports(path.read_text(encoding="utf-8"))
+
+
+COMMANDS = """
+import sys
+import numpy as np
+ma_with_numpy = "numpy.ma" in sys.modules
+import perspec
+import perspec.cli
+from perspec.singular import integrating_factor
+
+x = np.linspace(0.0, np.pi, 41)
+for profile in (perspec.sine_profile(), perspec.piecewise_linear_profile(),
+                perspec.tabulated_profile(x, (2 / np.pi) * np.sin(x))):
+    integrating_factor(perspec.OperatorModel(profile=profile, epsilon=1.0))
+code = perspec.cli.run_subcommand(["eigs", "--lmax", "2", "--out", sys.argv[1]])
+assert code == 0, code
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(ma_with_numpy or "numpy.ma" not in sys.modules)
+"""
+
+
+def test_commands_load_neither_scipy_nor_numpy_ma(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                     env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", COMMANDS,
+                          str(tmp_path / "eigs.json")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-2:] == ["[]", "True"]

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from perspec.errors import DomainError, ValidationError
-from perspec.profiles import (CoefficientProfile, OperatorModel, eval_f,
-                              eval_f_prime, load_tabulated,
-                              piecewise_linear_profile, sine_profile,
+from perspec.profiles import (CoefficientProfile, OperatorModel,
+                              PiecewiseCubic, eval_f, eval_f_prime,
+                              load_tabulated, piecewise_linear_profile,
+                              sine_profile, sorted_distinct,
                               tabulated_profile, validate_profile)
 
 PI = math.pi
@@ -64,6 +66,55 @@ class TestEvalFPrime:
         prof = tabulated_profile(x, SLOPE * np.sin(x))
         # interpolant derivative via centered difference, sine is smooth
         assert eval_f_prime(prof, 1.0) == pytest.approx(SLOPE * math.cos(1.0), abs=1e-4)
+
+
+def _tables():
+    """(x, y) tables with flat pieces, sign changes, extrema at the ends and uneven spacing."""
+    rng = np.random.default_rng(11)
+    x = np.linspace(0.0, PI, 9)
+    tables = [(x, np.array([0.0, 1.0, 1.0, 2.0, 0.5, -0.5, -0.5, 0.0, 0.0])),
+              (x, np.array([0.0, 2.0, 1.0, 3.0, -1.0, 4.0, 4.0, 4.0, 1.0])),
+              (x, SLOPE * np.sin(x))]
+    for size in (4, 5, 17, 64):
+        xs = np.sort(np.concatenate([[0.0, PI], rng.uniform(0.0, PI, size - 2)]))
+        tables.append((xs, rng.normal(size=size)))
+        tables.append((xs, np.round(rng.normal(size=size))))      # ties: flat pieces
+    return tables
+
+
+class TestPiecewiseCubic:
+    @pytest.mark.parametrize("x, y", _tables())
+    def test_pchip_is_scipys_bit_for_bit(self, x, y):
+        ours, theirs = PiecewiseCubic.pchip(x, y), PchipInterpolator(x, y)
+        assert np.array_equal(ours.breaks, theirs.x)
+        assert np.array_equal(ours.c, theirs.c)
+        t = np.linspace(0.0, PI, 1001)
+        assert np.array_equal(ours(t), theirs(t))
+
+    @pytest.mark.parametrize("x, y", _tables())
+    def test_not_a_knot_matches_scipy(self, x, y):
+        for k in (2, 3, len(x)):              # lines and parabolas below four points
+            ours, theirs = PiecewiseCubic.not_a_knot(x[:k], y[:k]), CubicSpline(x[:k], y[:k])
+            t = np.linspace(x[0], x[k - 1], 1001)
+            scale = np.max(np.abs(theirs(t)))
+            np.testing.assert_allclose(ours(t), theirs(t), rtol=0, atol=1e-14 * scale)
+
+    @pytest.mark.parametrize("build", [PiecewiseCubic.pchip, PiecewiseCubic.not_a_knot])
+    def test_array_and_scalar_evaluation_agree(self, build):
+        for x, y in _tables():
+            pc = build(x, y)
+            # breaks, points between them, and points past both ends (end pieces)
+            t = np.concatenate([x, np.linspace(-0.1, PI + 0.1, 777)])
+            scalar = np.array([pc.scalar()(v) for v in t.tolist()])
+            scale = np.max(np.abs(scalar))
+            np.testing.assert_allclose(pc(t), scalar, rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("values", [np.array([3.0, 1.0, 2.0, 1.0, 3.0, 0.5]), np.empty(0),
+                                    np.array([[PI, 0.0], [PI, 1e-300]]), np.array([2.0])])
+def test_sorted_distinct_is_unique(values):
+    got = sorted_distinct(values)
+    assert got.dtype == values.dtype and np.array_equal(got, np.unique(values))
 
 
 class TestValidation:

@@ -7,7 +7,7 @@ from perspec import green, schatten
 from perspec.errors import ValidationError
 from perspec.profiles import OperatorModel, sine_profile
 from perspec.schatten import (SingularValueSpectrum, dyadic_bound_audit,
-                              eigen_schatten_inequality)
+                              eigen_schatten_inequality, singular_values)
 from perspec.shooting import SolverConfig
 from perspec.singular import compute_log_p_over_f
 
@@ -15,6 +15,14 @@ from perspec.singular import compute_log_p_over_f
 def _spectrum(values):
     return SingularValueSpectrum(lam=1j, grid_size=64, values=np.asarray(values),
                                  schatten_norms={})
+
+
+def test_singular_values_of_the_symmetrized_kernel(kernel_256):
+    # the in-place scaling gives the singular values of sqrt(w) G sqrt(w) bit for bit
+    sq = np.sqrt(kernel_256.weights)
+    dense = sq[:, None] * green.kernel_matrix(kernel_256) * sq[None, :]
+    want = np.linalg.svd(dense, compute_uv=False)
+    assert np.array_equal(singular_values(kernel_256).values, want)
 
 
 class TestEigenSchattenInequality:

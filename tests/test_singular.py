@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 import perspec.shooting as shooting
 from perspec.errors import DomainError, SolverError, ValidationError
@@ -112,6 +113,23 @@ class TestLogP:
         fac = integrating_factor(sine_model)
         assert fac.rb_at_pi == pytest.approx(-1.4186889094, abs=1e-9)
         assert fac.rb_at_pi == pytest.approx((PI / 2) * math.log(4.0 / PI ** 2), abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["sine", "tent", "tabulated with kinks"])
+    def test_remainder_table_is_scipys_spline_per_segment(self, kind):
+        xg = np.linspace(0.0, PI, 257)
+        profile = {"sine": sine_profile, "tent": piecewise_linear_profile,
+                   "tabulated with kinks": lambda: tabulated_profile(
+                       xg, (2 / PI) * np.minimum(xg, PI - xg), kinks=(PI / 2, 1.0))}[kind]()
+        fac = integrating_factor(OperatorModel(profile=profile, epsilon=1.0))
+        breaks = fac.rb.breaks
+        table = np.append(fac.rb.c[3], fac.rb_at_pi)          # RB at every break
+        scale = np.max(np.abs(table))
+        joints = [0.0, *sorted(profile.kinks), PI]
+        for lo, hi in zip(joints[:-1], joints[1:]):
+            sel = (breaks >= lo) & (breaks <= hi)
+            spline = CubicSpline(breaks[sel], table[sel])
+            x = np.linspace(lo, hi, 4001)
+            np.testing.assert_allclose(fac.rb(x), spline(x), rtol=0, atol=1e-15 * scale)
 
     def test_regular_log_part_finite(self, sine_model):
         fac = integrating_factor(sine_model)
