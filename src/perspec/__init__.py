@@ -5,10 +5,9 @@ The coefficient f vanishes at 0 and +-pi, which makes both interval
 endpoints singular; everything here works on (0, pi) in a regularized
 quasi-derivative state and recovers the other half by symmetry.
 
-Everything runs on numpy and plain Python; ``BACKEND`` names that single
-integration path in benchmark records.  scipy is imported only inside
-``shooting.mirror_audit``, whose independent integrator checks the
-half-interval reduction, so no command pays for importing it.
+Everything runs on numpy and plain Python, and the package needs numpy
+alone; ``BACKEND`` names that single integration path in benchmark
+records.
 """
 
 __version__ = "0.1.0"
@@ -30,9 +29,8 @@ from .profiles import (CoefficientProfile, OperatorModel, ValidationReport,
 from .schatten import (DyadicBoundReport, InequalityReport,
                        SingularValueSpectrum, dyadic_bound_audit,
                        eigen_schatten_inequality, singular_values)
-from .shooting import (EndpointValue, SharedMesh, SolutionPairs, SolutionTrace,
-                       SolverConfig, compute_phi_at_pi, extrapolate_endpoint,
-                       integrate_phi, mirror_audit, shared_mesh,
+from .shooting import (SharedMesh, SolutionPairs, SolutionTrace, SolverConfig,
+                       compute_phi_at_pi, integrate_phi, shared_mesh,
                        solution_pairs)
 from .singular import (EndpointSeed, IntegratingFactor, compute_log_p,
                        compute_log_p_over_f, compute_p_over_f, default_cutoff,

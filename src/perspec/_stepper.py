@@ -13,9 +13,10 @@ analytic split of the poles of 1/f at both endpoints.
 The stepper is a Dormand-Prince 5(4) pair with FSAL, per-step error
 control, steps capped at a fraction of the distance to the singular
 endpoints, and exact landing on a caller-supplied list of forced nodes
-(output points, profile breakpoints, terminal point).  It is plain
-Python; the six coefficient evaluations of a step read Python lists, not
-numpy arrays.
+(the endpoint fit's nodes, profile breakpoints, terminal point), which
+are the only nodes it records.  It is plain Python; the six coefficient
+evaluations of a step read Python lists, not numpy arrays.  Its one
+caller is ``shooting.compute_phi_at_pi``, the certifying shot.
 
 ``linear_step_coefficients`` writes one step of the same tableau, for
 fixed nodes, as a matrix polynomial in kappa = -i*lam/eps, so that many
@@ -63,14 +64,14 @@ def _rhs(x, u, w, lam, eps, coef):
 
 
 def integrate_quasi_system(x0, x1, u0, w0, lam, eps, coef, forced,
-                           rtol, atol, max_steps, cap_frac, record_steps):
+                           rtol, atol, max_steps, cap_frac):
     """Integrate from x0 to x1 landing exactly on every node in ``forced``.
 
     ``forced`` must be sorted in travel order, lie strictly between x0 and
     x1 except for its last entry which must equal x1.  Returns
-    ``(status, x_reached, n_out, xs, us, ws, n_steps)`` where the first
-    recorded node is x0 itself and ``n_steps`` counts attempted steps,
-    rejected ones included.
+    ``(status, x_reached, n_out, xs, us, ws, n_steps)`` where the recorded
+    nodes are x0 itself and the forced nodes reached, and ``n_steps``
+    counts attempted steps, rejected ones included.
     """
     direction = 1.0 if x1 > x0 else -1.0
     # Nodes are read from ``forced`` as numpy float64 scalars on purpose:
@@ -151,11 +152,10 @@ def integrate_quasi_system(x0, x1, u0, w0, lam, eps, coef, forced,
             u = u_new
             w = w_new
             k1u, k1w = k7u, k7w
-            if landing or record_steps:
+            if landing:
                 xs.append(x)
                 us.append(u)
                 ws.append(w)
-            if landing:
                 ptr += 1
             if err == 0.0:
                 factor = 5.0

@@ -22,7 +22,7 @@ from .eigensolve import scan_and_refine
 from .errors import SolverError, ValidationError
 from .green import (PARTS, apply_resolvent, assemble_kernel, bandlimited_forcing,
                     kernel_matrix, resolvent_residual, GridFunction)
-from .profiles import (OperatorModel, load_tabulated, piecewise_linear_profile,
+from .profiles import (KINDS, OperatorModel, load_tabulated, piecewise_linear_profile,
                        sine_profile, validate_profile)
 from .schatten import dyadic_bound_audit, eigen_schatten_inequality, singular_values
 from .shooting import SolverConfig, integrate_phi, solution_pairs
@@ -209,8 +209,7 @@ def _cmd_schatten(cfg: RunConfig, args) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="flat key=value config file")
-    sub.add_argument("--profile", default=None,
-                     choices=["sine", "piecewise-linear", "tabulated"])
+    sub.add_argument("--profile", default=None, choices=KINDS)
     sub.add_argument("--profile-file", dest="profile_file", default=None)
     sub.add_argument("--epsilon", type=float, default=None)
     sub.add_argument("--delta", type=float, default=None)

@@ -13,10 +13,9 @@ import os
 from dataclasses import dataclass, fields
 
 from .errors import ValidationError
+from .profiles import KINDS
 
 ENV_PREFIX = "PERSPEC_OPT_"
-
-_PROFILES = ("sine", "piecewise-linear", "tabulated")
 
 
 @dataclass
@@ -38,8 +37,8 @@ class RunConfig:
     out: str = ""
 
     def validate(self) -> "RunConfig":
-        if self.profile not in _PROFILES:
-            raise ValidationError(f"profile must be one of {_PROFILES}, got {self.profile!r}")
+        if self.profile not in KINDS:
+            raise ValidationError(f"profile must be one of {KINDS}, got {self.profile!r}")
         if self.profile == "tabulated" and not self.profile_file:
             raise ValidationError("profile_file is required for tabulated profiles")
         if not 0.0 < self.epsilon < math.pi:

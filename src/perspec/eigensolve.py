@@ -17,7 +17,9 @@ every grid point is one column of a single batched march
 are refined together by an Illinois (modified regula falsi) iteration,
 one batched march per step.  The residuals reported for the refined
 eigenvalues come from the scalar adaptive ``dispersion`` at each lam's
-own cutoff, independently of the mesh; they are the only scalar shots.
+own cutoff, independently of the mesh; they are the only scalar shots,
+taken at 0 and the positive roots and mirrored like the eigenvalues.
+``eigenfunction`` marches its trace (``shooting.integrate_phi``).
 """
 
 from __future__ import annotations
@@ -215,13 +217,12 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
     roots = [roots[i] for i in keep]
     iterations = [iterations[i] for i in keep]
 
+    # D(-lam) = -D(lam) from the same two shots: certify 0 and the positive
+    # roots, and mirror their residuals as the eigenvalues are mirrored
     eigs = np.concatenate([[-r for r in reversed(roots)], [0.0], roots])
-    resid = np.empty_like(eigs)
-    rel = np.empty_like(eigs)
-    for i, lam in enumerate(eigs):
-        dv = dispersion(model, float(lam), config)
-        resid[i] = abs(dv.D)
-        rel[i] = abs(dv.D) / dv.scale
+    half = np.array([(abs(dv.D), abs(dv.D) / dv.scale)
+                     for dv in (dispersion(model, lam, config) for lam in [0.0] + roots)])
+    resid, rel = np.concatenate([half[:0:-1], half]).T
 
     return EigenvalueList(model=model, eigenvalues=eigs, residuals=resid,
                           relative_residuals=rel, lam_max=float(lam_max),
@@ -240,7 +241,7 @@ def eigenfunction(model: OperatorModel, lam_n: float,
         raise StaleEigenvalueError(
             f"lam = {lam_n} no longer satisfies the dispersion condition "
             f"(relative residual {rel:.3e} > {STALE_TOL:.1e})")
-    trace = integrate_phi(model, lam_n, config, record_steps=True)
+    trace = integrate_phi(model, lam_n, config)
     norm = float(np.max(np.abs(trace.values)))
     meta = dict(trace.meta)
     meta.update({"eigenvalue": float(lam_n), "dispersion_residual": abs(dv.D),
@@ -248,7 +249,7 @@ def eigenfunction(model: OperatorModel, lam_n: float,
     return SolutionTrace(lam=trace.lam, grid=trace.grid,
                          values=trace.values / norm,
                          quasi_derivatives=trace.quasi_derivatives / norm,
-                         branch="phi", delta=trace.delta, meta=meta)
+                         delta=trace.delta, meta=meta)
 
 
 def growth_slope(eigs: EigenvalueList, n_use: int | None = None) -> float | None:

@@ -35,7 +35,7 @@ PI = np.pi
 HALF_PI = PI / 2.0
 NORMALIZATION_SLOPE = 2.0 / np.pi
 
-_KINDS = ("sine", "piecewise-linear", "tabulated")
+KINDS = ("sine", "piecewise-linear", "tabulated")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +177,7 @@ class CoefficientProfile:
     _interp: Optional[PiecewiseCubic] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValidationError(f"unknown profile kind {self.kind!r}")
         for k in self.kinks:
             if not 0.0 < k < PI:

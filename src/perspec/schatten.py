@@ -46,12 +46,6 @@ class SingularValueSpectrum:
     values: np.ndarray                  # non-increasing
     schatten_norms: dict                # order -> (sum alpha^p)^(1/p)
 
-    def norm(self, p: float) -> float:
-        key = float(p)
-        if key not in self.schatten_norms:
-            return float(np.sum(self.values ** key) ** (1.0 / key))
-        return self.schatten_norms[key]
-
     def as_dict(self) -> dict:
         return {"grid_size": self.grid_size,
                 "singular_values": self.values.tolist(),

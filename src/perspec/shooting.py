@@ -15,18 +15,16 @@ the boundary value A uniformly in sigma (for sigma > 1 the singular branch
 has vanishing derivative at the end, for sigma < 1 a blowing one; the
 value fit sidesteps both).
 
-Negative x is never integrated here; callers use the reflection to -lam.
-``mirror_audit`` provides the independent cross-check: it integrates the
-original equation on (-pi, 0) in the f-weighted state (u, f*u') with
-scipy's stepper and compares against the reflected trace.
+Negative x is never integrated here; callers use the reflection to -lam
+(the tests check it against a direct integration on (-pi, 0)).
 
-The adaptive scalar stepper (``integrate_phi``) only certifies:
-``compute_phi_at_pi`` behind the scalar ``dispersion``, eigenfunctions and
-the phi trace dump.  Everything else marches meshes.  The equation is
-linear and lam enters only through kappa = -i*lam/eps, so on a mesh each
-interval's DOPRI5 step is a 2x2 matrix polynomial in kappa whose
-coefficients are computed once per mesh, and every lam is one column
-marched through the same propagators.
+The adaptive scalar stepper only certifies: ``compute_phi_at_pi``, behind
+the scalar ``dispersion``, takes one shot that lands on the fit nodes.
+Every trace comes from a march.  The equation is linear and lam enters
+only through kappa = -i*lam/eps, so on a mesh each interval's DOPRI5 step
+is a 2x2 matrix polynomial in kappa whose coefficients are computed once
+per mesh, and every lam is one column marched through the same
+propagators.
 
 Every mesh is laid out one way, by ``_accepted_mesh``: it starts from
 ``_start_mesh`` (the requested nodes, the fit nodes, the breakpoints and
@@ -47,7 +45,8 @@ DOPRI5 error, checked in every column) is split until none does.
   no requested node falls inside the seed collar.  The mesh is accepted
   for phi and psi at lam and -lam; psi is marched backward with steps of
   negative length.
-* ``mirror_audit`` marches phi alone at -lam on its own accepted mesh.
+* ``integrate_phi`` marches phi alone at one lam, on a mesh accepted for
+  that column: eigenfunctions and the phi trace dump.
 """
 
 from __future__ import annotations
@@ -97,29 +96,18 @@ DEFAULT_CONFIG = SolverConfig()
 
 @dataclass(frozen=True, eq=False)
 class SolutionTrace:
-    """A fundamental solution sampled on an ascending grid in (0, pi)."""
+    """phi sampled on an ascending grid in (0, pi)."""
 
     lam: complex
     grid: np.ndarray
     values: np.ndarray
     quasi_derivatives: np.ndarray
-    branch: str                          # phi
     delta: float                         # seed cutoff at 0 and at pi
     meta: dict
 
     def __post_init__(self):
         for arr in (self.grid, self.values, self.quasi_derivatives):
             arr.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class EndpointValue:
-    """Local decomposition u ~ A*(1 + alpha1*d) + B*d^exponent*(1 + a1*d) at pi."""
-
-    regular_part: complex
-    singular_part: complex
-    exponent: float
-    fit_residual: float
 
 
 def _forced_nodes(model: OperatorModel, x0: float, x1: float,
@@ -136,14 +124,13 @@ def _forced_nodes(model: OperatorModel, x0: float, x1: float,
     return np.concatenate([pts, [x1]])
 
 
-def _run(model: OperatorModel, lam, x0, x1, u0, w0, config: SolverConfig,
-         outputs, record_steps: bool):
+def _run(model: OperatorModel, lam, x0, x1, u0, w0, config: SolverConfig, outputs):
     forced = _forced_nodes(model, x0, x1, outputs)
     status, x_reached, n_out, xs, us, ws = integrate_quasi_system(
         float(x0), float(x1), complex(u0), complex(w0), complex(lam),
         float(model.epsilon), integrating_factor(model).coef,
         forced, float(config.rtol), float(config.atol),
-        int(config.max_steps), CAP_FRAC, bool(record_steps))[:6]
+        int(config.max_steps), CAP_FRAC)[:6]
     if status == STATUS_STEP_UNDERFLOW:
         raise IntegrationError(
             f"step size underflow at x = {x_reached:.6g} (lam = {lam}); "
@@ -164,34 +151,6 @@ def _cutoff(lam, config: SolverConfig, nodes=()) -> float:
     if delta <= 0:
         raise ValidationError("requested nodes must lie strictly inside (0, pi)")
     return delta
-
-
-def integrate_phi(model: OperatorModel, lam, config: SolverConfig = DEFAULT_CONFIG,
-                  record_steps: bool = True) -> SolutionTrace:
-    """Adaptive trace of the solution with u -> 1 at the origin.
-
-    It lands on the profile's breakpoints and on the fit nodes
-    pi - 4*delta, pi - 2*delta and ends at pi - delta; ``record_steps``
-    keeps every accepted step's node as well.
-    """
-    delta = _cutoff(lam, config)
-    seed = seed_regular_origin(model, lam, delta)
-    fit = [PI - m * delta for m in PHI_FIT[:-1]]
-    xs, us, ws = _run(model, lam, delta, PI - delta, seed.value, seed.quasi_derivative,
-                      config, fit, record_steps)
-    return SolutionTrace(lam=complex(lam), grid=xs, values=us, quasi_derivatives=ws,
-                         branch="phi", delta=delta,
-                         meta={"rtol": config.rtol, "atol": config.atol})
-
-
-def extrapolate_endpoint(trace: SolutionTrace, model: OperatorModel) -> EndpointValue:
-    """Fit the two-branch local model at pi to the trace's last three nodes."""
-    a1, alpha1 = indicial_series_coefficients(model, trace.lam)
-    dist = PI - trace.grid[:-4:-1]                # nearest the endpoint first
-    A, B, resid = _two_branch_fit(dist, trace.values[:-4:-1], model.sigma, a1, alpha1,
-                                  trace.delta)
-    return EndpointValue(regular_part=complex(A), singular_part=complex(B),
-                         exponent=model.sigma, fit_residual=float(resid))
 
 
 def _two_branch_fit(dist, vals, expo, a1, alpha1, delta):
@@ -229,9 +188,20 @@ def _two_branch_fit(dist, vals, expo, a1, alpha1, delta):
 
 def compute_phi_at_pi(model: OperatorModel, lam,
                       config: SolverConfig = DEFAULT_CONFIG) -> complex:
-    """Boundary value phi(pi, lam); phi(-pi, lam) is this at -lam."""
-    trace = integrate_phi(model, lam, config, record_steps=False)
-    return extrapolate_endpoint(trace, model).regular_part
+    """Boundary value phi(pi, lam) from one adaptive scalar shot; phi(-pi, lam) is this at -lam.
+
+    The shot is seeded at the cutoff delta, lands on the profile's
+    breakpoints and the fit nodes pi - 4*delta, pi - 2*delta, and ends at
+    pi - delta; the two-branch fit on those three nodes gives phi(pi).
+    """
+    delta = _cutoff(lam, config)
+    seed = seed_regular_origin(model, lam, delta)
+    fit = [PI - m * delta for m in PHI_FIT[:-1]]
+    xs, us, _ = _run(model, lam, delta, PI - delta, seed.value, seed.quasi_derivative,
+                     config, fit)
+    a1, alpha1 = indicial_series_coefficients(model, lam)
+    A, _, _ = _two_branch_fit(PI - xs[:-4:-1], us[:-4:-1], model.sigma, a1, alpha1, delta)
+    return complex(A)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,7 +322,7 @@ def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
     mesh = _start_mesh(model, nodes, delta)
     kappa = -1j * lams / model.epsilon
     phi_seed = _seeds(seed_regular_origin, model, lams, delta)
-    _check_budget(len(mesh), config)
+    _check_budget(len(mesh), config, mesh[min(config.max_steps, len(mesh) - 1)])
     h = np.diff(mesh)                                    # psi steps have negative length
     steps = _step_coefficients(model, mesh[:-1], h)
     if with_psi:
@@ -413,50 +383,22 @@ def solution_pairs(model: OperatorModel, lam, nodes,
                          rounds=rounds)
 
 
-def mirror_audit(model: OperatorModel, lam, config: SolverConfig = DEFAULT_CONFIG,
-                 n_nodes: int = 25) -> dict:
-    """Independent check of the half-interval reduction.
+def integrate_phi(model: OperatorModel, lam,
+                  config: SolverConfig = DEFAULT_CONFIG) -> SolutionTrace:
+    """phi at lam on every node of its accepted mesh.
 
-    Integrates the original equation directly on (-pi, 0) in the state
-    (u, f*u') with scipy's RK45 (no integrating factor, no reflection) and
-    compares u(x) against the reflected value phi(-x, -lam) node-wise;
-    phi is marched alone at -lam on a mesh that ``_accepted_mesh`` lays
-    out through the nodes.  Returns the node set, both solution arrays and
-    the max deviation.
+    phi is marched alone, seeded at the cutoff delta of ``_cutoff``, on the
+    mesh ``_accepted_mesh`` accepts for its one column; the grid runs from
+    delta to pi - delta and holds the fit nodes pi - 4*delta and
+    pi - 2*delta and the profile's breakpoints.  Raises IntegrationError
+    as ``_accepted_mesh`` does.
     """
-    # imported here: the one caller of scipy, kept off every command's import path
-    from scipy.integrate import solve_ivp
-
-    eps = model.epsilon
-    a1, _ = indicial_series_coefficients(model, lam)
-    d0 = config.delta if config.delta is not None else default_cutoff(lam)
-    d1 = max(d0, 2e-3)
-    nodes = np.linspace(0.02, PI - 0.02, n_nodes)
-
-    delta = _cutoff(lam, config, nodes)
-    mesh, _, (phi, _), _, _ = _accepted_mesh(model, np.array([-lam], dtype=complex),
-                                             nodes, delta, config)
-    ref_vals = phi[np.searchsorted(mesh, nodes), 0]    # phi(x, -lam)
-
-    def rhs(x, y):
-        fx = eval_f(model.profile, x)
-        u, z = y[0] + 1j * y[1], y[2] + 1j * y[3]
-        du = z / fx
-        dz = -1j * lam * u / eps - z / (eps * fx)
-        return [du.real, du.imag, dz.real, dz.imag]
-
-    u0 = 1.0 - a1 * d0
-    z0 = eval_f(model.profile, -d0) * a1
-    y0 = [u0.real, u0.imag, z0.real, z0.imag]
-    sol = solve_ivp(rhs, (-d0, -(PI - d1)), y0, t_eval=-nodes, rtol=1e-11, atol=1e-13,
-                    dense_output=False)
-    if not sol.success:
-        raise IntegrationError("direct negative-side integration failed")
-    direct = sol.y[0] + 1j * sol.y[1]
-    scale = max(1.0, float(np.max(np.abs(ref_vals))))
-    dev = float(np.max(np.abs(direct - ref_vals)) / scale)
-    return {"nodes": nodes, "direct": direct, "reflected": ref_vals,
-            "max_relative_deviation": dev}
+    delta = _cutoff(lam, config)
+    mesh, _, (phi, phi_qd), _, _ = _accepted_mesh(model, np.array([lam], dtype=complex),
+                                                  np.empty(0), delta, config)
+    return SolutionTrace(lam=complex(lam), grid=mesh, values=phi[:, 0],
+                         quasi_derivatives=phi_qd[:, 0], delta=delta,
+                         meta={"rtol": config.rtol, "atol": config.atol})
 
 
 @dataclass(frozen=True, eq=False)
@@ -557,7 +499,8 @@ def boundary_values(model: OperatorModel, mesh: SharedMesh, lams) -> np.ndarray:
 
     Every lam is seeded at the mesh's cutoff delta = nodes[0], steps through
     every interval and is fitted on the mesh's nodes pi - 4*delta,
-    pi - 2*delta and pi - delta, as ``integrate_phi`` does with that cutoff.
+    pi - 2*delta and pi - delta, as ``compute_phi_at_pi`` does with that
+    cutoff.
     Only the fit nodes' states are kept, so memory stays O(mesh + lams).
     """
     lams = np.asarray(lams, dtype=complex).ravel()

@@ -55,12 +55,6 @@ class IntegratingFactor:
     rb_at_pi: float
     coef: Callable                  # x -> ((p/f)(x), p(x)), one float x in (0, pi)
 
-    def regular_log_part(self, x):
-        """log p(x) - log f(x) - sigma*log(x): the origin-side regular split."""
-        sigma = self.model.sigma
-        return (sigma * (LOG_PI - np.log(PI - np.asarray(x, float)))
-                + self.rb(x) / self.model.epsilon + LOG_HALF_PI)
-
 
 def _remainder(profile: CoefficientProfile, s: np.ndarray) -> np.ndarray:
     f = np.asarray(eval_f(profile, s))

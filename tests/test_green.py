@@ -98,6 +98,10 @@ class TestNoScalarShots:
         assert run_subcommand(["resolve", "--grid", "128",
                                "--out", str(tmp_path / "u.csv")]) == EXIT_OK
 
+    def test_phi_trace_subcommand(self, tmp_path):
+        assert run_subcommand(["trace", "--kind", "phi",
+                               "--out", str(tmp_path / "phi.csv")]) == EXIT_OK
+
 
 class TestResolvent:
     def test_zero_forcing_gives_zero(self, kernel_256):

@@ -10,9 +10,9 @@ No linter ships with the package, so these are the checks for dead code:
 ``__init__.py`` re-exports by importing, so its imports and definitions
 are left out; what it reads still counts.
 
-scipy stays off the import path: no package module imports it at module
-level, and a process that imports the package and runs a command never
-loads it (only ``shooting.mirror_audit`` imports it, when called).  Nor
+The package needs numpy alone: no package module imports scipy anywhere,
+at module level or inside a function, and a process that imports the
+package and runs a command never loads it (only the tests use it).  Nor
 does a command load ``numpy.ma``, which ``import numpy`` leaves out and
 ``np.unique`` pulls in.
 """
@@ -41,10 +41,10 @@ def unused_imports(source: str) -> list:
     return sorted(set(bound) - used)
 
 
-def module_level_imports(source: str) -> list:
-    """Top-level modules named by the module-level import statements, in order."""
+def imported_modules(source: str) -> list:
+    """Top-level modules named by every absolute import statement, nested ones too."""
     names = []
-    for node in ast.parse(source).body:
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names += [alias.name.split(".")[0] for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -92,10 +92,11 @@ def test_checker_sees_an_unread_definition():
                                            ("a.py", "_dead"), ("b.py", "STALE")]
 
 
-def test_checker_sees_module_level_imports_only():
-    source = ("import numpy as np, os.path\nfrom scipy.interpolate import PPoly\n"
-              "from .errors import X\ndef f():\n    import scipy\n")
-    assert module_level_imports(source) == ["numpy", "os", "scipy"]
+def test_checker_sees_nested_imports():
+    source = ("import numpy as np, os.path\nfrom .errors import X\n"
+              "def f():\n    from scipy.integrate import solve_ivp\n"
+              "class A:\n    def g(self):\n        import math\n")
+    assert sorted(imported_modules(source)) == ["math", "numpy", "os", "scipy"]
 
 
 def test_modules_are_found():
@@ -113,8 +114,8 @@ def test_constants_and_private_definitions_are_read():
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_no_module_level_scipy_import(path):
-    assert "scipy" not in module_level_imports(path.read_text(encoding="utf-8"))
+def test_no_scipy_import(path):
+    assert "scipy" not in imported_modules(path.read_text(encoding="utf-8"))
 
 
 COMMANDS = """

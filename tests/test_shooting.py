@@ -6,12 +6,13 @@ from scipy.integrate import solve_ivp
 
 import perspec as ps
 from perspec import _stepper, green, shooting
+from perspec.cli import EXIT_OK, run_subcommand
 from perspec.errors import (EigenvalueProximityError, IntegrationError,
                             SolverError)
-from perspec.shooting import (SolutionTrace, SolverConfig, compute_phi_at_pi,
-                              extrapolate_endpoint, integrate_phi,
-                              mirror_audit, solution_pairs)
-from perspec.singular import (compute_p_over_f, integrating_factor,
+from perspec.shooting import (SolverConfig, compute_phi_at_pi, integrate_phi,
+                              solution_pairs)
+from perspec.singular import (compute_p_over_f, default_cutoff,
+                              indicial_series_coefficients, integrating_factor,
                               seed_vanishing_at_pi)
 
 PI = math.pi
@@ -33,24 +34,25 @@ def _kernel_nodes(grid_size):
     return x[len(x) // 2 + 1:-1]
 
 
-def _psi_trace(pairs, column=0):
-    return SolutionTrace(lam=pairs.lam if column == 0 else -pairs.lam, grid=pairs.nodes,
-                         values=pairs.psi[:, column], quasi_derivatives=pairs.psi_qd[:, column],
-                         branch="psi", delta=pairs.delta, meta={})
+def _fit_at_pi(model, lam, grid, values, delta):
+    """(A, B, residual) of the two-branch fit at pi on the grid's nodes pi - m*delta, m = 1, 2, 4."""
+    at = np.searchsorted(grid, PI - delta * np.array([1.0, 2.0, 4.0]))   # nearest pi first
+    a1, alpha1 = indicial_series_coefficients(model, lam)
+    return shooting._two_branch_fit(PI - grid[at], values[at], model.sigma, a1, alpha1, delta)
 
 
 def _wronskian(pairs):
     return pairs.psi_qd * pairs.phi - pairs.phi_qd * pairs.psi
 
 
-def _dopri5_errors(model, lam, x0, h, u, w, rtol, atol):
+def _dopri5_errors(model, lams, x0, h, u, w, rtol, atol):
     """The scalar stepper's err for one DOPRI5 step per interval, stepped elementwise.
 
     Steps go from x0 to x0 + h, started at (u, w) (shape: intervals x
-    columns), with the columns at lam and -lam; the formula is that of
+    columns), with one column per lam in ``lams``; the formula is that of
     ``integrate_quasi_system``.
     """
-    kappa = -1j * np.array([lam, -lam]) / model.epsilon
+    kappa = -1j * np.asarray(lams) / model.epsilon
 
     def rhs(x, y):
         pf = compute_p_over_f(model, x)
@@ -74,7 +76,6 @@ class TestIntegratePhi:
         tr = integrate_phi(sine_model, 0.0)
         assert np.max(np.abs(tr.values - 1.0)) == 0.0
         assert np.max(np.abs(tr.quasi_derivatives)) == 0.0
-        assert tr.branch == "phi"
         assert np.all(np.diff(tr.grid) > 0)
 
     def test_reintegration_residual_against_tighter_tolerance(self, sine_model):
@@ -104,6 +105,23 @@ class TestIntegratePhi:
         with pytest.raises(ValueError):
             tr.values[0] = 0.0
 
+    def test_trace_subcommand_writes_the_march(self, tmp_path):
+        # the dump is integrate_phi's column, and every step of it passes
+        # the scalar stepper's acceptance test
+        out = tmp_path / "phi.csv"
+        assert run_subcommand(["trace", "--kind", "phi", "--lambda-re", "0.9",
+                               "--lambda-im", "0.57", "--out", str(out)]) == EXIT_OK
+        x, re_u, im_u, re_pu, im_pu = np.loadtxt(out, delimiter=",", skiprows=1).T
+        model = ps.OperatorModel(profile=ps.sine_profile(), epsilon=1.0)
+        config = SolverConfig()
+        tr = integrate_phi(model, 0.9 + 0.57j, config)
+        assert np.array_equal(x, tr.grid)
+        assert np.array_equal(re_u + 1j * im_u, tr.values)
+        assert np.array_equal(re_pu + 1j * im_pu, tr.quasi_derivatives)
+        err = _dopri5_errors(model, [0.9 + 0.57j], x[:-1], np.diff(x), tr.values[:-1, None],
+                             tr.quasi_derivatives[:-1, None], config.rtol, config.atol)
+        assert np.max(err) <= 1.0
+
 
 class TestConjugationSymmetry:
     def test_trace_at_negated_lambda_is_conjugate(self, sine_model):
@@ -130,21 +148,17 @@ class TestConjugationSymmetry:
 class TestEndpointExtrapolation:
     def test_constant_trace_recovers_a_one(self, sine_model):
         tr = integrate_phi(sine_model, 0.0)
-        end = extrapolate_endpoint(tr, sine_model)
-        assert end.regular_part == pytest.approx(1.0, abs=1e-14)
-        assert abs(end.singular_part) < 1e-14
+        A, B, _ = _fit_at_pi(sine_model, 0.0, tr.grid, tr.values, tr.delta)
+        assert A == pytest.approx(1.0, abs=1e-14)
+        assert abs(B) < 1e-14
 
     def test_synthetic_singular_branch(self, sine_model):
         # u = (pi - x)^sigma solves the local model at lam = 0 exactly
-        sigma = sine_model.sigma
         grid = np.array([PI - 4e-4, PI - 2e-4, PI - 1e-4])
-        vals = (PI - grid) ** sigma + 0j
-        tr = SolutionTrace(lam=0.0, grid=grid, values=vals,
-                           quasi_derivatives=np.zeros(3, complex), branch="phi",
-                           delta=1e-4, meta={})
-        end = extrapolate_endpoint(tr, sine_model)
-        assert abs(end.regular_part) < 1e-10
-        assert end.singular_part == pytest.approx(1.0, abs=1e-10)
+        vals = (PI - grid) ** sine_model.sigma + 0j
+        A, B, _ = _fit_at_pi(sine_model, 0.0, grid, vals, 1e-4)
+        assert abs(A) < 1e-10
+        assert B == pytest.approx(1.0, abs=1e-10)
 
     def test_stability_under_cutoff_halving(self, sine_model):
         a = compute_phi_at_pi(sine_model, 1.0, SolverConfig(delta=1e-4))
@@ -152,12 +166,11 @@ class TestEndpointExtrapolation:
         assert abs(a - b) < 1e-6
 
     def test_ill_conditioned_fit_detected(self, sine_model):
-        grid = np.array([PI - 1e-4 - 2e-13, PI - 1e-4 - 1e-13, PI - 1e-4])
-        tr = SolutionTrace(lam=1.0, grid=grid, values=np.ones(3, complex),
-                           quasi_derivatives=np.zeros(3, complex), branch="phi",
-                           delta=1e-4, meta={})
+        dist = np.array([1e-4, 1e-4 + 1e-13, 1e-4 + 2e-13])   # nearest pi first
+        a1, alpha1 = indicial_series_coefficients(sine_model, 1.0)
         with pytest.raises(SolverError):
-            extrapolate_endpoint(tr, sine_model)
+            shooting._two_branch_fit(dist, np.ones(3, complex), sine_model.sigma, a1, alpha1,
+                                     1e-4)
 
 
 class TestPsi:
@@ -188,9 +201,9 @@ class TestPsi:
 
     def test_regular_part_vanishes_at_pi(self, sine_model):
         pairs = solution_pairs(sine_model, 1.0, ())
-        end = extrapolate_endpoint(_psi_trace(pairs), sine_model)
+        A, _, _ = _fit_at_pi(sine_model, 1.0, pairs.nodes, pairs.psi[:, 0], pairs.delta)
         scale = max(1.0, float(np.max(np.abs(pairs.psi[:, 0]))))
-        assert abs(end.regular_part) / scale < 1e-8
+        assert abs(A) / scale < 1e-8
 
     def test_wronskian_healthy_even_at_periodic_eigenvalues(self, sine_model,
                                                             reference_eigs):
@@ -306,10 +319,10 @@ class TestSolutionPairs:
         config = SolverConfig()
         pairs = solution_pairs(model, lam, _kernel_nodes(512), config)
         x, h = pairs.nodes, np.diff(pairs.nodes)
-        phi_err = _dopri5_errors(model, lam, x[:-1], h, pairs.phi[:-1], pairs.phi_qd[:-1],
-                                 config.rtol, config.atol)
+        phi_err = _dopri5_errors(model, [lam, -lam], x[:-1], h, pairs.phi[:-1],
+                                 pairs.phi_qd[:-1], config.rtol, config.atol)
         psi, psi_qd = pairs.psi * pairs.wronskian, pairs.psi_qd * pairs.wronskian   # unscaled
-        psi_err = _dopri5_errors(model, lam, x[1:], -h, psi[1:], psi_qd[1:],
+        psi_err = _dopri5_errors(model, [lam, -lam], x[1:], -h, psi[1:], psi_qd[1:],
                                  config.rtol, config.atol)
         assert np.max(phi_err) <= 1.0 and np.max(psi_err) <= 1.0
         assert pairs.rounds >= 2            # the start mesh alone fails the test
@@ -333,9 +346,52 @@ class TestSharedMesh:
             lams = np.array([lam, -lam], dtype=complex)
             seeds = shooting._seeds(ps.seed_regular_origin, model, lams, x[0])
             u, w = shooting._march(mesh.coeffs, -1j * lams / eps, *seeds, every)
-            err = _dopri5_errors(model, lam, x[:-1], h, u[:-1], w[:-1], config.rtol, config.atol)
+            err = _dopri5_errors(model, lams, x[:-1], h, u[:-1], w[:-1], config.rtol,
+                                 config.atol)
             assert np.max(err) <= 1.0, (lam, np.max(err))
         assert mesh.rounds >= 2             # the start mesh alone fails the test
+
+
+def mirror_audit(model, lam, config=SolverConfig(), n_nodes=25):
+    """Independent check of the half-interval reduction.
+
+    Integrates the original equation directly on (-pi, 0) in the state
+    (u, f*u') with scipy's RK45 (no integrating factor, no reflection) and
+    compares u(x) against the reflected value phi(-x, -lam) node-wise;
+    phi is marched alone at -lam on a mesh that ``_accepted_mesh`` lays
+    out through the nodes.  Returns the node set, both solution arrays and
+    the max deviation.
+    """
+    eps = model.epsilon
+    a1, _ = indicial_series_coefficients(model, lam)
+    d0 = config.delta if config.delta is not None else default_cutoff(lam)
+    d1 = max(d0, 2e-3)
+    nodes = np.linspace(0.02, PI - 0.02, n_nodes)
+
+    delta = shooting._cutoff(lam, config, nodes)
+    mesh, _, (phi, _), _, _ = shooting._accepted_mesh(model, np.array([-lam], dtype=complex),
+                                                      nodes, delta, config)
+    ref_vals = phi[np.searchsorted(mesh, nodes), 0]    # phi(x, -lam)
+
+    def rhs(x, y):
+        fx = ps.eval_f(model.profile, x)
+        u, z = y[0] + 1j * y[1], y[2] + 1j * y[3]
+        du = z / fx
+        dz = -1j * lam * u / eps - z / (eps * fx)
+        return [du.real, du.imag, dz.real, dz.imag]
+
+    u0 = 1.0 - a1 * d0
+    z0 = ps.eval_f(model.profile, -d0) * a1
+    y0 = [u0.real, u0.imag, z0.real, z0.imag]
+    sol = solve_ivp(rhs, (-d0, -(PI - d1)), y0, t_eval=-nodes, rtol=1e-11, atol=1e-13,
+                    dense_output=False)
+    if not sol.success:
+        raise IntegrationError("direct negative-side integration failed")
+    direct = sol.y[0] + 1j * sol.y[1]
+    scale = max(1.0, float(np.max(np.abs(ref_vals))))
+    dev = float(np.max(np.abs(direct - ref_vals)) / scale)
+    return {"nodes": nodes, "direct": direct, "reflected": ref_vals,
+            "max_relative_deviation": dev}
 
 
 class TestMirrorAudit:

@@ -131,14 +131,6 @@ class TestLogP:
             x = np.linspace(lo, hi, 4001)
             np.testing.assert_allclose(fac.rb(x), spline(x), rtol=0, atol=1e-15 * scale)
 
-    def test_regular_log_part_finite(self, sine_model):
-        fac = integrating_factor(sine_model)
-        x = np.linspace(0.05, 2.5, 13)
-        vals = fac.regular_log_part(x)
-        expected = np.asarray(compute_log_p(sine_model, x)) \
-            - np.log((2 / PI) * np.sin(x)) - sine_model.sigma * np.log(x)
-        np.testing.assert_allclose(vals, expected, atol=1e-12)
-
 
 class TestSeeds:
     def test_zero_lambda_is_exact_constant(self, sine_model):
@@ -185,7 +177,7 @@ class TestSeeds:
             s = seed_regular_origin(sine_model, lam, delta)
             s8 = seed_regular_origin(sine_model, lam, delta / 8)
             _, us, _ = shooting._run(sine_model, lam, delta / 8, delta,
-                                     s8.value, s8.quasi_derivative, cfg, None, False)
+                                     s8.value, s8.quasi_derivative, cfg, None)
             errs.append(abs(s.value - us[-1]))
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.0)
 

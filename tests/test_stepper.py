@@ -51,29 +51,41 @@ class TestScalarCoefficients:
 
 class TestIntegrateQuasiSystemContract:
     ARGS = ("x0", "x1", "u0", "w0", "lam", "eps", "coef", "forced",
-            "rtol", "atol", "max_steps", "cap_frac", "record_steps")
+            "rtol", "atol", "max_steps", "cap_frac")
 
-    def _shoot(self, model, max_steps=200_000, record_steps=True):
+    def _shoot(self, model, max_steps=200_000, coef=None):
         forced = np.array([1.0, 2.0, PI - 1e-3])
         return integrate_quasi_system(1e-3, PI - 1e-3, 1.0 + 0j, 0j, 1.0 + 0j,
-                                      model.epsilon, integrating_factor(model).coef,
-                                      forced, 1e-10, 1e-12, max_steps, 0.5, record_steps)
+                                      model.epsilon, coef or integrating_factor(model).coef,
+                                      forced, 1e-10, 1e-12, max_steps, 0.5)
 
     def test_parameter_names(self):
         assert tuple(inspect.signature(integrate_quasi_system).parameters) == self.ARGS
 
     def test_returns_seven_fields_with_attempted_steps_last(self, sine_model):
-        status, x_reached, n_out, xs, us, ws, n_steps = self._shoot(sine_model)
+        coef = integrating_factor(sine_model).coef
+        at = []
+
+        def counted(x):
+            at.append(x)
+            return coef(x)
+
+        status, x_reached, n_out, xs, us, ws, n_steps = self._shoot(sine_model, coef=counted)
         assert status == STATUS_OK
         assert x_reached == PI - 1e-3
         assert xs[0] == 1e-3 and xs[n_out - 1] == PI - 1e-3
         assert len(xs[:n_out]) == len(us[:n_out]) == len(ws[:n_out]) == n_out
-        # every accepted step is recorded once, so a rejected one shows
-        # up as the excess of attempted steps over recorded nodes
-        assert n_steps > n_out - 1
+        # FSAL: one evaluation at x0, then six per attempted step, the last
+        # at the step's end x + h
+        assert len(at) == 1 + 6 * n_steps
+        # an accepted step's successor ends further on, a rejected step's
+        # retry (same x, shorter h) ends short of it: the shot had rejected
+        # steps, and n_steps counted them
+        ends = np.array(at[6::6])
+        assert np.count_nonzero(np.diff(ends) < 0) > 0
 
-    def test_forced_nodes_only_without_recording(self, sine_model):
-        _, _, n_out, xs, _, _, _ = self._shoot(sine_model, record_steps=False)
+    def test_only_forced_nodes_are_recorded(self, sine_model):
+        _, _, n_out, xs, _, _, _ = self._shoot(sine_model)
         assert list(xs[:n_out]) == [1e-3, 1.0, 2.0, PI - 1e-3]
 
     def test_step_budget_status(self, sine_model):
