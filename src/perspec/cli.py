@@ -98,6 +98,8 @@ def _cmd_eigs(cfg: RunConfig, args) -> int:
 
 
 def _cmd_trace(cfg: RunConfig, args) -> int:
+    if args.nodes < 1:
+        raise ValidationError(f"--nodes must be at least 1, got {args.nodes}")
     model = _model_for(cfg)
     lam = complex(cfg.lambda_re, cfg.lambda_im)
     out = cfg.out or f"trace_{args.kind}.csv"
@@ -119,13 +121,15 @@ def _cmd_trace(cfg: RunConfig, args) -> int:
 
 
 def _read_forcing(path: str) -> np.ndarray:
-    """The rows of a forcing file: (x, F) or (x, ReF, ImF)."""
+    """The rows of a forcing file: (x, F) or (x, ReF, ImF), x strictly ascending."""
     try:
         data = np.loadtxt(path, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read forcing file {path}: {exc}") from exc
     if data.shape[1] not in (2, 3):
         raise ValidationError(f"{path}: forcing file needs 2 or 3 columns")
+    if not np.all(np.diff(data[:, 0]) > 0):
+        raise ValidationError(f"{path}: forcing x values must be strictly ascending")
     return data
 
 
@@ -133,7 +137,7 @@ def _forcing_on(kernel, data: np.ndarray) -> GridFunction:
     vals = np.interp(kernel.nodes, data[:, 0], data[:, 1]).astype(complex)
     if data.shape[1] == 3:
         vals += 1j * np.interp(kernel.nodes, data[:, 0], data[:, 2])
-    return GridFunction(nodes=kernel.nodes, values=vals, role="forcing")
+    return GridFunction(nodes=kernel.nodes, values=vals)
 
 
 def _cmd_resolve(cfg: RunConfig, args) -> int:

@@ -13,12 +13,13 @@ only the positive half-axis is scanned and the result is mirrored.
 The scan and the refinement march on one shared mesh (``shooting.shared_mesh``),
 laid out by the marches' own step-error test at the top of the grid:
 every grid point is one column of a single batched march
-(``dispersion_batch``) seeded at the mesh's one cutoff, and the brackets
-are refined together by an Illinois (modified regula falsi) iteration,
-one batched march per step.  The residuals reported for the refined
-eigenvalues come from the scalar adaptive ``dispersion`` at each lam's
-own cutoff, independently of the mesh; they are the only scalar shots,
-taken at 0 and the positive roots and mirrored like the eigenvalues.
+(``dispersion_batch``, which returns the array of D) seeded at the mesh's
+one cutoff, and the brackets are refined together by an Illinois
+(modified regula falsi) iteration, one batched march per step.  The
+residuals reported for the refined eigenvalues come from the scalar
+adaptive ``dispersion`` at each lam's own cutoff, independently of the
+mesh; they are the only scalar shots, taken at 0 and the positive roots
+and mirrored like the eigenvalues.
 ``eigenfunction`` marches its trace (``shooting.integrate_phi``).
 """
 
@@ -93,22 +94,19 @@ def dispersion(model: OperatorModel, lam: float,
                            phi_plus=plus, phi_minus=minus)
 
 
-def dispersion_batch(model: OperatorModel, lams, mesh: SharedMesh) -> list[DispersionValue]:
-    """``dispersion`` at the mesh's cutoff for every lam in ``lams``, from one batched march.
+def dispersion_batch(model: OperatorModel, lams, mesh: SharedMesh) -> np.ndarray:
+    """D(lam) at the mesh's cutoff for every lam in ``lams``, from one batched march.
 
     The columns lam and -lam are marched together; for real lam and a real
-    profile they are exact conjugates, as in the scalar path.  Complex lam
-    march as complex columns, and ``lam`` of each value holds Re lam, as
-    the scalar ``dispersion`` reports it.
+    profile they are exact conjugates, as in the scalar path, so D is
+    purely imaginary.  Complex lam march as complex columns.
     """
     lams = np.asarray(lams).ravel()
     if not np.iscomplexobj(lams):
         lams = lams.astype(float)
     phi = boundary_values(model, mesh, np.concatenate([lams, -lams]))
     n = len(lams)
-    return [DispersionValue(lam=float(lam.real), D=complex(plus - minus),
-                            phi_plus=complex(plus), phi_minus=complex(minus))
-            for lam, plus, minus in zip(lams, phi[:n], phi[n:])]
+    return phi[:n] - phi[n:]
 
 
 def _served_mesh(model: OperatorModel, grid: np.ndarray, config: SolverConfig):
@@ -158,7 +156,7 @@ def _refine(model: OperatorModel, mesh: SharedMesh, brackets: list) -> tuple[lis
         x = (a * rb - b * ra) / (rb - ra)
         x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
         x = np.clip(x, a + 0.25 * width[active], b - 0.25 * width[active])
-        rx = [v.D.imag for v in dispersion_batch(model, x, mesh)]
+        rx = dispersion_batch(model, x, mesh).imag
         marches += 1
         iters[active] += 1
         for i, xi, ri in zip(active, x, rx):
@@ -190,19 +188,17 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
         raise ValidationError("lam_max and resolution must be positive")
 
     grid = np.arange(resolution, lam_max + resolution / 2, resolution)
+    if not len(grid):
+        raise ValidationError(f"empty scan grid: resolution {resolution} >= 2*lam_max")
     mesh, served, skipped = _served_mesh(model, grid, config)
-    values: list[DispersionValue | None] = [None] * len(grid)
     marches = 0
     if served:
-        values[:served] = dispersion_batch(model, grid[:served], mesh)
+        r = dispersion_batch(model, grid[:served], mesh).imag
         marches = mesh.rounds + 1
 
     spans = []                                   # (lo, hi, r_lo, r_hi); lo == hi: exact root
-    for k in range(len(grid) - 1):
-        va, vb = values[k], values[k + 1]
-        if va is None or vb is None:
-            continue
-        ra, rb = va.D.imag, vb.D.imag
+    for k in range(served - 1):
+        ra, rb = r[k], r[k + 1]
         if ra == 0.0:
             spans.append((float(grid[k]), float(grid[k]), ra, rb))
         elif ra * rb < 0.0:
@@ -252,11 +248,9 @@ def eigenfunction(model: OperatorModel, lam_n: float,
                          delta=trace.delta, meta=meta)
 
 
-def growth_slope(eigs: EigenvalueList, n_use: int | None = None) -> float | None:
+def growth_slope(eigs: EigenvalueList) -> float | None:
     """Least-squares slope of log(lam_n) against log(n) for the positive half."""
     pos = eigs.positive()
-    if n_use is not None:
-        pos = pos[:n_use]
     if len(pos) < 2:
         return None
     n = np.arange(1, len(pos) + 1, dtype=float)

@@ -29,13 +29,15 @@ caps it below the nodes it is asked for (``shooting.CUTOFF_CAP``).
 
 Quadrature is composite trapezoid on a grid graded quadratically toward
 0 and +-pi.  Parts I and II are semiseparable and part III has rank one,
-so the kernel is stored as its O(n) generators (phi, psi, log(p/f), the
-weighted psi and the denominator) and applied by three running
-trapezoid sums, each accumulated outward from the point where its
+so ``KernelGrid`` holds the kernel as ``_full_period``'s O(n) generators
+under their own names -- ``phi``, ``psi``, ``log_pf`` = log(p/f), ``w2`` =
+the weighted psi, and the ``denominator`` -- and applies it by three
+running trapezoid sums, each accumulated outward from the point where its
 integrand vanishes.  The triangles' one-sided end weights are the
 trapezoid's own.  The dense matrix is built, a block of columns at a
 time, only for the uses that need one: the SVD, the kernel dump and
-sup|G|.
+sup|G|.  ``integral_proxies`` reads parts I and II of one application
+as the weighted first and second integral terms.
 """
 
 from __future__ import annotations
@@ -86,11 +88,21 @@ class GridFunction:
 
     nodes: np.ndarray
     values: np.ndarray
-    role: str                       # "forcing" | "solution"
 
 
 @dataclass(frozen=True, eq=False)
-class KernelGrid:
+class _FullPeriod:
+    """The kernel's generators on -pi, -nodes_pos[::-1], 0, nodes_pos, pi."""
+
+    phi: np.ndarray                 # x-factor of parts II, III: 1 at 0; fitted values at +-pi
+    psi: np.ndarray                 # x-factor of part I: nan at 0, 0 at +-pi
+    log_pf: np.ndarray              # log (p/f)(|s|); -inf at 0, +inf at +-pi
+    w2: np.ndarray                  # s-factor of parts II, III: psi(s)*(-i/eps)*signed (p/f)(s)
+    denominator: complex            # phi(pi)/phi(-pi) - 1
+
+
+@dataclass(frozen=True, eq=False)
+class KernelGrid(_FullPeriod):
     """The discretized kernel, held by its O(n) generators on the graded grid.
 
     ``apply_resolvent`` applies it by running sums; ``kernel_matrix``
@@ -100,11 +112,6 @@ class KernelGrid:
     lam: complex
     nodes: np.ndarray               # shared x- and s-grid
     weights: np.ndarray             # trapezoid weights
-    phi_on_grid: np.ndarray         # phi(x): x-factor of parts II and III
-    psi_on_grid: np.ndarray         # psi(x): x-factor of part I; nan at 0, 0 at +-pi
-    log_pf_on_grid: np.ndarray      # log (p/f)(|s|); -inf at 0, +inf at +-pi
-    psi_weight_on_grid: np.ndarray  # w2(s) = psi(s)*(-i/eps)*(p/f)(s), endpoint limits filled
-    denominator: complex            # phi(pi)/phi(-pi) - 1
     meta: dict
 
     @functools.cached_property
@@ -122,17 +129,6 @@ def _outward_sides(n: int):
     """Slices of the interior nodes on each side of 0 (positive side first), ordered outward from 0."""
     i0 = n // 2
     return slice(i0 + 1, n - 1), slice(i0 - 1, 0, -1)
-
-
-@dataclass(frozen=True, eq=False)
-class _FullPeriod:
-    """The kernel's generators on -pi, -nodes_pos[::-1], 0, nodes_pos, pi."""
-
-    phi: np.ndarray                 # 1 at 0; fitted boundary values at +-pi
-    psi: np.ndarray                 # nan at 0, 0 at +-pi
-    log_pf: np.ndarray              # log (p/f)(|s|); -inf at 0, +inf at +-pi
-    w2: np.ndarray                  # psi(s)*(-i/eps)*signed (p/f)(s), endpoint limits filled
-    denominator: complex            # phi(pi)/phi(-pi) - 1
 
 
 def _full_period(model: OperatorModel, pairs: SolutionPairs) -> _FullPeriod:
@@ -186,13 +182,9 @@ def assemble_kernel(model: OperatorModel, lam, grid_size: int,
         raise EigenvalueProximityError(
             f"periodicity denominator |phi(pi)/phi(-pi) - 1| = {abs(full.denominator):.3e} "
             f"is numerically zero: lam = {lam} is an eigenvalue")
-    meta = {"model": model, "grid_size": grid_size,
-            "wronskian_deviation": pairs.wronskian_deviation,
+    meta = {"model": model, "wronskian_deviation": pairs.wronskian_deviation,
             "mesh_nodes": len(pairs.nodes), "mesh_rounds": pairs.rounds}
-    return KernelGrid(lam=complex(lam), nodes=x, weights=w, phi_on_grid=full.phi,
-                      psi_on_grid=full.psi, log_pf_on_grid=full.log_pf,
-                      psi_weight_on_grid=full.w2, denominator=full.denominator,
-                      meta=meta)
+    return KernelGrid(lam=complex(lam), nodes=x, weights=w, meta=meta, **vars(full))
 
 
 def _running_trapezoid(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -222,12 +214,12 @@ def _applied_parts(kernel: KernelGrid, forcing: np.ndarray):
 
     part_i = np.zeros(F.shape, complex)
     for side in _outward_sides(n):
-        g = (kernel.phi_on_grid[side] * np.exp(kernel.log_pf_on_grid[side]))[:, None] * F[side]
-        part_i[side] = kernel.psi_on_grid[side, None] * (-1j / eps) * _running_trapezoid(g, x[side])
-    g2 = kernel.psi_weight_on_grid[:, None] * F
+        g = (kernel.phi[side] * np.exp(kernel.log_pf[side]))[:, None] * F[side]
+        part_i[side] = kernel.psi[side, None] * (-1j / eps) * _running_trapezoid(g, x[side])
+    g2 = kernel.w2[:, None] * F
     tail = _running_trapezoid(g2[::-1], x[::-1])[::-1]
-    part_ii = kernel.phi_on_grid[:, None] * tail
-    part_iii = kernel.phi_on_grid[:, None] * (tail[0] / kernel.denominator)
+    part_ii = kernel.phi[:, None] * tail
+    part_iii = kernel.phi[:, None] * (tail[0] / kernel.denominator)
     return tuple(part.reshape(forcing.shape) for part in (part_i, part_ii, part_iii))
 
 
@@ -264,25 +256,24 @@ def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
     if forcing.nodes.shape != kernel.nodes.shape or \
             np.max(np.abs(forcing.nodes - kernel.nodes)) > 1e-12:
         raise GridMismatchError("forcing is not sampled on the kernel grid")
-    u = sum(_applied_parts(kernel, forcing.values))
-    return GridFunction(nodes=kernel.nodes, values=u, role="solution")
+    return GridFunction(nodes=kernel.nodes, values=sum(_applied_parts(kernel, forcing.values)))
 
 
 def resolvent_residual(model: OperatorModel, lam, u: GridFunction,
-                       forcing: GridFunction, collar: Optional[float] = None) -> float:
+                       forcing: GridFunction) -> float:
     """Relative discrete L2 residual of the original equation.
 
     Applies i*eps*(f u')' + i*u' - lam*u by flux-form finite differences
     on the non-uniform grid and compares with F, excluding a collar of
-    width 10*delta (by default) around the degenerate points 0 and +-pi.
+    width 10*delta (delta = ``default_cutoff(lam)``) around the degenerate
+    points 0 and +-pi.
     """
     x = u.nodes
     if len(x) < 64:
         raise ValidationError("residual check needs at least 64 grid nodes")
     if forcing.nodes.shape != x.shape or np.max(np.abs(forcing.nodes - x)) > 1e-12:
         raise GridMismatchError("u and F are not on a common grid")
-    if collar is None:
-        collar = 10.0 * default_cutoff(lam)
+    collar = 10.0 * default_cutoff(lam)
 
     eps = model.epsilon
     uu = u.values
@@ -305,13 +296,13 @@ def resolvent_residual(model: OperatorModel, lam, u: GridFunction,
     return num / max(den, 1e-300)
 
 
-def bandlimited_forcing(kernel: KernelGrid, seed: int, modes: int = 8) -> GridFunction:
-    """Random trigonometric forcing, reproducible from the seed."""
+def bandlimited_forcing(kernel: KernelGrid, seed: int) -> GridFunction:
+    """Random trigonometric forcing on the modes |k| <= 8, reproducible from the seed."""
     rng = np.random.default_rng(seed)
-    k = np.arange(-modes, modes + 1)
+    k = np.arange(-8, 9)
     coef = (rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k))) / (1.0 + np.abs(k))
     vals = np.exp(1j * np.outer(kernel.nodes, k)) @ coef
-    return GridFunction(nodes=kernel.nodes, values=vals, role="forcing")
+    return GridFunction(nodes=kernel.nodes, values=vals)
 
 
 def manufactured_pair(model: OperatorModel, lam, nodes: np.ndarray):
@@ -334,12 +325,11 @@ def manufactured_pair(model: OperatorModel, lam, nodes: np.ndarray):
     else:
         dfx = np.asarray(eval_f_prime(model.profile, x))
     F = 1j * model.epsilon * (dfx * du + fx * ddu) + 1j * du - lam * u
-    return (GridFunction(nodes=x, values=u + 0j, role="solution"),
-            GridFunction(nodes=x, values=F, role="forcing"))
+    return GridFunction(nodes=x, values=u + 0j), GridFunction(nodes=x, values=F)
 
 
-def bound_product_audit(kernel: KernelGrid, x_below: float = 0.5) -> float:
-    """max over sampled (x, s), s between 0 and x, |x| <= x_below, of |psi(x) p(s)/f(s)|.
+def bound_product_audit(kernel: KernelGrid) -> float:
+    """max over sampled (x, s), s between 0 and x, |x| <= 0.5, of |psi(x) p(s)/f(s)|.
 
     Refinement stability of this number is the computable stand-in for the
     uniform bound on the part-I product near the origin, where psi blows
@@ -347,28 +337,23 @@ def bound_product_audit(kernel: KernelGrid, x_below: float = 0.5) -> float:
     """
     x = kernel.nodes
     with np.errstate(divide="ignore"):      # psi is 0 at +-pi and nan at 0
-        lpsi = np.log(np.abs(kernel.psi_on_grid))
+        lpsi = np.log(np.abs(kernel.psi))
     best = -np.inf
     for side in _outward_sides(len(x)):
         # max_s (log|psi(x)| + log pf(s)) = log|psi(x)| + max_s log pf(s): rounding
         # of a sum is monotone in each term, so this is the max over all pairs
-        logs = lpsi[side] + np.maximum.accumulate(kernel.log_pf_on_grid[side])
-        rows = np.abs(x[side]) <= x_below
+        logs = lpsi[side] + np.maximum.accumulate(kernel.log_pf[side])
+        rows = np.abs(x[side]) <= 0.5
         best = max(best, float(np.max(logs, where=rows, initial=-np.inf)))
     return float(np.exp(best))
 
 
-def first_integral_proxy(kernel: KernelGrid, forcing: GridFunction) -> np.ndarray:
-    """|psi(x) * int_0^x phi (-i p/(eps f)) F| / (sqrt(x) ||F||) on 0 < x < pi/2."""
-    return _integral_proxies(kernel, forcing)[0]
+def integral_proxies(kernel: KernelGrid, forcing: GridFunction):
+    """Parts I and II of one application, weighted: the first and second integral terms.
 
-
-def second_integral_proxy(kernel: KernelGrid, forcing: GridFunction) -> np.ndarray:
-    """|phi(x) * int_x^pi psi (-i p/(eps f)) F| / (sqrt(pi-x) ||F||) near pi."""
-    return _integral_proxies(kernel, forcing)[1]
-
-
-def _integral_proxies(kernel: KernelGrid, forcing: GridFunction):
+    |psi(x) * int_0^x phi (-i p/(eps f)) F| / (sqrt(x) ||F||) on 0 < x < pi/2 and
+    |phi(x) * int_x^pi psi (-i p/(eps f)) F| / (sqrt(pi-x) ||F||) on 0 < x < pi.
+    """
     x = kernel.nodes
     norm_f = math.sqrt(float(np.sum(kernel.weights * np.abs(forcing.values) ** 2)))
     pos, _ = _outward_sides(len(x))
@@ -380,9 +365,8 @@ def _integral_proxies(kernel: KernelGrid, forcing: GridFunction):
 
 
 def quasi_derivative_continuity(model: OperatorModel, lam, forcing_fn,
-                                config: SolverConfig = DEFAULT_CONFIG,
-                                probe: float = 1e-6, quad_size: int = 2048):
-    """One-sided values of f*u' near 0 for the resolvent solution.
+                                config: SolverConfig = DEFAULT_CONFIG, quad_size: int = 2048):
+    """One-sided values of f*u' at +-probe = +-1e-6 for the resolvent solution.
 
     f*u' = f*psi'*J1 + f*phi'*(J2 + A) is reconstructed from traces: the
     factors f*psi' and f*phi' are exp(-log(p/f)) times quasi-derivatives,
@@ -395,6 +379,7 @@ def quasi_derivative_continuity(model: OperatorModel, lam, forcing_fn,
     """
     eps = model.epsilon
     sigma = model.sigma
+    probe = 1e-6
     x, w = graded_full_grid(quad_size)
     interior = slice(len(x) // 2 + 1, -1)
     wq, quad_pos = w[interior], x[interior]

@@ -173,7 +173,6 @@ class CoefficientProfile:
     kind: str
     kinks: tuple[float, ...] = ()
     table_x: Optional[np.ndarray] = None
-    table_f: Optional[np.ndarray] = None
     _interp: Optional[PiecewiseCubic] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -240,10 +239,10 @@ def tabulated_profile(x, f, kinks=()) -> CoefficientProfile:
     f[0], f[-1] = 0.0, 0.0
     interp = PiecewiseCubic.pchip(x, f)
     return CoefficientProfile(kind="tabulated", kinks=tuple(kinks),
-                              table_x=x, table_f=f, _interp=interp)
+                              table_x=x, _interp=interp)
 
 
-def load_tabulated(path, kinks=()) -> CoefficientProfile:
+def load_tabulated(path) -> CoefficientProfile:
     """Read a whitespace-separated two-column file (x, f(x)), x in [0, pi]."""
     try:
         data = np.loadtxt(path, ndmin=2)
@@ -251,7 +250,7 @@ def load_tabulated(path, kinks=()) -> CoefficientProfile:
         raise ValidationError(f"cannot read profile table {path}: {exc}") from exc
     if data.shape[1] != 2:
         raise ValidationError(f"{path}: expected two columns, got {data.shape[1]}")
-    return tabulated_profile(data[:, 0], data[:, 1], kinks=kinks)
+    return tabulated_profile(data[:, 0], data[:, 1])
 
 
 def _check_domain(x):
@@ -339,18 +338,17 @@ class ValidationReport:
         }
 
 
-def validate_profile(profile: CoefficientProfile, samples: int = 256,
-                     tolerance: Optional[float] = None) -> ValidationReport:
+def validate_profile(profile: CoefficientProfile, samples: int = 256) -> ValidationReport:
     """Check antiperiodicity, oddness, interior positivity and the slope.
 
+    The tolerance is 1e-6 for a tabulated profile and 1e-10 otherwise.
     The slope check evaluates the profile's own derivative at 0+, so for
     tabulated profiles it certifies the interpolant, not the unknown
     underlying function.
     """
     if samples < 16:
         raise ValidationError("samples must be >= 16")
-    if tolerance is None:
-        tolerance = 1e-6 if profile.kind == "tabulated" else 1e-10
+    tolerance = 1e-6 if profile.kind == "tabulated" else 1e-10
 
     xg = np.linspace(-PI, 0.0, samples)
     anti = float(np.max(np.abs(eval_f(profile, xg + PI) + eval_f(profile, xg))))

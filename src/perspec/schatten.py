@@ -68,7 +68,7 @@ def singular_values(kernel: KernelGrid, orders=DEFAULT_ORDERS) -> SingularValueS
     """Singular values of the symmetrized kernel matrix plus Schatten norms."""
     alpha = _weighted_svd(kernel)
     norms = {float(p): float(np.sum(alpha ** p) ** (1.0 / p)) for p in orders}
-    return SingularValueSpectrum(lam=kernel.lam, grid_size=kernel.meta["grid_size"],
+    return SingularValueSpectrum(lam=kernel.lam, grid_size=len(kernel.nodes) - 1,
                                  values=alpha, schatten_norms=norms)
 
 
@@ -137,19 +137,12 @@ def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
 
 @dataclass(frozen=True)
 class InequalityReport:
-    p: float
     lam: complex
     left: float                          # truncated sum over eigenvalues
     right: float                         # discretized ||R||_p^p
     slack: float                         # right*(1+guard) - left
-    guard: float
     passed: bool
     eigenvalues_used: int
-
-    def as_dict(self) -> dict:
-        return {"p": self.p, "left": self.left, "right": self.right,
-                "slack": self.slack, "guard": self.guard, "passed": self.passed,
-                "eigenvalues_used": self.eigenvalues_used}
 
 
 def eigen_schatten_inequality(eigenvalues: np.ndarray, spectrum: SingularValueSpectrum,
@@ -167,6 +160,5 @@ def eigen_schatten_inequality(eigenvalues: np.ndarray, spectrum: SingularValueSp
     left = float(np.sum(np.abs(lam - eigenvalues.astype(complex)) ** (-p)))
     right = float(np.sum(spectrum.values ** p))
     slack = right * (1.0 + guard) - left
-    return InequalityReport(p=float(p), lam=lam, left=left, right=right,
-                            slack=slack, guard=guard, passed=bool(slack >= 0.0),
-                            eigenvalues_used=len(eigenvalues))
+    return InequalityReport(lam=lam, left=left, right=right, slack=slack,
+                            passed=bool(slack >= 0.0), eigenvalues_used=len(eigenvalues))

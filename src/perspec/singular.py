@@ -48,9 +48,8 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 @dataclass(frozen=True, eq=False)
 class IntegratingFactor:
-    """Per-model table behind compute_log_p and friends."""
+    """Per-model table behind compute_log_p and friends; it holds no reference to the model."""
 
-    model: OperatorModel
     rb: PiecewiseCubic              # RB(x) on [0, pi]
     rb_at_pi: float
     coef: Callable                  # x -> ((p/f)(x), p(x)), one float x in (0, pi)
@@ -88,7 +87,7 @@ def _build(model: OperatorModel) -> IntegratingFactor:
     rb = PiecewiseCubic(breaks=np.concatenate([p.breaks[:-1] for p in parts] + [[PI]]),
                         c=np.concatenate([p.c for p in parts], axis=1))
 
-    return IntegratingFactor(model=model, rb=rb, rb_at_pi=float(rb_vals[-1]),
+    return IntegratingFactor(rb=rb, rb_at_pi=float(rb_vals[-1]),
                              coef=_scalar_coefficients(model, rb))
 
 
@@ -111,6 +110,7 @@ def _scalar_coefficients(model: OperatorModel, rb: PiecewiseCubic):
     return coef
 
 
+# a value that referred to its weak key would keep the entry alive for good
 _CACHE: "weakref.WeakKeyDictionary[OperatorModel, IntegratingFactor]" = weakref.WeakKeyDictionary()
 
 
@@ -181,11 +181,8 @@ def indicial_series_coefficients(model: OperatorModel, lam):
 
 @dataclass(frozen=True)
 class EndpointSeed:
-    """Initial data for shooting, taken at distance ``cutoff`` from an endpoint."""
+    """Initial data for shooting at the cutoff delta: at delta from 0 or at pi - delta."""
 
-    endpoint: str                 # origin | plus-pi | minus-pi
-    branch: str                   # regular | singular
-    cutoff: float
     value: complex
     quasi_derivative: complex     # p*u' at the cutoff point
 
@@ -209,8 +206,7 @@ def seed_regular_origin(model: OperatorModel, lam, delta: float) -> EndpointSeed
     a1, _ = indicial_series_coefficients(model, lam)
     value = 1.0 + a1 * delta
     qd = a1 * delta ** (1.0 + sigma)
-    return EndpointSeed(endpoint="origin", branch="regular", cutoff=delta,
-                        value=value, quasi_derivative=qd)
+    return EndpointSeed(value=value, quasi_derivative=qd)
 
 
 def seed_vanishing_at_pi(model: OperatorModel, lam, delta: float) -> EndpointSeed:
@@ -226,5 +222,4 @@ def seed_vanishing_at_pi(model: OperatorModel, lam, delta: float) -> EndpointSee
     value = delta ** sigma * (1.0 + a1 * delta)
     p_near = math.exp(compute_log_p(model, PI - delta))
     qd = -(p_near / delta ** (1.0 - sigma)) * (sigma + (1.0 + sigma) * a1 * delta)
-    return EndpointSeed(endpoint="plus-pi", branch="singular", cutoff=delta,
-                        value=value, quasi_derivative=qd)
+    return EndpointSeed(value=value, quasi_derivative=qd)

@@ -55,6 +55,14 @@ class TestBadInputFiles:
                                            "--out", str(tmp_path / "u.csv")])
         assert "2 or 3 columns" in msg
 
+    def test_forcing_x_not_ascending(self, capsys, tmp_path):
+        # np.interp would silently mis-sample a forcing whose x column is unsorted
+        path = tmp_path / "forcing.txt"
+        path.write_text("3 1\n-3 1\n0 2\n")
+        msg = _validation_failure(capsys, ["resolve", "--grid", "64", "--forcing", str(path),
+                                           "--out", str(tmp_path / "u.csv")])
+        assert "strictly ascending" in msg and not (tmp_path / "u.csv").exists()
+
     def test_missing_profile_table(self, capsys, tmp_path):
         missing = tmp_path / "missing.txt"
         msg = _validation_failure(capsys, ["validate", "--profile", "tabulated",
@@ -79,6 +87,23 @@ class TestExitCodes:
             perspec.cli.main(argv)
         assert exc.value.code == EXIT_USAGE
         assert "usage: perspec" in capsys.readouterr().err
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("argv", [["eigs"], ["schatten", *SMALL]], ids=["eigs", "schatten"])
+    def test_empty_scan_grid(self, capsys, tmp_path, argv):
+        # resolution >= 2*lmax leaves no grid point; schatten scans without --eigs-file
+        out = tmp_path / "out.json"
+        msg = _validation_failure(capsys, [*argv, "--lmax", "1", "--resolution", "5",
+                                           "--out", str(out)])
+        assert "empty scan grid" in msg and not out.exists()
+
+    @pytest.mark.parametrize("nodes", [-5, 0])
+    def test_trace_needs_a_node(self, capsys, tmp_path, nodes):
+        out = tmp_path / "logp.csv"
+        msg = _validation_failure(capsys, ["trace", "--kind", "logp", "--nodes", str(nodes),
+                                           "--out", str(out)])
+        assert "--nodes" in msg and not out.exists()
 
 
 class TestConfigInOutput:

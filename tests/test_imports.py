@@ -5,7 +5,9 @@ No linter ships with the package, so these are the checks for dead code:
 * a name bound by a top-level ``import`` or ``from ... import`` must
   appear as a name somewhere else in the module's syntax tree;
 * a top-level UPPER_CASE constant or ``_private`` function or class must
-  be read, as a name or an attribute, somewhere in the package.
+  be read, as a name or an attribute, somewhere in the package;
+* a field of a ``@dataclass`` in the package must be read as an attribute
+  somewhere in the package, its tests or the benchmark.
 
 ``__init__.py`` re-exports by importing, so its imports and definitions
 are left out; what it reads still counts.
@@ -25,7 +27,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "perspec"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "perspec"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -77,6 +80,26 @@ def unread_definitions(sources: dict) -> list:
     return sorted(d for d in defined if d[1] not in read)
 
 
+def unread_fields(defining: dict, reading: dict) -> list:
+    """(module, class, field) of the dataclass fields no attribute load reads.
+
+    ``defining`` maps the file names whose ``@dataclass`` classes are
+    checked to source text; ``reading`` maps every file whose attribute
+    loads count to source text.
+    """
+    read = {node.attr for source in reading.values() for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for name, source in defining.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and any(
+                    getattr(getattr(dec, "func", dec), "id", None) == "dataclass"
+                    for dec in cls.decorator_list):
+                unread += [(name, cls.name, node.target.id) for node in cls.body
+                           if isinstance(node, ast.AnnAssign) and node.target.id not in read]
+    return sorted(unread)
+
+
 def test_checker_sees_an_unused_import():
     assert unused_imports("import math\nimport os\nfrom x import a, b as c\nc(os)\n") \
         == ["a", "math"]
@@ -90,6 +113,14 @@ def test_checker_sees_an_unread_definition():
                "__init__.py": "_B = 6\nUNUSED = 7\n"}
     assert unread_definitions(sources) == [("a.py", "STALE"), ("a.py", "_B"), ("a.py", "_Gone"),
                                            ("a.py", "_dead"), ("b.py", "STALE")]
+
+
+def test_checker_sees_an_unread_field():
+    defining = {"a.py": "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n"
+                        "    z: int = 0\n    def f(self):\n        return self.x\n"
+                        "@dataclass\nclass B:\n    w: int\nclass C:\n    v: int\n"}
+    reading = {**defining, "t.py": "b.w = 1\nprint(a.z)\nv = 2\nA(y=1)\n"}
+    assert unread_fields(defining, reading) == [("a.py", "A", "y"), ("a.py", "B", "w")]
 
 
 def test_checker_sees_nested_imports():
@@ -111,6 +142,13 @@ def test_module_level_imports_are_used(path):
 def test_constants_and_private_definitions_are_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unread_definitions(sources) == []
+
+
+def test_dataclass_fields_are_read():
+    defining = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    reading = {str(p): p.read_text(encoding="utf-8")
+               for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")}
+    assert unread_fields(defining, reading) == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 import perspec.shooting as shooting
+from perspec import singular
 from perspec.errors import DomainError, SolverError, ValidationError
 from perspec.profiles import (OperatorModel, eval_f, eval_f_prime,
                               piecewise_linear_profile, sine_profile,
@@ -113,6 +116,21 @@ class TestLogP:
         fac = integrating_factor(sine_model)
         assert fac.rb_at_pi == pytest.approx(-1.4186889094, abs=1e-9)
         assert fac.rb_at_pi == pytest.approx((PI / 2) * math.log(4.0 / PI ** 2), abs=1e-9)
+
+    def test_cache_lets_go_of_dropped_models(self):
+        # the cache keys its tables weakly by model; a table that held its
+        # model would keep every entry alive
+        gc.collect()
+        held = len(singular._CACHE)
+        dropped = []
+        for k in range(50):
+            model = OperatorModel(profile=sine_profile(), epsilon=0.5 + 0.02 * k)
+            integrating_factor(model)
+            dropped.append(weakref.ref(model))
+        del model
+        gc.collect()
+        assert all(ref() is None for ref in dropped)
+        assert len(singular._CACHE) == held
 
     @pytest.mark.parametrize("kind", ["sine", "tent", "tabulated with kinks"])
     def test_remainder_table_is_scipys_spline_per_segment(self, kind):
