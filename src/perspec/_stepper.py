@@ -107,13 +107,16 @@ def integrate_quasi_system(x0, x1, u0, w0, lam, eps, coef, forced,
         if abs(h) > hmax:
             h = direction * hmax
 
+        # a step ending short of the target by less than the underflow
+        # threshold lands on it: the gap left would be the next step
+        tiny = 1e-14 * max(abs(x), 1.0)
         target = forced[ptr]
         landing = False
-        if direction * (x + h - target) >= 0.0:
+        if direction * (x + h - target) >= -tiny:
             h = target - x
             landing = True
 
-        if abs(h) < 1e-14 * max(abs(x), 1.0):
+        if abs(h) < tiny:
             status = STATUS_STEP_UNDERFLOW
             break
 

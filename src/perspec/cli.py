@@ -128,6 +128,8 @@ def _read_forcing(path: str) -> np.ndarray:
         raise ValidationError(f"cannot read forcing file {path}: {exc}") from exc
     if data.shape[1] not in (2, 3):
         raise ValidationError(f"{path}: forcing file needs 2 or 3 columns")
+    if not np.all(np.isfinite(data)):
+        raise ValidationError(f"{path}: forcing values must be finite")
     if not np.all(np.diff(data[:, 0]) > 0):
         raise ValidationError(f"{path}: forcing x values must be strictly ascending")
     return data
@@ -183,8 +185,8 @@ def _load_eigenvalues(path: str) -> np.ndarray:
         raise ValidationError(f"{path}: no results.eigenvalues entry") from exc
     except (OSError, TypeError, ValueError) as exc:
         raise ValidationError(f"cannot read eigenvalues from {path}: {exc}") from exc
-    if vals.ndim != 1:
-        raise ValidationError(f"{path}: results.eigenvalues must be a list of numbers")
+    if vals.ndim != 1 or not np.all(np.isfinite(vals)):
+        raise ValidationError(f"{path}: results.eigenvalues must be a list of finite numbers")
     return vals
 
 

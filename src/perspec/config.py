@@ -37,6 +37,10 @@ class RunConfig:
     out: str = ""
 
     def validate(self) -> "RunConfig":
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind == "float" and not math.isfinite(value):
+                raise ValidationError(f"{name} must be a finite number, got {value}")
         if self.profile not in KINDS:
             raise ValidationError(f"profile must be one of {KINDS}, got {self.profile!r}")
         if self.profile == "tabulated" and not self.profile_file:

@@ -8,23 +8,28 @@ f'(0) = 2/pi.  Three families are supported:
 * ``piecewise-linear`` the odd, antiperiodic tent: (2/pi) x near 0 matched
                        to (2/pi)(pi - x) near pi, kink at pi/2
 * ``tabulated``        user samples of f on [0, pi], extended by the
-                       symmetries; interpolated with a shape-preserving
-                       (pchip) cubic so the extension stays positive
+                       symmetries; interpolated by a cubic Hermite table
+                       with pchip's shape-preserving interior slopes, so
+                       the extension stays positive, and the normalized
+                       end slopes +-2/pi, which the model fixes; the
+                       table's own end secants are checked against them
+                       by ``validate_profile``
 
 Profiles are immutable after construction and all evaluations are pure,
 so they are safe to share across threads.
 
-``PiecewiseCubic`` is the one piecewise-cubic type of the package: the
-pchip interpolant of a tabulated profile and the not-a-knot spline of the
-integrating factor's remainder table (``singular``) are both built and
-evaluated by it, in numpy alone.
+``PiecewiseCubic`` is the one piecewise-cubic type of the package, and
+``PiecewiseCubic.hermite`` its one constructor: the interpolant of a
+tabulated profile and the integrating factor's remainder table
+(``singular``) are both cubic Hermite tables from slopes the model knows,
+built and evaluated in numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -53,81 +58,25 @@ class PiecewiseCubic:
     c: np.ndarray                   # shape (4, len(breaks) - 1)
 
     @classmethod
-    def _hermite(cls, x, y, s) -> "PiecewiseCubic":
-        """The cubic Hermite interpolant of values ``y`` and slopes ``s`` at nodes ``x``."""
+    def hermite(cls, x, y, s) -> "PiecewiseCubic":
+        """The cubic Hermite interpolant of values ``y`` and slopes ``s`` at nodes ``x``.
+
+        Coefficients as scipy's ``CubicHermiteSpline`` computes them.
+        """
         h = np.diff(x)
         slope = np.diff(y) / h
         t = (s[:-1] + s[1:] - 2 * slope) / h
         return cls(breaks=x, c=np.stack((t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1])))
 
-    @classmethod
-    def not_a_knot(cls, x, y) -> "PiecewiseCubic":
-        """The C2 cubic spline through (x, y) with not-a-knot end conditions (de Boor, 1978).
-
-        The nodal slopes solve the tridiagonal system that scipy's
-        ``CubicSpline`` sets up, by a Thomas sweep in the order of LAPACK's
-        ``gtsv`` when it needs no row exchange, so the coefficients agree
-        with scipy's to rounding.  With two or three points the spline is
-        the line or parabola through them.
-        """
+    def _pieces(self, x):
+        """Offsets from, and coefficients of, the piece each point lies on."""
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        n = len(x)
-        h = np.diff(x)
-        m = np.diff(y) / h
-        if n < 4:
-            a = (m[-1] - m[0]) / (x[-1] - x[0])
-            return cls._hermite(x, y, np.concatenate([m - a * h, [m[-1] + a * h[-1]]]))
-        d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        diag = np.concatenate([[h[1]], 2 * (h[:-1] + h[1:]), [h[-2]]]).tolist()
-        upper = np.concatenate([[d0], h[:-1]]).tolist()
-        lower = np.concatenate([h[1:], [d1]]).tolist()
-        rhs = np.concatenate([[((h[0] + 2 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0],
-                              3 * (h[1:] * m[:-1] + h[:-1] * m[1:]),
-                              [(h[-1] ** 2 * m[-2] + (2 * d1 + h[-1]) * h[-2] * m[-1]) / d1]]
-                             ).tolist()
-        for i in range(n - 1):
-            fact = lower[i] / diag[i]
-            diag[i + 1] -= fact * upper[i]
-            rhs[i + 1] -= fact * rhs[i]
-        s = [0.0] * n
-        s[-1] = rhs[-1] / diag[-1]
-        for i in range(n - 2, -1, -1):
-            s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
-        return cls._hermite(x, y, np.array(s))
-
-    @classmethod
-    def pchip(cls, x, y) -> "PiecewiseCubic":
-        """The monotone cubic through (x, y) (Fritsch & Carlson, 1980), as scipy's pchip builds it.
-
-        Interior slopes are the weighted harmonic means of the neighbouring
-        secants (Fritsch & Butland, 1984), zero where the secants change
-        sign or one vanishes; the end slopes are the one-sided three-point
-        estimate, limited to keep the shape.  Needs at least three points.
-        """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        h = np.diff(x)
-        m = np.diff(y) / h
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-        w1 = 2 * h[1:] + h[:-1]
-        w2 = h[1:] + 2 * h[:-1]
-        s = np.zeros_like(y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
-        end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3 * np.abs(m0))
-        s[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0,
-                              np.where(overshoot, 3 * m0, end))
-        return cls._hermite(x, y, s)
+        i = np.searchsorted(self.breaks[1:-1], x, side="right")    # the piece, clamped
+        return x - self.breaks.take(i), self.c.take(i, axis=1)
 
     def __call__(self, x):
         """Values at an array of points, summed by powers of t as scipy's PPoly sums them."""
-        x = np.asarray(x, dtype=float)
-        i = np.searchsorted(self.breaks[1:-1], x, side="right")    # the piece, clamped
-        t = x - self.breaks.take(i)
-        c0, c1, c2, c3 = self.c.take(i, axis=1)                    # fresh: scaled in place
+        t, (c0, c1, c2, c3) = self._pieces(x)                      # fresh: scaled in place
         t2 = t * t
         c2 *= t
         c1 *= t2
@@ -137,6 +86,16 @@ class PiecewiseCubic:
         c3 += c1
         c3 += c0
         return c3
+
+    def derivative(self, x):
+        """Slopes at an array of points, on the pieces ``__call__`` reads."""
+        t, (c0, c1, c2, _) = self._pieces(x)
+        return (3 * c0 * t + 2 * c1) * t + c2
+
+    def curvature(self, x):
+        """Second derivatives at an array of points, on the pieces ``__call__`` reads."""
+        t, (c0, c1, _, _) = self._pieces(x)
+        return 6 * c0 * t + 2 * c1
 
     def scalar(self):
         """Plain-float evaluator at one point, for the stepper.
@@ -159,6 +118,23 @@ class PiecewiseCubic:
             return ((c0[i] * t + c1[i]) * t + c2[i]) * t + c3[i]
 
         return cubic
+
+
+def pchip_slopes(x, y) -> np.ndarray:
+    """pchip's slopes at the interior nodes of (x, y), bit for bit scipy's.
+
+    Each is the weighted harmonic mean of the neighbouring secants
+    (Fritsch & Butland, 1984), or zero where the secants change sign or
+    one vanishes, so the Hermite cubic keeps the data's shape inside
+    (Fritsch & Carlson, 1980).  The end slopes are the caller's.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,25 +197,26 @@ def tabulated_profile(x, f, kinks=()) -> CoefficientProfile:
 
     The grid must ascend from 0 to pi and the endpoint values must vanish
     (they are the zeros forced by the symmetries); both are checked to
-    1e-9 and then snapped exactly.
+    1e-9 and then snapped exactly.  The interpolant takes pchip's interior
+    slopes and the normalized end slopes f'(0) = 2/pi, f'(pi) = -2/pi.
     """
-    x = np.ascontiguousarray(x, dtype=float)
-    f = np.ascontiguousarray(f, dtype=float)
+    x = np.array(x, dtype=float)                 # copies: the ends are snapped below
+    f = np.array(f, dtype=float)
     if x.ndim != 1 or x.shape != f.shape or len(x) < 4:
         raise ValidationError("tabulated profile needs two equal-length 1-d columns, >= 4 rows")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
+        raise ValidationError("tabulated x and f values must be finite")
     if np.any(np.diff(x) <= 0):
         raise ValidationError("tabulated x values must be strictly ascending")
     if abs(x[0]) > 1e-9 or abs(x[-1] - PI) > 1e-9:
         raise ValidationError("tabulated grid must cover [0, pi] exactly")
     if abs(f[0]) > 1e-9 or abs(f[-1]) > 1e-9:
         raise ValidationError("tabulated f must vanish at 0 and pi")
-    x = x.copy()
-    f = f.copy()
     x[0], x[-1] = 0.0, PI
     f[0], f[-1] = 0.0, 0.0
-    interp = PiecewiseCubic.pchip(x, f)
+    slopes = np.concatenate([[NORMALIZATION_SLOPE], pchip_slopes(x, f), [-NORMALIZATION_SLOPE]])
     return CoefficientProfile(kind="tabulated", kinks=tuple(kinks),
-                              table_x=x, _interp=interp)
+                              table_x=x, _interp=PiecewiseCubic.hermite(x, f, slopes))
 
 
 def load_tabulated(path) -> CoefficientProfile:
@@ -299,16 +276,16 @@ def eval_f_prime(profile: CoefficientProfile, x):
         out = NORMALIZATION_SLOPE * np.cos(x)
     elif profile.kind == "piecewise-linear":
         out = np.where(np.abs(x) < PI / 2, NORMALIZATION_SLOPE, -NORMALIZATION_SLOPE)
-        out = out + 0.0
-    else:
-        # centered difference of the interpolant, one-sided at the ends;
-        # f' is even since f is odd, so |x| suffices
-        ax = np.clip(np.abs(x), 0.0, PI)
-        h = np.min(np.diff(profile.table_x)) / 4.0
-        lo = np.clip(ax - h, 0.0, PI)
-        hi = np.clip(ax + h, 0.0, PI)
-        out = (profile._interp(hi) - profile._interp(lo)) / (hi - lo)
+    else:                                    # f' is even since f is odd
+        out = profile._interp.derivative(np.clip(np.abs(x), 0.0, PI))
     return out if np.ndim(x) else float(np.asarray(out).reshape(()))
+
+
+def end_curvatures(profile: CoefficientProfile) -> tuple[float, float]:
+    """f''(0+) and f''(pi-): zero for sine and tent, the end pieces' own for a table."""
+    if profile._interp is None:
+        return 0.0, 0.0
+    return tuple(profile._interp.curvature([0.0, PI]).tolist())
 
 
 @dataclass(frozen=True)
@@ -327,24 +304,16 @@ class ValidationReport:
         return max(self.antiperiodicity, self.oddness, self.positivity, self.slope) <= self.tolerance
 
     def as_dict(self):
-        return {
-            "antiperiodicity": self.antiperiodicity,
-            "oddness": self.oddness,
-            "positivity": self.positivity,
-            "slope": self.slope,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def validate_profile(profile: CoefficientProfile, samples: int = 256) -> ValidationReport:
     """Check antiperiodicity, oddness, interior positivity and the slope.
 
     The tolerance is 1e-6 for a tabulated profile and 1e-10 otherwise.
-    The slope check evaluates the profile's own derivative at 0+, so for
-    tabulated profiles it certifies the interpolant, not the unknown
-    underlying function.
+    The slope check compares the end secants with f'(0) = 2/pi and
+    f'(pi) = -2/pi, beyond what the curvature allows; it takes a table's
+    own rows, since its interpolant has those end slopes pinned.
     """
     if samples < 16:
         raise ValidationError("samples must be >= 16")
@@ -362,7 +331,14 @@ def validate_profile(profile: CoefficientProfile, samples: int = 256) -> Validat
     if np.any(vals == 0.0):
         pos = max(pos, tolerance * 2)
 
-    slope = float(abs(eval_f_prime(profile, 0.0) - NORMALIZATION_SLOPE))
+    # an end secant misses the end slope by at most h/2*max|f''|; twice
+    # that, with f'' from the second divided difference, is allowed
+    xs = xo if profile.table_x is None else profile.table_x
+    h = np.diff(xs)[[0, 1, -1, -2]]
+    s = np.diff(eval_f(profile, xs))[[0, 1, -1, -2]] / h
+    allowed = 2 * h[::2] * np.abs(s[1::2] - s[::2]) / (h[::2] + h[1::2])
+    miss = np.abs(s[::2] - [NORMALIZATION_SLOPE, -NORMALIZATION_SLOPE]) - allowed
+    slope = float(max(0.0, np.max(miss)))
 
     return ValidationReport(antiperiodicity=anti, oddness=odd, positivity=pos,
                             slope=slope, tolerance=tolerance, samples=samples)

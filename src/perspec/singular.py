@@ -11,10 +11,13 @@ produce the endpoint power laws; the remainder integral
 
     RB(x) = int_0^x rb(s) ds
 
-is computed once per model by composite Gauss panels and stored as a
-not-a-knot cubic spline (``profiles.PiecewiseCubic``), one per smooth
-segment so that kinks stay kinks.  In the gauge p(x)/x^(1+sigma) -> 1 at
-the origin (sigma = c/eps):
+is computed once per model by composite Gauss panels and stored as the
+cubic Hermite table (``profiles.PiecewiseCubic``) of the panel sums with
+slope RB' = rb at every panel edge; at the ends rb takes its limits
+-1/2 - (pi^2/8) f''(0+) and -1/2 - (pi^2/8) f''(pi-), which are finite
+because f'(0) = -f'(pi) = 2/pi.  The table is local, so a kink of f stays
+a kink of RB''.  In the gauge p(x)/x^(1+sigma) -> 1 at the origin
+(sigma = c/eps):
 
     log p(x)     = log f(x) + log(p/f)(x)
     log(p/f)(x)  = sigma*(log x - log(pi-x) + log pi) + RB(x)/eps + log(pi/2)
@@ -36,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, SolverError, ValidationError
 from .profiles import (CoefficientProfile, OperatorModel, PiecewiseCubic,
-                       eval_f, scalar_f, sorted_distinct)
+                       end_curvatures, eval_f, scalar_f, sorted_distinct)
 
 PI = math.pi
 LOG_PI = math.log(PI)
@@ -78,14 +81,10 @@ def _build(model: OperatorModel) -> IntegratingFactor:
     panel = (vals @ _GAUSS_WEIGHTS) * (h / 2.0)
     rb_vals = np.concatenate([[0.0], np.cumsum(panel)])
 
-    # spline each smooth segment separately so kinks stay kinks
-    joints = sorted_distinct([0.0, PI, *profile.kinks])
-    parts = []
-    for lo, hi in zip(joints[:-1], joints[1:]):
-        sel = (edges >= lo - 1e-15) & (edges <= hi + 1e-15)
-        parts.append(PiecewiseCubic.not_a_knot(edges[sel], rb_vals[sel]))
-    rb = PiecewiseCubic(breaks=np.concatenate([p.breaks[:-1] for p in parts] + [[PI]]),
-                        c=np.concatenate([p.c for p in parts], axis=1))
+    # RB' = rb: _remainder at the interior edges, its limits at the ends
+    limits = -0.5 - PI ** 2 / 8 * np.array(end_curvatures(profile))
+    slopes = np.concatenate([limits[:1], _remainder(profile, edges[1:-1]), limits[1:]])
+    rb = PiecewiseCubic.hermite(edges, rb_vals, slopes)
 
     return IntegratingFactor(rb=rb, rb_at_pi=float(rb_vals[-1]),
                              coef=_scalar_coefficients(model, rb))

@@ -63,6 +63,43 @@ class TestBadInputFiles:
                                            "--out", str(tmp_path / "u.csv")])
         assert "strictly ascending" in msg and not (tmp_path / "u.csv").exists()
 
+    @pytest.mark.parametrize("row, column", [(5, 0), (5, 1)], ids=["nan-x", "nan-f"])
+    def test_non_finite_profile_table(self, capsys, tmp_path, row, column):
+        x = [math.pi * k / 40 for k in range(41)]
+        rows = [[xi, (2 / math.pi) * math.sin(xi)] for xi in x]
+        rows[row][column] = math.nan
+        path = tmp_path / "profile.dat"
+        path.write_text("".join(f"{a!r} {b!r}\n" for a, b in rows))
+        out = tmp_path / "eigs.json"
+        msg = _validation_failure(capsys, ["eigs", "--profile", "tabulated", "--profile-file",
+                                           str(path), "--lmax", "2", "--out", str(out)])
+        assert "finite" in msg and not out.exists()
+
+    def test_non_finite_forcing(self, capsys, tmp_path):
+        path = tmp_path / "forcing.txt"
+        path.write_text("-3 1\n-1 nan\n0 2\n3 1\n")
+        msg = _validation_failure(capsys, ["resolve", "--grid", "64", "--forcing", str(path),
+                                           "--out", str(tmp_path / "u.csv")])
+        assert "finite" in msg and not (tmp_path / "u.csv").exists()
+
+    def test_non_finite_eigenvalue(self, capsys, tmp_path):
+        path = tmp_path / "eigs.json"
+        path.write_text('{"results": {"eigenvalues": [-1.24, NaN, 1.24]}}')
+        out = tmp_path / "sv.json"
+        msg = _validation_failure(capsys, ["schatten", *SMALL, "--eigs-file", str(path),
+                                           "--out", str(out)])
+        assert "finite" in msg and not out.exists()
+
+    def test_unnormalized_profile_table_fails_validate(self, capsys, tmp_path):
+        # f = sin x has slope 1, not 2/pi, at the ends
+        x = [math.pi * k / 64 for k in range(65)]
+        path = tmp_path / "profile.dat"
+        path.write_text("".join(f"{xi!r} {math.sin(xi)!r}\n" for xi in x))
+        assert run_subcommand(["validate", "--profile", "tabulated",
+                               "--profile-file", str(path)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert "slope: 0.36" in out and "passed: False" in out
+
     def test_missing_profile_table(self, capsys, tmp_path):
         missing = tmp_path / "missing.txt"
         msg = _validation_failure(capsys, ["validate", "--profile", "tabulated",
@@ -97,6 +134,18 @@ class TestBadArguments:
         msg = _validation_failure(capsys, [*argv, "--lmax", "1", "--resolution", "5",
                                            "--out", str(out)])
         assert "empty scan grid" in msg and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eigs", "--resolution", "nan"], ["eigs", "--lmax", "nan"], ["eigs", "--lmax", "inf"],
+        ["resolve", "--grid", "64", "--lambda-re", "nan"],
+        ["schatten", *SMALL, "--lambda-re", "nan"],
+        ["trace", "--lambda-re", "nan"], ["trace", "--lambda-im", "inf"],
+        ["validate", "--epsilon", "nan"]])
+    def test_non_finite_number(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        msg = _validation_failure(capsys, [*argv, "--out", str(out)])
+        assert f"{argv[-2][2:].replace('-', '_')} must be a finite number" in msg
+        assert not out.exists()
 
     @pytest.mark.parametrize("nodes", [-5, 0])
     def test_trace_needs_a_node(self, capsys, tmp_path, nodes):

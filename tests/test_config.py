@@ -20,6 +20,15 @@ class TestPrecedence:
             load_config(str(tmp_path / "missing.cfg"), environ={})
 
 
+    @pytest.mark.parametrize("source", ["file", "environment"])
+    def test_non_finite_number_is_a_validation_error(self, tmp_path, source):
+        path = tmp_path / "run.cfg"
+        path.write_text("delta=nan\n" if source == "file" else "")
+        environ = {"PERSPEC_OPT_LAMBDA_IM": "-inf"} if source == "environment" else {}
+        with pytest.raises(ValidationError, match="must be a finite number"):
+            load_config(str(path), environ=environ)
+
+
 class TestTextFormat:
     def test_round_trip(self):
         cfg = RunConfig(profile="piecewise-linear", profile_file="", epsilon=0.7,

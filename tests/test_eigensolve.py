@@ -69,6 +69,19 @@ class TestScan:
         assert 1.0 < slope < 2.4
 
 
+    def test_tabulated_eigenvalues_converge_past_second_order(self):
+        # the table's end slopes are the normalized 2/pi, so 1/f - pi/(2x)
+        # stays bounded; halving the row spacing moves the roots by ~6e-8
+        # (an end slope estimated from the rows moved them by ~2e-6)
+        roots = []
+        for rows in (101, 201):
+            x = np.linspace(0.0, PI, rows)
+            f = (2 / PI) * np.sin(x) * (1.0 + 0.1 * np.sin(x) ** 2)
+            model = ps.OperatorModel(profile=ps.tabulated_profile(x, f), epsilon=1.0)
+            roots.append(scan_and_refine(model, 4.0, 0.05).eigenvalues)
+        assert len(roots[0]) == len(roots[1]) == 5
+        assert np.max(np.abs(roots[0] - roots[1])) < 2e-7
+
 class TestEigenfunction:
     def test_zero_eigenvalue_constant_trace(self, sine_model):
         tr = eigenfunction(sine_model, 0.0)

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from perspec.errors import DomainError, ValidationError
 from perspec.profiles import (CoefficientProfile, OperatorModel,
-                              PiecewiseCubic, eval_f, eval_f_prime,
-                              load_tabulated, piecewise_linear_profile,
-                              sine_profile, sorted_distinct,
-                              tabulated_profile, validate_profile)
+                              PiecewiseCubic, end_curvatures, eval_f,
+                              eval_f_prime, load_tabulated, pchip_slopes,
+                              piecewise_linear_profile, sine_profile,
+                              sorted_distinct, tabulated_profile,
+                              validate_profile)
 
 PI = math.pi
 SLOPE = 2.0 / PI
@@ -61,10 +62,11 @@ class TestEvalFPrime:
         with pytest.raises(DomainError):
             eval_f_prime(p, -PI / 2)
 
-    def test_tabulated_centered_difference(self):
+    def test_tabulated_reads_the_interpolants_slope(self):
         x = np.linspace(0.0, PI, 201)
         prof = tabulated_profile(x, SLOPE * np.sin(x))
-        # interpolant derivative via centered difference, sine is smooth
+        t = np.linspace(-PI, PI, 1001)
+        assert np.array_equal(eval_f_prime(prof, t), prof._interp.derivative(np.abs(t)))
         assert eval_f_prime(prof, 1.0) == pytest.approx(SLOPE * math.cos(1.0), abs=1e-4)
 
 
@@ -82,27 +84,46 @@ def _tables():
     return tables
 
 
+def pchip(x, y):
+    """pchip's interior slopes, with the end secants as end slopes."""
+    m = np.diff(y) / np.diff(x)
+    return np.concatenate([m[:1], pchip_slopes(x, y), m[-1:]])
+
+
+def random_slopes(x, y):
+    return np.random.default_rng(len(x)).normal(size=len(x))
+
+
 class TestPiecewiseCubic:
     @pytest.mark.parametrize("x, y", _tables())
     def test_pchip_is_scipys_bit_for_bit(self, x, y):
-        ours, theirs = PiecewiseCubic.pchip(x, y), PchipInterpolator(x, y)
+        # the interior slopes are scipy's, and so is the Hermite table on them
+        slopes, theirs = pchip(x, y), PchipInterpolator(x, y)
+        assert np.array_equal(slopes[1:-1], theirs.c[2, 1:])
+        ours, theirs = PiecewiseCubic.hermite(x, y, slopes), CubicHermiteSpline(x, y, slopes)
         assert np.array_equal(ours.breaks, theirs.x)
         assert np.array_equal(ours.c, theirs.c)
         t = np.linspace(0.0, PI, 1001)
         assert np.array_equal(ours(t), theirs(t))
 
-    @pytest.mark.parametrize("x, y", _tables())
-    def test_not_a_knot_matches_scipy(self, x, y):
-        for k in (2, 3, len(x)):              # lines and parabolas below four points
-            ours, theirs = PiecewiseCubic.not_a_knot(x[:k], y[:k]), CubicSpline(x[:k], y[:k])
-            t = np.linspace(x[0], x[k - 1], 1001)
-            scale = np.max(np.abs(theirs(t)))
-            np.testing.assert_allclose(ours(t), theirs(t), rtol=0, atol=1e-14 * scale)
+    @pytest.mark.parametrize("slopes", [pchip, random_slopes])
+    def test_derivative_and_curvature_are_scipys(self, slopes):
+        for x, y in _tables():
+            s = slopes(x, y)
+            ours, theirs = PiecewiseCubic.hermite(x, y, s), CubicHermiteSpline(x, y, s)
+            t = np.concatenate([x, np.linspace(-0.1, PI + 0.1, 777)])
+            expected = theirs.derivative()(t)
+            scale = np.max(np.abs(expected))
+            np.testing.assert_allclose(ours.derivative(t), expected, rtol=0, atol=1e-14 * scale)
+            np.testing.assert_allclose(ours.derivative(x), s, rtol=0, atol=1e-14 * scale)
+            expected = theirs.derivative(2)(t)
+            scale = np.max(np.abs(expected))
+            np.testing.assert_allclose(ours.curvature(t), expected, rtol=0, atol=1e-13 * scale)
 
-    @pytest.mark.parametrize("build", [PiecewiseCubic.pchip, PiecewiseCubic.not_a_knot])
+    @pytest.mark.parametrize("build", [pchip, random_slopes])
     def test_array_and_scalar_evaluation_agree(self, build):
         for x, y in _tables():
-            pc = build(x, y)
+            pc = PiecewiseCubic.hermite(x, y, build(x, y))
             # breaks, points between them, and points past both ends (end pieces)
             t = np.concatenate([x, np.linspace(-0.1, PI + 0.1, 777)])
             scalar = np.array([pc.scalar()(v) for v in t.tolist()])
@@ -142,6 +163,28 @@ class TestValidation:
         report = validate_profile(tabulated_profile(x, f), 256)
         assert report.passed
 
+    @pytest.mark.parametrize("f", [
+        lambda x: SLOPE * np.sin(x) * (1 + 0.1 * np.sin(x) ** 2),
+        lambda x: SLOPE / PI * x * (PI - x)],                     # f'' = -4/pi^2 at both ends
+        ids=["smooth", "curved-ends"])
+    def test_normalized_table_passes_the_slope_check(self, f):
+        # a coarse table: its end secants miss +-2/pi by O(h), within the allowance
+        x = np.linspace(0.0, PI, 65)
+        report = validate_profile(tabulated_profile(x, f(x)))
+        assert report.slope <= report.tolerance and report.passed
+
+    @pytest.mark.parametrize("rows, scale", [(65, PI / 2), (2001, 1.01)],
+                             ids=["sin-x", "one-percent-off"])
+    def test_table_off_the_normalization_fails_the_slope_check(self, rows, scale):
+        # the interpolant's end slopes are pinned at +-2/pi, so only the data can show this
+        x = np.linspace(0.0, PI, rows)
+        f = scale * SLOPE * np.sin(x)
+        f[-1] = 0.0
+        report = validate_profile(tabulated_profile(x, f))
+        assert eval_f_prime(tabulated_profile(x, f), 0.0) == SLOPE
+        assert report.slope > 1e3 * report.tolerance and not report.passed
+        assert report.antiperiodicity <= report.tolerance and report.positivity == 0.0
+
     def test_sample_floor(self):
         with pytest.raises(ValidationError):
             validate_profile(sine_profile(), 8)
@@ -179,6 +222,32 @@ class TestTabulatedLoading:
         np.savetxt(path, np.column_stack([x, f, f]))
         with pytest.raises(ValidationError):
             load_tabulated(path)
+
+    @pytest.mark.parametrize("column", ["x", "f"])
+    def test_rejects_non_finite_values(self, column):
+        x = np.linspace(0.0, PI, 41)
+        f = SLOPE * np.sin(x)
+        {"x": x, "f": f}[column][7] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            tabulated_profile(x, f)
+
+    def test_interpolant_is_pinned_hermite_table(self):
+        rng = np.random.default_rng(5)
+        x = np.sort(np.concatenate([[0.0, PI], rng.uniform(0.0, PI, 40)]))
+        f = SLOPE * np.sin(x) * (1 + 0.1 * np.sin(x) ** 2)
+        f[[0, -1]] = 0.0                               # as the table snaps them
+        prof = tabulated_profile(x, f)
+        interp = prof._interp
+        theirs = PchipInterpolator(x, f)
+        assert np.array_equal(interp.c[2, 1:], theirs.c[2, 1:])        # pchip's interior slopes
+        slopes = np.concatenate([[SLOPE], theirs.c[2, 1:], [-SLOPE]])
+        assert np.array_equal(interp.c, CubicHermiteSpline(x, f, slopes).c)
+        assert eval_f_prime(prof, 0.0) == SLOPE and eval_f_prime(prof, -0.0) == SLOPE
+        assert eval_f_prime(prof, PI) == pytest.approx(-SLOPE, rel=1e-15)
+        curvature = CubicHermiteSpline(x, f, slopes).derivative(2)([0.0, PI])
+        np.testing.assert_allclose(end_curvatures(prof), curvature, rtol=1e-12)
+        for exact in (sine_profile(), piecewise_linear_profile()):
+            assert end_curvatures(exact) == (0.0, 0.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):

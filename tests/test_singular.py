@@ -5,14 +5,13 @@ import weakref
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 import perspec.shooting as shooting
 from perspec import singular
 from perspec.errors import DomainError, SolverError, ValidationError
-from perspec.profiles import (OperatorModel, eval_f, eval_f_prime,
-                              piecewise_linear_profile, sine_profile,
-                              tabulated_profile)
+from perspec.profiles import (OperatorModel, end_curvatures, eval_f,
+                              eval_f_prime, piecewise_linear_profile,
+                              sine_profile, tabulated_profile)
 from perspec.singular import (compute_log_p, compute_log_p_over_f,
                               compute_p_over_f, indicial_series_coefficients,
                               integrating_factor, seed_regular_origin,
@@ -132,22 +131,38 @@ class TestLogP:
         assert all(ref() is None for ref in dropped)
         assert len(singular._CACHE) == held
 
+    def test_sine_remainder_table_matches_closed_form(self, sine_model):
+        # RB(x) = (pi/2) log[2 tan(x/2) (pi - x) / (pi x)] for f = (2/pi) sin x
+        x = np.linspace(1e-6, 3.0, 20001)
+        exact = (PI / 2) * np.log(2.0 * np.tan(x / 2.0) * (PI - x) / (PI * x))
+        rb = integrating_factor(sine_model).rb
+        np.testing.assert_allclose(rb(x), exact, rtol=0, atol=5e-15)
+
+    def test_tent_remainder_table_matches_closed_form(self, tent_model):
+        # rb = -pi/(2(pi - s)) below the kink and -pi/(2s) above it
+        x = np.linspace(1e-6, PI - 1e-6, 20001)
+        exact = np.where(x <= PI / 2, (PI / 2) * np.log((PI - x) / PI),
+                         (PI / 2) * math.log(0.5) - (PI / 2) * np.log(2.0 * x / PI))
+        rb = integrating_factor(tent_model).rb
+        np.testing.assert_allclose(rb(x), exact, rtol=0, atol=5e-14)
+
     @pytest.mark.parametrize("kind", ["sine", "tent", "tabulated with kinks"])
-    def test_remainder_table_is_scipys_spline_per_segment(self, kind):
+    def test_remainder_table_slope_is_rb_at_every_break(self, kind):
         xg = np.linspace(0.0, PI, 257)
         profile = {"sine": sine_profile, "tent": piecewise_linear_profile,
                    "tabulated with kinks": lambda: tabulated_profile(
                        xg, (2 / PI) * np.minimum(xg, PI - xg), kinks=(PI / 2, 1.0))}[kind]()
-        fac = integrating_factor(OperatorModel(profile=profile, epsilon=1.0))
-        breaks = fac.rb.breaks
-        table = np.append(fac.rb.c[3], fac.rb_at_pi)          # RB at every break
-        scale = np.max(np.abs(table))
-        joints = [0.0, *sorted(profile.kinks), PI]
-        for lo, hi in zip(joints[:-1], joints[1:]):
-            sel = (breaks >= lo) & (breaks <= hi)
-            spline = CubicSpline(breaks[sel], table[sel])
-            x = np.linspace(lo, hi, 4001)
-            np.testing.assert_allclose(fac.rb(x), spline(x), rtol=0, atol=1e-15 * scale)
+        rb = integrating_factor(OperatorModel(profile=profile, epsilon=1.0)).rb
+        inner = rb.breaks[1:-1]
+        assert set(profile.breakpoints) <= set(inner.tolist())
+        assert np.array_equal(rb.c[2, 1:], singular._remainder(profile, inner))
+        # at the ends, the limits of rb: -1/2 - (pi^2/8) f'' there
+        ends = -0.5 - PI ** 2 / 8 * np.array(end_curvatures(profile))
+        assert rb.c[2, 0] == ends[0]
+        assert rb.derivative(PI) == pytest.approx(ends[1], abs=1e-12)
+        for d in (1e-3, 1e-4):
+            np.testing.assert_allclose(singular._remainder(profile, np.array([d, PI - d])),
+                                       ends, atol=10 * d)
 
 
 class TestSeeds:

@@ -105,3 +105,11 @@ class TestIntegrateQuasiSystemContract:
         monkeypatch.setattr(shooting, "integrate_quasi_system", spy)
         shooting.compute_phi_at_pi(sine_model, 1.0)
         assert len(calls) == 1 and calls[0] > 0
+
+    def test_lands_from_a_step_that_stops_an_ulp_short(self):
+        # at lam = 0 the error estimate vanishes and steps stay at the
+        # endpoint cap (pi - x)/2; two rows before pi on this table that
+        # cap is the row spacing, and x + h ends an ulp short of the node
+        x = np.linspace(0.0, PI, 401)
+        model = OperatorModel(profile=tabulated_profile(x, (2 / PI) * np.sin(x)), epsilon=1.0)
+        assert shooting.compute_phi_at_pi(model, 0.0) == pytest.approx(1.0, abs=1e-8)
