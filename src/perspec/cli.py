@@ -52,7 +52,13 @@ def _profile_for(cfg: RunConfig):
 
 
 def _model_for(cfg: RunConfig) -> OperatorModel:
-    return OperatorModel(profile=_profile_for(cfg), epsilon=cfg.epsilon)
+    """The model of a solving command: a profile that fails ``validate`` is refused."""
+    model = OperatorModel(profile=_profile_for(cfg), epsilon=cfg.epsilon)
+    failed = validate_profile(model.profile).failed
+    if failed:
+        raise ValidationError("profile fails validate: "
+                              + ", ".join(f"{name} {value:.3g}" for name, value in failed.items()))
+    return model
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
@@ -77,8 +83,7 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def _cmd_validate(cfg: RunConfig, args) -> int:
-    model = _model_for(cfg)                  # range-checks epsilon too
-    report = validate_profile(model.profile, samples=args.samples)
+    report = validate_profile(_profile_for(cfg), samples=args.samples)
     results = report.as_dict()
     for key, val in results.items():
         print(f"  {key}: {val}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ValidationError
 from .profiles import KINDS
+from .shooting import DEFAULT_CONFIG
 
 ENV_PREFIX = "PERSPEC_OPT_"
 
@@ -24,8 +25,8 @@ class RunConfig:
     profile_file: str = ""
     epsilon: float = 1.0
     delta: float = 0.0            # 0 -> lambda-aware default
-    rtol: float = 1e-10
-    atol: float = 1e-12
+    rtol: float = DEFAULT_CONFIG.rtol
+    atol: float = DEFAULT_CONFIG.atol
     resolution: float = 0.05
     lmax: float = 50.0
     grid: int = 512

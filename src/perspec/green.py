@@ -1,4 +1,4 @@
-"""Green kernel assembly and resolvent application.
+"""Green kernel assembly, resolvent application and the flux f*u'.
 
 The kernel splits into three parts built from the two fundamental
 solutions and the weight (-i/eps)*(p/f)(s):
@@ -16,16 +16,17 @@ phi and psi come from one path, ``shooting.solution_pairs``: both
 solutions at lam and -lam marched through one mesh that contains the
 requested positive nodes, refined until every step passes the DOPRI5
 error test; no scalar shot is taken.  One sampler, ``_full_period``, turns its
-result into these generators on the full period; the kernel, the flux
-check and the dyadic audit in ``schatten`` all read it.  Negative
-arguments come by reflection: phi(x, lam) = phi(-x, -lam) and
+result into these generators and the quasi-derivatives p*phi', p*psi' on
+the full period; the kernel and the dyadic audit in ``schatten`` read it.
+Negative arguments come by reflection: phi(x, lam) = phi(-x, -lam) and
 psi(x, lam) = -psi(-x, -lam) (the sign keeps the Wronskian equal to 1
-on both half-intervals; p is taken even).  Products psi*(p/f) and
-phi*(p/f) degenerate at 0 and +-pi as powers that cancel each other, so
-p/f is kept as its logarithm (-inf at 0, +inf at +-pi), the products are
-formed at interior nodes only, and the endpoint values of the weighted
-psi use the fitted local coefficients.  Shooting picks the cutoff and
-caps it below the nodes it is asked for (``shooting.CUTOFF_CAP``).
+on both half-intervals; p is taken even, so p*phi' is odd).  Products
+psi*(p/f) and phi*(p/f) degenerate at 0 and +-pi as powers that cancel
+each other, so p/f is kept as its logarithm (-inf at 0, +inf at +-pi),
+the products are formed at interior nodes only, and the endpoint values
+of the weighted psi use the fitted local coefficients.  Shooting picks
+the cutoff and caps it below the nodes it is asked for
+(``shooting.CUTOFF_CAP``).
 
 Quadrature is composite trapezoid on a grid graded quadratically toward
 0 and +-pi.  Parts I and II are semiseparable and part III has rank one,
@@ -37,7 +38,8 @@ integrand vanishes.  The triangles' one-sided end weights are the
 trapezoid's own.  The dense matrix is built, a block of columns at a
 time, only for the uses that need one: the SVD, the kernel dump and
 sup|G|.  ``integral_proxies`` reads parts I and II of one application
-as the weighted first and second integral terms.
+as the weighted first and second integral terms, and ``flux`` the same
+sums with p*psi', p*phi' in place of psi, phi as f*u'.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 
 from .errors import (EigenvalueProximityError, GridMismatchError,
                      ValidationError)
-from .profiles import OperatorModel, eval_f, eval_f_prime, sorted_distinct
+from .profiles import OperatorModel, eval_f, eval_f_prime
 from .shooting import DEFAULT_CONFIG, SolutionPairs, SolverConfig, solution_pairs
 from .singular import compute_log_p_over_f, default_cutoff, log_pf_coefficient_at_pi
 
@@ -96,6 +98,8 @@ class _FullPeriod:
 
     phi: np.ndarray                 # x-factor of parts II, III: 1 at 0; fitted values at +-pi
     psi: np.ndarray                 # x-factor of part I: nan at 0, 0 at +-pi
+    phi_qd: np.ndarray              # p*phi', sign flipped on x < 0; nan at 0 and +-pi
+    psi_qd: np.ndarray              # p*psi', not flipped on x < 0; nan at 0 and +-pi
     log_pf: np.ndarray              # log (p/f)(|s|); -inf at 0, +inf at +-pi
     w2: np.ndarray                  # s-factor of parts II, III: psi(s)*(-i/eps)*signed (p/f)(s)
     denominator: complex            # phi(pi)/phi(-pi) - 1
@@ -132,7 +136,7 @@ def _outward_sides(n: int):
 
 
 def _full_period(model: OperatorModel, pairs: SolutionPairs) -> _FullPeriod:
-    """Sample phi, psi, log(p/f) and w2 over the full period at the requested nodes of ``pairs``.
+    """Sample phi, psi, p*phi', p*psi', log(p/f), w2 over the full period at the requested nodes.
 
     The requested nodes must ascend; negative nodes are their reflections.
     """
@@ -141,15 +145,17 @@ def _full_period(model: OperatorModel, pairs: SolutionPairs) -> _FullPeriod:
     n = 2 * len(nodes_pos) + 3
     i0 = n // 2
     pos, neg = _outward_sides(n)
-    phi = np.empty(n, complex)
-    psi = np.empty(n, complex)
-    phi[pos], phi[neg] = pairs.phi[pairs.requested].T     # phi(x, lam) = phi(-x, -lam)
-    psi[pos], psi[neg] = pairs.psi[pairs.requested].T
+    phi, psi, phi_qd, psi_qd = (np.empty(n, complex) for _ in range(4))
+    for full, half in ((phi, pairs.phi), (psi, pairs.psi),
+                       (phi_qd, pairs.phi_qd), (psi_qd, pairs.psi_qd)):
+        full[pos], full[neg] = half[pairs.requested].T   # x < 0 from -x at -lam
     psi[neg] *= -1.0                                      # psi(x, lam) = -psi(-x, -lam)
+    phi_qd[neg] *= -1.0                                   # p*phi'(x, lam) = -p*phi'(-x, -lam)
     phi[i0] = 1.0
     psi[i0] = np.nan
     phi[-1], phi[0] = pairs.phi_at_pi
     psi[0] = psi[-1] = 0.0
+    phi_qd[[0, i0, -1]] = psi_qd[[0, i0, -1]] = np.nan
 
     lpf = np.empty(n)
     lpf[pos] = compute_log_p_over_f(model, nodes_pos)
@@ -166,7 +172,7 @@ def _full_period(model: OperatorModel, pairs: SolutionPairs) -> _FullPeriod:
     w2[i0] = 0.5 * (b0_p + b0_m) * (PI / 2.0) * (-1j / eps)
     w2[-1], w2[0] = pairs.psi_at_pi * math.exp(log_cpi) * (-1j / eps)
 
-    return _FullPeriod(phi=phi, psi=psi, log_pf=lpf, w2=w2,
+    return _FullPeriod(phi=phi, psi=psi, phi_qd=phi_qd, psi_qd=psi_qd, log_pf=lpf, w2=w2,
                        denominator=complex(phi[-1] / phi[0] - 1.0))
 
 
@@ -195,17 +201,20 @@ def _running_trapezoid(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _applied_parts(kernel: KernelGrid, forcing: np.ndarray):
+def _applied_parts(kernel: KernelGrid, forcing: np.ndarray, psi_x: np.ndarray, phi_x: np.ndarray):
     """Parts I, II and III of the kernel applied to forcing values of shape (n,) or (n, m).
 
-    Each part is a running trapezoid sum accumulated from the end where
-    its integral is zero, never as a difference of two sums from -pi: near
-    those ends such a difference cancels to no correct digits.
+    ``psi_x`` and ``phi_x`` are the x-factors: the kernel's ``psi`` and
+    ``phi`` for u, or ``psi_qd`` and ``phi_qd`` for p*u' (by variation of
+    parameters the sums' own derivatives cancel).  Each part is a running
+    trapezoid sum accumulated from the end where its integral is zero,
+    never as a difference of two sums from -pi: near those ends such a
+    difference cancels to no correct digits.
 
-    * part I = psi(x) (-i/eps) int phi (p/f) F over s between 0 and x,
+    * part I = psi_x(x) (-i/eps) int phi (p/f) F over s between 0 and x,
       summed from the origin on each side (from the first node off 0);
-    * part II = phi(x) int_x^pi w2 F, summed from pi;
-    * part III = phi(x) int_(-pi)^pi w2 F / denominator.
+    * part II = phi_x(x) int_x^pi w2 F, summed from pi;
+    * part III = phi_x(x) int_(-pi)^pi w2 F / denominator.
     """
     x = kernel.nodes
     n = len(x)
@@ -215,11 +224,11 @@ def _applied_parts(kernel: KernelGrid, forcing: np.ndarray):
     part_i = np.zeros(F.shape, complex)
     for side in _outward_sides(n):
         g = (kernel.phi[side] * np.exp(kernel.log_pf[side]))[:, None] * F[side]
-        part_i[side] = kernel.psi[side, None] * (-1j / eps) * _running_trapezoid(g, x[side])
+        part_i[side] = psi_x[side, None] * (-1j / eps) * _running_trapezoid(g, x[side])
     g2 = kernel.w2[:, None] * F
     tail = _running_trapezoid(g2[::-1], x[::-1])[::-1]
-    part_ii = kernel.phi[:, None] * tail
-    part_iii = kernel.phi[:, None] * (tail[0] / kernel.denominator)
+    part_ii = phi_x[:, None] * tail
+    part_iii = phi_x[:, None] * (tail[0] / kernel.denominator)
     return tuple(part.reshape(forcing.shape) for part in (part_i, part_ii, part_iii))
 
 
@@ -234,7 +243,7 @@ def _column_blocks(kernel: KernelGrid, part: Optional[str] = None):
         cols = np.arange(start, min(start + KERNEL_BLOCK, n))
         unit = np.zeros((n, len(cols)))
         unit[cols, np.arange(len(cols))] = 1.0 / kernel.weights[cols]
-        parts = _applied_parts(kernel, unit)
+        parts = _applied_parts(kernel, unit, kernel.psi, kernel.phi)
         yield cols, sum(parts) if part is None else parts[PARTS.index(part)]
 
 
@@ -251,12 +260,29 @@ def kernel_matrix(kernel: KernelGrid, part: Optional[str] = None) -> np.ndarray:
     return out
 
 
-def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
-    """u(x_i) = sum_j G(x_i, s_j) w_j F(s_j)."""
+def _check_on_grid(kernel: KernelGrid, forcing: GridFunction) -> None:
     if forcing.nodes.shape != kernel.nodes.shape or \
             np.max(np.abs(forcing.nodes - kernel.nodes)) > 1e-12:
         raise GridMismatchError("forcing is not sampled on the kernel grid")
-    return GridFunction(nodes=kernel.nodes, values=sum(_applied_parts(kernel, forcing.values)))
+
+
+def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
+    """u(x_i) = sum_j G(x_i, s_j) w_j F(s_j)."""
+    _check_on_grid(kernel, forcing)
+    parts = _applied_parts(kernel, forcing.values, kernel.psi, kernel.phi)
+    return GridFunction(nodes=kernel.nodes, values=sum(parts))
+
+
+def flux(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
+    """f*u' of u = ``apply_resolvent(kernel, forcing)`` at every node; nan at 0 and +-pi.
+
+    p*u' is the same sum of parts with the quasi-derivatives as x-factors,
+    and f/p = sign(x) exp(-log(p/f)).
+    """
+    _check_on_grid(kernel, forcing)
+    pu = sum(_applied_parts(kernel, forcing.values, kernel.psi_qd, kernel.phi_qd))
+    return GridFunction(nodes=kernel.nodes,
+                        values=np.copysign(np.exp(-kernel.log_pf), kernel.nodes) * pu)
 
 
 def resolvent_residual(model: OperatorModel, lam, u: GridFunction,
@@ -357,50 +383,8 @@ def integral_proxies(kernel: KernelGrid, forcing: GridFunction):
     x = kernel.nodes
     norm_f = math.sqrt(float(np.sum(kernel.weights * np.abs(forcing.values) ** 2)))
     pos, _ = _outward_sides(len(x))
-    part_i, part_ii, _ = _applied_parts(kernel, forcing.values)
+    part_i, part_ii, _ = _applied_parts(kernel, forcing.values, kernel.psi, kernel.phi)
     xq = x[pos]
     proxy1 = np.abs(part_i[pos]) / (np.sqrt(xq) * norm_f)
     proxy2 = np.abs(part_ii[pos]) / (np.sqrt(PI - xq) * norm_f)
     return proxy1[xq < PI / 2], proxy2
-
-
-def quasi_derivative_continuity(model: OperatorModel, lam, forcing_fn,
-                                config: SolverConfig = DEFAULT_CONFIG, quad_size: int = 2048):
-    """One-sided values of f*u' at +-probe = +-1e-6 for the resolvent solution.
-
-    f*u' = f*psi'*J1 + f*phi'*(J2 + A) is reconstructed from traces: the
-    factors f*psi' and f*phi' are exp(-log(p/f)) times quasi-derivatives,
-    so the evaluation stays finite arbitrarily close to the degenerate
-    point.  J1(+-probe) is taken from the local model (it is
-    O(probe^(1+sigma)) with an explicitly known coefficient) and J2/A come
-    from graded quadrature of the traces.  ``forcing_fn`` maps node arrays
-    to forcing values.  Returns (value at -probe, value at +probe); both
-    tend to the common limit 0 at rate O(probe).
-    """
-    eps = model.epsilon
-    sigma = model.sigma
-    probe = 1e-6
-    x, w = graded_full_grid(quad_size)
-    interior = slice(len(x) // 2 + 1, -1)
-    wq, quad_pos = w[interior], x[interior]
-    nodes_pos = sorted_distinct(np.concatenate([quad_pos, [probe]]))
-    pairs = solution_pairs(model, lam, nodes_pos, config)
-    full = _full_period(model, pairs)
-    pos, neg = _outward_sides(len(full.w2))         # both ordered like nodes_pos
-
-    sel = np.searchsorted(nodes_pos, quad_pos)
-    f_pos = np.asarray(forcing_fn(quad_pos), dtype=complex)
-    f_neg = np.asarray(forcing_fn(-quad_pos), dtype=complex)
-    j2_zero = np.sum(wq * full.w2[pos][sel] * f_pos)
-    A = (j2_zero + np.sum(wq * full.w2[neg][sel] * f_neg)) / full.denominator
-
-    k = int(np.searchsorted(nodes_pos, probe))
-    inv_pf = 1.0 / math.exp(full.log_pf[pos][k])
-    wphi_p, wphi_m = pairs.phi_qd[pairs.requested[k]]
-    wpsi_p, wpsi_m = pairs.psi_qd[pairs.requested[k]]
-    f0 = complex(np.asarray(forcing_fn(np.array([0.0])), dtype=complex)[0])
-    j1_mag = f0 * (PI / 2.0) * probe ** (1.0 + sigma) / ((1.0 + sigma) * eps)
-    # J1(+t) = -i*j1_mag*(1+O(t)); J1(-t) = -conj-orientation piece +i*j1_mag
-    right = inv_pf * wpsi_p * (-1j * j1_mag) + inv_pf * wphi_p * (j2_zero + A)
-    left = inv_pf * wpsi_m * (1j * j1_mag) + inv_pf * wphi_m * (j2_zero + A)
-    return complex(left), complex(right)

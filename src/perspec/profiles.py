@@ -300,8 +300,14 @@ class ValidationReport:
     samples: int
 
     @property
+    def failed(self) -> dict:
+        """The violations above the tolerance, by check name."""
+        return {name: value for name, value in asdict(self).items()
+                if name not in ("tolerance", "samples") and not value <= self.tolerance}
+
+    @property
     def passed(self) -> bool:
-        return max(self.antiperiodicity, self.oddness, self.positivity, self.slope) <= self.tolerance
+        return not self.failed
 
     def as_dict(self):
         return {**asdict(self), "passed": self.passed}

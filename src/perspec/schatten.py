@@ -37,6 +37,7 @@ DYADIC_GAUSS_ORDER = 16                 # Gauss points per dyadic interval
 # index among them is reported: mirror blocks tie to rounding (4e-16 to
 # 8e-13 measured), the next distinct block was 6e-4 or more below the max.
 ARGMAX_TIE = 1e-9
+INEQUALITY_GUARD = 0.05                 # relative slack of the inequality's right side
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,18 +141,18 @@ class InequalityReport:
     lam: complex
     left: float                          # truncated sum over eigenvalues
     right: float                         # discretized ||R||_p^p
-    slack: float                         # right*(1+guard) - left
+    slack: float                         # right*(1 + INEQUALITY_GUARD) - left
     passed: bool
     eigenvalues_used: int
 
 
 def eigen_schatten_inequality(eigenvalues: np.ndarray, spectrum: SingularValueSpectrum,
-                              lam, p: float, guard: float = 0.05) -> InequalityReport:
+                              lam, p: float) -> InequalityReport:
     """Truncated sum of |lam - lam_n|^(-p) against the p-th Schatten power.
 
     ``eigenvalues`` is an array of lam_n (an ``EigenvalueList``'s
-    ``.eigenvalues``).  Truncation only shrinks the left side; the guard
-    covers the discretization of the right side.
+    ``.eigenvalues``).  Truncation only shrinks the left side;
+    ``INEQUALITY_GUARD`` covers the discretization of the right side.
     """
     if p <= 1.0:
         raise ValidationError("the comparison needs p > 1")
@@ -159,6 +160,6 @@ def eigen_schatten_inequality(eigenvalues: np.ndarray, spectrum: SingularValueSp
     eigenvalues = np.asarray(eigenvalues)
     left = float(np.sum(np.abs(lam - eigenvalues.astype(complex)) ** (-p)))
     right = float(np.sum(spectrum.values ** p))
-    slack = right * (1.0 + guard) - left
+    slack = right * (1.0 + INEQUALITY_GUARD) - left
     return InequalityReport(lam=lam, left=left, right=right, slack=slack,
                             passed=bool(slack >= 0.0), eigenvalues_used=len(eigenvalues))

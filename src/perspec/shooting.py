@@ -79,6 +79,7 @@ PHI_FIT = (4.0, 2.0, 1.0)                # phi(pi) is fitted to u at pi - m*delt
 MARCH_BLOCK = 4096                       # (interval x column) propagators built at a time
 SPLIT_SAFETY = 1.2                       # a failing interval splits into ceil(1.2*err^(1/5)) parts
 STEP_BLOCK = 512                         # intervals whose step polynomials are built at a time
+MAX_STEPS = 200_000                      # scalar steps per shot; nodes per marched mesh
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,6 @@ class SolverConfig:
     delta: Optional[float] = None        # seed cutoff; None -> 1e-4/sqrt(1+|lam|)
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_steps: int = 200_000             # scalar steps per shot; nodes per marched mesh
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -130,7 +130,7 @@ def _run(model: OperatorModel, lam, x0, x1, u0, w0, config: SolverConfig, output
         float(x0), float(x1), complex(u0), complex(w0), complex(lam),
         float(model.epsilon), integrating_factor(model).coef,
         forced, float(config.rtol), float(config.atol),
-        int(config.max_steps), CAP_FRAC)[:6]
+        MAX_STEPS, CAP_FRAC)[:6]
     if status == STATUS_STEP_UNDERFLOW:
         raise IntegrationError(
             f"step size underflow at x = {x_reached:.6g} (lam = {lam}); "
@@ -250,10 +250,10 @@ def _start_mesh(model: OperatorModel, nodes: np.ndarray, delta: float) -> np.nda
                                            [PI / 2], inside]))
 
 
-def _check_budget(count: float, config: SolverConfig, x_reached=None) -> None:
-    if count > config.max_steps:
+def _check_budget(count: float, x_reached) -> None:
+    if count > MAX_STEPS:
         raise IntegrationError(f"step budget exhausted: the mesh needs {count:.6g} nodes, "
-                               f"more than {config.max_steps}", x_reached=x_reached)
+                               f"more than {MAX_STEPS}", x_reached=x_reached)
 
 
 def _local_errors(errs: np.ndarray, kappa: np.ndarray, us: np.ndarray, ws: np.ndarray,
@@ -269,8 +269,7 @@ def _local_errors(errs: np.ndarray, kappa: np.ndarray, us: np.ndarray, ws: np.nd
     return np.max(np.sqrt(0.5 * ((np.abs(eu) / sc_u) ** 2 + (np.abs(ew) / sc_w) ** 2)), axis=1)
 
 
-def _split(model: OperatorModel, mesh: np.ndarray, steps: tuple, err: np.ndarray,
-           config: SolverConfig):
+def _split(model: OperatorModel, mesh: np.ndarray, steps: tuple, err: np.ndarray):
     """Split each interval whose err exceeds 1 into ceil(SPLIT_SAFETY*err^(1/5)) equal parts.
 
     ``steps`` holds the forward step and error polynomials of the
@@ -280,7 +279,7 @@ def _split(model: OperatorModel, mesh: np.ndarray, steps: tuple, err: np.ndarray
     """
     fail = ~(err <= 1.0)                                  # nan fails too
     parts = np.where(fail, np.ceil(SPLIT_SAFETY * np.nan_to_num(err, nan=np.inf) ** 0.2), 1.0)
-    _check_budget(len(mesh) + float(np.sum(parts - 1.0)), config, mesh[int(np.argmax(fail))])
+    _check_budget(len(mesh) + float(np.sum(parts - 1.0)), mesh[int(np.argmax(fail))])
     parts = parts.astype(int)
     width = np.diff(mesh) / parts
     small = fail & (width < 1e-14 * np.maximum(np.abs(mesh[:-1]), 1.0))
@@ -313,7 +312,7 @@ def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
     is seeded at pi - delta and marched backward, one column per lam in
     ``lams``; every interval whose step fails in any column is split, and
     the marches repeat until every step passes.  More than
-    ``config.max_steps`` nodes, or a split below 1e-14 relative, raises
+    ``MAX_STEPS`` nodes, or a split below 1e-14 relative, raises
     IntegrationError.  Returns the mesh, the forward step polynomials,
     phi's states (u, w) and psi's (None without ``with_psi``) on every node
     in travel order, and the number of marches run, the last one on the
@@ -322,7 +321,7 @@ def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
     mesh = _start_mesh(model, nodes, delta)
     kappa = -1j * lams / model.epsilon
     phi_seed = _seeds(seed_regular_origin, model, lams, delta)
-    _check_budget(len(mesh), config, mesh[min(config.max_steps, len(mesh) - 1)])
+    _check_budget(len(mesh), mesh[min(MAX_STEPS, len(mesh) - 1)])
     h = np.diff(mesh)                                    # psi steps have negative length
     steps = _step_coefficients(model, mesh[:-1], h)
     if with_psi:
@@ -340,7 +339,7 @@ def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
             err = np.maximum(err, _local_errors(steps[3][::-1], kappa, *psi, config)[::-1])
         if np.all(err <= 1.0):
             return mesh, steps[0], phi, psi, rounds
-        mesh, steps = _split(model, mesh, steps, err, config)
+        mesh, steps = _split(model, mesh, steps, err)
 
 
 def solution_pairs(model: OperatorModel, lam, nodes,

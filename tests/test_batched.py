@@ -97,17 +97,18 @@ class TestSolverConfigKnobs:
             want = dispersion(sine_model, lam, cfg)
             assert abs(got - want.D) <= 1e-6 * want.scale
 
-    def test_step_budget_skips_what_the_mesh_cannot_serve(self, sine_model, reference_eigs):
-        cfg = SolverConfig(max_steps=500)
-        eigs = scan_and_refine(sine_model, 8.0, 0.25, cfg)
+    def test_step_budget_skips_what_the_mesh_cannot_serve(self, sine_model, reference_eigs,
+                                                           monkeypatch):
+        monkeypatch.setattr(shooting, "MAX_STEPS", 500)
+        eigs = scan_and_refine(sine_model, 8.0, 0.25)
         grid = np.arange(0.25, 8.0 + 0.125, 0.25)
         skipped = [s["lam"] for s in eigs.skipped]
         assert skipped and skipped == grid[len(grid) - len(skipped):].tolist()
         assert all("step budget" in s["reason"] for s in eigs.skipped)
         # the line on the grid is the one the mesh's node budget draws
         with pytest.raises(IntegrationError):
-            shared_mesh(sine_model, skipped[0], cfg)
-        shared_mesh(sine_model, skipped[0] - 0.25, cfg)
+            shared_mesh(sine_model, skipped[0])
+        shared_mesh(sine_model, skipped[0] - 0.25)
         below = reference_eigs[reference_eigs < skipped[0] - 0.25]
         assert len(eigs.positive()) >= 1
         np.testing.assert_allclose(eigs.positive(), below, atol=1e-5)

@@ -100,6 +100,17 @@ class TestBadInputFiles:
         out = capsys.readouterr().out
         assert "slope: 0.36" in out and "passed: False" in out
 
+    @pytest.mark.parametrize("command", ["eigs", "trace", "resolve", "kernel", "schatten"])
+    def test_solver_commands_refuse_an_unnormalized_table(self, capsys, tmp_path, command):
+        # the table that fails validate above is not solved either
+        x = [math.pi * k / 64 for k in range(65)]
+        path = tmp_path / "profile.dat"
+        path.write_text("".join(f"{xi!r} {math.sin(xi)!r}\n" for xi in x))
+        out = tmp_path / "out"
+        msg = _validation_failure(capsys, [command, "--profile", "tabulated", "--profile-file",
+                                           str(path), "--out", str(out)])
+        assert "profile fails validate: slope 0.361" in msg and not out.exists()
+
     def test_missing_profile_table(self, capsys, tmp_path):
         missing = tmp_path / "missing.txt"
         msg = _validation_failure(capsys, ["validate", "--profile", "tabulated",

@@ -9,12 +9,16 @@ from perspec.cli import EXIT_OK, run_subcommand
 from perspec.errors import (EigenvalueProximityError, GridMismatchError,
                             ValidationError)
 from perspec.green import (apply_resolvent, assemble_kernel,
-                           bandlimited_forcing, bound_product_audit,
+                           bandlimited_forcing, bound_product_audit, flux,
                            graded_full_grid, GridFunction, integral_proxies,
-                           kernel_matrix, manufactured_pair,
-                           quasi_derivative_continuity, resolvent_residual)
+                           kernel_matrix, manufactured_pair, resolvent_residual)
+from perspec.profiles import eval_f
 
 PI = math.pi
+
+
+def cos_forcing(kernel):
+    return GridFunction(nodes=kernel.nodes, values=np.cos(kernel.nodes) + 0.1 + 0j)
 
 
 def l2_relative_error(weights, got, want):
@@ -124,13 +128,17 @@ class TestResolvent:
         assert errs[1] < 0.5 * errs[0]
 
     def test_periodicity_for_random_forcings(self, sine_model, kernel_256, kernel_512):
-        # u(-pi) = u(pi) holds by construction, so the equation's residual is
-        # the check: 5.1e-4 to 8.1e-4 on 256 nodes, falling by 0.20-0.25 on 512
+        # the equation's residual: 5.1e-4 to 8.1e-4 on 256 nodes, falling by
+        # 0.20-0.25 on 512.  It cannot see part III (phi times a constant), so
+        # u(-pi) = u(pi) is checked too: within 3.9e-16 of max |u|, against
+        # 1.2e-3 to 9.6e-3 with part III off by 1 %
         for seed in range(10):
             res = []
             for k in (kernel_256, kernel_512):
                 F = bandlimited_forcing(k, seed=seed)
-                res.append(resolvent_residual(sine_model, 1j, apply_resolvent(k, F), F))
+                u = apply_resolvent(k, F).values
+                assert abs(u[-1] - u[0]) <= 1e-12 * np.max(np.abs(u))
+                res.append(resolvent_residual(sine_model, 1j, GridFunction(k.nodes, u), F))
             assert res[0] < 2e-3
             assert res[1] < 0.5 * res[0]
 
@@ -152,8 +160,9 @@ class TestResolvent:
     def test_grid_mismatch_rejected(self, kernel_256):
         F = GridFunction(nodes=kernel_256.nodes[:-1],
                          values=np.zeros(len(kernel_256.nodes) - 1, complex))
-        with pytest.raises(GridMismatchError):
-            apply_resolvent(kernel_256, F)
+        for apply in (apply_resolvent, flux):
+            with pytest.raises(GridMismatchError):
+                apply(kernel_256, F)
 
 
 class TestResidual:
@@ -203,11 +212,37 @@ class TestBoundAudits:
             assert np.max(first) < 5.0
             assert np.max(second) < 5.0
 
-    def test_flux_continuity_across_origin(self, sine_model):
-        left, right = quasi_derivative_continuity(
-            sine_model, 1j, lambda x: np.cos(x) + 0.1, quad_size=512)
+
+class TestFlux:
+    def test_flux_continuity_across_origin(self, kernel_512):
+        fu = flux(kernel_512, cos_forcing(kernel_512)).values
+        i0 = len(fu) // 2
+        left, right = fu[i0 - 1], fu[i0 + 1]        # 8.3e-6 each
         assert abs(left) < 1e-4 and abs(right) < 1e-4
         assert abs(left - right) < 1e-4
+        assert np.all(np.isnan(fu[[0, i0, -1]]))
+        assert np.all(np.isfinite(np.delete(fu, [0, i0, -1])))
+
+    @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
+    @pytest.mark.parametrize("profile", [ps.sine_profile, ps.piecewise_linear_profile])
+    def test_flux_is_f_times_the_slope_of_u(self, profile, eps):
+        # against f times the centered difference of u on |x| in [0.3, pi - 0.3],
+        # off the tent's kink: 2.3e-4 to 1.0e-3 at 512 nodes, 4x less at 1024
+        model = ps.OperatorModel(profile=profile(), epsilon=eps)
+        errs = []
+        for grid in (512, 1024):
+            k = assemble_kernel(model, 1j, grid)
+            F = cos_forcing(k)
+            u = apply_resolvent(k, F).values
+            x = k.nodes[1:-1]
+            slope = eval_f(model.profile, x) * (u[2:] - u[:-2]) / (k.nodes[2:] - k.nodes[:-2])
+            keep = (np.abs(x) >= 0.3) & (np.abs(x) <= PI - 0.3)
+            for kink in model.profile.kinks:
+                keep &= np.abs(np.abs(x) - kink) > 0.05
+            got = flux(k, F).values[1:-1]
+            errs.append(np.max(np.abs(got - slope)[keep]) / np.max(np.abs(slope[keep])))
+        assert errs[0] < 2e-3
+        assert errs[1] < errs[0] / 3.0
 
 
 class TestOtherRegimes:

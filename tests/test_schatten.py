@@ -39,11 +39,13 @@ class TestEigenSchattenInequality:
         assert rep.left > 100.0
         assert not rep.passed and rep.slack < 0.0
 
-    def test_guard_is_relative_to_the_right_side(self):
+    def test_guard_is_relative_to_the_right_side(self, monkeypatch):
         spec = _spectrum([1.0])
         # left = |2i|^-2 = 0.25 against right = 1 scaled by the guard
-        assert eigen_schatten_inequality([0.0], spec, 2j, 2.0, guard=-0.75).passed
-        assert not eigen_schatten_inequality([0.0], spec, 2j, 2.0, guard=-0.76).passed
+        monkeypatch.setattr(schatten, "INEQUALITY_GUARD", -0.75)
+        assert eigen_schatten_inequality([0.0], spec, 2j, 2.0).passed
+        monkeypatch.setattr(schatten, "INEQUALITY_GUARD", -0.76)
+        assert not eigen_schatten_inequality([0.0], spec, 2j, 2.0).passed
 
     @pytest.mark.parametrize("p", [1.0, 0.5])
     def test_needs_p_above_one(self, p):

@@ -94,9 +94,10 @@ class TestIntegratePhi:
         tr = integrate_phi(tent_model, 1.5)
         assert np.min(np.abs(tr.grid - PI / 2)) == 0.0
 
-    def test_step_budget_failure_reports_reach(self, sine_model):
+    def test_step_budget_failure_reports_reach(self, sine_model, monkeypatch):
+        monkeypatch.setattr(shooting, "MAX_STEPS", 40)
         with pytest.raises(IntegrationError) as exc:
-            integrate_phi(sine_model, 1.0, SolverConfig(max_steps=40))
+            integrate_phi(sine_model, 1.0)
         assert exc.value.x_reached is not None
         assert 0.0 < exc.value.x_reached < PI
 
@@ -327,9 +328,10 @@ class TestSolutionPairs:
         assert np.max(phi_err) <= 1.0 and np.max(psi_err) <= 1.0
         assert pairs.rounds >= 2            # the start mesh alone fails the test
 
-    def test_step_budget_failure(self, sine_model):
+    def test_step_budget_failure(self, sine_model, monkeypatch):
+        monkeypatch.setattr(shooting, "MAX_STEPS", 40)
         with pytest.raises(IntegrationError):
-            solution_pairs(sine_model, 1.0, _kernel_nodes(256), SolverConfig(max_steps=40))
+            solution_pairs(sine_model, 1.0, _kernel_nodes(256))
 
 
 class TestSharedMesh:
