@@ -32,7 +32,7 @@ from .schatten import (DyadicBoundReport, InequalityReport,
 from .shooting import (SharedMesh, SolutionPairs, SolutionTrace, SolverConfig,
                        compute_phi_at_pi, integrate_phi, shared_mesh,
                        solution_pairs)
-from .singular import (EndpointSeed, IntegratingFactor, compute_log_p,
-                       compute_log_p_over_f, compute_p_over_f, default_cutoff,
+from .singular import (IntegratingFactor, compute_log_p, compute_log_p_over_f,
+                       compute_p_over_f, default_cutoff, endpoint_branches,
                        integrating_factor, seed_regular_origin,
                        seed_vanishing_at_pi)

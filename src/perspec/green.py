@@ -260,15 +260,14 @@ def kernel_matrix(kernel: KernelGrid, part: Optional[str] = None) -> np.ndarray:
     return out
 
 
-def _check_on_grid(kernel: KernelGrid, forcing: GridFunction) -> None:
-    if forcing.nodes.shape != kernel.nodes.shape or \
-            np.max(np.abs(forcing.nodes - kernel.nodes)) > 1e-12:
-        raise GridMismatchError("forcing is not sampled on the kernel grid")
+def _check_on_grid(nodes: np.ndarray, forcing: GridFunction) -> None:
+    if forcing.nodes.shape != nodes.shape or np.max(np.abs(forcing.nodes - nodes)) > 1e-12:
+        raise GridMismatchError("forcing is not sampled on the grid of the kernel or of u")
 
 
 def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
     """u(x_i) = sum_j G(x_i, s_j) w_j F(s_j)."""
-    _check_on_grid(kernel, forcing)
+    _check_on_grid(kernel.nodes, forcing)
     parts = _applied_parts(kernel, forcing.values, kernel.psi, kernel.phi)
     return GridFunction(nodes=kernel.nodes, values=sum(parts))
 
@@ -279,7 +278,7 @@ def flux(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
     p*u' is the same sum of parts with the quasi-derivatives as x-factors,
     and f/p = sign(x) exp(-log(p/f)).
     """
-    _check_on_grid(kernel, forcing)
+    _check_on_grid(kernel.nodes, forcing)
     pu = sum(_applied_parts(kernel, forcing.values, kernel.psi_qd, kernel.phi_qd))
     return GridFunction(nodes=kernel.nodes,
                         values=np.copysign(np.exp(-kernel.log_pf), kernel.nodes) * pu)
@@ -297,8 +296,7 @@ def resolvent_residual(model: OperatorModel, lam, u: GridFunction,
     x = u.nodes
     if len(x) < 64:
         raise ValidationError("residual check needs at least 64 grid nodes")
-    if forcing.nodes.shape != x.shape or np.max(np.abs(forcing.nodes - x)) > 1e-12:
-        raise GridMismatchError("u and F are not on a common grid")
+    _check_on_grid(x, forcing)
     collar = 10.0 * default_cutoff(lam)
 
     eps = model.epsilon
@@ -306,17 +304,15 @@ def resolvent_residual(model: OperatorModel, lam, u: GridFunction,
     xm = (x[1:] + x[:-1]) / 2.0
     fm = np.asarray(eval_f(model.profile, xm))
     flux = fm * np.diff(uu) / np.diff(x)               # f u' at midpoints
-    lap = np.diff(flux) / ((x[2:] - x[:-2]) / 2.0)     # (f u')' at interior nodes
+    half = (x[2:] - x[:-2]) / 2.0                      # interior nodes' half-widths
+    lap = np.diff(flux) / half                         # (f u')' at interior nodes
     du = (uu[2:] - uu[:-2]) / (x[2:] - x[:-2])
     lhs = 1j * eps * lap + 1j * du - lam * uu[1:-1]
     resid = lhs - forcing.values[1:-1]
 
     xi = x[1:-1]
     keep = (np.abs(xi) > collar) & (np.abs(np.abs(xi) - PI) > collar)
-    w = np.empty_like(x)
-    w[1:-1] = (x[2:] - x[:-2]) / 2.0
-    w[0] = w[-1] = 0.0
-    wk = w[1:-1][keep]
+    wk = half[keep]
     num = float(np.sqrt(np.sum(wk * np.abs(resid[keep]) ** 2)))
     den = float(np.sqrt(np.sum(wk * np.abs(forcing.values[1:-1][keep]) ** 2)))
     return num / max(den, 1e-300)
@@ -345,11 +341,8 @@ def manufactured_pair(model: OperatorModel, lam, nodes: np.ndarray):
     shift = np.zeros_like(x)
     for k in model.profile.kinks:
         shift[np.abs(np.abs(x) - k) < 1e-12] = 1e-9
-    if np.any(shift):
-        dfx = 0.5 * (np.asarray(eval_f_prime(model.profile, np.clip(x - shift, -PI, PI)))
-                     + np.asarray(eval_f_prime(model.profile, np.clip(x + shift, -PI, PI))))
-    else:
-        dfx = np.asarray(eval_f_prime(model.profile, x))
+    dfx = 0.5 * (np.asarray(eval_f_prime(model.profile, np.clip(x - shift, -PI, PI)))
+                 + np.asarray(eval_f_prime(model.profile, np.clip(x + shift, -PI, PI))))
     F = 1j * model.epsilon * (dfx * du + fx * ddu) + 1j * du - lam * u
     return GridFunction(nodes=x, values=u + 0j), GridFunction(nodes=x, values=F)
 

@@ -8,12 +8,15 @@ Two solutions are produced on (0, pi), both in the quasi-derivative state
   integrated backward (toward the growing direction, which is the stable
   one), then rescaled so the Wronskian w_psi*phi - w_phi*psi equals 1.
 
-Endpoint values are never read off the last grid node directly: the local
-two-branch model A*(1 + alpha1*d) + B*d^sigma*(1 + a1*d) is fitted to the
-nodes at distance delta, 2*delta and 4*delta from the end, which extracts
-the boundary value A uniformly in sigma (for sigma > 1 the singular branch
-has vanishing derivative at the end, for sigma < 1 a blowing one; the
-value fit sidesteps both).
+Seeds and endpoint values read one local model per endpoint,
+``singular.endpoint_branches``: u ~ A*(1 + b_reg*d) + B*d^e*(1 + b_pow*d)
+with d the distance to the end, e = sigma at pi and -sigma at 0.  Endpoint
+values are never read off the last grid node directly: ``_two_branch_fit``
+fits that model at the named end to the nodes at distance delta, 2*delta
+and 4*delta, which extracts the boundary value A (or the singular part B)
+uniformly in sigma (for sigma > 1 the singular branch at pi has vanishing
+derivative at the end, for sigma < 1 a blowing one; the value fit
+sidesteps both).
 
 Negative x is never integrated here; callers use the reflection to -lam
 (the tests check it against a direct integration on (-pi, 0)).
@@ -63,9 +66,9 @@ from ._stepper import (KAPPA_DEGREE, STAGE_FRACTIONS, STATUS_MAX_STEPS,
 from .errors import (EigenvalueProximityError, IntegrationError, SolverError,
                      ValidationError)
 from .profiles import OperatorModel, eval_f, sorted_distinct
-from .singular import (compute_p_over_f, default_cutoff,
-                       indicial_series_coefficients, integrating_factor,
-                       seed_regular_origin, seed_vanishing_at_pi)
+from .singular import (compute_p_over_f, default_cutoff, endpoint_branches,
+                       integrating_factor, seed_regular_origin,
+                       seed_vanishing_at_pi)
 
 PI = math.pi
 CAP_FRAC = 0.5                           # step cap as fraction of endpoint distance
@@ -153,22 +156,24 @@ def _cutoff(lam, config: SolverConfig, nodes=()) -> float:
     return delta
 
 
-def _two_branch_fit(dist, vals, expo, a1, alpha1, delta):
-    """Fit u ~ A*(1 + alpha1*d) + B*d^expo*(1 + a1*d) through (dist, vals).
+def _two_branch_fit(model: OperatorModel, lam, end: str, dist, vals, delta):
+    """Fit the local model at ``end`` through (dist, vals): A and B, and the residual.
 
+    The model is u ~ A*(1 + b_reg*d) + B*d^e*(1 + b_pow*d) with (e, b_reg,
+    b_pow) = ``endpoint_branches(model, lam, end)``.
     Rows of ``dist`` and ``vals`` are nodes, nearest the endpoint first; A
     and B come from the first two, the residual from the third when there
-    is one.  Trailing axes are independent fits, with ``a1``, ``alpha1``
-    and the cutoff ``delta`` broadcasting against them.  Returns
-    (A, B, residual).
+    is one.  Trailing axes are independent fits, with ``lam`` and the
+    cutoff ``delta`` broadcasting against them.  Returns (A, B, residual).
     """
     if len(dist) < 2:
         raise SolverError("trace too short for endpoint extrapolation")
     if np.any(dist[0] > 10 * delta) or np.any(dist[1] > 0.1):
         raise SolverError("no trace nodes close enough to the endpoint for a stable fit")
+    expo, b_reg, b_pow = endpoint_branches(model, lam, end)
 
     def basis(d):
-        return 1.0 + alpha1 * d, d ** expo * (1.0 + a1 * d)
+        return 1.0 + b_reg * d, d ** expo * (1.0 + b_pow * d)
 
     g11, g12 = basis(dist[0])
     g21, g22 = basis(dist[1])
@@ -195,12 +200,10 @@ def compute_phi_at_pi(model: OperatorModel, lam,
     pi - delta; the two-branch fit on those three nodes gives phi(pi).
     """
     delta = _cutoff(lam, config)
-    seed = seed_regular_origin(model, lam, delta)
     fit = [PI - m * delta for m in PHI_FIT[:-1]]
-    xs, us, _ = _run(model, lam, delta, PI - delta, seed.value, seed.quasi_derivative,
+    xs, us, _ = _run(model, lam, delta, PI - delta, *seed_regular_origin(model, lam, delta),
                      config, fit)
-    a1, alpha1 = indicial_series_coefficients(model, lam)
-    A, _, _ = _two_branch_fit(PI - xs[:-4:-1], us[:-4:-1], model.sigma, a1, alpha1, delta)
+    A, _, _ = _two_branch_fit(model, lam, "pi", PI - xs[:-4:-1], us[:-4:-1], delta)
     return complex(A)
 
 
@@ -215,8 +218,10 @@ class SolutionPairs:
     psi at the node nearest pi/2; ``wronskian_deviation`` is the largest
     |W/W0 - 1| over every node and both columns.  The endpoint parts are
     two-branch fits: phi's regular part and psi's singular part at pi,
-    and psi's singular part (exponent -sigma) at 0.  ``rounds`` counts the
-    marches of the mesh refinement, the last one on the accepted mesh.
+    and psi's singular part (exponent -sigma) at 0, each in the local
+    model of its own endpoint (``singular.endpoint_branches``).  ``rounds``
+    counts the marches of the mesh refinement, the last one on the
+    accepted mesh.
     """
 
     lam: complex
@@ -320,12 +325,12 @@ def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
     """
     mesh = _start_mesh(model, nodes, delta)
     kappa = -1j * lams / model.epsilon
-    phi_seed = _seeds(seed_regular_origin, model, lams, delta)
+    phi_seed = seed_regular_origin(model, lams, delta)
     _check_budget(len(mesh), mesh[min(MAX_STEPS, len(mesh) - 1)])
     h = np.diff(mesh)                                    # psi steps have negative length
     steps = _step_coefficients(model, mesh[:-1], h)
     if with_psi:
-        psi_seed = _seeds(seed_vanishing_at_pi, model, lams, delta)
+        psi_seed = seed_vanishing_at_pi(model, lams, delta)
         steps += _step_coefficients(model, mesh[1:], -h)
     rounds = 0
     while True:
@@ -368,12 +373,11 @@ def solution_pairs(model: OperatorModel, lam, nodes,
     psi, psi_qd = psi / W0, psi_qd / W0
 
     fit = delta * np.array(PHI_FIT[::-1])
-    a1, alpha1 = indicial_series_coefficients(model, lams)
     at_pi = np.searchsorted(mesh, PI - fit)
     at_0 = np.searchsorted(mesh, fit)
-    phi_at_pi = _two_branch_fit(PI - mesh[at_pi], phi[at_pi], model.sigma, a1, alpha1, delta)[0]
-    psi_at_pi = _two_branch_fit(PI - mesh[at_pi], psi[at_pi], model.sigma, a1, alpha1, delta)[1]
-    psi_at_0 = _two_branch_fit(mesh[at_0], psi[at_0], -model.sigma, a1, alpha1, delta)[1]
+    phi_at_pi = _two_branch_fit(model, lams, "pi", PI - mesh[at_pi], phi[at_pi], delta)[0]
+    psi_at_pi = _two_branch_fit(model, lams, "pi", PI - mesh[at_pi], psi[at_pi], delta)[1]
+    psi_at_0 = _two_branch_fit(model, lams, "origin", mesh[at_0], psi[at_0], delta)[1]
     return SolutionPairs(lam=complex(lam), nodes=mesh, requested=np.searchsorted(mesh, nodes),
                          phi=phi, phi_qd=phi_qd, psi=psi, psi_qd=psi_qd,
                          phi_at_pi=phi_at_pi, psi_at_pi=psi_at_pi, psi_at_origin=psi_at_0,
@@ -440,13 +444,6 @@ def _apply(P, u, w):
     return P[..., 0, 0] * u + P[..., 0, 1] * w, P[..., 1, 0] * u + P[..., 1, 1] * w
 
 
-def _seeds(seed, model: OperatorModel, lams: np.ndarray, delta: float):
-    """Values and quasi-derivatives of ``seed`` at every lam in ``lams``, as two columns."""
-    seeds = [seed(model, lam, delta) for lam in lams]
-    return (np.array([s.value for s in seeds], dtype=complex),
-            np.array([s.quasi_derivative for s in seeds], dtype=complex))
-
-
 def _march(coeffs: np.ndarray, kappa: np.ndarray, u: np.ndarray, w: np.ndarray, keep):
     """Columns (u, w), one per kappa, stepped through the step polynomials ``coeffs`` in order.
 
@@ -507,10 +504,9 @@ def boundary_values(model: OperatorModel, mesh: SharedMesh, lams) -> np.ndarray:
         raise ValidationError(f"|lam| exceeds {mesh.lam_max}, the largest the mesh was checked for")
     delta = float(mesh.nodes[0])
     vals, _ = _march(mesh.coeffs, -1j * lams / model.epsilon,
-                     *_seeds(seed_regular_origin, model, lams, delta), mesh.fit)
+                     *seed_regular_origin(model, lams, delta), mesh.fit)
     fit = mesh.fit[::-1]                         # nearest pi first
-    a1, alpha1 = indicial_series_coefficients(model, lams)
-    A, _, _ = _two_branch_fit(PI - mesh.nodes[fit], vals[::-1], model.sigma, a1, alpha1, delta)
+    A, _, _ = _two_branch_fit(model, lams, "pi", PI - mesh.nodes[fit], vals[::-1], delta)
     return A
 
 

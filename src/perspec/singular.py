@@ -23,9 +23,14 @@ a kink of RB''.  In the gauge p(x)/x^(1+sigma) -> 1 at the origin
     log(p/f)(x)  = sigma*(log x - log(pi-x) + log pi) + RB(x)/eps + log(pi/2)
 
 Both endpoint exponents and the coefficient of the pure power at pi then
-come out of the same table.  Seeds for the two fundamental solutions are
-the first-order truncations of the local expansions at the degenerate
-endpoints, expressed in the quasi-derivative state (u, p*u').
+come out of the same table.
+
+The local model at both degenerate endpoints is one table,
+``endpoint_branches``: the exponent of the power branch and the
+first-order Frobenius coefficients of both branches, labelled by the
+branch they belong to.  The seeds of the two fundamental solutions
+(first-order truncations, in the quasi-derivative state (u, p*u')) and
+every two-branch endpoint fit in ``shooting`` read it.
 """
 
 from __future__ import annotations
@@ -161,29 +166,33 @@ def default_cutoff(lam) -> float:
     return 1e-4 / math.sqrt(1.0 + abs(lam))
 
 
-def indicial_series_coefficients(model: OperatorModel, lam):
-    """First-order coefficients of the local expansions at both endpoints.
+def endpoint_branches(model: OperatorModel, lam, end: str):
+    """The local model at ``end`` ("origin" or "pi"): (e, b_reg, b_pow).
 
-    Local model at either endpoint (d = distance to the endpoint):
-    regular branch 1 + alpha1*d with alpha1 = -i*lam*sigma/(1 - sigma);
-    power branch d^(+-sigma) * (1 + a1*d) with a1 = -i*lam*sigma/(1 + sigma).
-    The resonant case sigma = 1 (eps = pi/2) makes the two exponents at pi
-    collide and is refused.
+    With d the distance to the endpoint, every solution is, to first order,
+
+        u ~ A*(1 + b_reg*d) + B*d^e*(1 + b_pow*d).
+
+    Near the endpoint the equation reads d*u'' + (1 - e)*u' = -i*lam*sigma*u
+    (derivatives in d), with indicial exponents 0 and e = +sigma at pi,
+    -sigma at 0, and the branch d^r has first-order coefficient
+    -i*lam*sigma/((r + 1)*(r + 1 - e)):
+
+        at pi:  (sigma, alpha1, a1);   at 0:  (-sigma, a1, alpha1),
+
+    with a1 = -i*lam*sigma/(1 + sigma) and alpha1 = -i*lam*sigma/(1 - sigma).
+    ``lam`` may be an array.  The resonant case sigma = 1 (eps = pi/2)
+    makes the two exponents at pi collide and is refused.
     """
+    if end not in ("origin", "pi"):
+        raise ValidationError(f'endpoint must be "origin" or "pi", got {end!r}')
     sigma = model.sigma
     if abs(sigma - 1.0) < 1e-3:
         raise SolverError("eps too close to pi/2: coincident endpoint exponents "
                           "(resonant local expansion) are not supported")
+    e = sigma if end == "pi" else -sigma
     k = 1j * lam * sigma
-    return -k / (1.0 + sigma), -k / (1.0 - sigma)
-
-
-@dataclass(frozen=True)
-class EndpointSeed:
-    """Initial data for shooting at the cutoff delta: at delta from 0 or at pi - delta."""
-
-    value: complex
-    quasi_derivative: complex     # p*u' at the cutoff point
+    return e, -k / (1.0 - e), -k / (1.0 + e)
 
 
 def _check_cutoff(model: OperatorModel, delta: float, need_power: bool):
@@ -193,32 +202,30 @@ def _check_cutoff(model: OperatorModel, delta: float, need_power: bool):
         raise SolverError("delta^sigma underflows; increase delta or epsilon")
 
 
-def seed_regular_origin(model: OperatorModel, lam, delta: float) -> EndpointSeed:
-    """Seed of the solution normalized to 1 at the origin.
+def seed_regular_origin(model: OperatorModel, lam, delta: float):
+    """(value, p*u') at delta of the solution normalized to 1 at the origin, per lam.
 
-    value = 1 + a1*delta; quasi-derivative = the once-integrated local
-    model -i*lam/eps * int_0^delta (p/f), which is a1*delta^(1+sigma) in
-    this gauge.  Truncation error is O(delta^2) in the value.
+    With b the regular branch's coefficient at the origin
+    (``endpoint_branches``), value = 1 + b*delta and the quasi-derivative
+    is the once-integrated local model -i*lam/eps * int_0^delta (p/f),
+    which is b*delta^(1+sigma) in this gauge.  Truncation error is
+    O(delta^2) in the value.  ``lam`` may be an array.
     """
     _check_cutoff(model, delta, need_power=False)
-    sigma = model.sigma
-    a1, _ = indicial_series_coefficients(model, lam)
-    value = 1.0 + a1 * delta
-    qd = a1 * delta ** (1.0 + sigma)
-    return EndpointSeed(value=value, quasi_derivative=qd)
+    _, b, _ = endpoint_branches(model, lam, "origin")
+    return 1.0 + b * delta, b * delta ** (1.0 + model.sigma)
 
 
-def seed_vanishing_at_pi(model: OperatorModel, lam, delta: float) -> EndpointSeed:
-    """Seed of the branch vanishing like (pi - x)^sigma at pi, pre-normalization.
+def seed_vanishing_at_pi(model: OperatorModel, lam, delta: float):
+    """(value, p*u') at pi - delta of the branch (pi - x)^sigma, pre-normalization, per lam.
 
     The quasi-derivative is p(pi-delta) times the derivative of the local
     branch; to leading order it is the constant -sigma * K with
-    p ~ K*(pi-x)^(1-sigma).
+    p ~ K*(pi-x)^(1-sigma).  ``lam`` may be an array.
     """
     _check_cutoff(model, delta, need_power=True)
-    sigma = model.sigma
-    a1, _ = indicial_series_coefficients(model, lam)
-    value = delta ** sigma * (1.0 + a1 * delta)
+    sigma, _, b = endpoint_branches(model, lam, "pi")
     p_near = math.exp(compute_log_p(model, PI - delta))
-    qd = -(p_near / delta ** (1.0 - sigma)) * (sigma + (1.0 + sigma) * a1 * delta)
-    return EndpointSeed(value=value, quasi_derivative=qd)
+    value = delta ** sigma * (1.0 + b * delta)
+    qd = -(p_near / delta ** (1.0 - sigma)) * (sigma + (1.0 + sigma) * b * delta)
+    return value, qd

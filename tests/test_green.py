@@ -185,6 +185,13 @@ class TestResidual:
             res.append(resolvent_residual(sine_model, 1j, u, F))
         assert res[1] < res[0]
 
+    def test_grid_mismatch_rejected(self, sine_model):
+        x, _ = graded_full_grid(256)
+        u = GridFunction(nodes=x, values=np.ones_like(x, dtype=complex))
+        F = GridFunction(nodes=x + 1e-9, values=np.zeros_like(x, dtype=complex))
+        with pytest.raises(GridMismatchError):
+            resolvent_residual(sine_model, 1j, u, F)
+
     def test_coarse_grid_rejected(self, sine_model):
         x = np.linspace(-PI, PI, 33)
         u = GridFunction(nodes=x, values=np.ones_like(x, dtype=complex))

@@ -12,7 +12,7 @@ from perspec.errors import (EigenvalueProximityError, IntegrationError,
 from perspec.shooting import (SolverConfig, compute_phi_at_pi, integrate_phi,
                               solution_pairs)
 from perspec.singular import (compute_p_over_f, default_cutoff,
-                              indicial_series_coefficients, integrating_factor,
+                              endpoint_branches, integrating_factor,
                               seed_vanishing_at_pi)
 
 PI = math.pi
@@ -37,8 +37,7 @@ def _kernel_nodes(grid_size):
 def _fit_at_pi(model, lam, grid, values, delta):
     """(A, B, residual) of the two-branch fit at pi on the grid's nodes pi - m*delta, m = 1, 2, 4."""
     at = np.searchsorted(grid, PI - delta * np.array([1.0, 2.0, 4.0]))   # nearest pi first
-    a1, alpha1 = indicial_series_coefficients(model, lam)
-    return shooting._two_branch_fit(PI - grid[at], values[at], model.sigma, a1, alpha1, delta)
+    return shooting._two_branch_fit(model, lam, "pi", PI - grid[at], values[at], delta)
 
 
 def _wronskian(pairs):
@@ -168,10 +167,46 @@ class TestEndpointExtrapolation:
 
     def test_ill_conditioned_fit_detected(self, sine_model):
         dist = np.array([1e-4, 1e-4 + 1e-13, 1e-4 + 2e-13])   # nearest pi first
-        a1, alpha1 = indicial_series_coefficients(sine_model, 1.0)
         with pytest.raises(SolverError):
-            shooting._two_branch_fit(dist, np.ones(3, complex), sine_model.sigma, a1, alpha1,
-                                     1e-4)
+            shooting._two_branch_fit(sine_model, 1.0, "pi", dist, np.ones(3, complex), 1e-4)
+
+
+    @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
+    @pytest.mark.parametrize("kind", ["sine", "piecewise-linear"])
+    def test_every_endpoint_fit_fits(self, kind, eps):
+        # the third fit node's residual, relative to |u| there, of phi and psi
+        # at pi and psi at 0: at most 4.2e-7; psi's origin fit read 2.0e-5 to
+        # 2.2e-3 with pi's coefficients, that is with its branches' swapped
+        model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=eps)
+        for lam in (0.9 + 0.57j, -2.9 + 0.75j, 5.0, 1j):
+            pairs = solution_pairs(model, lam, _kernel_nodes(512))
+            lams = np.array([lam, -lam], dtype=complex)
+            fit = pairs.delta * np.array([1.0, 2.0, 4.0])          # nearest the end first
+            at_pi = np.searchsorted(pairs.nodes, PI - fit)
+            at_0 = np.searchsorted(pairs.nodes, fit)
+            fits = (("pi", PI - pairs.nodes[at_pi], pairs.phi[at_pi], 0, pairs.phi_at_pi),
+                    ("pi", PI - pairs.nodes[at_pi], pairs.psi[at_pi], 1, pairs.psi_at_pi),
+                    ("origin", pairs.nodes[at_0], pairs.psi[at_0], 1, pairs.psi_at_origin))
+            for end, dist, vals, part, recorded in fits:
+                got = shooting._two_branch_fit(model, lams, end, dist, vals, pairs.delta)
+                assert np.array_equal(got[part], recorded)
+                assert np.max(got[2] / np.abs(vals[2])) <= 1e-5, (lam, end, part)
+
+    @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
+    @pytest.mark.parametrize("kind", ["sine", "piecewise-linear"])
+    def test_scan_fit_fits(self, kind, eps):
+        # phi's fit at pi on the lmax 8 scan's mesh and grid: at most 2.5e-6
+        model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=eps)
+        mesh = shooting.shared_mesh(model, 8.0)
+        grid = np.arange(0.05, 8.0 + 0.025, 0.05)
+        lams = np.concatenate([grid, -grid]).astype(complex)
+        delta = mesh.nodes[0]
+        vals, _ = shooting._march(mesh.coeffs, -1j * lams / eps,
+                                  *ps.seed_regular_origin(model, lams, delta), mesh.fit)
+        fit = mesh.fit[::-1]                                      # nearest pi first
+        _, _, resid = shooting._two_branch_fit(model, lams, "pi", PI - mesh.nodes[fit],
+                                               vals[::-1], delta)
+        assert np.max(resid / np.abs(vals[0])) <= 1e-5
 
 
 class TestPsi:
@@ -281,9 +316,8 @@ class TestSolutionPairs:
             pf, p = coef(x)
             return [y[1] / p, kappa * pf * y[0]]
 
-        seed = seed_vanishing_at_pi(model, lam, pairs.delta)
         shot = solve_ivp(rhs, (PI - pairs.delta, pairs.delta),
-                         [complex(seed.value), complex(seed.quasi_derivative)],
+                         [complex(v) for v in seed_vanishing_at_pi(model, lam, pairs.delta)],
                          method="DOP853", t_eval=nodes[::-1], rtol=1e-12, atol=1e-14)
         assert shot.success
         want = shot.y[0, ::-1]
@@ -346,7 +380,7 @@ class TestSharedMesh:
         every = np.arange(len(x))
         for lam in (8.0, 0.3, 4.0):
             lams = np.array([lam, -lam], dtype=complex)
-            seeds = shooting._seeds(ps.seed_regular_origin, model, lams, x[0])
+            seeds = ps.seed_regular_origin(model, lams, x[0])
             u, w = shooting._march(mesh.coeffs, -1j * lams / eps, *seeds, every)
             err = _dopri5_errors(model, lams, x[:-1], h, u[:-1], w[:-1], config.rtol,
                                  config.atol)
@@ -365,7 +399,7 @@ def mirror_audit(model, lam, config=SolverConfig(), n_nodes=25):
     the max deviation.
     """
     eps = model.epsilon
-    a1, _ = indicial_series_coefficients(model, lam)
+    _, a1, _ = endpoint_branches(model, lam, "origin")      # the regular branch
     d0 = config.delta if config.delta is not None else default_cutoff(lam)
     d1 = max(d0, 2e-3)
     nodes = np.linspace(0.02, PI - 0.02, n_nodes)

@@ -13,7 +13,7 @@ from perspec.profiles import (OperatorModel, end_curvatures, eval_f,
                               eval_f_prime, piecewise_linear_profile,
                               sine_profile, tabulated_profile)
 from perspec.singular import (compute_log_p, compute_log_p_over_f,
-                              compute_p_over_f, indicial_series_coefficients,
+                              compute_p_over_f, endpoint_branches,
                               integrating_factor, seed_regular_origin,
                               seed_vanishing_at_pi)
 
@@ -167,35 +167,34 @@ class TestLogP:
 
 class TestSeeds:
     def test_zero_lambda_is_exact_constant(self, sine_model):
-        seed = seed_regular_origin(sine_model, 0.0, 1e-4)
-        assert seed.value == 1.0
-        assert seed.quasi_derivative == 0.0
+        value, qd = seed_regular_origin(sine_model, 0.0, 1e-4)
+        assert value == 1.0
+        assert qd == 0.0
 
     def test_origin_seed_first_order(self, sine_model):
         lam, delta = 1.0, 1e-3
         sigma = sine_model.sigma
         a1 = -1j * lam * sigma / (1 + sigma)
-        seed = seed_regular_origin(sine_model, lam, delta)
-        assert seed.value == pytest.approx(1.0 + a1 * delta)
-        assert seed.quasi_derivative == pytest.approx(a1 * delta ** (1 + sigma))
+        value, qd = seed_regular_origin(sine_model, lam, delta)
+        assert value == pytest.approx(1.0 + a1 * delta)
+        assert qd == pytest.approx(a1 * delta ** (1 + sigma))
 
     def test_origin_quasi_derivative_matches_quadrature(self, tent_model):
         # one explicit integration of p/f = (pi/2) x^sigma for the tent model
         lam, delta = 2.0, 1e-3
         sigma = tent_model.sigma
-        seed = seed_regular_origin(tent_model, lam, delta)
+        _, qd = seed_regular_origin(tent_model, lam, delta)
         exact = -1j * lam * (PI / 2) / (tent_model.epsilon * (1 + sigma)) \
             * delta ** (1 + sigma)
-        assert seed.quasi_derivative == pytest.approx(exact, rel=1e-12)
+        assert qd == pytest.approx(exact, rel=1e-12)
 
         val, _ = quad(lambda s: compute_p_over_f(tent_model, s), 0, delta)
-        assert seed.quasi_derivative == pytest.approx(-1j * lam * val / tent_model.epsilon,
-                                                      rel=1e-6)
+        assert qd == pytest.approx(-1j * lam * val / tent_model.epsilon, rel=1e-6)
 
     def test_seed_value_halving_rate(self, sine_model):
         # |seed - 1| is linear in delta at eps = 1 (min(1, sigma) = 1)
         lam = 1.0
-        errs = [abs(seed_regular_origin(sine_model, lam, d).value - 1.0)
+        errs = [abs(seed_regular_origin(sine_model, lam, d)[0] - 1.0)
                 for d in (2e-3, 1e-3, 5e-4)]
         for a, b in zip(errs, errs[1:]):
             assert a / b == pytest.approx(2.0, abs=0.1)
@@ -207,32 +206,55 @@ class TestSeeds:
         cfg = shooting.SolverConfig(rtol=1e-12, atol=1e-14)
         errs = []
         for delta in (4e-3, 2e-3):
-            s = seed_regular_origin(sine_model, lam, delta)
+            value, _ = seed_regular_origin(sine_model, lam, delta)
             s8 = seed_regular_origin(sine_model, lam, delta / 8)
-            _, us, _ = shooting._run(sine_model, lam, delta / 8, delta,
-                                     s8.value, s8.quasi_derivative, cfg, None)
-            errs.append(abs(s.value - us[-1]))
+            _, us, _ = shooting._run(sine_model, lam, delta / 8, delta, *s8, cfg, None)
+            errs.append(abs(value - us[-1]))
         assert errs[0] / errs[1] == pytest.approx(4.0, abs=1.0)
 
     def test_pi_seed_power_value(self):
         m = OperatorModel(profile=sine_profile(), epsilon=1.0)
-        seed = seed_vanishing_at_pi(m, 0.0, 1e-3)
-        assert abs(seed.value) == pytest.approx((1e-3) ** (PI / 2), rel=1e-12)
-        assert abs(seed.value) == pytest.approx(1.9e-5, rel=0.03)
+        value, _ = seed_vanishing_at_pi(m, 0.0, 1e-3)
+        assert abs(value) == pytest.approx((1e-3) ** (PI / 2), rel=1e-12)
+        assert abs(value) == pytest.approx(1.9e-5, rel=0.03)
 
     def test_pi_seed_halving_ratio(self, sine_model):
         sigma = sine_model.sigma
-        s1 = seed_vanishing_at_pi(sine_model, 0.0, 1e-3)
-        s2 = seed_vanishing_at_pi(sine_model, 0.0, 5e-4)
-        assert abs(s2.value / s1.value) == pytest.approx(2.0 ** -sigma, rel=1e-3)
+        v1, _ = seed_vanishing_at_pi(sine_model, 0.0, 1e-3)
+        v2, _ = seed_vanishing_at_pi(sine_model, 0.0, 5e-4)
+        assert abs(v2 / v1) == pytest.approx(2.0 ** -sigma, rel=1e-3)
 
     def test_conjugation_pairs_with_negated_lambda(self, sine_model):
         # conjugating the equation maps lam to -lam for real lam
         for lam in (0.7, 3.0):
-            s_plus = seed_regular_origin(sine_model, lam, 1e-4)
-            s_minus = seed_regular_origin(sine_model, -lam, 1e-4)
-            assert s_minus.value == np.conj(s_plus.value)
-            assert s_minus.quasi_derivative == np.conj(s_plus.quasi_derivative)
+            v_plus, qd_plus = seed_regular_origin(sine_model, lam, 1e-4)
+            v_minus, qd_minus = seed_regular_origin(sine_model, -lam, 1e-4)
+            assert v_minus == np.conj(v_plus)
+            assert qd_minus == np.conj(qd_plus)
+
+    @pytest.mark.parametrize("seed", [seed_regular_origin, seed_vanishing_at_pi])
+    def test_array_seeds_are_the_scalar_seeds(self, sine_model, tent_model, seed):
+        # per lam as numpy scalars: a Python complex divides by a real without
+        # numpy's reciprocal, and can differ by an ulp
+        real = np.array([0.0, 0.7, -0.7, 5.0, -5.0])
+        lams = np.concatenate([real, [0.9 + 0.57j, -2.9 + 0.75j, 1j, -1j, -0.9 - 0.57j]])
+        for model in (sine_model, tent_model):
+            for arr in (real, lams):
+                values, qds = seed(model, arr, 3e-5)
+                one = [seed(model, lam, 3e-5) for lam in arr]
+                assert np.array_equal(values, [v for v, _ in one])
+                assert np.array_equal(qds, [qd for _, qd in one])
+
+    def test_branch_table_labels_the_branches(self, sine_model):
+        # d u'' + (1 - e) u' = -i lam sigma u near either end: the branch d^r
+        # has coefficient -i lam sigma / ((r + 1)(r + 1 - e))
+        lam, sigma = 0.9 + 0.57j, sine_model.sigma
+        a1 = -1j * lam * sigma / (1 + sigma)
+        alpha1 = -1j * lam * sigma / (1 - sigma)
+        assert endpoint_branches(sine_model, lam, "pi") == (sigma, alpha1, a1)
+        assert endpoint_branches(sine_model, lam, "origin") == (-sigma, a1, alpha1)
+        with pytest.raises(ValidationError):
+            endpoint_branches(sine_model, lam, "zero")
 
     def test_cutoff_range_errors(self, sine_model):
         with pytest.raises(ValidationError):
@@ -247,5 +269,6 @@ class TestSeeds:
 
     def test_resonant_epsilon_refused(self):
         m = OperatorModel(profile=sine_profile(), epsilon=PI / 2)
-        with pytest.raises(SolverError):
-            indicial_series_coefficients(m, 1.0)
+        for end in ("origin", "pi"):
+            with pytest.raises(SolverError):
+                endpoint_branches(m, 1.0, end)
