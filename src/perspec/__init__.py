@@ -30,8 +30,7 @@ from .schatten import (DyadicBoundReport, InequalityReport,
                        SingularValueSpectrum, dyadic_bound_audit,
                        eigen_schatten_inequality, singular_values)
 from .shooting import (SharedMesh, SolutionPairs, SolutionTrace, SolverConfig,
-                       compute_phi_at_pi, integrate_phi, shared_mesh,
-                       solution_pairs)
+                       compute_phi_at_pi, shared_mesh, solution_pairs)
 from .singular import (IntegratingFactor, compute_log_p, compute_log_p_over_f,
                        compute_p_over_f, default_cutoff, endpoint_branches,
                        integrating_factor, seed_regular_origin,

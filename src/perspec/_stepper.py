@@ -15,8 +15,9 @@ control, steps capped at a fraction of the distance to the singular
 endpoints, and exact landing on a caller-supplied list of forced nodes
 (the endpoint fit's nodes, profile breakpoints, terminal point), which
 are the only nodes it records.  It is plain Python; the six coefficient
-evaluations of a step read Python lists, not numpy arrays.  Its one
-caller is ``shooting.compute_phi_at_pi``, the certifying shot.
+evaluations of a step read Python lists, not numpy arrays.  No command
+runs it: ``shooting.compute_phi_at_pi`` wraps it as the tests'
+independent reference for the marches.
 
 ``linear_step_coefficients`` writes one step of the same tableau, for
 fixed nodes, as a matrix polynomial in kappa = -i*lam/eps, so that many

@@ -25,7 +25,7 @@ from .green import (PARTS, apply_resolvent, assemble_kernel, bandlimited_forcing
 from .profiles import (KINDS, OperatorModel, load_tabulated, piecewise_linear_profile,
                        sine_profile, validate_profile)
 from .schatten import dyadic_bound_audit, eigen_schatten_inequality, singular_values
-from .shooting import SolverConfig, integrate_phi, solution_pairs
+from .shooting import SolverConfig, solution_pairs
 from .singular import compute_log_p, compute_log_p_over_f
 
 SCHEMA_VERSION = 1
@@ -114,13 +114,9 @@ def _cmd_trace(cfg: RunConfig, args) -> int:
         lpf = np.asarray(compute_log_p_over_f(model, x))
         _write_csv(out, "x,log_p,log_p_over_f", zip(x, lp, lpf))
         return EXIT_OK
-    sc = _solver_config(cfg)
-    if args.kind == "phi":
-        tr = integrate_phi(model, lam, sc)
-        x, u, pu = tr.grid, tr.values, tr.quasi_derivatives
-    else:                                    # column 0 of the pairs is lam
-        pairs = solution_pairs(model, lam, (), sc)
-        x, u, pu = pairs.nodes, pairs.psi[:, 0], pairs.psi_qd[:, 0]
+    pairs = solution_pairs(model, lam, (), _solver_config(cfg))
+    u, pu = (pairs.phi, pairs.phi_qd) if args.kind == "phi" else (pairs.psi, pairs.psi_qd)
+    x, u, pu = pairs.nodes, u[:, 0], pu[:, 0]             # column 0 is lam
     _write_csv(out, "x,re_u,im_u,re_pu,im_pu", zip(x, u.real, u.imag, pu.real, pu.imag))
     return EXIT_OK
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ValidationError
 from .profiles import KINDS
+from .schatten import DEFAULT_ORDERS
 from .shooting import DEFAULT_CONFIG
 
 ENV_PREFIX = "PERSPEC_OPT_"
@@ -32,7 +33,7 @@ class RunConfig:
     grid: int = 512
     lambda_re: float = 0.0
     lambda_im: float = 1.0
-    p_orders: str = "1,1.5,2,3"
+    p_orders: str = ",".join(f"{p:g}" for p in DEFAULT_ORDERS)
     levels: int = 6
     seed: int = 1234
     out: str = ""
@@ -58,12 +59,16 @@ class RunConfig:
             raise ValidationError(f"grid must be an even integer >= 64, got {self.grid}")
         if not 0 <= self.levels <= 8:
             raise ValidationError(f"levels must lie in 0..8, got {self.levels}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if not (self.rtol > 0 and self.atol > 0):
             raise ValidationError("rtol and atol must be positive")
         try:
             orders = self.parsed_orders()
         except ValueError as exc:
             raise ValidationError(f"p_orders must be a comma list of numbers: {exc}") from exc
+        if not orders:
+            raise ValidationError(f"p_orders names no order: {self.p_orders!r}")
         if any(p <= 0 for p in orders):
             raise ValidationError("p_orders entries must be positive")
         return self

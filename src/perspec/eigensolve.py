@@ -16,11 +16,12 @@ every grid point is one column of a single batched march
 (``dispersion_batch``, which returns the array of D) seeded at the mesh's
 one cutoff, and the brackets are refined together by an Illinois
 (modified regula falsi) iteration, one batched march per step.  The
-residuals reported for the refined eigenvalues come from the scalar
-adaptive ``dispersion`` at each lam's own cutoff, independently of the
-mesh; they are the only scalar shots, taken at 0 and the positive roots
-and mirrored like the eigenvalues.
-``eigenfunction`` marches its trace (``shooting.integrate_phi``).
+residuals reported for the refined eigenvalues come from ``dispersion``,
+independently of the scan's mesh: each of 0 and the positive roots is
+marched as the columns lam and -lam on a mesh of its own, accepted for
+those two columns at lam's own cutoff, and the residuals are mirrored like
+the eigenvalues.  ``eigenfunction`` reads its trace from phi's lam column
+of ``shooting.solution_pairs``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import numpy as np
 from .errors import IntegrationError, StaleEigenvalueError, ValidationError
 from .profiles import OperatorModel
 from .shooting import (DEFAULT_CONFIG, SharedMesh, SolutionTrace, SolverConfig,
-                       boundary_values, compute_phi_at_pi, integrate_phi,
-                       shared_mesh)
+                       boundary_values, shared_mesh, solution_pairs)
 
 MAX_REFINE_ITERATIONS = 100
 STALE_TOL = 1e-6                # relative dispersion residual an eigenfunction needs
@@ -87,9 +87,12 @@ class EigenvalueList:
 
 def dispersion(model: OperatorModel, lam: float,
                config: SolverConfig = DEFAULT_CONFIG) -> DispersionValue:
-    """Two boundary-value computations, at lam and -lam."""
-    plus = compute_phi_at_pi(model, lam, config)
-    minus = compute_phi_at_pi(model, -lam, config)
+    """D at a real lam: phi(pi) at lam and -lam, marched on a mesh of their own.
+
+    The mesh is ``shared_mesh`` at |lam|: accepted for the columns lam and
+    -lam at lam's own cutoff, independently of any scan grid.
+    """
+    plus, minus = boundary_values(model, shared_mesh(model, abs(lam), config), [lam, -lam])
     return DispersionValue(lam=float(np.real(lam)), D=plus - minus,
                            phi_plus=plus, phi_minus=minus)
 
@@ -213,7 +216,7 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
     roots = [roots[i] for i in keep]
     iterations = [iterations[i] for i in keep]
 
-    # D(-lam) = -D(lam) from the same two shots: certify 0 and the positive
+    # D(-lam) = -D(lam) from the same two columns: certify 0 and the positive
     # roots, and mirror their residuals as the eigenvalues are mirrored
     eigs = np.concatenate([[-r for r in reversed(roots)], [0.0], roots])
     half = np.array([(abs(dv.D), abs(dv.D) / dv.scale)
@@ -237,15 +240,14 @@ def eigenfunction(model: OperatorModel, lam_n: float,
         raise StaleEigenvalueError(
             f"lam = {lam_n} no longer satisfies the dispersion condition "
             f"(relative residual {rel:.3e} > {STALE_TOL:.1e})")
-    trace = integrate_phi(model, lam_n, config)
-    norm = float(np.max(np.abs(trace.values)))
-    meta = dict(trace.meta)
-    meta.update({"eigenvalue": float(lam_n), "dispersion_residual": abs(dv.D),
-                 "normalization": norm, "boundary_value": dv.phi_plus / norm})
-    return SolutionTrace(lam=trace.lam, grid=trace.grid,
-                         values=trace.values / norm,
-                         quasi_derivatives=trace.quasi_derivatives / norm,
-                         delta=trace.delta, meta=meta)
+    pairs = solution_pairs(model, lam_n, (), config)     # column 0 is lam_n
+    phi, phi_qd = pairs.phi[:, 0], pairs.phi_qd[:, 0]
+    norm = float(np.max(np.abs(phi)))
+    meta = {"rtol": config.rtol, "atol": config.atol, "eigenvalue": float(lam_n),
+            "dispersion_residual": abs(dv.D), "normalization": norm,
+            "boundary_value": dv.phi_plus / norm}
+    return SolutionTrace(lam=pairs.lam, grid=pairs.nodes, values=phi / norm,
+                         quasi_derivatives=phi_qd / norm, delta=pairs.delta, meta=meta)
 
 
 def growth_slope(eigs: EigenvalueList) -> float | None:

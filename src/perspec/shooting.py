@@ -21,9 +21,11 @@ sidesteps both).
 Negative x is never integrated here; callers use the reflection to -lam
 (the tests check it against a direct integration on (-pi, 0)).
 
-The adaptive scalar stepper only certifies: ``compute_phi_at_pi``, behind
-the scalar ``dispersion``, takes one shot that lands on the fit nodes.
-Every trace comes from a march.  The equation is linear and lam enters
+Every trace and every boundary value the package reports comes from a
+march.  ``compute_phi_at_pi`` takes one adaptive scalar shot
+(``_stepper.integrate_quasi_system``) that lands on the fit nodes; no
+command calls it, and the tests keep it as an independent reference for
+the marches.  The equation is linear and lam enters
 only through kappa = -i*lam/eps, so on a mesh each interval's DOPRI5 step
 is a 2x2 matrix polynomial in kappa whose coefficients are computed once
 per mesh, and every lam is one column marched through the same
@@ -47,9 +49,8 @@ DOPRI5 error, checked in every column) is split until none does.
   CUTOFF_CAP times the requested nodes' distances to 0 and to pi so that
   no requested node falls inside the seed collar.  The mesh is accepted
   for phi and psi at lam and -lam; psi is marched backward with steps of
-  negative length.
-* ``integrate_phi`` marches phi alone at one lam, on a mesh accepted for
-  that column: eigenfunctions and the phi trace dump.
+  negative length.  Its phi column at lam is also the phi trace of
+  ``trace --kind phi`` and of an eigenfunction.
 """
 
 from __future__ import annotations
@@ -256,6 +257,11 @@ def _start_mesh(model: OperatorModel, nodes: np.ndarray, delta: float) -> np.nda
 
 
 def _check_budget(count: float, x_reached) -> None:
+    if not math.isfinite(count):
+        raise IntegrationError(f"step budget exhausted: the march overflows at "
+                               f"x = {x_reached:.6g}, where its error estimate is not "
+                               f"finite; |lam| is likely beyond what {MAX_STEPS} nodes "
+                               "can serve", x_reached=x_reached)
     if count > MAX_STEPS:
         raise IntegrationError(f"step budget exhausted: the mesh needs {count:.6g} nodes, "
                                f"more than {MAX_STEPS}", x_reached=x_reached)
@@ -336,12 +342,13 @@ def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
     while True:
         rounds += 1
         every = np.arange(len(mesh))
-        phi = _march(steps[0], kappa, *phi_seed, every)
-        err = _local_errors(steps[1], kappa, *phi, config)
-        psi = None
-        if with_psi:
-            psi = _march(steps[2][::-1], kappa, *psi_seed, every)
-            err = np.maximum(err, _local_errors(steps[3][::-1], kappa, *psi, config)[::-1])
+        with np.errstate(over="ignore", invalid="ignore"):     # a non-finite err fails
+            phi = _march(steps[0], kappa, *phi_seed, every)
+            err = _local_errors(steps[1], kappa, *phi, config)
+            psi = None
+            if with_psi:
+                psi = _march(steps[2][::-1], kappa, *psi_seed, every)
+                err = np.maximum(err, _local_errors(steps[3][::-1], kappa, *psi, config)[::-1])
         if np.all(err <= 1.0):
             return mesh, steps[0], phi, psi, rounds
         mesh, steps = _split(model, mesh, steps, err)
@@ -384,24 +391,6 @@ def solution_pairs(model: OperatorModel, lam, nodes,
                          delta=delta, wronskian=W0,
                          wronskian_deviation=float(np.max(np.abs(W / W0 - 1.0))),
                          rounds=rounds)
-
-
-def integrate_phi(model: OperatorModel, lam,
-                  config: SolverConfig = DEFAULT_CONFIG) -> SolutionTrace:
-    """phi at lam on every node of its accepted mesh.
-
-    phi is marched alone, seeded at the cutoff delta of ``_cutoff``, on the
-    mesh ``_accepted_mesh`` accepts for its one column; the grid runs from
-    delta to pi - delta and holds the fit nodes pi - 4*delta and
-    pi - 2*delta and the profile's breakpoints.  Raises IntegrationError
-    as ``_accepted_mesh`` does.
-    """
-    delta = _cutoff(lam, config)
-    mesh, _, (phi, phi_qd), _, _ = _accepted_mesh(model, np.array([lam], dtype=complex),
-                                                  np.empty(0), delta, config)
-    return SolutionTrace(lam=complex(lam), grid=mesh, values=phi[:, 0],
-                         quasi_derivatives=phi_qd[:, 0], delta=delta,
-                         meta={"rtol": config.rtol, "atol": config.atol})
 
 
 @dataclass(frozen=True, eq=False)

@@ -173,12 +173,14 @@ def endpoint_branches(model: OperatorModel, lam, end: str):
 
         u ~ A*(1 + b_reg*d) + B*d^e*(1 + b_pow*d).
 
-    Near the endpoint the equation reads d*u'' + (1 - e)*u' = -i*lam*sigma*u
+    Near the endpoint f = (2/pi)*(d + beta*d^2) + O(d^3) with beta = (pi/4)*f''
+    at that end (``profiles.end_curvatures``), and the equation reads
+    (d + beta*d^2)*u'' + (1 - e + 2*beta*d)*u' = -i*lam*sigma*u
     (derivatives in d), with indicial exponents 0 and e = +sigma at pi,
-    -sigma at 0, and the branch d^r has first-order coefficient
-    -i*lam*sigma/((r + 1)*(r + 1 - e)):
+    -sigma at 0.  The branch d^r has first-order coefficient
+    (-i*lam*sigma - beta*r*(r + 1))/((r + 1)*(r + 1 - e)):
 
-        at pi:  (sigma, alpha1, a1);   at 0:  (-sigma, a1, alpha1),
+        at pi:  (sigma, alpha1, a1 - beta*sigma);   at 0:  (-sigma, a1, alpha1 + beta*sigma),
 
     with a1 = -i*lam*sigma/(1 + sigma) and alpha1 = -i*lam*sigma/(1 - sigma).
     ``lam`` may be an array.  The resonant case sigma = 1 (eps = pi/2)
@@ -191,8 +193,9 @@ def endpoint_branches(model: OperatorModel, lam, end: str):
         raise SolverError("eps too close to pi/2: coincident endpoint exponents "
                           "(resonant local expansion) are not supported")
     e = sigma if end == "pi" else -sigma
+    beta = PI / 4.0 * end_curvatures(model.profile)[1 if end == "pi" else 0]
     k = 1j * lam * sigma
-    return e, -k / (1.0 - e), -k / (1.0 + e)
+    return e, -k / (1.0 - e), -k / (1.0 + e) - beta * e
 
 
 def _check_cutoff(model: OperatorModel, delta: float, need_power: bool):

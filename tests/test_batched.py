@@ -1,4 +1,4 @@
-"""Batched shooting on a shared mesh against the scalar adaptive path."""
+"""Batched shooting on a shared mesh against the scalar adaptive shot."""
 
 import math
 
@@ -10,7 +10,7 @@ from perspec.eigensolve import dispersion, dispersion_batch, scan_and_refine
 from perspec.errors import IntegrationError
 from perspec.profiles import (OperatorModel, piecewise_linear_profile,
                               sine_profile, tabulated_profile)
-from perspec.shooting import SolverConfig, shared_mesh
+from perspec.shooting import SolverConfig, compute_phi_at_pi, shared_mesh
 
 PI = math.pi
 
@@ -31,6 +31,13 @@ def _model(kind, eps=1.0):
     return OperatorModel(profile=PROFILES[kind](), epsilon=eps)
 
 
+def _scalar_dispersion(model, lam, config):
+    """D(lam) and its scale max(1, |phi(pi)| at +-lam) from two adaptive scalar shots."""
+    plus = compute_phi_at_pi(model, lam, config)
+    minus = compute_phi_at_pi(model, -lam, config)
+    return plus - minus, max(1.0, abs(plus), abs(minus))
+
+
 class TestAgreementWithScalarPath:
     @pytest.mark.parametrize("eps", [0.4, 1.0, 2.5])
     @pytest.mark.parametrize("kind", PROFILES)
@@ -39,21 +46,20 @@ class TestAgreementWithScalarPath:
         mesh = shared_mesh(model, float(np.max(np.abs(LAMS))))
         at_mesh_cutoff = SolverConfig(delta=float(mesh.nodes[0]))
         for lam, got in zip(LAMS, dispersion_batch(model, LAMS, mesh)):
-            want = dispersion(model, float(lam), at_mesh_cutoff)
-            assert abs(got - want.D) <= 1e-8 * want.scale, (lam, got, want.D)
+            want, scale = _scalar_dispersion(model, float(lam), at_mesh_cutoff)
+            assert abs(got - want) <= 1e-8 * scale, (lam, got, want)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", PROFILES)
-    def test_complex_lam_matches_scalar_dispersion(self, kind):
+    def test_complex_lam_matches_scalar_shots(self, kind):
         # complex lam march as complex columns, not cast to their real parts
         model = _model(kind)
         lams = [0.9 + 0.57j, -2.9 + 0.75j]
         mesh = shared_mesh(model, 4.0)
         at_mesh_cutoff = SolverConfig(delta=float(mesh.nodes[0]))
         for lam, got in zip(lams, dispersion_batch(model, lams, mesh)):
-            want = dispersion(model, lam, at_mesh_cutoff)
-            assert want.lam == lam.real
-            assert abs(got - want.D) <= 1e-8 * want.scale, (lam, got, want.D)
+            want, scale = _scalar_dispersion(model, lam, at_mesh_cutoff)
+            assert abs(got - want) <= 1e-8 * scale, (lam, got, want)
 
     @pytest.mark.parametrize("kind", PROFILES)
     def test_exact_symmetries_for_real_lam(self, kind):
@@ -67,23 +73,23 @@ class TestAgreementWithScalarPath:
 
 
 class TestSharedMesh:
-    def test_scalar_shots_only_certify(self, sine_model, monkeypatch):
-        # the mesh is laid out by marches: the scalar stepper runs only in the
-        # certifying dispersion, one shot at lam and one at -lam per
-        # non-negative eigenvalue, since D(-lam) = -D(lam) from the same shots
-        calls = []
-        stepper = shooting.integrate_quasi_system
+    def test_roots_are_certified_on_their_own_meshes(self, sine_model, monkeypatch):
+        # one mesh serves the scan grid; 0 and each positive root are then
+        # certified on a mesh laid out for their own +-lam columns, and the
+        # residuals of the negative roots are those of their mirrors
+        built = []
 
-        def counted(*args):
-            calls.append(args[4].real)        # lam
-            return stepper(*args)
+        def spy(model, lam_max, *args):
+            built.append(lam_max)
+            return shared_mesh(model, lam_max, *args)
 
-        monkeypatch.setattr(shooting, "integrate_quasi_system", counted)
+        monkeypatch.setattr(eigensolve, "shared_mesh", spy)
         eigs = scan_and_refine(sine_model, 8.0, 0.05)
         assert len(eigs.eigenvalues) == 7
-        assert len(calls) == 8
         nonneg = eigs.eigenvalues[eigs.eigenvalues >= 0.0]
-        assert sorted(calls) == sorted(np.concatenate([nonneg, -nonneg]))
+        assert built[0] == pytest.approx(8.0) and built[1:] == nonneg.tolist()
+        want = [abs(dispersion(sine_model, lam).D) for lam in nonneg]
+        assert eigs.residuals.tolist() == want[:0:-1] + want
 
 
 class TestSolverConfigKnobs:
@@ -94,8 +100,8 @@ class TestSolverConfigKnobs:
         assert len(mesh.nodes) < len(shared_mesh(sine_model, 6.0).nodes)
         lams = [0.7, 2.9, 6.0]
         for lam, got in zip(lams, dispersion_batch(sine_model, lams, mesh)):
-            want = dispersion(sine_model, lam, cfg)
-            assert abs(got - want.D) <= 1e-6 * want.scale
+            want, scale = _scalar_dispersion(sine_model, lam, cfg)
+            assert abs(got - want) <= 1e-6 * scale
 
     def test_step_budget_skips_what_the_mesh_cannot_serve(self, sine_model, reference_eigs,
                                                            monkeypatch):
@@ -135,5 +141,5 @@ class TestRefinement:
         assert iters[0] <= 10 and marches == iters[0]
         assert abs(roots[0] - math.log(20.0)) <= 1e-10 * (1.0 + 4.0)
 
-    def test_roots_are_scalar_certified(self, scan_8):
+    def test_roots_are_certified(self, scan_8):
         assert np.max(scan_8.relative_residuals) < 1e-8

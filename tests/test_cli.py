@@ -158,6 +158,19 @@ class TestBadArguments:
         assert f"{argv[-2][2:].replace('-', '_')} must be a finite number" in msg
         assert not out.exists()
 
+    def test_negative_seed(self, capsys, tmp_path):
+        out = tmp_path / "u.csv"
+        msg = _validation_failure(capsys, ["resolve", "--grid", "64", "--seed", "-1",
+                                           "--out", str(out)])
+        assert "seed must be non-negative" in msg and not out.exists()
+
+    @pytest.mark.parametrize("orders", [",", "", " , "])
+    def test_empty_order_list(self, capsys, tmp_path, eigs_file, orders):
+        out = tmp_path / "sv.json"
+        msg = _validation_failure(capsys, ["schatten", *SMALL, "--p", orders, "--eigs-file",
+                                           str(eigs_file), "--out", str(out)])
+        assert "p_orders names no order" in msg and not out.exists()
+
     @pytest.mark.parametrize("nodes", [-5, 0])
     def test_trace_needs_a_node(self, capsys, tmp_path, nodes):
         out = tmp_path / "logp.csv"

@@ -2,6 +2,7 @@ import pytest
 
 from perspec.config import RunConfig, load_config, parse_text
 from perspec.errors import ValidationError
+from perspec.schatten import DEFAULT_ORDERS
 
 
 class TestPrecedence:
@@ -35,6 +36,11 @@ class TestTextFormat:
                         delta=1e-5, grid=256, lambda_re=-0.3, p_orders="1.5,2",
                         levels=4, seed=7, out="result.json")
         assert RunConfig(**parse_text(cfg.to_text())) == cfg
+
+    def test_default_orders_are_schattens(self):
+        cfg = RunConfig()
+        assert cfg.p_orders == "1,1.5,2,3"
+        assert cfg.parsed_orders() == DEFAULT_ORDERS
 
     def test_unknown_key_carries_line_number(self):
         with pytest.raises(ValidationError, match="<config>:2: unknown key"):

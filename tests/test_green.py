@@ -83,7 +83,8 @@ class TestKernelStructure:
 
 
 class TestNoScalarShots:
-    # the kernel side lays out its meshes without the adaptive scalar stepper
+    # every command lays out its meshes and certifies its roots without the
+    # adaptive scalar stepper, which the tests keep as a reference
     @pytest.fixture(autouse=True)
     def refuse_shots(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -97,13 +98,25 @@ class TestNoScalarShots:
     def test_dyadic_bound_audit(self, sine_model):
         assert ps.dyadic_bound_audit(sine_model, 0.7 + 1j, 3).alpha_hat[0] > 0.0
 
-    def test_resolve_subcommand(self, tmp_path):
-        assert run_subcommand(["resolve", "--grid", "128",
-                               "--out", str(tmp_path / "u.csv")]) == EXIT_OK
+    def test_eigenfunction(self, sine_model, scan_8):
+        tr = ps.eigenfunction(sine_model, float(scan_8.positive()[0]))
+        assert np.max(np.abs(tr.values)) == 1.0
 
-    def test_phi_trace_subcommand(self, tmp_path):
-        assert run_subcommand(["trace", "--kind", "phi",
-                               "--out", str(tmp_path / "phi.csv")]) == EXIT_OK
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["eigs", "--lmax", "4", "--resolution", "0.1"],
+        ["trace", "--kind", "phi"], ["trace", "--kind", "psi"], ["trace", "--kind", "logp"],
+        ["resolve", "--grid", "128"], ["kernel", "--grid", "64"],
+        ["schatten", "--grid", "64", "--levels", "1", "--lmax", "2", "--resolution", "0.1"]],
+        ids=["validate", "eigs", "trace-phi", "trace-psi", "trace-logp", "resolve", "kernel",
+             "schatten"])
+    def test_subcommand(self, tmp_path, argv):
+        assert run_subcommand([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    def test_schatten_with_eigs_file(self, tmp_path):
+        eigs = tmp_path / "eigs.json"
+        eigs.write_text('{"results": {"eigenvalues": [-1.239839, 0.0, 1.239839]}}')
+        assert run_subcommand(["schatten", "--grid", "64", "--levels", "1", "--eigs-file",
+                               str(eigs), "--out", str(tmp_path / "sv.json")]) == EXIT_OK
 
 
 class TestResolvent:

@@ -9,8 +9,8 @@ from perspec import _stepper, green, shooting
 from perspec.cli import EXIT_OK, run_subcommand
 from perspec.errors import (EigenvalueProximityError, IntegrationError,
                             SolverError)
-from perspec.shooting import (SolverConfig, compute_phi_at_pi, integrate_phi,
-                              solution_pairs)
+from perspec.eigensolve import eigenfunction
+from perspec.shooting import SolverConfig, compute_phi_at_pi, solution_pairs
 from perspec.singular import (compute_p_over_f, default_cutoff,
                               endpoint_branches, integrating_factor,
                               seed_vanishing_at_pi)
@@ -26,6 +26,12 @@ def _tabulated():
 
 PROFILES = {"sine": ps.sine_profile, "piecewise-linear": ps.piecewise_linear_profile,
             "tabulated": _tabulated}
+
+
+def _curved_table():
+    """A table whose ends curve: f'' = (2/pi)*0.6 at 0 and at pi."""
+    x = np.linspace(0.0, PI, 801)
+    return ps.tabulated_profile(x, (2 / PI) * np.sin(x) * (1.0 + 0.3 * np.sin(x)))
 
 
 def _kernel_nodes(grid_size):
@@ -70,12 +76,12 @@ def _dopri5_errors(model, lams, x0, h, u, w, rtol, atol):
     return np.sqrt(0.5 * np.sum((np.abs(err) / sc) ** 2, axis=0))
 
 
-class TestIntegratePhi:
+class TestPhiTrace:
     def test_lambda_zero_is_constant(self, sine_model):
-        tr = integrate_phi(sine_model, 0.0)
-        assert np.max(np.abs(tr.values - 1.0)) == 0.0
-        assert np.max(np.abs(tr.quasi_derivatives)) == 0.0
-        assert np.all(np.diff(tr.grid) > 0)
+        pairs = solution_pairs(sine_model, 0.0, ())
+        assert np.max(np.abs(pairs.phi - 1.0)) == 0.0
+        assert np.max(np.abs(pairs.phi_qd)) == 0.0
+        assert np.all(np.diff(pairs.nodes) > 0)
 
     def test_reintegration_residual_against_tighter_tolerance(self, sine_model):
         nodes = np.linspace(0.3, PI - 0.3, 17)
@@ -90,36 +96,46 @@ class TestIntegratePhi:
         assert abs(a - b) < 10 * 1e-10 * max(1.0, abs(a))
 
     def test_kinks_are_grid_nodes(self, tent_model):
-        tr = integrate_phi(tent_model, 1.5)
-        assert np.min(np.abs(tr.grid - PI / 2)) == 0.0
+        pairs = solution_pairs(tent_model, 1.5, ())
+        assert np.min(np.abs(pairs.nodes - PI / 2)) == 0.0
 
     def test_step_budget_failure_reports_reach(self, sine_model, monkeypatch):
         monkeypatch.setattr(shooting, "MAX_STEPS", 40)
         with pytest.raises(IntegrationError) as exc:
-            integrate_phi(sine_model, 1.0)
+            solution_pairs(sine_model, 1.0, ())
         assert exc.value.x_reached is not None
         assert 0.0 < exc.value.x_reached < PI
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_march_fails_cleanly(self, sine_model):
+        # at |lam| = 1e6 the start mesh's march overflows: no numpy warning,
+        # and a step-budget error that names the overflow
+        with pytest.raises(IntegrationError, match="step budget exhausted: the march "
+                                                   "overflows") as exc:
+            solution_pairs(sine_model, 1e6, ())
+        assert 0.0 < exc.value.x_reached < PI
+
     def test_trace_is_readonly(self, sine_model):
-        tr = integrate_phi(sine_model, 1.0)
+        tr = eigenfunction(sine_model, 0.0)
         with pytest.raises(ValueError):
             tr.values[0] = 0.0
 
     def test_trace_subcommand_writes_the_march(self, tmp_path):
-        # the dump is integrate_phi's column, and every step of it passes
-        # the scalar stepper's acceptance test
+        # the dump is phi's lam column of the pairs, and every step of it
+        # passes the scalar stepper's acceptance test
         out = tmp_path / "phi.csv"
         assert run_subcommand(["trace", "--kind", "phi", "--lambda-re", "0.9",
                                "--lambda-im", "0.57", "--out", str(out)]) == EXIT_OK
         x, re_u, im_u, re_pu, im_pu = np.loadtxt(out, delimiter=",", skiprows=1).T
         model = ps.OperatorModel(profile=ps.sine_profile(), epsilon=1.0)
         config = SolverConfig()
-        tr = integrate_phi(model, 0.9 + 0.57j, config)
-        assert np.array_equal(x, tr.grid)
-        assert np.array_equal(re_u + 1j * im_u, tr.values)
-        assert np.array_equal(re_pu + 1j * im_pu, tr.quasi_derivatives)
-        err = _dopri5_errors(model, [0.9 + 0.57j], x[:-1], np.diff(x), tr.values[:-1, None],
-                             tr.quasi_derivatives[:-1, None], config.rtol, config.atol)
+        pairs = solution_pairs(model, 0.9 + 0.57j, (), config)
+        u, pu = pairs.phi[:, 0], pairs.phi_qd[:, 0]
+        assert np.array_equal(x, pairs.nodes)
+        assert np.array_equal(re_u + 1j * im_u, u)
+        assert np.array_equal(re_pu + 1j * im_pu, pu)
+        err = _dopri5_errors(model, [0.9 + 0.57j], x[:-1], np.diff(x), u[:-1, None],
+                             pu[:-1, None], config.rtol, config.atol)
         assert np.max(err) <= 1.0
 
 
@@ -147,8 +163,8 @@ class TestConjugationSymmetry:
 
 class TestEndpointExtrapolation:
     def test_constant_trace_recovers_a_one(self, sine_model):
-        tr = integrate_phi(sine_model, 0.0)
-        A, B, _ = _fit_at_pi(sine_model, 0.0, tr.grid, tr.values, tr.delta)
+        pairs = solution_pairs(sine_model, 0.0, ())
+        A, B, _ = _fit_at_pi(sine_model, 0.0, pairs.nodes, pairs.phi[:, 0], pairs.delta)
         assert A == pytest.approx(1.0, abs=1e-14)
         assert abs(B) < 1e-14
 
@@ -172,12 +188,15 @@ class TestEndpointExtrapolation:
 
 
     @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
-    @pytest.mark.parametrize("kind", ["sine", "piecewise-linear"])
+    @pytest.mark.parametrize("kind", ["sine", "piecewise-linear", "curved-table"])
     def test_every_endpoint_fit_fits(self, kind, eps):
         # the third fit node's residual, relative to |u| there, of phi and psi
-        # at pi and psi at 0: at most 4.2e-7; psi's origin fit read 2.0e-5 to
-        # 2.2e-3 with pi's coefficients, that is with its branches' swapped
-        model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=eps)
+        # at pi and psi at 0: at most 4.3e-7; psi's origin fit read 2.0e-5 to
+        # 2.2e-3 with pi's coefficients, that is with its branches' swapped.
+        # On the curved table, psi's power branch without the end curvature
+        # read 2.1e-4 at 0 and 4.4e-5 at pi
+        profile = {**PROFILES, "curved-table": _curved_table}[kind]()
+        model = ps.OperatorModel(profile=profile, epsilon=eps)
         for lam in (0.9 + 0.57j, -2.9 + 0.75j, 5.0, 1j):
             pairs = solution_pairs(model, lam, _kernel_nodes(512))
             lams = np.array([lam, -lam], dtype=complex)
