@@ -22,8 +22,8 @@ from .eigensolve import scan_and_refine
 from .errors import SolverError, ValidationError
 from .green import (PARTS, apply_resolvent, assemble_kernel, bandlimited_forcing,
                     kernel_matrix, resolvent_residual, GridFunction)
-from .profiles import (KINDS, OperatorModel, load_tabulated, piecewise_linear_profile,
-                       sine_profile, validate_profile)
+from .profiles import (END_TOL, KINDS, OperatorModel, load_tabulated,
+                       piecewise_linear_profile, sine_profile, validate_profile)
 from .schatten import dyadic_bound_audit, eigen_schatten_inequality, singular_values
 from .shooting import SolverConfig, solution_pairs
 from .singular import compute_log_p, compute_log_p_over_f
@@ -122,7 +122,7 @@ def _cmd_trace(cfg: RunConfig, args) -> int:
 
 
 def _read_forcing(path: str) -> np.ndarray:
-    """The rows of a forcing file: (x, F) or (x, ReF, ImF), x strictly ascending."""
+    """The rows of a forcing file: (x, F) or (x, ReF, ImF), x strictly ascending over [-pi, pi]."""
     try:
         data = np.loadtxt(path, ndmin=2)
     except (OSError, ValueError) as exc:
@@ -133,6 +133,10 @@ def _read_forcing(path: str) -> np.ndarray:
         raise ValidationError(f"{path}: forcing values must be finite")
     if not np.all(np.diff(data[:, 0]) > 0):
         raise ValidationError(f"{path}: forcing x values must be strictly ascending")
+    lo, hi = data[0, 0], data[-1, 0]
+    if lo > -np.pi + END_TOL or hi < np.pi - END_TOL:
+        raise ValidationError(f"{path}: forcing x values must cover [-pi, pi], "
+                              f"got [{lo:.10g}, {hi:.10g}]")
     return data
 
 

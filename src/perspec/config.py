@@ -16,6 +16,7 @@ from .errors import ValidationError
 from .profiles import KINDS
 from .schatten import DEFAULT_ORDERS
 from .shooting import DEFAULT_CONFIG
+from .singular import MAX_CUTOFF
 
 ENV_PREFIX = "PERSPEC_OPT_"
 
@@ -49,8 +50,8 @@ class RunConfig:
             raise ValidationError("profile_file is required for tabulated profiles")
         if not 0.0 < self.epsilon < math.pi:
             raise ValidationError(f"epsilon must lie in (0, pi), got {self.epsilon}")
-        if self.delta < 0 or self.delta > 0.1:
-            raise ValidationError(f"delta must lie in [0, 0.1], got {self.delta}")
+        if not 0.0 <= self.delta <= MAX_CUTOFF:
+            raise ValidationError(f"delta must lie in [0, {MAX_CUTOFF}], got {self.delta}")
         if self.resolution <= 0:
             raise ValidationError(f"resolution must be positive, got {self.resolution}")
         if self.lmax <= 0:

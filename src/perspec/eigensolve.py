@@ -19,9 +19,9 @@ one cutoff, and the brackets are refined together by an Illinois
 residuals reported for the refined eigenvalues come from ``dispersion``,
 independently of the scan's mesh: each of 0 and the positive roots is
 marched as the columns lam and -lam on a mesh of its own, accepted for
-those two columns at lam's own cutoff, and the residuals are mirrored like
-the eigenvalues.  ``eigenfunction`` reads its trace from phi's lam column
-of ``shooting.solution_pairs``.
+those two columns at lam's own cutoff, and D is read off the march that
+accepted it; the residuals are mirrored like the eigenvalues.
+``eigenfunction`` reads its trace and D from one ``shooting.solution_pairs``.
 """
 
 from __future__ import annotations
@@ -87,14 +87,17 @@ class EigenvalueList:
 
 def dispersion(model: OperatorModel, lam: float,
                config: SolverConfig = DEFAULT_CONFIG) -> DispersionValue:
-    """D at a real lam: phi(pi) at lam and -lam, marched on a mesh of their own.
+    """D at a real lam: phi(pi) at lam and -lam, from the march that laid out their mesh.
 
     The mesh is ``shared_mesh`` at |lam|: accepted for the columns lam and
-    -lam at lam's own cutoff, independently of any scan grid.
+    -lam at lam's own cutoff, independently of any scan grid.  Complex lam
+    go through ``dispersion_batch``.
     """
-    plus, minus = boundary_values(model, shared_mesh(model, abs(lam), config), [lam, -lam])
-    return DispersionValue(lam=float(np.real(lam)), D=plus - minus,
-                           phi_plus=plus, phi_minus=minus)
+    if np.imag(lam) != 0:
+        raise ValidationError(f"dispersion takes a real lam, got {lam}")
+    lam = float(np.real(lam))
+    plus, minus = shared_mesh(model, abs(lam), config).phi_at_pi[::-1 if lam < 0 else 1]
+    return DispersionValue(lam=lam, D=plus - minus, phi_plus=plus, phi_minus=minus)
 
 
 def dispersion_batch(model: OperatorModel, lams, mesh: SharedMesh) -> np.ndarray:
@@ -211,8 +214,9 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
         roots, iterations, refine_marches = _refine(model, mesh, spans)
         marches += refine_marches
 
-    # attribute near-zero roots to the known zero eigenvalue
-    keep = [i for i, r in enumerate(roots) if r >= resolution / 2]
+    # attribute near-zero roots to the known zero eigenvalue, and drop the
+    # roots the grid's last half step finds above lam_max
+    keep = [i for i, r in enumerate(roots) if resolution / 2 <= r <= lam_max]
     roots = [roots[i] for i in keep]
     iterations = [iterations[i] for i in keep]
 
@@ -233,14 +237,15 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
 
 def eigenfunction(model: OperatorModel, lam_n: float,
                   config: SolverConfig = DEFAULT_CONFIG) -> SolutionTrace:
-    """The phi-trace at a refined eigenvalue, scaled to unit max modulus."""
-    dv = dispersion(model, lam_n, config)
+    """The phi-trace at a refined eigenvalue, scaled to unit max modulus; D is read off its march."""
+    pairs = solution_pairs(model, lam_n, (), config)     # column 0 is lam_n
+    plus, minus = pairs.phi_at_pi
+    dv = DispersionValue(lam=float(lam_n), D=plus - minus, phi_plus=plus, phi_minus=minus)
     rel = abs(dv.D) / dv.scale
     if rel > STALE_TOL:
         raise StaleEigenvalueError(
             f"lam = {lam_n} no longer satisfies the dispersion condition "
             f"(relative residual {rel:.3e} > {STALE_TOL:.1e})")
-    pairs = solution_pairs(model, lam_n, (), config)     # column 0 is lam_n
     phi, phi_qd = pairs.phi[:, 0], pairs.phi_qd[:, 0]
     norm = float(np.max(np.abs(phi)))
     meta = {"rtol": config.rtol, "atol": config.atol, "eigenvalue": float(lam_n),

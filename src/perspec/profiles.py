@@ -39,6 +39,7 @@ from .errors import DomainError, ValidationError
 PI = np.pi
 HALF_PI = PI / 2.0
 NORMALIZATION_SLOPE = 2.0 / np.pi
+END_TOL = 1e-9                  # how far a table's first and last x may miss its interval's ends
 
 KINDS = ("sine", "piecewise-linear", "tabulated")
 
@@ -208,7 +209,7 @@ def tabulated_profile(x, f, kinks=()) -> CoefficientProfile:
         raise ValidationError("tabulated x and f values must be finite")
     if np.any(np.diff(x) <= 0):
         raise ValidationError("tabulated x values must be strictly ascending")
-    if abs(x[0]) > 1e-9 or abs(x[-1] - PI) > 1e-9:
+    if abs(x[0]) > END_TOL or abs(x[-1] - PI) > END_TOL:
         raise ValidationError("tabulated grid must cover [0, pi] exactly")
     if abs(f[0]) > 1e-9 or abs(f[-1]) > 1e-9:
         raise ValidationError("tabulated f must vanish at 0 and pi")

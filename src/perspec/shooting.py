@@ -16,7 +16,7 @@ fits that model at the named end to the nodes at distance delta, 2*delta
 and 4*delta, which extracts the boundary value A (or the singular part B)
 uniformly in sigma (for sigma > 1 the singular branch at pi has vanishing
 derivative at the end, for sigma < 1 a blowing one; the value fit
-sidesteps both).
+sidesteps both).  ``_fit_nodes`` places those nodes, ``_fit_rows`` finds them.
 
 Negative x is never integrated here; callers use the reflection to -lam
 (the tests check it against a direct integration on (-pi, 0)).
@@ -37,11 +37,10 @@ the stepper's endpoint cap as a geometric collar), and every interval
 whose marched step fails the stepper's own acceptance test (the embedded
 DOPRI5 error, checked in every column) is split until none does.
 
-* ``boundary_values`` gives phi(pi, lam) for many lam on a ``SharedMesh``:
-  seeded at the mesh's first node, its cutoff, and ended in the two-branch
-  fit on the nodes pi - 4*delta, pi - 2*delta and pi - delta.
-  ``shared_mesh`` accepts its mesh for phi at +-lam_max at the default
-  cutoff of lam_max, the smallest of any |lam| it serves.
+* ``boundary_values`` gives phi(pi, lam) for many lam on a ``SharedMesh``,
+  seeded at its cutoff and fitted at pi.  ``shared_mesh`` accepts its mesh
+  for phi at +-lam_max at the default cutoff of lam_max, the smallest of
+  any |lam| it serves, and keeps phi(pi) from the march that accepted it.
 * ``solution_pairs`` gives phi and psi at lam and -lam on every node of a
   mesh that contains the requested nodes: the kernel's grid, the dyadic
   audit's Gauss nodes.  Its one cutoff delta is the pinned
@@ -50,7 +49,7 @@ DOPRI5 error, checked in every column) is split until none does.
   no requested node falls inside the seed collar.  The mesh is accepted
   for phi and psi at lam and -lam; psi is marched backward with steps of
   negative length.  Its phi column at lam is also the phi trace of
-  ``trace --kind phi`` and of an eigenfunction.
+  ``trace --kind phi`` and of an eigenfunction, with its ``phi_at_pi``.
 """
 
 from __future__ import annotations
@@ -67,9 +66,9 @@ from ._stepper import (KAPPA_DEGREE, STAGE_FRACTIONS, STATUS_MAX_STEPS,
 from .errors import (EigenvalueProximityError, IntegrationError, SolverError,
                      ValidationError)
 from .profiles import OperatorModel, eval_f, sorted_distinct
-from .singular import (compute_p_over_f, default_cutoff, endpoint_branches,
-                       integrating_factor, seed_regular_origin,
-                       seed_vanishing_at_pi)
+from .singular import (MAX_CUTOFF, compute_p_over_f, default_cutoff,
+                       endpoint_branches, integrating_factor,
+                       seed_regular_origin, seed_vanishing_at_pi)
 
 PI = math.pi
 CAP_FRAC = 0.5                           # step cap as fraction of endpoint distance
@@ -79,7 +78,7 @@ CAP_FRAC = 0.5                           # step cap as fraction of endpoint dist
 # is where the dyadic audit's next level puts its innermost Gauss node.
 CUTOFF_CAP = 0.45
 WRONSKIAN_FLOOR = 1e-8                   # eigenvalue-proximity threshold factor
-PHI_FIT = (4.0, 2.0, 1.0)                # phi(pi) is fitted to u at pi - m*delta
+FIT_MULTIPLES = np.array([1.0, 2.0, 4.0])  # endpoint fits read u at m*delta from the end
 MARCH_BLOCK = 4096                       # (interval x column) propagators built at a time
 SPLIT_SAFETY = 1.2                       # a failing interval splits into ceil(1.2*err^(1/5)) parts
 STEP_BLOCK = 512                         # intervals whose step polynomials are built at a time
@@ -157,19 +156,30 @@ def _cutoff(lam, config: SolverConfig, nodes=()) -> float:
     return delta
 
 
-def _two_branch_fit(model: OperatorModel, lam, end: str, dist, vals, delta):
-    """Fit the local model at ``end`` through (dist, vals): A and B, and the residual.
+def _fit_nodes(end: str, delta: float) -> np.ndarray:
+    """The fit nodes at delta, 2*delta and 4*delta from ``end``, nearest it first."""
+    return PI - delta * FIT_MULTIPLES if end == "pi" else delta * FIT_MULTIPLES
 
-    The model is u ~ A*(1 + b_reg*d) + B*d^e*(1 + b_pow*d) with (e, b_reg,
-    b_pow) = ``endpoint_branches(model, lam, end)``.
-    Rows of ``dist`` and ``vals`` are nodes, nearest the endpoint first; A
-    and B come from the first two, the residual from the third when there
-    is one.  Trailing axes are independent fits, with ``lam`` and the
-    cutoff ``delta`` broadcasting against them.  Returns (A, B, residual).
+
+def _fit_rows(nodes: np.ndarray, end: str, delta: float) -> np.ndarray:
+    """The rows of the ascending ``nodes`` at the fit nodes of ``end``, nearest it first."""
+    return np.searchsorted(nodes, _fit_nodes(end, delta))
+
+
+def _two_branch_fit(model: OperatorModel, lam, end: str, x, vals, delta):
+    """Fit the local model at ``end`` through (x, vals): A and B, and the residual.
+
+    The model is u ~ A*(1 + b_reg*d) + B*d^e*(1 + b_pow*d) in the distance d
+    to ``end``, with (e, b_reg, b_pow) = ``endpoint_branches(model, lam, end)``.
+    The rows of ``x`` and ``vals`` are the three fit nodes (``_fit_rows``),
+    nearest the end first; A and B come from the first two, the residual
+    from the third.  Trailing axes are independent fits, with ``lam`` and
+    the cutoff ``delta`` broadcasting against them.  Returns (A, B, residual).
     """
-    if len(dist) < 2:
-        raise SolverError("trace too short for endpoint extrapolation")
-    if np.any(dist[0] > 10 * delta) or np.any(dist[1] > 0.1):
+    at = PI if end == "pi" else 0.0
+    dist = np.abs(np.asarray(x) - at)
+    reach = abs(_fit_nodes(end, MAX_CUTOFF)[1] - at)     # the middle node's at MAX_CUTOFF
+    if np.any(dist[0] > 10 * delta) or np.any(dist[1] > reach):
         raise SolverError("no trace nodes close enough to the endpoint for a stable fit")
     expo, b_reg, b_pow = endpoint_branches(model, lam, end)
 
@@ -185,11 +195,8 @@ def _two_branch_fit(model: OperatorModel, lam, end: str, dist, vals, delta):
                           "increase the cutoff spacing")
     A = (vals[0] * g22 - g12 * vals[1]) / det
     B = (g11 * vals[1] - vals[0] * g21) / det
-    resid = 0.0
-    if len(dist) > 2:
-        g31, g32 = basis(dist[2])
-        resid = abs(A * g31 + B * g32 - vals[2])
-    return A, B, resid
+    g31, g32 = basis(dist[2])
+    return A, B, abs(A * g31 + B * g32 - vals[2])
 
 
 def compute_phi_at_pi(model: OperatorModel, lam,
@@ -197,14 +204,14 @@ def compute_phi_at_pi(model: OperatorModel, lam,
     """Boundary value phi(pi, lam) from one adaptive scalar shot; phi(-pi, lam) is this at -lam.
 
     The shot is seeded at the cutoff delta, lands on the profile's
-    breakpoints and the fit nodes pi - 4*delta, pi - 2*delta, and ends at
-    pi - delta; the two-branch fit on those three nodes gives phi(pi).
+    breakpoints and ends on the fit nodes at pi, which give phi(pi).
     """
     delta = _cutoff(lam, config)
-    fit = [PI - m * delta for m in PHI_FIT[:-1]]
-    xs, us, _ = _run(model, lam, delta, PI - delta, *seed_regular_origin(model, lam, delta),
-                     config, fit)
-    A, _, _ = _two_branch_fit(model, lam, "pi", PI - xs[:-4:-1], us[:-4:-1], delta)
+    fit = _fit_nodes("pi", delta)
+    xs, us, _ = _run(model, lam, delta, fit[0], *seed_regular_origin(model, lam, delta),
+                     config, fit[1:])
+    rows = _fit_rows(xs, "pi", delta)
+    A, _, _ = _two_branch_fit(model, lam, "pi", xs[rows], us[rows], delta)
     return complex(A)
 
 
@@ -248,11 +255,11 @@ def _start_mesh(model: OperatorModel, nodes: np.ndarray, delta: float) -> np.nda
     itself: the longest steps the scalar stepper's endpoint cap allows, in
     either direction.
     """
-    fit = delta * np.array(PHI_FIT[::-1])                  # delta, 2*delta, 4*delta
+    fit = np.concatenate([_fit_nodes("origin", delta), _fit_nodes("pi", delta)])
     collar = delta * (1.0 + CAP_FRAC) ** np.arange(
         math.ceil(math.log(PI / (2.0 * delta)) / math.log1p(CAP_FRAC)))
     inside = [b for b in model.profile.breakpoints if delta < b < PI - delta]
-    return sorted_distinct(np.concatenate([nodes, fit, PI - fit, collar, PI - collar,
+    return sorted_distinct(np.concatenate([nodes, fit, collar, PI - collar,
                                            [PI / 2], inside]))
 
 
@@ -379,11 +386,9 @@ def solution_pairs(model: OperatorModel, lam, nodes,
             f"lam = {lam} is numerically an eigenvalue")
     psi, psi_qd = psi / W0, psi_qd / W0
 
-    fit = delta * np.array(PHI_FIT[::-1])
-    at_pi = np.searchsorted(mesh, PI - fit)
-    at_0 = np.searchsorted(mesh, fit)
-    phi_at_pi = _two_branch_fit(model, lams, "pi", PI - mesh[at_pi], phi[at_pi], delta)[0]
-    psi_at_pi = _two_branch_fit(model, lams, "pi", PI - mesh[at_pi], psi[at_pi], delta)[1]
+    at_pi, at_0 = _fit_rows(mesh, "pi", delta), _fit_rows(mesh, "origin", delta)
+    phi_at_pi = _two_branch_fit(model, lams, "pi", mesh[at_pi], phi[at_pi], delta)[0]
+    psi_at_pi = _two_branch_fit(model, lams, "pi", mesh[at_pi], psi[at_pi], delta)[1]
     psi_at_0 = _two_branch_fit(model, lams, "origin", mesh[at_0], psi[at_0], delta)[1]
     return SolutionPairs(lam=complex(lam), nodes=mesh, requested=np.searchsorted(mesh, nodes),
                          phi=phi, phi_qd=phi_qd, psi=psi, psi_qd=psi_qd,
@@ -398,17 +403,16 @@ class SharedMesh:
     """Nodes in (0, pi) that a batched march steps every lam through.
 
     The first node is the cutoff delta every column is seeded at, and
-    ``fit`` indexes the nodes pi - 4*delta, pi - 2*delta and pi - delta
-    (the last) that every column is fitted on.  ``coeffs`` holds each
-    interval's DOPRI5 step as a polynomial in kappa
+    ``coeffs`` holds each interval's DOPRI5 step as a polynomial in kappa
     (``linear_step_coefficients``).  Every step passes the scalar
-    stepper's acceptance test for phi at +-``lam_max``; ``rounds`` counts
-    the marches that laid the mesh out.
+    stepper's acceptance test for phi at +-``lam_max``; ``phi_at_pi`` holds
+    phi(pi) at lam_max and -lam_max from the march that accepted the mesh,
+    whose marches ``rounds`` counts.
     """
 
     nodes: np.ndarray
     coeffs: np.ndarray
-    fit: np.ndarray
+    phi_at_pi: np.ndarray
     lam_max: float
     rounds: int
 
@@ -436,9 +440,9 @@ def _apply(P, u, w):
 def _march(coeffs: np.ndarray, kappa: np.ndarray, u: np.ndarray, w: np.ndarray, keep):
     """Columns (u, w), one per kappa, stepped through the step polynomials ``coeffs`` in order.
 
-    Returns the states (u, w) at the nodes ``keep``, ascending indices in
-    travel order (node 0 is the start, node k where step k lands), one row
-    per kept node.  Propagators are built MARCH_BLOCK (interval x column)
+    Returns the states (u, w) at the nodes ``keep``, indices in travel
+    order (node 0 is the start, node k where step k lands), one row per
+    entry of ``keep``.  Propagators are built MARCH_BLOCK (interval x column)
     at a time.  Within such a chunk the intervals are walked in blocks of
     L: the prefix products of every block's propagators are formed for all
     blocks at once, one elementwise 2x2 product per position in a block,
@@ -483,19 +487,18 @@ def boundary_values(model: OperatorModel, mesh: SharedMesh, lams) -> np.ndarray:
     """phi(pi, lam) for every lam in ``lams``, marched together through ``mesh``.
 
     Every lam is seeded at the mesh's cutoff delta = nodes[0], steps through
-    every interval and is fitted on the mesh's nodes pi - 4*delta,
-    pi - 2*delta and pi - delta, as ``compute_phi_at_pi`` does with that
-    cutoff.
-    Only the fit nodes' states are kept, so memory stays O(mesh + lams).
+    every interval and is fitted at pi, as ``compute_phi_at_pi`` does with
+    that cutoff.  Only the fit nodes' states are kept, so memory stays
+    O(mesh + lams).
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     if np.any(np.abs(lams) > mesh.lam_max):
         raise ValidationError(f"|lam| exceeds {mesh.lam_max}, the largest the mesh was checked for")
     delta = float(mesh.nodes[0])
+    rows = _fit_rows(mesh.nodes, "pi", delta)
     vals, _ = _march(mesh.coeffs, -1j * lams / model.epsilon,
-                     *seed_regular_origin(model, lams, delta), mesh.fit)
-    fit = mesh.fit[::-1]                         # nearest pi first
-    A, _, _ = _two_branch_fit(model, lams, "pi", PI - mesh.nodes[fit], vals[::-1], delta)
+                     *seed_regular_origin(model, lams, delta), rows)
+    A, _, _ = _two_branch_fit(model, lams, "pi", mesh.nodes[rows], vals, delta)
     return A
 
 
@@ -505,14 +508,16 @@ def shared_mesh(model: OperatorModel, lam_max: float,
 
     It starts from ``_start_mesh`` without requested nodes, at the default
     cutoff of lam_max, which is the smallest of the grid's, and is
-    accepted by ``_accepted_mesh`` for phi alone at lam_max and -lam_max.
-    Since the seed error is O(delta^2), that cutoff serves every column at
-    least as well as the column's own default would.  Raises
-    IntegrationError as ``_accepted_mesh`` does.
+    accepted by ``_accepted_mesh`` for phi alone at lam_max and -lam_max,
+    whose last march gives phi(pi) there.  Since the seed error is
+    O(delta^2), that cutoff serves every column at least as well as the
+    column's own default would.  Raises IntegrationError as
+    ``_accepted_mesh`` does.
     """
     delta = _cutoff(lam_max, config)
     lams = np.array([lam_max, -lam_max], dtype=complex)
-    nodes, coeffs, _, _, rounds = _accepted_mesh(model, lams, np.empty(0), delta, config)
-    return SharedMesh(nodes=nodes, coeffs=coeffs,
-                      fit=np.searchsorted(nodes, PI - delta * np.array(PHI_FIT)),
-                      lam_max=float(lam_max), rounds=rounds)
+    nodes, coeffs, (phi, _), _, rounds = _accepted_mesh(model, lams, np.empty(0), delta, config)
+    rows = _fit_rows(nodes, "pi", delta)
+    at_pi = _two_branch_fit(model, lams, "pi", nodes[rows], phi[rows], delta)[0]
+    return SharedMesh(nodes=nodes, coeffs=coeffs, phi_at_pi=at_pi, lam_max=float(lam_max),
+                      rounds=rounds)

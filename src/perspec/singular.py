@@ -50,6 +50,11 @@ PI = math.pi
 LOG_PI = math.log(PI)
 LOG_HALF_PI = math.log(PI / 2.0)
 
+# Largest seed cutoff delta: the endpoint fits read u at delta, 2*delta and
+# 4*delta from an end, and their first-order local model needs the middle
+# node within 0.1 of it.
+MAX_CUTOFF = 0.05
+
 _RB_PANELS = 2048
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -199,8 +204,8 @@ def endpoint_branches(model: OperatorModel, lam, end: str):
 
 
 def _check_cutoff(model: OperatorModel, delta: float, need_power: bool):
-    if not 0.0 < delta <= 0.1:
-        raise ValidationError(f"cutoff delta must lie in (0, 0.1], got {delta}")
+    if not 0.0 < delta <= MAX_CUTOFF:
+        raise ValidationError(f"cutoff delta must lie in (0, {MAX_CUTOFF}], got {delta}")
     if need_power and model.sigma * math.log(1.0 / delta) > 600.0:
         raise SolverError("delta^sigma underflows; increase delta or epsilon")
 

@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import perspec.cli
 from perspec.cli import EXIT_SOLVER, EXIT_USAGE, EXIT_VALIDATION, run_subcommand
+from perspec.green import GridFunction, apply_resolvent
 
 # small enough to keep each call well under a second
 SMALL = ["--grid", "64", "--levels", "0"]
@@ -81,6 +83,21 @@ class TestBadInputFiles:
         msg = _validation_failure(capsys, ["resolve", "--grid", "64", "--forcing", str(path),
                                            "--out", str(tmp_path / "u.csv")])
         assert "finite" in msg and not (tmp_path / "u.csv").exists()
+
+    @pytest.mark.parametrize("rows", [
+        "0 1\n1 1\n", f"{-math.pi + 1e-8!r} 1\n{math.pi!r} 1\n",
+        f"{-math.pi!r} 1\n{math.pi - 1e-8!r} 1\n"], ids=["inside", "short-left", "short-right"])
+    def test_forcing_must_cover_the_interval(self, capsys, tmp_path, monkeypatch, rows):
+        # np.interp would hold F flat outside the rows; refused before the kernel is built
+        def build(*args, **kwargs):
+            raise AssertionError("kernel assembled before the forcing file was read")
+
+        monkeypatch.setattr(perspec.cli, "assemble_kernel", build)
+        path = tmp_path / "forcing.txt"
+        path.write_text(rows)
+        msg = _validation_failure(capsys, ["resolve", "--grid", "64", "--forcing", str(path),
+                                           "--out", str(tmp_path / "u.csv")])
+        assert "must cover [-pi, pi]" in msg and not (tmp_path / "u.csv").exists()
 
     def test_non_finite_eigenvalue(self, capsys, tmp_path):
         path = tmp_path / "eigs.json"
@@ -171,6 +188,20 @@ class TestBadArguments:
                                            str(eigs_file), "--out", str(out)])
         assert "p_orders names no order" in msg and not out.exists()
 
+    @pytest.mark.parametrize("delta", ["0.07", "0.1"])
+    @pytest.mark.parametrize("argv", [["eigs", "--lmax", "3"], ["trace", "--kind", "psi"],
+                                      ["resolve", "--grid", "64"]], ids=["eigs", "psi", "resolve"])
+    def test_cutoff_beyond_the_endpoint_fit(self, capsys, tmp_path, argv, delta):
+        # the fits read u at 2*delta from an end, which must stay within 0.1
+        out = tmp_path / "out"
+        msg = _validation_failure(capsys, [*argv, "--delta", delta, "--out", str(out)])
+        assert f"delta must lie in [0, 0.05], got {delta}" in msg and not out.exists()
+
+    @pytest.mark.parametrize("argv", [["eigs", "--lmax", "3"], ["trace", "--kind", "psi"]],
+                             ids=["eigs", "psi"])
+    def test_largest_cutoff_runs(self, tmp_path, argv):
+        assert run_subcommand([*argv, "--delta", "0.05", "--out", str(tmp_path / "out")]) == 0
+
     @pytest.mark.parametrize("nodes", [-5, 0])
     def test_trace_needs_a_node(self, capsys, tmp_path, nodes):
         out = tmp_path / "logp.csv"
@@ -225,6 +256,23 @@ class TestKernelCommands:
         assert len(fields) == 3 * 65 ** 2
         assert [f[4] for f in fields] == ["I"] * 65 ** 2 + ["II"] * 65 ** 2 + ["III"] * 65 ** 2
         assert all(math.isfinite(float(v)) for f in fields for v in f[:4])
+
+    def test_resolve_reads_a_forcing_file(self, tmp_path):
+        # cos x on 201 rows over [-pi, pi], interpolated onto the kernel's nodes
+        x = np.linspace(-math.pi, math.pi, 201)
+        path = tmp_path / "forcing.txt"
+        path.write_text("".join(f"{a!r} {b!r}\n" for a, b in zip(x.tolist(), np.cos(x).tolist())))
+        out = tmp_path / "u.csv"
+        assert run_subcommand(["resolve", "--grid", "64", "--forcing", str(path),
+                               "--out", str(out)]) == 0
+        nodes, re_u, im_u, re_f, im_f = np.loadtxt(out, delimiter=",", skiprows=1).T
+        model = perspec.OperatorModel(profile=perspec.sine_profile(), epsilon=1.0)
+        kernel = perspec.assemble_kernel(model, 1j, 64)
+        forcing = GridFunction(nodes=kernel.nodes,
+                               values=np.interp(kernel.nodes, x, np.cos(x)).astype(complex))
+        assert np.array_equal(nodes, kernel.nodes)
+        assert np.array_equal(re_f + 1j * im_f, forcing.values)
+        assert np.array_equal(re_u + 1j * im_u, apply_resolvent(kernel, forcing).values)
 
     def test_resolve_prints_sup_norm(self, capsys, tmp_path):
         assert run_subcommand(["resolve", "--grid", "64", "--out", str(tmp_path / "u.csv")]) == 0

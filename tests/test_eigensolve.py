@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import perspec as ps
+from perspec import eigensolve
 from perspec.eigensolve import (dispersion, eigenfunction, growth_slope,
                                 scan_and_refine)
 from perspec.errors import StaleEigenvalueError, ValidationError
@@ -34,6 +35,11 @@ class TestDispersion:
             d = dispersion(sine_model, lam)
             assert d.D.real == 0.0
 
+    @pytest.mark.parametrize("lam", [1.0 + 0.5j, 1j])
+    def test_complex_lambda_is_refused(self, sine_model, lam):
+        with pytest.raises(ValidationError, match="real lam"):
+            dispersion(sine_model, lam)
+
 
 class TestScan:
     def test_contains_zero_with_tiny_residual(self, scan_8):
@@ -57,6 +63,12 @@ class TestScan:
         fine = scan_8
         for lam in coarse.positive():
             assert np.min(np.abs(fine.positive() - lam)) < 1e-7
+
+    def test_no_root_above_lmax(self, sine_model):
+        # the grid's last point, 1.25, lies past lmax and brackets 1.2398
+        eigs = scan_and_refine(sine_model, 1.23, 0.05)
+        assert eigs.eigenvalues.tolist() == [0.0]
+        assert eigs.refine_iterations == []
 
     def test_input_validation(self, sine_model):
         with pytest.raises(ValidationError):
@@ -104,6 +116,25 @@ class TestEigenfunction:
         a = ps.solution_pairs(sine_model, lam, nodes)
         b = ps.solution_pairs(sine_model, lam, nodes, tight)
         assert np.max(np.abs(a.phi[a.requested, 0] - b.phi[b.requested, 0])) < 1e-6
+
+    def test_one_march(self, sine_model, scan_8, monkeypatch):
+        # the staleness check and the trace read one solution_pairs march
+        calls = []
+
+        def pairs(*args):
+            calls.append(args[1])
+            return ps.solution_pairs(*args)
+
+        def mesh(*args):
+            raise AssertionError("eigenfunction laid out a shared mesh")
+
+        monkeypatch.setattr(eigensolve, "solution_pairs", pairs)
+        monkeypatch.setattr(eigensolve, "shared_mesh", mesh)
+        lam = float(scan_8.positive()[0])
+        tr = eigenfunction(sine_model, lam)
+        assert calls == [lam]
+        plus, minus = ps.solution_pairs(sine_model, lam, ()).phi_at_pi
+        assert tr.meta["dispersion_residual"] == abs(plus - minus)
 
     def test_stale_eigenvalue_rejected(self, sine_model):
         with pytest.raises(StaleEigenvalueError):

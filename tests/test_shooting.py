@@ -11,7 +11,7 @@ from perspec.errors import (EigenvalueProximityError, IntegrationError,
                             SolverError)
 from perspec.eigensolve import eigenfunction
 from perspec.shooting import SolverConfig, compute_phi_at_pi, solution_pairs
-from perspec.singular import (compute_p_over_f, default_cutoff,
+from perspec.singular import (MAX_CUTOFF, compute_p_over_f, default_cutoff,
                               endpoint_branches, integrating_factor,
                               seed_vanishing_at_pi)
 
@@ -42,8 +42,8 @@ def _kernel_nodes(grid_size):
 
 def _fit_at_pi(model, lam, grid, values, delta):
     """(A, B, residual) of the two-branch fit at pi on the grid's nodes pi - m*delta, m = 1, 2, 4."""
-    at = np.searchsorted(grid, PI - delta * np.array([1.0, 2.0, 4.0]))   # nearest pi first
-    return shooting._two_branch_fit(model, lam, "pi", PI - grid[at], values[at], delta)
+    at = shooting._fit_rows(grid, "pi", delta)
+    return shooting._two_branch_fit(model, lam, "pi", grid[at], values[at], delta)
 
 
 def _wronskian(pairs):
@@ -106,7 +106,6 @@ class TestPhiTrace:
         assert exc.value.x_reached is not None
         assert 0.0 < exc.value.x_reached < PI
 
-    @pytest.mark.filterwarnings("error")
     def test_overflowing_march_fails_cleanly(self, sine_model):
         # at |lam| = 1e6 the start mesh's march overflows: no numpy warning,
         # and a step-budget error that names the overflow
@@ -183,8 +182,20 @@ class TestEndpointExtrapolation:
 
     def test_ill_conditioned_fit_detected(self, sine_model):
         dist = np.array([1e-4, 1e-4 + 1e-13, 1e-4 + 2e-13])   # nearest pi first
-        with pytest.raises(SolverError):
-            shooting._two_branch_fit(sine_model, 1.0, "pi", dist, np.ones(3, complex), 1e-4)
+        with pytest.raises(SolverError, match="ill-conditioned"):
+            shooting._two_branch_fit(sine_model, 1.0, "pi", PI - dist, np.ones(3, complex), 1e-4)
+
+    @pytest.mark.parametrize("end", ["origin", "pi"])
+    def test_fit_reaches_the_largest_cutoff_and_no_farther(self, sine_model, end):
+        # the fit nodes of the cutoff MAX_CUTOFF pass, as a mesh rounds them
+        # (pi - (pi - 0.1) is 0.1 + 9e-17); a hair beyond, the middle one is too far
+        def fit(delta):
+            x = shooting._fit_nodes(end, delta)
+            return shooting._two_branch_fit(sine_model, 1.0, end, x, np.ones(3, complex), delta)
+
+        fit(MAX_CUTOFF)
+        with pytest.raises(SolverError, match="close enough"):
+            fit(MAX_CUTOFF * (1.0 + 1e-12))
 
 
     @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
@@ -200,14 +211,15 @@ class TestEndpointExtrapolation:
         for lam in (0.9 + 0.57j, -2.9 + 0.75j, 5.0, 1j):
             pairs = solution_pairs(model, lam, _kernel_nodes(512))
             lams = np.array([lam, -lam], dtype=complex)
-            fit = pairs.delta * np.array([1.0, 2.0, 4.0])          # nearest the end first
-            at_pi = np.searchsorted(pairs.nodes, PI - fit)
-            at_0 = np.searchsorted(pairs.nodes, fit)
-            fits = (("pi", PI - pairs.nodes[at_pi], pairs.phi[at_pi], 0, pairs.phi_at_pi),
-                    ("pi", PI - pairs.nodes[at_pi], pairs.psi[at_pi], 1, pairs.psi_at_pi),
-                    ("origin", pairs.nodes[at_0], pairs.psi[at_0], 1, pairs.psi_at_origin))
-            for end, dist, vals, part, recorded in fits:
-                got = shooting._two_branch_fit(model, lams, end, dist, vals, pairs.delta)
+            at_pi = shooting._fit_rows(pairs.nodes, "pi", pairs.delta)
+            at_0 = shooting._fit_rows(pairs.nodes, "origin", pairs.delta)
+            fits = (("pi", at_pi, pairs.phi, 0, pairs.phi_at_pi),
+                    ("pi", at_pi, pairs.psi, 1, pairs.psi_at_pi),
+                    ("origin", at_0, pairs.psi, 1, pairs.psi_at_origin))
+            for end, rows, u, part, recorded in fits:
+                vals = u[rows]
+                got = shooting._two_branch_fit(model, lams, end, pairs.nodes[rows], vals,
+                                               pairs.delta)
                 assert np.array_equal(got[part], recorded)
                 assert np.max(got[2] / np.abs(vals[2])) <= 1e-5, (lam, end, part)
 
@@ -220,12 +232,11 @@ class TestEndpointExtrapolation:
         grid = np.arange(0.05, 8.0 + 0.025, 0.05)
         lams = np.concatenate([grid, -grid]).astype(complex)
         delta = mesh.nodes[0]
+        rows = shooting._fit_rows(mesh.nodes, "pi", delta)
         vals, _ = shooting._march(mesh.coeffs, -1j * lams / eps,
-                                  *ps.seed_regular_origin(model, lams, delta), mesh.fit)
-        fit = mesh.fit[::-1]                                      # nearest pi first
-        _, _, resid = shooting._two_branch_fit(model, lams, "pi", PI - mesh.nodes[fit],
-                                               vals[::-1], delta)
-        assert np.max(resid / np.abs(vals[0])) <= 1e-5
+                                  *ps.seed_regular_origin(model, lams, delta), rows)
+        _, _, resid = shooting._two_branch_fit(model, lams, "pi", mesh.nodes[rows], vals, delta)
+        assert np.max(resid / np.abs(vals[2])) <= 1e-5
 
 
 class TestPsi:
