@@ -62,7 +62,7 @@ def _model_for(cfg: RunConfig) -> OperatorModel:
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(delta=cfg.delta or None, rtol=cfg.rtol, atol=cfg.atol)
+    return SolverConfig(rtol=cfg.rtol, atol=cfg.atol)
 
 
 def _emit_json(cfg: RunConfig, results: dict, default_name: str) -> None:
@@ -218,16 +218,16 @@ def _cmd_schatten(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, solving: bool = True) -> None:
+    """Every command's flags; a solving command also reads epsilon and the tolerances."""
     sub.add_argument("--config", default=None, help="flat key=value config file")
     sub.add_argument("--profile", default=None, choices=KINDS)
     sub.add_argument("--profile-file", dest="profile_file", default=None)
-    sub.add_argument("--epsilon", type=float, default=None)
-    sub.add_argument("--delta", type=float, default=None)
-    sub.add_argument("--rtol", type=float, default=None)
-    sub.add_argument("--atol", type=float, default=None)
-    sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", default=None)
+    if solving:
+        sub.add_argument("--epsilon", type=float, default=None)
+        sub.add_argument("--rtol", type=float, default=None)
+        sub.add_argument("--atol", type=float, default=None)
 
 
 def build_parser() -> _Parser:
@@ -238,7 +238,7 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command")
 
     p = subs.add_parser("validate", help="check profile hypotheses")
-    _add_common(p)
+    _add_common(p, solving=False)
     p.add_argument("--samples", type=int, default=256)
 
     p = subs.add_parser("eigs", help="scan and refine real eigenvalues")
@@ -255,6 +255,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("resolve", help="apply the resolvent to a forcing")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="seed of the random forcing")
     p.add_argument("--lambda-re", dest="lambda_re", type=float, default=None)
     p.add_argument("--lambda-im", dest="lambda_im", type=float, default=None)
     p.add_argument("--grid", type=int, default=None)

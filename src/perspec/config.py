@@ -16,7 +16,6 @@ from .errors import ValidationError
 from .profiles import KINDS
 from .schatten import DEFAULT_ORDERS
 from .shooting import DEFAULT_CONFIG
-from .singular import MAX_CUTOFF
 
 ENV_PREFIX = "PERSPEC_OPT_"
 
@@ -26,7 +25,6 @@ class RunConfig:
     profile: str = "sine"
     profile_file: str = ""
     epsilon: float = 1.0
-    delta: float = 0.0            # 0 -> lambda-aware default
     rtol: float = DEFAULT_CONFIG.rtol
     atol: float = DEFAULT_CONFIG.atol
     resolution: float = 0.05
@@ -50,8 +48,6 @@ class RunConfig:
             raise ValidationError("profile_file is required for tabulated profiles")
         if not 0.0 < self.epsilon < math.pi:
             raise ValidationError(f"epsilon must lie in (0, pi), got {self.epsilon}")
-        if not 0.0 <= self.delta <= MAX_CUTOFF:
-            raise ValidationError(f"delta must lie in [0, {MAX_CUTOFF}], got {self.delta}")
         if self.resolution <= 0:
             raise ValidationError(f"resolution must be positive, got {self.resolution}")
         if self.lmax <= 0:
@@ -81,8 +77,7 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_text(self) -> str:
-        lines = [f"{f.name}={getattr(self, f.name)!r}".replace("'", "")
-                 for f in fields(self)]
+        lines = [f"{k}={v if isinstance(v, str) else repr(v)}" for k, v in self.as_dict().items()]
         return "\n".join(lines) + "\n"
 
 
@@ -127,11 +122,12 @@ def env_overrides(environ=None) -> dict:
         if not key.startswith(ENV_PREFIX):
             continue
         name = key[len(ENV_PREFIX):].lower()
-        if name in _FIELD_TYPES:
-            try:
-                values[name] = _coerce(name, raw)
-            except ValueError:
-                raise ValidationError(f"environment {key}: cannot parse {raw!r}")
+        if name not in _FIELD_TYPES:
+            raise ValidationError(f"environment {key}: unknown key {name!r}")
+        try:
+            values[name] = _coerce(name, raw)
+        except ValueError:
+            raise ValidationError(f"environment {key}: cannot parse {raw!r}")
     return values
 
 

@@ -238,6 +238,8 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
 def eigenfunction(model: OperatorModel, lam_n: float,
                   config: SolverConfig = DEFAULT_CONFIG) -> SolutionTrace:
     """The phi-trace at a refined eigenvalue, scaled to unit max modulus; D is read off its march."""
+    if np.imag(lam_n) != 0:
+        raise ValidationError(f"eigenfunction takes a real lam, got {lam_n}")
     pairs = solution_pairs(model, lam_n, (), config)     # column 0 is lam_n
     plus, minus = pairs.phi_at_pi
     dv = DispersionValue(lam=float(lam_n), D=plus - minus, phi_plus=plus, phi_minus=minus)

@@ -102,8 +102,8 @@ def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
 
     All interval norms are computed with Gauss panels whose abscissae are
     mesh nodes of the traces, so no interpolation enters and no node is
-    served by an endpoint local model.  Shooting caps the cutoff below the
-    outermost nodes, so a pinned ``config.delta`` is an upper bound.
+    served by an endpoint local model: shooting caps the cutoff below the
+    outermost nodes.
     """
     if not 0 <= levels <= 8:
         raise ValidationError("levels must lie in 0..8 (interval count stays desk-scale)")

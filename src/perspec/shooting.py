@@ -43,10 +43,10 @@ DOPRI5 error, checked in every column) is split until none does.
   any |lam| it serves, and keeps phi(pi) from the march that accepted it.
 * ``solution_pairs`` gives phi and psi at lam and -lam on every node of a
   mesh that contains the requested nodes: the kernel's grid, the dyadic
-  audit's Gauss nodes.  Its one cutoff delta is the pinned
-  ``SolverConfig.delta`` or ``singular.default_cutoff(lam)``, capped at
-  CUTOFF_CAP times the requested nodes' distances to 0 and to pi so that
-  no requested node falls inside the seed collar.  The mesh is accepted
+  audit's Gauss nodes.  Its one cutoff delta is ``_cutoff``'s:
+  ``singular.default_cutoff(lam)``, capped at CUTOFF_CAP times the
+  requested nodes' distances to 0 and to pi so that no requested node
+  falls inside the seed collar.  The mesh is accepted
   for phi and psi at lam and -lam; psi is marched backward with steps of
   negative length.  Its phi column at lam is also the phi trace of
   ``trace --kind phi`` and of an eigenfunction, with its ``phi_at_pi``.
@@ -66,9 +66,8 @@ from ._stepper import (KAPPA_DEGREE, STAGE_FRACTIONS, STATUS_MAX_STEPS,
 from .errors import (EigenvalueProximityError, IntegrationError, SolverError,
                      ValidationError)
 from .profiles import OperatorModel, eval_f, sorted_distinct
-from .singular import (MAX_CUTOFF, compute_p_over_f, default_cutoff,
-                       endpoint_branches, integrating_factor,
-                       seed_regular_origin, seed_vanishing_at_pi)
+from .singular import (compute_p_over_f, default_cutoff, endpoint_branches,
+                       integrating_factor, seed_regular_origin, seed_vanishing_at_pi)
 
 PI = math.pi
 CAP_FRAC = 0.5                           # step cap as fraction of endpoint distance
@@ -87,9 +86,8 @@ MAX_STEPS = 200_000                      # scalar steps per shot; nodes per marc
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for one shooting run; defaults suit the whole test suite."""
+    """Tolerances of one shooting run; defaults suit the whole test suite."""
 
-    delta: Optional[float] = None        # seed cutoff; None -> 1e-4/sqrt(1+|lam|)
     rtol: float = 1e-10
     atol: float = 1e-12
 
@@ -146,8 +144,9 @@ def _run(model: OperatorModel, lam, x0, x1, u0, w0, config: SolverConfig, output
     return xs[:n_out], us[:n_out], ws[:n_out]
 
 
-def _cutoff(lam, config: SolverConfig, nodes=()) -> float:
-    delta = config.delta if config.delta is not None else default_cutoff(lam)
+def _cutoff(lam, nodes=()) -> float:
+    """The seed cutoff ``default_cutoff(lam)``, capped at CUTOFF_CAP times ``nodes``' end gaps."""
+    delta = default_cutoff(lam)
     if len(nodes):
         delta = min(delta, CUTOFF_CAP * float(np.min(nodes)),
                     CUTOFF_CAP * float(PI - np.max(nodes)))
@@ -178,8 +177,7 @@ def _two_branch_fit(model: OperatorModel, lam, end: str, x, vals, delta):
     """
     at = PI if end == "pi" else 0.0
     dist = np.abs(np.asarray(x) - at)
-    reach = abs(_fit_nodes(end, MAX_CUTOFF)[1] - at)     # the middle node's at MAX_CUTOFF
-    if np.any(dist[0] > 10 * delta) or np.any(dist[1] > reach):
+    if np.any(dist[0] > 10 * delta):
         raise SolverError("no trace nodes close enough to the endpoint for a stable fit")
     expo, b_reg, b_pow = endpoint_branches(model, lam, end)
 
@@ -199,14 +197,13 @@ def _two_branch_fit(model: OperatorModel, lam, end: str, x, vals, delta):
     return A, B, abs(A * g31 + B * g32 - vals[2])
 
 
-def compute_phi_at_pi(model: OperatorModel, lam,
+def compute_phi_at_pi(model: OperatorModel, lam, delta: float,
                       config: SolverConfig = DEFAULT_CONFIG) -> complex:
     """Boundary value phi(pi, lam) from one adaptive scalar shot; phi(-pi, lam) is this at -lam.
 
-    The shot is seeded at the cutoff delta, lands on the profile's
-    breakpoints and ends on the fit nodes at pi, which give phi(pi).
+    The shot is seeded at ``delta``, as a mesh with that cutoff is, lands on
+    the profile's breakpoints and ends on the fit nodes at pi, which give phi(pi).
     """
-    delta = _cutoff(lam, config)
     fit = _fit_nodes("pi", delta)
     xs, us, _ = _run(model, lam, delta, fit[0], *seed_regular_origin(model, lam, delta),
                      config, fit[1:])
@@ -371,7 +368,7 @@ def solution_pairs(model: OperatorModel, lam, nodes,
     eigenvalue.
     """
     nodes = np.asarray(nodes, dtype=float).ravel()
-    delta = _cutoff(lam, config, nodes)
+    delta = _cutoff(lam, nodes)
     lams = np.array([lam, -lam], dtype=complex)
     mesh, _, (phi, phi_qd), (psi, psi_qd), rounds = _accepted_mesh(
         model, lams, nodes, delta, config, with_psi=True)
@@ -514,7 +511,7 @@ def shared_mesh(model: OperatorModel, lam_max: float,
     column's own default would.  Raises IntegrationError as
     ``_accepted_mesh`` does.
     """
-    delta = _cutoff(lam_max, config)
+    delta = _cutoff(lam_max)
     lams = np.array([lam_max, -lam_max], dtype=complex)
     nodes, coeffs, (phi, _), _, rounds = _accepted_mesh(model, lams, np.empty(0), delta, config)
     rows = _fit_rows(nodes, "pi", delta)

@@ -10,8 +10,9 @@ from perspec.eigensolve import dispersion, dispersion_batch, scan_and_refine
 from perspec.errors import IntegrationError
 from perspec.profiles import (OperatorModel, piecewise_linear_profile,
                               sine_profile, tabulated_profile)
-from perspec.shooting import (SolverConfig, boundary_values, compute_phi_at_pi,
-                              shared_mesh)
+from perspec.shooting import (DEFAULT_CONFIG, SolverConfig, boundary_values,
+                              compute_phi_at_pi, shared_mesh)
+from perspec.singular import default_cutoff
 
 PI = math.pi
 
@@ -32,10 +33,10 @@ def _model(kind, eps=1.0):
     return OperatorModel(profile=PROFILES[kind](), epsilon=eps)
 
 
-def _scalar_dispersion(model, lam, config):
-    """D(lam) and its scale max(1, |phi(pi)| at +-lam) from two adaptive scalar shots."""
-    plus = compute_phi_at_pi(model, lam, config)
-    minus = compute_phi_at_pi(model, -lam, config)
+def _scalar_dispersion(model, lam, delta, config=DEFAULT_CONFIG):
+    """D(lam) and its scale max(1, |phi(pi)| at +-lam) from two scalar shots seeded at ``delta``."""
+    plus = compute_phi_at_pi(model, lam, delta, config)
+    minus = compute_phi_at_pi(model, -lam, delta, config)
     return plus - minus, max(1.0, abs(plus), abs(minus))
 
 
@@ -45,9 +46,8 @@ class TestAgreementWithScalarPath:
     def test_dispersion(self, kind, eps):
         model = _model(kind, eps)
         mesh = shared_mesh(model, float(np.max(np.abs(LAMS))))
-        at_mesh_cutoff = SolverConfig(delta=float(mesh.nodes[0]))
         for lam, got in zip(LAMS, dispersion_batch(model, LAMS, mesh)):
-            want, scale = _scalar_dispersion(model, float(lam), at_mesh_cutoff)
+            want, scale = _scalar_dispersion(model, float(lam), mesh.nodes[0])
             assert abs(got - want) <= 1e-8 * scale, (lam, got, want)
 
     @pytest.mark.parametrize("kind", PROFILES)
@@ -56,9 +56,8 @@ class TestAgreementWithScalarPath:
         model = _model(kind)
         lams = [0.9 + 0.57j, -2.9 + 0.75j]
         mesh = shared_mesh(model, 4.0)
-        at_mesh_cutoff = SolverConfig(delta=float(mesh.nodes[0]))
         for lam, got in zip(lams, dispersion_batch(model, lams, mesh)):
-            want, scale = _scalar_dispersion(model, lam, at_mesh_cutoff)
+            want, scale = _scalar_dispersion(model, lam, mesh.nodes[0])
             assert abs(got - want) <= 1e-8 * scale, (lam, got, want)
 
     @pytest.mark.parametrize("kind", PROFILES)
@@ -109,14 +108,15 @@ class TestSharedMesh:
 
 
 class TestSolverConfigKnobs:
-    def test_delta_and_tolerances(self, sine_model):
-        cfg = SolverConfig(delta=1e-4, rtol=1e-8, atol=1e-10)
+    def test_tolerances(self, sine_model):
+        cfg = SolverConfig(rtol=1e-8, atol=1e-10)
         mesh = shared_mesh(sine_model, 6.0, cfg)
-        assert mesh.nodes[0] == 1e-4 and mesh.nodes[-1] == PI - 1e-4
+        delta = default_cutoff(6.0)
+        assert mesh.nodes[0] == delta and mesh.nodes[-1] == PI - delta
         assert len(mesh.nodes) < len(shared_mesh(sine_model, 6.0).nodes)
         lams = [0.7, 2.9, 6.0]
         for lam, got in zip(lams, dispersion_batch(sine_model, lams, mesh)):
-            want, scale = _scalar_dispersion(sine_model, lam, cfg)
+            want, scale = _scalar_dispersion(sine_model, lam, delta, cfg)
             assert abs(got - want) <= 1e-6 * scale
 
     def test_step_budget_skips_what_the_mesh_cannot_serve(self, sine_model, reference_eigs,

@@ -145,8 +145,11 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("solver error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [[], ["eigs", "--bogus"], ["trace", "--kind", "chi"]],
-                             ids=["no-subcommand", "unknown-flag", "bad-kind"])
+    @pytest.mark.parametrize("argv", [[], ["eigs", "--bogus"], ["trace", "--kind", "chi"],
+                                      ["eigs", "--delta", "0.01"], ["validate", "--rtol", "1e-8"],
+                                      ["eigs", "--seed", "3"]],
+                             ids=["no-subcommand", "unknown-flag", "bad-kind", "eigs-delta",
+                                  "validate-rtol", "eigs-seed"])
     def test_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             perspec.cli.main(argv)
@@ -168,7 +171,7 @@ class TestBadArguments:
         ["resolve", "--grid", "64", "--lambda-re", "nan"],
         ["schatten", *SMALL, "--lambda-re", "nan"],
         ["trace", "--lambda-re", "nan"], ["trace", "--lambda-im", "inf"],
-        ["validate", "--epsilon", "nan"]])
+        ["eigs", "--epsilon", "nan"]])
     def test_non_finite_number(self, capsys, tmp_path, argv):
         out = tmp_path / "out"
         msg = _validation_failure(capsys, [*argv, "--out", str(out)])
@@ -188,19 +191,21 @@ class TestBadArguments:
                                            str(eigs_file), "--out", str(out)])
         assert "p_orders names no order" in msg and not out.exists()
 
-    @pytest.mark.parametrize("delta", ["0.07", "0.1"])
-    @pytest.mark.parametrize("argv", [["eigs", "--lmax", "3"], ["trace", "--kind", "psi"],
-                                      ["resolve", "--grid", "64"]], ids=["eigs", "psi", "resolve"])
-    def test_cutoff_beyond_the_endpoint_fit(self, capsys, tmp_path, argv, delta):
-        # the fits read u at 2*delta from an end, which must stay within 0.1
-        out = tmp_path / "out"
-        msg = _validation_failure(capsys, [*argv, "--delta", delta, "--out", str(out)])
-        assert f"delta must lie in [0, 0.05], got {delta}" in msg and not out.exists()
+    def test_cutoff_is_no_config_key(self, capsys, tmp_path):
+        # the seed cutoff is the solver's own, so a config file cannot pin it
+        path = tmp_path / "run.cfg"
+        path.write_text("delta=1e-3\n")
+        out = tmp_path / "eigs.json"
+        msg = _validation_failure(capsys, ["eigs", "--lmax", "3", "--config", str(path),
+                                           "--out", str(out)])
+        assert "unknown key 'delta'" in msg and not out.exists()
 
-    @pytest.mark.parametrize("argv", [["eigs", "--lmax", "3"], ["trace", "--kind", "psi"]],
-                             ids=["eigs", "psi"])
-    def test_largest_cutoff_runs(self, tmp_path, argv):
-        assert run_subcommand([*argv, "--delta", "0.05", "--out", str(tmp_path / "out")]) == 0
+    @pytest.mark.parametrize("name", ["PERSPEC_OPT_EPSILLON", "PERSPEC_OPT_DELTA"])
+    def test_unknown_environment_variable(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.setenv(name, "1e-3")
+        out = tmp_path / "eigs.json"
+        msg = _validation_failure(capsys, ["eigs", "--lmax", "3", "--out", str(out)])
+        assert f"environment {name}: unknown key" in msg and not out.exists()
 
     @pytest.mark.parametrize("nodes", [-5, 0])
     def test_trace_needs_a_node(self, capsys, tmp_path, nodes):

@@ -24,16 +24,17 @@ class TestPrecedence:
     @pytest.mark.parametrize("source", ["file", "environment"])
     def test_non_finite_number_is_a_validation_error(self, tmp_path, source):
         path = tmp_path / "run.cfg"
-        path.write_text("delta=nan\n" if source == "file" else "")
+        path.write_text("rtol=nan\n" if source == "file" else "")
         environ = {"PERSPEC_OPT_LAMBDA_IM": "-inf"} if source == "environment" else {}
         with pytest.raises(ValidationError, match="must be a finite number"):
             load_config(str(path), environ=environ)
 
 
 class TestTextFormat:
-    def test_round_trip(self):
-        cfg = RunConfig(profile="piecewise-linear", profile_file="", epsilon=0.7,
-                        delta=1e-5, grid=256, lambda_re=-0.3, p_orders="1.5,2",
+    @pytest.mark.parametrize("profile_file", ["", "it's.txt", "a\\b.txt"])
+    def test_round_trip(self, profile_file):
+        cfg = RunConfig(profile="piecewise-linear", profile_file=profile_file, epsilon=0.7,
+                        rtol=1e-9, grid=256, lambda_re=-0.3, p_orders="1.5,2",
                         levels=4, seed=7, out="result.json")
         assert RunConfig(**parse_text(cfg.to_text())) == cfg
 

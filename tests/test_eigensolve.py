@@ -136,6 +136,14 @@ class TestEigenfunction:
         plus, minus = ps.solution_pairs(sine_model, lam, ()).phi_at_pi
         assert tr.meta["dispersion_residual"] == abs(plus - minus)
 
+    def test_complex_lambda_is_refused_before_marching(self, sine_model, monkeypatch):
+        def pairs(*args):
+            raise AssertionError("eigenfunction marched a complex lam")
+
+        monkeypatch.setattr(eigensolve, "solution_pairs", pairs)
+        with pytest.raises(ValidationError, match="real lam"):
+            eigenfunction(sine_model, 1.2398388 + 0.1j)
+
     def test_stale_eigenvalue_rejected(self, sine_model):
         with pytest.raises(StaleEigenvalueError):
             eigenfunction(sine_model, 1.1)

@@ -12,6 +12,10 @@ No linter ships with the package, so these are the checks for dead code:
 ``__init__.py`` re-exports by importing, so its imports and definitions
 are left out; what it reads still counts.
 
+The traced benchmark (``perfbench/tracing.py``) swaps package attributes
+by name, so every ``(module, attribute)`` pair of its ``WRAPPED`` table
+must resolve, and ``perfbench/run.py`` reads ``perspec.BACKEND``.
+
 The package needs numpy alone: no package module imports scipy anywhere,
 at module level or inside a function, and a process that imports the
 package and runs a command never loads it (only the tests use it).  Nor
@@ -20,6 +24,7 @@ does a command load ``numpy.ma``, which ``import numpy`` leaves out and
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -29,6 +34,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "perspec"
+TRACING = ROOT / "perfbench" / "tracing.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -100,6 +106,15 @@ def unread_fields(defining: dict, reading: dict) -> list:
     return sorted(unread)
 
 
+def wrapped_targets(source: str) -> list:
+    """(module, attribute) of every entry of the ``WRAPPED`` table in ``source``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "WRAPPED"
+                                                for t in node.targets):
+            return [(module, attr) for _, module, attr in ast.literal_eval(node.value)]
+    raise AssertionError("no WRAPPED table")
+
+
 def test_checker_sees_an_unused_import():
     assert unused_imports("import math\nimport os\nfrom x import a, b as c\nc(os)\n") \
         == ["a", "math"]
@@ -128,6 +143,18 @@ def test_checker_sees_nested_imports():
               "def f():\n    from scipy.integrate import solve_ivp\n"
               "class A:\n    def g(self):\n        import math\n")
     assert sorted(imported_modules(source)) == ["math", "numpy", "os", "scipy"]
+
+
+def test_checker_reads_the_wrapped_table():
+    source = 'X = 1\nWRAPPED = (("a.f", "perspec.cli", "f"), ("b.g", "perspec", "g"))\n'
+    assert wrapped_targets(source) == [("perspec.cli", "f"), ("perspec", "g")]
+
+
+def test_traced_attributes_resolve():
+    targets = wrapped_targets(TRACING.read_text(encoding="utf-8"))
+    assert targets
+    assert [t for t in targets if not hasattr(importlib.import_module(t[0]), t[1])] == []
+    assert hasattr(importlib.import_module("perspec"), "BACKEND")
 
 
 def test_modules_are_found():

@@ -55,14 +55,14 @@ class TestEigenSchattenInequality:
 
 class TestDyadicBoundAudit:
     @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
-    def test_pinned_cutoff_matches_a_tight_run(self, eps):
-        # a pinned delta is capped like the default cutoff, so every Gauss node
-        # stays a trace node; serving the nodes inside a pinned delta from the
+    def test_default_matches_a_tight_run(self, eps):
+        # the cutoff is capped below the innermost Gauss nodes, so every one
+        # stays a trace node; serving the nodes inside a larger cutoff from the
         # endpoint local models was 2.6e-5 off at eps 2
         model = OperatorModel(profile=sine_profile(), epsilon=eps)
-        pinned = dyadic_bound_audit(model, 0.7 + 1j, 6, SolverConfig(delta=1e-3))
+        default = dyadic_bound_audit(model, 0.7 + 1j, 6)
         tight = dyadic_bound_audit(model, 0.7 + 1j, 6, SolverConfig(rtol=1e-12, atol=1e-14))
-        np.testing.assert_allclose(pinned.alpha_hat, tight.alpha_hat, rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(default.alpha_hat, tight.alpha_hat, rtol=1e-8, atol=0.0)
 
     def test_matches_a_node_by_node_loop(self, sine_model, monkeypatch):
         # reference: each Gauss node read from the audit's own traces, negative

@@ -11,9 +11,8 @@ from perspec.errors import (EigenvalueProximityError, IntegrationError,
                             SolverError)
 from perspec.eigensolve import eigenfunction
 from perspec.shooting import SolverConfig, compute_phi_at_pi, solution_pairs
-from perspec.singular import (MAX_CUTOFF, compute_p_over_f, default_cutoff,
-                              endpoint_branches, integrating_factor,
-                              seed_vanishing_at_pi)
+from perspec.singular import (compute_p_over_f, default_cutoff, endpoint_branches,
+                              integrating_factor, seed_vanishing_at_pi)
 
 PI = math.pi
 TIGHT = SolverConfig(rtol=1e-13, atol=1e-15)
@@ -91,8 +90,9 @@ class TestPhiTrace:
         assert diff < 1e-8
 
     def test_tolerance_halving_changes_endpoint_mildly(self, sine_model):
-        a = compute_phi_at_pi(sine_model, 1.0, SolverConfig(rtol=1e-10, atol=1e-12))
-        b = compute_phi_at_pi(sine_model, 1.0, SolverConfig(rtol=5e-11, atol=5e-13))
+        delta = default_cutoff(1.0)
+        a = compute_phi_at_pi(sine_model, 1.0, delta, SolverConfig(rtol=1e-10, atol=1e-12))
+        b = compute_phi_at_pi(sine_model, 1.0, delta, SolverConfig(rtol=5e-11, atol=5e-13))
         assert abs(a - b) < 10 * 1e-10 * max(1.0, abs(a))
 
     def test_kinks_are_grid_nodes(self, tent_model):
@@ -150,13 +150,14 @@ class TestConjugationSymmetry:
         assert np.array_equal(dn_qd, np.conj(up_qd))
 
     def test_boundary_value_conjugate(self, sine_model):
-        a = compute_phi_at_pi(sine_model, 4.1)
-        b = compute_phi_at_pi(sine_model, -4.1)
+        delta = default_cutoff(4.1)
+        a = compute_phi_at_pi(sine_model, 4.1, delta)
+        b = compute_phi_at_pi(sine_model, -4.1, delta)
         assert b == np.conj(a)
 
     def test_phi_at_pi_real_on_imaginary_axis(self, sine_model):
         # lam = i tau is fixed by the conjugation map, so phi is real there
-        val = compute_phi_at_pi(sine_model, 1j)
+        val = compute_phi_at_pi(sine_model, 1j, default_cutoff(1j))
         assert abs(val.imag) < 1e-9 * abs(val)
 
 
@@ -176,26 +177,14 @@ class TestEndpointExtrapolation:
         assert B == pytest.approx(1.0, abs=1e-10)
 
     def test_stability_under_cutoff_halving(self, sine_model):
-        a = compute_phi_at_pi(sine_model, 1.0, SolverConfig(delta=1e-4))
-        b = compute_phi_at_pi(sine_model, 1.0, SolverConfig(delta=5e-5))
+        a = compute_phi_at_pi(sine_model, 1.0, 1e-4)
+        b = compute_phi_at_pi(sine_model, 1.0, 5e-5)
         assert abs(a - b) < 1e-6
 
     def test_ill_conditioned_fit_detected(self, sine_model):
         dist = np.array([1e-4, 1e-4 + 1e-13, 1e-4 + 2e-13])   # nearest pi first
         with pytest.raises(SolverError, match="ill-conditioned"):
             shooting._two_branch_fit(sine_model, 1.0, "pi", PI - dist, np.ones(3, complex), 1e-4)
-
-    @pytest.mark.parametrize("end", ["origin", "pi"])
-    def test_fit_reaches_the_largest_cutoff_and_no_farther(self, sine_model, end):
-        # the fit nodes of the cutoff MAX_CUTOFF pass, as a mesh rounds them
-        # (pi - (pi - 0.1) is 0.1 + 9e-17); a hair beyond, the middle one is too far
-        def fit(delta):
-            x = shooting._fit_nodes(end, delta)
-            return shooting._two_branch_fit(sine_model, 1.0, end, x, np.ones(3, complex), delta)
-
-        fit(MAX_CUTOFF)
-        with pytest.raises(SolverError, match="close enough"):
-            fit(MAX_CUTOFF * (1.0 + 1e-12))
 
 
     @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
@@ -324,9 +313,9 @@ class TestSolutionPairs:
         model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=eps)
         lam = 0.9 + 0.57j
         pairs = solution_pairs(model, lam, _kernel_nodes(grid))
-        scalar = SolverConfig(delta=pairs.delta, rtol=1e-12, atol=1e-14)
+        scalar = SolverConfig(rtol=1e-12, atol=1e-14)
         for got, lm in zip(pairs.phi_at_pi, (lam, -lam)):
-            want = compute_phi_at_pi(model, lm, scalar)
+            want = compute_phi_at_pi(model, lm, pairs.delta, scalar)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
@@ -430,11 +419,11 @@ def mirror_audit(model, lam, config=SolverConfig(), n_nodes=25):
     """
     eps = model.epsilon
     _, a1, _ = endpoint_branches(model, lam, "origin")      # the regular branch
-    d0 = config.delta if config.delta is not None else default_cutoff(lam)
+    d0 = default_cutoff(lam)
     d1 = max(d0, 2e-3)
     nodes = np.linspace(0.02, PI - 0.02, n_nodes)
 
-    delta = shooting._cutoff(lam, config, nodes)
+    delta = shooting._cutoff(lam, nodes)
     mesh, _, (phi, _), _, _ = shooting._accepted_mesh(model, np.array([-lam], dtype=complex),
                                                       nodes, delta, config)
     ref_vals = phi[np.searchsorted(mesh, nodes), 0]    # phi(x, -lam)

@@ -12,7 +12,7 @@ from perspec.errors import DomainError, SolverError, ValidationError
 from perspec.profiles import (OperatorModel, end_curvatures, eval_f,
                               eval_f_prime, piecewise_linear_profile,
                               sine_profile, tabulated_profile)
-from perspec.singular import (compute_log_p, compute_log_p_over_f,
+from perspec.singular import (MAX_CUTOFF, compute_log_p, compute_log_p_over_f,
                               compute_p_over_f, endpoint_branches,
                               integrating_factor, seed_regular_origin,
                               seed_vanishing_at_pi)
@@ -261,6 +261,12 @@ class TestSeeds:
             seed_regular_origin(sine_model, 1.0, 0.2)
         with pytest.raises(ValidationError):
             seed_vanishing_at_pi(sine_model, 1.0, -1e-4)
+
+    @pytest.mark.parametrize("seed", [seed_regular_origin, seed_vanishing_at_pi])
+    def test_seeds_take_the_largest_cutoff_and_no_larger(self, sine_model, seed):
+        seed(sine_model, 1.0, MAX_CUTOFF)
+        with pytest.raises(ValidationError, match="cutoff delta must lie in"):
+            seed(sine_model, 1.0, MAX_CUTOFF * (1.0 + 1e-12))
 
     def test_underflow_guard(self):
         m = OperatorModel(profile=sine_profile(), epsilon=0.02)

@@ -9,7 +9,7 @@ from perspec._stepper import (STATUS_MAX_STEPS, STATUS_OK,
                               integrate_quasi_system)
 from perspec.profiles import (OperatorModel, eval_f, piecewise_linear_profile,
                               sine_profile, tabulated_profile)
-from perspec.singular import compute_log_p_over_f, integrating_factor
+from perspec.singular import compute_log_p_over_f, default_cutoff, integrating_factor
 
 PI = math.pi
 
@@ -103,7 +103,7 @@ class TestIntegrateQuasiSystemContract:
             return out
 
         monkeypatch.setattr(shooting, "integrate_quasi_system", spy)
-        shooting.compute_phi_at_pi(sine_model, 1.0)
+        shooting.compute_phi_at_pi(sine_model, 1.0, default_cutoff(1.0))
         assert len(calls) == 1 and calls[0] > 0
 
     def test_lands_from_a_step_that_stops_an_ulp_short(self):
@@ -112,4 +112,5 @@ class TestIntegrateQuasiSystemContract:
         # cap is the row spacing, and x + h ends an ulp short of the node
         x = np.linspace(0.0, PI, 401)
         model = OperatorModel(profile=tabulated_profile(x, (2 / PI) * np.sin(x)), epsilon=1.0)
-        assert shooting.compute_phi_at_pi(model, 0.0) == pytest.approx(1.0, abs=1e-8)
+        at_pi = shooting.compute_phi_at_pi(model, 0.0, default_cutoff(0.0))
+        assert at_pi == pytest.approx(1.0, abs=1e-8)
