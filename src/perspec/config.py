@@ -3,7 +3,10 @@
 Precedence (low to high): built-in defaults, config file, environment
 variables prefixed ``PERSPEC_OPT_`` (e.g. ``PERSPEC_OPT_EPSILON=2.0``),
 command-line flags.  The format is deliberately flat and typed so a
-config round-trips losslessly through ``to_text``/``parse_text``.
+config that passes ``validate`` round-trips through ``to_text``/
+``parse_text``: every value is one line, and the paths ``profile_file``
+and ``out`` hold no surrounding whitespace for ``parse_text`` to strip
+(``p_orders`` may lose its own and still name the same orders).
 """
 
 from __future__ import annotations
@@ -42,6 +45,13 @@ class RunConfig:
             value = getattr(self, name)
             if kind == "float" and not math.isfinite(value):
                 raise ValidationError(f"{name} must be a finite number, got {value}")
+            if kind == "str" and value.splitlines() not in ([], [value]):
+                raise ValidationError(f"{name} must not hold a line break, got {value!r}")
+        for name in ("profile_file", "out"):
+            value = getattr(self, name)
+            if value != value.strip():
+                raise ValidationError(
+                    f"{name} must not start or end with whitespace, got {value!r}")
         if self.profile not in KINDS:
             raise ValidationError(f"profile must be one of {KINDS}, got {self.profile!r}")
         if self.profile == "tabulated" and not self.profile_file:

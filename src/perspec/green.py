@@ -28,18 +28,30 @@ of the weighted psi use the fitted local coefficients.  Shooting picks
 the cutoff and caps it below the nodes it is asked for
 (``shooting.CUTOFF_CAP``).
 
-Quadrature is composite trapezoid on a grid graded quadratically toward
-0 and +-pi.  Parts I and II are semiseparable and part III has rank one,
-so ``KernelGrid`` holds the kernel as ``_full_period``'s O(n) generators
-under their own names -- ``phi``, ``psi``, ``log_pf`` = log(p/f), ``w2`` =
-the weighted psi, and the ``denominator`` -- and applies it by three
-running trapezoid sums, each accumulated outward from the point where its
-integrand vanishes.  The triangles' one-sided end weights are the
-trapezoid's own.  The dense matrix is built, a block of columns at a
-time, only for the uses that need one: the SVD, the kernel dump and
-sup|G|.  ``integral_proxies`` reads parts I and II of one application
-as the weighted first and second integral terms, and ``flux`` the same
-sums with p*psi', p*phi' in place of psi, phi as f*u'.
+Quadrature integrates in the grid's grading variable t, in which each
+half of the grid is uniform: the integrand is g(x(t)) x'(t), with x'
+from the grid's own ``_grading``.  On each panel a sum integrates the
+cubic through four nodes, by stencils that read no node past the sum's
+end (``_RunningRule``), so the recovery error falls 8 to 16 times per
+grid doubling.  Panels end at the origin and at the nodes nearest the
+profile's breakpoints.  Beside a kink the panel is exact for quadratics
+and gives the kink node the trapezoid's half weight from either side at
+every partial sum, because a forcing may hold the mean of two one-sided
+limits there.  The tail's panels at 0 and +-pi, where x' = 0, are
+trapezoids in x.
+
+Parts I and II are semiseparable and part III has rank one, so
+``KernelGrid`` holds the kernel as ``_full_period``'s O(n) generators
+under their own names -- ``phi``, ``psi``, ``log_pf`` = log(p/f), ``w2``
+= the weighted psi, and the ``denominator`` -- and applies it by three
+running sums, each accumulated outward from the point where its
+integrand vanishes.  The dense matrix is built from the rules' own
+weights, a block of columns at a time, only for the uses that need one:
+the SVD, the kernel dump and sup|G|; its columns are taken against the
+grid's trapezoid weights, which the SVD's symmetrisation and the error
+norms read.  ``integral_proxies`` reads parts I and II of one
+application as the weighted first and second integral terms, and
+``flux`` the same sums with p*psi', p*phi' in place of psi, phi as f*u'.
 """
 
 from __future__ import annotations
@@ -63,19 +75,25 @@ KERNEL_BLOCK = 128              # columns per block of a dense kernel build
 PARTS = ("I", "II", "III")
 
 
+def _grading(t):
+    """x/pi and d(x/pi)/dt of the graded grid at the grading variable t in [0, 1]."""
+    q = GRADING_EXPONENT
+    den = t ** q + (1.0 - t) ** q
+    return t ** q / den, q * (t * (1.0 - t)) ** (q - 1.0) / den ** 2
+
+
 def graded_full_grid(grid_size: int):
     """Symmetric grid on [-pi, pi] clustered at 0 and +-pi, with trapezoid weights.
 
     ``grid_size`` counts intervals across the full period (must be even,
-    >= 64); the grid has grid_size + 1 nodes including -pi, 0, pi.
+    >= 64); the grid has grid_size + 1 nodes including -pi, 0, pi.  On
+    each half it is uniform in the grading variable t (``_grading``),
+    the variable the running sums integrate in; the trapezoid weights
+    are the SVD's and the error norms'.
     """
     if grid_size < 64 or grid_size % 2:
         raise ValidationError("grid size must be an even integer >= 64")
-    half = grid_size // 2
-    t = np.linspace(0.0, 1.0, half + 1)
-    q = GRADING_EXPONENT
-    g = t ** q / (t ** q + (1.0 - t) ** q)
-    pos = PI * g
+    pos = PI * _grading(np.linspace(0.0, 1.0, grid_size // 2 + 1))[0]
     x = np.concatenate([-pos[::-1], pos[1:]])
     w = np.empty_like(x)
     w[1:-1] = (x[2:] - x[:-2]) / 2.0
@@ -122,9 +140,13 @@ class KernelGrid(_FullPeriod):
     def sup_norm(self) -> float:
         """max |G| over the grid, from the dense kernel's column blocks on first use.
 
-        The one-sided diagonal entries of parts I and II carry their
-        half-interval weights, so they sum to the kernel's diagonal limit
-        instead of double-counting it.
+        An entry is the kernel times the running sums' weight of s_j over
+        its trapezoid weight w_j.  That ratio is near 1 away from the
+        diagonal and the segment ends; next to them it is the rule's end
+        weights (8/24 to 31/24), so the one-sided diagonal entries of
+        parts I and II do not double-count the diagonal limit, and sup|G|
+        reads up to 31/24 of the kernel's own sup (1.32 against 0.996 on
+        the sine profile at lam = i).
         """
         return float(np.max([np.max(np.abs(block)) for _, block in _column_blocks(self)]))
 
@@ -193,43 +215,200 @@ def assemble_kernel(model: OperatorModel, lam, grid_size: int,
     return KernelGrid(lam=complex(lam), nodes=x, weights=w, meta=meta, **vars(full))
 
 
-def _running_trapezoid(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Trapezoid integrals of g (rows along x) from x[0] to each x[k], summed outward from x[0]."""
-    out = np.zeros_like(g)
-    half = np.abs(np.diff(x))[:, None] / 2.0
-    np.cumsum(half * (g[:-1] + g[1:]), axis=0, out=out[1:])
-    return out
+# Panel stencils of the running sums, in t-steps, on four consecutive nodes:
+# a segment's first panel from its first four nodes, an inner panel from the
+# node on either side, and the panel beside a kink, exact for quadratics with
+# 1/2 on the kink node.
+_FIRST_PANEL = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
+_INNER_PANEL = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
+_KINK_PANEL = np.array([12.0, 10.0, 4.0, -2.0]) / 24.0
+_SETTLED = 8        # a segment's last four weights are the same from this many panels on
 
 
-def _applied_parts(kernel: KernelGrid, forcing: np.ndarray, psi_x: np.ndarray, phi_x: np.ndarray):
-    """Parts I, II and III of the kernel applied to forcing values of shape (n,) or (n, m).
+def _segment_weights(m: int, kink_start: bool, kink_end: bool) -> np.ndarray:
+    """Weights, in t-steps, of the integral over one segment of m panels (nodes 0..m).
 
-    ``psi_x`` and ``phi_x`` are the x-factors: the kernel's ``psi`` and
-    ``phi`` for u, or ``psi_qd`` and ``phi_qd`` for p*u' (by variation of
-    parameters the sums' own derivatives cancel).  Each part is a running
-    trapezoid sum accumulated from the end where its integral is zero,
-    never as a difference of two sums from -pi: near those ends such a
-    difference cancels to no correct digits.
+    Each panel integrates the cubic through four nodes of the segment: the
+    first and last panels their segment's first and last four, the others
+    the node on either side.  A panel beside a kink gives the kink node
+    1/2, the trapezoid's weight, since the forcing there may hold the mean
+    of two one-sided limits.  Segments too short for their end panels
+    take Simpson's rule or the trapezoid.
+    """
+    kinks = kink_start + kink_end
+    if m == 1 or (m == 2 and kinks) or (m < 5 and kinks == 2):
+        w = np.ones(m + 1)
+        w[[0, -1]] = 0.5
+        return w
+    if m == 2:
+        return np.array([1.0, 4.0, 1.0]) / 3.0
+    if m == 3 and kinks:
+        w = np.array([12.0, 18.0, 36.0, 6.0]) / 24.0    # kink panel, then Simpson
+        return w if kink_start else w[::-1]
+    w = np.zeros(m + 1)
+    if kink_start:
+        w[:4] += _KINK_PANEL
+        w[1:5] += _FIRST_PANEL
+    else:
+        w[:4] += _FIRST_PANEL
+    if kink_end:
+        w[-4:] += _KINK_PANEL[::-1]
+        w[-5:-1] += _FIRST_PANEL[::-1]
+    else:
+        w[-4:] += _FIRST_PANEL[::-1]
+    first, stop = 1 + kink_start, m - 1 - kink_end      # panels from the node on either side
+    for r, c in enumerate(_INNER_PANEL):
+        w[first - 1 + r:stop - 1 + r] += c
+    return w
+
+
+@dataclass(frozen=True, eq=False)
+class _RunningRule:
+    """Causal running sums along a path of nodes: S_m = sum over j <= m of A[m, j] g_j.
+
+    Once a sum is four nodes past node j, the weight A[m, j] is
+    ``final[j]``; ``near[m, r]`` is what node m - r adds to that in S_m
+    (r < 4).  So S is one cumulative sum and a four-term band, and a
+    column of A is ``final`` below a short band.
+    """
+
+    final: np.ndarray               # (L,)
+    near: np.ndarray                # (L, 4)
+
+    def sums(self, g: np.ndarray) -> np.ndarray:
+        """S for g of shape (L, m), along axis 0."""
+        out = np.cumsum(self.final[:, None] * g, axis=0)
+        for r in range(4):
+            out[r:] += self.near[r:, r, None] * g[:len(g) - r]
+        return out
+
+    def columns(self, at: np.ndarray) -> np.ndarray:
+        """The columns ``at`` (path positions) of A."""
+        size = len(self.final)
+        a = np.where(np.arange(size)[:, None] >= at, self.final[at], 0.0)
+        for r in range(4):
+            hit = at + r < size
+            a[at[hit] + r, hit] += self.near[at[hit] + r, r]
+        return a
+
+
+def _running_rule(x: np.ndarray, dxdt: np.ndarray, ends, kinks) -> _RunningRule:
+    """The rule along a path of nodes ``x``, uniform in t, with dx/dt times the t-step at each.
+
+    Segments end at the path positions ``ends``; at those in ``kinks``
+    the panels on either side are ``_KINK_PANEL``s.  A segment of one
+    panel is the trapezoid in x, the only rule that weighs a node where
+    x' = 0.  No partial sum reads a node past its own, and none a node of
+    a later segment.
+    """
+    size = len(x)
+    cuts = sorted({0, size - 1, *(e for e in ends if 0 < e < size - 1)})
+    final = np.zeros(size)
+    near = np.zeros((size, 4))      # A[m, m - r] while building
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        m, start, end = b - a, a in kinks, b in kinks
+        before = final[a]
+        if m == 1:
+            final[a:b + 1] += abs(x[b] - x[a]) / 2.0
+            near[b, :2] = final[b], final[a]
+            near[b, 2:] = final[b - np.arange(2, 4)]        # a row < r is zeroed below
+            continue
+        final[a:b + 1] += _segment_weights(m, start, end) * dxdt[a:b + 1]
+        # the sum to node a + k is the segment's rule over its first k
+        # panels; nodes of earlier segments keep their final weights
+        for k in sorted({*range(1, min(m, _SETTLED) + 1), m}):
+            w = _segment_weights(min(k, _SETTLED), start, end and k == m)
+            back = min(k, 3)
+            j = a + k - np.arange(4)
+            near[a + k, :back + 1] = w[:-back - 2:-1] * dxdt[j[:back + 1]]
+            near[a + k, back + 1:] = final[j[back + 1:]]    # a row < r is zeroed below
+            if k <= 3:
+                near[a + k, k] += before
+        tail = _segment_weights(_SETTLED, start, False)[:-5:-1]
+        for r in range(4):
+            near[a + _SETTLED + 1:b, r] = tail[r] * dxdt[a + _SETTLED + 1 - r:b - r]
+    for r in range(4):
+        near[r:, r] -= final[:size - r]
+        near[:r, r] = 0.0
+    final.flags.writeable = near.flags.writeable = False       # shared through _rules' cache
+    return _RunningRule(final=final, near=near)
+
+
+@functools.lru_cache(maxsize=8)
+def _rules(n: int, breakpoints: tuple, kinks: tuple):
+    """The rules of part I and of the tail sums on the grid of n nodes.
+
+    Part I sums from the origin outward, alike on both sides; the tail
+    sums from pi to -pi.  Both integrate in t with x'(t) from the grid's own ``_grading``.
+    Segments end at the origin and at the nodes nearest the breakpoints.
+    The tail's panels at 0 and +-pi, where x' = 0, are segments of their
+    own, so that those nodes carry weight and no dense column is zero;
+    part I's integrand is 0 at the origin.
+    """
+    half = n // 2
+    x, dx = _grading(np.arange(half + 1) / half)
+    x, dxdt = PI * x, PI * dx / half
+    pos = np.asarray([np.argmin(np.abs(x - b)) for b in breakpoints], dtype=int)
+    on_kink = np.isin(breakpoints, kinks)
+    part_i = _running_rule(x[:-1], dxdt[:-1], set(pos), set(pos[on_kink]))
+    tail_ends = {1, half - 1, half, half + 1, n - 2, *(half - pos), *(half + pos)}
+    tail_kinks = {*(half - pos[on_kink]), *(half + pos[on_kink])}
+    tail = _running_rule(np.concatenate([x[::-1], -x[1:]]),
+                         np.concatenate([dxdt[::-1], dxdt[1:]]), tail_ends, tail_kinks)
+    return part_i, tail
+
+
+def _applied_parts(kernel: KernelGrid, psi_x: np.ndarray, phi_x: np.ndarray, summed):
+    """Parts I, II and III of the kernel applied to a forcing, each of shape (n, m).
+
+    ``summed(rule, path, g)`` gives the rule's running sums along ``path``
+    (node indices) of g (on the path) times the forcing: m forcings, or
+    m unit forcings for a block of dense columns.  ``psi_x`` and ``phi_x``
+    are the x-factors: the kernel's ``psi`` and ``phi`` for u, or
+    ``psi_qd`` and ``phi_qd`` for p*u' (by variation of parameters the
+    sums' own derivatives cancel).  Each part is a running sum from the
+    end where its integral is zero, never a difference of two sums from
+    -pi: near those ends such a difference cancels to no correct digits.
 
     * part I = psi_x(x) (-i/eps) int phi (p/f) F over s between 0 and x,
-      summed from the origin on each side (from the first node off 0);
+      summed from the origin on each side;
     * part II = phi_x(x) int_x^pi w2 F, summed from pi;
     * part III = phi_x(x) int_(-pi)^pi w2 F / denominator.
     """
-    x = kernel.nodes
-    n = len(x)
-    F = forcing.reshape(n, -1)
-    eps = kernel.meta["model"].epsilon
-
-    part_i = np.zeros(F.shape, complex)
-    for side in _outward_sides(n):
-        g = (kernel.phi[side] * np.exp(kernel.log_pf[side]))[:, None] * F[side]
-        part_i[side] = psi_x[side, None] * (-1j / eps) * _running_trapezoid(g, x[side])
-    g2 = kernel.w2[:, None] * F
-    tail = _running_trapezoid(g2[::-1], x[::-1])[::-1]
+    n = len(kernel.nodes)
+    model = kernel.meta["model"]
+    rule_i, rule_tail = _rules(n, model.profile.breakpoints, model.profile.kinks)
+    tail = summed(rule_tail, np.arange(n - 1, -1, -1), kernel.w2[::-1])[::-1]
+    part_i = np.zeros(tail.shape, complex)
+    for path in (np.arange(n // 2, n - 1), np.arange(n // 2, 0, -1)):
+        s = summed(rule_i, path, kernel.phi[path] * np.exp(kernel.log_pf[path]))
+        off = path[1:]                                  # psi_x is nan at the origin
+        part_i[off] = psi_x[off, None] * (-1j / model.epsilon) * s[1:]
     part_ii = phi_x[:, None] * tail
     part_iii = phi_x[:, None] * (tail[0] / kernel.denominator)
-    return tuple(part.reshape(forcing.shape) for part in (part_i, part_ii, part_iii))
+    return part_i, part_ii, part_iii
+
+
+def _forcing_parts(kernel: KernelGrid, forcing: np.ndarray, psi_x: np.ndarray,
+                   phi_x: np.ndarray):
+    """``_applied_parts`` for forcing values of shape (n,), by running sums."""
+    F = forcing[:, None]
+    parts = _applied_parts(kernel, psi_x, phi_x,
+                           lambda rule, path, g: rule.sums(g[:, None] * F[path]))
+    return tuple(part[:, 0] for part in parts)
+
+
+def _unit_sums(kernel: KernelGrid, cols: np.ndarray):
+    """``summed`` for the unit forcings 1/w_j at s_j, j in ``cols``: the rules' own columns."""
+    def summed(rule, path, g):
+        at = np.full(len(kernel.nodes), -1)
+        at[path] = np.arange(len(path))
+        at = at[cols]
+        on = at >= 0
+        out = np.zeros((len(path), len(cols)), complex)
+        out[:, on] = rule.columns(at[on]) * (g[at[on]] / kernel.weights[cols[on]])
+        return out
+    return summed
 
 
 def _column_blocks(kernel: KernelGrid, part: Optional[str] = None):
@@ -241,9 +420,7 @@ def _column_blocks(kernel: KernelGrid, part: Optional[str] = None):
     n = len(kernel.nodes)
     for start in range(0, n, KERNEL_BLOCK):
         cols = np.arange(start, min(start + KERNEL_BLOCK, n))
-        unit = np.zeros((n, len(cols)))
-        unit[cols, np.arange(len(cols))] = 1.0 / kernel.weights[cols]
-        parts = _applied_parts(kernel, unit, kernel.psi, kernel.phi)
+        parts = _applied_parts(kernel, kernel.psi, kernel.phi, _unit_sums(kernel, cols))
         yield cols, sum(parts) if part is None else parts[PARTS.index(part)]
 
 
@@ -268,7 +445,7 @@ def _check_on_grid(nodes: np.ndarray, forcing: GridFunction) -> None:
 def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
     """u(x_i) = sum_j G(x_i, s_j) w_j F(s_j)."""
     _check_on_grid(kernel.nodes, forcing)
-    parts = _applied_parts(kernel, forcing.values, kernel.psi, kernel.phi)
+    parts = _forcing_parts(kernel, forcing.values, kernel.psi, kernel.phi)
     return GridFunction(nodes=kernel.nodes, values=sum(parts))
 
 
@@ -279,9 +456,22 @@ def flux(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
     and f/p = sign(x) exp(-log(p/f)).
     """
     _check_on_grid(kernel.nodes, forcing)
-    pu = sum(_applied_parts(kernel, forcing.values, kernel.psi_qd, kernel.phi_qd))
+    pu = sum(_forcing_parts(kernel, forcing.values, kernel.psi_qd, kernel.phi_qd))
     return GridFunction(nodes=kernel.nodes,
                         values=np.copysign(np.exp(-kernel.log_pf), kernel.nodes) * pu)
+
+
+def _flux_form(model: OperatorModel, lam, x: np.ndarray, u: np.ndarray, reach: int) -> np.ndarray:
+    """i*eps*(f u')' + i*u' - lam*u by flux-form differences over the nodes ``reach`` away.
+
+    Values at nodes reach..n-1-reach; the error is even in the spacing.
+    """
+    xa, xb, xc = x[:-2 * reach], x[reach:-reach], x[2 * reach:]
+    ua, ub, uc = u[:-2 * reach], u[reach:-reach], u[2 * reach:]
+    right = np.asarray(eval_f(model.profile, (xb + xc) / 2.0)) * (uc - ub) / (xc - xb)
+    left = np.asarray(eval_f(model.profile, (xa + xb) / 2.0)) * (ub - ua) / (xb - xa)
+    return (1j * model.epsilon * (right - left) / ((xc - xa) / 2.0)
+            + 1j * (uc - ua) / (xc - xa) - lam * ub)
 
 
 def resolvent_residual(model: OperatorModel, lam, u: GridFunction,
@@ -289,9 +479,13 @@ def resolvent_residual(model: OperatorModel, lam, u: GridFunction,
     """Relative discrete L2 residual of the original equation.
 
     Applies i*eps*(f u')' + i*u' - lam*u by flux-form finite differences
-    on the non-uniform grid and compares with F, excluding a collar of
-    width 10*delta (delta = ``default_cutoff(lam)``) around the degenerate
-    points 0 and +-pi.
+    on the non-uniform grid, Richardson-extrapolated from the neighbouring
+    nodes and the nodes two away to fourth order, except where the wider
+    stencil spans the origin or a breakpoint (second order there), and
+    compares with F, excluding a collar of width 10*delta (delta =
+    ``default_cutoff(lam)``) around the degenerate points 0 and +-pi.
+    Second-order differences alone are off by 1.4e-3 to 2.6e-3 on 256
+    nodes for the exact solution of a random trigonometric forcing.
     """
     x = u.nodes
     if len(x) < 64:
@@ -299,18 +493,17 @@ def resolvent_residual(model: OperatorModel, lam, u: GridFunction,
     _check_on_grid(x, forcing)
     collar = 10.0 * default_cutoff(lam)
 
-    eps = model.epsilon
-    uu = u.values
-    xm = (x[1:] + x[:-1]) / 2.0
-    fm = np.asarray(eval_f(model.profile, xm))
-    flux = fm * np.diff(uu) / np.diff(x)               # f u' at midpoints
-    half = (x[2:] - x[:-2]) / 2.0                      # interior nodes' half-widths
-    lap = np.diff(flux) / half                         # (f u')' at interior nodes
-    du = (uu[2:] - uu[:-2]) / (x[2:] - x[:-2])
-    lhs = 1j * eps * lap + 1j * du - lam * uu[1:-1]
+    lhs = _flux_form(model, lam, x, u.values, 1)
+    smooth = np.ones(len(x) - 4, dtype=bool)
+    breaks = model.profile.breakpoints
+    for c in (0.0, *breaks, *(-b for b in breaks)):
+        smooth &= ~((x[:-4] < c) & (c < x[4:]))
+    inner = lhs[1:-1]
+    inner[smooth] = (4.0 * inner[smooth] - _flux_form(model, lam, x, u.values, 2)[smooth]) / 3.0
     resid = lhs - forcing.values[1:-1]
 
     xi = x[1:-1]
+    half = (x[2:] - x[:-2]) / 2.0                      # interior nodes' half-widths
     keep = (np.abs(xi) > collar) & (np.abs(np.abs(xi) - PI) > collar)
     wk = half[keep]
     num = float(np.sqrt(np.sum(wk * np.abs(resid[keep]) ** 2)))
@@ -376,7 +569,7 @@ def integral_proxies(kernel: KernelGrid, forcing: GridFunction):
     x = kernel.nodes
     norm_f = math.sqrt(float(np.sum(kernel.weights * np.abs(forcing.values) ** 2)))
     pos, _ = _outward_sides(len(x))
-    part_i, part_ii, _ = _applied_parts(kernel, forcing.values, kernel.psi, kernel.phi)
+    part_i, part_ii, _ = _forcing_parts(kernel, forcing.values, kernel.psi, kernel.phi)
     xq = x[pos]
     proxy1 = np.abs(part_i[pos]) / (np.sqrt(xq) * norm_f)
     proxy2 = np.abs(part_ii[pos]) / (np.sqrt(PI - xq) * norm_f)

@@ -191,6 +191,12 @@ class TestBadArguments:
                                            str(eigs_file), "--out", str(out)])
         assert "p_orders names no order" in msg and not out.exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--out", " lead.json", "out"), ("--profile-file", "table.txt\n", "profile_file")])
+    def test_path_that_would_not_round_trip(self, capsys, flag, value, field):
+        msg = _validation_failure(capsys, ["validate", flag, value])
+        assert msg.startswith(f"validation error: {field} must not")
+
     def test_cutoff_is_no_config_key(self, capsys, tmp_path):
         # the seed cutoff is the solver's own, so a config file cannot pin it
         path = tmp_path / "run.cfg"

@@ -38,6 +38,26 @@ class TestTextFormat:
                         levels=4, seed=7, out="result.json")
         assert RunConfig(**parse_text(cfg.to_text())) == cfg
 
+    @pytest.mark.parametrize("profile_file, out", [
+        ("my table=1 #2.txt", "a b/result.json"), ("", "x"), ("'quoted'", "tab\tinside")])
+    def test_every_valid_config_round_trips(self, profile_file, out):
+        cfg = RunConfig(profile_file=profile_file, out=out).validate()
+        assert RunConfig(**parse_text(cfg.to_text())) == cfg
+
+    @pytest.mark.parametrize("field", ["profile_file", "out"])
+    @pytest.mark.parametrize("value", [" lead.txt", "trail.txt ", "\ttab.txt"])
+    def test_surrounding_whitespace_in_a_path_is_refused(self, field, value):
+        # parse_text strips values, so these would not read back as written
+        with pytest.raises(ValidationError, match=f"{field} must not start or end with whitespace"):
+            RunConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["profile", "profile_file", "p_orders", "out"])
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\u2028"])
+    def test_line_break_is_refused(self, field, brk):
+        # a line break would split the value into a second line of to_text
+        with pytest.raises(ValidationError, match=f"{field} must not hold a line break"):
+            RunConfig(**{field: "1" + brk + "2"}).validate()
+
     def test_default_orders_are_schattens(self):
         cfg = RunConfig()
         assert cfg.p_orders == "1,1.5,2,3"

@@ -8,9 +8,9 @@ from perspec import shooting
 from perspec.cli import EXIT_OK, run_subcommand
 from perspec.errors import (EigenvalueProximityError, GridMismatchError,
                             ValidationError)
-from perspec.green import (apply_resolvent, assemble_kernel,
-                           bandlimited_forcing, bound_product_audit, flux,
-                           graded_full_grid, GridFunction, integral_proxies,
+from perspec.green import (_grading, _rules, _running_rule, apply_resolvent,
+                           assemble_kernel, bandlimited_forcing, bound_product_audit,
+                           flux, graded_full_grid, GridFunction, integral_proxies,
                            kernel_matrix, manufactured_pair, resolvent_residual)
 from perspec.profiles import eval_f
 
@@ -42,6 +42,61 @@ class TestGrid:
             graded_full_grid(62)
         with pytest.raises(ValidationError):
             graded_full_grid(129)
+
+
+def cubic(t):
+    return t * (1.0 - t) * (2.0 + 3.0 * t)       # in t, kernel integrands vanish at 0 and 1
+
+
+def cubic_integral(t):
+    return t ** 2 + t ** 3 / 3.0 - 0.75 * t ** 4
+
+
+class TestRunningRule:
+    def test_cubic_in_t_is_exact(self):
+        # 40 t-steps with a segment end at node 17: every partial sum but the
+        # first of a segment (the trapezoid) integrates a cubic to rounding
+        h = 0.05
+        t = h * np.arange(41)
+        rule = _running_rule(t, np.full(41, h), {17}, set())
+        got = rule.sums(cubic(t)[:, None])[:, 0]
+        exact = np.setdiff1d(np.arange(41), [1, 18])
+        np.testing.assert_allclose(got[exact], cubic_integral(t[exact]), rtol=0, atol=1e-14)
+
+    def test_kernel_rules_integrate_a_cubic_in_t(self):
+        # the grid's own rule weights are t-weights times x'(t): sums of
+        # cubic(t)/x'(t) are integrals in t, from the origin (part I) and
+        # from pi down to 0 (the tail), past the tail's panel at pi, a
+        # trapezoid in x, and the first panel after it
+        half = 64
+        t = np.arange(half + 1) / half
+        dx = math.pi * _grading(t)[1]
+        g = np.zeros(half + 1)
+        g[1:-1] = cubic(t[1:-1]) / dx[1:-1]
+        part_i, tail = _rules(2 * half + 1, (), ())
+        got = part_i.sums(g[:-1, None])[:, 0]
+        np.testing.assert_allclose(got[2:], cubic_integral(t[2:-1]), rtol=0, atol=1e-14)
+        got = tail.sums(np.concatenate([g[::-1], g[1:]])[:, None])[:half, 0]
+        want = cubic_integral(t[-2]) - cubic_integral(t[::-1][3:half])
+        np.testing.assert_allclose(got[3:] - got[1], want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("which", ["part I", "tail"])
+    def test_sums_read_no_node_past_their_end_nor_across_a_breakpoint(self, which):
+        # tent profile on grid 64: the kink pi/2 is node 16 of part I's path
+        # (origin outward) and nodes 16, 48 of the tail's (pi to -pi), whose
+        # origin is node 32; the tail's panels at 0 and +-pi end at 1, 31,
+        # 33 and 63
+        part_i, tail = _rules(65, (math.pi / 2,), (math.pi / 2,))
+        rule, ends, kinks = ((part_i, [16], [16]) if which == "part I"
+                             else (tail, [1, 16, 31, 32, 33, 48, 63], [16, 48]))
+        a = rule.columns(np.arange(len(rule.final)))
+        assert np.all(np.triu(a, 1) == 0.0)
+        for e in ends:
+            # once past a breakpoint, a sum adds nothing to the nodes before it
+            assert np.all(a[e + 1:, :e] == a[e, :e])
+        for k in kinks:
+            # the kink node has the same weight from either side at every sum
+            np.testing.assert_allclose(a[k + 1:, k], 2.0 * a[k, k], rtol=1e-15)
 
 
 class TestKernelStructure:
@@ -141,8 +196,8 @@ class TestResolvent:
         assert errs[1] < 0.5 * errs[0]
 
     def test_periodicity_for_random_forcings(self, sine_model, kernel_256, kernel_512):
-        # the equation's residual: 5.1e-4 to 8.1e-4 on 256 nodes, falling by
-        # 0.20-0.25 on 512.  It cannot see part III (phi times a constant), so
+        # the equation's residual: 2.7e-4 to 8.7e-4 on 256 nodes, falling by
+        # 0.04-0.06 on 512.  It cannot see part III (phi times a constant), so
         # u(-pi) = u(pi) is checked too: within 3.9e-16 of max |u|, against
         # 1.2e-3 to 9.6e-3 with part III off by 1 %
         for seed in range(10):
@@ -237,7 +292,7 @@ class TestFlux:
     def test_flux_continuity_across_origin(self, kernel_512):
         fu = flux(kernel_512, cos_forcing(kernel_512)).values
         i0 = len(fu) // 2
-        left, right = fu[i0 - 1], fu[i0 + 1]        # 8.3e-6 each
+        left, right = fu[i0 - 1], fu[i0 + 1]        # 4.5e-5 each (1.2e-5 converged)
         assert abs(left) < 1e-4 and abs(right) < 1e-4
         assert abs(left - right) < 1e-4
         assert np.all(np.isnan(fu[[0, i0, -1]]))
@@ -247,7 +302,7 @@ class TestFlux:
     @pytest.mark.parametrize("profile", [ps.sine_profile, ps.piecewise_linear_profile])
     def test_flux_is_f_times_the_slope_of_u(self, profile, eps):
         # against f times the centered difference of u on |x| in [0.3, pi - 0.3],
-        # off the tent's kink: 2.3e-4 to 1.0e-3 at 512 nodes, 4x less at 1024
+        # off the tent's kink: 1.2e-4 to 5.6e-4 at 512 nodes, 4 to 8x less at 1024
         model = ps.OperatorModel(profile=profile(), epsilon=eps)
         errs = []
         for grid in (512, 1024):
@@ -263,6 +318,29 @@ class TestFlux:
             errs.append(np.max(np.abs(got - slope)[keep]) / np.max(np.abs(slope[keep])))
         assert errs[0] < 2e-3
         assert errs[1] < errs[0] / 3.0
+
+
+class TestRecoveryOrder:
+    @pytest.mark.parametrize("eps", [0.3, 0.45, 1.0, 2.0])
+    def test_sine_recovery_falls_sixfold_per_doubling(self, eps):
+        # 8.4 to 8.8 times at lam = 3 + 0.75i
+        model = ps.OperatorModel(profile=ps.sine_profile(), epsilon=eps)
+        errs = []
+        for grid in (256, 512):
+            k = assemble_kernel(model, 3 + 0.75j, grid)
+            u_star, F = manufactured_pair(model, 3 + 0.75j, k.nodes)
+            errs.append(l2_relative_error(k.weights, apply_resolvent(k, F).values,
+                                          u_star.values))
+        assert errs[1] < errs[0] / 6.0
+
+    @pytest.mark.parametrize("lam", [-3 + 0.75j, 0.05 + 0.75j, 3 + 0.75j])
+    def test_first_rung_reaches_the_ladder_tolerance(self, sine_model, tent_model, lam):
+        # 5e-5 at grid 256: sine 2.3e-6 to 6.5e-6, tent 2.2e-5 to 3.6e-5
+        for model in (sine_model, tent_model):
+            k = assemble_kernel(model, lam, 256)
+            u_star, F = manufactured_pair(model, lam, k.nodes)
+            u = apply_resolvent(k, F)
+            assert l2_relative_error(k.weights, u.values, u_star.values) <= 5e-5
 
 
 class TestOtherRegimes:

@@ -25,6 +25,14 @@ def test_singular_values_of_the_symmetrized_kernel(kernel_256):
     assert np.array_equal(singular_values(kernel_256).values, want)
 
 
+def test_every_node_carries_weight(tent_model):
+    # the running sums' t-weights vanish with x' at 0 and +-pi; the tail's
+    # trapezoid panels there keep every column of G, and so every singular
+    # value, away from 0
+    spectrum = singular_values(green.assemble_kernel(tent_model, 0.7 + 1j, 128))
+    assert np.all(spectrum.values > 0.0)
+
+
 class TestEigenSchattenInequality:
     def test_passes_when_eigenvalues_are_far(self):
         rep = eigen_schatten_inequality(np.array([-2.0, 0.0, 2.0]),
