@@ -185,25 +185,28 @@ def linear_step_coefficients(h, inv_p, pf):
     applied to the step's start state; its FSAL stage at x + h multiplies P
     by one more factor, so E has degree KAPPA_DEGREE + 1.
 
+    The seven stage derivatives are held stage-major, K[i, r, s, m, k] for
+    interval k, so the state a stage reads is one product of its tableau
+    row with the earlier stages, and E is one more with the error row.
+    ``np.einsum`` forms them without BLAS, whose first call alone costs a
+    process about 0.5 MB of resident memory.
+
     ``h`` has shape (n,); ``inv_p`` and ``pf`` have shape (n, 6): 1/p and
     p/f at x + c*h for c in STAGE_FRACTIONS.  Returns (C, E) of shapes
     (n, 2, 2, KAPPA_DEGREE + 1) and (n, 2, 2, KAPPA_DEGREE + 2), C[k, r, s, m]
     being the kappa^m coefficient of P_k[r, s].
     """
-    n = h.shape[0]
-    y0 = np.zeros((n, 2, 2, KAPPA_DEGREE + 2))
-    y0[:, 0, 0, 0] = 1.0
-    y0[:, 1, 1, 0] = 1.0
-    hh = h[:, None, None, None]
-    ks = []
+    K = np.zeros((7, 2, 2, KAPPA_DEGREE + 2, h.shape[0]))
+    y0 = np.zeros(K.shape[1:-1] + (1,))
+    y0[0, 0, 0] = y0[1, 1, 0] = 1.0
+    inv_p, pf = inv_p.T, pf.T
     # the six stages, then the FSAL stage at x + h from the step's end state
     for i, row in enumerate(_A_ROWS + (_B_ROW,)):
-        y = y0 + hh * sum(a * k for a, k in zip(row, ks)) if row else y0
-        k = np.zeros_like(y0)
-        k[:, 0] = inv_p[:, min(i, 5), None, None] * y[:, 1]
-        k[:, 1, :, 1:] = pf[:, min(i, 5), None, None] * y[:, 0, :, :-1]   # times kappa
-        ks.append(k)
-    return y[..., :-1], hh * sum(e * k for e, k in zip(_E_ROW, ks))   # y is the end state
+        y = y0 + h * np.einsum("j,j...->...", row, K[:i]) if row else y0
+        K[i, 0] = inv_p[min(i, 5)] * y[1]
+        K[i, 1, :, 1:] = pf[min(i, 5)] * y[0, :, :-1]        # times kappa
+    err = h * np.einsum("j,j...->...", _E_ROW, K)
+    return np.moveaxis(y[..., :-1, :], -1, 0), np.moveaxis(err, -1, 0)   # y is the end state
 
 
 def linear_step_matrices(coeffs, kappa):

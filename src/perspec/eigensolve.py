@@ -237,7 +237,15 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
 
 def eigenfunction(model: OperatorModel, lam_n: float,
                   config: SolverConfig = DEFAULT_CONFIG) -> SolutionTrace:
-    """The phi-trace at a refined eigenvalue, scaled to unit max modulus; D is read off its march."""
+    """The phi-trace at a refined eigenvalue, divided by its value where |phi| peaks; D is read off its march.
+
+    That node is set to exactly 1; every other node has modulus at most 1
+    up to the rounding of one complex division, so max |values| is 1 unless
+    a second node ties the peak's |phi| to within an ulp.  A division by
+    max |phi| leaves the peak itself an ulp off 1 at about two in five
+    near-roots.  The trace's phase is that of phi over phi at the peak, and
+    ``meta["normalization"]`` is that complex value.
+    """
     if np.imag(lam_n) != 0:
         raise ValidationError(f"eigenfunction takes a real lam, got {lam_n}")
     pairs = solution_pairs(model, lam_n, (), config)     # column 0 is lam_n
@@ -249,11 +257,14 @@ def eigenfunction(model: OperatorModel, lam_n: float,
             f"lam = {lam_n} no longer satisfies the dispersion condition "
             f"(relative residual {rel:.3e} > {STALE_TOL:.1e})")
     phi, phi_qd = pairs.phi[:, 0], pairs.phi_qd[:, 0]
-    norm = float(np.max(np.abs(phi)))
+    peak = int(np.argmax(np.abs(phi)))
+    norm = complex(phi[peak])
+    values = phi / norm
+    values[peak] = 1.0                                   # norm/norm may round off 1
     meta = {"rtol": config.rtol, "atol": config.atol, "eigenvalue": float(lam_n),
             "dispersion_residual": abs(dv.D), "normalization": norm,
             "boundary_value": dv.phi_plus / norm}
-    return SolutionTrace(lam=pairs.lam, grid=pairs.nodes, values=phi / norm,
+    return SolutionTrace(lam=pairs.lam, grid=pairs.nodes, values=values,
                          quasi_derivatives=phi_qd / norm, delta=pairs.delta, meta=meta)
 
 

@@ -49,9 +49,8 @@ integrand vanishes.  The dense matrix is built from the rules' own
 weights, a block of columns at a time, only for the uses that need one:
 the SVD, the kernel dump and sup|G|; its columns are taken against the
 grid's trapezoid weights, which the SVD's symmetrisation and the error
-norms read.  ``integral_proxies`` reads parts I and II of one
-application as the weighted first and second integral terms, and
-``flux`` the same sums with p*psi', p*phi' in place of psi, phi as f*u'.
+norms read.  ``flux`` reads the same sums with p*psi', p*phi' in place
+of psi, phi as f*u'.
 """
 
 from __future__ import annotations
@@ -538,39 +537,3 @@ def manufactured_pair(model: OperatorModel, lam, nodes: np.ndarray):
                  + np.asarray(eval_f_prime(model.profile, np.clip(x + shift, -PI, PI))))
     F = 1j * model.epsilon * (dfx * du + fx * ddu) + 1j * du - lam * u
     return GridFunction(nodes=x, values=u + 0j), GridFunction(nodes=x, values=F)
-
-
-def bound_product_audit(kernel: KernelGrid) -> float:
-    """max over sampled (x, s), s between 0 and x, |x| <= 0.5, of |psi(x) p(s)/f(s)|.
-
-    Refinement stability of this number is the computable stand-in for the
-    uniform bound on the part-I product near the origin, where psi blows
-    up and p/f vanishes at matching rates.
-    """
-    x = kernel.nodes
-    with np.errstate(divide="ignore"):      # psi is 0 at +-pi and nan at 0
-        lpsi = np.log(np.abs(kernel.psi))
-    best = -np.inf
-    for side in _outward_sides(len(x)):
-        # max_s (log|psi(x)| + log pf(s)) = log|psi(x)| + max_s log pf(s): rounding
-        # of a sum is monotone in each term, so this is the max over all pairs
-        logs = lpsi[side] + np.maximum.accumulate(kernel.log_pf[side])
-        rows = np.abs(x[side]) <= 0.5
-        best = max(best, float(np.max(logs, where=rows, initial=-np.inf)))
-    return float(np.exp(best))
-
-
-def integral_proxies(kernel: KernelGrid, forcing: GridFunction):
-    """Parts I and II of one application, weighted: the first and second integral terms.
-
-    |psi(x) * int_0^x phi (-i p/(eps f)) F| / (sqrt(x) ||F||) on 0 < x < pi/2 and
-    |phi(x) * int_x^pi psi (-i p/(eps f)) F| / (sqrt(pi-x) ||F||) on 0 < x < pi.
-    """
-    x = kernel.nodes
-    norm_f = math.sqrt(float(np.sum(kernel.weights * np.abs(forcing.values) ** 2)))
-    pos, _ = _outward_sides(len(x))
-    part_i, part_ii, _ = _forcing_parts(kernel, forcing.values, kernel.psi, kernel.phi)
-    xq = x[pos]
-    proxy1 = np.abs(part_i[pos]) / (np.sqrt(xq) * norm_f)
-    proxy2 = np.abs(part_ii[pos]) / (np.sqrt(PI - xq) * norm_f)
-    return proxy1[xq < PI / 2], proxy2

@@ -36,6 +36,10 @@ Every mesh is laid out one way, by ``_accepted_mesh``: it starts from
 the stepper's endpoint cap as a geometric collar), and every interval
 whose marched step fails the stepper's own acceptance test (the embedded
 DOPRI5 error, checked in every column) is split until none does.
+``_split`` cuts a failing interval into parts equal in the log of the
+distance to the nearer end.  Near an end p/f ~ 1/d, so a step's error
+depends on h/d; parts of equal width leave the part nearest the end
+failing again, which costs a whole further march.
 
 * ``boundary_values`` gives phi(pi, lam) for many lam on a ``SharedMesh``,
   seeded at its cutoff and fitted at pi.  ``shared_mesh`` accepts its mesh
@@ -79,7 +83,8 @@ CUTOFF_CAP = 0.45
 WRONSKIAN_FLOOR = 1e-8                   # eigenvalue-proximity threshold factor
 FIT_MULTIPLES = np.array([1.0, 2.0, 4.0])  # endpoint fits read u at m*delta from the end
 MARCH_BLOCK = 4096                       # (interval x column) propagators built at a time
-SPLIT_SAFETY = 1.2                       # a failing interval splits into ceil(1.2*err^(1/5)) parts
+SPLIT_SAFETY = 1.2                       # a failing interval splits into ceil(1.2*err^(1/5)) parts,
+                                         # equal in the log of the distance to the nearer end
 STEP_BLOCK = 512                         # intervals whose step polynomials are built at a time
 MAX_STEPS = 200_000                      # scalar steps per shot; nodes per marched mesh
 
@@ -285,29 +290,34 @@ def _local_errors(errs: np.ndarray, kappa: np.ndarray, us: np.ndarray, ws: np.nd
 
 
 def _split(model: OperatorModel, mesh: np.ndarray, steps: tuple, err: np.ndarray):
-    """Split each interval whose err exceeds 1 into ceil(SPLIT_SAFETY*err^(1/5)) equal parts.
+    """Split each interval whose err exceeds 1 into ceil(SPLIT_SAFETY*err^(1/5)) parts.
 
-    ``steps`` holds the forward step and error polynomials of the
-    ascending intervals, followed by the backward ones when psi is marched;
-    those of unsplit intervals are kept.  Returns the new mesh and its
-    ``steps``.
+    The parts are equal in log d, d the distance to the nearer end, where a
+    step's error depends on h/d; pi/2 is a node of every start mesh, so no
+    interval crosses it.  ``steps`` holds the forward step and error
+    polynomials of the ascending intervals, followed by the backward ones
+    when psi is marched; those of unsplit intervals are kept.  Returns the
+    new mesh and its ``steps``.
     """
     fail = ~(err <= 1.0)                                  # nan fails too
     parts = np.where(fail, np.ceil(SPLIT_SAFETY * np.nan_to_num(err, nan=np.inf) ** 0.2), 1.0)
     _check_budget(len(mesh) + float(np.sum(parts - 1.0)), mesh[int(np.argmax(fail))])
     parts = parts.astype(int)
-    width = np.diff(mesh) / parts
-    small = fail & (width < 1e-14 * np.maximum(np.abs(mesh[:-1]), 1.0))
-    if np.any(small):
-        x = float(mesh[int(np.argmax(small))])
-        raise IntegrationError(f"step size underflow at x = {x:.6g}; the coefficient "
-                               "degenerates faster than the mesh can follow", x_reached=x)
     owner = np.repeat(np.arange(len(parts)), parts)
-    offset = np.arange(len(owner)) - np.repeat(np.cumsum(parts) - parts, parts)
-    new = np.append(mesh[owner] + offset * width[owner], mesh[-1])
+    frac = (np.arange(len(owner)) - np.repeat(np.cumsum(parts) - parts, parts)) / parts[owner]
+    a, b = mesh[:-1][owner], mesh[1:][owner]
+    at_pi = a >= PI / 2                                   # the nearer end is pi
+    da, db = np.where(at_pi, PI - a, a), np.where(at_pi, PI - b, b)
+    d = da * (db / da) ** frac
+    new = np.append(np.where(frac == 0.0, a, np.where(at_pi, PI - d, d)), mesh[-1])
     changed = (parts > 1)[owner]
-    h = np.diff(new)[changed]
-    fresh = _step_coefficients(model, new[:-1][changed], h)
+    start, h = new[:-1][changed], np.diff(new)[changed]
+    small = h < 1e-14 * np.maximum(np.abs(start), 1.0)
+    if np.any(small):
+        x0 = float(start[int(np.argmax(small))])
+        raise IntegrationError(f"step size underflow at x = {x0:.6g}; the coefficient "
+                               "degenerates faster than the mesh can follow", x_reached=x0)
+    fresh = _step_coefficients(model, start, h)
     if len(steps) > 2:
         fresh += _step_coefficients(model, new[1:][changed], -h)
     out = []

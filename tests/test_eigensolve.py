@@ -100,6 +100,13 @@ class TestEigenfunction:
         assert np.max(np.abs(tr.values - 1.0)) < 1e-10
         assert np.max(np.abs(tr.values)) == 1.0
 
+    @pytest.mark.parametrize("lam", [1.2398387833787001, 3.3288573471963, 6.331583853122])
+    def test_unit_peak_off_the_refined_root(self, sine_model, lam):
+        # within STALE_TOL of a root; dividing by max|phi| left the peak an
+        # ulp off 1 at each of these
+        tr = eigenfunction(sine_model, lam)
+        assert np.max(np.abs(tr.values)) == 1.0
+
     def test_periodic_matching_at_refined_root(self, sine_model, scan_8):
         lam = float(scan_8.positive()[0])
         tr = eigenfunction(sine_model, lam)

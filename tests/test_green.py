@@ -8,9 +8,9 @@ from perspec import shooting
 from perspec.cli import EXIT_OK, run_subcommand
 from perspec.errors import (EigenvalueProximityError, GridMismatchError,
                             ValidationError)
-from perspec.green import (_grading, _rules, _running_rule, apply_resolvent,
-                           assemble_kernel, bandlimited_forcing, bound_product_audit,
-                           flux, graded_full_grid, GridFunction, integral_proxies,
+from perspec.green import (KernelGrid, _forcing_parts, _grading, _outward_sides, _rules,
+                           _running_rule, apply_resolvent, assemble_kernel,
+                           bandlimited_forcing, flux, graded_full_grid, GridFunction,
                            kernel_matrix, manufactured_pair, resolvent_residual)
 from perspec.profiles import eval_f
 
@@ -266,6 +266,42 @@ class TestResidual:
         F = GridFunction(nodes=x, values=np.zeros_like(x, dtype=complex))
         with pytest.raises(ValidationError):
             resolvent_residual(sine_model, 1j, u, F)
+
+
+def bound_product_audit(kernel: KernelGrid) -> float:
+    """max over sampled (x, s), s between 0 and x, |x| <= 0.5, of |psi(x) p(s)/f(s)|.
+
+    Refinement stability of this number is the computable stand-in for the
+    uniform bound on the part-I product near the origin, where psi blows
+    up and p/f vanishes at matching rates.
+    """
+    x = kernel.nodes
+    with np.errstate(divide="ignore"):      # psi is 0 at +-pi and nan at 0
+        lpsi = np.log(np.abs(kernel.psi))
+    best = -np.inf
+    for side in _outward_sides(len(x)):
+        # max_s (log|psi(x)| + log pf(s)) = log|psi(x)| + max_s log pf(s): rounding
+        # of a sum is monotone in each term, so this is the max over all pairs
+        logs = lpsi[side] + np.maximum.accumulate(kernel.log_pf[side])
+        rows = np.abs(x[side]) <= 0.5
+        best = max(best, float(np.max(logs, where=rows, initial=-np.inf)))
+    return float(np.exp(best))
+
+
+def integral_proxies(kernel: KernelGrid, forcing: GridFunction):
+    """Parts I and II of one application, weighted: the first and second integral terms.
+
+    |psi(x) * int_0^x phi (-i p/(eps f)) F| / (sqrt(x) ||F||) on 0 < x < pi/2 and
+    |phi(x) * int_x^pi psi (-i p/(eps f)) F| / (sqrt(pi-x) ||F||) on 0 < x < pi.
+    """
+    x = kernel.nodes
+    norm_f = math.sqrt(float(np.sum(kernel.weights * np.abs(forcing.values) ** 2)))
+    pos, _ = _outward_sides(len(x))
+    part_i, part_ii, _ = _forcing_parts(kernel, forcing.values, kernel.psi, kernel.phi)
+    xq = x[pos]
+    proxy1 = np.abs(part_i[pos]) / (np.sqrt(xq) * norm_f)
+    proxy2 = np.abs(part_ii[pos]) / (np.sqrt(PI - xq) * norm_f)
+    return proxy1[xq < PI / 2], proxy2
 
 
 class TestBoundAudits:

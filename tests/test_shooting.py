@@ -386,6 +386,44 @@ class TestSolutionPairs:
         with pytest.raises(IntegrationError):
             solution_pairs(sine_model, 1.0, _kernel_nodes(256))
 
+    @pytest.mark.parametrize("grid", [256, 1024])
+    @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
+    @pytest.mark.parametrize("kind", ["sine", "piecewise-linear"])
+    def test_kernel_meshes_are_accepted_in_two_marches(self, kind, eps, grid):
+        # splitting evenly in the log of the distance to the nearer end
+        # resolves the end collars in one split; uniform parts left the
+        # child nearest the origin failing at err 1.03-1.10, so a third march
+        model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=eps)
+        for lam in (-2.9 + 0.75j, 0.05 + 0.75j, 2.0 + 1.2j):
+            assert solution_pairs(model, lam, _kernel_nodes(grid)).rounds == 2
+
+
+class TestSplit:
+    def test_parts_are_even_in_the_log_distance_to_the_nearer_end(self, sine_model):
+        mesh = np.array([1e-3, 2e-3, 0.5, PI / 4, PI / 2, 3 * PI / 4, 2.5, PI - 2e-3, PI - 1e-3])
+        steps = shooting._step_coefficients(sine_model, mesh[:-1], np.diff(mesh))
+        err = np.array([9e4, 0.5, 0.5, 9e4, 9e4, 0.5, 0.5, 9e4])  # ceil(1.2*9e4^(1/5)) = 12
+        new, (coeffs, errs) = shooting._split(sine_model, mesh, steps, err)
+        assert len(new) == len(mesh) + 4 * 11
+        origin, below, above, at_pi = new[:13], new[14:27], new[26:39], new[40:]
+        assert below[-1] == above[0] == PI / 2
+        np.testing.assert_allclose(np.diff(np.log(origin)), math.log(2.0) / 12, rtol=1e-12)
+        np.testing.assert_allclose(np.diff(np.log(below)), math.log(2.0) / 12, rtol=1e-12)
+        np.testing.assert_allclose(np.diff(np.log(PI - above)), -math.log(2.0) / 12, rtol=1e-12)
+        np.testing.assert_allclose(np.diff(np.log(PI - at_pi)), -math.log(2.0) / 12, rtol=1e-9)
+        assert np.all(np.isin(mesh, new))                  # old nodes stay, bit for bit
+        kept = np.flatnonzero(np.isin(new[:-1], [2e-3, 0.5, 3 * PI / 4, 2.5]))
+        assert np.array_equal(coeffs[kept], steps[0][[1, 2, 5, 6]])
+        fresh = shooting._step_coefficients(sine_model, new[:-1], np.diff(new))
+        assert np.array_equal(coeffs, fresh[0]) and np.array_equal(errs, fresh[1])
+
+    def test_parts_below_rounding_are_refused(self, sine_model):
+        mesh = np.array([1.0, 1.0 + 4e-14, 2.0])
+        steps = shooting._step_coefficients(sine_model, mesh[:-1], np.diff(mesh))
+        with pytest.raises(IntegrationError, match="step size underflow") as exc:
+            shooting._split(sine_model, mesh, steps, np.array([1e10, 0.5]))
+        assert exc.value.x_reached == 1.0
+
 
 class TestSharedMesh:
     @pytest.mark.parametrize("eps", [0.45, 2.0])

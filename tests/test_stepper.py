@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from perspec import shooting
-from perspec._stepper import (STATUS_MAX_STEPS, STATUS_OK,
-                              integrate_quasi_system)
+from perspec import _stepper, shooting
+from perspec._stepper import (STATUS_MAX_STEPS, STATUS_OK, integrate_quasi_system,
+                              linear_step_coefficients, linear_step_matrices)
 from perspec.profiles import (OperatorModel, eval_f, piecewise_linear_profile,
                               sine_profile, tabulated_profile)
 from perspec.singular import compute_log_p_over_f, default_cutoff, integrating_factor
@@ -114,3 +114,28 @@ class TestIntegrateQuasiSystemContract:
         model = OperatorModel(profile=tabulated_profile(x, (2 / PI) * np.sin(x)), epsilon=1.0)
         at_pi = shooting.compute_phi_at_pi(model, 0.0, default_cutoff(0.0))
         assert at_pi == pytest.approx(1.0, abs=1e-8)
+
+
+class TestLinearStepCoefficients:
+    @pytest.mark.parametrize("kappa", [0.7, -3.1, 2.3j, -1.9j, 1.4 - 0.8j, -2.6 + 1.1j])
+    def test_one_step_of_the_matrix_system(self, kappa):
+        # one DOPRI5 step of Y' = (A + kappa*B) Y taken with complex 2x2
+        # matrices, stage by stage, with no polynomial in kappa
+        rng = np.random.default_rng(7)
+        n = 40
+        h = rng.uniform(-0.3, 0.3, n)
+        inv_p, pf = rng.uniform(0.2, 3.0, (2, n, 6))
+        C, E = linear_step_coefficients(h, inv_p, pf)
+        M = np.zeros((n, 6, 2, 2), complex)
+        M[..., 0, 1], M[..., 1, 0] = inv_p, kappa * pf
+        hh = h[:, None, None]
+        ks = []
+        for i, row in enumerate(_stepper._A_ROWS):
+            y = np.eye(2) + hh * sum(a * k for a, k in zip(row, ks))
+            ks.append(M[:, i] @ y)
+        step = np.eye(2) + hh * sum(b * k for b, k in zip(_stepper._B_ROW, ks))
+        ks.append(M[:, 5] @ step)                 # FSAL: the last stage point is x + h
+        err = hh * sum(e * k for e, k in zip(_stepper._E_ROW, ks))
+        for got, want in ((linear_step_matrices(C, kappa), step),
+                          (linear_step_matrices(E, kappa), err)):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
