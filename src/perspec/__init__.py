@@ -14,11 +14,10 @@ __version__ = "0.1.0"
 BACKEND = "numpy"
 
 from .eigensolve import (DispersionValue, EigenvalueList, dispersion,
-                         dispersion_batch, eigenfunction, growth_slope,
-                         scan_and_refine)
+                         dispersion_batch, growth_slope, scan_and_refine)
 from .errors import (DomainError, EigenvalueProximityError, GridMismatchError,
                      IntegrationError, PerspecError, SolverError,
-                     StaleEigenvalueError, ValidationError)
+                     ValidationError)
 from .green import (GridFunction, KernelGrid, apply_resolvent, assemble_kernel,
                     bandlimited_forcing, graded_full_grid, kernel_matrix,
                     manufactured_pair, resolvent_residual)
@@ -29,7 +28,7 @@ from .profiles import (CoefficientProfile, OperatorModel, ValidationReport,
 from .schatten import (DyadicBoundReport, InequalityReport,
                        SingularValueSpectrum, dyadic_bound_audit,
                        eigen_schatten_inequality, singular_values)
-from .shooting import (SharedMesh, SolutionPairs, SolutionTrace, SolverConfig,
+from .shooting import (SharedMesh, SolutionPairs, SolverConfig,
                        compute_phi_at_pi, shared_mesh, solution_pairs)
 from .singular import (IntegratingFactor, compute_log_p, compute_log_p_over_f,
                        compute_p_over_f, default_cutoff, endpoint_branches,

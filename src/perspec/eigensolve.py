@@ -21,7 +21,6 @@ independently of the scan's mesh: each of 0 and the positive roots is
 marched as the columns lam and -lam on a mesh of its own, accepted for
 those two columns at lam's own cutoff, and D is read off the march that
 accepted it; the residuals are mirrored like the eigenvalues.
-``eigenfunction`` reads its trace and D from one ``shooting.solution_pairs``.
 """
 
 from __future__ import annotations
@@ -30,13 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError, StaleEigenvalueError, ValidationError
+from .errors import IntegrationError, ValidationError
 from .profiles import OperatorModel
-from .shooting import (DEFAULT_CONFIG, SharedMesh, SolutionTrace, SolverConfig,
-                       boundary_values, shared_mesh, solution_pairs)
+from .shooting import (DEFAULT_CONFIG, SharedMesh, SolverConfig, boundary_values,
+                       shared_mesh)
 
 MAX_REFINE_ITERATIONS = 100
-STALE_TOL = 1e-6                # relative dispersion residual an eigenfunction needs
 
 
 @dataclass(frozen=True)
@@ -233,39 +231,6 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
                           mesh_nodes=len(mesh.nodes) if mesh else 0,
                           mesh_rounds=mesh.rounds if mesh else 0,
                           marches=marches, refine_iterations=iterations)
-
-
-def eigenfunction(model: OperatorModel, lam_n: float,
-                  config: SolverConfig = DEFAULT_CONFIG) -> SolutionTrace:
-    """The phi-trace at a refined eigenvalue, divided by its value where |phi| peaks; D is read off its march.
-
-    That node is set to exactly 1; every other node has modulus at most 1
-    up to the rounding of one complex division, so max |values| is 1 unless
-    a second node ties the peak's |phi| to within an ulp.  A division by
-    max |phi| leaves the peak itself an ulp off 1 at about two in five
-    near-roots.  The trace's phase is that of phi over phi at the peak, and
-    ``meta["normalization"]`` is that complex value.
-    """
-    if np.imag(lam_n) != 0:
-        raise ValidationError(f"eigenfunction takes a real lam, got {lam_n}")
-    pairs = solution_pairs(model, lam_n, (), config)     # column 0 is lam_n
-    plus, minus = pairs.phi_at_pi
-    dv = DispersionValue(lam=float(lam_n), D=plus - minus, phi_plus=plus, phi_minus=minus)
-    rel = abs(dv.D) / dv.scale
-    if rel > STALE_TOL:
-        raise StaleEigenvalueError(
-            f"lam = {lam_n} no longer satisfies the dispersion condition "
-            f"(relative residual {rel:.3e} > {STALE_TOL:.1e})")
-    phi, phi_qd = pairs.phi[:, 0], pairs.phi_qd[:, 0]
-    peak = int(np.argmax(np.abs(phi)))
-    norm = complex(phi[peak])
-    values = phi / norm
-    values[peak] = 1.0                                   # norm/norm may round off 1
-    meta = {"rtol": config.rtol, "atol": config.atol, "eigenvalue": float(lam_n),
-            "dispersion_residual": abs(dv.D), "normalization": norm,
-            "boundary_value": dv.phi_plus / norm}
-    return SolutionTrace(lam=pairs.lam, grid=pairs.nodes, values=values,
-                         quasi_derivatives=phi_qd / norm, delta=pairs.delta, meta=meta)
 
 
 def growth_slope(eigs: EigenvalueList) -> float | None:

@@ -34,9 +34,5 @@ class EigenvalueProximityError(SolverError):
     """The shift is numerically an eigenvalue; the construction degenerates."""
 
 
-class StaleEigenvalueError(SolverError):
-    """A supplied eigenvalue no longer satisfies the dispersion condition."""
-
-
 class GridMismatchError(SolverError):
     """Operands sampled on different grids."""

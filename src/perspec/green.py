@@ -1,4 +1,4 @@
-"""Green kernel assembly, resolvent application and the flux f*u'.
+"""Green kernel assembly and resolvent application.
 
 The kernel splits into three parts built from the two fundamental
 solutions and the weight (-i/eps)*(p/f)(s):
@@ -16,11 +16,10 @@ phi and psi come from one path, ``shooting.solution_pairs``: both
 solutions at lam and -lam marched through one mesh that contains the
 requested positive nodes, refined until every step passes the DOPRI5
 error test; no scalar shot is taken.  One sampler, ``_full_period``, turns its
-result into these generators and the quasi-derivatives p*phi', p*psi' on
-the full period; the kernel and the dyadic audit in ``schatten`` read it.
-Negative arguments come by reflection: phi(x, lam) = phi(-x, -lam) and
-psi(x, lam) = -psi(-x, -lam) (the sign keeps the Wronskian equal to 1
-on both half-intervals; p is taken even, so p*phi' is odd).  Products
+result into these generators on the full period; the kernel and the
+dyadic audit in ``schatten`` read it.  Negative arguments come by
+reflection: phi(x, lam) = phi(-x, -lam) and psi(x, lam) = -psi(-x, -lam)
+(the sign keeps the Wronskian equal to 1 on both half-intervals).  Products
 psi*(p/f) and phi*(p/f) degenerate at 0 and +-pi as powers that cancel
 each other, so p/f is kept as its logarithm (-inf at 0, +inf at +-pi),
 the products are formed at interior nodes only, and the endpoint values
@@ -49,8 +48,7 @@ integrand vanishes.  The dense matrix is built from the rules' own
 weights, a block of columns at a time, only for the uses that need one:
 the SVD, the kernel dump and sup|G|; its columns are taken against the
 grid's trapezoid weights, which the SVD's symmetrisation and the error
-norms read.  ``flux`` reads the same sums with p*psi', p*phi' in place
-of psi, phi as f*u'.
+norms read.
 """
 
 from __future__ import annotations
@@ -115,8 +113,6 @@ class _FullPeriod:
 
     phi: np.ndarray                 # x-factor of parts II, III: 1 at 0; fitted values at +-pi
     psi: np.ndarray                 # x-factor of part I: nan at 0, 0 at +-pi
-    phi_qd: np.ndarray              # p*phi', sign flipped on x < 0; nan at 0 and +-pi
-    psi_qd: np.ndarray              # p*psi', not flipped on x < 0; nan at 0 and +-pi
     log_pf: np.ndarray              # log (p/f)(|s|); -inf at 0, +inf at +-pi
     w2: np.ndarray                  # s-factor of parts II, III: psi(s)*(-i/eps)*signed (p/f)(s)
     denominator: complex            # phi(pi)/phi(-pi) - 1
@@ -157,7 +153,7 @@ def _outward_sides(n: int):
 
 
 def _full_period(model: OperatorModel, pairs: SolutionPairs) -> _FullPeriod:
-    """Sample phi, psi, p*phi', p*psi', log(p/f), w2 over the full period at the requested nodes.
+    """Sample phi, psi, log(p/f), w2 over the full period at the requested nodes.
 
     The requested nodes must ascend; negative nodes are their reflections.
     """
@@ -166,17 +162,14 @@ def _full_period(model: OperatorModel, pairs: SolutionPairs) -> _FullPeriod:
     n = 2 * len(nodes_pos) + 3
     i0 = n // 2
     pos, neg = _outward_sides(n)
-    phi, psi, phi_qd, psi_qd = (np.empty(n, complex) for _ in range(4))
-    for full, half in ((phi, pairs.phi), (psi, pairs.psi),
-                       (phi_qd, pairs.phi_qd), (psi_qd, pairs.psi_qd)):
-        full[pos], full[neg] = half[pairs.requested].T   # x < 0 from -x at -lam
+    phi, psi = np.empty(n, complex), np.empty(n, complex)
+    phi[pos], phi[neg] = pairs.phi[pairs.requested].T     # x < 0 from -x at -lam
+    psi[pos], psi[neg] = pairs.psi[pairs.requested].T
     psi[neg] *= -1.0                                      # psi(x, lam) = -psi(-x, -lam)
-    phi_qd[neg] *= -1.0                                   # p*phi'(x, lam) = -p*phi'(-x, -lam)
     phi[i0] = 1.0
     psi[i0] = np.nan
     phi[-1], phi[0] = pairs.phi_at_pi
     psi[0] = psi[-1] = 0.0
-    phi_qd[[0, i0, -1]] = psi_qd[[0, i0, -1]] = np.nan
 
     lpf = np.empty(n)
     lpf[pos] = compute_log_p_over_f(model, nodes_pos)
@@ -193,7 +186,7 @@ def _full_period(model: OperatorModel, pairs: SolutionPairs) -> _FullPeriod:
     w2[i0] = 0.5 * (b0_p + b0_m) * (PI / 2.0) * (-1j / eps)
     w2[-1], w2[0] = pairs.psi_at_pi * math.exp(log_cpi) * (-1j / eps)
 
-    return _FullPeriod(phi=phi, psi=psi, phi_qd=phi_qd, psi_qd=psi_qd, log_pf=lpf, w2=w2,
+    return _FullPeriod(phi=phi, psi=psi, log_pf=lpf, w2=w2,
                        denominator=complex(phi[-1] / phi[0] - 1.0))
 
 
@@ -357,22 +350,20 @@ def _rules(n: int, breakpoints: tuple, kinks: tuple):
     return part_i, tail
 
 
-def _applied_parts(kernel: KernelGrid, psi_x: np.ndarray, phi_x: np.ndarray, summed):
+def _applied_parts(kernel: KernelGrid, summed):
     """Parts I, II and III of the kernel applied to a forcing, each of shape (n, m).
 
     ``summed(rule, path, g)`` gives the rule's running sums along ``path``
     (node indices) of g (on the path) times the forcing: m forcings, or
-    m unit forcings for a block of dense columns.  ``psi_x`` and ``phi_x``
-    are the x-factors: the kernel's ``psi`` and ``phi`` for u, or
-    ``psi_qd`` and ``phi_qd`` for p*u' (by variation of parameters the
-    sums' own derivatives cancel).  Each part is a running sum from the
-    end where its integral is zero, never a difference of two sums from
-    -pi: near those ends such a difference cancels to no correct digits.
+    m unit forcings for a block of dense columns.  Each part is a running
+    sum from the end where its integral is zero, never a difference of
+    two sums from -pi: near those ends such a difference cancels to no
+    correct digits.
 
-    * part I = psi_x(x) (-i/eps) int phi (p/f) F over s between 0 and x,
+    * part I = psi(x) (-i/eps) int phi (p/f) F over s between 0 and x,
       summed from the origin on each side;
-    * part II = phi_x(x) int_x^pi w2 F, summed from pi;
-    * part III = phi_x(x) int_(-pi)^pi w2 F / denominator.
+    * part II = phi(x) int_x^pi w2 F, summed from pi;
+    * part III = phi(x) int_(-pi)^pi w2 F / denominator.
     """
     n = len(kernel.nodes)
     model = kernel.meta["model"]
@@ -381,19 +372,17 @@ def _applied_parts(kernel: KernelGrid, psi_x: np.ndarray, phi_x: np.ndarray, sum
     part_i = np.zeros(tail.shape, complex)
     for path in (np.arange(n // 2, n - 1), np.arange(n // 2, 0, -1)):
         s = summed(rule_i, path, kernel.phi[path] * np.exp(kernel.log_pf[path]))
-        off = path[1:]                                  # psi_x is nan at the origin
-        part_i[off] = psi_x[off, None] * (-1j / model.epsilon) * s[1:]
-    part_ii = phi_x[:, None] * tail
-    part_iii = phi_x[:, None] * (tail[0] / kernel.denominator)
+        off = path[1:]                                  # psi is nan at the origin
+        part_i[off] = kernel.psi[off, None] * (-1j / model.epsilon) * s[1:]
+    part_ii = kernel.phi[:, None] * tail
+    part_iii = kernel.phi[:, None] * (tail[0] / kernel.denominator)
     return part_i, part_ii, part_iii
 
 
-def _forcing_parts(kernel: KernelGrid, forcing: np.ndarray, psi_x: np.ndarray,
-                   phi_x: np.ndarray):
+def _forcing_parts(kernel: KernelGrid, forcing: np.ndarray):
     """``_applied_parts`` for forcing values of shape (n,), by running sums."""
     F = forcing[:, None]
-    parts = _applied_parts(kernel, psi_x, phi_x,
-                           lambda rule, path, g: rule.sums(g[:, None] * F[path]))
+    parts = _applied_parts(kernel, lambda rule, path, g: rule.sums(g[:, None] * F[path]))
     return tuple(part[:, 0] for part in parts)
 
 
@@ -419,7 +408,7 @@ def _column_blocks(kernel: KernelGrid, part: Optional[str] = None):
     n = len(kernel.nodes)
     for start in range(0, n, KERNEL_BLOCK):
         cols = np.arange(start, min(start + KERNEL_BLOCK, n))
-        parts = _applied_parts(kernel, kernel.psi, kernel.phi, _unit_sums(kernel, cols))
+        parts = _applied_parts(kernel, _unit_sums(kernel, cols))
         yield cols, sum(parts) if part is None else parts[PARTS.index(part)]
 
 
@@ -444,20 +433,8 @@ def _check_on_grid(nodes: np.ndarray, forcing: GridFunction) -> None:
 def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
     """u(x_i) = sum_j G(x_i, s_j) w_j F(s_j)."""
     _check_on_grid(kernel.nodes, forcing)
-    parts = _forcing_parts(kernel, forcing.values, kernel.psi, kernel.phi)
+    parts = _forcing_parts(kernel, forcing.values)
     return GridFunction(nodes=kernel.nodes, values=sum(parts))
-
-
-def flux(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
-    """f*u' of u = ``apply_resolvent(kernel, forcing)`` at every node; nan at 0 and +-pi.
-
-    p*u' is the same sum of parts with the quasi-derivatives as x-factors,
-    and f/p = sign(x) exp(-log(p/f)).
-    """
-    _check_on_grid(kernel.nodes, forcing)
-    pu = sum(_forcing_parts(kernel, forcing.values, kernel.psi_qd, kernel.phi_qd))
-    return GridFunction(nodes=kernel.nodes,
-                        values=np.copysign(np.exp(-kernel.log_pf), kernel.nodes) * pu)
 
 
 def _flux_form(model: OperatorModel, lam, x: np.ndarray, u: np.ndarray, reach: int) -> np.ndarray:

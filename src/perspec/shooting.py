@@ -53,7 +53,7 @@ failing again, which costs a whole further march.
   falls inside the seed collar.  The mesh is accepted
   for phi and psi at lam and -lam; psi is marched backward with steps of
   negative length.  Its phi column at lam is also the phi trace of
-  ``trace --kind phi`` and of an eigenfunction, with its ``phi_at_pi``.
+  ``trace --kind phi``, with its ``phi_at_pi``.
 """
 
 from __future__ import annotations
@@ -98,22 +98,6 @@ class SolverConfig:
 
 
 DEFAULT_CONFIG = SolverConfig()
-
-
-@dataclass(frozen=True, eq=False)
-class SolutionTrace:
-    """phi sampled on an ascending grid in (0, pi)."""
-
-    lam: complex
-    grid: np.ndarray
-    values: np.ndarray
-    quasi_derivatives: np.ndarray
-    delta: float                         # seed cutoff at 0 and at pi
-    meta: dict
-
-    def __post_init__(self):
-        for arr in (self.grid, self.values, self.quasi_derivatives):
-            arr.setflags(write=False)
 
 
 def _forced_nodes(model: OperatorModel, x0: float, x1: float,

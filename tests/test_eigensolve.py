@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import perspec as ps
-from perspec import eigensolve
-from perspec.eigensolve import (dispersion, eigenfunction, growth_slope,
-                                scan_and_refine)
-from perspec.errors import StaleEigenvalueError, ValidationError
+from perspec.cli import EXIT_OK, run_subcommand
+from perspec.eigensolve import dispersion, growth_slope, scan_and_refine
+from perspec.errors import ValidationError
 from perspec.shooting import SolverConfig
 
 PI = math.pi
@@ -94,27 +93,22 @@ class TestScan:
         assert len(roots[0]) == len(roots[1]) == 5
         assert np.max(np.abs(roots[0] - roots[1])) < 2e-7
 
-class TestEigenfunction:
-    def test_zero_eigenvalue_constant_trace(self, sine_model):
-        tr = eigenfunction(sine_model, 0.0)
-        assert np.max(np.abs(tr.values - 1.0)) < 1e-10
-        assert np.max(np.abs(tr.values)) == 1.0
 
-    @pytest.mark.parametrize("lam", [1.2398387833787001, 3.3288573471963, 6.331583853122])
-    def test_unit_peak_off_the_refined_root(self, sine_model, lam):
-        # within STALE_TOL of a root; dividing by max|phi| left the peak an
-        # ulp off 1 at each of these
-        tr = eigenfunction(sine_model, lam)
-        assert np.max(np.abs(tr.values)) == 1.0
-
-    def test_periodic_matching_at_refined_root(self, sine_model, scan_8):
-        lam = float(scan_8.positive()[0])
-        tr = eigenfunction(sine_model, lam)
-        d = dispersion(sine_model, lam)
-        # D = 0 restated: both boundary values agree after normalization
-        bv = tr.meta["boundary_value"]
-        other = d.phi_minus / tr.meta["normalization"]
-        assert abs(bv - other) < 1e-6
+class TestPhiTraceAtRefinedRoots:
+    # the phi trace at an eigenvalue is column 0 of one solution_pairs march,
+    # which trace --kind phi writes, and D there is read off the same march
+    def test_periodic_matching_on_the_trace_march(self, sine_model, scan_8, tmp_path):
+        for lam in scan_8.positive():
+            pairs = ps.solution_pairs(sine_model, float(lam), ())
+            plus, minus = pairs.phi_at_pi
+            assert abs(plus - minus) < 1e-6 * max(1.0, abs(plus), abs(minus))
+            out = tmp_path / "phi.csv"
+            assert run_subcommand(["trace", "--kind", "phi", "--lambda-re", repr(float(lam)),
+                                   "--lambda-im", "0", "--out", str(out)]) == EXIT_OK
+            x, re_u, im_u, re_pu, im_pu = np.loadtxt(out, delimiter=",", skiprows=1).T
+            assert np.array_equal(x, pairs.nodes)
+            assert np.array_equal(re_u + 1j * im_u, pairs.phi[:, 0])
+            assert np.array_equal(re_pu + 1j * im_pu, pairs.phi_qd[:, 0])
 
     def test_reintegration_residual(self, sine_model, scan_8):
         lam = float(scan_8.positive()[0])
@@ -123,34 +117,3 @@ class TestEigenfunction:
         a = ps.solution_pairs(sine_model, lam, nodes)
         b = ps.solution_pairs(sine_model, lam, nodes, tight)
         assert np.max(np.abs(a.phi[a.requested, 0] - b.phi[b.requested, 0])) < 1e-6
-
-    def test_one_march(self, sine_model, scan_8, monkeypatch):
-        # the staleness check and the trace read one solution_pairs march
-        calls = []
-
-        def pairs(*args):
-            calls.append(args[1])
-            return ps.solution_pairs(*args)
-
-        def mesh(*args):
-            raise AssertionError("eigenfunction laid out a shared mesh")
-
-        monkeypatch.setattr(eigensolve, "solution_pairs", pairs)
-        monkeypatch.setattr(eigensolve, "shared_mesh", mesh)
-        lam = float(scan_8.positive()[0])
-        tr = eigenfunction(sine_model, lam)
-        assert calls == [lam]
-        plus, minus = ps.solution_pairs(sine_model, lam, ()).phi_at_pi
-        assert tr.meta["dispersion_residual"] == abs(plus - minus)
-
-    def test_complex_lambda_is_refused_before_marching(self, sine_model, monkeypatch):
-        def pairs(*args):
-            raise AssertionError("eigenfunction marched a complex lam")
-
-        monkeypatch.setattr(eigensolve, "solution_pairs", pairs)
-        with pytest.raises(ValidationError, match="real lam"):
-            eigenfunction(sine_model, 1.2398388 + 0.1j)
-
-    def test_stale_eigenvalue_rejected(self, sine_model):
-        with pytest.raises(StaleEigenvalueError):
-            eigenfunction(sine_model, 1.1)

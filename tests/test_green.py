@@ -10,15 +10,10 @@ from perspec.errors import (EigenvalueProximityError, GridMismatchError,
                             ValidationError)
 from perspec.green import (KernelGrid, _forcing_parts, _grading, _outward_sides, _rules,
                            _running_rule, apply_resolvent, assemble_kernel,
-                           bandlimited_forcing, flux, graded_full_grid, GridFunction,
+                           bandlimited_forcing, graded_full_grid, GridFunction,
                            kernel_matrix, manufactured_pair, resolvent_residual)
-from perspec.profiles import eval_f
 
 PI = math.pi
-
-
-def cos_forcing(kernel):
-    return GridFunction(nodes=kernel.nodes, values=np.cos(kernel.nodes) + 0.1 + 0j)
 
 
 def l2_relative_error(weights, got, want):
@@ -153,10 +148,6 @@ class TestNoScalarShots:
     def test_dyadic_bound_audit(self, sine_model):
         assert ps.dyadic_bound_audit(sine_model, 0.7 + 1j, 3).alpha_hat[0] > 0.0
 
-    def test_eigenfunction(self, sine_model, scan_8):
-        tr = ps.eigenfunction(sine_model, float(scan_8.positive()[0]))
-        assert np.max(np.abs(tr.values)) == 1.0
-
     @pytest.mark.parametrize("argv", [
         ["validate"], ["eigs", "--lmax", "4", "--resolution", "0.1"],
         ["trace", "--kind", "phi"], ["trace", "--kind", "psi"], ["trace", "--kind", "logp"],
@@ -228,9 +219,8 @@ class TestResolvent:
     def test_grid_mismatch_rejected(self, kernel_256):
         F = GridFunction(nodes=kernel_256.nodes[:-1],
                          values=np.zeros(len(kernel_256.nodes) - 1, complex))
-        for apply in (apply_resolvent, flux):
-            with pytest.raises(GridMismatchError):
-                apply(kernel_256, F)
+        with pytest.raises(GridMismatchError):
+            apply_resolvent(kernel_256, F)
 
 
 class TestResidual:
@@ -297,7 +287,7 @@ def integral_proxies(kernel: KernelGrid, forcing: GridFunction):
     x = kernel.nodes
     norm_f = math.sqrt(float(np.sum(kernel.weights * np.abs(forcing.values) ** 2)))
     pos, _ = _outward_sides(len(x))
-    part_i, part_ii, _ = _forcing_parts(kernel, forcing.values, kernel.psi, kernel.phi)
+    part_i, part_ii, _ = _forcing_parts(kernel, forcing.values)
     xq = x[pos]
     proxy1 = np.abs(part_i[pos]) / (np.sqrt(xq) * norm_f)
     proxy2 = np.abs(part_ii[pos]) / (np.sqrt(PI - xq) * norm_f)
@@ -322,38 +312,6 @@ class TestBoundAudits:
             first, second = integral_proxies(kernel_256, F)
             assert np.max(first) < 5.0
             assert np.max(second) < 5.0
-
-
-class TestFlux:
-    def test_flux_continuity_across_origin(self, kernel_512):
-        fu = flux(kernel_512, cos_forcing(kernel_512)).values
-        i0 = len(fu) // 2
-        left, right = fu[i0 - 1], fu[i0 + 1]        # 4.5e-5 each (1.2e-5 converged)
-        assert abs(left) < 1e-4 and abs(right) < 1e-4
-        assert abs(left - right) < 1e-4
-        assert np.all(np.isnan(fu[[0, i0, -1]]))
-        assert np.all(np.isfinite(np.delete(fu, [0, i0, -1])))
-
-    @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
-    @pytest.mark.parametrize("profile", [ps.sine_profile, ps.piecewise_linear_profile])
-    def test_flux_is_f_times_the_slope_of_u(self, profile, eps):
-        # against f times the centered difference of u on |x| in [0.3, pi - 0.3],
-        # off the tent's kink: 1.2e-4 to 5.6e-4 at 512 nodes, 4 to 8x less at 1024
-        model = ps.OperatorModel(profile=profile(), epsilon=eps)
-        errs = []
-        for grid in (512, 1024):
-            k = assemble_kernel(model, 1j, grid)
-            F = cos_forcing(k)
-            u = apply_resolvent(k, F).values
-            x = k.nodes[1:-1]
-            slope = eval_f(model.profile, x) * (u[2:] - u[:-2]) / (k.nodes[2:] - k.nodes[:-2])
-            keep = (np.abs(x) >= 0.3) & (np.abs(x) <= PI - 0.3)
-            for kink in model.profile.kinks:
-                keep &= np.abs(np.abs(x) - kink) > 0.05
-            got = flux(k, F).values[1:-1]
-            errs.append(np.max(np.abs(got - slope)[keep]) / np.max(np.abs(slope[keep])))
-        assert errs[0] < 2e-3
-        assert errs[1] < errs[0] / 3.0
 
 
 class TestRecoveryOrder:

@@ -6,6 +6,10 @@ No linter ships with the package, so these are the checks for dead code:
   appear as a name somewhere else in the module's syntax tree;
 * a top-level UPPER_CASE constant or ``_private`` function or class must
   be read, as a name or an attribute, somewhere in the package;
+* a top-level public function or class must be read, as a name or an
+  attribute, by a package module or by the benchmark (``perfbench/``);
+  ``__init__.py`` re-exporting it does not count.  The one exception,
+  ``PUBLIC_EXEMPT``, is the tests' own reference;
 * a field of a ``@dataclass`` in the package must be read as an attribute
   somewhere in the package, its tests or the benchmark.
 
@@ -36,6 +40,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "perspec"
 TRACING = ROOT / "perfbench" / "tracing.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the adaptive scalar shot no command takes: the tests' reference for the marches
+PUBLIC_EXEMPT = {("shooting.py", "compute_phi_at_pi")}
 
 
 def unused_imports(source: str) -> list:
@@ -61,6 +67,14 @@ def imported_modules(source: str) -> list:
     return names
 
 
+def names_read(source: str) -> set:
+    """Every name loaded and every attribute named in ``source``."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
 def unread_definitions(sources: dict) -> list:
     """(module, name) of the constants and private definitions no module reads.
 
@@ -78,12 +92,22 @@ def unread_definitions(sources: dict) -> list:
                     targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                     defined += [(name, n.id) for t in targets for n in ast.walk(t)
                                 if isinstance(n, ast.Name) and n.id.isupper()]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+        read |= names_read(source)
     return sorted(d for d in defined if d[1] not in read)
+
+
+def unread_public(defining: dict, reading: dict) -> list:
+    """(module, name) of the public top-level functions and classes no reading file reads.
+
+    ``defining`` maps the file names whose definitions are checked to
+    source text; ``reading`` maps every file whose name loads and
+    attributes count to source text.
+    """
+    read = set().union(*map(names_read, reading.values()))
+    return sorted((name, node.name) for name, source in defining.items()
+                  for node in ast.parse(source).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in read)
 
 
 def unread_fields(defining: dict, reading: dict) -> list:
@@ -130,6 +154,15 @@ def test_checker_sees_an_unread_definition():
                                            ("a.py", "_dead"), ("b.py", "STALE")]
 
 
+def test_checker_sees_an_unread_public_definition():
+    defining = {"a.py": "def used(): pass\ndef dead(): pass\nclass Gone: pass\n"
+                        "class Base: pass\nclass Kept(Base): pass\ndef _private(): pass\n"
+                        "def by_attribute(): pass\n"}
+    reading = {**defining, "b.py": "from .a import used, dead, Kept\nused()\nKept()\n",
+               "bench.py": "import perspec.a\nperspec.a.by_attribute\n"}
+    assert unread_public(defining, reading) == [("a.py", "Gone"), ("a.py", "dead")]
+
+
 def test_checker_sees_an_unread_field():
     defining = {"a.py": "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n"
                         "    z: int = 0\n    def f(self):\n        return self.x\n"
@@ -169,6 +202,13 @@ def test_module_level_imports_are_used(path):
 def test_constants_and_private_definitions_are_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unread_definitions(sources) == []
+
+
+def test_public_definitions_are_read():
+    defining = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    reading = {str(p): p.read_text(encoding="utf-8")
+               for p in [*MODULES, *(ROOT / "perfbench").rglob("*.py")]}
+    assert set(unread_public(defining, reading)) == PUBLIC_EXEMPT
 
 
 def test_dataclass_fields_are_read():

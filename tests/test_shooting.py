@@ -9,7 +9,6 @@ from perspec import _stepper, green, shooting
 from perspec.cli import EXIT_OK, run_subcommand
 from perspec.errors import (EigenvalueProximityError, IntegrationError,
                             SolverError)
-from perspec.eigensolve import eigenfunction
 from perspec.shooting import SolverConfig, compute_phi_at_pi, solution_pairs
 from perspec.singular import (compute_p_over_f, default_cutoff, endpoint_branches,
                               integrating_factor, seed_vanishing_at_pi)
@@ -113,11 +112,6 @@ class TestPhiTrace:
                                                    "overflows") as exc:
             solution_pairs(sine_model, 1e6, ())
         assert 0.0 < exc.value.x_reached < PI
-
-    def test_trace_is_readonly(self, sine_model):
-        tr = eigenfunction(sine_model, 0.0)
-        with pytest.raises(ValueError):
-            tr.values[0] = 0.0
 
     def test_trace_subcommand_writes_the_march(self, tmp_path):
         # the dump is phi's lam column of the pairs, and every step of it
