@@ -97,18 +97,19 @@ class TestScan:
 class TestPhiTraceAtRefinedRoots:
     # the phi trace at an eigenvalue is column 0 of one solution_pairs march,
     # which trace --kind phi writes, and D there is read off the same march
-    def test_periodic_matching_on_the_trace_march(self, sine_model, scan_8, tmp_path):
-        for lam in scan_8.positive():
-            pairs = ps.solution_pairs(sine_model, float(lam), ())
-            plus, minus = pairs.phi_at_pi
-            assert abs(plus - minus) < 1e-6 * max(1.0, abs(plus), abs(minus))
-            out = tmp_path / "phi.csv"
-            assert run_subcommand(["trace", "--kind", "phi", "--lambda-re", repr(float(lam)),
-                                   "--lambda-im", "0", "--out", str(out)]) == EXIT_OK
-            x, re_u, im_u, re_pu, im_pu = np.loadtxt(out, delimiter=",", skiprows=1).T
-            assert np.array_equal(x, pairs.nodes)
-            assert np.array_equal(re_u + 1j * im_u, pairs.phi[:, 0])
-            assert np.array_equal(re_pu + 1j * im_pu, pairs.phi_qd[:, 0])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_periodic_matching_on_the_trace_march(self, sine_model, scan_8, n, tmp_path):
+        lam = float(scan_8.positive()[n])
+        pairs = ps.solution_pairs(sine_model, lam, ())
+        plus, minus = pairs.phi_at_pi
+        assert abs(plus - minus) < 1e-6 * max(1.0, abs(plus), abs(minus))
+        out = tmp_path / "phi.csv"
+        assert run_subcommand(["trace", "--kind", "phi", "--lambda-re", repr(lam),
+                               "--lambda-im", "0", "--out", str(out)]) == EXIT_OK
+        x, re_u, im_u, re_pu, im_pu = np.loadtxt(out, delimiter=",", skiprows=1).T
+        assert np.array_equal(x, pairs.nodes)
+        assert np.array_equal(re_u + 1j * im_u, pairs.phi[:, 0])
+        assert np.array_equal(re_pu + 1j * im_pu, pairs.phi_qd[:, 0])
 
     def test_reintegration_residual(self, sine_model, scan_8):
         lam = float(scan_8.positive()[0])

@@ -10,8 +10,8 @@ from perspec.cli import EXIT_OK, run_subcommand
 from perspec.errors import (EigenvalueProximityError, IntegrationError,
                             SolverError)
 from perspec.shooting import SolverConfig, compute_phi_at_pi, solution_pairs
-from perspec.singular import (compute_p_over_f, default_cutoff, endpoint_branches,
-                              integrating_factor, seed_vanishing_at_pi)
+from perspec.singular import (compute_log_p, compute_p_over_f, default_cutoff,
+                              endpoint_branches, integrating_factor, seed_vanishing_at_pi)
 
 PI = math.pi
 TIGHT = SolverConfig(rtol=1e-13, atol=1e-15)
@@ -268,6 +268,27 @@ class TestPsi:
         with pytest.raises(EigenvalueProximityError):
             solution_pairs(sine_model, 2.0, ())
 
+
+
+class TestQuasiDerivative:
+    # the second state component, which the Wronskian and trace's re_pu and
+    # im_pu columns read, is p times the slope of the first: against p times
+    # the centered difference (h = 1e-4) on [0.3, pi - 0.3] off the tent's
+    # kink, 0.8e-8 to 7.6e-8 of its largest value at lam = 0.7+1i and -lam
+    @pytest.mark.parametrize("name", ["phi", "psi"])
+    @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
+    @pytest.mark.parametrize("profile", [ps.sine_profile, ps.piecewise_linear_profile])
+    def test_quasi_derivative_is_p_times_the_slope(self, profile, eps, name):
+        model = ps.OperatorModel(profile=profile(), epsilon=eps)
+        h = 1e-4
+        x = np.linspace(0.3, PI - 0.3, 41)
+        for kink in model.profile.kinks:
+            x = x[np.abs(x - kink) > 0.05]
+        pairs = solution_pairs(model, 0.7 + 1j, np.concatenate([x - h, x, x + h]))
+        left, mid, right = pairs.requested.reshape(3, -1)
+        u, w = getattr(pairs, name), getattr(pairs, name + "_qd")
+        slope = np.exp(compute_log_p(model, x))[:, None] * (u[right] - u[left]) / (2 * h)
+        assert np.max(np.abs(w[mid] - slope)) < 1e-6 * np.max(np.abs(w[mid]))
 
 class TestSolutionPairs:
     def test_requested_nodes_are_mesh_nodes(self, sine_model):
