@@ -21,6 +21,10 @@ independently of the scan's mesh: each of 0 and the positive roots is
 marched as the columns lam and -lam on a mesh of its own, accepted for
 those two columns at lam's own cutoff, and D is read off the march that
 accepted it; the residuals are mirrored like the eigenvalues.
+
+Every march here is of real lam, so by shooting's conjugation rule
+(``shooting._mirrored``) the column -lam is never marched: it is the
+conjugate of the column lam, and each march steps one column per lam.
 """
 
 from __future__ import annotations
@@ -101,9 +105,10 @@ def dispersion(model: OperatorModel, lam: float,
 def dispersion_batch(model: OperatorModel, lams, mesh: SharedMesh) -> np.ndarray:
     """D(lam) at the mesh's cutoff for every lam in ``lams``, from one batched march.
 
-    The columns lam and -lam are marched together; for real lam and a real
-    profile they are exact conjugates, as in the scalar path, so D is
-    purely imaginary.  Complex lam march as complex columns.
+    The columns are lam and -lam.  For real lam the conjugation rule
+    (``shooting._mirrored``) marches lam alone and reads -lam as its
+    conjugate, so D is purely imaginary; complex lam have no mirror among
+    these columns and both are marched.
     """
     lams = np.asarray(lams).ravel()
     if not np.iscomplexobj(lams):

@@ -31,6 +31,18 @@ is a 2x2 matrix polynomial in kappa whose coefficients are computed once
 per mesh, and every lam is one column marched through the same
 propagators.
 
+One rule, ``_mirrored``, picks the columns a march steps.  For a real
+profile, phi(x, -conj lam) = conj phi(x, lam), and psi likewise, and the
+march keeps this bit for bit: every seed, step polynomial and product is
+conjugate-symmetric in kappa = -i*lam/eps.  So a column whose lam is
+-conj of an earlier column's lam is not marched; it is the conjugate of
+that column.  An exact repeat of a lam is the same column.  Seeds,
+``_march`` and ``_local_errors`` see only the marched columns; a mirrored
+column's step error is the same number, so the acceptance test is
+unchanged, and every column is rebuilt (``_unfold``) before anything else
+reads it.  Real lam and -lam are one marched column; complex kernel
+columns lam and -lam have no partner and are both marched.
+
 Every mesh is laid out one way, by ``_accepted_mesh``: it starts from
 ``_start_mesh`` (the requested nodes, the fit nodes, the breakpoints and
 the stepper's endpoint cap as a geometric collar), and every interval
@@ -43,8 +55,9 @@ failing again, which costs a whole further march.
 
 * ``boundary_values`` gives phi(pi, lam) for many lam on a ``SharedMesh``,
   seeded at its cutoff and fitted at pi.  ``shared_mesh`` accepts its mesh
-  for phi at +-lam_max at the default cutoff of lam_max, the smallest of
-  any |lam| it serves, and keeps phi(pi) from the march that accepted it.
+  for phi at +-lam_max (one marched column, by the conjugation rule) at the
+  default cutoff of lam_max, the smallest of any |lam| it serves, and
+  keeps phi(pi) from the march that accepted it.
 * ``solution_pairs`` gives phi and psi at lam and -lam on every node of a
   mesh that contains the requested nodes: the kernel's grid, the dyadic
   audit's Gauss nodes.  Its one cutoff delta is ``_cutoff``'s:
@@ -319,8 +332,10 @@ def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
 
     phi is seeded at delta and marched forward, and with ``with_psi`` psi
     is seeded at pi - delta and marched backward, one column per lam in
-    ``lams``; every interval whose step fails in any column is split, and
-    the marches repeat until every step passes.  More than
+    ``lams`` that the conjugation rule (``_mirrored``) marches; every
+    interval whose step fails in any column is split, and the marches
+    repeat until every step passes.  The returned states hold every
+    column of ``lams``.  More than
     ``MAX_STEPS`` nodes, or a split below 1e-14 relative, raises
     IntegrationError.  Returns the mesh, the forward step polynomials,
     phi's states (u, w) and psi's (None without ``with_psi``) on every node
@@ -328,6 +343,8 @@ def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
     accepted mesh.
     """
     mesh = _start_mesh(model, nodes, delta)
+    marched, source, mirrored = _mirrored(lams)
+    lams = lams[marched]
     kappa = -1j * lams / model.epsilon
     phi_seed = seed_regular_origin(model, lams, delta)
     _check_budget(len(mesh), mesh[min(MAX_STEPS, len(mesh) - 1)])
@@ -348,7 +365,9 @@ def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
                 psi = _march(steps[2][::-1], kappa, *psi_seed, every)
                 err = np.maximum(err, _local_errors(steps[3][::-1], kappa, *psi, config)[::-1])
         if np.all(err <= 1.0):
-            return mesh, steps[0], phi, psi, rounds
+            if with_psi:
+                psi = _unfold(psi, source, mirrored)
+            return mesh, steps[0], _unfold(phi, source, mirrored), psi, rounds
         mesh, steps = _split(model, mesh, steps, err)
 
 
@@ -357,7 +376,8 @@ def solution_pairs(model: OperatorModel, lam, nodes,
     """phi and psi at lam and -lam, marched through one mesh that contains ``nodes``.
 
     The mesh is accepted by ``_accepted_mesh`` at the one cutoff delta for
-    phi and psi, with lam and -lam as columns.  A Wronskian below
+    phi and psi, with lam and -lam as columns; for real lam the conjugation
+    rule marches one of them and mirrors the other.  A Wronskian below
     WRONSKIAN_FLOOR times max |phi*w_psi| means lam is numerically an
     eigenvalue.
     """
@@ -428,6 +448,28 @@ def _apply(P, u, w):
     return P[..., 0, 0] * u + P[..., 0, 1] * w, P[..., 1, 0] * u + P[..., 1, 1] * w
 
 
+def _mirrored(lams: np.ndarray):
+    """The conjugation rule: the columns of ``lams`` a march steps, and how the rest are read.
+
+    A column whose lam equals an earlier column's lam, or -conj of it, is
+    read from that column.  Returns the indices of the marched columns in
+    order, and per column the position of its source among them and
+    whether it is the source's conjugate.
+    """
+    # a dict, not np.unique: the first complex np.unique of a process costs
+    # it about 0.2 MB of resident memory, which every workload would pay
+    first = {}                                          # one key per pair {lam, -conj lam}
+    owner = np.array([first.setdefault(complex(abs(z.real), z.imag), i)
+                      for i, z in enumerate(lams.tolist())], dtype=int)
+    own = owner == np.arange(len(lams))
+    return np.flatnonzero(own), np.cumsum(own)[owner] - 1, lams != lams[owner]
+
+
+def _unfold(states: tuple, source: np.ndarray, mirrored: np.ndarray) -> tuple:
+    """Every column of the marched ``states`` (u, w), by ``_mirrored``'s map."""
+    return tuple(np.where(mirrored, np.conj(s[:, source]), s[:, source]) for s in states)
+
+
 def _march(coeffs: np.ndarray, kappa: np.ndarray, u: np.ndarray, w: np.ndarray, keep):
     """Columns (u, w), one per kappa, stepped through the step polynomials ``coeffs`` in order.
 
@@ -479,16 +521,19 @@ def boundary_values(model: OperatorModel, mesh: SharedMesh, lams) -> np.ndarray:
 
     Every lam is seeded at the mesh's cutoff delta = nodes[0], steps through
     every interval and is fitted at pi, as ``compute_phi_at_pi`` does with
-    that cutoff.  Only the fit nodes' states are kept, so memory stays
-    O(mesh + lams).
+    that cutoff.  Only the columns the conjugation rule (``_mirrored``)
+    picks are marched, so real lam and -lam cost one column.  Only the fit
+    nodes' states are kept, so memory stays O(mesh + lams).
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     if np.any(np.abs(lams) > mesh.lam_max):
         raise ValidationError(f"|lam| exceeds {mesh.lam_max}, the largest the mesh was checked for")
     delta = float(mesh.nodes[0])
     rows = _fit_rows(mesh.nodes, "pi", delta)
-    vals, _ = _march(mesh.coeffs, -1j * lams / model.epsilon,
-                     *seed_regular_origin(model, lams, delta), rows)
+    marched, source, mirrored = _mirrored(lams)
+    vals, _ = _unfold(_march(mesh.coeffs, -1j * lams[marched] / model.epsilon,
+                             *seed_regular_origin(model, lams[marched], delta), rows),
+                      source, mirrored)
     A, _, _ = _two_branch_fit(model, lams, "pi", mesh.nodes[rows], vals, delta)
     return A
 
@@ -500,7 +545,8 @@ def shared_mesh(model: OperatorModel, lam_max: float,
     It starts from ``_start_mesh`` without requested nodes, at the default
     cutoff of lam_max, which is the smallest of the grid's, and is
     accepted by ``_accepted_mesh`` for phi alone at lam_max and -lam_max,
-    whose last march gives phi(pi) there.  Since the seed error is
+    one marched column by the conjugation rule, whose last march gives
+    phi(pi) there.  Since the seed error is
     O(delta^2), that cutoff serves every column at least as well as the
     column's own default would.  Raises IntegrationError as
     ``_accepted_mesh`` does.

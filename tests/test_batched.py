@@ -159,3 +159,49 @@ class TestRefinement:
 
     def test_roots_are_certified(self, scan_8):
         assert np.max(scan_8.relative_residuals) < 1e-8
+
+
+def _march_spy(monkeypatch):
+    """The kappa of every call to ``shooting._march`` from here on, one array per call."""
+    kappas = []
+    march = shooting._march
+
+    def spy(coeffs, kappa, *args):
+        kappas.append(np.asarray(kappa))
+        return march(coeffs, kappa, *args)
+
+    monkeypatch.setattr(shooting, "_march", spy)
+    return kappas
+
+
+class TestConjugationRule:
+    def test_scan_marches_no_column_beside_its_conjugate(self, sine_model, monkeypatch):
+        # lam -> -conj lam maps kappa to conj kappa; no march carries a
+        # column with its conjugate or its repeat, and the scan marches
+        # one column per grid point
+        kappas = _march_spy(monkeypatch)
+        eigs = scan_and_refine(sine_model, 8.0, 0.05)
+        assert len(eigs.eigenvalues) == 7
+        for kappa in kappas:
+            twins = (kappa[:, None] == kappa) | (kappa[:, None] == np.conj(kappa))
+            np.fill_diagonal(twins, False)
+            assert not np.any(twins)
+        grid = np.arange(0.05, 8.0 + 0.025, 0.05)
+        widths = [len(kappa) for kappa in kappas]
+        assert len(grid) in widths and 2 * len(grid) not in widths
+
+    @pytest.mark.parametrize("lam, width", [(0.9 + 0.57j, 2), (1.5j, 2), (2.3, 1)])
+    def test_pairs_march_only_real_lam_once(self, sine_model, monkeypatch, lam, width):
+        # complex lam and -lam are no mirror pair (1.5i's mirror is itself)
+        kappas = _march_spy(monkeypatch)
+        shooting.solution_pairs(sine_model, lam, ())
+        assert kappas and all(len(kappa) == width for kappa in kappas)
+
+    @pytest.mark.parametrize("lam, width", [(2.3, 1), (0.9 + 0.57j, 2)])
+    def test_repeats_and_mirrors_are_read_not_marched(self, sine_model, monkeypatch,
+                                                      lam, width):
+        mesh = shared_mesh(sine_model, 3.0)
+        kappas = _march_spy(monkeypatch)
+        vals = boundary_values(sine_model, mesh, [lam, -lam, lam])
+        assert len(vals) == 3 and vals[2] == vals[0]
+        assert [len(kappa) for kappa in kappas] == [width]

@@ -143,11 +143,42 @@ class TestConjugationSymmetry:
         assert np.array_equal(dn, np.conj(up))
         assert np.array_equal(dn_qd, np.conj(up_qd))
 
-    def test_boundary_value_conjugate(self, sine_model):
+    @pytest.mark.parametrize("kind", PROFILES)
+    def test_boundary_value_conjugate(self, kind):
+        # the scalar reference mirrors too, on every profile the rule serves
+        model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=1.0)
         delta = default_cutoff(4.1)
-        a = compute_phi_at_pi(sine_model, 4.1, delta)
-        b = compute_phi_at_pi(sine_model, -4.1, delta)
+        a = compute_phi_at_pi(model, 4.1, delta)
+        b = compute_phi_at_pi(model, -4.1, delta)
         assert b == np.conj(a)
+
+    @pytest.mark.parametrize("lam", [2.3, 0.9 + 0.57j, -2.9 + 0.75j])
+    @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
+    @pytest.mark.parametrize("kind", PROFILES)
+    def test_march_steps_the_mirror_to_the_conjugate(self, kind, eps, lam):
+        # the fact below the conjugation rule: given both columns lam and
+        # -conj lam, the march itself steps the second to the conjugate of
+        # the first, phi forward and psi backward, seeds included; a seed
+        # one ulp off breaks it
+        model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=eps)
+        lams = np.array([lam, -np.conj(lam)], dtype=complex)
+        kappa = -1j * lams / eps
+        pairs = solution_pairs(model, lam, ())
+        x, delta = pairs.nodes, pairs.delta
+        h, every = np.diff(x), np.arange(len(x))
+        forward = shooting._step_coefficients(model, x[:-1], h)[0]
+        backward = shooting._step_coefficients(model, x[1:], -h)[0][::-1]
+        for coeffs, seed in ((forward, ps.seed_regular_origin(model, lams, delta)),
+                             (backward, seed_vanishing_at_pi(model, lams, delta))):
+            for part in seed:
+                assert np.array_equal(part[1], np.conj(part[0]))
+            u, w = shooting._march(coeffs, kappa, *seed, every)
+            assert np.array_equal(u[:, 1], np.conj(u[:, 0]))
+            assert np.array_equal(w[:, 1], np.conj(w[:, 0]))
+            nudged = seed[0].copy()
+            nudged[1] = complex(np.nextafter(nudged[1].real, np.inf), nudged[1].imag)
+            u, _ = shooting._march(coeffs, kappa, nudged, seed[1], every)
+            assert not np.array_equal(u[1:, 1], np.conj(u[1:, 0]))
 
     def test_phi_at_pi_real_on_imaginary_axis(self, sine_model):
         # lam = i tau is fixed by the conjugation map, so phi is real there
