@@ -127,9 +127,10 @@ class KernelGrid(_FullPeriod):
     """
 
     lam: complex
+    model: OperatorModel            # the running sums read its epsilon and its profile's breakpoints
     nodes: np.ndarray               # shared x- and s-grid
     weights: np.ndarray             # trapezoid weights
-    meta: dict
+    meta: dict                      # counters: wronskian_deviation, mesh_nodes, mesh_rounds
 
     @functools.cached_property
     def sup_norm(self) -> float:
@@ -202,9 +203,9 @@ def assemble_kernel(model: OperatorModel, lam, grid_size: int,
         raise EigenvalueProximityError(
             f"periodicity denominator |phi(pi)/phi(-pi) - 1| = {abs(full.denominator):.3e} "
             f"is numerically zero: lam = {lam} is an eigenvalue")
-    meta = {"model": model, "wronskian_deviation": pairs.wronskian_deviation,
+    meta = {"wronskian_deviation": pairs.wronskian_deviation,
             "mesh_nodes": len(pairs.nodes), "mesh_rounds": pairs.rounds}
-    return KernelGrid(lam=complex(lam), nodes=x, weights=w, meta=meta, **vars(full))
+    return KernelGrid(lam=complex(lam), model=model, nodes=x, weights=w, meta=meta, **vars(full))
 
 
 # Panel stencils of the running sums, in t-steps, on four consecutive nodes:
@@ -366,7 +367,7 @@ def _applied_parts(kernel: KernelGrid, summed):
     * part III = phi(x) int_(-pi)^pi w2 F / denominator.
     """
     n = len(kernel.nodes)
-    model = kernel.meta["model"]
+    model = kernel.model
     rule_i, rule_tail = _rules(n, model.profile.breakpoints, model.profile.kinks)
     tail = summed(rule_tail, np.arange(n - 1, -1, -1), kernel.w2[::-1])[::-1]
     part_i = np.zeros(tail.shape, complex)

@@ -10,11 +10,12 @@ The dyadic audit bounds the blocks of the triangular kernel part built
 from v = phi and w = psi * (-i p / (eps f)): level j splits [-pi, pi]
 into 2^(j+1) equal intervals and pairs even (for v) with odd (for w);
 each block norm is a product of interval L2 norms and must decay
-geometrically in j.  v and w come from green's full-period sampler on
-the Gauss nodes of all levels, every one a node of the mesh that
-``solution_pairs`` marches phi and psi through, as for the kernel;
-shooting caps the cutoff below the innermost of them
-(``shooting.CUTOFF_CAP``).
+geometrically in j.  Only the finest level is integrated, by Gauss
+panels on its intervals of (0, pi) whose abscissae are nodes of the mesh
+that ``solution_pairs`` marches phi and psi through, as for the kernel;
+green's full-period sampler reads their mirrors on (-pi, 0), and a
+coarser interval's squared norm is the sum of its halves'.  Shooting caps
+the cutoff below the abscissae nearest 0 and pi (``shooting.CUTOFF_CAP``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .green import KernelGrid, _full_period, kernel_matrix, solution_pairs
-from .profiles import OperatorModel, sorted_distinct
+from .profiles import OperatorModel
 from .shooting import DEFAULT_CONFIG, SolverConfig
 
 PI = math.pi
@@ -73,12 +74,6 @@ def singular_values(kernel: KernelGrid, orders=DEFAULT_ORDERS) -> SingularValueS
                                  values=alpha, schatten_norms=norms)
 
 
-def dyadic_intervals(level: int) -> np.ndarray:
-    """Edges of the 2^(level+1) equal intervals covering [-pi, pi]."""
-    count = 2 ** (level + 1)
-    return np.linspace(-PI, PI, count + 1)
-
-
 @dataclass(frozen=True, eq=False)
 class DyadicBoundReport:
     lam: complex
@@ -100,34 +95,33 @@ def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
                        config: SolverConfig = DEFAULT_CONFIG) -> DyadicBoundReport:
     """Per-level max block norm max_i ||v||_(I_2i,j) * ||w||_(I_2i+1,j).
 
-    All interval norms are computed with Gauss panels whose abscissae are
-    mesh nodes of the traces, so no interpolation enters and no node is
-    served by an endpoint local model: shooting caps the cutoff below the
-    outermost nodes.
+    Only the finest level's 2^levels intervals of (0, pi) take Gauss
+    panels, whose abscissae are mesh nodes of the traces, so no
+    interpolation enters and no node is served by an endpoint local model:
+    shooting caps the cutoff below the abscissae nearest 0 and pi.  A
+    mirrored panel holds its nodes reversed, which the symmetric Gauss
+    weights allow; a coarser interval's squared norm is the sum of its halves'.
     """
     if not 0 <= levels <= 8:
         raise ValidationError("levels must lie in 0..8 (interval count stays desk-scale)")
     gx, gw = np.polynomial.legendre.leggauss(DYADIC_GAUSS_ORDER)
-    panels = []
-    for j in range(levels + 1):
-        edges = dyadic_intervals(j)
-        a, b = edges[:-1], edges[1:]
-        panels.append((a[:, None] + np.outer(b - a, (gx + 1.0) / 2.0), (b - a) / 2.0))
-    pos = sorted_distinct(np.concatenate([np.abs(nodes.ravel()) for nodes, _ in panels]))
-    full = _full_period(model, solution_pairs(model, lam, pos, config))
-    x = np.concatenate([[-PI], -pos[::-1], [0.0], pos, [PI]])
-    v_sq = np.abs(full.phi) ** 2                      # v = phi
-    w_sq = np.abs(full.w2) ** 2                       # w = psi * (-i p / (eps f))
-
+    edges = np.linspace(0.0, PI, 2 ** levels + 1)
+    a, b = edges[:-1], edges[1:]
+    panels = a[:, None] + np.outer(b - a, (gx + 1.0) / 2.0)     # ascending, one row per interval
+    full = _full_period(model, solution_pairs(model, lam, panels.ravel(), config))
+    ends = [0, len(full.phi) // 2, len(full.phi) - 1]            # -pi, 0, pi
+    half_widths = np.concatenate([(b - a)[::-1], b - a]) / 2.0
+    # squared norms on the finest intervals of [-pi, pi], from -pi, of v = phi
+    # and w = psi * (-i p / (eps f))
+    v_sq, w_sq = ((np.abs(np.delete(g, ends)) ** 2).reshape(-1, DYADIC_GAUSS_ORDER) @ gw
+                  * half_widths for g in (full.phi, full.w2))
     alpha_hat = np.zeros(levels + 1)
     argmax = np.zeros(levels + 1, dtype=int)
-    for j, (nodes, jac) in enumerate(panels):
-        idx = np.searchsorted(x, nodes)
-        norm_v = np.sqrt((v_sq[idx[0::2]] @ gw) * jac[0::2])
-        norm_w = np.sqrt((w_sq[idx[1::2]] @ gw) * jac[1::2])
-        blocks = norm_v * norm_w
+    for j in range(levels, -1, -1):
+        blocks = np.sqrt(v_sq[0::2]) * np.sqrt(w_sq[1::2])
         alpha_hat[j] = np.max(blocks)
         argmax[j] = np.argmax(blocks >= (1.0 - ARGMAX_TIE) * alpha_hat[j])
+        v_sq, w_sq = v_sq[0::2] + v_sq[1::2], w_sq[0::2] + w_sq[1::2]
 
     fitted_m = float(np.max(alpha_hat * 2.0 ** np.arange(levels + 1)))
     ratios = alpha_hat[1:] / alpha_hat[:-1]

@@ -89,9 +89,9 @@ from .singular import (compute_p_over_f, default_cutoff, endpoint_branches,
 PI = math.pi
 CAP_FRAC = 0.5                           # step cap as fraction of endpoint distance
 # Cutoff cap, in units of the requested nodes' distance to 0 and pi.  Below
-# 1 it keeps every requested node out of the seed collar; below 0.5 it
-# keeps psi's fit node 4*delta off a node at twice the innermost one, which
-# is where the dyadic audit's next level puts its innermost Gauss node.
+# 1 it keeps every requested node out of the seed collar; below 0.5, off the
+# fit nodes delta and 2*delta as well.  It binds on kernel grids of 512 or more
+# intervals (unless |lam| is large), so another value would move those outputs.
 CUTOFF_CAP = 0.45
 WRONSKIAN_FLOOR = 1e-8                   # eigenvalue-proximity threshold factor
 FIT_MULTIPLES = np.array([1.0, 2.0, 4.0])  # endpoint fits read u at m*delta from the end
@@ -482,7 +482,9 @@ def _march(coeffs: np.ndarray, kappa: np.ndarray, u: np.ndarray, w: np.ndarray, 
     and then one step per block carries the columns across the chunk, so
     the chunk costs about L + chunk/L numpy calls instead of chunk.  L is
     isqrt(intervals / columns): with many columns every call already has
-    enough work, and L stays 1.
+    enough work, and L stays 1.  Since L and the chunk depend on the column
+    count, a column's rounding depends on how many columns share its march:
+    D(lam) is not bit-identical across batch sizes.
     """
     keep = np.asarray(keep)
     us = np.empty((len(keep), len(kappa)), dtype=complex)

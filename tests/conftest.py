@@ -33,7 +33,19 @@ def scan_8(sine_model):
 # two-term endpoint fit); agreement below 1e-5 cross-validates the stack
 REFERENCE_POSITIVE_EIGS = np.array([1.239839, 3.328857, 6.331584])
 
+# the same roots from the Fourier continuant: for f = (2/pi) sin x the
+# operator is tridiagonal in the basis e^(imx), and its m < 0 block, whose
+# determinant is a three-term continuant, holds the positive eigenvalues;
+# bisection at eps 1 with modes |m| <= N = 64000 (the truncation error falls
+# like N^(-2 sigma), sigma = pi / (2 eps))
+FOURIER_POSITIVE_EIGS = np.array([1.2398388223787, 3.3288573861963, 6.3315838441220])
+
 
 @pytest.fixture(scope="session")
 def reference_eigs():
     return REFERENCE_POSITIVE_EIGS
+
+
+@pytest.fixture(scope="session")
+def fourier_eigs():
+    return FOURIER_POSITIVE_EIGS

@@ -51,6 +51,12 @@ class TestScan:
         assert len(pos) == len(reference_eigs)
         np.testing.assert_allclose(pos, reference_eigs, atol=1e-5)
 
+    def test_matches_the_fourier_continuant(self, scan_8, fourier_eigs):
+        # the errors were 2.6e-11, 1.7e-10 and 8.5e-10
+        pos = scan_8.positive()
+        assert len(pos) == len(fourier_eigs)
+        np.testing.assert_allclose(pos, fourier_eigs, rtol=0.0, atol=2e-9)
+
     def test_negation_symmetry(self, scan_8):
         eigs = scan_8.eigenvalues
         np.testing.assert_allclose(np.sort(eigs), np.sort(-eigs)[::-1] * -1, atol=0)
