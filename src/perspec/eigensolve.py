@@ -16,11 +16,14 @@ every grid point is one column of a single batched march
 (``dispersion_batch``, which returns the array of D) seeded at the mesh's
 one cutoff, and the brackets are refined together by an Illinois
 (modified regula falsi) iteration, one batched march per step.  The
-residuals reported for the refined eigenvalues come from ``dispersion``,
-independently of the scan's mesh: each of 0 and the positive roots is
-marched as the columns lam and -lam on a mesh of its own, accepted for
-those two columns at lam's own cutoff, and D is read off the march that
-accepted it; the residuals are mirrored like the eigenvalues.
+residuals reported for the refined eigenvalues are measured independently
+of the scan's mesh: one further ``shared_mesh`` is laid out for the
+positive roots alone, accepted for the columns lam and -lam of every root
+at the cutoff of the largest root, no larger than any root's own, and D
+at each root is read off the march that accepted it; the residuals are
+mirrored like the eigenvalues.  The residual at 0 is exact by
+construction, not measured: 0 is an eigenvalue (constants solve Lu = 0),
+and its columns 0 and -0 are one column, so D(0) = 0 with no march.
 
 Every march here is of real lam, so by shooting's conjugation rule
 (``shooting._mirrored``) the column -lam is never marched: it is the
@@ -57,14 +60,15 @@ class DispersionValue:
 class EigenvalueList:
     model: OperatorModel
     eigenvalues: np.ndarray          # ascending, contains 0
-    residuals: np.ndarray            # |D(lam_n)|
+    residuals: np.ndarray            # |D(lam_n)|; at 0 exact by construction, not measured
     relative_residuals: np.ndarray   # |D| / max(1, |phi+|, |phi-|)
     lam_max: float
     resolution: float
     skipped: list                    # grid points where the integrator failed
     mesh_nodes: int                  # nodes of the shared mesh (0 when none was built)
     mesh_rounds: int                 # marches that laid the mesh out (0 when none was built)
-    marches: int                     # batched marches: mesh layout, scan and refinement
+    marches: int                     # batched marches: the scan mesh's layout, the scan,
+                                     # refinement and the certifying mesh's layout
     refine_iterations: list          # lockstep iterations per positive root
 
     def positive(self) -> np.ndarray:
@@ -93,7 +97,8 @@ def dispersion(model: OperatorModel, lam: float,
 
     The mesh is ``shared_mesh`` at |lam|: accepted for the columns lam and
     -lam at lam's own cutoff, independently of any scan grid.  Complex lam
-    go through ``dispersion_batch``.
+    go through ``dispersion_batch``.  No command calls it: ``scan_and_refine``
+    certifies all of its roots on one mesh.
     """
     if np.imag(lam) != 0:
         raise ValidationError(f"dispersion takes a real lam, got {lam}")
@@ -188,10 +193,11 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
                     config: SolverConfig = DEFAULT_CONFIG) -> EigenvalueList:
     """Bracket sign changes of Im D and refine them in lockstep.
 
-    Roots inside (0, resolution) are attributed to the known zero
-    eigenvalue; each bracket is refined to width 1e-10*(1+|lam|).  Grid
+    The grid starts at ``resolution``, so a root in (0, resolution) is not
+    looked for; each bracket is refined to width 1e-10*(1+|lam|).  Grid
     points the shared mesh cannot be built for (the step budget, say) are
-    skipped with the reason.
+    skipped with the reason.  The positive roots are certified together on
+    one mesh of their own; 0 is an eigenvalue by construction.
     """
     if lam_max <= 0 or resolution <= 0:
         raise ValidationError("lam_max and resolution must be positive")
@@ -217,18 +223,23 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
         roots, iterations, refine_marches = _refine(model, mesh, spans)
         marches += refine_marches
 
-    # attribute near-zero roots to the known zero eigenvalue, and drop the
-    # roots the grid's last half step finds above lam_max
-    keep = [i for i, r in enumerate(roots) if resolution / 2 <= r <= lam_max]
+    # drop the roots the grid's last half step finds above lam_max
+    keep = [i for i, r in enumerate(roots) if r <= lam_max]
     roots = [roots[i] for i in keep]
     iterations = [iterations[i] for i in keep]
 
-    # D(-lam) = -D(lam) from the same two columns: certify 0 and the positive
-    # roots, and mirror their residuals as the eigenvalues are mirrored
+    # D(-lam) = -D(lam) from the same two columns, and D(0) = 0 exactly:
+    # certify the positive roots on one mesh, and mirror their residuals as
+    # the eigenvalues are mirrored
     eigs = np.concatenate([[-r for r in reversed(roots)], [0.0], roots])
-    half = np.array([(abs(dv.D), abs(dv.D) / dv.scale)
-                     for dv in (dispersion(model, lam, config) for lam in [0.0] + roots)])
-    resid, rel = np.concatenate([half[:0:-1], half]).T
+    resid = rel = np.zeros(0)
+    if roots:
+        certified = shared_mesh(model, roots, config)
+        marches += certified.rounds
+        plus, minus = np.split(certified.phi_at_pi, 2)
+        resid = np.abs(plus - minus)
+        rel = resid / np.maximum(1.0, np.maximum(np.abs(plus), np.abs(minus)))
+    resid, rel = (np.concatenate([half[::-1], [0.0], half]) for half in (resid, rel))
 
     return EigenvalueList(model=model, eigenvalues=eigs, residuals=resid,
                           relative_residuals=rel, lam_max=float(lam_max),
@@ -239,9 +250,15 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
 
 
 def growth_slope(eigs: EigenvalueList) -> float | None:
-    """Least-squares slope of log(lam_n) against log(n) for the positive half."""
+    """Least-squares slope of log(lam_n) against log(n) for the positive half.
+
+    The closed form sum((x - mean x)*y) / sum((x - mean x)^2) gives polyfit's
+    number without a LAPACK call, whose first use raises the peak memory of
+    the process.
+    """
     pos = eigs.positive()
     if len(pos) < 2:
         return None
-    n = np.arange(1, len(pos) + 1, dtype=float)
-    return float(np.polyfit(np.log(n), np.log(pos), 1)[0])
+    x = np.log(np.arange(1, len(pos) + 1, dtype=float))
+    x -= x.mean()
+    return float(np.sum(x * np.log(pos)) / np.sum(x * x))

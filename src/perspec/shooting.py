@@ -54,10 +54,12 @@ depends on h/d; parts of equal width leave the part nearest the end
 failing again, which costs a whole further march.
 
 * ``boundary_values`` gives phi(pi, lam) for many lam on a ``SharedMesh``,
-  seeded at its cutoff and fitted at pi.  ``shared_mesh`` accepts its mesh
-  for phi at +-lam_max (one marched column, by the conjugation rule) at the
-  default cutoff of lam_max, the smallest of any |lam| it serves, and
-  keeps phi(pi) from the march that accepted it.
+  seeded at its cutoff and fitted at pi.  ``shared_mesh`` takes one real
+  lam or a set of them, accepts its mesh for phi at +-each (one marched
+  column per lam, by the conjugation rule) at the default cutoff of the
+  largest |lam|, the smallest of any |lam| it serves, and keeps phi(pi) at
+  each column from the march that accepted it: the scan lays out its grid's
+  mesh at the grid's top, and certifies all of its roots on one mesh.
 * ``solution_pairs`` gives phi and psi at lam and -lam on every node of a
   mesh that contains the requested nodes: the kernel's grid, the dyadic
   audit's Gauss nodes.  Its one cutoff delta is ``_cutoff``'s:
@@ -416,9 +418,10 @@ class SharedMesh:
     The first node is the cutoff delta every column is seeded at, and
     ``coeffs`` holds each interval's DOPRI5 step as a polynomial in kappa
     (``linear_step_coefficients``).  Every step passes the scalar
-    stepper's acceptance test for phi at +-``lam_max``; ``phi_at_pi`` holds
-    phi(pi) at lam_max and -lam_max from the march that accepted the mesh,
-    whose marches ``rounds`` counts.
+    stepper's acceptance test for phi at +-lam for every lam it was laid out
+    for, the largest |lam| being ``lam_max``; ``phi_at_pi`` holds phi(pi) at
+    those lam and then at their negatives, from the march that accepted the
+    mesh, whose marches ``rounds`` counts.
     """
 
     nodes: np.ndarray
@@ -540,23 +543,26 @@ def boundary_values(model: OperatorModel, mesh: SharedMesh, lams) -> np.ndarray:
     return A
 
 
-def shared_mesh(model: OperatorModel, lam_max: float,
+def shared_mesh(model: OperatorModel, lams,
                 config: SolverConfig = DEFAULT_CONFIG) -> SharedMesh:
-    """A mesh for every |lam| <= lam_max, laid out as ``solution_pairs`` lays out its own.
+    """A mesh for every |lam| <= max |lams|, laid out as ``solution_pairs`` lays out its own.
 
-    It starts from ``_start_mesh`` without requested nodes, at the default
-    cutoff of lam_max, which is the smallest of the grid's, and is
-    accepted by ``_accepted_mesh`` for phi alone at lam_max and -lam_max,
-    one marched column by the conjugation rule, whose last march gives
-    phi(pi) there.  Since the seed error is
-    O(delta^2), that cutoff serves every column at least as well as the
-    column's own default would.  Raises IntegrationError as
+    ``lams`` is one real lam or a set of them.  The mesh starts from
+    ``_start_mesh`` without requested nodes, at the default cutoff of
+    lam_max = max |lams|, which is the smallest of any |lam| it serves, and
+    is accepted by ``_accepted_mesh`` for phi alone at every lam and -lam,
+    one marched column per lam by the conjugation rule, whose last march
+    gives phi(pi) at the lams and then at their negatives.  Since the seed
+    error is O(delta^2), that cutoff serves every column at least as well as
+    the column's own default would.  Raises IntegrationError as
     ``_accepted_mesh`` does.
     """
+    lams = np.asarray(lams, dtype=float).ravel()
+    lam_max = float(np.max(np.abs(lams)))
     delta = _cutoff(lam_max)
-    lams = np.array([lam_max, -lam_max], dtype=complex)
+    lams = np.concatenate([lams, -lams]).astype(complex)
     nodes, coeffs, (phi, _), _, rounds = _accepted_mesh(model, lams, np.empty(0), delta, config)
     rows = _fit_rows(nodes, "pi", delta)
     at_pi = _two_branch_fit(model, lams, "pi", nodes[rows], phi[rows], delta)[0]
-    return SharedMesh(nodes=nodes, coeffs=coeffs, phi_at_pi=at_pi, lam_max=float(lam_max),
+    return SharedMesh(nodes=nodes, coeffs=coeffs, phi_at_pi=at_pi, lam_max=lam_max,
                       rounds=rounds)

@@ -71,12 +71,35 @@ class TestAgreementWithScalarPath:
             assert a.real == 0.0
 
 
+def _mesh_spy(monkeypatch):
+    """(lams, mesh) of every ``eigensolve.shared_mesh`` call from here on."""
+    calls = []
+
+    def spy(model, lams, *args):
+        calls.append((lams, shared_mesh(model, lams, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(eigensolve, "shared_mesh", spy)
+    return calls
+
+
 class TestSharedMesh:
     @pytest.mark.parametrize("kind", PROFILES)
     def test_phi_at_pi_is_the_layout_march(self, kind):
+        # phi(pi) at the lam and then at their negatives, at the largest
+        # |lam|'s cutoff; a float is the one-element set, bit for bit
         model = _model(kind)
         mesh = shared_mesh(model, 6.0)
         assert np.array_equal(mesh.phi_at_pi, boundary_values(model, mesh, [6.0, -6.0]))
+        listed = shared_mesh(model, [6.0])
+        for field in ("nodes", "coeffs", "phi_at_pi"):
+            assert np.array_equal(getattr(listed, field), getattr(mesh, field)), field
+        assert (listed.lam_max, listed.rounds) == (mesh.lam_max, mesh.rounds)
+        lams = np.array([3.3, 0.5, 6.0])
+        mesh = shared_mesh(model, lams)
+        assert mesh.lam_max == 6.0 and mesh.nodes[0] == default_cutoff(6.0)
+        want = boundary_values(model, mesh, np.concatenate([lams, -lams]))
+        assert np.array_equal(mesh.phi_at_pi, want)
 
     @pytest.mark.parametrize("kind", PROFILES)
     def test_dispersion_is_a_remarch(self, kind):
@@ -88,23 +111,34 @@ class TestSharedMesh:
             plus, minus = boundary_values(model, shared_mesh(model, abs(lam)), [lam, -lam])
             assert (got.phi_plus, got.phi_minus, got.D) == (plus, minus, plus - minus), lam
 
-    def test_roots_are_certified_on_their_own_meshes(self, sine_model, monkeypatch):
-        # one mesh serves the scan grid; 0 and each positive root are then
-        # certified on a mesh laid out for their own +-lam columns, and the
-        # residuals of the negative roots are those of their mirrors
-        built = []
-
-        def spy(model, lam_max, *args):
-            built.append(lam_max)
-            return shared_mesh(model, lam_max, *args)
-
-        monkeypatch.setattr(eigensolve, "shared_mesh", spy)
+    def test_roots_are_certified_on_one_mesh(self, sine_model, monkeypatch):
+        # one mesh serves the scan grid; the positive roots are then certified
+        # on one mesh laid out for their own +-lam columns, the residuals of
+        # the negative roots are those of their mirrors, and 0's is exact
+        calls = _mesh_spy(monkeypatch)
         eigs = scan_and_refine(sine_model, 8.0, 0.05)
         assert len(eigs.eigenvalues) == 7
-        nonneg = eigs.eigenvalues[eigs.eigenvalues >= 0.0]
-        assert built[0] == pytest.approx(8.0) and built[1:] == nonneg.tolist()
-        want = [abs(dispersion(sine_model, lam).D) for lam in nonneg]
-        assert eigs.residuals.tolist() == want[:0:-1] + want
+        pos = eigs.positive()
+        (top, scan), (roots, certified) = calls
+        assert top == pytest.approx(8.0) and roots == pos.tolist()
+        assert not np.array_equal(certified.nodes, scan.nodes)
+        plus, minus = np.split(boundary_values(sine_model, certified, np.concatenate([pos, -pos])),
+                               2)
+        want = np.abs(plus - minus)
+        assert eigs.residuals.tolist() == want[::-1].tolist() + [0.0] + want.tolist()
+        rel = want / np.maximum(1.0, np.maximum(np.abs(plus), np.abs(minus)))
+        assert eigs.relative_residuals.tolist() == rel[::-1].tolist() + [0.0] + rel.tolist()
+        for lam, got in zip(pos, plus - minus):
+            ref, scale = _scalar_dispersion(sine_model, lam, certified.nodes[0])
+            assert abs(got - ref) <= 1e-8 * scale, (lam, got, ref)
+
+    def test_no_root_builds_no_certifying_mesh(self, sine_model, monkeypatch):
+        # the grid up to 1 brackets no root, and 0 needs no march
+        calls = _mesh_spy(monkeypatch)
+        eigs = scan_and_refine(sine_model, 1.0, 0.05)
+        assert eigs.eigenvalues.tolist() == [0.0]
+        assert eigs.residuals.tolist() == [0.0] and eigs.relative_residuals.tolist() == [0.0]
+        assert [lams for lams, _ in calls] == [pytest.approx(1.0)]
 
 
 class TestSolverConfigKnobs:
@@ -143,7 +177,10 @@ class TestRefinement:
         assert d["mesh_rounds"] >= 2
         assert len(d["refine_iterations"]) == len(scan_8.positive())
         assert all(1 <= n <= 12 for n in d["refine_iterations"])
-        assert d["batched_marches"] >= 3 + max(d["refine_iterations"])
+        # the scan mesh's layout, the scan, refinement and the certifying mesh's layout
+        certified = shared_mesh(scan_8.model, scan_8.positive().tolist())
+        assert d["batched_marches"] == (d["mesh_rounds"] + 1 + max(d["refine_iterations"])
+                                        + certified.rounds)
 
     def test_iterate_on_the_root_closes_the_bracket(self, monkeypatch):
         # D = i*(e^lam - 20): the Illinois iterates land on log 20 from

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,25 @@ class TestScan:
     def test_growth_slope_positive_curvature(self, scan_8):
         slope = growth_slope(scan_8)
         assert 1.0 < slope < 2.4
+
+    @pytest.mark.parametrize("positive", [None, [1.3, 3.4]])
+    def test_growth_slope_is_the_least_squares_slope(self, scan_8, positive):
+        eigs = scan_8
+        if positive is not None:
+            pos = np.array(positive)
+            eigs = dataclasses.replace(scan_8, eigenvalues=np.concatenate([-pos[::-1], [0.0], pos]))
+        pos = eigs.positive()
+        want = np.polyfit(np.log(np.arange(1.0, len(pos) + 1)), np.log(pos), 1)[0]
+        assert growth_slope(eigs) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("resolution", [0.05, 0.7, 1.3])
+    def test_no_root_below_the_resolution(self, sine_model, fourier_eigs, resolution):
+        # the grid starts at the resolution, so a root in (0, resolution),
+        # such as 1.2398 at resolution 1.3, is not looked for
+        eigs = scan_and_refine(sine_model, 8.0, resolution)
+        pos = eigs.positive()
+        assert np.all(pos >= resolution)
+        np.testing.assert_allclose(pos, fourier_eigs[fourier_eigs >= resolution], atol=1e-7)
 
 
     def test_tabulated_eigenvalues_converge_past_second_order(self):

@@ -475,20 +475,32 @@ class TestSharedMesh:
     @pytest.mark.parametrize("eps", [0.45, 2.0])
     @pytest.mark.parametrize("kind", PROFILES)
     def test_every_step_passes_the_stepper_acceptance_test(self, kind, eps):
-        # the mesh is accepted at +-lam_max only; the interior of the grid rides along
+        # a mesh for one lam is accepted at +-lam_max only, and the interior of
+        # the grid rides along; a mesh for a set of lam, at the largest one's
+        # cutoff, is accepted in every column +-lam
         model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=eps)
         config = SolverConfig()
-        mesh = shooting.shared_mesh(model, 8.0, config)
-        x, h = mesh.nodes, np.diff(mesh.nodes)
-        every = np.arange(len(x))
-        for lam in (8.0, 0.3, 4.0):
-            lams = np.array([lam, -lam], dtype=complex)
-            seeds = ps.seed_regular_origin(model, lams, x[0])
-            u, w = shooting._march(mesh.coeffs, -1j * lams / eps, *seeds, every)
-            err = _dopri5_errors(model, lams, x[:-1], h, u[:-1], w[:-1], config.rtol,
+
+        def largest_errors(mesh, lams):
+            x, h = mesh.nodes, np.diff(mesh.nodes)
+            cols = np.concatenate([lams, -lams]).astype(complex)
+            seeds = ps.seed_regular_origin(model, cols, x[0])
+            u, w = shooting._march(mesh.coeffs, -1j * cols / eps, *seeds, np.arange(len(x)))
+            err = _dopri5_errors(model, cols, x[:-1], h, u[:-1], w[:-1], config.rtol,
                                  config.atol)
-            assert np.max(err) <= 1.0, (lam, np.max(err))
+            return np.max(err, axis=0)
+
+        mesh = shooting.shared_mesh(model, 8.0, config)
+        for lam in (8.0, 0.3, 4.0):
+            err = largest_errors(mesh, np.array([lam]))
+            assert np.all(err <= 1.0), (lam, err)
         assert mesh.rounds >= 2             # the start mesh alone fails the test
+
+        lams = np.array([1.3, 6.3, 3.4])
+        mesh = shooting.shared_mesh(model, lams, config)
+        assert mesh.lam_max == 6.3 and mesh.nodes[0] == default_cutoff(6.3)
+        err = largest_errors(mesh, lams)
+        assert np.all(err <= 1.0), err
 
 
 def mirror_audit(model, lam, config=SolverConfig(), n_nodes=25):
