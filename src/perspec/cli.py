@@ -230,6 +230,10 @@ def _add_common(sub: argparse.ArgumentParser, solving: bool = True) -> None:
         sub.add_argument("--atol", type=float, default=None)
 
 
+_RESOLUTION_HELP = ("bracketing step: the Chebyshev proxy of Im D is read this far apart, "
+                    "which costs no march; roots closer than it may go unseen")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="perspec",
                      description="spectral toolkit for the singular periodic "
@@ -244,7 +248,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("eigs", help="scan and refine real eigenvalues")
     _add_common(p)
     p.add_argument("--lmax", type=float, default=None)
-    p.add_argument("--resolution", type=float, default=None)
+    p.add_argument("--resolution", type=float, default=None, help=_RESOLUTION_HELP)
 
     p = subs.add_parser("trace", help="dump a solution trace or the weight table")
     _add_common(p)
@@ -276,7 +280,7 @@ def build_parser() -> _Parser:
     p.add_argument("--p", dest="p_orders", default=None, help="comma list of orders")
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--lmax", type=float, default=None)
-    p.add_argument("--resolution", type=float, default=None)
+    p.add_argument("--resolution", type=float, default=None, help=_RESOLUTION_HELP)
     p.add_argument("--eigs-file", dest="eigs_file", default=None,
                    help="reuse eigenvalues from a previous eigs run")
     return parser

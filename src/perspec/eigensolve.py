@@ -10,24 +10,39 @@ function whose sign changes bracket the eigenvalues.
 D(-lam) = -D(lam) holds exactly (the same two boundary values swap), so
 only the positive half-axis is scanned and the result is mirrored.
 
-The scan and the refinement march on one shared mesh (``shooting.shared_mesh``),
-laid out by the marches' own step-error test at the top of the grid:
-every grid point is one column of a single batched march
-(``dispersion_batch``, which returns the array of D) seeded at the mesh's
-one cutoff, and the brackets are refined together by an Illinois
-(modified regula falsi) iteration, one batched march per step.  The
-residuals reported for the refined eigenvalues are measured independently
-of the scan's mesh: one further ``shared_mesh`` is laid out for the
-positive roots alone, accepted for the columns lam and -lam of every root
-at the cutoff of the largest root, no larger than any root's own, and D
-at each root is read off the march that accepted it; the residuals are
-mirrored like the eigenvalues.  The residual at 0 is exact by
-construction, not measured: 0 is an eigenvalue (constants solve Lu = 0),
-and its columns 0 and -0 are one column, so D(0) = 0 with no march.
+The scan does not march its grid.  On one shared mesh
+(``shooting.shared_mesh``), laid out by the marches' own step-error test
+at the top of the grid, D is an entire function of lam, so Im D on
+[-top, top] is represented to rounding by a short Chebyshev series (Boyd,
+SIAM J. Numer. Anal. 40, 2002).  ``_chebyshev_proxy`` samples it at nested
+Clenshaw-Curtis points: being odd, it is marched at the positive points
+only, in one batched march (``dispersion_batch``) per degree, and the
+degree doubles until the tail of the odd coefficients reaches the
+rounding plateau (Aurentz & Trefethen, ACM TOMS 43, 2017), or until its
+positive points would outnumber the grid's.  The proxy is
+evaluated by Clenshaw's recurrence on the grid of step ``resolution``,
+which costs no march; a grid point whose proxy value lies within the
+proxy's tail bound has no trusted sign and is marched on the true D.
+Im D leaves 0 with slope -2*pi for every model, so a root in
+(0, resolution) is bracketed too.  The brackets are refined together by
+an Illinois (modified regula falsi) iteration on the true D, one batched
+march per step.
+
+The residuals reported for the refined eigenvalues are measured
+independently of the scan's mesh: one further ``shared_mesh`` is laid out
+for the positive roots alone, accepted for the columns lam and -lam of
+every root at the cutoff of the largest root, no larger than any root's
+own, and D at each root is read off the march that accepted it; the
+residuals are mirrored like the eigenvalues.  The residual at 0 is exact
+by construction, not measured: 0 is an eigenvalue (constants solve
+Lu = 0), and its columns 0 and -0 are one column, so D(0) = 0 with no
+march.
 
 Every march here is of real lam, so by shooting's conjugation rule
 (``shooting._mirrored``) the column -lam is never marched: it is the
 conjugate of the column lam, and each march steps one column per lam.
+Nothing here calls BLAS, LAPACK or an FFT: the first such call of a
+process raises its peak memory.
 """
 
 from __future__ import annotations
@@ -35,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from .errors import IntegrationError, ValidationError
 from .profiles import OperatorModel
@@ -42,6 +58,8 @@ from .shooting import (DEFAULT_CONFIG, SharedMesh, SolverConfig, boundary_values
                        shared_mesh)
 
 MAX_REFINE_ITERATIONS = 100
+PROXY_DEGREE = 32          # Chebyshev degree of the proxy's first march
+PROXY_PLATEAU = 1e-13      # tail of the odd coefficients, over the largest, that ends the doubling
 
 
 @dataclass(frozen=True)
@@ -63,12 +81,15 @@ class EigenvalueList:
     residuals: np.ndarray            # |D(lam_n)|; at 0 exact by construction, not measured
     relative_residuals: np.ndarray   # |D| / max(1, |phi+|, |phi-|)
     lam_max: float
-    resolution: float
-    skipped: list                    # grid points where the integrator failed
+    resolution: float                # bracketing step: the proxy's sign is read this far apart
+    skipped: list                    # grid points the shared mesh cannot be built for
     mesh_nodes: int                  # nodes of the shared mesh (0 when none was built)
     mesh_rounds: int                 # marches that laid the mesh out (0 when none was built)
-    marches: int                     # batched marches: the scan mesh's layout, the scan,
-                                     # refinement and the certifying mesh's layout
+    proxy_degree: int                # Chebyshev degree n of the proxy of Im D (0 when no mesh)
+    proxy_tail: float                # largest of its last odd coefficients over its largest
+    marches: int                     # batched marches: the scan mesh's layout, the proxy's
+                                     # points (one per degree), the doubtful grid points (at
+                                     # most one), refinement and the certifying mesh's layout
     refine_iterations: list          # lockstep iterations per positive root
 
     def positive(self) -> np.ndarray:
@@ -85,6 +106,8 @@ class EigenvalueList:
             "skipped": list(self.skipped),
             "mesh_nodes": self.mesh_nodes,
             "mesh_rounds": self.mesh_rounds,
+            "proxy_degree": self.proxy_degree,
+            "proxy_tail": self.proxy_tail,
             "batched_marches": self.marches,
             "refine_iterations": list(self.refine_iterations),
             "growth_slope": growth_slope(self),
@@ -146,6 +169,75 @@ def _served_mesh(model: OperatorModel, grid: np.ndarray, config: SolverConfig):
     return mesh, lo, [{"lam": float(lam), "reason": reason} for lam in grid[lo:]]
 
 
+def _odd_dct(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients c_0..c_{n-1} of the degree-n interpolant of an odd function.
+
+    ``values`` are the function at the positive points cos(pi*j/n), j < n/2.
+    The point 0 (j = n/2) is a root and the negative points are mirrors, so
+    the even coefficients and c_n vanish, and the DCT-I folds to
+    c_k = (4/n) * sum_j w_j f_j cos(pi*j*k/n) for odd k, w_0 = 1/2 and the
+    other w_j = 1, summed against the cosine table.  Neither a matrix
+    product nor einsum: with glibc's mmap threshold pinned at 128 KB, an
+    einsum here raised a spectrum pass's peak memory by about 0.25 MB.
+    """
+    n = 2 * len(values)
+    j = np.arange(n // 2)
+    table = np.cos(np.pi / n * np.outer(np.arange(1, n, 2), j))
+    coeffs = np.zeros(n)
+    coeffs[1::2] = (4.0 / n) * np.sum(table * (np.where(j == 0, 0.5, 1.0) * values), axis=1)
+    return coeffs
+
+
+def _chebyshev_proxy(model: OperatorModel, mesh: SharedMesh, top: float, points: int):
+    """Chebyshev series of Im D on [-top, top], from nested Clenshaw-Curtis points.
+
+    The degree n starts at PROXY_DEGREE, or at 2*points when that is
+    smaller, and doubles, marching only the new points, while the tail of
+    the odd coefficients (the largest of their last quarter) exceeds
+    PROXY_PLATEAU times the largest coefficient and the n/2 positive points
+    stay no more than ``points``.  Returns the coefficients in x/top, the
+    tail bound (as many times the tail as there are odd coefficients; no
+    value of the series is trusted to be closer than that to D), the tail
+    ratio and the marches run.
+    """
+    n = min(PROXY_DEGREE, 2 * points)
+    values = dispersion_batch(model, top * np.cos(np.pi / n * np.arange(n // 2)), mesh).imag
+    marches = 1
+    while True:
+        coeffs = _odd_dct(values)
+        odd = np.abs(coeffs[1::2])
+        tail = float(np.max(odd[-max(1, len(odd) // 4):]))
+        ratio = tail / float(np.max(odd)) if tail else 0.0
+        if ratio <= PROXY_PLATEAU or n > points:
+            return coeffs, len(odd) * tail, ratio, marches
+        n *= 2
+        new = dispersion_batch(model, top * np.cos(np.pi / n * np.arange(1, n // 2, 2)), mesh).imag
+        values = np.stack([values, new], axis=1).ravel()
+        marches += 1
+
+
+def _brackets(grid: np.ndarray, r: np.ndarray) -> list:
+    """(lo, hi, r_lo, r_hi) for every sign change of Im D from 0 to the last of ``grid``.
+
+    ``r`` is Im D on the (nonempty) ``grid``; lo == hi marks an exact root.  Im D leaves
+    0 with slope -2*pi for every model (to first order in lam the constant
+    solution is 1 + lam*v with eps*f*v' + v = -i*x, whose regular branch
+    has v(pi) = -i*pi, and D'(0) = 2*v(pi)), so it is negative just right of
+    0, and a positive first value brackets a root in (0, grid[0]).  That
+    bracket's end 0 carries -r[0], so that its first iterate bisects.
+    """
+    spans = []
+    if r[0] > 0.0:
+        spans.append((0.0, float(grid[0]), -r[0], r[0]))
+    for k in range(len(r) - 1):
+        ra, rb = r[k], r[k + 1]
+        if ra == 0.0:
+            spans.append((float(grid[k]), float(grid[k]), ra, rb))
+        elif ra * rb < 0.0:
+            spans.append((float(grid[k]), float(grid[k + 1]), ra, rb))
+    return spans
+
+
 def _refine(model: OperatorModel, mesh: SharedMesh, brackets: list) -> tuple[list, list, int]:
     """Illinois iteration on every bracket in lockstep: one batched march per iteration.
 
@@ -191,13 +283,19 @@ def _refine(model: OperatorModel, mesh: SharedMesh, brackets: list) -> tuple[lis
 
 def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
                     config: SolverConfig = DEFAULT_CONFIG) -> EigenvalueList:
-    """Bracket sign changes of Im D and refine them in lockstep.
+    """Bracket sign changes of Im D on a Chebyshev proxy and refine them in lockstep on D.
 
-    The grid starts at ``resolution``, so a root in (0, resolution) is not
-    looked for; each bracket is refined to width 1e-10*(1+|lam|).  Grid
-    points the shared mesh cannot be built for (the step budget, say) are
-    skipped with the reason.  The positive roots are certified together on
-    one mesh of their own; 0 is an eigenvalue by construction.
+    The proxy (``_chebyshev_proxy``) is fitted on [-top, top], top the
+    highest grid point the shared mesh serves, and its sign is read on the
+    grid ``resolution``, 2*resolution, ... up to lam_max + resolution/2,
+    which costs no march: ``resolution`` is the bracketing step, so two
+    roots closer than it may go unseen.  Grid points where the proxy lies
+    within its tail bound are marched on the true D.  Im D is negative
+    just right of 0, so a root in (0, resolution) is bracketed too.  Each
+    bracket is refined on the true D to width 1e-10*(1+|lam|).  Grid points
+    the shared mesh cannot be built for (the step budget, say) are skipped
+    with the reason.  The positive roots are certified together on one mesh
+    of their own; 0 is an eigenvalue by construction.
     """
     if lam_max <= 0 or resolution <= 0:
         raise ValidationError("lam_max and resolution must be positive")
@@ -206,18 +304,21 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
     if not len(grid):
         raise ValidationError(f"empty scan grid: resolution {resolution} >= 2*lam_max")
     mesh, served, skipped = _served_mesh(model, grid, config)
-    marches = 0
+    grid = grid[:served]
+    marches = degree = 0
+    tail = 0.0
+    spans = []
     if served:
-        r = dispersion_batch(model, grid[:served], mesh).imag
-        marches = mesh.rounds + 1
-
-    spans = []                                   # (lo, hi, r_lo, r_hi); lo == hi: exact root
-    for k in range(served - 1):
-        ra, rb = r[k], r[k + 1]
-        if ra == 0.0:
-            spans.append((float(grid[k]), float(grid[k]), ra, rb))
-        elif ra * rb < 0.0:
-            spans.append((float(grid[k]), float(grid[k + 1]), ra, rb))
+        top = float(grid[-1])
+        coeffs, bound, tail, proxy_marches = _chebyshev_proxy(model, mesh, top, served)
+        degree = len(coeffs)
+        marches = mesh.rounds + proxy_marches
+        r = chebval(grid / top, coeffs)
+        doubtful = np.abs(r) <= bound
+        if np.any(doubtful):
+            r[doubtful] = dispersion_batch(model, grid[doubtful], mesh).imag
+            marches += 1
+        spans = _brackets(grid, r)
     roots, iterations = [], []
     if spans:
         roots, iterations, refine_marches = _refine(model, mesh, spans)
@@ -246,6 +347,7 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
                           resolution=float(resolution), skipped=skipped,
                           mesh_nodes=len(mesh.nodes) if mesh else 0,
                           mesh_rounds=mesh.rounds if mesh else 0,
+                          proxy_degree=degree, proxy_tail=tail,
                           marches=marches, refine_iterations=iterations)
 
 

@@ -177,10 +177,15 @@ class TestRefinement:
         assert d["mesh_rounds"] >= 2
         assert len(d["refine_iterations"]) == len(scan_8.positive())
         assert all(1 <= n <= 12 for n in d["refine_iterations"])
-        # the scan mesh's layout, the scan, refinement and the certifying mesh's layout
+        # the scan mesh's layout, the proxy's marches (one at degree 32, one
+        # more per doubling), refinement and the certifying mesh's layout; no
+        # grid point of this scan lies within the proxy's tail bound, so none
+        # is marched on D
+        assert d["proxy_degree"] == eigensolve.PROXY_DEGREE
+        proxy_marches = round(math.log2(d["proxy_degree"] / eigensolve.PROXY_DEGREE)) + 1
         certified = shared_mesh(scan_8.model, scan_8.positive().tolist())
-        assert d["batched_marches"] == (d["mesh_rounds"] + 1 + max(d["refine_iterations"])
-                                        + certified.rounds)
+        assert d["batched_marches"] == (d["mesh_rounds"] + proxy_marches
+                                        + max(d["refine_iterations"]) + certified.rounds)
 
     def test_iterate_on_the_root_closes_the_bracket(self, monkeypatch):
         # D = i*(e^lam - 20): the Illinois iterates land on log 20 from
@@ -214,18 +219,27 @@ def _march_spy(monkeypatch):
 class TestConjugationRule:
     def test_scan_marches_no_column_beside_its_conjugate(self, sine_model, monkeypatch):
         # lam -> -conj lam maps kappa to conj kappa; no march carries a
-        # column with its conjugate or its repeat, and the scan marches
-        # one column per grid point
-        kappas = _march_spy(monkeypatch)
-        eigs = scan_and_refine(sine_model, 8.0, 0.05)
-        assert len(eigs.eigenvalues) == 7
-        for kappa in kappas:
-            twins = (kappa[:, None] == kappa) | (kappa[:, None] == np.conj(kappa))
-            np.fill_diagonal(twins, False)
-            assert not np.any(twins)
-        grid = np.arange(0.05, 8.0 + 0.025, 0.05)
-        widths = [len(kappa) for kappa in kappas]
-        assert len(grid) in widths and 2 * len(grid) not in widths
+        # column with its conjugate or its repeat.  The scan marches the 16
+        # positive Chebyshev points of degree 32 on [-8, 8] and no march as
+        # wide as its grid, and a grid ten times finer marches the same
+        # scan mesh and proxy columns
+        scans = []
+        for resolution in (0.05, 0.005):
+            kappas = _march_spy(monkeypatch)
+            eigs = scan_and_refine(sine_model, 8.0, resolution)
+            assert len(eigs.eigenvalues) == 7
+            for kappa in kappas:
+                twins = (kappa[:, None] == kappa) | (kappa[:, None] == np.conj(kappa))
+                np.fill_diagonal(twins, False)
+                assert not np.any(twins)
+            grid = np.arange(resolution, 8.0 + resolution / 2, resolution)
+            assert max(len(kappa) for kappa in kappas) < len(grid)
+            proxy = kappas[eigs.mesh_rounds]
+            want = -1j * (8.0 * np.cos(np.pi / 32 * np.arange(16))).astype(complex)
+            assert np.array_equal(proxy, want / sine_model.epsilon)
+            scans.append(kappas[:eigs.mesh_rounds + 1])
+        assert all(np.array_equal(a, b) for a, b in zip(*scans))
+        assert len(scans[0]) == len(scans[1])
 
     @pytest.mark.parametrize("lam, width", [(0.9 + 0.57j, 2), (1.5j, 2), (2.3, 1)])
     def test_pairs_march_only_real_lam_once(self, sine_model, monkeypatch, lam, width):

@@ -244,6 +244,7 @@ class TestEigs:
         results = json.loads(written[0])["results"]
         assert results["mesh_nodes"] > 0 and results["batched_marches"] > 0
         assert len(results["refine_iterations"]) == 2           # roots near 1.24 and 3.33
+        assert results["proxy_degree"] == 32 and 0.0 < results["proxy_tail"] <= 1e-13
 
 
 class TestSchatten:

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as C
 
 import perspec as ps
+from perspec import eigensolve
 from perspec.cli import EXIT_OK, run_subcommand
-from perspec.eigensolve import dispersion, growth_slope, scan_and_refine
+from perspec.eigensolve import dispersion, dispersion_batch, growth_slope, scan_and_refine
 from perspec.errors import ValidationError
 from perspec.shooting import SolverConfig
 
@@ -97,14 +99,11 @@ class TestScan:
         assert growth_slope(eigs) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("resolution", [0.05, 0.7, 1.3])
-    def test_no_root_below_the_resolution(self, sine_model, fourier_eigs, resolution):
-        # the grid starts at the resolution, so a root in (0, resolution),
-        # such as 1.2398 at resolution 1.3, is not looked for
+    def test_root_below_the_resolution_is_found(self, sine_model, fourier_eigs, resolution):
+        # Im D is negative just right of 0, so 1.2398 is bracketed in
+        # (0, 1.3) at resolution 1.3
         eigs = scan_and_refine(sine_model, 8.0, resolution)
-        pos = eigs.positive()
-        assert np.all(pos >= resolution)
-        np.testing.assert_allclose(pos, fourier_eigs[fourier_eigs >= resolution], atol=1e-7)
-
+        np.testing.assert_allclose(eigs.positive(), fourier_eigs, rtol=0.0, atol=2e-9)
 
     def test_tabulated_eigenvalues_converge_past_second_order(self):
         # the table's end slopes are the normalized 2/pi, so 1/f - pi/(2x)
@@ -118,6 +117,119 @@ class TestScan:
             roots.append(scan_and_refine(model, 4.0, 0.05).eigenvalues)
         assert len(roots[0]) == len(roots[1]) == 5
         assert np.max(np.abs(roots[0] - roots[1])) < 2e-7
+
+
+def _grid_scan(model, mesh, lam_max, resolution):
+    """A scan that marches every grid point on ``mesh`` and refines on it: the grid, Im D, the roots.
+
+    It is the scan the Chebyshev proxy replaced, kept here as a reference
+    for it; it does not look below the first grid point.
+    """
+    grid = np.arange(resolution, lam_max + resolution / 2, resolution)
+    r = dispersion_batch(model, grid, mesh).imag
+    spans = [(grid[k], grid[k + 1], r[k], r[k + 1]) for k in range(len(grid) - 1)
+             if r[k] * r[k + 1] < 0.0]
+    roots = eigensolve._refine(model, mesh, spans)[0] if spans else []
+    return grid, r, np.array([x for x in roots if x <= lam_max])
+
+
+def _spy(monkeypatch, name):
+    """The (arguments, result) of every call to ``eigensolve.<name>`` from here on."""
+    calls, real = [], getattr(eigensolve, name)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(eigensolve, name, spy)
+    return calls
+
+
+# sine and tent at eps 0.2 to 3, lmax 8 and 32; the tent at eps 0.2 and
+# lmax 32 would add half a second and no path the sine there does not take
+# (the proxy doubles twice, to degree 128)
+PROXY_CASES = [(kind, eps, lam_max, resolution) for kind in ("sine", "tent")
+               for eps in (0.2, 0.45, 1.0, 3.0)
+               for lam_max, resolution in ((8.0, 0.1), (32.0, 0.4))
+               if (kind, eps, lam_max) != ("tent", 0.2, 32.0)]
+
+
+class TestChebyshevProxy:
+    @pytest.mark.parametrize("kind, eps, lam_max, resolution", PROXY_CASES)
+    def test_roots_match_the_grid_scan(self, kind, eps, lam_max, resolution, monkeypatch):
+        profile = ps.sine_profile() if kind == "sine" else ps.piecewise_linear_profile()
+        model = ps.OperatorModel(profile=profile, epsilon=eps)
+        meshes, proxies = _spy(monkeypatch, "shared_mesh"), _spy(monkeypatch, "_chebyshev_proxy")
+        eigs = scan_and_refine(model, lam_max, resolution)
+        mesh = meshes[0][1]
+        grid, r, want = _grid_scan(model, mesh, lam_max, resolution)
+        got = eigs.positive()
+        assert len(want) >= 2 and len(got) == len(want)
+        assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + want)), np.abs(got - want)
+        # the proxy the scan read: within its tail bound of Im D on the grid,
+        # and its slope at 0 the -2 pi the brackets assume, within the mesh's
+        # 1e-8 and what coefficient errors as large as the tail's make of a
+        # slope, sum over odd k < n of k * tail / top
+        (_, _, top, _), (coeffs, bound, tail, _) = proxies[0]
+        n = len(coeffs)
+        assert top == mesh.lam_max and (eigs.proxy_degree, eigs.proxy_tail) == (n, tail)
+        assert tail <= eigensolve.PROXY_PLATEAU
+        assert np.max(np.abs(C.chebval(grid / top, coeffs) - r)) <= bound
+        slope = C.chebval(0.0, C.chebder(coeffs)) / top
+        assert abs(slope + 2 * PI) <= 2 * PI * 1e-8 + bound * n / (2 * top), slope
+
+    def test_capped_degree_is_checked_on_the_grid(self, sine_model, fourier_eigs, monkeypatch):
+        # at resolution 1.3 the grid has 6 points, so the degree stops at 12,
+        # short of the plateau; the proxy still lies within its tail bound
+        # of Im D on the grid, and the points where it is doubtful are
+        # marched on D
+        meshes, proxies = _spy(monkeypatch, "shared_mesh"), _spy(monkeypatch, "_chebyshev_proxy")
+        batches = _spy(monkeypatch, "dispersion_batch")
+        eigs = scan_and_refine(sine_model, 8.0, 1.3)
+        grid, r, _ = _grid_scan(sine_model, meshes[0][1], 8.0, 1.3)
+        (_, _, top, _), (coeffs, bound, tail, _) = proxies[0]
+        assert eigs.proxy_degree == 12 and tail > eigensolve.PROXY_PLATEAU
+        proxy = C.chebval(grid / top, coeffs)
+        assert np.max(np.abs(proxy - r)) <= bound
+        doubtful = grid[np.abs(proxy) <= bound]
+        assert len(doubtful) and any(np.array_equal(args[1], doubtful) for args, _ in batches)
+        np.testing.assert_allclose(eigs.positive(), fourier_eigs, rtol=0.0, atol=2e-9)
+
+    def test_dct_gives_the_interpolant(self):
+        # an odd polynomial of degree 15 is its own degree-16 interpolant
+        want = np.zeros(16)
+        want[1::2] = np.linspace(1.0, -0.5, 8) ** 3
+        x = np.cos(np.pi * np.arange(8) / 16)
+        np.testing.assert_allclose(eigensolve._odd_dct(C.chebval(x, want)), want,
+                                   rtol=0.0, atol=1e-14)
+
+    def test_close_pair_is_bracketed_at_the_resolution(self):
+        # an odd series negative just right of 0 with roots a and a + 1e-3:
+        # a step of 1e-4 brackets each, a step of 1e-2 neither
+        a, b = 0.41234, 0.41334
+        coeffs = C.poly2cheb(-np.polynomial.polynomial.polyfromroots([0.0, -a, a, -b, b]))
+        for step, want in ((1e-4, [a, b]), (1e-2, [])):
+            grid = np.arange(step, 1.0 + step / 2, step)
+            spans = eigensolve._brackets(grid, C.chebval(grid, coeffs))
+            assert len(spans) == len(want)
+            for (lo, hi, rlo, rhi), root in zip(spans, want):
+                assert lo < root < hi and hi - lo == pytest.approx(step) and rlo * rhi < 0
+
+    def test_root_below_the_first_grid_point(self, monkeypatch):
+        # Im D = x (x^2 - 0.3^2) is negative just right of 0 and positive at
+        # 0.5; 0's end of the bracket carries minus the other end's value,
+        # and the refinement never evaluates at 0
+        def fake(model, lams, mesh):
+            assert np.all(np.asarray(lams) > 0.0)
+            return np.array([1j * lam * (lam ** 2 - 0.09) for lam in lams])
+
+        grid = np.array([0.5, 1.0])
+        r = fake(None, grid, None).imag
+        spans = eigensolve._brackets(grid, r)
+        assert spans == [(0.0, 0.5, -r[0], r[0])]
+        monkeypatch.setattr(eigensolve, "dispersion_batch", fake)
+        roots, iters, _ = eigensolve._refine(None, None, spans)
+        assert abs(roots[0] - 0.3) <= 1e-10 * 1.5 and iters[0] <= 12
 
 
 class TestPhiTraceAtRefinedRoots:
