@@ -44,11 +44,11 @@ Parts I and II are semiseparable and part III has rank one, so
 under their own names -- ``phi``, ``psi``, ``log_pf`` = log(p/f), ``w2``
 = the weighted psi, and the ``denominator`` -- and applies it by three
 running sums, each accumulated outward from the point where its
-integrand vanishes.  The dense matrix is built from the rules' own
-weights, a block of columns at a time, only for the uses that need one:
-the SVD, the kernel dump and sup|G|; its columns are taken against the
-grid's trapezoid weights, which the SVD's symmetrisation and the error
-norms read.
+integrand vanishes, and reports sup|G| from them.  The dense matrix is
+built from the rules' own weights, a block of columns at a time, only
+for the uses that need one: the SVD and the kernel dump; its columns are
+taken against the grid's trapezoid weights, which the SVD's
+symmetrisation and the error norms read.
 """
 
 from __future__ import annotations
@@ -130,21 +130,38 @@ class KernelGrid(_FullPeriod):
     model: OperatorModel            # the running sums read its epsilon and its profile's breakpoints
     nodes: np.ndarray               # shared x- and s-grid
     weights: np.ndarray             # trapezoid weights
-    meta: dict                      # counters: wronskian_deviation, mesh_nodes, mesh_rounds
+    # counters: wronskian_deviation (rounding only when phi and psi step through
+    # the same propagators; it checks their pairing, not their truncation
+    # error), mesh_nodes, mesh_rounds
+    meta: dict
 
     @functools.cached_property
     def sup_norm(self) -> float:
-        """max |G| over the grid, from the dense kernel's column blocks on first use.
+        """max |G(x_i, s_j)| over the grid's nodes, from the generators, KERNEL_BLOCK rows at once.
 
-        An entry is the kernel times the running sums' weight of s_j over
-        its trapezoid weight w_j.  That ratio is near 1 away from the
-        diagonal and the segment ends; next to them it is the rule's end
-        weights (8/24 to 31/24), so the one-sided diagonal entries of
-        parts I and II do not double-count the diagonal limit, and sup|G|
-        reads up to 31/24 of the kernel's own sup (1.32 against 0.996 on
-        the sine profile at lam = i).
+        The entries are the kernel's own, on ``_applied_parts``' supports:
+        part I where s lies between 0 and x, part II where s >= x, part III
+        everywhere.  The kernel is continuous across the diagonal, which is
+        counted once: part I stops short of s = x for x > 0, where its limit
+        is part II's, and for x < 0 parts I and II cancel there.  Part I is
+        0 on the rows 0 and +-pi, which ``_applied_parts`` does not sum.
+        The dense kernel's entries carry the running sums' weights over the
+        trapezoid weights, up to 31/24 beside the diagonal (1.32 against
+        0.996 on the sine profile at lam = i), so they are not read here.
         """
-        return float(np.max([np.max(np.abs(block)) for _, block in _column_blocks(self)]))
+        x = self.nodes
+        psi = np.where(np.isnan(self.psi), 0.0, self.psi) * (-1j / self.model.epsilon)
+        weighted_phi = np.zeros(len(x), complex)    # infinite at +-pi, met only on the rows +-pi
+        weighted_phi[1:-1] = self.phi[1:-1] * np.exp(self.log_pf[1:-1])
+        sup = 0.0
+        for start in range(0, len(x), KERNEL_BLOCK):
+            rows = slice(start, start + KERNEL_BLOCK)
+            xr = x[rows, None]
+            part_i = (np.minimum(xr, 0.0) <= x) & (x < np.maximum(xr, 0.0))
+            g = np.where(part_i, psi[rows, None] * weighted_phi, 0.0)
+            g += self.phi[rows, None] * self.w2 * ((x >= xr) + 1.0 / self.denominator)
+            sup = max(sup, float(np.max(np.abs(g))))
+        return sup
 
 
 def _outward_sides(n: int):

@@ -66,9 +66,19 @@ failing again, which costs a whole further march.
   ``singular.default_cutoff(lam)``, capped at CUTOFF_CAP times the
   requested nodes' distances to 0 and to pi so that no requested node
   falls inside the seed collar.  The mesh is accepted
-  for phi and psi at lam and -lam; psi is marched backward with steps of
-  negative length.  Its phi column at lam is also the phi trace of
-  ``trace --kind phi``, with its ``phi_at_pi``.
+  for phi and psi at lam and -lam.  Its phi column at lam is also the phi
+  trace of ``trace --kind phi``, with its ``phi_at_pi``.
+
+psi is marched backward through the adjugates of phi's forward steps, in
+reverse interval order; no backward step is built.  The system is
+trace-free (A and B are nilpotent), so by Liouville's formula its exact
+propagator has determinant 1 and its inverse is its adjugate
+[[C11, -C01], [-C10, C00]]: adj(P_k) is a backward step of the method's
+own order.  adj is linear on 2x2 matrices, so adj(E_k), applied to psi at
+the interval's right end, is exactly the embedded estimate of the
+adjugate pair adj(P5) - adj(P4), and psi's steps pass that test.  phi and
+psi then keep their Wronskian up to rounding:
+W_{k+1} = det(P_k) W_k / det(P_k).
 """
 
 from __future__ import annotations
@@ -225,12 +235,15 @@ class SolutionPairs:
     order.  Value and quasi-derivative arrays have one row per node.  psi
     is scaled per column by ``wronskian``, the Wronskian of the unscaled
     psi at the node nearest pi/2; ``wronskian_deviation`` is the largest
-    |W/W0 - 1| over every node and both columns.  The endpoint parts are
-    two-branch fits: phi's regular part and psi's singular part at pi,
-    and psi's singular part (exponent -sigma) at 0, each in the local
-    model of its own endpoint (``singular.endpoint_branches``).  ``rounds``
-    counts the marches of the mesh refinement, the last one on the
-    accepted mesh.
+    |W/W0 - 1| over every node and both columns.  Since psi steps through
+    the adjugates of phi's steps, W is conserved up to rounding whatever
+    the steps' truncation error: the deviation checks that phi and psi
+    are paired through the same propagators, not how accurate they are.
+    The endpoint parts are two-branch fits: phi's regular part and psi's
+    singular part at pi, and psi's singular part (exponent -sigma) at 0,
+    each in the local model of its own endpoint
+    (``singular.endpoint_branches``).  ``rounds`` counts the marches of
+    the mesh refinement, the last one on the accepted mesh.
     """
 
     lam: complex
@@ -293,10 +306,10 @@ def _split(model: OperatorModel, mesh: np.ndarray, steps: tuple, err: np.ndarray
 
     The parts are equal in log d, d the distance to the nearer end, where a
     step's error depends on h/d; pi/2 is a node of every start mesh, so no
-    interval crosses it.  ``steps`` holds the forward step and error
-    polynomials of the ascending intervals, followed by the backward ones
-    when psi is marched; those of unsplit intervals are kept.  Returns the
-    new mesh and its ``steps``.
+    interval crosses it.  ``steps`` holds the step and error polynomials
+    of the ascending intervals; those of unsplit intervals are kept, and
+    the new parts' are built forward.  Returns the new mesh and its
+    ``steps``.
     """
     fail = ~(err <= 1.0)                                  # nan fails too
     parts = np.where(fail, np.ceil(SPLIT_SAFETY * np.nan_to_num(err, nan=np.inf) ** 0.2), 1.0)
@@ -316,11 +329,8 @@ def _split(model: OperatorModel, mesh: np.ndarray, steps: tuple, err: np.ndarray
         x0 = float(start[int(np.argmax(small))])
         raise IntegrationError(f"step size underflow at x = {x0:.6g}; the coefficient "
                                "degenerates faster than the mesh can follow", x_reached=x0)
-    fresh = _step_coefficients(model, start, h)
-    if len(steps) > 2:
-        fresh += _step_coefficients(model, new[1:][changed], -h)
     out = []
-    for old, built in zip(steps, fresh):
+    for old, built in zip(steps, _step_coefficients(model, start, h)):
         arr = np.empty((len(owner),) + old.shape[1:])
         arr[~changed] = old[owner[~changed]]
         arr[changed] = built
@@ -333,11 +343,13 @@ def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
     """The mesh from ``_start_mesh`` split until every marched step passes the stepper's test.
 
     phi is seeded at delta and marched forward, and with ``with_psi`` psi
-    is seeded at pi - delta and marched backward, one column per lam in
-    ``lams`` that the conjugation rule (``_mirrored``) marches; every
-    interval whose step fails in any column is split, and the marches
-    repeat until every step passes.  The returned states hold every
-    column of ``lams``.  More than
+    is seeded at pi - delta and marched backward through the adjugates of
+    the same steps and checked by the adjugates of their error polynomials,
+    one column per lam in ``lams`` that the conjugation rule
+    (``_mirrored``) marches; every interval whose step fails in any column
+    is split, and the marches repeat until every step passes.  Only
+    forward steps are built: on the start mesh and for the parts of each
+    split.  The returned states hold every column of ``lams``.  More than
     ``MAX_STEPS`` nodes, or a split below 1e-14 relative, raises
     IntegrationError.  Returns the mesh, the forward step polynomials,
     phi's states (u, w) and psi's (None without ``with_psi``) on every node
@@ -350,11 +362,9 @@ def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
     kappa = -1j * lams / model.epsilon
     phi_seed = seed_regular_origin(model, lams, delta)
     _check_budget(len(mesh), mesh[min(MAX_STEPS, len(mesh) - 1)])
-    h = np.diff(mesh)                                    # psi steps have negative length
-    steps = _step_coefficients(model, mesh[:-1], h)
+    steps = _step_coefficients(model, mesh[:-1], np.diff(mesh))
     if with_psi:
         psi_seed = seed_vanishing_at_pi(model, lams, delta)
-        steps += _step_coefficients(model, mesh[1:], -h)
     rounds = 0
     while True:
         rounds += 1
@@ -364,8 +374,9 @@ def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
             err = _local_errors(steps[1], kappa, *phi, config)
             psi = None
             if with_psi:
-                psi = _march(steps[2][::-1], kappa, *psi_seed, every)
-                err = np.maximum(err, _local_errors(steps[3][::-1], kappa, *psi, config)[::-1])
+                back, back_err = _adjugate(steps[0][::-1]), _adjugate(steps[1][::-1])
+                psi = _march(back, kappa, *psi_seed, every)
+                err = np.maximum(err, _local_errors(back_err, kappa, *psi, config)[::-1])
         if np.all(err <= 1.0):
             if with_psi:
                 psi = _unfold(psi, source, mirrored)
@@ -432,10 +443,7 @@ class SharedMesh:
 
 
 def _step_coefficients(model: OperatorModel, x0: np.ndarray, h: np.ndarray) -> tuple:
-    """Step and error polynomials of the steps from x0 to x0 + h, coefficients read at the stage points.
-
-    A negative h is a backward step, taken from the right end of its interval.
-    """
+    """Step and error polynomials of the steps from x0 to x0 + h, coefficients read at the stage points."""
     out = np.empty((len(h), 2, 2, KAPPA_DEGREE + 1))
     err = np.empty((len(h), 2, 2, KAPPA_DEGREE + 2))
     for i in range(0, len(h), STEP_BLOCK):
@@ -445,6 +453,14 @@ def _step_coefficients(model: OperatorModel, x0: np.ndarray, h: np.ndarray) -> t
         inv_p = 1.0 / (np.asarray(eval_f(model.profile, x)) * pf)
         out[part], err[part] = linear_step_coefficients(h[part], inv_p, pf)
     return out, err
+
+
+def _adjugate(coeffs: np.ndarray) -> np.ndarray:
+    """adj C = [[C11, -C01], [-C10, C00]] of every interval's 2x2 polynomial, coefficient-wise."""
+    out = np.empty_like(coeffs)
+    out[:, 0, 0], out[:, 1, 1] = coeffs[:, 1, 1], coeffs[:, 0, 0]
+    out[:, 0, 1], out[:, 1, 0] = -coeffs[:, 0, 1], -coeffs[:, 1, 0]
+    return out
 
 
 def _apply(P, u, w):

@@ -145,20 +145,27 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _table():
+    x = np.linspace(0.0, PI, 41)
+    return ps.tabulated_profile(x, (2 / PI) * np.sin(x) * (1.0 + 0.1 * np.sin(x) ** 2))
+
+
+PROXY_PROFILES = {"sine": ps.sine_profile, "tent": ps.piecewise_linear_profile, "table": _table}
+
 # sine and tent at eps 0.2 to 3, lmax 8 and 32; the tent at eps 0.2 and
 # lmax 32 would add half a second and no path the sine there does not take
-# (the proxy doubles twice, to degree 128)
+# (the proxy doubles twice, to degree 128); a tabulated profile at eps 1
 PROXY_CASES = [(kind, eps, lam_max, resolution) for kind in ("sine", "tent")
                for eps in (0.2, 0.45, 1.0, 3.0)
                for lam_max, resolution in ((8.0, 0.1), (32.0, 0.4))
                if (kind, eps, lam_max) != ("tent", 0.2, 32.0)]
+PROXY_CASES += [("table", 1.0, 8.0, 0.1), ("table", 1.0, 32.0, 0.4)]
 
 
 class TestChebyshevProxy:
     @pytest.mark.parametrize("kind, eps, lam_max, resolution", PROXY_CASES)
     def test_roots_match_the_grid_scan(self, kind, eps, lam_max, resolution, monkeypatch):
-        profile = ps.sine_profile() if kind == "sine" else ps.piecewise_linear_profile()
-        model = ps.OperatorModel(profile=profile, epsilon=eps)
+        model = ps.OperatorModel(profile=PROXY_PROFILES[kind](), epsilon=eps)
         meshes, proxies = _spy(monkeypatch, "shared_mesh"), _spy(monkeypatch, "_chebyshev_proxy")
         eigs = scan_and_refine(model, lam_max, resolution)
         mesh = meshes[0][1]

@@ -5,6 +5,7 @@ import pytest
 
 import perspec as ps
 from perspec import shooting
+from perspec._stepper import KAPPA_DEGREE
 from perspec.cli import EXIT_OK, run_subcommand
 from perspec.errors import (EigenvalueProximityError, GridMismatchError,
                             ValidationError)
@@ -114,9 +115,29 @@ class TestKernelStructure:
         assert kernel_matrix(k, "I")[i, j] == 0.0
 
     def test_sup_norm_reported(self, kernel_256):
+        # the kernel's own sup, 0.996; the dense entries carry the running
+        # sums' end weights beside the diagonal and read up to 1.32
         assert 0.1 < kernel_256.sup_norm < 10.0
-        # taken block by block, it is the max of the dense kernel bit for bit
-        assert kernel_256.sup_norm == float(np.max(np.abs(kernel_matrix(kernel_256))))
+        assert kernel_256.sup_norm < 0.8 * float(np.max(np.abs(kernel_matrix(kernel_256))))
+
+    @pytest.mark.parametrize("lam", [1j, 0.9 + 0.57j, -2.9 + 0.75j])
+    @pytest.mark.parametrize("profile", [ps.sine_profile, ps.piecewise_linear_profile])
+    def test_sup_norm_is_the_largest_kernel_entry(self, profile, lam):
+        # node by node: parts I and II on their closed supports off the
+        # diagonal, and on it their limit from s > x
+        k = ps.assemble_kernel(ps.OperatorModel(profile=profile(), epsilon=1.0), lam, 64)
+        x, c, n = k.nodes, -1j / k.model.epsilon, len(k.nodes)
+        sup = 0.0
+        for i in range(n):
+            for j in range(n):
+                g = k.phi[i] * k.w2[j] / k.denominator
+                if x[j] >= x[i]:
+                    g += k.phi[i] * k.w2[j]
+                between = x[i] * x[j] >= 0.0 and abs(x[j]) <= abs(x[i])
+                if 0.0 < abs(x[i]) < PI and between and (j != i or x[i] < 0.0):
+                    g += k.psi[i] * c * k.phi[j] * math.exp(k.log_pf[j])
+                sup = max(sup, abs(g))
+        assert k.sup_norm == pytest.approx(sup, rel=1e-14)
 
     def test_eigenvalue_proximity_detected(self, sine_model, scan_8):
         lam1 = float(scan_8.positive()[0])        # refined to ~1e-10 width
@@ -125,6 +146,17 @@ class TestKernelStructure:
 
     def test_wronskian_deviation_recorded(self, kernel_256):
         assert kernel_256.meta["wronskian_deviation"] < 1e-6
+
+    def test_wronskian_deviation_sees_mismatched_propagators(self, sine_model, monkeypatch):
+        # psi stepped through the adjugates of phi's steps one interval off
+        real = shooting._adjugate
+
+        def shifted(coeffs):
+            out = real(coeffs)
+            return np.roll(out, 1, axis=0) if coeffs.shape[-1] == KAPPA_DEGREE + 1 else out
+
+        monkeypatch.setattr(shooting, "_adjugate", shifted)
+        assert assemble_kernel(sine_model, 1j, 256).meta["wronskian_deviation"] > 1e-6
 
     def test_mesh_counters_recorded(self, sine_model, kernel_256):
         again = assemble_kernel(sine_model, 1j, 256)

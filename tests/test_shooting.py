@@ -48,12 +48,13 @@ def _wronskian(pairs):
     return pairs.psi_qd * pairs.phi - pairs.phi_qd * pairs.psi
 
 
-def _dopri5_errors(model, lams, x0, h, u, w, rtol, atol):
-    """The scalar stepper's err for one DOPRI5 step per interval, stepped elementwise.
+def _dopri5_step(model, lams, x0, h, u, w):
+    """One DOPRI5 step per interval, stepped elementwise: its end state and its error estimate.
 
     Steps go from x0 to x0 + h, started at (u, w) (shape: intervals x
-    columns), with one column per lam in ``lams``; the formula is that of
-    ``integrate_quasi_system``.
+    columns), with one column per lam in ``lams``; the formulas are those
+    of ``integrate_quasi_system``.  Both results have shape (2, intervals,
+    columns), u first.
     """
     kappa = -1j * np.asarray(lams) / model.epsilon
 
@@ -69,9 +70,37 @@ def _dopri5_errors(model, lams, x0, h, u, w, rtol, atol):
         ks.append(np.array(rhs(x0 + c * h, y)))
     y_new = y0 + h[:, None] * sum(b * k for b, k in zip(_stepper._B_ROW, ks))
     ks.append(np.array(rhs(x0 + h, y_new)))
-    err = h[:, None] * sum(e * k for e, k in zip(_stepper._E_ROW, ks))
+    return y_new, h[:, None] * sum(e * k for e, k in zip(_stepper._E_ROW, ks))
+
+
+def _scaled_error(y0, y_new, err, rtol, atol):
+    """The scalar stepper's err of steps from y0 to y_new with error estimate ``err``."""
     sc = atol + rtol * np.maximum(np.abs(y0), np.abs(y_new))
     return np.sqrt(0.5 * np.sum((np.abs(err) / sc) ** 2, axis=0))
+
+
+def _dopri5_errors(model, lams, x0, h, u, w, rtol, atol):
+    """The scalar stepper's err for one DOPRI5 step per interval, stepped elementwise."""
+    y_new, err = _dopri5_step(model, lams, x0, h, u, w)
+    return _scaled_error(np.array([u, w]), y_new, err, rtol, atol)
+
+
+def _adjugate_errors(model, lams, x, u, w, rtol, atol):
+    """The err of the adjugate pair's steps, which march (u, w) from x[k + 1] back to x[k].
+
+    The forward step P and its error E on each interval come from the
+    elementwise stages started on the unit states, one column of P and E
+    each; adj(P) and adj(E) are applied to (u, w) at the interval's right
+    end, as the stepper's test reads a backward step.
+    """
+    shape = (len(x) - 1, len(lams))
+    ones, zeros = np.ones(shape, complex), np.zeros(shape, complex)
+    (p00, p10), (e00, e10) = _dopri5_step(model, lams, x[:-1], np.diff(x), ones, zeros)
+    (p01, p11), (e01, e11) = _dopri5_step(model, lams, x[:-1], np.diff(x), zeros, ones)
+    u, w = u[1:], w[1:]
+    y_new = np.array([p11 * u - p01 * w, p00 * w - p10 * u])
+    err = np.array([e11 * u - e01 * w, e00 * w - e10 * u])
+    return _scaled_error(np.array([u, w]), y_new, err, rtol, atol)
 
 
 class TestPhiTrace:
@@ -167,7 +196,7 @@ class TestConjugationSymmetry:
         x, delta = pairs.nodes, pairs.delta
         h, every = np.diff(x), np.arange(len(x))
         forward = shooting._step_coefficients(model, x[:-1], h)[0]
-        backward = shooting._step_coefficients(model, x[1:], -h)[0][::-1]
+        backward = shooting._adjugate(forward[::-1])
         for coeffs, seed in ((forward, ps.seed_regular_origin(model, lams, delta)),
                              (backward, seed_vanishing_at_pi(model, lams, delta))):
             for part in seed:
@@ -411,6 +440,33 @@ class TestSolutionPairs:
         monkeypatch.setattr(shooting, "_local_errors", phi_only)
         assert error() > 1e-6
 
+    @pytest.mark.parametrize("kind", PROFILES)
+    def test_psi_matches_a_tight_run_at_small_eps(self, kind):
+        # at eps 0.45, where a backward DOPRI5 step's estimate reads above 1
+        # on some of psi's adjugate steps, psi is 4.1e-11 off a tight run
+        model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=0.45)
+        nodes, lam = _kernel_nodes(512), 0.9 + 0.57j
+        got, want = (solution_pairs(model, lam, nodes, config) for config in
+                     (SolverConfig(), TIGHT))
+        want = want.psi[want.requested]
+        assert np.max(np.abs(got.psi[got.requested] - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_steps_are_built_forward_once_per_march(self, sine_model, monkeypatch):
+        # psi steps through the adjugates of phi's steps, so the start mesh
+        # and each split round build step polynomials once, all of positive length
+        calls, real = [], shooting._step_coefficients
+
+        def spy(model, x0, h):
+            calls.append(h)
+            return real(model, x0, h)
+
+        monkeypatch.setattr(shooting, "_step_coefficients", spy)
+        nodes = _kernel_nodes(256)
+        pairs = solution_pairs(sine_model, 0.9 + 0.57j, nodes)
+        assert pairs.rounds >= 2 and len(calls) == pairs.rounds
+        assert all(np.all(h > 0.0) for h in calls)
+        assert len(calls[0]) == len(shooting._start_mesh(sine_model, nodes, pairs.delta)) - 1
+
     @pytest.mark.parametrize("lam", [0.9 + 0.57j, -2.9 + 0.75j])
     @pytest.mark.parametrize("eps", [0.45, 2.0])
     @pytest.mark.parametrize("kind", PROFILES)
@@ -421,9 +477,11 @@ class TestSolutionPairs:
         x, h = pairs.nodes, np.diff(pairs.nodes)
         phi_err = _dopri5_errors(model, [lam, -lam], x[:-1], h, pairs.phi[:-1],
                                  pairs.phi_qd[:-1], config.rtol, config.atol)
+        # psi steps back through the adjugates of phi's steps, checked by the
+        # adjugate pair's own estimate (a backward DOPRI5 step's read up to
+        # 1.016 on them at eps 0.45)
         psi, psi_qd = pairs.psi * pairs.wronskian, pairs.psi_qd * pairs.wronskian   # unscaled
-        psi_err = _dopri5_errors(model, [lam, -lam], x[1:], -h, psi[1:], psi_qd[1:],
-                                 config.rtol, config.atol)
+        psi_err = _adjugate_errors(model, [lam, -lam], x, psi, psi_qd, config.rtol, config.atol)
         assert np.max(phi_err) <= 1.0 and np.max(psi_err) <= 1.0
         assert pairs.rounds >= 2            # the start mesh alone fails the test
 
