@@ -3,9 +3,12 @@
 D(lam) = phi(pi, lam) - phi(-pi, lam), with phi(-pi, lam) obtained as
 phi(pi, -lam) through the half-interval reduction -- the negative half is
 never integrated.  For a real profile and real lam the two boundary
-values are exact complex conjugates (the construction mirrors bit for
-bit), so D is purely imaginary and its imaginary part is a real secular
-function whose sign changes bracket the eigenvalues.
+values are complex conjugates (the march is conjugate-symmetric in
+kappa = -i*lam/eps, so a column -lam would come out as the conjugate of
+the column lam bit for bit), so D(lam) = 2i*Im phi(pi, lam) is purely
+imaginary and its imaginary part is a real secular function whose sign
+changes bracket the eigenvalues.  Every march here is of real lam, and
+each marches the column lam alone and reads -lam as its conjugate.
 
 D(-lam) = -D(lam) holds exactly (the same two boundary values swap), so
 only the positive half-axis is scanned and the result is mirrored.
@@ -30,17 +33,13 @@ march per step.
 
 The residuals reported for the refined eigenvalues are measured
 independently of the scan's mesh: one further ``shared_mesh`` is laid out
-for the positive roots alone, accepted for the columns lam and -lam of
-every root at the cutoff of the largest root, no larger than any root's
-own, and D at each root is read off the march that accepted it; the
-residuals are mirrored like the eigenvalues.  The residual at 0 is exact
-by construction, not measured: 0 is an eigenvalue (constants solve
-Lu = 0), and its columns 0 and -0 are one column, so D(0) = 0 with no
-march.
+for the positive roots alone, accepted for the column of every root at
+the cutoff of the largest root, no larger than any root's own, and D at
+each root is read off the march that accepted it; the residuals are
+mirrored like the eigenvalues.  The residual at 0 is exact by
+construction, not measured: 0 is an eigenvalue (constants solve Lu = 0),
+and phi(pi, 0) is real, so D(0) = 0 with no march.
 
-Every march here is of real lam, so by shooting's conjugation rule
-(``shooting._mirrored``) the column -lam is never marched: it is the
-conjugate of the column lam, and each march steps one column per lam.
 Nothing here calls BLAS, LAPACK or an FFT: the first such call of a
 process raises its peak memory.
 """
@@ -54,8 +53,8 @@ from numpy.polynomial.chebyshev import chebval
 
 from .errors import IntegrationError, ValidationError
 from .profiles import OperatorModel
-from .shooting import (DEFAULT_CONFIG, SharedMesh, SolverConfig, boundary_values,
-                       shared_mesh)
+from .shooting import (DEFAULT_CONFIG, SharedMesh, SolverConfig, _real_lams,
+                       boundary_values, shared_mesh)
 
 MAX_REFINE_ITERATIONS = 100
 PROXY_DEGREE = 32          # Chebyshev degree of the proxy's first march
@@ -69,17 +68,13 @@ class DispersionValue:
     phi_plus: complex      # phi(pi, lam)
     phi_minus: complex     # phi(-pi, lam) = phi(pi, -lam)
 
-    @property
-    def scale(self) -> float:
-        return max(1.0, abs(self.phi_plus), abs(self.phi_minus))
-
 
 @dataclass(frozen=True, eq=False)
 class EigenvalueList:
     model: OperatorModel
     eigenvalues: np.ndarray          # ascending, contains 0
     residuals: np.ndarray            # |D(lam_n)|; at 0 exact by construction, not measured
-    relative_residuals: np.ndarray   # |D| / max(1, |phi+|, |phi-|)
+    relative_residuals: np.ndarray   # |D| / max(1, |phi(pi, lam)|), as large at -lam
     lam_max: float
     resolution: float                # bracketing step: the proxy's sign is read this far apart
     skipped: list                    # grid points the shared mesh cannot be built for
@@ -116,34 +111,28 @@ class EigenvalueList:
 
 def dispersion(model: OperatorModel, lam: float,
                config: SolverConfig = DEFAULT_CONFIG) -> DispersionValue:
-    """D at a real lam: phi(pi) at lam and -lam, from the march that laid out their mesh.
+    """D at a real lam: phi(pi, lam) from the march that laid out its mesh, and its conjugate.
 
-    The mesh is ``shared_mesh`` at |lam|: accepted for the columns lam and
-    -lam at lam's own cutoff, independently of any scan grid.  Complex lam
-    go through ``dispersion_batch``.  No command calls it: ``scan_and_refine``
-    certifies all of its roots on one mesh.
+    The mesh is ``shared_mesh`` at lam: accepted for the column lam at
+    lam's own cutoff, independently of any scan grid; phi(pi, -lam) is the
+    conjugate of phi(pi, lam).  A non-real lam raises ValidationError, as
+    in ``shared_mesh`` and ``dispersion_batch``.  No command calls it:
+    ``scan_and_refine`` certifies all of its roots on one mesh.
     """
-    if np.imag(lam) != 0:
-        raise ValidationError(f"dispersion takes a real lam, got {lam}")
-    lam = float(np.real(lam))
-    plus, minus = shared_mesh(model, abs(lam), config).phi_at_pi[::-1 if lam < 0 else 1]
-    return DispersionValue(lam=lam, D=plus - minus, phi_plus=plus, phi_minus=minus)
+    plus = shared_mesh(model, lam, config).phi_at_pi[0]
+    minus = np.conj(plus)
+    return DispersionValue(lam=float(np.real(lam)), D=plus - minus, phi_plus=plus,
+                           phi_minus=minus)
 
 
 def dispersion_batch(model: OperatorModel, lams, mesh: SharedMesh) -> np.ndarray:
-    """D(lam) at the mesh's cutoff for every lam in ``lams``, from one batched march.
+    """D(lam) = 2i*Im phi(pi, lam) at the mesh's cutoff for every real lam in ``lams``.
 
-    The columns are lam and -lam.  For real lam the conjugation rule
-    (``shooting._mirrored``) marches lam alone and reads -lam as its
-    conjugate, so D is purely imaginary; complex lam have no mirror among
-    these columns and both are marched.
+    One batched march steps one column per lam; phi(pi, -lam) is the
+    conjugate of phi(pi, lam), so D is purely imaginary.  A non-real lam
+    raises ValidationError.
     """
-    lams = np.asarray(lams).ravel()
-    if not np.iscomplexobj(lams):
-        lams = lams.astype(float)
-    phi = boundary_values(model, mesh, np.concatenate([lams, -lams]))
-    n = len(lams)
-    return phi[:n] - phi[n:]
+    return 2j * boundary_values(model, mesh, _real_lams(lams)).imag
 
 
 def _served_mesh(model: OperatorModel, grid: np.ndarray, config: SolverConfig):
@@ -329,7 +318,7 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
     roots = [roots[i] for i in keep]
     iterations = [iterations[i] for i in keep]
 
-    # D(-lam) = -D(lam) from the same two columns, and D(0) = 0 exactly:
+    # D(-lam) = -D(lam) from the same two boundary values, and D(0) = 0 exactly:
     # certify the positive roots on one mesh, and mirror their residuals as
     # the eigenvalues are mirrored
     eigs = np.concatenate([[-r for r in reversed(roots)], [0.0], roots])
@@ -337,9 +326,8 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
     if roots:
         certified = shared_mesh(model, roots, config)
         marches += certified.rounds
-        plus, minus = np.split(certified.phi_at_pi, 2)
-        resid = np.abs(plus - minus)
-        rel = resid / np.maximum(1.0, np.maximum(np.abs(plus), np.abs(minus)))
+        resid = 2.0 * np.abs(certified.phi_at_pi.imag)
+        rel = resid / np.maximum(1.0, np.abs(certified.phi_at_pi))
     resid, rel = (np.concatenate([half[::-1], [0.0], half]) for half in (resid, rel))
 
     return EigenvalueList(model=model, eigenvalues=eigs, residuals=resid,

@@ -31,18 +31,6 @@ is a 2x2 matrix polynomial in kappa whose coefficients are computed once
 per mesh, and every lam is one column marched through the same
 propagators.
 
-One rule, ``_mirrored``, picks the columns a march steps.  For a real
-profile, phi(x, -conj lam) = conj phi(x, lam), and psi likewise, and the
-march keeps this bit for bit: every seed, step polynomial and product is
-conjugate-symmetric in kappa = -i*lam/eps.  So a column whose lam is
--conj of an earlier column's lam is not marched; it is the conjugate of
-that column.  An exact repeat of a lam is the same column.  Seeds,
-``_march`` and ``_local_errors`` see only the marched columns; a mirrored
-column's step error is the same number, so the acceptance test is
-unchanged, and every column is rebuilt (``_unfold``) before anything else
-reads it.  Real lam and -lam are one marched column; complex kernel
-columns lam and -lam have no partner and are both marched.
-
 Every mesh is laid out one way, by ``_accepted_mesh``: it starts from
 ``_start_mesh`` (the requested nodes, the fit nodes, the breakpoints and
 the stepper's endpoint cap as a geometric collar), and every interval
@@ -53,13 +41,19 @@ distance to the nearer end.  Near an end p/f ~ 1/d, so a step's error
 depends on h/d; parts of equal width leave the part nearest the end
 failing again, which costs a whole further march.
 
+Every column a caller passes is marched as given.  The march is
+conjugate-symmetric in kappa = -i*lam/eps (every seed, step polynomial
+and product), so for a real profile a column -conj lam comes out as the
+conjugate of the column lam bit for bit; ``eigensolve``, which asks for
+real lam only, marches lam and reads -lam as its conjugate.
+
 * ``boundary_values`` gives phi(pi, lam) for many lam on a ``SharedMesh``,
   seeded at its cutoff and fitted at pi.  ``shared_mesh`` takes one real
-  lam or a set of them, accepts its mesh for phi at +-each (one marched
-  column per lam, by the conjugation rule) at the default cutoff of the
-  largest |lam|, the smallest of any |lam| it serves, and keeps phi(pi) at
-  each column from the march that accepted it: the scan lays out its grid's
-  mesh at the grid's top, and certifies all of its roots on one mesh.
+  lam or a set of them, accepts its mesh for phi at each (one marched
+  column per lam) at the default cutoff of the largest |lam|, the
+  smallest of any |lam| it serves, and keeps phi(pi) at each lam from the
+  march that accepted it: the scan lays out its grid's mesh at the grid's
+  top, and certifies all of its roots on one mesh.
 * ``solution_pairs`` gives phi and psi at lam and -lam on every node of a
   mesh that contains the requested nodes: the kernel's grid, the dyadic
   audit's Gauss nodes.  Its one cutoff delta is ``_cutoff``'s:
@@ -156,6 +150,15 @@ def _run(model: OperatorModel, lam, x0, x1, u0, w0, config: SolverConfig, output
             f"step budget exhausted at x = {x_reached:.6g} (lam = {lam})",
             x_reached=x_reached)
     return xs[:n_out], us[:n_out], ws[:n_out]
+
+
+def _real_lams(lams) -> np.ndarray:
+    """``lams`` as a flat float array; a non-real lam raises ValidationError."""
+    lams = np.asarray(lams).ravel()
+    if np.any(np.imag(lams) != 0):
+        raise ValidationError(f"lam = {lams[np.imag(lams) != 0][0]}: only real lam are served "
+                              "here, where phi(pi, -lam) is read as conj phi(pi, lam)")
+    return np.real(lams).astype(float)
 
 
 def _cutoff(lam, nodes=()) -> float:
@@ -345,11 +348,10 @@ def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
     phi is seeded at delta and marched forward, and with ``with_psi`` psi
     is seeded at pi - delta and marched backward through the adjugates of
     the same steps and checked by the adjugates of their error polynomials,
-    one column per lam in ``lams`` that the conjugation rule
-    (``_mirrored``) marches; every interval whose step fails in any column
-    is split, and the marches repeat until every step passes.  Only
+    one column per lam in ``lams``; every interval whose step fails in any
+    column is split, and the marches repeat until every step passes.  Only
     forward steps are built: on the start mesh and for the parts of each
-    split.  The returned states hold every column of ``lams``.  More than
+    split.  More than
     ``MAX_STEPS`` nodes, or a split below 1e-14 relative, raises
     IntegrationError.  Returns the mesh, the forward step polynomials,
     phi's states (u, w) and psi's (None without ``with_psi``) on every node
@@ -357,8 +359,6 @@ def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
     accepted mesh.
     """
     mesh = _start_mesh(model, nodes, delta)
-    marched, source, mirrored = _mirrored(lams)
-    lams = lams[marched]
     kappa = -1j * lams / model.epsilon
     phi_seed = seed_regular_origin(model, lams, delta)
     _check_budget(len(mesh), mesh[min(MAX_STEPS, len(mesh) - 1)])
@@ -378,9 +378,7 @@ def _accepted_mesh(model: OperatorModel, lams: np.ndarray, nodes, delta: float,
                 psi = _march(back, kappa, *psi_seed, every)
                 err = np.maximum(err, _local_errors(back_err, kappa, *psi, config)[::-1])
         if np.all(err <= 1.0):
-            if with_psi:
-                psi = _unfold(psi, source, mirrored)
-            return mesh, steps[0], _unfold(phi, source, mirrored), psi, rounds
+            return mesh, steps[0], phi, psi, rounds
         mesh, steps = _split(model, mesh, steps, err)
 
 
@@ -389,8 +387,7 @@ def solution_pairs(model: OperatorModel, lam, nodes,
     """phi and psi at lam and -lam, marched through one mesh that contains ``nodes``.
 
     The mesh is accepted by ``_accepted_mesh`` at the one cutoff delta for
-    phi and psi, with lam and -lam as columns; for real lam the conjugation
-    rule marches one of them and mirrors the other.  A Wronskian below
+    phi and psi, with lam and -lam as its two marched columns.  A Wronskian below
     WRONSKIAN_FLOOR times max |phi*w_psi| means lam is numerically an
     eigenvalue.
     """
@@ -429,10 +426,10 @@ class SharedMesh:
     The first node is the cutoff delta every column is seeded at, and
     ``coeffs`` holds each interval's DOPRI5 step as a polynomial in kappa
     (``linear_step_coefficients``).  Every step passes the scalar
-    stepper's acceptance test for phi at +-lam for every lam it was laid out
-    for, the largest |lam| being ``lam_max``; ``phi_at_pi`` holds phi(pi) at
-    those lam and then at their negatives, from the march that accepted the
-    mesh, whose marches ``rounds`` counts.
+    stepper's acceptance test for phi at every lam it was laid out for,
+    the largest |lam| being ``lam_max``; ``phi_at_pi`` holds phi(pi) at
+    those lam, from the march that accepted the mesh, whose marches
+    ``rounds`` counts.
     """
 
     nodes: np.ndarray
@@ -467,28 +464,6 @@ def _apply(P, u, w):
     return P[..., 0, 0] * u + P[..., 0, 1] * w, P[..., 1, 0] * u + P[..., 1, 1] * w
 
 
-def _mirrored(lams: np.ndarray):
-    """The conjugation rule: the columns of ``lams`` a march steps, and how the rest are read.
-
-    A column whose lam equals an earlier column's lam, or -conj of it, is
-    read from that column.  Returns the indices of the marched columns in
-    order, and per column the position of its source among them and
-    whether it is the source's conjugate.
-    """
-    # a dict, not np.unique: the first complex np.unique of a process costs
-    # it about 0.2 MB of resident memory, which every workload would pay
-    first = {}                                          # one key per pair {lam, -conj lam}
-    owner = np.array([first.setdefault(complex(abs(z.real), z.imag), i)
-                      for i, z in enumerate(lams.tolist())], dtype=int)
-    own = owner == np.arange(len(lams))
-    return np.flatnonzero(own), np.cumsum(own)[owner] - 1, lams != lams[owner]
-
-
-def _unfold(states: tuple, source: np.ndarray, mirrored: np.ndarray) -> tuple:
-    """Every column of the marched ``states`` (u, w), by ``_mirrored``'s map."""
-    return tuple(np.where(mirrored, np.conj(s[:, source]), s[:, source]) for s in states)
-
-
 def _march(coeffs: np.ndarray, kappa: np.ndarray, u: np.ndarray, w: np.ndarray, keep):
     """Columns (u, w), one per kappa, stepped through the step polynomials ``coeffs`` in order.
 
@@ -503,7 +478,9 @@ def _march(coeffs: np.ndarray, kappa: np.ndarray, u: np.ndarray, w: np.ndarray, 
     isqrt(intervals / columns): with many columns every call already has
     enough work, and L stays 1.  Since L and the chunk depend on the column
     count, a column's rounding depends on how many columns share its march:
-    D(lam) is not bit-identical across batch sizes.
+    D(lam) is not bit-identical across batch sizes, and ``solution_pairs``
+    at a real lam, which marches lam and -lam as two columns, differs at
+    rounding level from a march of lam alone.
     """
     keep = np.asarray(keep)
     us = np.empty((len(keep), len(kappa)), dtype=complex)
@@ -540,21 +517,18 @@ def _march(coeffs: np.ndarray, kappa: np.ndarray, u: np.ndarray, w: np.ndarray, 
 def boundary_values(model: OperatorModel, mesh: SharedMesh, lams) -> np.ndarray:
     """phi(pi, lam) for every lam in ``lams``, marched together through ``mesh``.
 
-    Every lam is seeded at the mesh's cutoff delta = nodes[0], steps through
-    every interval and is fitted at pi, as ``compute_phi_at_pi`` does with
-    that cutoff.  Only the columns the conjugation rule (``_mirrored``)
-    picks are marched, so real lam and -lam cost one column.  Only the fit
-    nodes' states are kept, so memory stays O(mesh + lams).
+    Every lam is one marched column: it is seeded at the mesh's cutoff
+    delta = nodes[0], steps through every interval and is fitted at pi, as
+    ``compute_phi_at_pi`` does with that cutoff.  Only the fit nodes'
+    states are kept, so memory stays O(mesh + lams).
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     if np.any(np.abs(lams) > mesh.lam_max):
         raise ValidationError(f"|lam| exceeds {mesh.lam_max}, the largest the mesh was checked for")
     delta = float(mesh.nodes[0])
     rows = _fit_rows(mesh.nodes, "pi", delta)
-    marched, source, mirrored = _mirrored(lams)
-    vals, _ = _unfold(_march(mesh.coeffs, -1j * lams[marched] / model.epsilon,
-                             *seed_regular_origin(model, lams[marched], delta), rows),
-                      source, mirrored)
+    vals, _ = _march(mesh.coeffs, -1j * lams / model.epsilon,
+                     *seed_regular_origin(model, lams, delta), rows)
     A, _, _ = _two_branch_fit(model, lams, "pi", mesh.nodes[rows], vals, delta)
     return A
 
@@ -563,20 +537,21 @@ def shared_mesh(model: OperatorModel, lams,
                 config: SolverConfig = DEFAULT_CONFIG) -> SharedMesh:
     """A mesh for every |lam| <= max |lams|, laid out as ``solution_pairs`` lays out its own.
 
-    ``lams`` is one real lam or a set of them.  The mesh starts from
-    ``_start_mesh`` without requested nodes, at the default cutoff of
-    lam_max = max |lams|, which is the smallest of any |lam| it serves, and
-    is accepted by ``_accepted_mesh`` for phi alone at every lam and -lam,
-    one marched column per lam by the conjugation rule, whose last march
-    gives phi(pi) at the lams and then at their negatives.  Since the seed
-    error is O(delta^2), that cutoff serves every column at least as well as
-    the column's own default would.  Raises IntegrationError as
+    ``lams`` is one real lam or a set of them; a non-real lam raises
+    ValidationError.  The mesh starts from ``_start_mesh`` without
+    requested nodes, at the default cutoff of lam_max = max |lams|, which
+    is the smallest of any |lam| it serves, and is accepted by
+    ``_accepted_mesh`` for phi alone, one column per lam, whose last march
+    gives phi(pi) at the lams.  For a real profile, phi(pi, -lam) is the
+    conjugate of phi(pi, lam), and a step's error at -lam is the same
+    number as at lam, so the mesh serves -lam as well as lam.  Since the
+    seed error is O(delta^2), that cutoff serves every column at least as
+    well as the column's own default would.  Raises IntegrationError as
     ``_accepted_mesh`` does.
     """
-    lams = np.asarray(lams, dtype=float).ravel()
+    lams = _real_lams(lams).astype(complex)
     lam_max = float(np.max(np.abs(lams)))
     delta = _cutoff(lam_max)
-    lams = np.concatenate([lams, -lams]).astype(complex)
     nodes, coeffs, (phi, _), _, rounds = _accepted_mesh(model, lams, np.empty(0), delta, config)
     rows = _fit_rows(nodes, "pi", delta)
     at_pi = _two_branch_fit(model, lams, "pi", nodes[rows], phi[rows], delta)[0]

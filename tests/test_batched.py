@@ -7,7 +7,7 @@ import pytest
 
 from perspec import eigensolve, shooting
 from perspec.eigensolve import dispersion, dispersion_batch, scan_and_refine
-from perspec.errors import IntegrationError
+from perspec.errors import IntegrationError, ValidationError
 from perspec.profiles import (OperatorModel, piecewise_linear_profile,
                               sine_profile, tabulated_profile)
 from perspec.shooting import (DEFAULT_CONFIG, SolverConfig, boundary_values,
@@ -54,11 +54,17 @@ class TestAgreementWithScalarPath:
     def test_complex_lam_matches_scalar_shots(self, kind):
         # complex lam march as complex columns, not cast to their real parts
         model = _model(kind)
-        lams = [0.9 + 0.57j, -2.9 + 0.75j]
         mesh = shared_mesh(model, 4.0)
-        for lam, got in zip(lams, dispersion_batch(model, lams, mesh)):
+        for lam in (0.9 + 0.57j, -2.9 + 0.75j):
+            plus, minus = boundary_values(model, mesh, [lam, -lam])
             want, scale = _scalar_dispersion(model, lam, mesh.nodes[0])
-            assert abs(got - want) <= 1e-8 * scale, (lam, got, want)
+            assert abs(plus - minus - want) <= 1e-8 * scale, (lam, plus - minus, want)
+
+    @pytest.mark.parametrize("lams", [np.array([3 + 2j]), [0.5, 1j], 2.0 - 1e-9j])
+    def test_dispersion_batch_refuses_non_real_lam(self, sine_model, lams):
+        mesh = shared_mesh(sine_model, 4.0)
+        with pytest.raises(ValidationError, match="real lam"):
+            dispersion_batch(sine_model, lams, mesh)
 
     @pytest.mark.parametrize("kind", PROFILES)
     def test_exact_symmetries_for_real_lam(self, kind):
@@ -86,11 +92,13 @@ def _mesh_spy(monkeypatch):
 class TestSharedMesh:
     @pytest.mark.parametrize("kind", PROFILES)
     def test_phi_at_pi_is_the_layout_march(self, kind):
-        # phi(pi) at the lam and then at their negatives, at the largest
-        # |lam|'s cutoff; a float is the one-element set, bit for bit
+        # phi(pi) at the lam, at the largest |lam|'s cutoff, and its
+        # conjugate at their negatives; a float is the one-element set, bit
+        # for bit
         model = _model(kind)
         mesh = shared_mesh(model, 6.0)
-        assert np.array_equal(mesh.phi_at_pi, boundary_values(model, mesh, [6.0, -6.0]))
+        assert np.array_equal(mesh.phi_at_pi, boundary_values(model, mesh, [6.0]))
+        assert np.array_equal(np.conj(mesh.phi_at_pi), boundary_values(model, mesh, [-6.0]))
         listed = shared_mesh(model, [6.0])
         for field in ("nodes", "coeffs", "phi_at_pi"):
             assert np.array_equal(getattr(listed, field), getattr(mesh, field)), field
@@ -98,23 +106,33 @@ class TestSharedMesh:
         lams = np.array([3.3, 0.5, 6.0])
         mesh = shared_mesh(model, lams)
         assert mesh.lam_max == 6.0 and mesh.nodes[0] == default_cutoff(6.0)
-        want = boundary_values(model, mesh, np.concatenate([lams, -lams]))
-        assert np.array_equal(mesh.phi_at_pi, want)
+        assert np.array_equal(mesh.phi_at_pi, boundary_values(model, mesh, lams))
+        assert np.array_equal(np.conj(mesh.phi_at_pi), boundary_values(model, mesh, -lams))
+
+    @pytest.mark.parametrize("lams", [3 + 2j, np.array([3 + 2j]), [0.5, 1j]])
+    def test_non_real_lam_is_refused(self, sine_model, lams):
+        # the mesh serves -lam by the conjugation symmetry, which holds for
+        # real lam only
+        with pytest.raises(ValidationError, match="real lam"):
+            shared_mesh(sine_model, lams)
 
     @pytest.mark.parametrize("kind", PROFILES)
     def test_dispersion_is_a_remarch(self, kind):
         # dispersion reads the march that laid its mesh out; marching the
-        # columns lam and -lam again on that mesh gives the same bits
+        # column lam again on that mesh gives the same bits, and -lam is read
+        # as its conjugate
         model = _model(kind)
         for lam in (0.0, 0.5, -1.2398388, 3.3, -6.33):
             got = dispersion(model, lam)
-            plus, minus = boundary_values(model, shared_mesh(model, abs(lam)), [lam, -lam])
+            plus, = boundary_values(model, shared_mesh(model, abs(lam)), [lam])
+            minus = np.conj(plus)
             assert (got.phi_plus, got.phi_minus, got.D) == (plus, minus, plus - minus), lam
 
     def test_roots_are_certified_on_one_mesh(self, sine_model, monkeypatch):
         # one mesh serves the scan grid; the positive roots are then certified
-        # on one mesh laid out for their own +-lam columns, the residuals of
-        # the negative roots are those of their mirrors, and 0's is exact
+        # on one mesh laid out for their own columns, -lam read as the
+        # conjugate of lam, the residuals of the negative roots are those of
+        # their mirrors, and 0's is exact
         calls = _mesh_spy(monkeypatch)
         eigs = scan_and_refine(sine_model, 8.0, 0.05)
         assert len(eigs.eigenvalues) == 7
@@ -122,8 +140,8 @@ class TestSharedMesh:
         (top, scan), (roots, certified) = calls
         assert top == pytest.approx(8.0) and roots == pos.tolist()
         assert not np.array_equal(certified.nodes, scan.nodes)
-        plus, minus = np.split(boundary_values(sine_model, certified, np.concatenate([pos, -pos])),
-                               2)
+        plus = boundary_values(sine_model, certified, pos)
+        minus = np.conj(plus)
         want = np.abs(plus - minus)
         assert eigs.residuals.tolist() == want[::-1].tolist() + [0.0] + want.tolist()
         rel = want / np.maximum(1.0, np.maximum(np.abs(plus), np.abs(minus)))
@@ -241,18 +259,21 @@ class TestConjugationRule:
         assert all(np.array_equal(a, b) for a, b in zip(*scans))
         assert len(scans[0]) == len(scans[1])
 
-    @pytest.mark.parametrize("lam, width", [(0.9 + 0.57j, 2), (1.5j, 2), (2.3, 1)])
-    def test_pairs_march_only_real_lam_once(self, sine_model, monkeypatch, lam, width):
-        # complex lam and -lam are no mirror pair (1.5i's mirror is itself)
+    @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
+    @pytest.mark.parametrize("kind", PROFILES)
+    def test_negated_real_lam_marches_to_the_conjugate(self, kind, eps, monkeypatch):
+        # marched as its own column beside lam, -lam comes out as the
+        # conjugate of lam's column bit for bit: every array and fit value
+        # of the pairs, and phi(pi) on a shared mesh
+        model = _model(kind, eps)
+        lam = 2.3
         kappas = _march_spy(monkeypatch)
-        shooting.solution_pairs(sine_model, lam, ())
-        assert kappas and all(len(kappa) == width for kappa in kappas)
-
-    @pytest.mark.parametrize("lam, width", [(2.3, 1), (0.9 + 0.57j, 2)])
-    def test_repeats_and_mirrors_are_read_not_marched(self, sine_model, monkeypatch,
-                                                      lam, width):
-        mesh = shared_mesh(sine_model, 3.0)
-        kappas = _march_spy(monkeypatch)
-        vals = boundary_values(sine_model, mesh, [lam, -lam, lam])
-        assert len(vals) == 3 and vals[2] == vals[0]
-        assert [len(kappa) for kappa in kappas] == [width]
+        pairs = shooting.solution_pairs(model, lam, np.linspace(0.2, 3.0, 9))
+        assert kappas and all(len(kappa) == 2 and kappa[1] == np.conj(kappa[0])
+                              for kappa in kappas)
+        for field in ("phi", "phi_qd", "psi", "psi_qd", "phi_at_pi", "psi_at_pi",
+                      "psi_at_origin", "wronskian"):
+            values = getattr(pairs, field)
+            assert np.array_equal(values[..., 1], np.conj(values[..., 0])), field
+        plus, minus = boundary_values(model, shared_mesh(model, 3.0), [lam, -lam])
+        assert minus == np.conj(plus)

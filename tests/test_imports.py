@@ -11,8 +11,10 @@ No linter ships with the package, so these are the checks for dead code:
   ``__init__.py`` re-exporting it does not count.  The exceptions,
   ``PUBLIC_EXEMPT``, are the tests' own reference and a name the traced
   benchmark wraps;
-* a field of a ``@dataclass`` in the package must be read as an attribute
-  somewhere in the package, its tests or the benchmark.
+* a field of a ``@dataclass`` in the package, and a method or property of
+  any class in the package, must be read as an attribute somewhere in the
+  package, its tests or the benchmark; dunder methods are exempt, since
+  the language calls them.
 
 ``__init__.py`` re-exports by importing, so its imports and definitions
 are left out; what it reads still counts.
@@ -113,6 +115,12 @@ def unread_public(defining: dict, reading: dict) -> list:
                   and not node.name.startswith("_") and node.name not in read)
 
 
+def attributes_read(reading: dict) -> set:
+    """Every attribute loaded in the source texts of ``reading``."""
+    return {node.attr for source in reading.values() for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def unread_fields(defining: dict, reading: dict) -> list:
     """(module, class, field) of the dataclass fields no attribute load reads.
 
@@ -120,8 +128,7 @@ def unread_fields(defining: dict, reading: dict) -> list:
     checked to source text; ``reading`` maps every file whose attribute
     loads count to source text.
     """
-    read = {node.attr for source in reading.values() for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read = attributes_read(reading)
     unread = []
     for name, source in defining.items():
         for cls in ast.walk(ast.parse(source)):
@@ -131,6 +138,21 @@ def unread_fields(defining: dict, reading: dict) -> list:
                 unread += [(name, cls.name, node.target.id) for node in cls.body
                            if isinstance(node, ast.AnnAssign) and node.target.id not in read]
     return sorted(unread)
+
+
+def unread_methods(defining: dict, reading: dict) -> list:
+    """(module, class, name) of the methods and properties no attribute load reads.
+
+    Every class in ``defining``'s source texts is checked, nested ones
+    too; dunder methods are exempt.  ``reading`` is as for ``unread_fields``.
+    """
+    read = attributes_read(reading)
+    return sorted((name, cls.name, node.name) for name, source in defining.items()
+                  for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+                  for node in cls.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__"))
+                  and node.name not in read)
 
 
 def wrapped_targets(source: str) -> list:
@@ -172,6 +194,18 @@ def test_checker_sees_an_unread_field():
                         "@dataclass\nclass B:\n    w: int\nclass C:\n    v: int\n"}
     reading = {**defining, "t.py": "b.w = 1\nprint(a.z)\nv = 2\nA(y=1)\n"}
     assert unread_fields(defining, reading) == [("a.py", "A", "y"), ("a.py", "B", "w")]
+
+
+def test_checker_sees_an_unread_method():
+    defining = {"a.py": "class A:\n    def __init__(self): pass\n    def used(self): pass\n"
+                        "    def dead(self): pass\n    @property\n    def size(self): pass\n"
+                        "    @property\n    def gone(self): pass\n    def _helper(self): pass\n"
+                        "    def _stale(self): pass\n    @classmethod\n    def make(cls): pass\n"
+                        "    def f(self):\n        return self._helper()\n"
+                        "def dead_function(): pass\n"}
+    reading = {**defining, "t.py": "A.make().used()\nprint(a.size)\nf = 1\nA.dead = None\n"}
+    assert unread_methods(defining, reading) == [("a.py", "A", "_stale"), ("a.py", "A", "dead"),
+                                                 ("a.py", "A", "f"), ("a.py", "A", "gone")]
 
 
 def test_checker_sees_nested_imports():
@@ -219,6 +253,13 @@ def test_dataclass_fields_are_read():
     reading = {str(p): p.read_text(encoding="utf-8")
                for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")}
     assert unread_fields(defining, reading) == []
+
+
+def test_methods_and_properties_are_read():
+    defining = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    reading = {str(p): p.read_text(encoding="utf-8")
+               for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")}
+    assert unread_methods(defining, reading) == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

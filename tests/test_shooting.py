@@ -174,7 +174,7 @@ class TestConjugationSymmetry:
 
     @pytest.mark.parametrize("kind", PROFILES)
     def test_boundary_value_conjugate(self, kind):
-        # the scalar reference mirrors too, on every profile the rule serves
+        # the scalar reference mirrors too, on every profile
         model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=1.0)
         delta = default_cutoff(4.1)
         a = compute_phi_at_pi(model, 4.1, delta)
@@ -185,10 +185,10 @@ class TestConjugationSymmetry:
     @pytest.mark.parametrize("eps", [0.45, 1.0, 2.0])
     @pytest.mark.parametrize("kind", PROFILES)
     def test_march_steps_the_mirror_to_the_conjugate(self, kind, eps, lam):
-        # the fact below the conjugation rule: given both columns lam and
-        # -conj lam, the march itself steps the second to the conjugate of
-        # the first, phi forward and psi backward, seeds included; a seed
-        # one ulp off breaks it
+        # the fact eigensolve's reading of -lam rests on: given both columns
+        # lam and -conj lam, the march itself steps the second to the
+        # conjugate of the first, phi forward and psi backward, seeds
+        # included; a seed one ulp off breaks it
         model = ps.OperatorModel(profile=PROFILES[kind](), epsilon=eps)
         lams = np.array([lam, -np.conj(lam)], dtype=complex)
         kappa = -1j * lams / eps
