@@ -24,7 +24,7 @@ from .green import (PARTS, apply_resolvent, assemble_kernel, bandlimited_forcing
                     kernel_matrix, resolvent_residual, GridFunction)
 from .profiles import (END_TOL, KINDS, OperatorModel, load_tabulated,
                        piecewise_linear_profile, sine_profile, validate_profile)
-from .schatten import dyadic_bound_audit, eigen_schatten_inequality, singular_values
+from .schatten import LEADING, dyadic_bound_audit, eigen_schatten_inequality, singular_values
 from .shooting import SolverConfig, solution_pairs
 from .singular import compute_log_p, compute_log_p_over_f
 
@@ -272,7 +272,16 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda-im", dest="lambda_im", type=float, default=None)
     p.add_argument("--grid", type=int, default=None)
 
-    p = subs.add_parser("schatten", help="singular values, dyadic bound, inequality")
+    p = subs.add_parser(
+        "schatten", help="leading singular values, Schatten norms with bounds, dyadic bound, "
+                         "inequality",
+        description=f"singular.singular_values holds the leading {LEADING} singular values of "
+                    "the weight-symmetrized kernel, from Golub-Kahan-Lanczos on its O(n) "
+                    "apply; the other values' sum of squares, tail_mass, comes from the exact "
+                    "Frobenius norm.  schatten_norms models those values by a power law fixed "
+                    "by tail_mass, schatten_bounds holds [lo, hi] over every tail of that "
+                    "count and mass, and tail_shares the modelled tail's share of sum sigma^p.  "
+                    "The inequality's right side is lo^p.")
     _add_common(p)
     p.add_argument("--lambda-re", dest="lambda_re", type=float, default=None)
     p.add_argument("--lambda-im", dest="lambda_im", type=float, default=None)

@@ -44,11 +44,12 @@ Parts I and II are semiseparable and part III has rank one, so
 under their own names -- ``phi``, ``psi``, ``log_pf`` = log(p/f), ``w2``
 = the weighted psi, and the ``denominator`` -- and applies it by three
 running sums, each accumulated outward from the point where its
-integrand vanishes, and reports sup|G| from them.  The dense matrix is
-built from the rules' own weights, a block of columns at a time, only
-for the uses that need one: the SVD and the kernel dump; its columns are
-taken against the grid's trapezoid weights, which the SVD's
-symmetrisation and the error norms read.
+integrand vanishes, and its adjoint by the same sums transposed; sup|G|
+and the weighted Frobenius norm are read from the generators too.  The
+dense matrix is built from the rules' own weights, a block of columns at
+a time, only for the kernel dump; its columns are taken against the
+grid's trapezoid weights, which ``schatten``'s symmetrisation and the
+error norms read.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def graded_full_grid(grid_size: int):
     >= 64); the grid has grid_size + 1 nodes including -pi, 0, pi.  On
     each half it is uniform in the grading variable t (``_grading``),
     the variable the running sums integrate in; the trapezoid weights
-    are the SVD's and the error norms'.
+    are the Schatten symmetrisation's and the error norms'.
     """
     if grid_size < 64 or grid_size % 2:
         raise ValidationError("grid size must be an even integer >= 64")
@@ -122,8 +123,9 @@ class _FullPeriod:
 class KernelGrid(_FullPeriod):
     """The discretized kernel, held by its O(n) generators on the graded grid.
 
-    ``apply_resolvent`` applies it by running sums; ``kernel_matrix``
-    builds the dense n x n matrix for the uses that need one.
+    ``apply_resolvent`` and ``apply_adjoint`` apply it and its adjoint by
+    running sums; ``kernel_matrix`` builds the dense n x n matrix for the
+    kernel dump.
     """
 
     lam: complex
@@ -134,6 +136,18 @@ class KernelGrid(_FullPeriod):
     # the same propagators; it checks their pairing, not their truncation
     # error), mesh_nodes, mesh_rounds
     meta: dict
+
+    @functools.cached_property
+    def _part_i_factors(self):
+        """Part I's x-factor psi*(-i/eps) and s-factor phi*(p/f), 0 where no part I is summed.
+
+        That is the origin (psi is nan there and p/f is 0) and +-pi (psi is
+        0 there and p/f infinite); ``_applied_parts`` reads neither node.
+        """
+        x_factor = np.where(np.isnan(self.psi), 0.0, self.psi) * (-1j / self.model.epsilon)
+        s_factor = np.zeros(len(self.nodes), complex)
+        s_factor[1:-1] = self.phi[1:-1] * np.exp(self.log_pf[1:-1])
+        return x_factor, s_factor
 
     @functools.cached_property
     def sup_norm(self) -> float:
@@ -150,9 +164,7 @@ class KernelGrid(_FullPeriod):
         0.996 on the sine profile at lam = i), so they are not read here.
         """
         x = self.nodes
-        psi = np.where(np.isnan(self.psi), 0.0, self.psi) * (-1j / self.model.epsilon)
-        weighted_phi = np.zeros(len(x), complex)    # infinite at +-pi, met only on the rows +-pi
-        weighted_phi[1:-1] = self.phi[1:-1] * np.exp(self.log_pf[1:-1])
+        psi, weighted_phi = self._part_i_factors
         sup = 0.0
         for start in range(0, len(x), KERNEL_BLOCK):
             rows = slice(start, start + KERNEL_BLOCK)
@@ -290,6 +302,13 @@ class _RunningRule:
         out = np.cumsum(self.final[:, None] * g, axis=0)
         for r in range(4):
             out[r:] += self.near[r:, r, None] * g[:len(g) - r]
+        return out
+
+    def transposed_sums(self, h: np.ndarray) -> np.ndarray:
+        """A^T h for h of shape (L,): node j gathers final[j] times the sum of h from j on, and its band."""
+        out = self.final * np.cumsum(h[::-1])[::-1]
+        for r in range(4):
+            out[:len(h) - r] += self.near[r:, r] * h[r:]
         return out
 
     def columns(self, at: np.ndarray) -> np.ndarray:
@@ -453,6 +472,86 @@ def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
     _check_on_grid(kernel.nodes, forcing)
     parts = _forcing_parts(kernel, forcing.values)
     return GridFunction(nodes=kernel.nodes, values=sum(parts))
+
+
+def apply_adjoint(kernel: KernelGrid, y: GridFunction) -> GridFunction:
+    """v(s_j) = sum_i conj(G(x_i, s_j)) w_i y(x_i), the adjoint of ``apply_resolvent`` under w.
+
+    ``_applied_parts`` transposed: the same rules and generators, each
+    running sum taken back from its far end (``_RunningRule.transposed_sums``).
+    """
+    _check_on_grid(kernel.nodes, y)
+    n = len(kernel.nodes)
+    model = kernel.model
+    rule_i, rule_tail = _rules(n, model.profile.breakpoints, model.profile.kinks)
+    x_factor, s_factor = kernel._part_i_factors
+    z = kernel.weights * y.values
+    # parts II and III: phi(x) times the tail sums, and their value at -pi over the denominator
+    h = np.conj(kernel.phi) * z
+    h[0] += np.sum(h) / np.conj(kernel.denominator)
+    out = np.conj(kernel.w2) * rule_tail.transposed_sums(h[::-1])[::-1]
+    for path in (np.arange(n // 2, n - 1), np.arange(n // 2, 0, -1)):
+        e = np.conj(x_factor[path]) * z[path]
+        out[path] += np.conj(s_factor[path]) * rule_i.transposed_sums(e)
+    return GridFunction(nodes=kernel.nodes, values=out / kernel.weights)
+
+
+def weighted_frobenius_sq(kernel: KernelGrid) -> float:
+    """sum_ij w_i |G(x_i, s_j)|^2 w_j: the squared Frobenius norm of diag(sqrt w) G diag(sqrt w), in O(n).
+
+    A rule's weight on node j in a sum four or more nodes past j is its
+    ``final`` weight, so off a band of three nodes either side of the
+    diagonal each part of ``_applied_parts`` is an x-factor times an
+    s-factor on a triangle (part III on the whole square), and the
+    squared moduli sum by cumulative sums over the triangles.  In the band
+    the rules' ``near`` weights are added entry by entry.
+    """
+    n = len(kernel.nodes)
+    h = n // 2
+    model = kernel.model
+    rule_i, rule_tail = _rules(n, model.profile.breakpoints, model.profile.kinks)
+    w, phi, w2 = kernel.weights, kernel.phi, kernel.w2
+    rows = np.arange(n)
+    psi, g = kernel._part_i_factors
+    final_i = np.zeros(n)                               # part I's final weights by node
+    final_i[h:-1], final_i[1:h + 1] = rule_i.final, rule_i.final[::-1]
+    final_t = rule_tail.final[::-1]                     # the tail's, by node
+    to_minus_pi = final_t.copy()                        # the whole tail sum's weights
+    to_minus_pi[:4] += rule_tail.near[-1, :4]
+    psi_pos, psi_neg = np.where(rows > h, psi, 0.0), np.where(rows < h, psi, 0.0)
+    # (x-factor, s-factor, support): 0 everywhere, 1 where s_j >= x_i, -1 where s_j <= x_i
+    terms = ((phi, w2 * to_minus_pi / kernel.denominator, 0),     # part III
+             (phi, w2 * final_t, 1),                               # part II
+             (psi_pos, np.where(rows >= h, g * final_i, 0.0), -1),  # part I, x > 0
+             (psi_neg, np.where(rows <= h, g * final_i, 0.0), 1))   # part I, x < 0
+    total = 0.0
+    for a1, b1, m1 in terms:
+        for a2, b2, m2 in terms:
+            rows_sq, cols_sq = w * a1 * np.conj(a2), b1 * np.conj(b2) / w
+            both = m1 or m2 if m1 * m2 >= 0 else None   # None: the diagonal only
+            if both == 0:
+                total += (np.sum(rows_sq) * np.sum(cols_sq)).real
+            elif both == 1:
+                total += (cols_sq @ np.cumsum(rows_sq)).real
+            elif both == -1:
+                total += (cols_sq @ np.cumsum(rows_sq[::-1])[::-1]).real
+            else:
+                total += (cols_sq @ rows_sq).real
+    # the band: entry (i, i + d) is the far-field product plus the near weights' part
+    near_t = rule_tail.near[::-1]
+    near_pos, near_neg = np.zeros((n, 4)), np.zeros((n, 4))
+    near_pos[h:-1], near_neg[1:h + 1] = rule_i.near, rule_i.near[::-1]
+    for d in range(-3, 4):
+        i = np.arange(max(0, -d), min(n, n - d))
+        j = i + d
+        far = sum(a[i] * b[j] for a, b, m in terms if m * d >= 0)
+        near = np.zeros(len(i), complex)
+        if d >= 0:
+            near += phi[i] * w2[j] * near_t[i, d] + psi_neg[i] * g[j] * near_neg[i, d]
+        if d <= 0:
+            near += psi_pos[i] * g[j] * near_pos[i, -d]
+        total += float(np.sum(w[i] / w[j] * (np.abs(far + near) ** 2 - np.abs(far) ** 2)))
+    return total
 
 
 def _flux_form(model: OperatorModel, lam, x: np.ndarray, u: np.ndarray, reach: int) -> np.ndarray:

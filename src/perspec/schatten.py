@@ -2,9 +2,14 @@
 
 Matrix singular values approximate operator singular values through the
 square-root-weight symmetrization M = D^(1/2) G D^(1/2) with D the
-diagonal of quadrature weights; the p = 2 norm of M then coincides with
-the quadrature Frobenius norm of the kernel, which is the built-in
-cross-check.
+diagonal of trapezoid weights.  No dense matrix is built: the leading
+LEADING values come from Golub-Kahan-Lanczos bidiagonalization driven by
+the kernel's O(n) apply and adjoint apply, and ||M||_F^2, the quadrature
+Frobenius norm of the kernel, from its generators in O(n)
+(``green.weighted_frobenius_sq``).  So the other values' sum of squares T
+is exact, and with it S2.  For p != 2 the tail is modelled by a power law
+fixed by T, and bounded over every tail of that count and mass; the
+inequality reads the lower bound.
 
 The dyadic audit bounds the blocks of the triangular kernel part built
 from v = phi and w = psi * (-i p / (eps f)): level j splits [-pi, pi]
@@ -21,12 +26,13 @@ the cutoff below the abscissae nearest 0 and pi (``shooting.CUTOFF_CAP``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .green import KernelGrid, _full_period, kernel_matrix, solution_pairs
+from .green import (GridFunction, KernelGrid, _full_period, apply_adjoint, apply_resolvent,
+                    solution_pairs, weighted_frobenius_sq)
 from .profiles import OperatorModel
 from .shooting import DEFAULT_CONFIG, SolverConfig
 
@@ -39,39 +45,158 @@ DYADIC_GAUSS_ORDER = 16                 # Gauss points per dyadic interval
 # 8e-13 measured), the next distinct block was 6e-4 or more below the max.
 ARGMAX_TIE = 1e-9
 INEQUALITY_GUARD = 0.05                 # relative slack of the inequality's right side
+LEADING = 64                            # singular values computed; the rest are the tail
+RITZ_TOL = 1e-13                        # the leading Ritz residuals' bound, relative to sigma_1
+RITZ_CHECK = 8                          # Lanczos steps between convergence checks
+TAIL_BISECTIONS = 60                    # halvings of the tail exponent's bracket
 
 
 @dataclass(frozen=True, eq=False)
 class SingularValueSpectrum:
     lam: complex
     grid_size: int
-    values: np.ndarray                  # non-increasing
-    schatten_norms: dict                # order -> (sum alpha^p)^(1/p)
+    values: np.ndarray                  # the leading ones, non-increasing
+    schatten_norms: dict                # order -> S_p, the tail's values from the power law
+    tail_mass: float = 0.0              # ||M||_F^2 - sum values^2: the other values' sum of squares
+    tail_count: int = 0                 # how many values the tail holds
+    tail_shares: dict = field(default_factory=dict)     # order -> the tail's share of sum sigma^p
+    lanczos_steps: int = 0
+
+    def power_sum_bounds(self, p: float) -> tuple:
+        """Bounds on sum sigma^p over every value that hold for any tail of the given count and mass.
+
+        Each tail value is at most the last leading one, s, so for p < 2 the
+        tail's sum is at least T s^(p-2), and by Hoelder at most
+        m^(1-p/2) T^(p/2) for m values of squared sum T; for p > 2 the two
+        swap.  Without a tail both bounds are the leading values' sum.
+        """
+        head = float(np.sum(self.values ** p))
+        if self.tail_mass <= 0.0 or self.tail_count == 0:
+            return head, head
+        t, m, s = self.tail_mass, self.tail_count, float(self.values[-1])
+        a, b = t * s ** (p - 2.0), m ** (1.0 - p / 2.0) * t ** (p / 2.0)
+        return head + min(a, b), head + max(a, b)
 
     def as_dict(self) -> dict:
+        bounds = {str(p): [v ** (1.0 / p) for v in self.power_sum_bounds(p)]
+                  for p in self.schatten_norms}
         return {"grid_size": self.grid_size,
                 "singular_values": self.values.tolist(),
-                "schatten_norms": {str(k): v for k, v in self.schatten_norms.items()}}
+                "schatten_norms": {str(k): v for k, v in self.schatten_norms.items()},
+                "schatten_bounds": bounds,
+                "tail_shares": {str(k): v for k, v in self.tail_shares.items()},
+                "tail_mass": self.tail_mass,
+                "tail_count": self.tail_count,
+                "lanczos_steps": self.lanczos_steps}
 
 
-def _weighted_svd(kernel: KernelGrid) -> np.ndarray:
-    """Singular values of diag(sqrt w) G diag(sqrt w), scaling the fresh dense G in place."""
-    sq = np.sqrt(kernel.weights)
-    G = kernel_matrix(kernel)
-    G *= sq[:, None]
-    G *= sq[None, :]
+def _orthogonalized(r: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """r less its components along the orthonormal rows of ``basis``: classical Gram-Schmidt, twice."""
+    for _ in range(2):
+        r = r - np.conj(basis @ np.conj(r)) @ basis
+    return r
+
+
+def _ritz(alpha: np.ndarray, beta: np.ndarray):
+    """Singular values of the upper bidiagonal B (diagonal alpha, superdiagonal beta[:-1]) and their residuals.
+
+    The residual of the i-th is beta[-1] |P[-1, i]|, P the left singular vectors of B.
+    """
     try:
-        return np.linalg.svd(G, compute_uv=False)
+        P, s, _ = np.linalg.svd(np.diag(alpha) + np.diag(beta[:-1], 1))
     except np.linalg.LinAlgError as exc:
-        raise SolverError(f"SVD failed to converge: {exc}") from exc
+        raise SolverError(f"SVD of the Lanczos bidiagonal failed to converge: {exc}") from exc
+    return s, beta[-1] * np.abs(P[-1])
+
+
+def _lanczos(forward, adjoint, n: int, count: int):
+    """The leading ``count`` singular values of an n x n operator, and the Lanczos steps taken.
+
+    Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan 1965) from a fixed
+    start vector, so a run is reproducible, with both bases kept
+    orthonormal by full reorthogonalization.  It stops when the leading
+    Ritz residuals are at most RITZ_TOL sigma_1, checked every RITZ_CHECK
+    steps, or after n steps, where B holds the whole spectrum.
+    """
+    V = np.empty((min(n, 2 * count), n), complex)
+    U = np.empty_like(V)
+    alpha, beta = np.empty(n), np.empty(n)
+    start = np.random.default_rng(0).standard_normal(n)
+    V[0] = start / np.linalg.norm(start)
+    u = forward(V[0])
+    alpha[0] = np.linalg.norm(u)
+    U[0] = u / alpha[0]
+    k = 1
+    while k < n:
+        r = _orthogonalized(adjoint(U[k - 1]) - alpha[k - 1] * V[k - 1], V[:k])
+        beta[k - 1] = np.linalg.norm(r)
+        if k >= count and (k - count) % RITZ_CHECK == 0:
+            values, residuals = _ritz(alpha[:k], beta[:k])
+            if np.all(residuals[:count] <= RITZ_TOL * values[0]):
+                return values[:count], k
+        if beta[k - 1] == 0.0:
+            break                                       # the Krylov space is invariant
+        if k == len(V):
+            V, U = (np.concatenate([b, np.empty((min(n, 2 * k) - k, n), complex)]) for b in (V, U))
+        V[k] = r / beta[k - 1]
+        p = _orthogonalized(forward(V[k]) - beta[k - 1] * U[k - 1], U[:k])
+        alpha[k] = np.linalg.norm(p)
+        if alpha[k] == 0.0:
+            break
+        U[k] = p / alpha[k]
+        k += 1
+    beta[k - 1] = 0.0
+    return _ritz(alpha[:k], beta[:k])[0][:count], k
+
+
+def _tail_exponent(target: float, ratio: np.ndarray) -> float:
+    """a >= 0 with sum ratio^(-2a) = target, by bisection; 0 when target reaches len(ratio), inf at 0."""
+    def mass(a):
+        return float(np.sum(ratio ** (-2.0 * a)))
+    if target <= 0.0:
+        return math.inf
+    if target >= len(ratio):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while mass(hi) > target:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(TAIL_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mass(mid) > target else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def singular_values(kernel: KernelGrid, orders=DEFAULT_ORDERS) -> SingularValueSpectrum:
-    """Singular values of the symmetrized kernel matrix plus Schatten norms."""
-    alpha = _weighted_svd(kernel)
-    norms = {float(p): float(np.sum(alpha ** p) ** (1.0 / p)) for p in orders}
-    return SingularValueSpectrum(lam=kernel.lam, grid_size=len(kernel.nodes) - 1,
-                                 values=alpha, schatten_norms=norms)
+    """The leading singular values of diag(sqrt w) G diag(sqrt w), and Schatten norms with the tail's share.
+
+    The leading LEADING values come from ``_lanczos`` on the kernel's O(n)
+    apply and adjoint apply; the squared Frobenius norm, exact in O(n),
+    gives the rest their sum of squares T.  The tail is modelled as
+    sigma_k = sigma_K (k/K)^(-a) for K < k <= n, with a set by T.
+    """
+    n = len(kernel.nodes)
+    sq = np.sqrt(kernel.weights)
+
+    def forward(v):
+        return sq * apply_resolvent(kernel, GridFunction(kernel.nodes, v / sq)).values
+
+    def adjoint(y):
+        return sq * apply_adjoint(kernel, GridFunction(kernel.nodes, y / sq)).values
+
+    values, steps = _lanczos(forward, adjoint, n, min(LEADING, n))
+    tail_count = n - len(values)
+    tail_mass = max(weighted_frobenius_sq(kernel) - float(np.sum(values ** 2)), 0.0)
+    ratio = np.arange(len(values) + 1, n + 1) / len(values)
+    exponent = _tail_exponent(tail_mass / values[-1] ** 2, ratio)
+    norms, shares = {}, {}
+    for p in orders:
+        head = float(np.sum(values ** p))
+        tail = float(values[-1] ** p * np.sum(ratio ** (-exponent * p)))
+        norms[float(p)] = (head + tail) ** (1.0 / p)
+        shares[float(p)] = tail / (head + tail)
+    return SingularValueSpectrum(lam=kernel.lam, grid_size=n - 1, values=values,
+                                 schatten_norms=norms, tail_mass=tail_mass, tail_count=tail_count,
+                                 tail_shares=shares, lanczos_steps=steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +259,7 @@ def dyadic_bound_audit(model: OperatorModel, lam, levels: int,
 class InequalityReport:
     lam: complex
     left: float                          # truncated sum over eigenvalues
-    right: float                         # discretized ||R||_p^p
+    right: float                         # lower bound of the discretized ||R||_p^p
     slack: float                         # right*(1 + INEQUALITY_GUARD) - left
     passed: bool
     eigenvalues_used: int
@@ -145,7 +270,9 @@ def eigen_schatten_inequality(eigenvalues: np.ndarray, spectrum: SingularValueSp
     """Truncated sum of |lam - lam_n|^(-p) against the p-th Schatten power.
 
     ``eigenvalues`` is an array of lam_n (an ``EigenvalueList``'s
-    ``.eigenvalues``).  Truncation only shrinks the left side;
+    ``.eigenvalues``).  Truncation only shrinks the left side.  The right
+    side is the lower bound of ``power_sum_bounds``, so a pass holds for
+    every spectrum consistent with the computed values and tail mass;
     ``INEQUALITY_GUARD`` covers the discretization of the right side.
     """
     if p <= 1.0:
@@ -153,7 +280,7 @@ def eigen_schatten_inequality(eigenvalues: np.ndarray, spectrum: SingularValueSp
     lam = complex(lam)
     eigenvalues = np.asarray(eigenvalues)
     left = float(np.sum(np.abs(lam - eigenvalues.astype(complex)) ** (-p)))
-    right = float(np.sum(spectrum.values ** p))
+    right = spectrum.power_sum_bounds(p)[0]
     slack = right * (1.0 + INEQUALITY_GUARD) - left
     return InequalityReport(lam=lam, left=left, right=right, slack=slack,
                             passed=bool(slack >= 0.0), eigenvalues_used=len(eigenvalues))

@@ -248,14 +248,21 @@ class TestEigs:
 
 
 class TestSchatten:
-    def test_identical_runs_write_identical_json(self, tmp_path, eigs_file):
+    @pytest.mark.parametrize("grid, levels", [(64, 1), (256, 4)])
+    def test_identical_runs_write_identical_json(self, tmp_path, eigs_file, grid, levels):
         out = tmp_path / "sv.json"
         written = []
         for _ in range(2):
-            assert run_subcommand(["schatten", "--grid", "64", "--levels", "1",
+            assert run_subcommand(["schatten", "--grid", str(grid), "--levels", str(levels),
                                    "--eigs-file", str(eigs_file), "--out", str(out)]) == 0
             written.append(out.read_bytes())
         assert written[0] == written[1]
+        singular = json.loads(written[0])["results"]["singular"]
+        assert len(singular["singular_values"]) == 64
+        assert singular["tail_count"] == grid + 1 - 64 and singular["lanczos_steps"] >= 64
+        for p, (lo, hi) in singular["schatten_bounds"].items():
+            assert lo <= singular["schatten_norms"][p] <= hi
+            assert 0.0 <= singular["tail_shares"][p] < 1.0
 
 
 class TestKernelCommands:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +11,21 @@ from perspec.cli import EXIT_OK, run_subcommand
 from perspec.errors import (EigenvalueProximityError, GridMismatchError,
                             ValidationError)
 from perspec.green import (KernelGrid, _forcing_parts, _grading, _outward_sides, _rules,
-                           _running_rule, apply_resolvent, assemble_kernel,
+                           _running_rule, apply_adjoint, apply_resolvent, assemble_kernel,
                            bandlimited_forcing, graded_full_grid, GridFunction,
-                           kernel_matrix, manufactured_pair, resolvent_residual)
+                           kernel_matrix, manufactured_pair, resolvent_residual,
+                           weighted_frobenius_sq)
 
 PI = math.pi
+DATA = Path(__file__).parent / "data"
+
+
+def _tabulated():
+    x = np.linspace(0.0, PI, 41)
+    return ps.tabulated_profile(x, (2 / PI) * np.sin(x) * (1.0 + 0.1 * np.sin(x) ** 2))
+
+
+PROFILES = {"sine": ps.sine_profile, "tent": ps.piecewise_linear_profile, "table": _tabulated}
 
 
 def l2_relative_error(weights, got, want):
@@ -253,6 +264,63 @@ class TestResolvent:
                          values=np.zeros(len(kernel_256.nodes) - 1, complex))
         with pytest.raises(GridMismatchError):
             apply_resolvent(kernel_256, F)
+
+    # (profile, grid, lam, forcing seed) of the cases in data/apply_resolvent_cases.npz:
+    # each kernel's generators, the forcing and apply_resolvent's output as
+    # computed before the adjoint apply and the O(n) Frobenius norm were added
+    SAVED = [("sine", 64, 0.9 + 0.8j, 1), ("tent", 64, -2.6 + 0.55j, 2), ("table", 128, 0.5, 3)]
+
+    @pytest.mark.parametrize("case", range(len(SAVED)))
+    def test_saved_outputs_are_reproduced_bit_for_bit(self, case):
+        name, grid, lam, seed = self.SAVED[case]
+        saved = np.load(DATA / "apply_resolvent_cases.npz")
+        x, w = graded_full_grid(grid)
+        k = KernelGrid(lam=complex(lam), model=ps.OperatorModel(profile=PROFILES[name](), epsilon=1.0),
+                       nodes=x, weights=w, meta={}, denominator=complex(saved[f"{case}_denominator"]),
+                       **{key: saved[f"{case}_{key}"] for key in ("phi", "psi", "log_pf", "w2")})
+        F = bandlimited_forcing(k, seed)
+        assert np.array_equal(F.values, saved[f"{case}_forcing"])
+        assert np.array_equal(apply_resolvent(k, F).values, saved[f"{case}_u"])
+
+
+@pytest.mark.parametrize("lam", [0.9 + 0.8j, -2.6 + 0.55j, 1.3])
+@pytest.mark.parametrize("grid", [64, 256])
+@pytest.mark.parametrize("name", sorted(PROFILES))
+class TestAdjointAndFrobenius:
+    # the transposed running sums against the dense kernel; the table's 41
+    # rows make every table node a breakpoint, so most segments are short
+    @pytest.fixture
+    def kernel(self, name, grid, lam):
+        return assemble_kernel(ps.OperatorModel(profile=PROFILES[name](), epsilon=1.0), lam, grid)
+
+    def test_adjoint_matches_the_dense_kernel(self, kernel):
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal(len(kernel.nodes)) + 1j * rng.standard_normal(len(kernel.nodes))
+        got = apply_adjoint(kernel, GridFunction(kernel.nodes, y)).values
+        want = kernel_matrix(kernel).conj().T @ (kernel.weights * y)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_adjoint_identity(self, kernel):
+        # <G w x, y>_w = <x, G^H w y>_w for the trapezoid weights w
+        rng = np.random.default_rng(6)
+        x, y = (rng.standard_normal((2, len(kernel.nodes)))
+                + 1j * rng.standard_normal((2, len(kernel.nodes))))
+        w = kernel.weights
+        gx = apply_resolvent(kernel, GridFunction(kernel.nodes, x)).values
+        ghy = apply_adjoint(kernel, GridFunction(kernel.nodes, y)).values
+        left, right = np.vdot(y, w * gx), np.vdot(ghy, w * x)
+        assert abs(left - right) <= 1e-12 * abs(left)
+
+    def test_frobenius_norm_matches_the_dense_kernel(self, kernel):
+        sq = np.sqrt(kernel.weights)
+        dense = np.sum(np.abs(sq[:, None] * kernel_matrix(kernel) * sq[None, :]) ** 2)
+        assert weighted_frobenius_sq(kernel) == pytest.approx(dense, rel=1e-12)
+
+
+def test_adjoint_grid_mismatch_rejected(kernel_256):
+    y = GridFunction(nodes=kernel_256.nodes[:-1], values=np.zeros(len(kernel_256.nodes) - 1, complex))
+    with pytest.raises(GridMismatchError):
+        apply_adjoint(kernel_256, y)
 
 
 class TestResidual:

@@ -5,32 +5,109 @@ import pytest
 
 from perspec import green, schatten
 from perspec.errors import ValidationError
-from perspec.profiles import OperatorModel, sine_profile
+from perspec.profiles import OperatorModel, piecewise_linear_profile, sine_profile
 from perspec.schatten import (SingularValueSpectrum, dyadic_bound_audit,
                               eigen_schatten_inequality, singular_values)
 from perspec.shooting import SolverConfig
 from perspec.singular import compute_log_p_over_f
 
 
-def _spectrum(values):
+def _spectrum(values, tail_mass=0.0, tail_count=0):
     return SingularValueSpectrum(lam=1j, grid_size=64, values=np.asarray(values),
-                                 schatten_norms={})
+                                 schatten_norms={}, tail_mass=tail_mass, tail_count=tail_count)
 
 
-def test_singular_values_of_the_symmetrized_kernel(kernel_256):
-    # the in-place scaling gives the singular values of sqrt(w) G sqrt(w) bit for bit
-    sq = np.sqrt(kernel_256.weights)
-    dense = sq[:, None] * green.kernel_matrix(kernel_256) * sq[None, :]
-    want = np.linalg.svd(dense, compute_uv=False)
-    assert np.array_equal(singular_values(kernel_256).values, want)
+def _dense_values(kernel):
+    sq = np.sqrt(kernel.weights)
+    return np.linalg.svd(sq[:, None] * green.kernel_matrix(kernel) * sq[None, :], compute_uv=False)
+
+
+# (profile, grid, lam), lam in the schatten workload's range: Re in [-3, 3], Im in [0.5, 1.5]
+DENSE_CASES = [("sine", 128, 2.9 + 0.5j), ("tent", 128, -1.3 + 1.4j),
+               ("sine", 256, -2.6 + 0.55j), ("tent", 512, 0.7 + 1j),
+               ("sine", 1024, 0.7 + 1j), ("tent", 1024, -2.6 + 0.55j)]
+MODELS = {"sine": sine_profile, "tent": piecewise_linear_profile}
+
+
+@pytest.fixture(scope="module", params=DENSE_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+def against_dense(request):
+    name, grid, lam = request.param
+    kernel = green.assemble_kernel(OperatorModel(profile=MODELS[name](), epsilon=1.0), lam, grid)
+    return singular_values(kernel), _dense_values(kernel)
+
+
+class TestLanczosAgainstTheDenseSvd:
+    def test_leading_values(self, against_dense):
+        spectrum, dense = against_dense
+        k = len(spectrum.values)
+        assert k == schatten.LEADING
+        assert np.max(np.abs(spectrum.values - dense[:k])) <= 1e-12 * dense[0]
+
+    def test_s2_is_the_frobenius_norm(self, against_dense):
+        spectrum, dense = against_dense
+        assert spectrum.tail_count == len(dense) - schatten.LEADING
+        s2 = math.sqrt(float(np.sum(dense ** 2)))
+        assert spectrum.schatten_norms[2.0] == pytest.approx(s2, rel=1e-12)
+        assert math.sqrt(float(np.sum(spectrum.values ** 2)) + spectrum.tail_mass) == \
+            pytest.approx(s2, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_dense_norms_lie_in_the_bounds(self, against_dense, p):
+        # for p = 2 the bounds meet at the exact S2, so rounding is allowed
+        # at S2's own tolerance
+        spectrum, dense = against_dense
+        lo, hi = spectrum.power_sum_bounds(p)
+        exact = float(np.sum(dense ** p))
+        assert lo * (1.0 - 1e-12) <= exact <= hi * (1.0 + 1e-12)
+        assert 0.0 < spectrum.tail_shares[p] < 1.0
+
+
+def test_matches_the_fourier_continuant(sine_model, fourier_singular):
+    # the operator's own values (conftest); the grid's error with the
+    # trapezoid weights measured 1.37e-5 on the first 10 and 6.9e-4 on S2
+    # at grid 1024; the tolerances are those errors, not wider
+    values, s2 = fourier_singular
+    spectrum = singular_values(green.assemble_kernel(sine_model, 1j, 1024))
+    assert np.max(np.abs(spectrum.values[:10] / values - 1.0)) <= 1.4e-5
+    assert spectrum.schatten_norms[2.0] == pytest.approx(s2, rel=7e-4)
 
 
 def test_every_node_carries_weight(tent_model):
     # the running sums' t-weights vanish with x' at 0 and +-pi; the tail's
-    # trapezoid panels there keep every column of G, and so every singular
-    # value, away from 0
-    spectrum = singular_values(green.assemble_kernel(tent_model, 0.7 + 1j, 128))
-    assert np.all(spectrum.values > 0.0)
+    # trapezoid panels there keep every column of G away from 0.  The
+    # package computes only the leading values, so the dense SVD is taken
+    # here.  Still blind to the tent's spurious null vector: its two
+    # smallest values are 6.1e-17 and 1.5e-18, positive by rounding; a
+    # floor relative to sigma_1 after merging the rows +-pi would see it
+    values = _dense_values(green.assemble_kernel(tent_model, 0.7 + 1j, 128))
+    assert np.all(values > 0.0)
+
+
+class TestPowerSumBounds:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_hold_for_any_tail_of_that_count_and_mass(self, p):
+        rng = np.random.default_rng(3)
+        head = np.array([1.0, 0.6, 0.5])
+        for _ in range(200):
+            tail = 0.5 * rng.random(20) ** rng.uniform(0.1, 4.0)
+            lo, hi = _spectrum(head, float(np.sum(tail ** 2)), 20).power_sum_bounds(p)
+            exact = float(np.sum(head ** p) + np.sum(tail ** p))
+            assert lo * (1.0 - 1e-14) <= exact <= hi * (1.0 + 1e-14)
+
+    def test_values(self):
+        # T s^(p - 2) and m^(1 - p/2) T^(p/2), in order for p < 2 and swapped for p > 2
+        spec = _spectrum([1.0, 0.5], tail_mass=0.3, tail_count=3)
+        lo, hi = spec.power_sum_bounds(1.5)
+        head = 1.0 + 0.5 ** 1.5
+        assert lo == pytest.approx(head + 0.3 * 0.5 ** -0.5)
+        assert hi == pytest.approx(head + 3 ** 0.25 * 0.3 ** 0.75)
+        lo, hi = spec.power_sum_bounds(3.0)
+        assert lo == pytest.approx(1.125 + 3 ** -0.5 * 0.3 ** 1.5)
+        assert hi == pytest.approx(1.125 + 0.3 * 0.5)
+        assert spec.power_sum_bounds(2.0) == pytest.approx((1.25 + 0.3, 1.25 + 0.3))
+
+    def test_no_tail_gives_the_leading_sum(self):
+        assert _spectrum([1.0, 0.5]).power_sum_bounds(1.5) == (1.0 + 0.5 ** 1.5,) * 2
 
 
 class TestEigenSchattenInequality:
@@ -59,6 +136,19 @@ class TestEigenSchattenInequality:
     def test_needs_p_above_one(self, p):
         with pytest.raises(ValidationError):
             eigen_schatten_inequality([0.0], _spectrum([1.0]), 1j, p)
+
+    @pytest.mark.parametrize("left, passed", [(0.6, True), (0.84, False)])
+    def test_the_tails_lower_bound_decides(self, left, passed):
+        # p = 1.5, leading sum 0.354, tail lower bound 0.424 and upper 0.534:
+        # left = 0.6 passes only through the tail's lower bound, and 0.84
+        # fails though it lies below the upper bound's (0.887 * 1.05)
+        spec = _spectrum([0.5], tail_mass=0.3, tail_count=3)
+        lam = 1j * left ** (-1.0 / 1.5)                 # |lam - 0|^(-1.5) = left
+        rep = eigen_schatten_inequality([0.0], spec, lam, 1.5)
+        assert rep.left == pytest.approx(left)
+        assert rep.right == pytest.approx(0.5 ** 1.5 + 0.3 * 0.5 ** -0.5)
+        assert rep.passed is passed
+        assert not eigen_schatten_inequality([0.0], _spectrum([0.5]), lam, 1.5).passed
 
 
 class TestDyadicBoundAudit:
