@@ -45,7 +45,14 @@ under their own names -- ``phi``, ``psi``, ``log_pf`` = log(p/f), ``w2``
 = the weighted psi, and the ``denominator`` -- and applies it by three
 running sums, each accumulated outward from the point where its
 integrand vanishes, and its adjoint by the same sums transposed; sup|G|
-and the weighted Frobenius norm are read from the generators too.  The
+and the weighted Frobenius norm are read from the generators too.  Part
+I's two sides, paths of one length out from the origin, are summed in one
+call on a (2, L) array; each row is summed alone and in the same order,
+so the result is the one two separate sums give, bit for bit.  There is
+one forward apply, ``_apply``, and one adjoint apply, ``_adjoint``, both
+on value arrays and unchecked: ``apply_resolvent`` checks that a forcing
+lies on the kernel's grid and calls ``_apply``, and ``schatten``, whose
+vectors live on the kernel's own nodes, calls the two directly.  The
 dense matrix is built from the rules' own weights, a block of columns at
 a time, only for the kernel dump; its columns are taken against the
 grid's trapezoid weights, which ``schatten``'s symmetrisation and the
@@ -123,9 +130,9 @@ class _FullPeriod:
 class KernelGrid(_FullPeriod):
     """The discretized kernel, held by its O(n) generators on the graded grid.
 
-    ``apply_resolvent`` and ``apply_adjoint`` apply it and its adjoint by
-    running sums; ``kernel_matrix`` builds the dense n x n matrix for the
-    kernel dump.
+    ``apply_resolvent`` (through ``_apply``) and ``_adjoint`` apply it and
+    its adjoint by running sums; ``kernel_matrix`` builds the dense n x n
+    matrix for the kernel dump.
     """
 
     lam: complex
@@ -298,17 +305,19 @@ class _RunningRule:
     near: np.ndarray                # (L, 4)
 
     def sums(self, g: np.ndarray) -> np.ndarray:
-        """S for g of shape (L, m), along axis 0."""
-        out = np.cumsum(self.final[:, None] * g, axis=0)
+        """S for g of shape (..., L), along the last axis."""
+        size = g.shape[-1]
+        out = np.cumsum(self.final * g, axis=-1)
         for r in range(4):
-            out[r:] += self.near[r:, r, None] * g[:len(g) - r]
+            out[..., r:] += self.near[r:, r] * g[..., :size - r]
         return out
 
     def transposed_sums(self, h: np.ndarray) -> np.ndarray:
-        """A^T h for h of shape (L,): node j gathers final[j] times the sum of h from j on, and its band."""
-        out = self.final * np.cumsum(h[::-1])[::-1]
+        """A^T h for h of shape (..., L): node j gathers final[j] times the sum of h from j on, and its band."""
+        size = h.shape[-1]
+        out = self.final * np.cumsum(h[..., ::-1], axis=-1)[..., ::-1]
         for r in range(4):
-            out[:len(h) - r] += self.near[r:, r] * h[r:]
+            out[..., :size - r] += self.near[r:, r] * h[..., r:]
         return out
 
     def columns(self, at: np.ndarray) -> np.ndarray:
@@ -378,7 +387,7 @@ def _rules(n: int, breakpoints: tuple, kinks: tuple):
     x, dx = _grading(np.arange(half + 1) / half)
     x, dxdt = PI * x, PI * dx / half
     pos = np.asarray([np.argmin(np.abs(x - b)) for b in breakpoints], dtype=int)
-    on_kink = np.isin(breakpoints, kinks)
+    on_kink = np.array([b in kinks for b in breakpoints], dtype=bool)
     part_i = _running_rule(x[:-1], dxdt[:-1], set(pos), set(pos[on_kink]))
     tail_ends = {1, half - 1, half, half + 1, n - 2, *(half - pos), *(half + pos)}
     tail_kinks = {*(half - pos[on_kink]), *(half + pos[on_kink])}
@@ -387,51 +396,59 @@ def _rules(n: int, breakpoints: tuple, kinks: tuple):
     return part_i, tail
 
 
+@functools.lru_cache(maxsize=8)
+def _part_i_sides(n: int) -> np.ndarray:
+    """Part I's two paths, one per row, from the origin to the node before pi and to the one after -pi."""
+    sides = np.stack([np.arange(n // 2, n - 1), np.arange(n // 2, 0, -1)])
+    sides.flags.writeable = False
+    return sides
+
+
 def _applied_parts(kernel: KernelGrid, summed):
-    """Parts I, II and III of the kernel applied to a forcing, each of shape (n, m).
+    """Parts I, II and III of the kernel applied to forcings, each of shape (..., n).
 
     ``summed(rule, path, g)`` gives the rule's running sums along ``path``
-    (node indices) of g (on the path) times the forcing: m forcings, or
-    m unit forcings for a block of dense columns.  Each part is a running
-    sum from the end where its integral is zero, never a difference of
-    two sums from -pi: near those ends such a difference cancels to no
-    correct digits.
+    (node indices, along its last axis) of g (on the path) times the
+    forcing, of shape (..., *path.shape): one forcing, or m unit forcings
+    for a block of dense columns.  Each part is a running sum from the end
+    where its integral is zero, never a difference of two sums from -pi:
+    near those ends such a difference cancels to no correct digits.
 
     * part I = psi(x) (-i/eps) int phi (p/f) F over s between 0 and x,
-      summed from the origin on each side;
+      summed from the origin on both sides in one call, a path of shape (2, L);
     * part II = phi(x) int_x^pi w2 F, summed from pi;
     * part III = phi(x) int_(-pi)^pi w2 F / denominator.
     """
     n = len(kernel.nodes)
     model = kernel.model
     rule_i, rule_tail = _rules(n, model.profile.breakpoints, model.profile.kinks)
-    tail = summed(rule_tail, np.arange(n - 1, -1, -1), kernel.w2[::-1])[::-1]
+    x_factor, s_factor = kernel._part_i_factors
+    tail = summed(rule_tail, np.arange(n - 1, -1, -1), kernel.w2[::-1])[..., ::-1]
     part_i = np.zeros(tail.shape, complex)
-    for path in (np.arange(n // 2, n - 1), np.arange(n // 2, 0, -1)):
-        s = summed(rule_i, path, kernel.phi[path] * np.exp(kernel.log_pf[path]))
-        off = path[1:]                                  # psi is nan at the origin
-        part_i[off] = kernel.psi[off, None] * (-1j / model.epsilon) * s[1:]
-    part_ii = kernel.phi[:, None] * tail
-    part_iii = kernel.phi[:, None] * (tail[0] / kernel.denominator)
+    sides = _part_i_sides(n)
+    off = sides[:, 1:]                                  # psi is nan at the origin
+    part_i[..., off] = x_factor[off] * summed(rule_i, sides, s_factor[sides])[..., 1:]
+    part_ii = kernel.phi * tail
+    part_iii = kernel.phi * (tail[..., :1] / kernel.denominator)
     return part_i, part_ii, part_iii
 
 
 def _forcing_parts(kernel: KernelGrid, forcing: np.ndarray):
     """``_applied_parts`` for forcing values of shape (n,), by running sums."""
-    F = forcing[:, None]
-    parts = _applied_parts(kernel, lambda rule, path, g: rule.sums(g[:, None] * F[path]))
-    return tuple(part[:, 0] for part in parts)
+    return _applied_parts(kernel, lambda rule, path, g: rule.sums(g * forcing[path]))
 
 
 def _unit_sums(kernel: KernelGrid, cols: np.ndarray):
     """``summed`` for the unit forcings 1/w_j at s_j, j in ``cols``: the rules' own columns."""
     def summed(rule, path, g):
+        if path.ndim > 1:
+            return np.stack([summed(rule, p, q) for p, q in zip(path, g)], axis=-2)
         at = np.full(len(kernel.nodes), -1)
         at[path] = np.arange(len(path))
         at = at[cols]
         on = at >= 0
-        out = np.zeros((len(path), len(cols)), complex)
-        out[:, on] = rule.columns(at[on]) * (g[at[on]] / kernel.weights[cols[on]])
+        out = np.zeros((len(cols), len(path)), complex)
+        out[on] = (rule.columns(at[on]) * (g[at[on]] / kernel.weights[cols[on]])).T
         return out
     return summed
 
@@ -446,7 +463,7 @@ def _column_blocks(kernel: KernelGrid, part: Optional[str] = None):
     for start in range(0, n, KERNEL_BLOCK):
         cols = np.arange(start, min(start + KERNEL_BLOCK, n))
         parts = _applied_parts(kernel, _unit_sums(kernel, cols))
-        yield cols, sum(parts) if part is None else parts[PARTS.index(part)]
+        yield cols, (sum(parts) if part is None else parts[PARTS.index(part)]).T
 
 
 def kernel_matrix(kernel: KernelGrid, part: Optional[str] = None) -> np.ndarray:
@@ -467,33 +484,37 @@ def _check_on_grid(nodes: np.ndarray, forcing: GridFunction) -> None:
         raise GridMismatchError("forcing is not sampled on the grid of the kernel or of u")
 
 
-def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
-    """u(x_i) = sum_j G(x_i, s_j) w_j F(s_j)."""
-    _check_on_grid(kernel.nodes, forcing)
-    parts = _forcing_parts(kernel, forcing.values)
-    return GridFunction(nodes=kernel.nodes, values=sum(parts))
+def _apply(kernel: KernelGrid, forcing: np.ndarray) -> np.ndarray:
+    """``apply_resolvent`` on the forcing's values, with no grid check."""
+    return sum(_forcing_parts(kernel, forcing))
 
 
-def apply_adjoint(kernel: KernelGrid, y: GridFunction) -> GridFunction:
-    """v(s_j) = sum_i conj(G(x_i, s_j)) w_i y(x_i), the adjoint of ``apply_resolvent`` under w.
+def _adjoint(kernel: KernelGrid, y: np.ndarray) -> np.ndarray:
+    """v(s_j) = sum_i conj(G(x_i, s_j)) w_i y(x_i), the adjoint of ``_apply`` under w, on values.
 
     ``_applied_parts`` transposed: the same rules and generators, each
     running sum taken back from its far end (``_RunningRule.transposed_sums``).
     """
-    _check_on_grid(kernel.nodes, y)
     n = len(kernel.nodes)
     model = kernel.model
     rule_i, rule_tail = _rules(n, model.profile.breakpoints, model.profile.kinks)
     x_factor, s_factor = kernel._part_i_factors
-    z = kernel.weights * y.values
+    z = kernel.weights * y
     # parts II and III: phi(x) times the tail sums, and their value at -pi over the denominator
     h = np.conj(kernel.phi) * z
     h[0] += np.sum(h) / np.conj(kernel.denominator)
     out = np.conj(kernel.w2) * rule_tail.transposed_sums(h[::-1])[::-1]
-    for path in (np.arange(n // 2, n - 1), np.arange(n // 2, 0, -1)):
-        e = np.conj(x_factor[path]) * z[path]
-        out[path] += np.conj(s_factor[path]) * rule_i.transposed_sums(e)
-    return GridFunction(nodes=kernel.nodes, values=out / kernel.weights)
+    sides = _part_i_sides(n)
+    off = sides[:, 1:]                                  # the s-factor is 0 at the origin
+    e = np.conj(x_factor[sides]) * z[sides]
+    out[off] += np.conj(s_factor[off]) * rule_i.transposed_sums(e)[:, 1:]
+    return out / kernel.weights
+
+
+def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
+    """u(x_i) = sum_j G(x_i, s_j) w_j F(s_j), once the forcing is checked to lie on the kernel's grid."""
+    _check_on_grid(kernel.nodes, forcing)
+    return GridFunction(nodes=kernel.nodes, values=_apply(kernel, forcing.values))
 
 
 def weighted_frobenius_sq(kernel: KernelGrid) -> float:

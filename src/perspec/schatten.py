@@ -11,6 +11,16 @@ is exact, and with it S2.  For p != 2 the tail is modelled by a power law
 fixed by T, and bounded over every tail of that count and mass; the
 inequality reads the lower bound.
 
+The bidiagonalization starts from a fixed golden-ratio Weyl vector, so a
+run is reproducible and draws no random numbers.  It keeps both bases
+orthonormal by one classical Gram-Schmidt pass per vector, and a second
+only where the DGKS test sees the first cancel.  Its convergence checks,
+each an SVD of the bidiagonal, come at step LEADING, RITZ_CHECK steps
+later, and then where the geometric decay of the worst leading Ritz
+residual over the last two checks predicts convergence, RITZ_CHECK to
+4 RITZ_CHECK steps on.  So a solve costs little beyond its O(n) applies
+and the Gram-Schmidt products.
+
 The dyadic audit bounds the blocks of the triangular kernel part built
 from v = phi and w = psi * (-i p / (eps f)): level j splits [-pi, pi]
 into 2^(j+1) equal intervals and pairs even (for v) with odd (for w);
@@ -31,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .green import (GridFunction, KernelGrid, _full_period, apply_adjoint, apply_resolvent,
-                    solution_pairs, weighted_frobenius_sq)
+from .green import (KernelGrid, _adjoint, _apply, _full_period, solution_pairs,
+                    weighted_frobenius_sq)
 from .profiles import OperatorModel
 from .shooting import DEFAULT_CONFIG, SolverConfig
 
@@ -47,7 +57,8 @@ ARGMAX_TIE = 1e-9
 INEQUALITY_GUARD = 0.05                 # relative slack of the inequality's right side
 LEADING = 64                            # singular values computed; the rest are the tail
 RITZ_TOL = 1e-13                        # the leading Ritz residuals' bound, relative to sigma_1
-RITZ_CHECK = 8                          # Lanczos steps between convergence checks
+RITZ_CHECK = 8                          # fewest Lanczos steps between convergence checks; 4x the most
+DGKS_KEEP = 1.0 / math.sqrt(2.0)        # a second Gram-Schmidt pass when the first keeps less of the norm
 TAIL_BISECTIONS = 60                    # halvings of the tail exponent's bracket
 
 
@@ -61,6 +72,7 @@ class SingularValueSpectrum:
     tail_count: int = 0                 # how many values the tail holds
     tail_shares: dict = field(default_factory=dict)     # order -> the tail's share of sum sigma^p
     lanczos_steps: int = 0
+    lanczos_checks: int = 0             # SVDs of the Lanczos bidiagonal, the last one's included
 
     def power_sum_bounds(self, p: float) -> tuple:
         """Bounds on sum sigma^p over every value that hold for any tail of the given count and mass.
@@ -87,14 +99,26 @@ class SingularValueSpectrum:
                 "tail_shares": {str(k): v for k, v in self.tail_shares.items()},
                 "tail_mass": self.tail_mass,
                 "tail_count": self.tail_count,
-                "lanczos_steps": self.lanczos_steps}
+                "lanczos_steps": self.lanczos_steps,
+                "lanczos_checks": self.lanczos_checks}
 
 
-def _orthogonalized(r: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """r less its components along the orthonormal rows of ``basis``: classical Gram-Schmidt, twice."""
+def _orthogonalized(r: np.ndarray, basis: np.ndarray):
+    """r less its components along the orthonormal rows of ``basis``, and the result's norm.
+
+    Classical Gram-Schmidt, with the DGKS test (Daniel, Gragg, Kaufman &
+    Stewart 1976): a second pass runs only when the first leaves less than
+    DGKS_KEEP of r's norm, since only then can cancellation have left
+    components along the basis that matter.
+    """
+    norm = np.linalg.norm(r)
     for _ in range(2):
         r = r - np.conj(basis @ np.conj(r)) @ basis
-    return r
+        left = np.linalg.norm(r)
+        if left >= DGKS_KEEP * norm:
+            break
+        norm = left
+    return r, left
 
 
 def _ritz(alpha: np.ndarray, beta: np.ndarray):
@@ -109,44 +133,77 @@ def _ritz(alpha: np.ndarray, beta: np.ndarray):
     return s, beta[-1] * np.abs(P[-1])
 
 
-def _lanczos(forward, adjoint, n: int, count: int):
-    """The leading ``count`` singular values of an n x n operator, and the Lanczos steps taken.
+def _start_vector(n: int) -> np.ndarray:
+    """A fixed unit start vector: the golden-ratio Weyl sequence frac(j g) - 1/2, j = 1..n.
 
-    Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan 1965) from a fixed
-    start vector, so a run is reproducible, with both bases kept
-    orthonormal by full reorthogonalization.  It stops when the leading
-    Ritz residuals are at most RITZ_TOL sigma_1, checked every RITZ_CHECK
-    steps, or after n steps, where B holds the whole spectrum.
+    Deterministic without a random generator, and neither even nor odd
+    under the reflection of the nodes, so the Krylov space is not confined
+    to one parity of a reflection-symmetric kernel.
     """
-    V = np.empty((min(n, 2 * count), n), complex)
+    start = np.arange(1, n + 1) * ((math.sqrt(5.0) - 1.0) / 2.0) % 1.0 - 0.5
+    return start / np.linalg.norm(start)
+
+
+def _steps_to_check(checks: list) -> int:
+    """Lanczos steps from the last Ritz check to the next, from the (step, worst residual) of the checks.
+
+    The worst leading residual decays about geometrically, so its rate
+    over the last two checks predicts the step where it reaches RITZ_TOL;
+    the gap is clamped to RITZ_CHECK..4 RITZ_CHECK (the upper clamp also
+    when the residual did not fall).
+    """
+    if len(checks) < 2:
+        return RITZ_CHECK
+    (k1, r1), (k2, r2) = checks[-2:]
+    rate = math.log(r2 / r1) / (k2 - k1)
+    ahead = math.ceil(math.log(RITZ_TOL / r2) / rate) if rate < 0.0 else 4 * RITZ_CHECK
+    return min(max(ahead, RITZ_CHECK), 4 * RITZ_CHECK)
+
+
+def _lanczos(forward, adjoint, n: int, count: int):
+    """The leading ``count`` singular values of an n x n operator, the Lanczos steps and the Ritz checks taken.
+
+    Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan 1965) from the
+    fixed ``_start_vector``, so a run is reproducible, with both bases kept
+    orthonormal by full reorthogonalization: one classical Gram-Schmidt
+    pass, and a second where the DGKS test asks for it
+    (``_orthogonalized``).  It stops when the leading Ritz residuals are at
+    most RITZ_TOL sigma_1, or after n steps, where B holds the whole
+    spectrum.  A check takes an SVD of the k x k bidiagonal; the first is
+    at step ``count``, the second RITZ_CHECK steps on, and each later one
+    where the last two predict convergence (``_steps_to_check``).
+    """
+    # room for 4 count steps (at most 200 were taken for count 64 up to grid
+    # 4096); rows take memory only once written, and the room doubles if needed
+    V = np.empty((min(n, 4 * count), n), complex)
     U = np.empty_like(V)
     alpha, beta = np.empty(n), np.empty(n)
-    start = np.random.default_rng(0).standard_normal(n)
-    V[0] = start / np.linalg.norm(start)
+    V[0] = _start_vector(n)
     u = forward(V[0])
     alpha[0] = np.linalg.norm(u)
     U[0] = u / alpha[0]
+    checks, next_check = [], count
     k = 1
     while k < n:
-        r = _orthogonalized(adjoint(U[k - 1]) - alpha[k - 1] * V[k - 1], V[:k])
-        beta[k - 1] = np.linalg.norm(r)
-        if k >= count and (k - count) % RITZ_CHECK == 0:
+        r, beta[k - 1] = _orthogonalized(adjoint(U[k - 1]) - alpha[k - 1] * V[k - 1], V[:k])
+        if k == next_check:
             values, residuals = _ritz(alpha[:k], beta[:k])
             if np.all(residuals[:count] <= RITZ_TOL * values[0]):
-                return values[:count], k
+                return values[:count], k, len(checks) + 1
+            checks.append((k, float(np.max(residuals[:count]) / values[0])))
+            next_check = k + _steps_to_check(checks)
         if beta[k - 1] == 0.0:
             break                                       # the Krylov space is invariant
         if k == len(V):
             V, U = (np.concatenate([b, np.empty((min(n, 2 * k) - k, n), complex)]) for b in (V, U))
         V[k] = r / beta[k - 1]
-        p = _orthogonalized(forward(V[k]) - beta[k - 1] * U[k - 1], U[:k])
-        alpha[k] = np.linalg.norm(p)
+        p, alpha[k] = _orthogonalized(forward(V[k]) - beta[k - 1] * U[k - 1], U[:k])
         if alpha[k] == 0.0:
             break
         U[k] = p / alpha[k]
         k += 1
     beta[k - 1] = 0.0
-    return _ritz(alpha[:k], beta[:k])[0][:count], k
+    return _ritz(alpha[:k], beta[:k])[0][:count], k, len(checks) + 1
 
 
 def _tail_exponent(target: float, ratio: np.ndarray) -> float:
@@ -178,12 +235,12 @@ def singular_values(kernel: KernelGrid, orders=DEFAULT_ORDERS) -> SingularValueS
     sq = np.sqrt(kernel.weights)
 
     def forward(v):
-        return sq * apply_resolvent(kernel, GridFunction(kernel.nodes, v / sq)).values
+        return sq * _apply(kernel, v / sq)
 
     def adjoint(y):
-        return sq * apply_adjoint(kernel, GridFunction(kernel.nodes, y / sq)).values
+        return sq * _adjoint(kernel, y / sq)
 
-    values, steps = _lanczos(forward, adjoint, n, min(LEADING, n))
+    values, steps, checks = _lanczos(forward, adjoint, n, min(LEADING, n))
     tail_count = n - len(values)
     tail_mass = max(weighted_frobenius_sq(kernel) - float(np.sum(values ** 2)), 0.0)
     ratio = np.arange(len(values) + 1, n + 1) / len(values)
@@ -196,7 +253,7 @@ def singular_values(kernel: KernelGrid, orders=DEFAULT_ORDERS) -> SingularValueS
         shares[float(p)] = tail / (head + tail)
     return SingularValueSpectrum(lam=kernel.lam, grid_size=n - 1, values=values,
                                  schatten_norms=norms, tail_mass=tail_mass, tail_count=tail_count,
-                                 tail_shares=shares, lanczos_steps=steps)
+                                 tail_shares=shares, lanczos_steps=steps, lanczos_checks=checks)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,7 @@ import pytest
 import perspec.cli
 from perspec.cli import EXIT_SOLVER, EXIT_USAGE, EXIT_VALIDATION, run_subcommand
 from perspec.green import GridFunction, apply_resolvent
+from perspec.schatten import RITZ_CHECK
 
 # small enough to keep each call well under a second
 SMALL = ["--grid", "64", "--levels", "0"]
@@ -260,6 +261,7 @@ class TestSchatten:
         singular = json.loads(written[0])["results"]["singular"]
         assert len(singular["singular_values"]) == 64
         assert singular["tail_count"] == grid + 1 - 64 and singular["lanczos_steps"] >= 64
+        assert 1 <= singular["lanczos_checks"] <= singular["lanczos_steps"] / RITZ_CHECK
         for p, (lo, hi) in singular["schatten_bounds"].items():
             assert lo <= singular["schatten_norms"][p] <= hi
             assert 0.0 <= singular["tail_shares"][p] < 1.0

@@ -26,8 +26,9 @@ must resolve, and ``perfbench/run.py`` reads ``perspec.BACKEND``.
 The package needs numpy alone: no package module imports scipy anywhere,
 at module level or inside a function, and a process that imports the
 package and runs a command never loads it (only the tests use it).  Nor
-does a command load ``numpy.ma``, which ``import numpy`` leaves out and
-``np.unique`` pulls in.
+does ``eigs``, ``schatten`` or ``resolve`` load ``numpy.ma``, which
+``import numpy`` leaves out and ``np.unique`` and ``np.isin`` pull in;
+and ``eigs`` and ``schatten`` do not load ``numpy.random``.
 """
 
 import ast
@@ -269,8 +270,10 @@ def test_no_scipy_import(path):
 
 COMMANDS = """
 import sys
+from pathlib import Path
 import numpy as np
 ma_with_numpy = "numpy.ma" in sys.modules
+random_with_numpy = "numpy.random" in sys.modules
 import perspec
 import perspec.cli
 from perspec.singular import integrating_factor
@@ -279,19 +282,28 @@ x = np.linspace(0.0, np.pi, 41)
 for profile in (perspec.sine_profile(), perspec.piecewise_linear_profile(),
                 perspec.tabulated_profile(x, (2 / np.pi) * np.sin(x))):
     integrating_factor(perspec.OperatorModel(profile=profile, epsilon=1.0))
-code = perspec.cli.run_subcommand(["eigs", "--lmax", "2", "--out", sys.argv[1]])
-assert code == 0, code
+for argv in (["eigs", "--lmax", "2"], ["schatten", "--grid", "64", "--levels", "1"],
+             ["resolve", "--grid", "64"]):
+    code = perspec.cli.run_subcommand([*argv, "--out", str(Path(sys.argv[1]) / argv[0])])
+    assert code == 0, code
+    print(argv[0], ma_with_numpy or "numpy.ma" not in sys.modules,
+          random_with_numpy or "numpy.random" not in sys.modules)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-print(ma_with_numpy or "numpy.ma" not in sys.modules)
 """
 
 
 def test_commands_load_neither_scipy_nor_numpy_ma(tmp_path):
+    # resolve draws its default forcing from numpy.random; eigs and schatten
+    # take no random numbers, so they do not load it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                                      env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", COMMANDS,
-                          str(tmp_path / "eigs.json")],
+    run = subprocess.run([sys.executable, "-c", COMMANDS, str(tmp_path)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip().splitlines()[-2:] == ["[]", "True"]
+    lines = [line.split() for line in run.stdout.strip().splitlines()]
+    assert lines[-1] == ["[]"]
+    loaded = {line[0]: line[1:] for line in lines if len(line) == 3}
+    assert loaded["eigs"] == ["True", "True"]
+    assert loaded["schatten"] == ["True", "True"]
+    assert loaded["resolve"][0] == "True"

@@ -22,10 +22,14 @@ def _dense_values(kernel):
     return np.linalg.svd(sq[:, None] * green.kernel_matrix(kernel) * sq[None, :], compute_uv=False)
 
 
-# (profile, grid, lam), lam in the schatten workload's range: Re in [-3, 3], Im in [0.5, 1.5]
+# (profile, grid, lam), lam in the schatten workload's range: Re in [-3, 3], Im in [0.5, 1.5].
+# At grid 64, n = 65 is one more than LEADING; tent stops at step 64, where
+# its near-null values (3e-17 and 3e-18 sigma_1; ROADMAP item 4) leave the
+# leading residuals at rounding level and the tail no mass
 DENSE_CASES = [("sine", 128, 2.9 + 0.5j), ("tent", 128, -1.3 + 1.4j),
                ("sine", 256, -2.6 + 0.55j), ("tent", 512, 0.7 + 1j),
-               ("sine", 1024, 0.7 + 1j), ("tent", 1024, -2.6 + 0.55j)]
+               ("sine", 1024, 0.7 + 1j), ("tent", 1024, -2.6 + 0.55j),
+               ("tent", 64, -2.6 + 0.55j)]
 MODELS = {"sine": sine_profile, "tent": piecewise_linear_profile}
 
 
@@ -59,7 +63,63 @@ class TestLanczosAgainstTheDenseSvd:
         lo, hi = spectrum.power_sum_bounds(p)
         exact = float(np.sum(dense ** p))
         assert lo * (1.0 - 1e-12) <= exact <= hi * (1.0 + 1e-12)
-        assert 0.0 < spectrum.tail_shares[p] < 1.0
+        if spectrum.tail_mass > 0.0:
+            assert 0.0 < spectrum.tail_shares[p] < 1.0
+        else:
+            assert spectrum.tail_shares[p] == 0.0
+
+
+def test_the_step_cap_ends_with_a_check(sine_model):
+    # n = 65: the first check, at step 64, does not pass and the next one
+    # lies past n, so the values come from the whole bidiagonal
+    kernel = green.assemble_kernel(sine_model, -2.6 + 0.55j, 64)
+    spectrum = singular_values(kernel)
+    assert (spectrum.lanczos_steps, spectrum.lanczos_checks) == (65, 2)
+    dense = _dense_values(kernel)
+    assert np.max(np.abs(spectrum.values - dense[:schatten.LEADING])) <= 1e-12 * dense[0]
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+class TestLanczosInternals:
+    def test_a_cancelling_vector_is_orthogonalized_twice(self):
+        # r lies 1 - 1e-10 inside the span of 20 orthonormal rows: one
+        # Gram-Schmidt pass leaves components along them of 2e-6 of what is
+        # left; the DGKS test asks for the second pass
+        rng = np.random.default_rng(11)
+        basis = _unitary(rng, 300)[:20].conj()
+        c = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        z = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        z -= np.conj(basis @ np.conj(z)) @ basis
+        r = c @ basis / np.linalg.norm(c) + 1e-10 * z / np.linalg.norm(z)
+        out, norm = schatten._orthogonalized(r, basis)
+        assert norm == np.linalg.norm(out)
+        assert np.max(np.abs(basis @ np.conj(out))) <= 1e-14 * norm
+        once = r - np.conj(basis @ np.conj(r)) @ basis
+        assert np.max(np.abs(basis @ np.conj(once))) > 1e-14 * np.linalg.norm(once)
+
+    @pytest.mark.parametrize("decay", [0.9, 0.97])
+    def test_leading_values_of_an_explicit_matrix(self, decay):
+        # Q1 diag(s) Q2^H with s geometric and two values 1e-9 apart
+        rng = np.random.default_rng(12)
+        n = 300
+        s = decay ** np.arange(n)
+        s[6] = s[5] - 1e-9
+        a = (_unitary(rng, n) * s) @ _unitary(rng, n).conj().T
+        values, steps, checks = schatten._lanczos(lambda v: a @ v, lambda y: a.conj().T @ y,
+                                                  n, schatten.LEADING)
+        assert np.max(np.abs(values - s[:schatten.LEADING])) <= 1e-13 * s[0]
+        assert 1 <= checks <= steps / schatten.RITZ_CHECK
+
+    def test_start_vector_has_no_parity(self):
+        # a start vector even or odd under the nodes' reflection would keep
+        # the Krylov space in one parity of a reflection-symmetric kernel
+        v = schatten._start_vector(1025)
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-15)
+        even, odd = (v + v[::-1]) / 2.0, (v - v[::-1]) / 2.0
+        assert np.linalg.norm(even) > 0.5 and np.linalg.norm(odd) > 0.5
 
 
 def test_matches_the_fourier_continuant(sine_model, fourier_singular):
