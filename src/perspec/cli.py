@@ -266,7 +266,10 @@ def build_parser() -> _Parser:
     p.add_argument("--forcing", default="random",
                    help="'random' or a 2/3-column file (x, F) / (x, ReF, ImF)")
 
-    p = subs.add_parser("kernel", help="dump the assembled kernel as CSV")
+    p = subs.add_parser(
+        "kernel", help="dump the kernel's entries G(x_i, s_j) as CSV, one block per part",
+        description="each row holds x_i, s_j and one part's share of G(x_i, s_j); the parts "
+                    "sum to the entry, whose largest modulus is the printed sup|G|")
     _add_common(p)
     p.add_argument("--lambda-re", dest="lambda_re", type=float, default=None)
     p.add_argument("--lambda-im", dest="lambda_im", type=float, default=None)
@@ -275,13 +278,19 @@ def build_parser() -> _Parser:
     p = subs.add_parser(
         "schatten", help="leading singular values, Schatten norms with bounds, dyadic bound, "
                          "inequality",
-        description=f"singular.singular_values holds the leading {LEADING} singular values of "
-                    "the weight-symmetrized kernel, from Golub-Kahan-Lanczos on its O(n) "
-                    "apply; the other values' sum of squares, tail_mass, comes from the exact "
-                    "Frobenius norm.  schatten_norms models those values by a power law fixed "
-                    "by tail_mass, schatten_bounds holds [lo, hi] over every tail of that "
-                    "count and mass, and tail_shares the modelled tail's share of sum sigma^p.  "
-                    "The inequality's right side is lo^p.")
+        description=f"singular.singular_values holds the leading {LEADING} singular values "
+                    "(at most as many as the grid's even nodes) of the kernel's entries "
+                    "symmetrized by the square roots of the trapezoid weights, from "
+                    "Golub-Kahan-Lanczos on their O(n) apply on the grid and on its even "
+                    "nodes, extrapolated by (4 s(n) - s(n/2)) / 3 and sorted; "
+                    "extrapolation_error is the step's largest size over sigma_1.  The "
+                    "other values' sum of squares, tail_mass, "
+                    "comes from the Frobenius norm, exact on each grid and extrapolated "
+                    "alike.  schatten_norms models those values by a power law fixed by "
+                    "tail_mass, schatten_bounds holds [lo, hi] over every tail of that count "
+                    "and mass, and tail_shares the modelled tail's share of sum sigma^p.  "
+                    "lanczos_steps and lanczos_checks count both solves.  The inequality's "
+                    "right side is lo^p.")
     _add_common(p)
     p.add_argument("--lambda-re", dest="lambda_re", type=float, default=None)
     p.add_argument("--lambda-im", dest="lambda_im", type=float, default=None)

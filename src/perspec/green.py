@@ -27,36 +27,35 @@ of the weighted psi use the fitted local coefficients.  Shooting picks
 the cutoff and caps it below the nodes it is asked for
 (``shooting.CUTOFF_CAP``).
 
-Quadrature integrates in the grid's grading variable t, in which each
-half of the grid is uniform: the integrand is g(x(t)) x'(t), with x'
-from the grid's own ``_grading``.  On each panel a sum integrates the
-cubic through four nodes, by stencils that read no node past the sum's
-end (``_RunningRule``), so the recovery error falls 8 to 16 times per
-grid doubling.  Panels end at the origin and at the nodes nearest the
-profile's breakpoints.  Beside a kink the panel is exact for quadratics
-and gives the kink node the trapezoid's half weight from either side at
-every partial sum, because a forcing may hold the mean of two one-sided
-limits there.  The tail's panels at 0 and +-pi, where x' = 0, are
-trapezoids in x.
-
 Parts I and II are semiseparable and part III has rank one, so
 ``KernelGrid`` holds the kernel as ``_full_period``'s O(n) generators
 under their own names -- ``phi``, ``psi``, ``log_pf`` = log(p/f), ``w2``
-= the weighted psi, and the ``denominator`` -- and applies it by three
-running sums, each accumulated outward from the point where its
-integrand vanishes, and its adjoint by the same sums transposed; sup|G|
-and the weighted Frobenius norm are read from the generators too.  Part
+= the weighted psi, and the ``denominator``.  A kernel entry G(x_i, s_j)
+has one definition, ``KernelGrid._terms``: four products of an x-factor
+and an s-factor, each on its support (every s, s >= x, or s < x), so the
+diagonal is counted once.  Every reader but the resolvent apply reads
+them: sup|G| and the dense matrix of the kernel dump, built a block of
+rows at a time (``_row_blocks``); the O(n) apply of G (w F) and its
+adjoint under the trapezoid weights w (``_nystrom_apply``,
+``_nystrom_adjoint``), by cumulative sums over the supports; and the
+weighted Frobenius norm.  These are the Nystrom discretization that
+``schatten`` symmetrises.
+
+``apply_resolvent`` integrates to fourth order instead, in the grid's
+grading variable t, in which each half of the grid is uniform: the
+integrand is g(x(t)) x'(t), with x' from the grid's own ``_grading``.  On
+each panel a sum integrates the cubic through four nodes, by stencils
+that read no node past the sum's end (``_RunningRule``), so the recovery
+error falls 8 to 16 times per grid doubling.  Panels end at the origin
+and at the nodes nearest the profile's breakpoints.  Beside a kink the
+panel is exact for quadratics and gives the kink node the trapezoid's
+half weight from either side at every partial sum, because a forcing may
+hold the mean of two one-sided limits there.  The tail's panels at 0 and
++-pi, where x' = 0, are trapezoids in x.  Each part is a running sum
+accumulated outward from the point where its integrand vanishes.  Part
 I's two sides, paths of one length out from the origin, are summed in one
 call on a (2, L) array; each row is summed alone and in the same order,
-so the result is the one two separate sums give, bit for bit.  There is
-one forward apply, ``_apply``, and one adjoint apply, ``_adjoint``, both
-on value arrays and unchecked: ``apply_resolvent`` checks that a forcing
-lies on the kernel's grid and calls ``_apply``, and ``schatten``, whose
-vectors live on the kernel's own nodes, calls the two directly.  The
-dense matrix is built from the rules' own weights, a block of columns at
-a time, only for the kernel dump; its columns are taken against the
-grid's trapezoid weights, which ``schatten``'s symmetrisation and the
-error norms read.
+so the result is the one two separate sums give, bit for bit.
 """
 
 from __future__ import annotations
@@ -76,8 +75,9 @@ from .singular import compute_log_p_over_f, default_cutoff, log_pf_coefficient_a
 
 PI = math.pi
 GRADING_EXPONENT = 2.0          # grid clustering toward 0 and +-pi (2 = quadratic)
-KERNEL_BLOCK = 128              # columns per block of a dense kernel build
+KERNEL_BLOCK = 128              # rows per block of a dense kernel build
 PARTS = ("I", "II", "III")
+ALL, UPPER, LOWER = "all", "s >= x", "s < x"      # the supports of the kernel's terms
 
 
 def _grading(t):
@@ -94,17 +94,22 @@ def graded_full_grid(grid_size: int):
     >= 64); the grid has grid_size + 1 nodes including -pi, 0, pi.  On
     each half it is uniform in the grading variable t (``_grading``),
     the variable the running sums integrate in; the trapezoid weights
-    are the Schatten symmetrisation's and the error norms'.
+    are the Nystrom discretization's and the error norms'.
     """
     if grid_size < 64 or grid_size % 2:
         raise ValidationError("grid size must be an even integer >= 64")
     pos = PI * _grading(np.linspace(0.0, 1.0, grid_size // 2 + 1))[0]
     x = np.concatenate([-pos[::-1], pos[1:]])
+    return x, _trapezoid_weights(x)
+
+
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """The trapezoid rule's weights on the ascending nodes x."""
     w = np.empty_like(x)
     w[1:-1] = (x[2:] - x[:-2]) / 2.0
     w[0] = (x[1] - x[0]) / 2.0
     w[-1] = (x[-1] - x[-2]) / 2.0
-    return x, w
+    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +135,11 @@ class _FullPeriod:
 class KernelGrid(_FullPeriod):
     """The discretized kernel, held by its O(n) generators on the graded grid.
 
-    ``apply_resolvent`` (through ``_apply``) and ``_adjoint`` apply it and
-    its adjoint by running sums; ``kernel_matrix`` builds the dense n x n
-    matrix for the kernel dump.
+    Its entries G(x_i, s_j) are ``_terms``; ``kernel_matrix`` builds them
+    densely for the kernel dump.  ``apply_resolvent`` (through ``_apply``)
+    applies the kernel by fourth-order running sums, and ``_nystrom_apply``
+    and ``_nystrom_adjoint`` apply the entries and their adjoint with the
+    trapezoid weights.
     """
 
     lam: complex
@@ -157,30 +164,27 @@ class KernelGrid(_FullPeriod):
         return x_factor, s_factor
 
     @functools.cached_property
-    def sup_norm(self) -> float:
-        """max |G(x_i, s_j)| over the grid's nodes, from the generators, KERNEL_BLOCK rows at once.
+    def _terms(self):
+        """G(x_i, s_j) as terms (part, x-factor a, s-factor b, support): the sum of a_i b_j over them.
 
-        The entries are the kernel's own, on ``_applied_parts``' supports:
-        part I where s lies between 0 and x, part II where s >= x, part III
-        everywhere.  The kernel is continuous across the diagonal, which is
-        counted once: part I stops short of s = x for x > 0, where its limit
-        is part II's, and for x < 0 parts I and II cancel there.  Part I is
-        0 on the rows 0 and +-pi, which ``_applied_parts`` does not sum.
-        The dense kernel's entries carry the running sums' weights over the
-        trapezoid weights, up to 31/24 beside the diagonal (1.32 against
-        0.996 on the sine profile at lam = i), so they are not read here.
+        Only the terms whose support holds (i, j) enter.  Part III is on every (i, j); part II where s >= x; part I where s
+        lies between 0 and x: s < x for x > 0, and s >= x for x < 0, by
+        factors that are 0 on the other side.  So the kernel, continuous
+        across the diagonal, counts it once: part I stops short of s = x for
+        x > 0, where its limit is part II's, and for x < 0 parts I and II
+        cancel there.  Part I is 0 on the rows 0 and +-pi.
         """
         x = self.nodes
         psi, weighted_phi = self._part_i_factors
-        sup = 0.0
-        for start in range(0, len(x), KERNEL_BLOCK):
-            rows = slice(start, start + KERNEL_BLOCK)
-            xr = x[rows, None]
-            part_i = (np.minimum(xr, 0.0) <= x) & (x < np.maximum(xr, 0.0))
-            g = np.where(part_i, psi[rows, None] * weighted_phi, 0.0)
-            g += self.phi[rows, None] * self.w2 * ((x >= xr) + 1.0 / self.denominator)
-            sup = max(sup, float(np.max(np.abs(g))))
-        return sup
+        return (("III", self.phi, self.w2 / self.denominator, ALL),
+                ("II", self.phi, self.w2, UPPER),
+                ("I", np.where(x > 0.0, psi, 0.0), np.where(x > 0.0, weighted_phi, 0.0), LOWER),
+                ("I", np.where(x < 0.0, psi, 0.0), np.where(x < 0.0, weighted_phi, 0.0), UPPER))
+
+    @functools.cached_property
+    def sup_norm(self) -> float:
+        """max |G(x_i, s_j)| over the grid's nodes: the largest entry of ``_terms``, KERNEL_BLOCK rows at once."""
+        return max(float(np.max(np.abs(block))) for _, block in _row_blocks(self))
 
 
 def _outward_sides(n: int):
@@ -297,8 +301,7 @@ class _RunningRule:
 
     Once a sum is four nodes past node j, the weight A[m, j] is
     ``final[j]``; ``near[m, r]`` is what node m - r adds to that in S_m
-    (r < 4).  So S is one cumulative sum and a four-term band, and a
-    column of A is ``final`` below a short band.
+    (r < 4).  So S is one cumulative sum and a four-term band.
     """
 
     final: np.ndarray               # (L,)
@@ -311,23 +314,6 @@ class _RunningRule:
         for r in range(4):
             out[..., r:] += self.near[r:, r] * g[..., :size - r]
         return out
-
-    def transposed_sums(self, h: np.ndarray) -> np.ndarray:
-        """A^T h for h of shape (..., L): node j gathers final[j] times the sum of h from j on, and its band."""
-        size = h.shape[-1]
-        out = self.final * np.cumsum(h[..., ::-1], axis=-1)[..., ::-1]
-        for r in range(4):
-            out[..., :size - r] += self.near[r:, r] * h[..., r:]
-        return out
-
-    def columns(self, at: np.ndarray) -> np.ndarray:
-        """The columns ``at`` (path positions) of A."""
-        size = len(self.final)
-        a = np.where(np.arange(size)[:, None] >= at, self.final[at], 0.0)
-        for r in range(4):
-            hit = at + r < size
-            a[at[hit] + r, hit] += self.near[at[hit] + r, r]
-        return a
 
 
 def _running_rule(x: np.ndarray, dxdt: np.ndarray, ends, kinks) -> _RunningRule:
@@ -380,8 +366,8 @@ def _rules(n: int, breakpoints: tuple, kinks: tuple):
     sums from pi to -pi.  Both integrate in t with x'(t) from the grid's own ``_grading``.
     Segments end at the origin and at the nodes nearest the breakpoints.
     The tail's panels at 0 and +-pi, where x' = 0, are segments of their
-    own, so that those nodes carry weight and no dense column is zero;
-    part I's integrand is 0 at the origin.
+    own, so that those nodes carry weight; part I's integrand is 0 at the
+    origin.
     """
     half = n // 2
     x, dx = _grading(np.arange(half + 1) / half)
@@ -404,15 +390,12 @@ def _part_i_sides(n: int) -> np.ndarray:
     return sides
 
 
-def _applied_parts(kernel: KernelGrid, summed):
-    """Parts I, II and III of the kernel applied to forcings, each of shape (..., n).
+def _applied_parts(kernel: KernelGrid, forcing: np.ndarray):
+    """Parts I, II and III of the kernel applied by the running rules to forcings of shape (..., n).
 
-    ``summed(rule, path, g)`` gives the rule's running sums along ``path``
-    (node indices, along its last axis) of g (on the path) times the
-    forcing, of shape (..., *path.shape): one forcing, or m unit forcings
-    for a block of dense columns.  Each part is a running sum from the end
-    where its integral is zero, never a difference of two sums from -pi:
-    near those ends such a difference cancels to no correct digits.
+    Each part is a running sum from the end where its integral is zero,
+    never a difference of two sums from -pi: near those ends such a
+    difference cancels to no correct digits.
 
     * part I = psi(x) (-i/eps) int phi (p/f) F over s between 0 and x,
       summed from the origin on both sides in one call, a path of shape (2, L);
@@ -423,59 +406,62 @@ def _applied_parts(kernel: KernelGrid, summed):
     model = kernel.model
     rule_i, rule_tail = _rules(n, model.profile.breakpoints, model.profile.kinks)
     x_factor, s_factor = kernel._part_i_factors
-    tail = summed(rule_tail, np.arange(n - 1, -1, -1), kernel.w2[::-1])[..., ::-1]
+    tail = rule_tail.sums(kernel.w2[::-1] * forcing[..., ::-1])[..., ::-1]
     part_i = np.zeros(tail.shape, complex)
     sides = _part_i_sides(n)
     off = sides[:, 1:]                                  # psi is nan at the origin
-    part_i[..., off] = x_factor[off] * summed(rule_i, sides, s_factor[sides])[..., 1:]
+    part_i[..., off] = x_factor[off] * rule_i.sums(s_factor[sides] * forcing[..., sides])[..., 1:]
     part_ii = kernel.phi * tail
     part_iii = kernel.phi * (tail[..., :1] / kernel.denominator)
     return part_i, part_ii, part_iii
 
 
-def _forcing_parts(kernel: KernelGrid, forcing: np.ndarray):
-    """``_applied_parts`` for forcing values of shape (n,), by running sums."""
-    return _applied_parts(kernel, lambda rule, path, g: rule.sums(g * forcing[path]))
-
-
-def _unit_sums(kernel: KernelGrid, cols: np.ndarray):
-    """``summed`` for the unit forcings 1/w_j at s_j, j in ``cols``: the rules' own columns."""
-    def summed(rule, path, g):
-        if path.ndim > 1:
-            return np.stack([summed(rule, p, q) for p, q in zip(path, g)], axis=-2)
-        at = np.full(len(kernel.nodes), -1)
-        at[path] = np.arange(len(path))
-        at = at[cols]
-        on = at >= 0
-        out = np.zeros((len(cols), len(path)), complex)
-        out[on] = (rule.columns(at[on]) * (g[at[on]] / kernel.weights[cols[on]])).T
-        return out
-    return summed
-
-
-def _column_blocks(kernel: KernelGrid, part: Optional[str] = None):
-    """Yield (columns, block) of the dense kernel, or of one part, KERNEL_BLOCK columns at a time.
-
-    Column j is the kernel applied to the forcing 1/w_j at s_j, so the
-    columns agree with ``apply_resolvent``: G @ (w * F) = u.
-    """
+def _row_blocks(kernel: KernelGrid, part: Optional[str] = None):
+    """Yield (rows, G(x_i, s_j) on them) from ``_terms``, or one part's, KERNEL_BLOCK rows at a time."""
     n = len(kernel.nodes)
+    j = np.arange(n)
     for start in range(0, n, KERNEL_BLOCK):
-        cols = np.arange(start, min(start + KERNEL_BLOCK, n))
-        parts = _applied_parts(kernel, _unit_sums(kernel, cols))
-        yield cols, (sum(parts) if part is None else parts[PARTS.index(part)]).T
+        i = np.arange(start, min(start + KERNEL_BLOCK, n))[:, None]
+        block = np.zeros((len(i), n), complex)
+        for name, a, b, support in kernel._terms:
+            if part in (None, name):
+                inside = True if support == ALL else (j >= i if support == UPPER else j < i)
+                block += np.where(inside, a[i] * b, 0.0)
+        yield i[:, 0], block
 
 
 def kernel_matrix(kernel: KernelGrid, part: Optional[str] = None) -> np.ndarray:
     """Dense G(x_i, s_j), or one of its parts "I", "II", "III".
 
-    Built from ``_column_blocks``, so the scratch memory beyond the result
+    Built from ``_row_blocks``, so the scratch memory beyond the result
     is one block.
     """
     n = len(kernel.nodes)
     out = np.empty((n, n), complex)
-    for cols, block in _column_blocks(kernel, part):
-        out[:, cols] = block
+    for rows, block in _row_blocks(kernel, part):
+        out[rows] = block
+    return out
+
+
+def _support_sums(v: np.ndarray, support: str, over: str):
+    """Sums of v over each node's slice of a support of ``KernelGrid._terms``, in O(n).
+
+    For over = "s" the sum at node i is over the j with (i, j) in the
+    support, for over = "x" the sum at node j over such i; "all" gives the
+    total.  Each is a cumulative sum from the end where the slice is
+    empty, so part I's sums run outward from the origin.
+    """
+    if support == ALL:
+        return np.sum(v)
+    ascending = (support == LOWER) == (over == "s")     # the slice grows with the node's index
+    total = np.cumsum(v) if ascending else np.cumsum(v[::-1])[::-1]
+    if support == UPPER:                                # the diagonal is in the slice
+        return total
+    out = np.zeros_like(total)
+    if ascending:
+        out[1:] = total[:-1]
+    else:
+        out[:-1] = total[1:]
     return out
 
 
@@ -486,29 +472,20 @@ def _check_on_grid(nodes: np.ndarray, forcing: GridFunction) -> None:
 
 def _apply(kernel: KernelGrid, forcing: np.ndarray) -> np.ndarray:
     """``apply_resolvent`` on the forcing's values, with no grid check."""
-    return sum(_forcing_parts(kernel, forcing))
+    return sum(_applied_parts(kernel, forcing))
 
 
-def _adjoint(kernel: KernelGrid, y: np.ndarray) -> np.ndarray:
-    """v(s_j) = sum_i conj(G(x_i, s_j)) w_i y(x_i), the adjoint of ``_apply`` under w, on values.
+def _nystrom_apply(kernel: KernelGrid, forcing: np.ndarray) -> np.ndarray:
+    """sum_j G(x_i, s_j) w_j F(s_j) on values: the entries ``_terms`` under the trapezoid weights, in O(n)."""
+    v = kernel.weights * forcing
+    return sum(a * _support_sums(b * v, support, "s") for _, a, b, support in kernel._terms)
 
-    ``_applied_parts`` transposed: the same rules and generators, each
-    running sum taken back from its far end (``_RunningRule.transposed_sums``).
-    """
-    n = len(kernel.nodes)
-    model = kernel.model
-    rule_i, rule_tail = _rules(n, model.profile.breakpoints, model.profile.kinks)
-    x_factor, s_factor = kernel._part_i_factors
+
+def _nystrom_adjoint(kernel: KernelGrid, y: np.ndarray) -> np.ndarray:
+    """v(s_j) = sum_i conj(G(x_i, s_j)) w_i y(x_i), the adjoint of ``_nystrom_apply`` under w, on values."""
     z = kernel.weights * y
-    # parts II and III: phi(x) times the tail sums, and their value at -pi over the denominator
-    h = np.conj(kernel.phi) * z
-    h[0] += np.sum(h) / np.conj(kernel.denominator)
-    out = np.conj(kernel.w2) * rule_tail.transposed_sums(h[::-1])[::-1]
-    sides = _part_i_sides(n)
-    off = sides[:, 1:]                                  # the s-factor is 0 at the origin
-    e = np.conj(x_factor[sides]) * z[sides]
-    out[off] += np.conj(s_factor[off]) * rule_i.transposed_sums(e)[:, 1:]
-    return out / kernel.weights
+    return sum(np.conj(b) * _support_sums(np.conj(a) * z, support, "x")
+               for _, a, b, support in kernel._terms)
 
 
 def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
@@ -520,58 +497,20 @@ def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
 def weighted_frobenius_sq(kernel: KernelGrid) -> float:
     """sum_ij w_i |G(x_i, s_j)|^2 w_j: the squared Frobenius norm of diag(sqrt w) G diag(sqrt w), in O(n).
 
-    A rule's weight on node j in a sum four or more nodes past j is its
-    ``final`` weight, so off a band of three nodes either side of the
-    diagonal each part of ``_applied_parts`` is an x-factor times an
-    s-factor on a triangle (part III on the whole square), and the
-    squared moduli sum by cumulative sums over the triangles.  In the band
-    the rules' ``near`` weights are added entry by entry.
+    |G_ij|^2 is the sum over pairs of ``_terms`` of a_i conj(a'_i) b_j
+    conj(b'_j) on the two supports' overlap: the narrower support when one
+    is "all" or both are alike, and none when one is s >= x and the other
+    s < x.  Over a support, each pair sums by ``_support_sums``.
     """
-    n = len(kernel.nodes)
-    h = n // 2
-    model = kernel.model
-    rule_i, rule_tail = _rules(n, model.profile.breakpoints, model.profile.kinks)
-    w, phi, w2 = kernel.weights, kernel.phi, kernel.w2
-    rows = np.arange(n)
-    psi, g = kernel._part_i_factors
-    final_i = np.zeros(n)                               # part I's final weights by node
-    final_i[h:-1], final_i[1:h + 1] = rule_i.final, rule_i.final[::-1]
-    final_t = rule_tail.final[::-1]                     # the tail's, by node
-    to_minus_pi = final_t.copy()                        # the whole tail sum's weights
-    to_minus_pi[:4] += rule_tail.near[-1, :4]
-    psi_pos, psi_neg = np.where(rows > h, psi, 0.0), np.where(rows < h, psi, 0.0)
-    # (x-factor, s-factor, support): 0 everywhere, 1 where s_j >= x_i, -1 where s_j <= x_i
-    terms = ((phi, w2 * to_minus_pi / kernel.denominator, 0),     # part III
-             (phi, w2 * final_t, 1),                               # part II
-             (psi_pos, np.where(rows >= h, g * final_i, 0.0), -1),  # part I, x > 0
-             (psi_neg, np.where(rows <= h, g * final_i, 0.0), 1))   # part I, x < 0
+    w = kernel.weights
     total = 0.0
-    for a1, b1, m1 in terms:
-        for a2, b2, m2 in terms:
-            rows_sq, cols_sq = w * a1 * np.conj(a2), b1 * np.conj(b2) / w
-            both = m1 or m2 if m1 * m2 >= 0 else None   # None: the diagonal only
-            if both == 0:
-                total += (np.sum(rows_sq) * np.sum(cols_sq)).real
-            elif both == 1:
-                total += (cols_sq @ np.cumsum(rows_sq)).real
-            elif both == -1:
-                total += (cols_sq @ np.cumsum(rows_sq[::-1])[::-1]).real
-            else:
-                total += (cols_sq @ rows_sq).real
-    # the band: entry (i, i + d) is the far-field product plus the near weights' part
-    near_t = rule_tail.near[::-1]
-    near_pos, near_neg = np.zeros((n, 4)), np.zeros((n, 4))
-    near_pos[h:-1], near_neg[1:h + 1] = rule_i.near, rule_i.near[::-1]
-    for d in range(-3, 4):
-        i = np.arange(max(0, -d), min(n, n - d))
-        j = i + d
-        far = sum(a[i] * b[j] for a, b, m in terms if m * d >= 0)
-        near = np.zeros(len(i), complex)
-        if d >= 0:
-            near += phi[i] * w2[j] * near_t[i, d] + psi_neg[i] * g[j] * near_neg[i, d]
-        if d <= 0:
-            near += psi_pos[i] * g[j] * near_pos[i, -d]
-        total += float(np.sum(w[i] / w[j] * (np.abs(far + near) ** 2 - np.abs(far) ** 2)))
+    for _, a1, b1, s1 in kernel._terms:
+        for _, a2, b2, s2 in kernel._terms:
+            if ALL not in (s1, s2) and s1 != s2:
+                continue
+            rows_sq, cols_sq = w * a1 * np.conj(a2), w * b1 * np.conj(b2)
+            both = s2 if s1 == ALL else s1
+            total += float(np.sum(cols_sq * _support_sums(rows_sq, both, "x")).real)
     return total
 
 

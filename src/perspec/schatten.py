@@ -1,24 +1,30 @@
 """Schatten diagnostics of the discretized resolvent kernel.
 
 Matrix singular values approximate operator singular values through the
-square-root-weight symmetrization M = D^(1/2) G D^(1/2) with D the
-diagonal of trapezoid weights.  No dense matrix is built: the leading
-LEADING values come from Golub-Kahan-Lanczos bidiagonalization driven by
-the kernel's O(n) apply and adjoint apply, and ||M||_F^2, the quadrature
-Frobenius norm of the kernel, from its generators in O(n)
-(``green.weighted_frobenius_sq``).  So the other values' sum of squares T
-is exact, and with it S2.  For p != 2 the tail is modelled by a power law
-fixed by T, and bounded over every tail of that count and mass; the
-inequality reads the lower bound.
+Nystrom symmetrization M = D^(1/2) G D^(1/2) of the kernel's own entries
+G(x_i, s_j), with D the diagonal of trapezoid weights (Bornemann, Math.
+Comp. 79, 2010).  No dense matrix is built: the leading values come from
+Golub-Kahan-Lanczos bidiagonalization driven by the O(n) apply and adjoint
+apply of the entries (``green._nystrom_apply``, ``green._nystrom_adjoint``),
+and ||M||_F^2 from the generators in O(n) (``green.weighted_frobenius_sq``).
+M converges at O(h^2), so each is taken on the grid and on its even nodes,
+whose kernel is the grid's generators there under their own trapezoid
+weights, and extrapolated by one Richardson step: (4 s(n) - s(n/2)) / 3.
+The leading values are sorted after the step, and the extrapolated
+||M||_F^2 less their squares is the other values' sum of squares T, which
+gives S2.  For p != 2 the tail is modelled by a power law fixed by T, and
+bounded over every tail of that count and mass; the inequality reads the
+lower bound.  The step's own size, max |s(n) - s(n/2)| / 3 over the
+leading values relative to sigma_1, is reported as its error estimate.
 
 The bidiagonalization starts from a fixed golden-ratio Weyl vector, so a
 run is reproducible and draws no random numbers.  It keeps both bases
 orthonormal by one classical Gram-Schmidt pass per vector, and a second
 only where the DGKS test sees the first cancel.  Its convergence checks,
-each an SVD of the bidiagonal, come at step LEADING, RITZ_CHECK steps
-later, and then where the geometric decay of the worst leading Ritz
-residual over the last two checks predicts convergence, RITZ_CHECK to
-4 RITZ_CHECK steps on.  So a solve costs little beyond its O(n) applies
+each an SVD of the bidiagonal, come at the step that equals the count of
+values sought, RITZ_CHECK steps later, and then where the geometric decay
+of the worst leading Ritz residual over the last two checks predicts
+convergence, RITZ_CHECK to 4 RITZ_CHECK steps on.  So a solve costs little beyond its O(n) applies
 and the Gram-Schmidt products.
 
 The dyadic audit bounds the blocks of the triangular kernel part built
@@ -35,14 +41,15 @@ the cutoff below the abscissae nearest 0 and pi (``shooting.CUTOFF_CAP``).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .green import (KernelGrid, _adjoint, _apply, _full_period, solution_pairs,
-                    weighted_frobenius_sq)
+from .green import (KernelGrid, _full_period, _nystrom_adjoint, _nystrom_apply,
+                    _trapezoid_weights, solution_pairs, weighted_frobenius_sq)
 from .profiles import OperatorModel
 from .shooting import DEFAULT_CONFIG, SolverConfig
 
@@ -55,7 +62,7 @@ DYADIC_GAUSS_ORDER = 16                 # Gauss points per dyadic interval
 # 8e-13 measured), the next distinct block was 6e-4 or more below the max.
 ARGMAX_TIE = 1e-9
 INEQUALITY_GUARD = 0.05                 # relative slack of the inequality's right side
-LEADING = 64                            # singular values computed; the rest are the tail
+LEADING = 64                            # singular values computed, at most; the rest are the tail
 RITZ_TOL = 1e-13                        # the leading Ritz residuals' bound, relative to sigma_1
 RITZ_CHECK = 8                          # fewest Lanczos steps between convergence checks; 4x the most
 DGKS_KEEP = 1.0 / math.sqrt(2.0)        # a second Gram-Schmidt pass when the first keeps less of the norm
@@ -66,13 +73,14 @@ TAIL_BISECTIONS = 60                    # halvings of the tail exponent's bracke
 class SingularValueSpectrum:
     lam: complex
     grid_size: int
-    values: np.ndarray                  # the leading ones, non-increasing
+    values: np.ndarray                  # the leading ones, extrapolated, non-increasing
     schatten_norms: dict                # order -> S_p, the tail's values from the power law
     tail_mass: float = 0.0              # ||M||_F^2 - sum values^2: the other values' sum of squares
     tail_count: int = 0                 # how many values the tail holds
     tail_shares: dict = field(default_factory=dict)     # order -> the tail's share of sum sigma^p
-    lanczos_steps: int = 0
-    lanczos_checks: int = 0             # SVDs of the Lanczos bidiagonal, the last one's included
+    lanczos_steps: int = 0              # both solves'
+    lanczos_checks: int = 0             # SVDs of the Lanczos bidiagonals, the last ones included
+    extrapolation_error: float = 0.0    # max |s(n) - s(n/2)| / 3 over the leading values, over sigma_1
 
     def power_sum_bounds(self, p: float) -> tuple:
         """Bounds on sum sigma^p over every value that hold for any tail of the given count and mass.
@@ -100,7 +108,8 @@ class SingularValueSpectrum:
                 "tail_mass": self.tail_mass,
                 "tail_count": self.tail_count,
                 "lanczos_steps": self.lanczos_steps,
-                "lanczos_checks": self.lanczos_checks}
+                "lanczos_checks": self.lanczos_checks,
+                "extrapolation_error": self.extrapolation_error}
 
 
 def _orthogonalized(r: np.ndarray, basis: np.ndarray):
@@ -223,27 +232,41 @@ def _tail_exponent(target: float, ratio: np.ndarray) -> float:
     return 0.5 * (lo + hi)
 
 
+def _even_nodes(kernel: KernelGrid) -> KernelGrid:
+    """The kernel on every other node of its grid, with those nodes' own trapezoid weights: no new march."""
+    x = kernel.nodes[::2]
+    generators = {g: getattr(kernel, g)[::2] for g in ("phi", "psi", "log_pf", "w2")}
+    return dataclasses.replace(kernel, nodes=x, weights=_trapezoid_weights(x), **generators)
+
+
+def _nystrom_values(kernel: KernelGrid, count: int):
+    """``_lanczos`` on diag(sqrt w) G diag(sqrt w) from the kernel's O(n) applies."""
+    sq = np.sqrt(kernel.weights)
+    return _lanczos(lambda v: sq * _nystrom_apply(kernel, v / sq),
+                    lambda y: sq * _nystrom_adjoint(kernel, y / sq), len(sq), count)
+
+
 def singular_values(kernel: KernelGrid, orders=DEFAULT_ORDERS) -> SingularValueSpectrum:
     """The leading singular values of diag(sqrt w) G diag(sqrt w), and Schatten norms with the tail's share.
 
-    The leading LEADING values come from ``_lanczos`` on the kernel's O(n)
-    apply and adjoint apply; the squared Frobenius norm, exact in O(n),
-    gives the rest their sum of squares T.  The tail is modelled as
+    The leading values, LEADING or as many as the even nodes if fewer, come
+    from ``_lanczos`` on the grid and on its even nodes (``_even_nodes``),
+    the coarse solve once the fine one's bases are freed, and the squared
+    Frobenius norm, exact in O(n), from both; each is extrapolated by
+    (4 s(n) - s(n/2)) / 3 and the values sorted.  The rest have the sum of
+    squares T left by the extrapolated norm.  The tail is modelled as
     sigma_k = sigma_K (k/K)^(-a) for K < k <= n, with a set by T.
     """
     n = len(kernel.nodes)
-    sq = np.sqrt(kernel.weights)
-
-    def forward(v):
-        return sq * _apply(kernel, v / sq)
-
-    def adjoint(y):
-        return sq * _adjoint(kernel, y / sq)
-
-    values, steps, checks = _lanczos(forward, adjoint, n, min(LEADING, n))
-    tail_count = n - len(values)
-    tail_mass = max(weighted_frobenius_sq(kernel) - float(np.sum(values ** 2)), 0.0)
-    ratio = np.arange(len(values) + 1, n + 1) / len(values)
+    coarse = _even_nodes(kernel)
+    count = min(LEADING, len(coarse.nodes))
+    fine_values, steps, checks = _nystrom_values(kernel, count)
+    coarse_values, coarse_steps, coarse_checks = _nystrom_values(coarse, count)
+    values = np.sort((4.0 * fine_values - coarse_values) / 3.0)[::-1]
+    frobenius_sq = (4.0 * weighted_frobenius_sq(kernel) - weighted_frobenius_sq(coarse)) / 3.0
+    tail_count = n - count
+    tail_mass = max(frobenius_sq - float(np.sum(values ** 2)), 0.0)
+    ratio = np.arange(count + 1, n + 1) / count
     exponent = _tail_exponent(tail_mass / values[-1] ** 2, ratio)
     norms, shares = {}, {}
     for p in orders:
@@ -251,9 +274,11 @@ def singular_values(kernel: KernelGrid, orders=DEFAULT_ORDERS) -> SingularValueS
         tail = float(values[-1] ** p * np.sum(ratio ** (-exponent * p)))
         norms[float(p)] = (head + tail) ** (1.0 / p)
         shares[float(p)] = tail / (head + tail)
+    error = float(np.max(np.abs(fine_values - coarse_values))) / 3.0 / values[0]
     return SingularValueSpectrum(lam=kernel.lam, grid_size=n - 1, values=values,
                                  schatten_norms=norms, tail_mass=tail_mass, tail_count=tail_count,
-                                 tail_shares=shares, lanczos_steps=steps, lanczos_checks=checks)
+                                 tail_shares=shares, lanczos_steps=steps + coarse_steps,
+                                 lanczos_checks=checks + coarse_checks, extrapolation_error=error)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,11 +10,11 @@ from perspec._stepper import KAPPA_DEGREE
 from perspec.cli import EXIT_OK, run_subcommand
 from perspec.errors import (EigenvalueProximityError, GridMismatchError,
                             ValidationError)
-from perspec.green import (KernelGrid, _adjoint, _forcing_parts, _grading, _outward_sides,
-                           _rules, _running_rule, apply_resolvent, assemble_kernel,
-                           bandlimited_forcing, graded_full_grid, GridFunction,
-                           kernel_matrix, manufactured_pair, resolvent_residual,
-                           weighted_frobenius_sq)
+from perspec.green import (KernelGrid, _applied_parts, _grading, _nystrom_adjoint,
+                           _nystrom_apply, _outward_sides, _rules, _running_rule,
+                           apply_resolvent, assemble_kernel, bandlimited_forcing,
+                           graded_full_grid, GridFunction, kernel_matrix, manufactured_pair,
+                           resolvent_residual, weighted_frobenius_sq)
 
 PI = math.pi
 DATA = Path(__file__).parent / "data"
@@ -96,7 +96,7 @@ class TestRunningRule:
         part_i, tail = _rules(65, (math.pi / 2,), (math.pi / 2,))
         rule, ends, kinks = ((part_i, [16], [16]) if which == "part I"
                              else (tail, [1, 16, 31, 32, 33, 48, 63], [16, 48]))
-        a = rule.columns(np.arange(len(rule.final)))
+        a = rule.sums(np.eye(len(rule.final))).T          # column j: the sums of a unit at j
         assert np.all(np.triu(a, 1) == 0.0)
         for e in ends:
             # once past a breakpoint, a sum adds nothing to the nodes before it
@@ -126,10 +126,10 @@ class TestKernelStructure:
         assert kernel_matrix(k, "I")[i, j] == 0.0
 
     def test_sup_norm_reported(self, kernel_256):
-        # the kernel's own sup, 0.996; the dense entries carry the running
-        # sums' end weights beside the diagonal and read up to 1.32
+        # the kernel's own sup, 0.996, is the dense matrix's largest entry:
+        # both read the one definition of an entry
         assert 0.1 < kernel_256.sup_norm < 10.0
-        assert kernel_256.sup_norm < 0.8 * float(np.max(np.abs(kernel_matrix(kernel_256))))
+        assert kernel_256.sup_norm == float(np.max(np.abs(kernel_matrix(kernel_256))))
 
     @pytest.mark.parametrize("lam", [1j, 0.9 + 0.57j, -2.9 + 0.75j])
     @pytest.mark.parametrize("profile", [ps.sine_profile, ps.piecewise_linear_profile])
@@ -255,7 +255,7 @@ class TestResolvent:
         k = assemble_kernel(model, 0.7 + 1j, grid)
         _, F = manufactured_pair(model, 0.7 + 1j, k.nodes)
         u = apply_resolvent(k, F)
-        dense = kernel_matrix(k) @ (k.weights * F.values)
+        dense = rule_columns(k) @ (k.weights * F.values)
         # relative to max |u|: u itself has zeros, where no digit is relative
         assert np.max(np.abs(u.values - dense)) <= 1e-13 * np.max(np.abs(dense))
 
@@ -283,20 +283,35 @@ class TestResolvent:
         assert np.array_equal(apply_resolvent(k, F).values, saved[f"{case}_u"])
 
 
+def rule_columns(kernel: KernelGrid) -> np.ndarray:
+    """The running rules' dense kernel: column j is the rules' apply of the unit forcing 1/w_j at s_j."""
+    units = np.eye(len(kernel.nodes)) / kernel.weights[:, None]
+    return np.concatenate([sum(_applied_parts(kernel, block))
+                           for block in np.array_split(units, 8)]).T
+
+
 @pytest.mark.parametrize("lam", [0.9 + 0.8j, -2.6 + 0.55j, 1.3])
 @pytest.mark.parametrize("grid", [64, 256])
 @pytest.mark.parametrize("name", sorted(PROFILES))
 class TestAdjointAndFrobenius:
-    # the transposed running sums against the dense kernel; the table's 41
-    # rows make every table node a breakpoint, so most segments are short
+    # the O(n) cumulative sums over the entries' supports against the dense
+    # kernel, whose entries are built row block by row block; the table's 41
+    # rows make every table node a breakpoint
     @pytest.fixture
     def kernel(self, name, grid, lam):
         return assemble_kernel(ps.OperatorModel(profile=PROFILES[name](), epsilon=1.0), lam, grid)
 
+    def test_apply_matches_the_dense_kernel(self, kernel):
+        rng = np.random.default_rng(4)
+        F = rng.standard_normal(len(kernel.nodes)) + 1j * rng.standard_normal(len(kernel.nodes))
+        got = _nystrom_apply(kernel, F)
+        want = kernel_matrix(kernel) @ (kernel.weights * F)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_adjoint_matches_the_dense_kernel(self, kernel):
         rng = np.random.default_rng(5)
         y = rng.standard_normal(len(kernel.nodes)) + 1j * rng.standard_normal(len(kernel.nodes))
-        got = _adjoint(kernel, y)
+        got = _nystrom_adjoint(kernel, y)
         want = kernel_matrix(kernel).conj().T @ (kernel.weights * y)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -306,8 +321,8 @@ class TestAdjointAndFrobenius:
         x, y = (rng.standard_normal((2, len(kernel.nodes)))
                 + 1j * rng.standard_normal((2, len(kernel.nodes))))
         w = kernel.weights
-        gx = apply_resolvent(kernel, GridFunction(kernel.nodes, x)).values
-        ghy = _adjoint(kernel, y)
+        gx = _nystrom_apply(kernel, x)
+        ghy = _nystrom_adjoint(kernel, y)
         left, right = np.vdot(y, w * gx), np.vdot(ghy, w * x)
         assert abs(left - right) <= 1e-12 * abs(left)
 
@@ -381,7 +396,7 @@ def integral_proxies(kernel: KernelGrid, forcing: GridFunction):
     x = kernel.nodes
     norm_f = math.sqrt(float(np.sum(kernel.weights * np.abs(forcing.values) ** 2)))
     pos, _ = _outward_sides(len(x))
-    part_i, part_ii, _ = _forcing_parts(kernel, forcing.values)
+    part_i, part_ii, _ = _applied_parts(kernel, forcing.values)
     xq = x[pos]
     proxy1 = np.abs(part_i[pos]) / (np.sqrt(xq) * norm_f)
     proxy2 = np.abs(part_ii[pos]) / (np.sqrt(PI - xq) * norm_f)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -17,15 +18,25 @@ def _spectrum(values, tail_mass=0.0, tail_count=0):
                                  schatten_norms={}, tail_mass=tail_mass, tail_count=tail_count)
 
 
-def _dense_values(kernel):
-    sq = np.sqrt(kernel.weights)
-    return np.linalg.svd(sq[:, None] * green.kernel_matrix(kernel) * sq[None, :], compute_uv=False)
+def _dense_values(kernel, rows=slice(None)):
+    """The singular values of diag(sqrt w) G diag(sqrt w) on the grid's nodes ``rows``, by a dense SVD.
+
+    The entries are G(x_i, s_j) and w the trapezoid weights of those nodes.
+    """
+    x = kernel.nodes[rows]
+    sq = np.sqrt((np.diff(x, prepend=x[0]) + np.diff(x, append=x[-1])) / 2.0)
+    g = green.kernel_matrix(kernel)[rows, rows]
+    return np.linalg.svd(sq[:, None] * g * sq[None, :], compute_uv=False)
+
+
+def _richardson(fine, coarse, count):
+    """The leading values (4 s(n) - s(n/2)) / 3, sorted, and the squared Frobenius norm likewise."""
+    values = np.sort((4.0 * fine[:count] - coarse[:count]) / 3.0)[::-1]
+    return values, (4.0 * float(np.sum(fine ** 2)) - float(np.sum(coarse ** 2))) / 3.0
 
 
 # (profile, grid, lam), lam in the schatten workload's range: Re in [-3, 3], Im in [0.5, 1.5].
-# At grid 64, n = 65 is one more than LEADING; tent stops at step 64, where
-# its near-null values (3e-17 and 3e-18 sigma_1; ROADMAP item 4) leave the
-# leading residuals at rounding level and the tail no mass
+# At grid 64 the even nodes are 33, so 33 values are extrapolated
 DENSE_CASES = [("sine", 128, 2.9 + 0.5j), ("tent", 128, -1.3 + 1.4j),
                ("sine", 256, -2.6 + 0.55j), ("tent", 512, 0.7 + 1j),
                ("sine", 1024, 0.7 + 1j), ("tent", 1024, -2.6 + 0.55j),
@@ -35,33 +46,43 @@ MODELS = {"sine": sine_profile, "tent": piecewise_linear_profile}
 
 @pytest.fixture(scope="module", params=DENSE_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
 def against_dense(request):
+    # the Richardson pair of dense SVDs: the grid's, and its even-node submatrix's
     name, grid, lam = request.param
     kernel = green.assemble_kernel(OperatorModel(profile=MODELS[name](), epsilon=1.0), lam, grid)
-    return singular_values(kernel), _dense_values(kernel)
+    return singular_values(kernel), _dense_values(kernel), _dense_values(kernel, slice(None, None, 2))
 
 
 class TestLanczosAgainstTheDenseSvd:
     def test_leading_values(self, against_dense):
-        spectrum, dense = against_dense
+        spectrum, fine, coarse = against_dense
         k = len(spectrum.values)
-        assert k == schatten.LEADING
+        assert k == min(schatten.LEADING, len(coarse))
+        dense, _ = _richardson(fine, coarse, k)
         assert np.max(np.abs(spectrum.values - dense[:k])) <= 1e-12 * dense[0]
 
     def test_s2_is_the_frobenius_norm(self, against_dense):
-        spectrum, dense = against_dense
-        assert spectrum.tail_count == len(dense) - schatten.LEADING
-        s2 = math.sqrt(float(np.sum(dense ** 2)))
+        spectrum, fine, coarse = against_dense
+        assert spectrum.tail_count == len(fine) - len(spectrum.values)
+        s2 = math.sqrt(_richardson(fine, coarse, len(spectrum.values))[1])
         assert spectrum.schatten_norms[2.0] == pytest.approx(s2, rel=1e-12)
         assert math.sqrt(float(np.sum(spectrum.values ** 2)) + spectrum.tail_mass) == \
             pytest.approx(s2, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_dense_norms_lie_in_the_bounds(self, against_dense, p):
-        # for p = 2 the bounds meet at the exact S2, so rounding is allowed
-        # at S2's own tolerance
-        spectrum, dense = against_dense
+        # the bounds hold over every tail of the spectrum's count and mass: here
+        # the dense extrapolated head and the grid's dense tail scaled to the
+        # extrapolated mass (the tail's largest value is 0.61 to 0.99 of the
+        # head's last).  (4 sum s(n)^p - sum s(n/2)^p) / 3 is no such spectrum,
+        # and at grids 64 to 256 it falls outside them.  For p = 2 the bounds
+        # meet at the exact S2, so rounding is allowed at S2's own tolerance
+        spectrum, fine, coarse = against_dense
+        k = len(spectrum.values)
+        head, frobenius_sq = _richardson(fine, coarse, k)
+        tail = fine[k:] * math.sqrt((frobenius_sq - float(np.sum(head ** 2)))
+                                    / float(np.sum(fine[k:] ** 2)))
         lo, hi = spectrum.power_sum_bounds(p)
-        exact = float(np.sum(dense ** p))
+        exact = float(np.sum(head ** p) + np.sum(tail ** p))
         assert lo * (1.0 - 1e-12) <= exact <= hi * (1.0 + 1e-12)
         if spectrum.tail_mass > 0.0:
             assert 0.0 < spectrum.tail_shares[p] < 1.0
@@ -73,10 +94,10 @@ def test_the_step_cap_ends_with_a_check(sine_model):
     # n = 65: the first check, at step 64, does not pass and the next one
     # lies past n, so the values come from the whole bidiagonal
     kernel = green.assemble_kernel(sine_model, -2.6 + 0.55j, 64)
-    spectrum = singular_values(kernel)
-    assert (spectrum.lanczos_steps, spectrum.lanczos_checks) == (65, 2)
+    values, steps, checks = schatten._nystrom_values(kernel, schatten.LEADING)
+    assert (steps, checks) == (65, 2)
     dense = _dense_values(kernel)
-    assert np.max(np.abs(spectrum.values - dense[:schatten.LEADING])) <= 1e-12 * dense[0]
+    assert np.max(np.abs(values - dense[:schatten.LEADING])) <= 1e-12 * dense[0]
 
 
 def _unitary(rng, n):
@@ -122,6 +143,58 @@ class TestLanczosInternals:
         assert np.linalg.norm(even) > 0.5 and np.linalg.norm(odd) > 0.5
 
 
+@pytest.fixture(scope="module")
+def spectrum_of():
+    """``singular_values`` at (profile, grid, lam), eps 1, each computed once for the module."""
+    @functools.lru_cache(maxsize=None)
+    def spectrum(name, grid, lam):
+        model = OperatorModel(profile=MODELS[name](), epsilon=1.0)
+        return singular_values(green.assemble_kernel(model, lam, grid))
+    return spectrum
+
+
+@pytest.mark.parametrize("lam", [1j, 0.5j, 0.7 + 1j])
+@pytest.mark.parametrize("grid", [256, 1024])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_values_are_positive_and_sorted(spectrum_of, name, grid, lam):
+    # (4 s(n) - s(n/2)) / 3 index by index rises once on the sine at lam = i
+    # and 0.5i (grid 1024) and 7 or 8 times on the tent; the values are sorted
+    values = spectrum_of(name, grid, lam).values
+    assert np.all(values > 0.0) and np.all(np.diff(values) <= 0.0)
+
+
+@pytest.fixture(scope="module")
+def sine_at_i(spectrum_of):
+    return {grid: spectrum_of("sine", grid, 1j) for grid in (512, 1024)}
+
+
+class TestAgainstTheContinuantsTail:
+    # the continuant's sigma_32, sigma_64, S1 and S1.5 (conftest); the grid's
+    # rule-weighted matrix read sigma_64 0.00730 against 0.00389 and S1.5 in
+    # [2.2138, 2.2304] against 2.19825 at grid 1024
+    def test_sigma_32_and_64(self, sine_at_i, fourier_schatten):
+        sigma_32, sigma_64, _ = fourier_schatten
+        values = sine_at_i[1024].values
+        assert values[31] == pytest.approx(sigma_32, rel=1.2e-4)
+        assert values[63] == pytest.approx(sigma_64, rel=1.2e-4)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    @pytest.mark.parametrize("grid", [512, 1024])
+    def test_norms_lie_in_the_bounds(self, sine_at_i, fourier_schatten, grid, p):
+        # [5.224, 5.707] and [2.1970, 2.2008] at grid 1024
+        lo, hi = (v ** (1.0 / p) for v in sine_at_i[grid].power_sum_bounds(p))
+        assert lo <= fourier_schatten[2][p] <= hi
+
+    @pytest.mark.parametrize("grid", [512, 1024])
+    def test_the_error_estimate_covers_the_head(self, sine_at_i, fourier_singular, grid):
+        # the estimate is the unextrapolated values' error: 6.2e-5 and 1.5e-5
+        # of sigma_1, where the extrapolated head is 4.0e-7 and 2.5e-8 off
+        values, _ = fourier_singular
+        spectrum = sine_at_i[grid]
+        head = spectrum.values[:len(values)]
+        assert 0.0 < np.max(np.abs(head - values)) <= spectrum.extrapolation_error
+
+
 def test_matches_the_fourier_continuant(sine_model, fourier_singular):
     # the operator's own values (conftest); the grid's error with the
     # trapezoid weights measured 1.37e-5 on the first 10 and 6.9e-4 on S2
@@ -133,12 +206,11 @@ def test_matches_the_fourier_continuant(sine_model, fourier_singular):
 
 
 def test_every_node_carries_weight(tent_model):
-    # the running sums' t-weights vanish with x' at 0 and +-pi; the tail's
-    # trapezoid panels there keep every column of G away from 0.  The
+    # every trapezoid weight is positive, so no column of M is 0.  The
     # package computes only the leading values, so the dense SVD is taken
-    # here.  Still blind to the tent's spurious null vector: its two
-    # smallest values are 6.1e-17 and 1.5e-18, positive by rounding; a
-    # floor relative to sigma_1 after merging the rows +-pi would see it
+    # here.  Blind to the duplicated node +-pi: its value is 7e-19,
+    # positive by rounding (the next is 2.7e-4); a floor relative to
+    # sigma_1 after merging the rows +-pi would see it
     values = _dense_values(green.assemble_kernel(tent_model, 0.7 + 1j, 128))
     assert np.all(values > 0.0)
 
