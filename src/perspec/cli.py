@@ -24,7 +24,8 @@ from .green import (PARTS, apply_resolvent, assemble_kernel, bandlimited_forcing
                     kernel_matrix, resolvent_residual, GridFunction)
 from .profiles import (END_TOL, KINDS, OperatorModel, load_tabulated,
                        piecewise_linear_profile, sine_profile, validate_profile)
-from .schatten import LEADING, dyadic_bound_audit, eigen_schatten_inequality, singular_values
+from .schatten import (INTERVALS_PER_VALUE, LEADING, dyadic_bound_audit,
+                       eigen_schatten_inequality, singular_values)
 from .shooting import SolverConfig, solution_pairs
 from .singular import compute_log_p, compute_log_p_over_f
 
@@ -279,11 +280,12 @@ def build_parser() -> _Parser:
         "schatten", help="leading singular values, Schatten norms with bounds, dyadic bound, "
                          "inequality",
         description=f"singular.singular_values holds the leading {LEADING} singular values "
-                    "(at most as many as the grid's even nodes) of the kernel's entries "
-                    "symmetrized by the square roots of the trapezoid weights, from "
+                    f"(at most one per {INTERVALS_PER_VALUE} grid intervals) of the kernel's "
+                    "entries symmetrized by the square roots of the trapezoid weights, from "
                     "Golub-Kahan-Lanczos on their O(n) apply on the grid and on its even "
                     "nodes, extrapolated by (4 s(n) - s(n/2)) / 3 and sorted; "
-                    "extrapolation_error is the step's largest size over sigma_1.  The "
+                    "extrapolation_error is the step's largest size over sigma_1; the grid "
+                    "size must be a multiple of 4, so that the even nodes hold 0.  The "
                     "other values' sum of squares, tail_mass, "
                     "comes from the Frobenius norm, exact on each grid and extrapolated "
                     "alike.  schatten_norms models those values by a power law fixed by "

@@ -10,7 +10,10 @@ and ||M||_F^2 from the generators in O(n) (``green.weighted_frobenius_sq``).
 M converges at O(h^2), so each is taken on the grid and on its even nodes,
 whose kernel is the grid's generators there under their own trapezoid
 weights, and extrapolated by one Richardson step: (4 s(n) - s(n/2)) / 3.
-The leading values are sorted after the step, and the extrapolated
+The step holds only where both grids resolve a value: at most one value
+per INTERVALS_PER_VALUE intervals of the grid is extrapolated, and the even
+nodes must hold the kernel's kink at 0 (grid size a multiple of 4).  The
+leading values are sorted after the step, and the extrapolated
 ||M||_F^2 less their squares is the other values' sum of squares T, which
 gives S2.  For p != 2 the tail is modelled by a power law fixed by T, and
 bounded over every tail of that count and mass; the inequality reads the
@@ -63,6 +66,11 @@ DYADIC_GAUSS_ORDER = 16                 # Gauss points per dyadic interval
 ARGMAX_TIE = 1e-9
 INEQUALITY_GUARD = 0.05                 # relative slack of the inequality's right side
 LEADING = 64                            # singular values computed, at most; the rest are the tail
+# grid intervals per extrapolated value.  The extrapolated sigma_k's error
+# grows like (k/n)^4: 4e-5 to 8e-4 of sigma_k at k = n/16 and n/8, but 1-2 %
+# at n/4 (against 8 % unextrapolated), and the even nodes' last value is
+# the duplicated node +-pi's null (sine and tent, grids 64 to 512)
+INTERVALS_PER_VALUE = 8
 RITZ_TOL = 1e-13                        # the leading Ritz residuals' bound, relative to sigma_1
 RITZ_CHECK = 8                          # fewest Lanczos steps between convergence checks; 4x the most
 DGKS_KEEP = 1.0 / math.sqrt(2.0)        # a second Gram-Schmidt pass when the first keeps less of the norm
@@ -249,17 +257,21 @@ def _nystrom_values(kernel: KernelGrid, count: int):
 def singular_values(kernel: KernelGrid, orders=DEFAULT_ORDERS) -> SingularValueSpectrum:
     """The leading singular values of diag(sqrt w) G diag(sqrt w), and Schatten norms with the tail's share.
 
-    The leading values, LEADING or as many as the even nodes if fewer, come
-    from ``_lanczos`` on the grid and on its even nodes (``_even_nodes``),
-    the coarse solve once the fine one's bases are freed, and the squared
-    Frobenius norm, exact in O(n), from both; each is extrapolated by
-    (4 s(n) - s(n/2)) / 3 and the values sorted.  The rest have the sum of
-    squares T left by the extrapolated norm.  The tail is modelled as
-    sigma_k = sigma_K (k/K)^(-a) for K < k <= n, with a set by T.
+    The leading values, LEADING or one per INTERVALS_PER_VALUE grid intervals if
+    fewer, come from ``_lanczos`` on the grid and on its even nodes
+    (``_even_nodes``), the coarse solve once the fine one's bases are freed, and
+    the squared Frobenius norm, exact in O(n), from both; each is extrapolated
+    by (4 s(n) - s(n/2)) / 3 and the values sorted.  The rest have the sum of
+    squares T left by the extrapolated norm.  The tail is modelled as sigma_k =
+    sigma_K (k/K)^(-a) for K < k <= n, with a set by T.  A grid size not
+    divisible by 4 raises ValidationError: its even nodes miss 0.
     """
     n = len(kernel.nodes)
+    if (n - 1) % 4:
+        raise ValidationError(f"the Schatten diagnostics need a grid size divisible by 4, "
+                              f"got {n - 1}: the even nodes must hold the kernel's kink at 0")
     coarse = _even_nodes(kernel)
-    count = min(LEADING, len(coarse.nodes))
+    count = min(LEADING, (n - 1) // INTERVALS_PER_VALUE)
     fine_values, steps, checks = _nystrom_values(kernel, count)
     coarse_values, coarse_steps, coarse_checks = _nystrom_values(coarse, count)
     values = np.sort((4.0 * fine_values - coarse_values) / 3.0)[::-1]

@@ -53,22 +53,27 @@ FOURIER_SINGULAR_VALUES = np.array([1.0, 0.713530532797, 0.713530532797, 0.38083
                                     0.148537106038, 0.148537106038, 0.105318028044])
 FOURIER_S2 = 1.5853926889
 
-# the same operator's sigma_32 and sigma_64 and its Schatten norms S1 and
-# S1.5, from the continuant by the same route.  The sigma_k are ARPACK's at
-# N = 32768; they moved by 4.3e-11 and 3.8e-10 from N = 16384, falling about
-# 9 times per doubling (N^(-2 sigma)), so their truncation error is below
-# 1e-10.  S1 and S1.5 sum every value: all singular values of the
-# tridiagonal A_N - lam, as the eigenvalues of its Golub-Kahan augmented
-# matrix (banded, scipy's eig_banded), with the leading 200 replaced by
-# ARPACK's.  S1 reads 5.33925, 5.36546, 5.37994, 5.38787, 5.39218, 5.39450
-# and 5.39574 at N = 256 to 16384, each step 1.81 to 1.86 times the next,
-# so its limit lies in [5.39699, 5.39719] if that ratio stays below 2:
-# truncation error 1e-4.  S1.5 reads 2.198246, 2.198250 and 2.1982514 at
-# N = 4096 to 16384, steps shrinking 2.8 times: 2.198252, error 1e-6
+# the same operator's sigma_16, sigma_32 and sigma_64 and its Schatten
+# norms S1, S1.5 and S3, from the continuant by the same route.  sigma_32
+# and sigma_64 are ARPACK's at N = 32768; they moved by 4.3e-11 and 3.8e-10
+# from N = 16384, falling about 9 times per doubling (N^(-2 sigma)), so
+# their truncation error is below 1e-10.  S1 and S1.5 sum every value:
+# all singular values of the tridiagonal A_N - lam, as the eigenvalues of
+# its Golub-Kahan augmented matrix (banded, scipy's eig_banded), with the
+# leading 200 replaced by ARPACK's.  S1 reads 5.33925, 5.36546, 5.37994,
+# 5.38787, 5.39218, 5.39450 and 5.39574 at N = 256 to 16384, each step
+# 1.81 to 1.86 times the next, so its limit lies in [5.39699, 5.39719] if
+# that ratio stays below 2: truncation error 1e-4.  S1.5 reads 2.198246,
+# 2.198250 and 2.1982514 at N = 4096 to 16384, steps shrinking 2.8 times:
+# 2.198252, error 1e-6.  sigma_16 and S3 take ARPACK's leading 120 at
+# N = 8192 (the rest as for S1): sigma_16 moved by 3.6e-10 from N = 4096,
+# so its error is below 1e-10, and S3 by 2.7e-12
+FOURIER_SIGMA_16 = 0.0486745073
 FOURIER_SIGMA_32 = 0.01425611179
 FOURIER_SIGMA_64 = 0.0038896174
 FOURIER_S1 = 5.3971
 FOURIER_S1_5 = 2.198252
+FOURIER_S3 = 1.23218512256
 
 
 @pytest.fixture(scope="session")
@@ -88,4 +93,7 @@ def fourier_singular():
 
 @pytest.fixture(scope="session")
 def fourier_schatten():
-    return FOURIER_SIGMA_32, FOURIER_SIGMA_64, {1.0: FOURIER_S1, 1.5: FOURIER_S1_5}
+    # sigma_k by k, and S_p by p
+    sigmas = {8: FOURIER_SINGULAR_VALUES[7], 16: FOURIER_SIGMA_16, 32: FOURIER_SIGMA_32,
+              64: FOURIER_SIGMA_64}
+    return sigmas, {1.0: FOURIER_S1, 1.5: FOURIER_S1_5, 3.0: FOURIER_S3}

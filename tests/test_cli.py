@@ -259,7 +259,7 @@ class TestSchatten:
             written.append(out.read_bytes())
         assert written[0] == written[1]
         singular = json.loads(written[0])["results"]["singular"]
-        count = min(64, grid // 2 + 1)             # the even nodes bound the extrapolated values
+        count = min(64, grid // 8)                 # one extrapolated value per 8 intervals
         assert len(singular["singular_values"]) == count
         assert singular["tail_count"] == grid + 1 - count and singular["lanczos_steps"] >= 64
         assert 1 <= singular["lanczos_checks"] <= singular["lanczos_steps"] / RITZ_CHECK
