@@ -24,7 +24,7 @@ from .green import (PARTS, apply_resolvent, assemble_kernel, bandlimited_forcing
                     kernel_matrix, resolvent_residual, GridFunction)
 from .profiles import (END_TOL, KINDS, OperatorModel, load_tabulated,
                        piecewise_linear_profile, sine_profile, validate_profile)
-from .schatten import (INTERVALS_PER_VALUE, LEADING, dyadic_bound_audit,
+from .schatten import (INTERVALS_PER_VALUE, LEADING, check_grid_size, dyadic_bound_audit,
                        eigen_schatten_inequality, singular_values)
 from .shooting import SolverConfig, solution_pairs
 from .singular import compute_log_p, compute_log_p_over_f
@@ -98,8 +98,11 @@ def _cmd_eigs(cfg: RunConfig, args) -> int:
     eigs = scan_and_refine(model, cfg.lmax, cfg.resolution, _solver_config(cfg))
     results = eigs.as_dict()
     _emit_json(cfg, results, "eigs.json")
-    print(f"{len(eigs.eigenvalues)} eigenvalues in [-{cfg.lmax}, {cfg.lmax}], "
-          f"growth slope {results['growth_slope']}")
+    line = (f"{len(eigs.eigenvalues)} eigenvalues in [-{cfg.lmax}, {cfg.lmax}], "
+            f"growth slope {results['growth_slope']}")
+    if eigs.skipped:
+        line += f", {len(eigs.skipped)} scan points skipped: {eigs.skipped[0]['reason']}"
+    print(line)
     return EXIT_OK
 
 
@@ -201,6 +204,7 @@ def _cmd_schatten(cfg: RunConfig, args) -> int:
     model = _model_for(cfg)
     lam = complex(cfg.lambda_re, cfg.lambda_im)
     sc = _solver_config(cfg)
+    check_grid_size(cfg.grid)
     kernel = assemble_kernel(model, lam, cfg.grid, sc)
     spectrum = singular_values(kernel, orders=cfg.parsed_orders())
     dyadic = dyadic_bound_audit(model, lam, cfg.levels, sc)

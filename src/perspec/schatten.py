@@ -21,9 +21,11 @@ lower bound.  The step's own size, max |s(n) - s(n/2)| / 3 over the
 leading values relative to sigma_1, is reported as its error estimate.
 
 The bidiagonalization starts from a fixed golden-ratio Weyl vector, so a
-run is reproducible and draws no random numbers.  It keeps both bases
-orthonormal by one classical Gram-Schmidt pass per vector, and a second
-only where the DGKS test sees the first cancel.  Its convergence checks,
+run is reproducible and draws no random numbers.  It keeps the right
+vectors orthonormal by one classical Gram-Schmidt pass per vector, and a
+second only where the DGKS test sees the first cancel; the left vector
+follows from its recurrence alone, which is enough for the singular values
+(Simon & Zha, SIAM J. Sci. Comput. 21, 2000).  Its convergence checks,
 each an SVD of the bidiagonal, come at the step that equals the count of
 values sought, RITZ_CHECK steps later, and then where the geometric decay
 of the worst leading Ritz residual over the last two checks predicts
@@ -181,28 +183,29 @@ def _lanczos(forward, adjoint, n: int, count: int):
     """The leading ``count`` singular values of an n x n operator, the Lanczos steps and the Ritz checks taken.
 
     Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan 1965) from the
-    fixed ``_start_vector``, so a run is reproducible, with both bases kept
-    orthonormal by full reorthogonalization: one classical Gram-Schmidt
-    pass, and a second where the DGKS test asks for it
-    (``_orthogonalized``).  It stops when the leading Ritz residuals are at
-    most RITZ_TOL sigma_1, or after n steps, where B holds the whole
-    spectrum.  A check takes an SVD of the k x k bidiagonal; the first is
-    at step ``count``, the second RITZ_CHECK steps on, and each later one
-    where the last two predict convergence (``_steps_to_check``).
+    fixed ``_start_vector``, so a run is reproducible, with one-sided full
+    reorthogonalization: the right vectors V are kept orthonormal by one
+    classical Gram-Schmidt pass, and a second where the DGKS test asks for
+    it (``_orthogonalized``), and the left vector is carried alone by its
+    recurrence, which keeps the singular values of B accurate (Simon & Zha,
+    SIAM J. Sci. Comput. 21, 2000).  It stops when the leading Ritz
+    residuals are at most RITZ_TOL sigma_1, or after n steps, where B holds
+    the whole spectrum.  A check takes an SVD of the k x k bidiagonal; the
+    first is at step ``count``, the second RITZ_CHECK steps on, and each
+    later one where the last two predict convergence (``_steps_to_check``).
     """
-    # room for 4 count steps (at most 200 were taken for count 64 up to grid
-    # 4096); rows take memory only once written, and the room doubles if needed
+    # room for 4 count steps of V (at most 200 were taken for count 64 up to
+    # grid 4096); rows take memory only once written, and the room doubles if needed
     V = np.empty((min(n, 4 * count), n), complex)
-    U = np.empty_like(V)
     alpha, beta = np.empty(n), np.empty(n)
     V[0] = _start_vector(n)
     u = forward(V[0])
     alpha[0] = np.linalg.norm(u)
-    U[0] = u / alpha[0]
+    u = u / alpha[0]
     checks, next_check = [], count
     k = 1
     while k < n:
-        r, beta[k - 1] = _orthogonalized(adjoint(U[k - 1]) - alpha[k - 1] * V[k - 1], V[:k])
+        r, beta[k - 1] = _orthogonalized(adjoint(u) - alpha[k - 1] * V[k - 1], V[:k])
         if k == next_check:
             values, residuals = _ritz(alpha[:k], beta[:k])
             if np.all(residuals[:count] <= RITZ_TOL * values[0]):
@@ -212,12 +215,13 @@ def _lanczos(forward, adjoint, n: int, count: int):
         if beta[k - 1] == 0.0:
             break                                       # the Krylov space is invariant
         if k == len(V):
-            V, U = (np.concatenate([b, np.empty((min(n, 2 * k) - k, n), complex)]) for b in (V, U))
+            V = np.concatenate([V, np.empty((min(n, 2 * k) - k, n), complex)])
         V[k] = r / beta[k - 1]
-        p, alpha[k] = _orthogonalized(forward(V[k]) - beta[k - 1] * U[k - 1], U[:k])
+        p = forward(V[k]) - beta[k - 1] * u
+        alpha[k] = np.linalg.norm(p)
         if alpha[k] == 0.0:
             break
-        U[k] = p / alpha[k]
+        u = p / alpha[k]
         k += 1
     beta[k - 1] = 0.0
     return _ritz(alpha[:k], beta[:k])[0][:count], k, len(checks) + 1
@@ -254,22 +258,27 @@ def _nystrom_values(kernel: KernelGrid, count: int):
                     lambda y: sq * _nystrom_adjoint(kernel, y / sq), len(sq), count)
 
 
+def check_grid_size(grid: int) -> None:
+    """Raise ValidationError unless the grid size is divisible by 4: the even nodes must hold 0."""
+    if grid % 4:
+        raise ValidationError(f"the Schatten diagnostics need a grid size divisible by 4, "
+                              f"got {grid}: the even nodes must hold the kernel's kink at 0")
+
+
 def singular_values(kernel: KernelGrid, orders=DEFAULT_ORDERS) -> SingularValueSpectrum:
     """The leading singular values of diag(sqrt w) G diag(sqrt w), and Schatten norms with the tail's share.
 
     The leading values, LEADING or one per INTERVALS_PER_VALUE grid intervals if
     fewer, come from ``_lanczos`` on the grid and on its even nodes
-    (``_even_nodes``), the coarse solve once the fine one's bases are freed, and
+    (``_even_nodes``), the coarse solve once the fine one's basis is freed, and
     the squared Frobenius norm, exact in O(n), from both; each is extrapolated
     by (4 s(n) - s(n/2)) / 3 and the values sorted.  The rest have the sum of
     squares T left by the extrapolated norm.  The tail is modelled as sigma_k =
     sigma_K (k/K)^(-a) for K < k <= n, with a set by T.  A grid size not
-    divisible by 4 raises ValidationError: its even nodes miss 0.
+    divisible by 4 raises ValidationError (``check_grid_size``).
     """
     n = len(kernel.nodes)
-    if (n - 1) % 4:
-        raise ValidationError(f"the Schatten diagnostics need a grid size divisible by 4, "
-                              f"got {n - 1}: the even nodes must hold the kernel's kink at 0")
+    check_grid_size(n - 1)
     coarse = _even_nodes(kernel)
     count = min(LEADING, (n - 1) // INTERVALS_PER_VALUE)
     fine_values, steps, checks = _nystrom_values(kernel, count)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import perspec.cli
+from perspec import shooting
 from perspec.cli import EXIT_SOLVER, EXIT_USAGE, EXIT_VALIDATION, run_subcommand
 from perspec.green import GridFunction, apply_resolvent
 from perspec.schatten import RITZ_CHECK
@@ -247,8 +248,30 @@ class TestEigs:
         assert len(results["refine_iterations"]) == 2           # roots near 1.24 and 3.33
         assert results["proxy_degree"] == 32 and 0.0 < results["proxy_tail"] <= 1e-13
 
+    def test_summary_line_counts_the_skipped_points(self, capsys, tmp_path, monkeypatch):
+        # the step budget of tests/test_batched.py: the upper part of the grid is skipped
+        monkeypatch.setattr(shooting, "MAX_STEPS", 500)
+        out = tmp_path / "eigs.json"
+        assert run_subcommand(["eigs", "--lmax", "8", "--resolution", "0.25",
+                               "--out", str(out)]) == 0
+        skipped = json.loads(out.read_text())["results"]["skipped"]
+        assert skipped
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line.endswith(f", {len(skipped)} scan points skipped: {skipped[0]['reason']}")
+        assert "step budget" in line
+
 
 class TestSchatten:
+    def test_grid_is_refused_before_the_kernel_is_built(self, capsys, tmp_path, monkeypatch):
+        # grid 66: the even nodes miss 0; refused before the kernel's march
+        def build(*args, **kwargs):
+            raise AssertionError("kernel assembled for a grid the diagnostics refuse")
+
+        monkeypatch.setattr(perspec.cli, "assemble_kernel", build)
+        msg = _validation_failure(capsys, ["schatten", "--grid", "66",
+                                           "--out", str(tmp_path / "sv.json")])
+        assert "divisible by 4" in msg
+
     @pytest.mark.parametrize("grid, levels", [(64, 1), (256, 4)])
     def test_identical_runs_write_identical_json(self, tmp_path, eigs_file, grid, levels):
         out = tmp_path / "sv.json"

@@ -6,7 +6,8 @@ import pytest
 
 from perspec import green, schatten
 from perspec.errors import ValidationError
-from perspec.profiles import OperatorModel, piecewise_linear_profile, sine_profile
+from perspec.profiles import (OperatorModel, piecewise_linear_profile, sine_profile,
+                              tabulated_profile)
 from perspec.schatten import (SingularValueSpectrum, dyadic_bound_audit,
                               eigen_schatten_inequality, singular_values)
 from perspec.shooting import SolverConfig
@@ -45,8 +46,16 @@ def _power_sum(fine, coarse, p):
 DENSE_CASES = [("sine", 128, 2.9 + 0.5j), ("tent", 128, -1.3 + 1.4j),
                ("sine", 256, -2.6 + 0.55j), ("tent", 512, 0.7 + 1j),
                ("sine", 1024, 0.7 + 1j), ("tent", 1024, -2.6 + 0.55j),
-               ("tent", 64, -2.6 + 0.55j)]
-MODELS = {"sine": sine_profile, "tent": piecewise_linear_profile}
+               ("tent", 64, -2.6 + 0.55j), ("table", 256, 0.7 + 1j), ("table", 128, -2.9 + 0.5j)]
+
+
+def _tabulated():
+    # the 41-row table of tests/test_green.py
+    x = np.linspace(0.0, math.pi, 41)
+    return tabulated_profile(x, (2 / math.pi) * np.sin(x) * (1.0 + 0.1 * np.sin(x) ** 2))
+
+
+MODELS = {"sine": sine_profile, "tent": piecewise_linear_profile, "table": _tabulated}
 
 
 @pytest.fixture(scope="module", params=DENSE_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
@@ -130,12 +139,17 @@ class TestLanczosInternals:
         once = r - np.conj(basis @ np.conj(r)) @ basis
         assert np.max(np.abs(basis @ np.conj(once))) > 1e-14 * np.linalg.norm(once)
 
-    @pytest.mark.parametrize("decay", [0.9, 0.97])
-    def test_leading_values_of_an_explicit_matrix(self, decay):
-        # Q1 diag(s) Q2^H with s geometric and two values 1e-9 apart
+    @pytest.mark.parametrize("spectrum", [
+        pytest.param(lambda k: 0.9 ** k, id="0.9"), pytest.param(lambda k: 0.97 ** k, id="0.97"),
+        pytest.param(lambda k: 0.8 ** k, id="0.8"), pytest.param(lambda k: 1.0 / (k + 1), id="k^-1"),
+        pytest.param(lambda k: 1.0 / (k + 1) ** 2, id="k^-2")])
+    def test_leading_values_of_an_explicit_matrix(self, spectrum):
+        # Q1 diag(s) Q2^H with two values 1e-9 apart.  Reorthogonalizing the
+        # right vectors alone is weakest in theory on fast decay: 0.8^k falls
+        # to 1e-29 at k = 300, and the kernels' own values fall like k^-1 to k^-2
         rng = np.random.default_rng(12)
         n = 300
-        s = decay ** np.arange(n)
+        s = spectrum(np.arange(n))
         s[6] = s[5] - 1e-9
         a = (_unitary(rng, n) * s) @ _unitary(rng, n).conj().T
         values, steps, checks = schatten._lanczos(lambda v: a @ v, lambda y: a.conj().T @ y,
