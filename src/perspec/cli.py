@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -239,7 +240,9 @@ _RESOLUTION_HELP = ("bracketing step: the Chebyshev proxy of Im D is read this f
                     "which costs no march; roots closer than it may go unseen")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="perspec",
                      description="spectral toolkit for the singular periodic "
                                  "advection operator")
@@ -286,9 +289,10 @@ def build_parser() -> _Parser:
         description=f"singular.singular_values holds the leading {LEADING} singular values "
                     f"(at most one per {INTERVALS_PER_VALUE} grid intervals) of the kernel's "
                     "entries symmetrized by the square roots of the trapezoid weights, from "
-                    "Golub-Kahan-Lanczos on their O(n) apply on the grid and on its even "
-                    "nodes, extrapolated by (4 s(n) - s(n/2)) / 3 and sorted; "
-                    "extrapolation_error is the step's largest size over sigma_1; the grid "
+                    "Golub-Kahan-Lanczos on that symmetrized matrix's O(n) apply and adjoint "
+                    "on the grid and on its even nodes, extrapolated by "
+                    "(4 s(n) - s(n/2)) / 3 and sorted; extrapolation_error is the step's "
+                    "largest size over sigma_1; the grid "
                     "size must be a multiple of 4, so that the even nodes hold 0.  The "
                     "other values' sum of squares, tail_mass, "
                     "comes from the Frobenius norm, exact on each grid and extrapolated "

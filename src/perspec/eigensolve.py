@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from .errors import IntegrationError, ValidationError
+from .errors import IntegrationError, SolverError, ValidationError
 from .profiles import OperatorModel
 from .shooting import (DEFAULT_CONFIG, SharedMesh, SolverConfig, _real_lams,
                        boundary_values, shared_mesh)
@@ -78,9 +78,9 @@ class EigenvalueList:
     lam_max: float
     resolution: float                # bracketing step: the proxy's sign is read this far apart
     skipped: list                    # grid points the shared mesh cannot be built for
-    mesh_nodes: int                  # nodes of the shared mesh (0 when none was built)
-    mesh_rounds: int                 # marches that laid the mesh out (0 when none was built)
-    proxy_degree: int                # Chebyshev degree n of the proxy of Im D (0 when no mesh)
+    mesh_nodes: int                  # nodes of the shared mesh
+    mesh_rounds: int                 # marches that laid the mesh out
+    proxy_degree: int                # Chebyshev degree n of the proxy of Im D
     proxy_tail: float                # largest of its last odd coefficients over its largest
     marches: int                     # batched marches: the scan mesh's layout, the proxy's
                                      # points (one per degree), the doubtful grid points (at
@@ -142,7 +142,7 @@ def _served_mesh(model: OperatorModel, grid: np.ndarray, config: SolverConfig):
     The mesh for the top of the grid is the hardest to lay out; when it
     fails, the largest grid point whose mesh can be laid out is found by
     bisection and every point above it is skipped with the reason of the
-    failure just above it.
+    failure just above it; when no point is served, the mesh is None.
     """
     try:
         return shared_mesh(model, float(grid[-1]), config), len(grid), []
@@ -283,8 +283,10 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
     just right of 0, so a root in (0, resolution) is bracketed too.  Each
     bracket is refined on the true D to width 1e-10*(1+|lam|).  Grid points
     the shared mesh cannot be built for (the step budget, say) are skipped
-    with the reason.  The positive roots are certified together on one mesh
-    of their own; 0 is an eigenvalue by construction.
+    with the reason; when that is every point, SolverError is raised, naming
+    epsilon, sigma and the first point's reason.  The positive roots are
+    certified together on one mesh of their own; 0 is an eigenvalue by
+    construction.
     """
     if lam_max <= 0 or resolution <= 0:
         raise ValidationError("lam_max and resolution must be positive")
@@ -293,21 +295,20 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
     if not len(grid):
         raise ValidationError(f"empty scan grid: resolution {resolution} >= 2*lam_max")
     mesh, served, skipped = _served_mesh(model, grid, config)
+    if not served:
+        raise SolverError(f"no scan point can be served at epsilon {model.epsilon:g} "
+                          f"(sigma = {model.sigma:.4g}); at lam = {skipped[0]['lam']:g}: "
+                          f"{skipped[0]['reason']}")
     grid = grid[:served]
-    marches = degree = 0
-    tail = 0.0
-    spans = []
-    if served:
-        top = float(grid[-1])
-        coeffs, bound, tail, proxy_marches = _chebyshev_proxy(model, mesh, top, served)
-        degree = len(coeffs)
-        marches = mesh.rounds + proxy_marches
-        r = chebval(grid / top, coeffs)
-        doubtful = np.abs(r) <= bound
-        if np.any(doubtful):
-            r[doubtful] = dispersion_batch(model, grid[doubtful], mesh).imag
-            marches += 1
-        spans = _brackets(grid, r)
+    top = float(grid[-1])
+    coeffs, bound, tail, proxy_marches = _chebyshev_proxy(model, mesh, top, served)
+    marches = mesh.rounds + proxy_marches
+    r = chebval(grid / top, coeffs)
+    doubtful = np.abs(r) <= bound
+    if np.any(doubtful):
+        r[doubtful] = dispersion_batch(model, grid[doubtful], mesh).imag
+        marches += 1
+    spans = _brackets(grid, r)
     roots, iterations = [], []
     if spans:
         roots, iterations, refine_marches = _refine(model, mesh, spans)
@@ -333,9 +334,8 @@ def scan_and_refine(model: OperatorModel, lam_max: float, resolution: float,
     return EigenvalueList(model=model, eigenvalues=eigs, residuals=resid,
                           relative_residuals=rel, lam_max=float(lam_max),
                           resolution=float(resolution), skipped=skipped,
-                          mesh_nodes=len(mesh.nodes) if mesh else 0,
-                          mesh_rounds=mesh.rounds if mesh else 0,
-                          proxy_degree=degree, proxy_tail=tail,
+                          mesh_nodes=len(mesh.nodes), mesh_rounds=mesh.rounds,
+                          proxy_degree=len(coeffs), proxy_tail=tail,
                           marches=marches, refine_iterations=iterations)
 
 

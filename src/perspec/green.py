@@ -35,11 +35,14 @@ has one definition, ``KernelGrid._terms``: four products of an x-factor
 and an s-factor, each on its support (every s, s >= x, or s < x), so the
 diagonal is counted once.  Every reader but the resolvent apply reads
 them: sup|G| and the dense matrix of the kernel dump, built a block of
-rows at a time (``_row_blocks``); the O(n) apply of G (w F) and its
-adjoint under the trapezoid weights w (``_nystrom_apply``,
-``_nystrom_adjoint``), by cumulative sums over the supports; and the
-weighted Frobenius norm.  These are the Nystrom discretization that
-``schatten`` symmetrises.
+rows at a time (``_row_blocks``); the O(n) apply and adjoint of the
+Nystrom matrix M = diag(sqrt w) G diag(sqrt w), w the trapezoid weights
+(``_nystrom_apply``, ``_nystrom_adjoint``), whose singular values
+``schatten`` reads; and ||M||_F^2 (``weighted_frobenius_sq``).  The
+applies read the terms through ``KernelGrid._nystrom_terms``, with each
+factor scaled by sqrt w once per kernel and cut to the nodes where its
+term is nonzero, so a term costs one cumulative sum over its own nodes:
+part I's two terms, one per side of the origin, half the grid each.
 
 ``apply_resolvent`` integrates to fourth order instead, in the grid's
 grading variable t, in which each half of the grid is uniform: the
@@ -138,8 +141,8 @@ class KernelGrid(_FullPeriod):
     Its entries G(x_i, s_j) are ``_terms``; ``kernel_matrix`` builds them
     densely for the kernel dump.  ``apply_resolvent`` (through ``_apply``)
     applies the kernel by fourth-order running sums, and ``_nystrom_apply``
-    and ``_nystrom_adjoint`` apply the entries and their adjoint with the
-    trapezoid weights.
+    and ``_nystrom_adjoint`` apply diag(sqrt w) G diag(sqrt w) and its
+    adjoint, w the trapezoid weights, from ``_nystrom_terms``.
     """
 
     lam: complex
@@ -180,6 +183,25 @@ class KernelGrid(_FullPeriod):
                 ("II", self.phi, self.w2, UPPER),
                 ("I", np.where(x > 0.0, psi, 0.0), np.where(x > 0.0, weighted_phi, 0.0), LOWER),
                 ("I", np.where(x < 0.0, psi, 0.0), np.where(x < 0.0, weighted_phi, 0.0), UPPER))
+
+    @functools.cached_property
+    def _nystrom_terms(self):
+        """``_terms`` with each factor scaled by sqrt w, each term cut to its own nodes.
+
+        One (sqrt(w) a, sqrt(w) b, their conjugates, support, nodes) per
+        term: ``nodes`` is the slice of the grid outside which a and b are
+        both 0, and the four factors hold its nodes only.  The entries of
+        diag(sqrt w) G diag(sqrt w) are sums of these terms as G's are of
+        ``_terms``; part I's two terms span one side of the origin each.
+        """
+        sq = np.sqrt(self.weights)
+        terms = []
+        for _, a, b, support in self._terms:
+            held = np.flatnonzero((a != 0.0) | (b != 0.0))
+            nodes = slice(int(held[0]), int(held[-1]) + 1)
+            x_factor, s_factor = sq[nodes] * a[nodes], sq[nodes] * b[nodes]
+            terms.append((x_factor, s_factor, np.conj(x_factor), np.conj(s_factor), support, nodes))
+        return tuple(terms)
 
     @functools.cached_property
     def sup_norm(self) -> float:
@@ -452,16 +474,17 @@ def _support_sums(v: np.ndarray, support: str, over: str):
     empty, so part I's sums run outward from the origin.
     """
     if support == ALL:
-        return np.sum(v)
+        return v.sum()
     ascending = (support == LOWER) == (over == "s")     # the slice grows with the node's index
-    total = np.cumsum(v) if ascending else np.cumsum(v[::-1])[::-1]
     if support == UPPER:                                # the diagonal is in the slice
-        return total
-    out = np.zeros_like(total)
+        return v.cumsum() if ascending else v[::-1].cumsum()[::-1]
+    out = np.empty_like(v)
     if ascending:
-        out[1:] = total[:-1]
+        out[0] = 0.0
+        v[:-1].cumsum(out=out[1:])
     else:
-        out[:-1] = total[1:]
+        out[-1] = 0.0
+        v[:0:-1].cumsum(out=out[-2::-1])
     return out
 
 
@@ -475,17 +498,20 @@ def _apply(kernel: KernelGrid, forcing: np.ndarray) -> np.ndarray:
     return sum(_applied_parts(kernel, forcing))
 
 
-def _nystrom_apply(kernel: KernelGrid, forcing: np.ndarray) -> np.ndarray:
-    """sum_j G(x_i, s_j) w_j F(s_j) on values: the entries ``_terms`` under the trapezoid weights, in O(n)."""
-    v = kernel.weights * forcing
-    return sum(a * _support_sums(b * v, support, "s") for _, a, b, support in kernel._terms)
+def _nystrom_apply(kernel: KernelGrid, v: np.ndarray) -> np.ndarray:
+    """M v, M = diag(sqrt w) G(x_i, s_j) diag(sqrt w), on values in O(n): one sum per term on its nodes."""
+    out = np.zeros(len(v), complex)
+    for a, b, _, _, support, nodes in kernel._nystrom_terms:
+        out[nodes] += a * _support_sums(b * v[nodes], support, "s")
+    return out
 
 
 def _nystrom_adjoint(kernel: KernelGrid, y: np.ndarray) -> np.ndarray:
-    """v(s_j) = sum_i conj(G(x_i, s_j)) w_i y(x_i), the adjoint of ``_nystrom_apply`` under w, on values."""
-    z = kernel.weights * y
-    return sum(np.conj(b) * _support_sums(np.conj(a) * z, support, "x")
-               for _, a, b, support in kernel._terms)
+    """M^H y, the conjugate transpose of ``_nystrom_apply``'s M, on values, in O(n)."""
+    out = np.zeros(len(y), complex)
+    for _, _, a_conj, b_conj, support, nodes in kernel._nystrom_terms:
+        out[nodes] += b_conj * _support_sums(a_conj * y[nodes], support, "x")
+    return out
 
 
 def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:

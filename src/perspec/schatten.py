@@ -5,8 +5,10 @@ Nystrom symmetrization M = D^(1/2) G D^(1/2) of the kernel's own entries
 G(x_i, s_j), with D the diagonal of trapezoid weights (Bornemann, Math.
 Comp. 79, 2010).  No dense matrix is built: the leading values come from
 Golub-Kahan-Lanczos bidiagonalization driven by the O(n) apply and adjoint
-apply of the entries (``green._nystrom_apply``, ``green._nystrom_adjoint``),
-and ||M||_F^2 from the generators in O(n) (``green.weighted_frobenius_sq``).
+of M itself (``green._nystrom_apply``, ``green._nystrom_adjoint``), whose
+factors carry sqrt(w) from the kernel's cache, so a Lanczos step does no
+weight arithmetic, and ||M||_F^2 from the generators in O(n)
+(``green.weighted_frobenius_sq``).
 M converges at O(h^2), so each is taken on the grid and on its even nodes,
 whose kernel is the grid's generators there under their own trapezoid
 weights, and extrapolated by one Richardson step: (4 s(n) - s(n/2)) / 3.
@@ -252,10 +254,9 @@ def _even_nodes(kernel: KernelGrid) -> KernelGrid:
 
 
 def _nystrom_values(kernel: KernelGrid, count: int):
-    """``_lanczos`` on diag(sqrt w) G diag(sqrt w) from the kernel's O(n) applies."""
-    sq = np.sqrt(kernel.weights)
-    return _lanczos(lambda v: sq * _nystrom_apply(kernel, v / sq),
-                    lambda y: sq * _nystrom_adjoint(kernel, y / sq), len(sq), count)
+    """``_lanczos`` on diag(sqrt w) G diag(sqrt w) from the kernel's O(n) apply and adjoint."""
+    return _lanczos(lambda v: _nystrom_apply(kernel, v), lambda y: _nystrom_adjoint(kernel, y),
+                    len(kernel.nodes), count)
 
 
 def check_grid_size(grid: int) -> None:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import perspec
 import perspec.cli
 from perspec import shooting
 from perspec.cli import EXIT_SOLVER, EXIT_USAGE, EXIT_VALIDATION, run_subcommand
@@ -12,6 +17,15 @@ from perspec.schatten import RITZ_CHECK
 
 # small enough to keep each call well under a second
 SMALL = ["--grid", "64", "--levels", "0"]
+
+
+def _separate_run(argv, cwd) -> subprocess.CompletedProcess:
+    """``perspec`` run with ``argv`` in a process of its own, in the directory ``cwd``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(perspec.__file__).parent.parent),
+                                                     env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "perspec.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def _validation_failure(capsys, argv) -> str:
@@ -223,6 +237,24 @@ class TestBadArguments:
         assert "--nodes" in msg and not out.exists()
 
 
+class TestParser:
+    def test_one_parser_serves_every_command(self, tmp_path, eigs_file):
+        # two commands in one process write what each writes in a process of its own
+        assert perspec.cli.build_parser() is perspec.cli.build_parser()
+        argvs = [["eigs", "--epsilon", "0.7", "--lmax", "3", "--resolution", "0.1",
+                  "--out", str(tmp_path / "eigs.json")],
+                 ["schatten", *SMALL, "--eigs-file", str(eigs_file),
+                  "--out", str(tmp_path / "sv.json")]]
+        written = []
+        for argv in argvs:
+            assert run_subcommand(argv) == 0
+            written.append(Path(argv[-1]).read_bytes())
+        for argv, in_process in zip(argvs, written):
+            run = _separate_run(argv, tmp_path)
+            assert run.returncode == 0, run.stderr
+            assert Path(argv[-1]).read_bytes() == in_process
+
+
 class TestConfigInOutput:
     def test_flag_reaches_emitted_config(self, tmp_path, eigs_file):
         out = tmp_path / "sv.json"
@@ -247,6 +279,17 @@ class TestEigs:
         assert results["mesh_nodes"] > 0 and results["batched_marches"] > 0
         assert len(results["refine_iterations"]) == 2           # roots near 1.24 and 3.33
         assert results["proxy_degree"] == 32 and 0.0 < results["proxy_tail"] <= 1e-13
+
+    def test_a_scan_that_serves_no_point_is_a_solver_failure(self, tmp_path):
+        # sigma = 78.5: the seed's 1/p overflows at every grid point, down to lam = 0.05.
+        # Its own process, since the overflow warns
+        run = _separate_run(["eigs", "--profile", "sine", "--epsilon", "0.02", "--lmax", "8",
+                             "--resolution", "0.05"], tmp_path)
+        assert run.returncode == EXIT_SOLVER
+        assert not (tmp_path / "eigs.json").exists()
+        error = run.stderr.strip().splitlines()[-1]
+        assert error.startswith("solver error: no scan point can be served at epsilon 0.02 "
+                                "(sigma = 78.54); at lam = 0.05: step budget exhausted")
 
     def test_summary_line_counts_the_skipped_points(self, capsys, tmp_path, monkeypatch):
         # the step budget of tests/test_batched.py: the upper part of the grid is skipped

@@ -295,40 +295,54 @@ def rule_columns(kernel: KernelGrid) -> np.ndarray:
 @pytest.mark.parametrize("name", sorted(PROFILES))
 class TestAdjointAndFrobenius:
     # the O(n) cumulative sums over the entries' supports against the dense
-    # kernel, whose entries are built row block by row block; the table's 41
-    # rows make every table node a breakpoint
+    # M = diag(sqrt w) G diag(sqrt w), whose entries G are built row block by
+    # row block; the table's 41 rows make every table node a breakpoint
     @pytest.fixture
     def kernel(self, name, grid, lam):
         return assemble_kernel(ps.OperatorModel(profile=PROFILES[name](), epsilon=1.0), lam, grid)
 
+    @staticmethod
+    def nystrom_matrix(kernel):
+        sq = np.sqrt(kernel.weights)
+        return sq[:, None] * kernel_matrix(kernel) * sq[None, :]
+
     def test_apply_matches_the_dense_kernel(self, kernel):
         rng = np.random.default_rng(4)
-        F = rng.standard_normal(len(kernel.nodes)) + 1j * rng.standard_normal(len(kernel.nodes))
-        got = _nystrom_apply(kernel, F)
-        want = kernel_matrix(kernel) @ (kernel.weights * F)
+        v = rng.standard_normal(len(kernel.nodes)) + 1j * rng.standard_normal(len(kernel.nodes))
+        got = _nystrom_apply(kernel, v)
+        want = self.nystrom_matrix(kernel) @ v
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_adjoint_matches_the_dense_kernel(self, kernel):
         rng = np.random.default_rng(5)
         y = rng.standard_normal(len(kernel.nodes)) + 1j * rng.standard_normal(len(kernel.nodes))
         got = _nystrom_adjoint(kernel, y)
-        want = kernel_matrix(kernel).conj().T @ (kernel.weights * y)
+        want = self.nystrom_matrix(kernel).conj().T @ y
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_adjoint_identity(self, kernel):
-        # <G w x, y>_w = <x, G^H w y>_w for the trapezoid weights w
+        # <M x, y> = <x, M^H y>
         rng = np.random.default_rng(6)
         x, y = (rng.standard_normal((2, len(kernel.nodes)))
                 + 1j * rng.standard_normal((2, len(kernel.nodes))))
-        w = kernel.weights
-        gx = _nystrom_apply(kernel, x)
-        ghy = _nystrom_adjoint(kernel, y)
-        left, right = np.vdot(y, w * gx), np.vdot(ghy, w * x)
+        left, right = np.vdot(y, _nystrom_apply(kernel, x)), np.vdot(_nystrom_adjoint(kernel, y), x)
         assert abs(left - right) <= 1e-12 * abs(left)
 
+    def test_sliced_factors_rebuild_the_dense_kernel(self, kernel):
+        # every entry of M from the cut factors of _nystrom_terms, each term
+        # on its own nodes only: no slice drops an entry
+        n = len(kernel.nodes)
+        rebuilt = np.zeros((n, n), complex)
+        for a, b, a_conj, b_conj, support, nodes in kernel._nystrom_terms:
+            assert np.array_equal(a_conj, np.conj(a)) and np.array_equal(b_conj, np.conj(b))
+            i, j = np.arange(n)[nodes, None], np.arange(n)[nodes]
+            inside = True if support == "all" else (j >= i if support == "s >= x" else j < i)
+            rebuilt[nodes, nodes] += np.where(inside, a[:, None] * b[None, :], 0.0)
+        want = self.nystrom_matrix(kernel)
+        assert np.max(np.abs(rebuilt - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_frobenius_norm_matches_the_dense_kernel(self, kernel):
-        sq = np.sqrt(kernel.weights)
-        dense = np.sum(np.abs(sq[:, None] * kernel_matrix(kernel) * sq[None, :]) ** 2)
+        dense = np.sum(np.abs(self.nystrom_matrix(kernel)) ** 2)
         assert weighted_frobenius_sq(kernel) == pytest.approx(dense, rel=1e-12)
 
 

@@ -186,6 +186,17 @@ def test_values_are_positive_and_sorted(spectrum_of, name, grid, lam):
     assert np.all(values > 0.0) and np.all(np.diff(values) <= 0.0)
 
 
+@pytest.mark.parametrize("grid, lam, counts", [(1024, 0.7 + 1j, (216, 7)),
+                                               (1024, -2.6 + 0.55j, (208, 6)),
+                                               (256, 1j, (144, 6))])
+@pytest.mark.parametrize("name", ["sine", "tent"])
+def test_lanczos_counts_are_pinned(spectrum_of, name, grid, lam, counts):
+    # both solves' steps and Ritz checks, as the operator's arithmetic stood
+    # when they were pinned: a faster apply must not change convergence
+    spectrum = spectrum_of(name, grid, lam)
+    assert (spectrum.lanczos_steps, spectrum.lanczos_checks) == counts
+
+
 CONTINUANT_GRIDS = [64, 128, 256, 512, 1024]
 
 
