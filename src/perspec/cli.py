@@ -108,13 +108,17 @@ def _cmd_eigs(cfg: RunConfig, args) -> int:
 
 
 def _cmd_trace(cfg: RunConfig, args) -> int:
-    if args.nodes < 1:
-        raise ValidationError(f"--nodes must be at least 1, got {args.nodes}")
+    if args.nodes is not None and args.kind != "logp":
+        raise ValidationError(f"--nodes sets the rows of --kind logp only; --kind {args.kind} "
+                              "is written on the march's mesh")
+    nodes = 512 if args.nodes is None else args.nodes
+    if nodes < 1:
+        raise ValidationError(f"--nodes must be at least 1, got {nodes}")
     model = _model_for(cfg)
     lam = complex(cfg.lambda_re, cfg.lambda_im)
     out = cfg.out or f"trace_{args.kind}.csv"
     if args.kind == "logp":
-        x = np.linspace(1e-4, np.pi - 1e-4, args.nodes)
+        x = np.linspace(1e-4, np.pi - 1e-4, nodes)
         lp = np.asarray(compute_log_p(model, x))
         lpf = np.asarray(compute_log_p_over_f(model, x))
         _write_csv(out, "x,log_p,log_p_over_f", zip(x, lp, lpf))
@@ -263,7 +267,8 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=["phi", "psi", "logp"], default="phi")
     p.add_argument("--lambda-re", dest="lambda_re", type=float, default=None)
     p.add_argument("--lambda-im", dest="lambda_im", type=float, default=None)
-    p.add_argument("--nodes", type=int, default=512)
+    p.add_argument("--nodes", type=int, default=None,
+                   help="rows of the table, logp only (default 512)")
 
     p = subs.add_parser("resolve", help="apply the resolvent to a forcing")
     _add_common(p)

@@ -33,16 +33,17 @@ under their own names -- ``phi``, ``psi``, ``log_pf`` = log(p/f), ``w2``
 = the weighted psi, and the ``denominator``.  A kernel entry G(x_i, s_j)
 has one definition, ``KernelGrid._terms``: four products of an x-factor
 and an s-factor, each on its support (every s, s >= x, or s < x), so the
-diagonal is counted once.  Every reader but the resolvent apply reads
-them: sup|G| and the dense matrix of the kernel dump, built a block of
-rows at a time (``_row_blocks``); the O(n) apply and adjoint of the
-Nystrom matrix M = diag(sqrt w) G diag(sqrt w), w the trapezoid weights
+diagonal is counted once.  Every reader of the kernel reads them:
+sup|G| and the dense matrix of the kernel dump, built a block of rows at
+a time (``_row_blocks``); the O(n) apply and adjoint of the Nystrom
+matrix M = diag(sqrt w) G diag(sqrt w), w the trapezoid weights
 (``_nystrom_apply``, ``_nystrom_adjoint``), whose singular values
-``schatten`` reads; and ||M||_F^2 (``weighted_frobenius_sq``).  The
-applies read the terms through ``KernelGrid._nystrom_terms``, with each
-factor scaled by sqrt w once per kernel and cut to the nodes where its
-term is nonzero, so a term costs one cumulative sum over its own nodes:
-part I's two terms, one per side of the origin, half the grid each.
+``schatten`` reads; ||M||_F^2 (``weighted_frobenius_sq``); and the
+running sums of ``apply_resolvent``.  The Nystrom applies read the terms
+through ``KernelGrid._nystrom_terms``, with each factor scaled by sqrt w
+once per kernel and cut to the nodes where its term is nonzero, so a
+term costs one cumulative sum over its own nodes: part I's two terms,
+one per side of the origin, half the grid each.
 
 ``apply_resolvent`` integrates to fourth order instead, in the grid's
 grading variable t, in which each half of the grid is uniform: the
@@ -55,10 +56,7 @@ panel is exact for quadratics and gives the kink node the trapezoid's
 half weight from either side at every partial sum, because a forcing may
 hold the mean of two one-sided limits there.  The tail's panels at 0 and
 +-pi, where x' = 0, are trapezoids in x.  Each part is a running sum
-accumulated outward from the point where its integrand vanishes.  Part
-I's two sides, paths of one length out from the origin, are summed in one
-call on a (2, L) array; each row is summed alone and in the same order,
-so the result is the one two separate sums give, bit for bit.
+accumulated outward from the point where its integrand vanishes.
 """
 
 from __future__ import annotations
@@ -139,10 +137,11 @@ class KernelGrid(_FullPeriod):
     """The discretized kernel, held by its O(n) generators on the graded grid.
 
     Its entries G(x_i, s_j) are ``_terms``; ``kernel_matrix`` builds them
-    densely for the kernel dump.  ``apply_resolvent`` (through ``_apply``)
-    applies the kernel by fourth-order running sums, and ``_nystrom_apply``
-    and ``_nystrom_adjoint`` apply diag(sqrt w) G diag(sqrt w) and its
-    adjoint, w the trapezoid weights, from ``_nystrom_terms``.
+    densely for the kernel dump.  ``apply_resolvent`` applies the kernel by
+    fourth-order running sums over the terms' factors, and
+    ``_nystrom_apply`` and ``_nystrom_adjoint`` apply diag(sqrt w) G
+    diag(sqrt w) and its adjoint, w the trapezoid weights, from
+    ``_nystrom_terms``.
     """
 
     lam: complex
@@ -155,18 +154,6 @@ class KernelGrid(_FullPeriod):
     meta: dict
 
     @functools.cached_property
-    def _part_i_factors(self):
-        """Part I's x-factor psi*(-i/eps) and s-factor phi*(p/f), 0 where no part I is summed.
-
-        That is the origin (psi is nan there and p/f is 0) and +-pi (psi is
-        0 there and p/f infinite); ``_applied_parts`` reads neither node.
-        """
-        x_factor = np.where(np.isnan(self.psi), 0.0, self.psi) * (-1j / self.model.epsilon)
-        s_factor = np.zeros(len(self.nodes), complex)
-        s_factor[1:-1] = self.phi[1:-1] * np.exp(self.log_pf[1:-1])
-        return x_factor, s_factor
-
-    @functools.cached_property
     def _terms(self):
         """G(x_i, s_j) as terms (part, x-factor a, s-factor b, support): the sum of a_i b_j over them.
 
@@ -175,10 +162,15 @@ class KernelGrid(_FullPeriod):
         factors that are 0 on the other side.  So the kernel, continuous
         across the diagonal, counts it once: part I stops short of s = x for
         x > 0, where its limit is part II's, and for x < 0 parts I and II
-        cancel there.  Part I is 0 on the rows 0 and +-pi.
+        cancel there.  Part I's x-factor psi*(-i/eps) and s-factor phi*(p/f)
+        are 0 at the origin (psi is nan there and p/f is 0) and at +-pi (psi
+        is 0 there and p/f infinite), so part I is 0 on the rows 0 and +-pi
+        and no running sum of ``_applied_parts`` reads those nodes.
         """
         x = self.nodes
-        psi, weighted_phi = self._part_i_factors
+        psi = self.psi * (-1j / self.model.epsilon)
+        weighted_phi = np.zeros(len(x), complex)
+        weighted_phi[1:-1] = self.phi[1:-1] * np.exp(self.log_pf[1:-1])
         return (("III", self.phi, self.w2 / self.denominator, ALL),
                 ("II", self.phi, self.w2, UPPER),
                 ("I", np.where(x > 0.0, psi, 0.0), np.where(x > 0.0, weighted_phi, 0.0), LOWER),
@@ -210,9 +202,9 @@ class KernelGrid(_FullPeriod):
 
 
 def _outward_sides(n: int):
-    """Slices of the interior nodes on each side of 0 (positive side first), ordered outward from 0."""
+    """Slices of the interior nodes on each side of 0 (positive side first), stepping outward from 0 (+1, -1)."""
     i0 = n // 2
-    return slice(i0 + 1, n - 1), slice(i0 - 1, 0, -1)
+    return slice(i0 + 1, n - 1, 1), slice(i0 - 1, 0, -1)
 
 
 def _full_period(model: OperatorModel, pairs: SolutionPairs) -> _FullPeriod:
@@ -404,37 +396,29 @@ def _rules(n: int, breakpoints: tuple, kinks: tuple):
     return part_i, tail
 
 
-@functools.lru_cache(maxsize=8)
-def _part_i_sides(n: int) -> np.ndarray:
-    """Part I's two paths, one per row, from the origin to the node before pi and to the one after -pi."""
-    sides = np.stack([np.arange(n // 2, n - 1), np.arange(n // 2, 0, -1)])
-    sides.flags.writeable = False
-    return sides
-
-
 def _applied_parts(kernel: KernelGrid, forcing: np.ndarray):
     """Parts I, II and III of the kernel applied by the running rules to forcings of shape (..., n).
 
     Each part is a running sum from the end where its integral is zero,
     never a difference of two sums from -pi: near those ends such a
-    difference cancels to no correct digits.
+    difference cancels to no correct digits.  Every factor is ``_terms``'.
 
     * part I = psi(x) (-i/eps) int phi (p/f) F over s between 0 and x,
-      summed from the origin on both sides in one call, a path of shape (2, L);
+      summed from the origin outward, one side of it at a time;
     * part II = phi(x) int_x^pi w2 F, summed from pi;
     * part III = phi(x) int_(-pi)^pi w2 F / denominator.
     """
     n = len(kernel.nodes)
     model = kernel.model
     rule_i, rule_tail = _rules(n, model.profile.breakpoints, model.profile.kinks)
-    x_factor, s_factor = kernel._part_i_factors
-    tail = rule_tail.sums(kernel.w2[::-1] * forcing[..., ::-1])[..., ::-1]
+    _, (_, phi, w2, _), *part_i_terms = kernel._terms
+    tail = rule_tail.sums(w2[::-1] * forcing[..., ::-1])[..., ::-1]
     part_i = np.zeros(tail.shape, complex)
-    sides = _part_i_sides(n)
-    off = sides[:, 1:]                                  # psi is nan at the origin
-    part_i[..., off] = x_factor[off] * rule_i.sums(s_factor[sides] * forcing[..., sides])[..., 1:]
-    part_ii = kernel.phi * tail
-    part_iii = kernel.phi * (tail[..., :1] / kernel.denominator)
+    for (_, a, b, _), side in zip(part_i_terms, _outward_sides(n)):
+        path = slice(side.start - side.step, side.stop, side.step)     # the origin, then the side
+        part_i[..., side] = a[side] * rule_i.sums(b[path] * forcing[..., path])[..., 1:]
+    part_ii = phi * tail
+    part_iii = phi * (tail[..., :1] / kernel.denominator)
     return part_i, part_ii, part_iii
 
 
@@ -493,11 +477,6 @@ def _check_on_grid(nodes: np.ndarray, forcing: GridFunction) -> None:
         raise GridMismatchError("forcing is not sampled on the grid of the kernel or of u")
 
 
-def _apply(kernel: KernelGrid, forcing: np.ndarray) -> np.ndarray:
-    """``apply_resolvent`` on the forcing's values, with no grid check."""
-    return sum(_applied_parts(kernel, forcing))
-
-
 def _nystrom_apply(kernel: KernelGrid, v: np.ndarray) -> np.ndarray:
     """M v, M = diag(sqrt w) G(x_i, s_j) diag(sqrt w), on values in O(n): one sum per term on its nodes."""
     out = np.zeros(len(v), complex)
@@ -517,7 +496,7 @@ def _nystrom_adjoint(kernel: KernelGrid, y: np.ndarray) -> np.ndarray:
 def apply_resolvent(kernel: KernelGrid, forcing: GridFunction) -> GridFunction:
     """u(x_i) = sum_j G(x_i, s_j) w_j F(s_j), once the forcing is checked to lie on the kernel's grid."""
     _check_on_grid(kernel.nodes, forcing)
-    return GridFunction(nodes=kernel.nodes, values=_apply(kernel, forcing.values))
+    return GridFunction(nodes=kernel.nodes, values=sum(_applied_parts(kernel, forcing.values)))
 
 
 def weighted_frobenius_sq(kernel: KernelGrid) -> float:

@@ -282,10 +282,8 @@ def _start_mesh(model: OperatorModel, nodes: np.ndarray, delta: float) -> np.nda
 
 def _check_budget(count: float, x_reached) -> None:
     if not math.isfinite(count):
-        raise IntegrationError(f"step budget exhausted: the march overflows at "
-                               f"x = {x_reached:.6g}, where its error estimate is not "
-                               f"finite; |lam| is likely beyond what {MAX_STEPS} nodes "
-                               "can serve", x_reached=x_reached)
+        raise IntegrationError(f"the march overflows at x = {x_reached:.6g}, where its "
+                               "error estimate is not finite", x_reached=x_reached)
     if count > MAX_STEPS:
         raise IntegrationError(f"step budget exhausted: the mesh needs {count:.6g} nodes, "
                                f"more than {MAX_STEPS}", x_reached=x_reached)

@@ -236,6 +236,14 @@ class TestBadArguments:
                                            "--out", str(out)])
         assert "--nodes" in msg and not out.exists()
 
+    @pytest.mark.parametrize("kind", ["phi", "psi"])
+    def test_nodes_is_refused_for_a_solution_trace(self, capsys, tmp_path, kind):
+        # phi and psi are written on the march's mesh, which --nodes does not set
+        out = tmp_path / "trace.csv"
+        msg = _validation_failure(capsys, ["trace", "--kind", kind, "--nodes", "64",
+                                           "--out", str(out)])
+        assert "--nodes" in msg and "logp only" in msg and not out.exists()
+
 
 class TestParser:
     def test_one_parser_serves_every_command(self, tmp_path, eigs_file):
@@ -289,7 +297,7 @@ class TestEigs:
         assert not (tmp_path / "eigs.json").exists()
         error = run.stderr.strip().splitlines()[-1]
         assert error.startswith("solver error: no scan point can be served at epsilon 0.02 "
-                                "(sigma = 78.54); at lam = 0.05: step budget exhausted")
+                                "(sigma = 78.54); at lam = 0.05: the march overflows at x = ")
 
     def test_summary_line_counts_the_skipped_points(self, capsys, tmp_path, monkeypatch):
         # the step budget of tests/test_batched.py: the upper part of the grid is skipped
@@ -381,6 +389,15 @@ class TestKernelCommands:
 
 
 class TestTrace:
+    def test_logp_dump_has_512_rows_by_default(self, tmp_path):
+        default, pinned = tmp_path / "default.csv", tmp_path / "pinned.csv"
+        assert run_subcommand(["trace", "--kind", "logp", "--out", str(default)]) == 0
+        assert run_subcommand(["trace", "--kind", "logp", "--nodes", "512",
+                               "--out", str(pinned)]) == 0
+        rows = default.read_text().splitlines()
+        assert rows[0] == "x,log_p,log_p_over_f" and len(rows) == 513
+        assert default.read_bytes() == pinned.read_bytes()
+
     def test_psi_dump_is_the_marched_lam_column(self, tmp_path):
         out = tmp_path / "psi.csv"
         assert run_subcommand(["trace", "--kind", "psi", "--lambda-re", "1.0",

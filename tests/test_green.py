@@ -284,10 +284,26 @@ class TestResolvent:
 
 
 def rule_columns(kernel: KernelGrid) -> np.ndarray:
-    """The running rules' dense kernel: column j is the rules' apply of the unit forcing 1/w_j at s_j."""
-    units = np.eye(len(kernel.nodes)) / kernel.weights[:, None]
-    return np.concatenate([sum(_applied_parts(kernel, block))
-                           for block in np.array_split(units, 8)]).T
+    """The running rules' dense kernel: column j is the rules' apply of the unit forcing 1/w_j at s_j.
+
+    Built from each rule's sums of unit forcings, placed on each part's own
+    path: part I from the origin outward on either side, part II from pi
+    down to -pi, and part III from the tail's total weights.  The factors
+    are the generators' (phi, psi, log_pf, w2, denominator), not ``_terms``'.
+    """
+    n, i0 = len(kernel.nodes), len(kernel.nodes) // 2
+    rule_i, rule_tail = _rules(n, kernel.model.profile.breakpoints, kernel.model.profile.kinks)
+    dense = np.zeros((n, n), complex)
+    for path in (np.arange(i0, n - 1), np.arange(i0, 0, -1)):     # to the nodes beside +-pi
+        a = rule_i.sums(np.eye(len(path))).T        # a[m, q]: weight of path[q] in the sum to path[m]
+        rows = path[1:]                             # psi is nan at the origin
+        dense[np.ix_(rows, path)] += (kernel.psi[rows, None] * (-1j / kernel.model.epsilon) * a[1:]
+                                      * kernel.phi[path] * np.exp(kernel.log_pf[path]))
+    path = np.arange(n - 1, -1, -1)
+    a = rule_tail.sums(np.eye(n)).T
+    dense[np.ix_(path, path)] += kernel.phi[path, None] * a * kernel.w2[path]
+    dense[:, path] += kernel.phi[:, None] * (a[-1] * kernel.w2[path] / kernel.denominator)
+    return dense / kernel.weights
 
 
 @pytest.mark.parametrize("lam", [0.9 + 0.8j, -2.6 + 0.55j, 1.3])

@@ -136,9 +136,8 @@ class TestPhiTrace:
 
     def test_overflowing_march_fails_cleanly(self, sine_model):
         # at |lam| = 1e6 the start mesh's march overflows: no numpy warning,
-        # and a step-budget error that names the overflow
-        with pytest.raises(IntegrationError, match="step budget exhausted: the march "
-                                                   "overflows") as exc:
+        # and an error that names the overflow
+        with pytest.raises(IntegrationError, match="the march overflows at x = ") as exc:
             solution_pairs(sine_model, 1e6, ())
         assert 0.0 < exc.value.x_reached < PI
 
